@@ -1,4 +1,4 @@
-"""Compiled kernel tier vs the numpy tier, tracked in ``BENCH_pdtl.json``.
+"""Compiled C kernel tier vs the numpy tier, tracked in ``BENCH_pdtl.json``.
 
 Two benchmarks on the tracked power-law workload, each timing the *same*
 code path under both kernel tiers (``kernel_backend.use``):
@@ -10,15 +10,15 @@ code path under both kernel tiers (``kernel_backend.use``):
   peel (frontier scan + triangle kill + support decrement in one loop) vs
   the batched numpy peeler.
 
-Warm-JIT hygiene: the compiled tier is activated and explicitly warmed
-(``kernel_backend.warmup()``) before any timed region, so compile time
-never lands in the numbers.  Bit-identity is always asserted -- counts,
-IOStats dicts, modelled seconds, trussness, peel rounds -- under either
-tier; the ``COMPILED_MIN_SPEEDUP`` floor applies only in full mode (the
-tracked target is >=3x on both benchmarks).
+Warm-up hygiene: the C tier is activated and explicitly resolved
+(``kernel_backend.warmup()``) before any timed region, so the one-time
+build or load of the extension never lands in the numbers.  Bit-identity
+is always asserted -- counts, IOStats dicts, modelled seconds, trussness,
+peel rounds -- under either tier; the ``COMPILED_MIN_SPEEDUP`` floor
+applies only in full mode (the tracked target is >=3x on both benchmarks).
 
-Skips with a reason when no compiled backend (numba or cffi) is
-available on the machine, mirroring ``shm_available()``.
+Skips with the probe's reason when the C tier cannot be built on the
+machine, mirroring ``shm_available()``.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ _COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
 def _timed_under(tier: str, fn):
     """Best-of wall clock for ``fn`` with kernel tier ``tier`` active.
 
-    The compiled tier is warmed inside ``use`` and outside the timed
-    region: the first touch of a numba kernel compiles it, and that cost
-    belongs to process startup, not to the benchmark.
+    The compiled tier is resolved inside ``use`` and outside the timed
+    region: building or loading the extension belongs to process startup,
+    not to the benchmark.
     """
     with kernel_backend.use(tier):
         if tier != "numpy":
@@ -58,7 +58,7 @@ def _timed_under(tier: str, fn):
         return best_of(fn)
 
 
-@pytest.mark.skipif(not _COMPILED_OK, reason=f"no compiled backend: {_COMPILED_DETAIL}")
+@pytest.mark.skipif(not _COMPILED_OK, reason=f"no compiled C tier: {_COMPILED_DETAIL}")
 def test_compiled_kernel_speedup(perf_graph, perf_report, tmp_path_factory):
     backend = _COMPILED_DETAIL  # compiled_available() returns the tier name
     expected = forward_count_scalar(perf_graph)

@@ -8,10 +8,10 @@ setup(
     packages=find_packages("src"),
     install_requires=["numpy"],
     extras_require={
-        # the optional compiled kernel tier (core/kernels_compiled.py);
-        # without it the dispatch layer falls back to the cffi tier where a
-        # C compiler is present, and to the always-available numpy tier
-        # otherwise (see core/kernel_backend.py)
-        "compiled": ["numba"],
+        # the optional compiled kernel tier (core/kernels_cffi.py, built
+        # with the host C compiler on first use); without cffi or a compiler
+        # the dispatch layer falls back to the always-available numpy tier
+        # (see core/kernel_backend.py)
+        "compiled": ["cffi"],
     },
 )

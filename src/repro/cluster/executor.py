@@ -72,9 +72,18 @@ class ExecutionBackend(str, Enum):
     PROCESSES = "processes"
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask (narrowed by
+    ``taskset`` and cpuset cgroups) where the platform has one, else the
+    host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _effective_workers(max_workers: int | None, num_jobs: int) -> int:
-    """Bound the worker crew: the caller's cap if given, else the CPU count."""
-    cap = max_workers if max_workers is not None else (os.cpu_count() or 1)
+    """Bound the worker crew: the caller's cap if given, else the usable CPUs."""
+    cap = max_workers if max_workers is not None else _usable_cpus()
     return max(1, min(cap, num_jobs))
 
 
@@ -268,7 +277,7 @@ def run_jobs(
     The result order always matches the job order regardless of completion
     order, so callers can zip results back onto their (node, core)
     assignments.  When ``max_workers`` is omitted the crew is capped at
-    ``os.cpu_count()`` -- never one worker per job.
+    the CPUs this process may use -- never one worker per job.
     """
     backend = ExecutionBackend(backend)
     if not jobs:

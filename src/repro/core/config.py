@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.core.kernel_backend import BACKEND_NAMES
 from repro.core.triangles import CHUNK_SINK_KINDS, normalize_sink_kind
 from repro.errors import ConfigurationError
 from repro.externalmem.blockio import DEFAULT_BLOCK_SIZE
@@ -153,13 +154,14 @@ class PDTLConfig:
         -- only host wall-clock changes.
     kernel_backend:
         which kernel tier evaluates the hot sorted-intersection loops
-        (:mod:`repro.core.kernel_backend`): ``"auto"`` (default) picks the
-        best available of numba, cffi and numpy; ``"numpy"`` pins the
-        always-available vectorised tier; ``"numba"``/``"cffi"`` request a
-        compiled tier and degrade to numpy with a :class:`RuntimeWarning`
-        when unavailable.  Strictly below the accounting layer: triangle
-        counts, listing order, :class:`~repro.externalmem.iostats.IOStats`
-        and modelled times are bit-identical across tiers (the
+        (:mod:`repro.core.kernel_backend`): ``"auto"`` (default) takes the
+        compiled C tier when it builds and passes its self-check, and the
+        numpy tier otherwise; ``"numpy"`` pins the always-available
+        vectorised tier; ``"cffi"`` requests the C tier and degrades to
+        numpy with a :class:`RuntimeWarning` when it does not work.
+        Strictly below the accounting layer: triangle counts, listing
+        order, :class:`~repro.externalmem.iostats.IOStats` and modelled
+        times are bit-identical across tiers (the
         backend-equivalence suite asserts it), only host wall-clock
         changes.  Worker processes re-apply the knob from the pickled
         config, so one setting governs every execution backend.
@@ -185,7 +187,6 @@ class PDTLConfig:
     parallel_preprocess: bool = False
     count_only: bool = True
     sink: str = "count"
-    use_processes: bool = False
     seed: int = 0
     scheduling: str = "static"
     chunk_edges: int | None = None
@@ -267,9 +268,9 @@ class PDTLConfig:
             raise ConfigurationError("host_jitter_seconds must be non-negative")
         object.__setattr__(self, "host_jitter_seconds", float(self.host_jitter_seconds))
         kernel_backend = str(self.kernel_backend).lower()
-        if kernel_backend not in ("auto", "numpy", "numba", "cffi"):
+        if kernel_backend not in BACKEND_NAMES:
             raise ConfigurationError(
-                "kernel_backend must be one of 'auto', 'numpy', 'numba', 'cffi', "
+                f"kernel_backend must be one of {BACKEND_NAMES}, "
                 f"got {self.kernel_backend!r}"
             )
         object.__setattr__(self, "kernel_backend", kernel_backend)

@@ -1,47 +1,29 @@
-"""Kernel-tier selection: route the hot primitives to compiled loops.
+"""Kernel-tier selection: a two-state numpy|C switch for the hot primitives.
 
-:mod:`repro.core.kernels` evaluates every hot path with batched numpy.
-That tier is always available, but each primitive is still 3-5 full-array
-passes with materialised intermediates (packed keys, segment gathers,
-boolean masks).  This module manages an optional *compiled* tier that fuses
-each chain into one allocation-free loop:
+:mod:`repro.core.kernels` evaluates every hot path with batched numpy,
+3-5 full-array passes per primitive with materialised intermediates.  The
+*compiled* tier, :mod:`repro.core.kernels_cffi`, fuses each chain into one
+allocation-free C loop, built once into a cached extension module.
 
-* ``numba`` -- :mod:`repro.core.kernels_compiled`, ``@njit(cache=True,
-  nogil=True)`` twins of the numpy kernels (used by the CI ``compiled``
-  leg, where numba is installed);
-* ``cffi`` -- :mod:`repro.core.kernels_cffi`, the same loops as C compiled
-  once into a cached extension module (used where a C compiler exists but
-  numba does not);
-* ``numpy`` -- no registry at all; the public functions fall through to
-  their ``_*_numpy`` bodies.
-
-Selection
----------
-
-The requested backend comes from, in priority order, an explicit
+The requested tier comes from, in priority order, an explicit
 :func:`activate`/:func:`ensure` call (``PDTLConfig.kernel_backend`` routes
 through :func:`ensure`), the ``KERNEL_BACKEND`` environment variable, and
-the default ``"auto"``.  ``auto`` resolves silently to the best available
-tier (numba, then cffi, then numpy).  Explicitly requesting an unavailable
-backend degrades to numpy with a :class:`RuntimeWarning` rather than
-failing: the compiled tier is an accelerator, never a correctness
-dependency.
+the default ``"auto"``.  ``auto`` takes the C tier when it works and numpy
+otherwise, silently; an explicit ``cffi`` that does not work degrades to
+numpy with one :class:`RuntimeWarning` naming the reason.
 
-Availability is *per function*: :func:`activate` warms every registered
-kernel on a miniature graph and checks it against its numpy twin
-(:data:`repro.core.kernels.NUMPY_IMPLS`); a kernel that fails to JIT,
-crashes, or disagrees is dropped from the registry with a
-:class:`RuntimeWarning` while the rest of the tier stays active.  Dispatch
-happens inside :mod:`repro.core.kernels` (primitives) and via
-:func:`fused` (the multi-pass entry points of the MGT worker, the
-edge-support sink and the truss peeler), so a dropped kernel simply means
-that one call sites falls back to numpy.
+Availability is *whole-tier*: one cached probe per process builds or loads
+the extension, runs every kernel once on a miniature graph and compares it
+with its numpy twin.  Any build failure, crash or disagreement refuses the
+whole tier, so a process runs either every kernel in C or every kernel in
+numpy.  Dispatch happens inside :mod:`repro.core.kernels` (primitives) and
+via :func:`fused` (the multi-pass entry points of the MGT worker, the
+edge-support sink and the truss peeler).
 
-Every implementation is bit-identical to the numpy tier by contract:
-triangle counts, listing order, edge supports, IOStats and the modelled
-operation counts do not change when the backend does.  The
-backend-equivalence matrix in ``tests/cluster/test_backend_equivalence.py``
-enforces this across all four execution backends.
+Both tiers are bit-identical by contract: triangle counts, listing order,
+edge supports, IOStats and modelled operation counts do not change with
+the tier (``tests/cluster/test_backend_equivalence.py`` enforces this
+across all four execution backends).
 """
 
 from __future__ import annotations
@@ -59,10 +41,8 @@ from repro.obs.logconfig import fallback_message
 
 __all__ = [
     "BACKEND_NAMES",
-    "COMPILED_BACKENDS",
     "activate",
     "active_backend",
-    "backend_available",
     "compiled_available",
     "dispatch_counts",
     "ensure",
@@ -74,32 +54,17 @@ __all__ = [
 ]
 
 #: Accepted values for ``KERNEL_BACKEND`` / ``PDTLConfig.kernel_backend``.
-BACKEND_NAMES = ("auto", "numpy", "numba", "cffi")
-
-#: The backends that actually compile (``auto`` resolution order).
-COMPILED_BACKENDS = ("numba", "cffi")
-
-#: Registry names of the fused multi-pass entry points (everything else in
-#: a backend registry is a primitive dispatched inside ``kernels``).
-FUSED_KERNELS = (
-    "mgt_block_scan",
-    "edge_support_accumulate",
-    "truss_peel_level",
-    "triangle_edge_ids",
-    "incidence_csr",
-)
+BACKEND_NAMES = ("auto", "numpy", "cffi")
 
 # resolved state: what was asked for and what we ended up with
 _requested: str | None = None
 _resolved: str | None = None
 
-# probe/registry caches so re-activation (the use() context manager, worker
-# processes re-ensuring) costs a dict lookup, not a recompile
-_probe_cache: dict[str, tuple[bool, str]] = {}
-_registry_cache: dict[str, dict[str, Callable]] = {}
+# the per-process probe result: (C registry or None, reason it is None)
+_probe: tuple[dict[str, Callable] | None, str] | None = None
 _warned: set[str] = set()
 
-# per-process fused-dispatch counts, keyed "<kernel>.<backend>"; plain int
+# per-process fused-dispatch counts, keyed "<kernel>.<tier>"; plain int
 # increments (observability only, harvested by repro.obs.metrics)
 _dispatch_counts: dict[str, int] = {}
 
@@ -107,7 +72,7 @@ _dispatch_counts: dict[str, int] = {}
 def dispatch_counts() -> dict[str, int]:
     """Copy of this process's fused-kernel dispatch counts.
 
-    Keys are ``"<kernel>.<backend>"`` (``"mgt_block_scan.numba"``,
+    Keys are ``"<kernel>.<tier>"`` (``"mgt_block_scan.cffi"``,
     ``"edge_support_accumulate.numpy"``); a :func:`fused` call that found no
     compiled implementation counts as a numpy dispatch, since that is the
     path the caller takes.
@@ -126,230 +91,122 @@ def _warn(key: str, message: str) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=3)
 
 
-def _load_backend(name: str) -> dict[str, Callable]:
-    """Import + build the registry for a compiled backend (may raise)."""
-    if name == "numba":
-        from repro.core import kernels_compiled
-
-        return kernels_compiled.build_registry()
-    if name == "cffi":
-        from repro.core import kernels_cffi
-
-        return kernels_cffi.build_registry()
-    raise ConfigurationError(f"unknown compiled kernel backend {name!r}")
+def _same(got, want) -> bool:
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(map(_same, got, want))
+    return np.array_equal(got, want)
 
 
-def backend_available(name: str) -> tuple[bool, str]:
-    """Probe one backend: ``(available, detail)``.
+def _self_check(registry: dict[str, Callable]) -> None:
+    """Run every C kernel once on a miniature graph; raise on any mismatch.
 
-    ``detail`` is the reason when unavailable (missing module, compiler
-    failure, ...) and empty when available.  Probing a compiled backend
-    builds and warms its registry, so a ``True`` answer means "ready to
-    dispatch", not merely "importable"; results are cached per process.
+    The graph is the oriented triangle-plus-tail 0->{1,2}, 1->2, 3->{} --
+    small, but every branch (hits, misses, empty lists) runs.  Primitives
+    are compared with their numpy twins; the fused kernels with the
+    one-triangle answer their numpy caller chains produce.
     """
-    if name == "numpy":
-        return True, ""
-    if name not in COMPILED_BACKENDS:
-        return False, f"unknown backend {name!r}"
-    cached = _probe_cache.get(name)
-    if cached is not None:
-        return cached
-    try:
-        registry = dict(_load_backend(name))
-        dropped = _warm_registry(name, registry, warn=False)
-        if not registry:
-            raise RuntimeError(
-                "every kernel failed warmup: " + "; ".join(dropped or ("empty registry",))
-            )
-        _registry_cache[name] = registry
-        result = (True, "")
-    except Exception as exc:  # noqa: BLE001 - availability probe must not raise
-        result = (False, f"{type(exc).__name__}: {exc}")
-    _probe_cache[name] = result
-    return result
+
+    def i64(*values: int) -> np.ndarray:
+        return np.array(values, dtype=np.int64)
+
+    indptr, indices = i64(0, 2, 3, 3, 3), i64(1, 2, 2)
+    a, b = i64(-3, 0, 2, 2, 5), i64(-3, 1, 2, 6)
+    us, vs, ws = i64(0), i64(1), i64(2)
+    keys = i64(1, 2, 6)  # packed (0,1), (0,2), (1,2) for n = 4
+    tri = i64(0, 1, 2)  # the triangle's canonical edge ids
+    support = np.zeros(3, dtype=np.int64)
+    cases = {
+        "sorted_membership": ((a, b), None),
+        "merge_positions": ((a, b), None),
+        "intersect_sorted": ((a, b), None),
+        "triangle_range": ((indptr, indices, 0, 4, True), None),
+        "count_cone_range": ((indptr, indices, 0, 4), None),
+        "edge_intersections": ((indptr, indices, us, vs, True), None),
+        "edge_common_neighbors": ((indptr, indices, us, vs), None),
+        # MGT window [0, 2] over the block of vertices 0 and 1
+        "mgt_block_scan": (
+            (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0), True),
+            (1, 1, 1, [0], [1], [2]),
+        ),
+        "edge_support_accumulate": ((keys, us, vs, ws, 4, support), True),
+        # peel the triangle's three edges at k = 3 in one round
+        "truss_peel_level": (
+            (3, np.ones(3, dtype=bool), np.ones(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
+             i64(0, 1, 2, 3), i64(0, 0, 0), tri, np.ones(1, dtype=bool)),
+            (3, 1),
+        ),
+        "triangle_edge_ids": ((indptr, indices, keys, i64(0, 2, 3, 3, 3), 4, 0, 4), [tri]),
+        "incidence_csr": ((tri, 3), (i64(0, 1, 2, 3), i64(0, 0, 0))),
+    }
+    for name, (args, want) in cases.items():
+        got = registry[name](*args)
+        if want is None:
+            twin_args = args[:4] + (None, True) if name == "edge_intersections" else args
+            want = kernels.NUMPY_IMPLS[name](*twin_args)
+        if not _same(got, want):
+            raise RuntimeError(f"kernel {name!r} disagrees with numpy on the self-check")
+    if support.tolist() != [1, 1, 1]:
+        raise RuntimeError("kernel 'edge_support_accumulate' disagrees with numpy")
+
+
+def _probe_c_tier() -> tuple[dict[str, Callable] | None, str]:
+    """Build or load the C tier and self-check it, once per process."""
+    global _probe
+    if _probe is None:
+        try:
+            from repro.core import kernels_cffi
+
+            registry = kernels_cffi.build_registry()
+            _self_check(registry)
+            _probe = (registry, "")
+        except Exception as exc:  # noqa: BLE001 - the probe must not raise
+            _probe = (None, f"{type(exc).__name__}: {exc}")
+    return _probe
 
 
 def compiled_available() -> tuple[bool, str]:
-    """``(available, detail)`` for the best compiled tier on this machine.
+    """``(True, "cffi")`` when the C tier works, else ``(False, reason)``.
 
-    ``detail`` is the backend name (``"numba"`` or ``"cffi"``) when
-    available, and the combined unavailability reasons otherwise -- shaped
-    for ``pytest.mark.skipif`` skip-with-reason, like ``shm_available()``.
+    Shaped for ``pytest.mark.skipif`` skip-with-reason, like
+    ``shm_available()``.
     """
-    reasons = []
-    for name in COMPILED_BACKENDS:
-        ok, detail = backend_available(name)
-        if ok:
-            return True, name
-        reasons.append(f"{name}: {detail}")
-    return False, "; ".join(reasons)
+    registry, reason = _probe_c_tier()
+    return (True, "cffi") if registry is not None else (False, reason)
 
 
-def _warmup_cases() -> dict[str, tuple]:
-    """Miniature inputs exercising every registered kernel once.
-
-    The graph is the oriented triangle-plus-tail 0->{1,2}, 1->2, 3->{} --
-    small enough that compiling dominates, complete enough that every
-    branch (hits, misses, empty lists) runs.
-    """
-    indptr = np.array([0, 2, 3, 3, 3], dtype=np.int64)
-    indices = np.array([1, 2, 2], dtype=np.int64)
-    a = np.array([-3, 0, 2, 2, 5], dtype=np.int64)
-    b = np.array([-3, 1, 2, 6], dtype=np.int64)
-    # MGT window covering vertices [0, 3): E_v lists concatenated + offsets
-    edg = indices.copy()
-    win_offsets = indptr[:4].copy()
-    win_degrees = np.array([2, 1, 0], dtype=np.int64)
-    block_offsets = np.array([0, 2, 3], dtype=np.int64)
-    block_adj = np.array([1, 2, 2], dtype=np.int64)
-    # edge-support sink over the 3 oriented edges (keys for n=4)
-    edge_keys = np.array([0 * 4 + 1, 0 * 4 + 2, 1 * 4 + 2], dtype=np.int64)
-    support = np.zeros(3, dtype=np.int64)
-    us = np.array([0], dtype=np.int64)
-    vs = np.array([1], dtype=np.int64)
-    ws = np.array([2], dtype=np.int64)
-    # one-triangle truss peel at k=2
-    alive = np.ones(3, dtype=bool)
-    tri_alive = np.ones(1, dtype=bool)
-    tri_edges = np.array([[0, 1, 2]], dtype=np.int64)
-    inc_ptr = np.array([0, 1, 2, 3], dtype=np.int64)
-    inc_triangles = np.zeros(3, dtype=np.int64)
-    return {
-        "sorted_membership": (a, b),
-        "merge_positions": (a, b),
-        "intersect_sorted": (a, b),
-        "triangle_range": (indptr, indices, 0, 4, True),
-        "count_cone_range": (indptr, indices, 0, 4),
-        "edge_intersections": (indptr, indices, us, vs, True),
-        "edge_common_neighbors": (indptr, indices, us, vs),
-        "mgt_block_scan": (
-            block_adj,
-            block_offsets,
-            edg,
-            0,
-            2,
-            win_offsets,
-            win_degrees,
-            True,
-        ),
-        "edge_support_accumulate": (edge_keys, us, vs, ws, 4, support),
-        "truss_peel_level": (
-            3,
-            alive,
-            np.ones(3, dtype=np.int64),
-            np.zeros(3, dtype=np.int64),
-            inc_ptr,
-            inc_triangles,
-            tri_edges.reshape(-1),
-            tri_alive,
-        ),
-        "triangle_edge_ids": (
-            indptr,
-            indices,
-            edge_keys,
-            np.searchsorted(edge_keys, np.arange(5, dtype=np.int64) * 4),
-            4,
-            0,
-            4,
-        ),
-        "incidence_csr": (tri_edges.reshape(-1), 3),
-    }
-
-
-def _check_warm_result(name: str, args: tuple, got) -> None:
-    """Compare a primitive's warmup output against its numpy twin."""
-    twin = kernels.NUMPY_IMPLS.get(name)
-    if twin is None:
-        return  # fused kernels are checked by the equivalence suites
-    if name == "edge_intersections":
-        indptr, indices, us, vs, per_edge = args
-        want = twin(indptr, indices, us, vs, None, per_edge)
-    else:
-        want = twin(*args)
-    if not isinstance(want, tuple):
-        want, got = (want,), (got,)
-    for w, g in zip(want, got):
-        if not np.array_equal(np.asarray(w), np.asarray(g)):
-            raise RuntimeError(f"kernel {name!r} disagrees with numpy on warmup input")
-
-
-def _warm_registry(
-    backend: str, registry: dict[str, Callable], warn: bool = True
-) -> list[str]:
-    """Run every registered kernel once; drop (and report) the ones that fail.
-
-    This is both JIT warmup (compile outside any timed or modelled region)
-    and the partial-availability mechanism: a kernel that raises or
-    disagrees with its numpy twin on the miniature input is removed so its
-    call sites fall back to numpy, while the rest of the tier stays on.
-    """
-    dropped: list[str] = []
-    cases = _warmup_cases()
-    for name in list(registry):
-        args = cases.get(name)
-        if args is None:
-            continue
-        # fresh copies: warmup kernels mutate their output arrays
-        args = tuple(np.copy(x) if isinstance(x, np.ndarray) else x for x in args)
-        try:
-            got = registry[name](*args)
-            _check_warm_result(name, args, got)
-        except Exception as exc:  # noqa: BLE001 - degrade per function
-            del registry[name]
-            dropped.append(f"{name}: {type(exc).__name__}: {exc}")
-            if warn:
-                _warn(
-                    f"drop:{backend}:{name}",
-                    f"kernel backend {backend!r}: dropping kernel {name!r} "
-                    f"after failed warmup ({type(exc).__name__}: {exc}); "
-                    f"its callers use the numpy path",
-                )
-    return dropped
+def _validate(name: str) -> str:
+    name = str(name).lower()
+    if name not in BACKEND_NAMES:
+        raise ConfigurationError(f"kernel_backend must be one of {BACKEND_NAMES}, got {name!r}")
+    return name
 
 
 def activate(name: str) -> str:
-    """Select the kernel tier; returns the backend actually in effect.
+    """Select the kernel tier; returns the tier actually in effect.
 
-    ``auto`` picks the best available silently; an explicit ``numba`` or
-    ``cffi`` that is unavailable falls back to ``numpy`` with a
-    :class:`RuntimeWarning` (once per backend per process).
+    ``auto`` takes the C tier when it works, silently; an explicit ``cffi``
+    that does not work falls back to ``numpy`` with one
+    :class:`RuntimeWarning` per process.
     """
     global _requested, _resolved
-    name = str(name).lower()
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"kernel_backend must be one of {BACKEND_NAMES}, got {name!r}"
-        )
-    resolved = name
-    if name == "auto":
-        resolved = "numpy"
-        for candidate in COMPILED_BACKENDS:
-            if backend_available(candidate)[0]:
-                resolved = candidate
-                break
-    elif name in COMPILED_BACKENDS:
-        ok, detail = backend_available(name)
-        if not ok:
-            _warn(
-                f"fallback:{name}",
-                fallback_message(
-                    f"kernel backend {name!r}",
-                    f"it is unavailable ({detail})",
-                    "the numpy tier",
-                ),
-            )
-            resolved = "numpy"
-    registry = _registry_cache.get(resolved, {}) if resolved != "numpy" else {}
+    name = _validate(name)
+    registry = None
+    if name != "numpy":
+        registry, reason = _probe_c_tier()
+        if registry is None and name == "cffi":
+            _warn("fallback:cffi", fallback_message(
+                "kernel backend 'cffi'", f"it is unavailable ({reason})", "the numpy tier"
+            ))
     kernels._ACTIVE_IMPLS.clear()
-    kernels._ACTIVE_IMPLS.update(registry)
+    kernels._ACTIVE_IMPLS.update(registry or {})
     kernels._BACKEND_READY = True
     _requested = name
-    _resolved = resolved
-    return resolved
+    _resolved = "numpy" if registry is None else "cffi"
+    return _resolved
 
 
 def initialize_default() -> str:
-    """Resolve the backend from ``KERNEL_BACKEND`` (default ``auto``) once.
+    """Resolve the tier from ``KERNEL_BACKEND`` (default ``auto``) once.
 
     Called lazily from the first kernel dispatch; later explicit
     :func:`activate`/:func:`ensure` calls override it.
@@ -371,15 +228,11 @@ def ensure(name: str) -> str:
     """Make the process's kernel tier match a config knob.
 
     ``auto`` defers to :func:`initialize_default` (the environment wins, and
-    an already-active tier is kept); an explicit backend re-activates only
+    an already-active tier is kept); an explicit tier re-activates only
     when the current request differs.  Worker processes call this from
     ``MGTWorker.__init__`` so a pickled config reproduces the driver's tier.
     """
-    name = str(name).lower()
-    if name not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"kernel_backend must be one of {BACKEND_NAMES}, got {name!r}"
-        )
+    name = _validate(name)
     if name == "auto":
         return initialize_default()
     if name != _requested or not kernels._BACKEND_READY:
@@ -397,32 +250,28 @@ def fused(name: str):
     if not kernels._BACKEND_READY:
         initialize_default()
     impl = kernels._ACTIVE_IMPLS.get(name)
-    key = f"{name}.{_resolved if impl is not None else 'numpy'}"
+    key = f"{name}.{'numpy' if impl is None else 'cffi'}"
     _dispatch_counts[key] = _dispatch_counts.get(key, 0) + 1
     return impl
 
 
 def warmup() -> tuple[str, ...]:
-    """Run every active compiled kernel once; returns the warmed names.
+    """Resolve the tier now; returns the names of the active C kernels.
 
-    Activation already warms the registry, so this is cheap and mainly
-    useful to make warm state explicit before a timed region (the perf
+    The probe has already run every kernel once, so this only moves the
+    one-time build-or-load out of the first timed region (the perf
     benchmarks call it between ``use(...)`` and the first measurement).
     """
-    backend = active_backend()
-    if backend == "numpy":
-        return ()
-    registry = kernels._ACTIVE_IMPLS
-    _warm_registry(backend, registry)
-    return tuple(sorted(registry))
+    active_backend()
+    return tuple(sorted(kernels._ACTIVE_IMPLS))
 
 
 @contextmanager
 def use(name: str) -> Iterator[str]:
     """Temporarily switch the kernel tier (tests and benchmarks).
 
-    Restores the previous request on exit; registries are cached, so the
-    switch never recompiles.
+    Restores the previous request on exit; the probe is cached, so the
+    switch never rebuilds.
     """
     global _requested, _resolved
     prev = _requested
@@ -433,7 +282,6 @@ def use(name: str) -> Iterator[str]:
             # nothing was ever requested explicitly: return to lazy default
             kernels._ACTIVE_IMPLS.clear()
             kernels._BACKEND_READY = False
-            _requested = None
-            _resolved = None
+            _requested = _resolved = None
         else:
             activate(prev)

@@ -38,12 +38,12 @@ Dispatch seam
 -------------
 
 Each batch primitive below may be routed to a compiled implementation
-registered by :mod:`repro.core.kernel_backend` (numba- or cffi-compiled
-loops that fuse the gather → intersect → count chain without the
-intermediate arrays).  The numpy bodies live on as ``_*_numpy`` twins --
-they are the always-available fallback, the per-function escape hatch when
-a single compiled kernel is unavailable, and the reference the compiled
-tier is property-tested against (:data:`NUMPY_IMPLS`).  Compiled or not,
+installed by :mod:`repro.core.kernel_backend` (C loops from
+:mod:`repro.core.kernels_cffi` that fuse the gather → intersect → count
+chain without the intermediate arrays).  The numpy bodies live on as
+``_*_numpy`` twins -- they are the always-available fallback when the C
+tier cannot be built, and the reference the C tier is self-checked and
+property-tested against (:data:`NUMPY_IMPLS`).  Compiled or not,
 every implementation must return bit-identical values: same counts, same
 element order, same deterministic ``operations`` work measure.
 """
@@ -73,8 +73,8 @@ __all__ = [
     "edge_common_neighbors",
 ]
 
-#: Compiled implementations installed by :func:`repro.core.kernel_backend.activate`,
-#: keyed by primitive name.  Empty under the numpy tier.  Callers never touch
+#: The C tier's implementations installed by :func:`repro.core.kernel_backend.activate`,
+#: keyed by kernel name.  Empty under the numpy tier.  Callers never touch
 #: this directly -- the public functions consult it via :func:`_impl`.
 _ACTIVE_IMPLS: dict = {}
 
@@ -489,9 +489,9 @@ def _edge_common_neighbors_numpy(
 
 
 #: The pure-numpy reference implementation of every dispatched primitive,
-#: by registry name.  Compiled backends are property-tested against these
-#: twins, and :func:`repro.core.kernel_backend.warmup` sanity-checks each
-#: compiled kernel against them before keeping it in the registry.
+#: by registry name.  The C tier is property-tested against these twins, and
+#: the probe in :mod:`repro.core.kernel_backend` refuses the whole tier when
+#: any C kernel disagrees with its twin on a miniature graph.
 NUMPY_IMPLS = {
     "sorted_membership": _sorted_membership_numpy,
     "merge_positions": _merge_positions_numpy,

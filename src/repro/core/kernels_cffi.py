@@ -1,8 +1,7 @@
 """C (cffi) implementations of the hot kernels, bit-identical to numpy.
 
-This is the compiled tier used where a C compiler is available but numba
-is not: the same fused loops as :mod:`repro.core.kernels_compiled`,
-written once as C and built with cffi's out-of-line API mode into an
+This is the compiled kernel tier: every dispatched primitive and fused
+loop written once as C and built with cffi's out-of-line API mode into an
 extension module cached on disk (``PDTL_KERNEL_CACHE`` or a per-user
 temp directory, keyed by a hash of the source).  The first process to
 run pays one ``gcc`` invocation (~1-2 s); every later process loads the
@@ -15,7 +14,8 @@ Semantics are pinned to the numpy twins in
   (duplicate queries each count, duplicate haystack entries do not);
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
-  an entry in ``N⁺(v)`` order;
+  an entry in ``N⁺(v)`` order; ``edge_common_neighbors`` emits owner-major
+  with ``ws`` in ``N(v)`` order;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
 * ``edge_support_accumulate`` rolls back every applied increment before
@@ -23,7 +23,7 @@ Semantics are pinned to the numpy twins in
   contract.
 
 C calls release the GIL (cffi does so around every call), so the threads
-execution backend scales the same way the numba tier's ``nogil`` loops do.
+execution backend runs the kernels of concurrent chunks in parallel.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices,
 int64_t pdtl_edge_intersections(const int64_t *indptr, const int64_t *indices,
                                 const int64_t *us, const int64_t *vs,
                                 int64_t ne, int64_t *per_edge);
+int64_t pdtl_edge_common_neighbors(const int64_t *indptr, const int64_t *indices,
+                                   const int64_t *us, const int64_t *vs,
+                                   int64_t ne, int64_t *owners, int64_t *ws);
 void pdtl_mgt_block_bound(const int64_t *block_adj, const int64_t *block_offsets,
                           int64_t nbv, int64_t vlow, int64_t vhigh,
                           const int64_t *win_degrees,
@@ -272,6 +275,41 @@ int64_t pdtl_edge_intersections(const int64_t *indptr, const int64_t *indices,
         total += c;
     }
     return total;
+}
+
+/* enumeration twin of pdtl_edge_intersections: emit (owner, w) for every
+ * w in N(u) ∩ N(v), owner-major with w in N(v) order -- the numpy twin's
+ * segment-gather order */
+int64_t pdtl_edge_common_neighbors(const int64_t *indptr, const int64_t *indices,
+                                   const int64_t *us, const int64_t *vs,
+                                   int64_t ne, int64_t *owners, int64_t *ws) {
+    int64_t nhit = 0;
+    for (int64_t e = 0; e < ne; e++) {
+        const int64_t *nu = indices + indptr[us[e]];
+        int64_t du = indptr[us[e] + 1] - indptr[us[e]];
+        const int64_t *nv = indices + indptr[vs[e]];
+        int64_t dv = indptr[vs[e] + 1] - indptr[vs[e]];
+        if (du > 32 * dv) {
+            for (int64_t j = 0; j < dv; j++) {
+                int64_t w = nv[j];
+                int64_t pos = pdtl_lower_bound(nu, du, w);
+                if (pos < du && nu[pos] == w) {
+                    owners[nhit] = e; ws[nhit] = w; nhit++;
+                }
+            }
+        } else {
+            int64_t i = 0;
+            for (int64_t j = 0; j < dv; j++) {
+                int64_t w = nv[j];
+                while (i < du && nu[i] < w) i++;
+                if (i >= du) break;
+                if (nu[i] == w) {
+                    owners[nhit] = e; ws[nhit] = w; nhit++;
+                }
+            }
+        }
+    }
+    return nhit;
 }
 
 void pdtl_mgt_block_bound(const int64_t *block_adj, const int64_t *block_offsets,
@@ -571,10 +609,10 @@ def _get_lib():
 
 
 def build_registry() -> dict[str, Callable]:
-    """Kernel registry for :func:`repro.core.kernel_backend.activate`.
+    """Kernel registry of the C tier, checked by :mod:`repro.core.kernel_backend`.
 
     Raises when cffi or the C toolchain is unavailable -- the caller treats
-    that as "backend unavailable" and falls back.
+    that as "tier unavailable" and falls back to numpy.
     """
     ffi, lib = _get_lib()
 
@@ -683,6 +721,29 @@ def build_registry() -> dict[str, Callable]:
         )
         return int(total)
 
+    def edge_common_neighbors(indptr, indices, us, vs):
+        indptr = as_i64(indptr)
+        indices = as_i64(indices)
+        us = as_i64(us)
+        vs = as_i64(vs)
+        # C reads indptr[u], indptr[v] unchecked: refuse ids outside the graph
+        if us.shape != vs.shape:
+            raise ValueError("us and vs must have the same length")
+        if us.shape[0] and (
+            min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= indptr.shape[0] - 1
+        ):
+            raise IndexError("edge endpoints must be vertex ids of the graph")
+        cap = int((indptr[vs + 1] - indptr[vs]).sum())
+        owners = np.empty(cap, dtype=np.int64)
+        ws = np.empty(cap, dtype=np.int64)
+        nhit = int(
+            lib.pdtl_edge_common_neighbors(
+                ptr(indptr), ptr(indices), ptr(us), ptr(vs), us.shape[0],
+                wptr(owners), wptr(ws),
+            )
+        )
+        return owners[:nhit], ws[:nhit]
+
     def mgt_block_scan(
         block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, want_triples
     ):
@@ -788,6 +849,7 @@ def build_registry() -> dict[str, Callable]:
         "triangle_range": triangle_range,
         "count_cone_range": count_cone_range,
         "edge_intersections": edge_intersections,
+        "edge_common_neighbors": edge_common_neighbors,
         "mgt_block_scan": mgt_block_scan,
         "edge_support_accumulate": edge_support_accumulate,
         "truss_peel_level": truss_peel_level,

@@ -374,7 +374,7 @@ def external_sort_edges(
         persistent process pool (:func:`form_runs_parallel`).  Both produce
         byte-identical run files and bit-identical I/O accounting.
     formation_workers:
-        crew cap for ``formation="parallel"``; the CPU count when omitted.
+        crew cap for ``formation="parallel"``; the usable CPUs when omitted.
 
     Returns an :class:`ExternalSortResult`.  The input file is left intact.
     """

@@ -99,10 +99,18 @@ class TestBackendSelection:
         assert peak[0] <= 2
 
 
+def _pin_cpus(monkeypatch, cpus: int) -> None:
+    """Pretend this process may run on ``cpus`` CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
 class TestDefaultWorkerCap:
     """Regression: ``max_workers or len(jobs)`` used to spawn one OS thread
     (or process) per job, even for hundreds of jobs; the default crew is now
-    capped at the host's CPU count."""
+    capped at the CPUs this process may use."""
 
     def _measure_peak(self, num_jobs: int) -> int:
         active = []
@@ -122,15 +130,26 @@ class TestDefaultWorkerCap:
         return peak[0]
 
     def test_default_thread_crew_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        _pin_cpus(monkeypatch, 2)
         assert self._measure_peak(40) <= 2
 
     def test_cap_survives_unknown_cpu_count(self, monkeypatch):
+        # no affinity API and an unknown CPU count: a crew of one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert self._measure_peak(10) <= 1
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform"
+    )
+    def test_crew_follows_affinity_not_host_cpu_count(self, monkeypatch):
+        # a 64-CPU host, but this process is pinned to one CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self._measure_peak(10) == 1
+
     def test_explicit_max_workers_still_wins(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _pin_cpus(monkeypatch, 1)
         barrier = threading.Barrier(3, timeout=5)
 
         def job():
@@ -149,7 +168,7 @@ class TestRunTaskQueue:
         ]
 
     def test_threads_pull_until_drained(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        _pin_cpus(monkeypatch, 3)
         tasks = list(range(50))
         results = run_task_queue(tasks, lambda x: x + 1, backend="threads")
         assert results == [x + 1 for x in tasks]
@@ -212,15 +231,20 @@ class TestPersistentProcessPool:
         first = process_pool(1)
         second = process_pool(1)
         assert first is second
-        assert run_task_queue([1, 2], _double, backend="processes") == [2, 4]
+        # a run that does not need a bigger pool keeps the same handle
+        assert run_task_queue([1, 2], _double, backend="processes", max_workers=1) == [2, 4]
         assert process_pool(1) is first
 
     def test_worker_processes_survive_between_runs(self):
         shutdown_process_pool()
         pids_a = set(run_task_queue([0, 1, 2], _worker_pid, backend="processes"))
+        workers = set(process_pool(1)._processes)
         pids_b = set(run_task_queue([0, 1, 2], _worker_pid, backend="processes"))
-        assert pids_a == pids_b  # same workers, not respawned ones
-        assert os.getpid() not in pids_a
+        # an idle worker may serve no task, so the two runs' PID sets can
+        # differ; but both come from one worker set that was not respawned
+        assert pids_a <= workers and pids_b <= workers
+        assert set(process_pool(1)._processes) == workers
+        assert os.getpid() not in workers
 
     def test_pool_grows_but_never_shrinks(self):
         shutdown_process_pool()

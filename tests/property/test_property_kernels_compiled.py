@@ -1,18 +1,12 @@
-"""Property tests: every compiled kernel against its numpy twin.
+"""Property tests: every C kernel against its numpy twin.
 
-Each available compiled registry is driven through the adversarial input
-families the extsort fallback work (PR 5) established as the danger zone:
-empty arrays, single elements, duplicate-heavy values and negative ids --
-plus random graphs for the structural kernels.  Three registries can be
-under test:
-
-* ``python`` -- the numba kernel *bodies* run as plain Python
-  (:func:`repro.core.kernels_compiled.build_python_registry`); always
-  available, so the numba logic is exercised even where numba is not
-  installed;
-* ``cffi`` -- the C implementations, where a compiler is present;
-* ``numba`` -- the JIT-compiled registry, where numba is installed (the
-  CI ``compiled`` leg).
+The C registry (:mod:`repro.core.kernels_cffi`) is driven through the
+adversarial input families the extsort fallback work established as the
+danger zone: empty arrays, single elements, duplicate-heavy values and
+negative ids -- plus random graphs for the structural kernels.  Where the
+C tier cannot be built the whole module skips with the build's reason; a
+registry that builds but disagrees with numpy fails here rather than
+skipping, even though the tier probe refuses it.
 
 The fused entry points (``mgt_block_scan``, ``edge_support_accumulate``,
 ``truss_peel_level``, ``triangle_edge_ids``, ``incidence_csr``) have no
@@ -31,10 +25,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analytics.truss import truss_decomposition
-from repro.core import kernels, kernels_compiled
+from repro.core import kernels, kernels_cffi
 from repro.core.orientation import orient_csr
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
+
+try:
+    C_REGISTRY = kernels_cffi.build_registry()
+except Exception as exc:  # noqa: BLE001 - no cffi or no C toolchain
+    pytest.skip(
+        f"C tier cannot be built: {type(exc).__name__}: {exc}", allow_module_level=True
+    )
 
 SETTINGS = dict(
     max_examples=25,
@@ -43,23 +44,7 @@ SETTINGS = dict(
 )
 
 
-def _available_registries() -> list[tuple[str, dict]]:
-    registries = [("python", kernels_compiled.build_python_registry())]
-    try:
-        from repro.core import kernels_cffi
-
-        registries.append(("cffi", kernels_cffi.build_registry()))
-    except Exception:  # noqa: BLE001 - no C toolchain: cffi leg skipped
-        pass
-    if kernels_compiled.NUMBA_AVAILABLE:
-        registries.append(("numba", kernels_compiled.build_registry()))
-    return registries
-
-
-REGISTRIES = _available_registries()
-REGISTRY_PARAMS = pytest.mark.parametrize(
-    "registry", [r for _, r in REGISTRIES], ids=[name for name, _ in REGISTRIES]
-)
+REGISTRY_PARAMS = pytest.mark.parametrize("registry", [C_REGISTRY], ids=["cffi"])
 
 
 @contextmanager
@@ -112,6 +97,22 @@ def random_graphs(draw, max_vertices: int = 24, max_edges: int = 90):
     iu, iv = np.triu_indices(n, k=1)
     chosen = rng.choice(iu.shape[0], size=min(m, iu.shape[0]), replace=False)
     edges = np.stack([iu[chosen], iv[chosen]], axis=1)
+    return CSRGraph.from_edgelist(EdgeList(edges, n))
+
+
+@st.composite
+def hub_graphs(draw):
+    """Vertex 0 adjacent to every other vertex, plus sparse extra edges.
+
+    With at least 65 spokes and most spokes of degree 1 or 2, a query
+    ``(0, v)`` takes the lopsided branch (``deg(u) > 32 * deg(v)``) of the
+    compiled intersections while still finding common neighbours.
+    """
+    n = draw(st.integers(min_value=66, max_value=100))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    spokes = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
+    extra = rng.integers(1, n, size=(n // 4, 2))
+    edges = np.concatenate((spokes, extra[extra[:, 0] != extra[:, 1]]))
     return CSRGraph.from_edgelist(EdgeList(edges, n))
 
 
@@ -212,8 +213,6 @@ def test_edge_intersections_matches_numpy(registry, graph, data):
 @settings(**SETTINGS)
 def test_edge_common_neighbors_matches_numpy(registry, graph, data):
     """The delta path's triangle enumerator: identical (owner, w) streams."""
-    if "edge_common_neighbors" not in registry:
-        pytest.skip("registry has no edge_common_neighbors (numpy fallback)")
     n = graph.num_vertices
     ne = data.draw(st.integers(min_value=0, max_value=12))
     seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
@@ -228,6 +227,39 @@ def test_edge_common_neighbors_matches_numpy(registry, graph, data):
     )
     np.testing.assert_array_equal(got_owners, want_owners)
     np.testing.assert_array_equal(got_ws, want_ws)
+
+
+@REGISTRY_PARAMS
+@given(graph=hub_graphs(), data=st.data())
+@settings(**SETTINGS)
+def test_edge_common_neighbors_gallops_on_hubs(registry, graph, data):
+    """Hub-side queries: the galloping search emits the same stream."""
+    seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+    vs = np.random.default_rng(seed).integers(1, graph.num_vertices, size=12)
+    us = np.zeros_like(vs)
+    want_owners, want_ws = kernels.NUMPY_IMPLS["edge_common_neighbors"](
+        graph.indptr, graph.indices, us, vs
+    )
+    got_owners, got_ws = registry["edge_common_neighbors"](
+        graph.indptr, graph.indices, us, vs
+    )
+    np.testing.assert_array_equal(got_owners, want_owners)
+    np.testing.assert_array_equal(got_ws, want_ws)
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("u, v", [(0, 3), (3, 0), (-1, 0), (0, -1)])
+def test_edge_common_neighbors_refuses_ids_outside_the_graph(registry, u, v):
+    graph = CSRGraph.from_edgelist(EdgeList(np.array([[0, 1], [1, 2], [0, 2]]), 3))
+    indptr, indices = graph.indptr, graph.indices
+    with pytest.raises(IndexError):
+        registry["edge_common_neighbors"](
+            indptr, indices, np.array([u], dtype=np.int64), np.array([v], dtype=np.int64)
+        )
+    with pytest.raises(ValueError):
+        registry["edge_common_neighbors"](
+            indptr, indices, np.array([0, 1], dtype=np.int64), np.array([1], dtype=np.int64)
+        )
 
 
 # -- fused kernels vs in-test references ------------------------------------

@@ -44,9 +44,6 @@ EXTSORT_MIN_SPEEDUP = 10.0
 BASELINE_MIN_SPEEDUP = 5.0
 #: processes+shm over the plain processes backend (test_perf_backends)
 BACKEND_SHM_MIN_SPEEDUP = 1.5
-#: parallel preprocessing (pool orientation + pool run formation) over the
-#: serial master path (test_perf_preprocess)
-PREPROCESS_MIN_SPEEDUP = 1.5
 #: vectorised k-truss peeler over the scalar reference (test_perf_analytics)
 TRUSS_MIN_SPEEDUP = 5.0
 #: compiled kernel tier over the numpy tier, both mgt_counting and
@@ -62,7 +59,7 @@ def numpy_kernel_tier():
     """Pin the numpy kernel tier for every perf benchmark.
 
     The historical entries of ``BENCH_pdtl.json`` (extsort, baselines,
-    backends, truss, preprocess) measure the *vectorised numpy* paths
+    backends, truss) measure the *vectorised numpy* paths
     against their pre-PR references and floors; letting the auto-detected
     compiled tier leak in would silently change what those numbers mean
     (and shift relative floors like the shm-vs-processes ratio).  The

@@ -6,12 +6,10 @@ Four microbenchmarks, mirroring the layers the vectorisation PR touched:
   file under a 64 KB cap: the buffered numpy merge vs the per-edge
   ``heapq`` merge it replaced, on identical run/pass structure and
   identical I/O.  The headline metric is the merge-phase speedup (run
-  formation is an unchanged numpy ``lexsort`` shared by both paths).
+  formation is the same radix sort in both paths).
 * **baseline counting** -- the shared-kernel compact-forward count vs the
   pre-refactor per-vertex Python loops.
-* **mgt counting** -- single-core MGT throughput over the on-disk graph,
-  with and without the adjacency read-ahead buffer (I/O accounting must be
-  identical; only wall clock may differ).
+* **mgt counting** -- single-core MGT throughput over the on-disk graph.
 * **orientation** -- the master's preprocessing step, for trajectory
   tracking.
 
@@ -138,28 +136,17 @@ def test_mgt_counting_throughput(perf_graph, perf_report, reference_count, tmp_p
     device = BlockDevice(tmp_path_factory.mktemp("mgt"), block_size=_BLOCK)
     oriented = orient_graph(write_graph(device, "g", perf_graph)).oriented
 
-    outcomes = {}
-    for label, readahead in (("plain", 0), ("readahead", 1 << 20)):
-        config = PDTLConfig(
-            memory_per_proc=_MGT_MEMORY, block_size=_BLOCK, readahead_bytes=readahead
-        )
-        wall, result = best_of(lambda: mgt_count(oriented, config))
-        assert result.triangles == reference_count
-        outcomes[label] = (wall, result)
-
-    plain_wall, plain = outcomes["plain"]
-    ra_wall, ra = outcomes["readahead"]
-    # the read-ahead buffer must be invisible to the accounting
-    assert plain.io_stats.as_dict() == ra.io_stats.as_dict()
+    config = PDTLConfig(memory_per_proc=_MGT_MEMORY, block_size=_BLOCK)
+    wall, result = best_of(lambda: mgt_count(oriented, config))
+    assert result.triangles == reference_count
     perf_report.record(
         "mgt_counting",
-        triangles=int(plain.triangles),
+        triangles=int(result.triangles),
         memory_bytes=_MGT_MEMORY,
-        iterations=plain.iterations,
-        wall_s=plain_wall,
-        readahead_wall_s=ra_wall,
-        edges_per_s=oriented.num_edges / plain_wall,
-        modelled_io_s=plain.io_seconds,
+        iterations=result.iterations,
+        wall_s=wall,
+        edges_per_s=oriented.num_edges / wall,
+        modelled_io_s=result.io_seconds,
     )
 
 

@@ -95,9 +95,9 @@ class SetupCostEstimate:
     The setup phase -- staging the input graph, orienting it and serving
     the replication reads -- is a fixed number of sequential scans of the
     degree and adjacency files, so its block count is execution-strategy
-    independent: fanning the orientation over the process pool charges
-    exactly the same scans as the serial path (the preprocessing
-    equivalence suite asserts the measured counters are bit-identical).
+    independent: orienting on threads charges exactly the same scans as
+    the sequential path (the preprocessing equivalence suite asserts the
+    measured counters are bit-identical).
     This estimate gives the scan-cost envelope those counters must sit
     near, in the same no-hidden-constants spirit as the MGT and PDTL
     estimates above.
@@ -197,13 +197,14 @@ def estimate_pdtl_cost(
     Network traffic is in "elements" (adjacency entries / messages): the
     graph is shipped once to each of the ``N`` nodes, each of the ``N·P``
     processors receives a configuration message, and ``T`` triangles come
-    back when listing (0 when counting, per the theorem's convention).
+    back when listing (``config.sink == "list"``; 0 otherwise, per the
+    theorem's counting convention).
     """
     num_edges = _undirected_edge_count(graph)
     np_total = config.total_processors
     memory_edges = config.window_edges
     block_edges = config.block_items
-    output_triangles = 0 if config.count_only else num_triangles
+    output_triangles = num_triangles if config.sink == "list" else 0
     alpha = _arboricity_bound(num_edges)
 
     network = config.num_nodes * (config.procs_per_node + num_edges) + output_triangles

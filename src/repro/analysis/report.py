@@ -148,7 +148,7 @@ def counters_table(
     """Render a flat counter mapping as a two-column table.
 
     Derived hit rates (``<base>.hit_rate`` for every ``.hits``/``.misses``
-    sibling pair -- the fd-cache and read-ahead counters in particular) are
+    sibling pair -- the fd-cache counters in particular) are
     appended automatically so the summary table exposes them without the
     caller precomputing anything.  ``prefix`` filters to one namespace.
     """

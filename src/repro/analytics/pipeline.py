@@ -116,7 +116,7 @@ class AnalyticsResult:
         """Figure-style plain-text report (summary + truss table).
 
         When the engine ran with ``trace=True`` the telemetry rollup and the
-        counter table (fd-cache / read-ahead hit rates included) are
+        counter table (fd-cache hit rates included) are
         appended, so one traced analytics run yields the full story.
         """
         sections = [

@@ -63,7 +63,6 @@ def run_single_core_mgt(
         memory_per_proc=memory_per_proc,
         block_size=block_size,
         load_balanced=False,
-        parallel_orientation=False,
     )
 
     tempdir: tempfile.TemporaryDirectory | None = None

@@ -22,7 +22,6 @@ that preserves the quantities the evaluation reports:
 from repro.cluster.cluster import Cluster
 from repro.cluster.executor import (
     ExecutionBackend,
-    run_jobs,
     run_task_queue,
     shutdown_process_pool,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "NodeMetrics",
     "ClusterMetrics",
     "ExecutionBackend",
-    "run_jobs",
     "run_task_queue",
     "shutdown_process_pool",
 ]

@@ -64,7 +64,6 @@ class Cluster:
                 block_size=config.block_size,
                 disk_model=disk_model,
                 storage_root=storage_root,
-                mmap_reads=config.mmap_reads,
             )
             for i in range(config.num_nodes)
         ]

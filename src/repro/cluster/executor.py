@@ -14,7 +14,7 @@ pluggable:
 * ``processes`` -- a **persistent** :class:`concurrent.futures.ProcessPoolExecutor`
   for true CPU parallelism; job callables and results must be picklable
   (the dynamic scheduler's :class:`~repro.core.scheduler.ChunkTask` path
-  is).  The pool is created once and reused across every ``run_jobs`` /
+  is).  The pool is created once and reused across every
   ``run_task_queue`` call (and across scheduler rounds), so repeated runs
   pay the worker spawn cost exactly once instead of per call -- the
   visible startup tax on small graphs the old per-call pool had.  Each
@@ -22,14 +22,12 @@ pluggable:
   attachment cache (:mod:`repro.core.shm`), after which chunk tasks attach
   published graph segments once and serve every later task zero-copy.
 
-Two entry points are exposed.  :func:`run_jobs` is the classic fixed-
-assignment API (one job per processor, results in submission order).
-:func:`run_task_queue` is the pull-based variant the dynamic chunk
-scheduler uses: a bounded crew of workers loops over a shared queue of
-small tasks, so a slow task only delays the worker holding it -- the
-structured-concurrency shape of pygolang's ``sync.WorkGroup``, without the
-extra dependency.  Both cap their default parallelism at the host's CPU
-count: spawning one OS thread or process per job melts down once jobs
+The single entry point, :func:`run_task_queue`, is pull-based: a bounded
+crew of workers loops over a shared queue of tasks, so a slow task only
+delays the worker holding it -- the structured-concurrency shape of
+pygolang's ``sync.WorkGroup``, without the extra dependency.  Results come
+back in task order.  The default crew is capped at the CPUs this process
+may use: spawning one OS thread or process per task melts down once tasks
 number in the hundreds (the dynamic scheduler routinely queues hundreds of
 chunks).
 
@@ -53,9 +51,7 @@ from typing import Callable, Sequence, TypeVar
 
 __all__ = [
     "ExecutionBackend",
-    "run_jobs",
     "run_task_queue",
-    "run_preprocess_queue",
     "process_pool",
     "shutdown_process_pool",
 ]
@@ -163,9 +159,9 @@ def process_pool(min_workers: int) -> concurrent.futures.ProcessPoolExecutor:
     This is an inspection/warm-up hook, not a submission API: the returned
     executor may be replaced (and shut down) by a later, larger request at
     any time.  Only the internal ``_acquire_pool``/``_release_pool``
-    protocol -- which ``run_jobs`` and ``run_task_queue`` use -- defers
-    that shutdown while tasks are in flight, so submit work through those
-    entry points rather than directly on the returned pool.
+    protocol -- which ``run_task_queue`` uses -- defers that shutdown while
+    tasks are in flight, so submit work through that entry point rather
+    than directly on the returned pool.
     """
     with _POOL_LOCK:
         handle, to_close = _ensure_pool_locked(min_workers)
@@ -265,58 +261,6 @@ def _map_on_pool(
     finally:
         _release_pool(handle)
     return results
-
-
-def run_jobs(
-    jobs: Sequence[Callable[[], T]],
-    backend: ExecutionBackend | str = ExecutionBackend.SERIAL,
-    max_workers: int | None = None,
-) -> list[T]:
-    """Execute ``jobs`` under the chosen backend and return results in order.
-
-    The result order always matches the job order regardless of completion
-    order, so callers can zip results back onto their (node, core)
-    assignments.  When ``max_workers`` is omitted the crew is capped at
-    the CPUs this process may use -- never one worker per job.
-    """
-    backend = ExecutionBackend(backend)
-    if not jobs:
-        return []
-    if backend is ExecutionBackend.SERIAL or len(jobs) == 1:
-        return [job() for job in jobs]
-    workers = _effective_workers(max_workers, len(jobs))
-    if backend is ExecutionBackend.THREADS:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job) for job in jobs]
-            return [f.result() for f in futures]
-    if backend is ExecutionBackend.PROCESSES:
-        return _map_on_pool(_call_job, jobs, workers)
-    raise ValueError(f"unknown execution backend {backend!r}")
-
-
-def _call_job(job: Callable[[], T]) -> T:
-    """Module-level trampoline so ``run_jobs`` callables cross the pickle
-    boundary the same way ``run_task_queue`` tasks do."""
-    return job()
-
-
-def run_preprocess_queue(
-    tasks: Sequence[U],
-    fn: Callable[[U], T],
-    max_workers: int | None = None,
-) -> list[T]:
-    """Fan master-side preprocessing tasks out over the persistent pool.
-
-    This is the task queue the parallel preprocessing pipeline (orientation
-    chunks, external-sort run formation) submits to: the pull behaviour of
-    :func:`run_task_queue` pinned to the persistent ``processes`` backend,
-    so results come back in task order, at most ``max_workers`` (or the CPU
-    count) tasks are in flight, and the picklable-task contract is
-    genuinely exercised even for a single chunk.
-    """
-    return run_task_queue(
-        tasks, fn, backend=ExecutionBackend.PROCESSES, max_workers=max_workers
-    )
 
 
 def run_task_queue(

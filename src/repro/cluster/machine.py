@@ -55,7 +55,6 @@ class Machine:
         block_size: int = 4096,
         disk_model: DiskModel | None = None,
         storage_root: str | Path | None = None,
-        mmap_reads: bool = False,
     ) -> None:
         if num_cores <= 0:
             raise ConfigurationError(f"machine {index} needs at least one core")
@@ -75,9 +74,7 @@ class Machine:
                 self._tempdir = tempfile.TemporaryDirectory(prefix=f"pdtl_node{index}_")
                 self._owns_tempdir = True
                 root = Path(self._tempdir.name)
-            self.device = BlockDevice(
-                root, block_size=block_size, model=disk_model, mmap_reads=mmap_reads
-            )
+            self.device = BlockDevice(root, block_size=block_size, model=disk_model)
 
     # -- capacity ------------------------------------------------------------------
 

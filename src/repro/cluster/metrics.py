@@ -109,8 +109,8 @@ class ClusterMetrics:
     ``setup_seconds`` / ``setup_io_stats`` isolate the master's
     *preprocessing* phase -- staging the input, orienting it and
     replicating the oriented graph -- as modelled device time and block
-    counters on the master's disk.  They are charged identically whether
-    the preprocessing ran serially or fanned out over the process pool
+    counters on the master's disk.  They are charged identically on every
+    backend, whether the orientation chunks ran on threads or in sequence
     (the accounting is below the execution strategy), which is exactly
     what the preprocessing equivalence suite asserts.
     """

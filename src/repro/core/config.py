@@ -8,8 +8,8 @@ even just a single computer with low available memory."*
 
 :class:`PDTLConfig` captures exactly that tuple plus the block size ``B``
 of the I/O model and a couple of implementation knobs (the ``c`` constant
-of the small-degree assumption and whether load balancing / parallel
-orientation are enabled).
+of the small-degree assumption and whether load balancing is enabled).
+The master always orients with all ``P`` of its cores (Figure 2).
 """
 
 from __future__ import annotations
@@ -47,29 +47,6 @@ class PDTLConfig:
     load_balanced:
         whether the master balances edge ranges by oriented in-degree
         (Figure 9) instead of splitting edges equally.
-    parallel_orientation:
-        whether the master orients the graph with all of its cores
-        (Figure 2) or sequentially.
-    parallel_preprocess:
-        when True, the master publishes the *input* (unoriented) graph into
-        named shared-memory segments once per run
-        (:func:`repro.core.shm.publish_input_graph`) and fans the
-        orientation scan out over the **persistent process pool** as
-        picklable chunk tasks, each worker filtering its vertex window
-        zero-copy against the published degree-order keys.  Purely a
-        host-side wall-clock optimisation below the accounting layer: the
-        master charges the serial scan's exact I/O in chunk order, so the
-        oriented file bytes, :class:`~repro.externalmem.iostats.IOStats`
-        and modelled setup seconds are bit-identical with the flag on or
-        off (the preprocessing equivalence suite asserts this).  The
-        publication is unlinked in a ``finally`` -- even when a
-        preprocessing worker raises mid-run -- and on platforms without
-        POSIX shared memory the runner falls back to the threaded
-        orientation with a warning.
-    count_only:
-        when True, triangles are counted but not materialised, so the output
-        term ``T/B`` of the I/O bound and ``T`` of the network bound drop to 0,
-        matching the convention of Theorem IV.3.
     sink:
         the default sink kind a :class:`~repro.core.pdtl.PDTLRunner` hands
         every worker when ``run()`` is not given an explicit ``sink_kind``:
@@ -78,6 +55,9 @@ class PDTLConfig:
         k-truss decomposition in :mod:`repro.analytics`).  Underscore
         spellings (``"edge_support"``) are normalised to the hyphenated
         kind names of the :func:`repro.core.triangles.make_sink` registry.
+        The kind also sizes every result message the network charges: one
+        count for ``"count"`` (Theorem IV.3's counting convention), the
+        triangles for ``"list"``, and a dense array for the other two.
     scheduling:
         how oriented edge positions are handed to the ``N·P`` workers.
         ``"static"`` (the paper's protocol) computes one contiguous range per
@@ -134,24 +114,6 @@ class PDTLConfig:
         modelled times are bit-identical with it on or off.  On platforms
         without POSIX shared memory the runner falls back to the on-disk
         path with a warning (see :func:`repro.core.shm.shm_available`).
-    readahead_bytes:
-        when positive, each MGT worker scans the adjacency file through a
-        private aligned read-ahead buffer of this size (see
-        :meth:`repro.graph.binfmt.GraphFile.set_readahead`).  Purely a
-        host-side wall-clock optimisation: it sits below the accounting
-        layer, so :class:`~repro.externalmem.iostats.IOStats` block counts
-        and modelled device seconds are bit-identical with it on or off.
-        Accepts human-readable sizes (``"1MB"``); ``0`` disables.
-    mmap_reads:
-        when True, every simulated block device serves file reads from a
-        cached read-only ``mmap`` of the file instead of issuing one
-        ``pread`` syscall per logical read
-        (:class:`~repro.externalmem.blockio.BlockDevice`).  Strictly below
-        the accounting layer: every logical read is still charged at its
-        exact offset and length, so
-        :class:`~repro.externalmem.iostats.IOStats` block counts and
-        modelled device seconds are bit-identical with the flag on or off
-        -- only host wall-clock changes.
     kernel_backend:
         which kernel tier evaluates the hot sorted-intersection loops
         (:mod:`repro.core.kernel_backend`): ``"auto"`` (default) takes the
@@ -183,9 +145,6 @@ class PDTLConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     memory_fill_fraction: float = 0.5
     load_balanced: bool = True
-    parallel_orientation: bool = True
-    parallel_preprocess: bool = False
-    count_only: bool = True
     sink: str = "count"
     seed: int = 0
     scheduling: str = "static"
@@ -194,18 +153,13 @@ class PDTLConfig:
     straggler_spec: tuple[tuple[int, float], ...] = ()
     host_jitter_seconds: float = 0.0
     modelled_cpu: bool = False
-    readahead_bytes: int = 0
     shm: bool = False
-    mmap_reads: bool = False
     kernel_backend: str = "auto"
     trace: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memory_per_proc", parse_size(self.memory_per_proc))
         object.__setattr__(self, "block_size", parse_size(self.block_size))
-        # parse_size rejects negative sizes (ValueError), matching how
-        # memory_per_proc and block_size are validated above
-        object.__setattr__(self, "readahead_bytes", parse_size(self.readahead_bytes))
         if self.num_nodes <= 0:
             raise ConfigurationError(f"num_nodes must be positive, got {self.num_nodes}")
         if self.procs_per_node <= 0:
@@ -374,7 +328,6 @@ class PDTLConfig:
             f"M={format_size(self.memory_per_proc)}/proc, "
             f"B={format_size(self.block_size)}, "
             f"load_balanced={self.load_balanced}, "
-            f"count_only={self.count_only}, "
-            f"scheduling={self.scheduling}, shm={self.shm}, "
-            f"parallel_preprocess={self.parallel_preprocess})"
+            f"sink={self.sink}, "
+            f"scheduling={self.scheduling}, shm={self.shm})"
         )

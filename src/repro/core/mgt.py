@@ -113,13 +113,7 @@ class MGTWorker:
     ) -> None:
         if not oriented.directed:
             raise ConfigurationError("MGTWorker requires an oriented graph file")
-        # a private handle per worker: the read-ahead buffer must not be
-        # shared between concurrent scanners
-        self.graph = (
-            oriented.with_readahead(config.readahead_bytes)
-            if config.readahead_bytes
-            else oriented
-        )
+        self.graph = oriented
         self.config = config
         # apply the kernel-tier knob here rather than in the runner: worker
         # processes construct their MGTWorker from the pickled config, so

@@ -9,31 +9,25 @@ and the orientation ``G*`` keeps exactly the edges ``(u, v)`` with
 separately in the paper (Table II, Figure 2, Table IX) and happens exactly
 once per graph regardless of how many machines participate.
 
-Three code paths are provided:
+Two code paths are provided:
 
 * :func:`orient_csr` -- fully vectorised in-memory orientation, used by the
   in-memory baselines and by tests as the reference implementation;
-* :func:`orient_graph` with ``executor="threads"`` (the default) -- the
-  external-memory path: the degree array is read into memory (the paper
-  assumes ``|V| < P·M``), the adjacency file is split into contiguous
-  vertex chunks that are filtered independently (a thread pool when
-  ``parallel=True``, sequentially otherwise) and concatenated in order --
-  the "multicore orientation" of section IV-B1 whose speed-up Figure 2
-  reports;
-* :func:`orient_graph` with ``executor="processes"`` and a shared-memory
-  descriptor (:func:`repro.core.shm.publish_input_graph`) -- the chunks
-  run as picklable :class:`OrientChunkTask` s on the **persistent process
-  pool** (:func:`repro.cluster.executor.run_preprocess_queue`), each
-  worker slicing its adjacency window zero-copy from the published input
-  graph and filtering it against the published degree-order keys.
+* :func:`orient_graph` -- the external-memory path: the degree array is
+  read into memory (the paper assumes ``|V| < P·M``), the adjacency file
+  is split into contiguous vertex chunks that are stream-filtered
+  independently (on a thread pool when ``parallel=True``, sequentially
+  otherwise) and concatenated in order -- the "multicore orientation" of
+  section IV-B1 whose speed-up Figure 2 reports.
 
-Every path charges the identical I/O accounting: the master charges one
-degree-file scan plus one adjacency read per chunk **in chunk order**
+Both modes of :func:`orient_graph` charge the identical I/O accounting:
+the master charges one degree-file scan plus one adjacency read per chunk
+**in chunk order**
 (:meth:`repro.externalmem.blockio.BlockDevice.charge_read`), while the
-chunk compute reads the bytes below the accounting (raw ``np.fromfile``
-or a shared-memory view).  IOStats, modelled device seconds and the
-output file bytes are therefore bit-identical no matter which executor
-ran the chunks -- the equivalence suite asserts this, it is not assumed.
+chunk compute reads the bytes below the accounting (raw ``np.fromfile``).
+IOStats, modelled device seconds and the output file bytes are therefore
+bit-identical whether the chunks ran on threads or in sequence -- the
+equivalence suite asserts this, it is not assumed.
 
 Because both the input and output adjacency files are sorted by source and
 then destination, and orientation only *removes* entries, the output
@@ -48,19 +42,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import kernels
-from repro.core.shm import SharedGraphDescriptor, attach_view
-from repro.externalmem.blockio import BlockDevice, DiskModel
+from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import GraphFile, write_graph
 from repro.graph.csr import CSRGraph
 from repro.utils import Timer, chunk_ranges, prefix_sums
 
 __all__ = [
     "OrientationResult",
-    "OrientChunkTask",
     "degree_order_keys",
     "precedes",
     "orient_csr",
-    "orient_chunk_shared",
     "orient_graph",
 ]
 
@@ -75,7 +66,7 @@ class OrientationResult:
     ``modelled_io_seconds`` is the modelled device time charged during the
     orientation (input scans plus output writes) -- identical across
     executors by construction; ``executor`` records which path ran the
-    chunks (``"serial"`` / ``"threads"`` / ``"processes"``).
+    chunks (``"serial"`` / ``"threads"``).
     """
 
     oriented: GraphFile
@@ -138,103 +129,32 @@ def orient_csr(graph: CSRGraph) -> CSRGraph:
     return CSRGraph(new_indptr, new_indices, directed=True)
 
 
-def _orient_window(
-    keys: np.ndarray,
-    sources: np.ndarray,
-    adjacency: np.ndarray,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The per-window orientation kernel every execution path shares.
-
-    ``sources``/``adjacency`` are the aligned (source, destination) entries
-    of the vertex window ``[lo, hi)``; returns (per-vertex oriented
-    out-degrees, filtered adjacency).  One vectorised key comparison and
-    one ``bincount`` -- no per-edge Python.
-    """
-    if adjacency.shape[0] == 0:
-        return np.zeros(hi - lo, dtype=np.int64), np.empty(0, dtype=np.int64)
-    keep = keys[sources] < keys[adjacency]
-    out_degrees = np.bincount(sources[keep] - lo, minlength=hi - lo).astype(np.int64)
-    return out_degrees, adjacency[keep]
-
-
 def _orient_chunk(
-    keys: np.ndarray,
-    offsets: np.ndarray,
-    lo: int,
-    hi: int,
-    read_range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orient the vertex chunk ``[lo, hi)``; ``read_range(start, count)``
-    supplies the adjacency window.
-
-    Every execution path funnels through this one body, so the slicing,
-    empty-range shape and filter stay in lockstep -- the precondition of
-    the cross-executor bit-identity contract.
-    """
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    start_edge = int(offsets[lo])
-    count = int(offsets[hi] - offsets[lo])
-    adjacency = read_range(start_edge, count) if count else np.empty(0, dtype=np.int64)
-    sources = kernels.window_sources(offsets, lo, hi)
-    return _orient_window(keys, sources, adjacency, lo, hi)
-
-
-def _orient_chunk_raw(
     adjacency_path: str,
     keys: np.ndarray,
     offsets: np.ndarray,
     vertex_range: tuple[int, int],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orient one vertex chunk, reading its adjacency raw from the host file.
+    """Orient the vertex chunk ``[lo, hi)``; returns (per-vertex oriented
+    out-degrees, filtered adjacency).
 
-    The read is below the accounting layer on purpose: the master charges
-    the modelled chunk read itself, in chunk order, so the accounting is
-    identical whether this runs inline, on a thread or not at all (the
-    shared-memory path).
+    The adjacency window is read raw from the host file, below the
+    accounting on purpose: the master charges the modelled chunk read
+    itself, in chunk order, so the accounting is identical whether this
+    runs inline or on a thread.  The filter is one vectorised key
+    comparison and one ``bincount`` -- no per-edge Python.
     """
     lo, hi = vertex_range
-
-    def read_range(start_edge: int, count: int) -> np.ndarray:
-        return np.fromfile(
-            adjacency_path, dtype=np.int64, count=count, offset=start_edge * 8
-        )
-
-    return _orient_chunk(keys, offsets, lo, hi, read_range)
-
-
-@dataclass(frozen=True)
-class OrientChunkTask:
-    """One vertex chunk of the parallel orientation, picklable for the pool.
-
-    Carries only the shared-memory descriptor of the published *input*
-    graph (:func:`repro.core.shm.publish_input_graph`) plus the chunk's
-    vertex range -- never arrays.  The worker attaches the publication
-    (once per process, cached) and filters its window zero-copy.
-    """
-
-    descriptor: "SharedGraphDescriptor"
-    lo: int
-    hi: int
-
-
-def orient_chunk_shared(task: OrientChunkTask) -> tuple[np.ndarray, np.ndarray]:
-    """Execute one :class:`OrientChunkTask` against the shared input graph.
-
-    Module-level so it crosses the process-pool pickle boundary.  All data
-    arrives through the shared segments (adjacency window, offsets and the
-    published degree-order keys); nothing here touches an I/O counter.
-    """
-    view = attach_view(task.descriptor, DiskModel())
-    return _orient_chunk(
-        view.order_keys,
-        view.cached_offsets,
-        task.lo,
-        task.hi,
-        view.read_adjacency_range,
+    count = int(offsets[hi] - offsets[lo])
+    if count == 0:
+        return np.zeros(hi - lo, dtype=np.int64), np.empty(0, dtype=np.int64)
+    adjacency = np.fromfile(
+        adjacency_path, dtype=np.int64, count=count, offset=int(offsets[lo]) * 8
     )
+    sources = kernels.window_sources(offsets, lo, hi)
+    keep = keys[sources] < keys[adjacency]
+    out_degrees = np.bincount(sources[keep] - lo, minlength=hi - lo).astype(np.int64)
+    return out_degrees, adjacency[keep]
 
 
 def orient_graph(
@@ -243,8 +163,6 @@ def orient_graph(
     output_name: str | None = None,
     num_workers: int = 1,
     parallel: bool = True,
-    executor: str = "threads",
-    shared: SharedGraphDescriptor | None = None,
 ) -> OrientationResult:
     """Orient an on-disk undirected graph into an on-disk oriented graph.
 
@@ -264,43 +182,15 @@ def orient_graph(
         when False the chunks are processed sequentially even if
         ``num_workers > 1`` (used to measure the multicore speed-up of
         Figure 2 against an identical work decomposition).
-    executor:
-        ``"threads"`` (default) runs the chunks on a thread pool;
-        ``"processes"`` fans them out over the persistent process pool as
-        :class:`OrientChunkTask` s and requires ``shared``.
-    shared:
-        the :class:`~repro.core.shm.SharedGraphDescriptor` of the
-        published input graph (:func:`~repro.core.shm.publish_input_graph`);
-        required for (and only used by) ``executor="processes"``.
 
-    The I/O accounting is identical for every executor: one degree-file
-    read plus one charged adjacency read per chunk in chunk order, then
-    the output writes.
+    The I/O accounting is identical either way: one degree-file read plus
+    one charged adjacency read per chunk in chunk order, then the output
+    writes.
     """
     if source.directed:
         raise ValueError("orient_graph expects an undirected on-disk graph")
     if num_workers <= 0:
         raise ValueError("num_workers must be positive")
-    if executor not in ("threads", "processes"):
-        raise ValueError(f"executor must be 'threads' or 'processes', got {executor!r}")
-    if executor == "processes" and shared is None:
-        raise ValueError("executor='processes' requires a shared input-graph descriptor")
-    if executor == "processes" and not parallel:
-        raise ValueError(
-            "parallel=False conflicts with executor='processes'; use the "
-            "default threads executor to measure the sequential baseline"
-        )
-    if shared is not None and executor == "processes":
-        if (
-            shared.num_vertices != source.num_vertices
-            or shared.num_edges != source.num_edges
-        ):
-            raise ValueError(
-                f"shared descriptor {shared.token!r} does not match the source "
-                f"graph ({shared.num_vertices} vertices / {shared.num_edges} "
-                f"entries published vs {source.num_vertices} / "
-                f"{source.num_edges} on disk)"
-            )
     device = device if device is not None else source.device
     output_name = output_name if output_name is not None else f"{source.name}_oriented"
 
@@ -311,41 +201,30 @@ def orient_graph(
     timer = Timer().start()
     degrees = source.read_degrees()
     offsets = prefix_sums(degrees)
-    # the pool workers filter against the *published* order keys, so the
-    # master only derives its own copy for the in-process executors
-    keys = degree_order_keys(degrees) if executor != "processes" else None
+    keys = degree_order_keys(degrees)
     ranges = chunk_ranges(source.num_vertices, num_workers)
 
     # charge every chunk's adjacency read now, in chunk order: the compute
-    # below reads raw (or from shared memory), so this is the single place
-    # the modelled input scan is accounted -- deterministically, no matter
-    # which executor runs the chunks or in which order they finish
+    # below reads raw, so this is the single place the modelled input scan
+    # is accounted -- deterministically, no matter which executor runs the
+    # chunks or in which order they finish
     adjacency_name = source.adjacency_file_name
     for lo, hi in ranges:
         count = int(offsets[hi] - offsets[lo])
         if count:
             source.device.charge_read(adjacency_name, int(offsets[lo]) * 8, count * 8)
 
-    run_parallel = parallel and num_workers > 1
     adjacency_path = str(source.device.path(adjacency_name))
-    if executor == "processes":
-        from repro.cluster.executor import run_preprocess_queue
-
-        tasks = [OrientChunkTask(descriptor=shared, lo=lo, hi=hi) for lo, hi in ranges]
-        results = run_preprocess_queue(
-            tasks, orient_chunk_shared, max_workers=num_workers
-        )
-        used_executor = "processes"
-    elif run_parallel:
+    if parallel and num_workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=num_workers) as pool:
             futures = [
-                pool.submit(_orient_chunk_raw, adjacency_path, keys, offsets, r)
+                pool.submit(_orient_chunk, adjacency_path, keys, offsets, r)
                 for r in ranges
             ]
             results = [f.result() for f in futures]
         used_executor = "threads"
     else:
-        results = [_orient_chunk_raw(adjacency_path, keys, offsets, r) for r in ranges]
+        results = [_orient_chunk(adjacency_path, keys, offsets, r) for r in ranges]
         used_executor = "serial"
 
     out_degree_parts = [r[0] for r in results]

@@ -33,13 +33,8 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.core.config import PDTLConfig
 from repro.core.load_balance import EdgeRange, split_edges
 from repro.core.mgt import MGTResult
-from repro.core.orientation import OrientationResult, orient_graph
-from repro.core.shm import (
-    SharedGraphDescriptor,
-    publish_graph,
-    publish_input_graph,
-    shm_available,
-)
+from repro.core.orientation import orient_graph
+from repro.core.shm import SharedGraphDescriptor, publish_graph, shm_available
 from repro.core.scheduler import (
     Chunk,
     ChunkOutcome,
@@ -112,14 +107,22 @@ class WorkerReport:
 class PDTLResult:
     """Everything a PDTL run produces: the answer plus the evaluation data.
 
-    Timing fields come in two flavours:
+    The timing fields mix measured and modelled seconds, aggregated the way
+    the paper aggregates them:
 
-    * ``*_seconds`` are *modelled* times from the disk/network cost models
-      and the measured in-process compute time of each worker, aggregated
-      the way the paper aggregates them (calculation time = the slowest
-      node; total time = orientation + slowest (copy + calculation));
-    * ``wall_seconds`` is the actual elapsed wall-clock time of the whole
-      run on the reproduction host, reported for completeness.
+    * ``orientation_seconds`` is the measured wall-clock time of the
+      master's orientation on this host;
+    * ``calc_seconds`` is the slowest node's calculation time, the largest
+      CPU plus I/O seconds of its workers.  I/O seconds come from the disk
+      cost model; CPU seconds are measured thread CPU time unless
+      ``config.modelled_cpu`` is set;
+    * ``total_seconds`` is ``orientation_seconds`` (wall clock) plus the
+      slowest node's copy and calculation time (modelled copy, and the
+      calculation time above);
+    * ``wall_seconds`` is the elapsed wall-clock time of the whole run.
+
+    ``network_bytes`` follows the sink kind: a counting run ships one
+    count per result message, every other kind ships its real payload.
     """
 
     config: PDTLConfig
@@ -140,7 +143,6 @@ class PDTLResult:
     max_out_degree: int = 0
     num_chunks: int = 0
     shm_used: bool = False
-    preprocess_parallel: bool = False
     #: structured observability payload of a traced run (``config.trace``);
     #: ``None`` when tracing was off.  Instrumentation only: no other field
     #: of this result depends on whether it was collected.
@@ -153,8 +155,7 @@ class PDTLResult:
     @property
     def modelled_setup_seconds(self) -> float:
         """Modelled master-device time of the preprocessing phase (staging,
-        orientation, replication reads) -- identical whether preprocessing
-        ran serially or on the process pool."""
+        orientation, replication reads) -- identical on every backend."""
         return self.metrics.setup_seconds
 
     @property
@@ -260,56 +261,16 @@ class PDTLRunner:
             raise ConfigurationError("PDTL expects an undirected input graph")
         return write_graph(cluster.master.device, "input", graph)
 
-    def _orient(self, source: GraphFile) -> OrientationResult:
-        # the chunk count depends only on parallel_orientation, never on the
-        # executor: every path charges the same per-chunk reads, so IOStats
-        # and modelled setup time are bit-identical whether the chunks run
-        # inline, on threads, on the pool, or on the shm-unavailable fallback
-        workers = self.config.procs_per_node if self.config.parallel_orientation else 1
-        if self.config.parallel_preprocess:
-            publication = self._publish_input(source)
-            if publication is not None:
-                # the finally covers a preprocessing worker raising mid-run:
-                # the input-graph segments never outlive the orientation
-                try:
-                    return orient_graph(
-                        source,
-                        num_workers=workers,
-                        executor="processes",
-                        shared=publication.descriptor,
-                    )
-                finally:
-                    publication.unlink()
-        return orient_graph(
-            source,
-            num_workers=workers,
-            parallel=self.config.parallel_orientation,
-        )
-
-    def _publish_input(self, source: GraphFile):
-        """Publish the unoriented input graph for the parallel preprocessing
-        fan-out, or ``None`` (with a warning) where shared memory is
-        unavailable -- the run then degrades to the threaded orientation
-        with bit-identical results."""
-        available, reason = shm_available()
-        if not available:
-            warn_fallback(
-                "parallel_preprocess=True",
-                reason,
-                "threaded orientation",
-                stacklevel=4,
-            )
-            return None
-        return publish_input_graph(source)
-
-    def _result_payload(
-        self, sink_kind: str, triangles: int, num_edges: int = 0
-    ) -> int:
-        if sink_kind == "count" or self.config.count_only:
+    def _result_payload(self, sink_kind: str, triangles: int, graph: GraphFile) -> int:
+        """Bytes of one result message from a worker to the master."""
+        if sink_kind == "count":
             return _COUNT_BYTES
+        if sink_kind == "per-vertex":
+            # a worker ships its dense per-vertex count array
+            return _COUNT_BYTES + graph.num_vertices * _COUNT_BYTES
         if sink_kind == "edge-support":
             # a worker ships its dense per-edge partial support array
-            return _COUNT_BYTES + num_edges * _COUNT_BYTES
+            return _COUNT_BYTES + graph.num_edges * _COUNT_BYTES
         return _COUNT_BYTES + triangles * _TRIANGLE_BYTES
 
     def _execute_units(
@@ -393,7 +354,10 @@ class PDTLRunner:
             phase_io["stage_input"] = master_stats.delta(phase_baseline)
             phase_baseline = master_stats.snapshot()
         with tracer.span("orient", cat="phase"):
-            orientation = self._orient(source)
+            # one chunk per master core, whatever the backend: every chunk
+            # charges the same reads, so IOStats and the modelled setup
+            # time do not depend on how the chunks execute
+            orientation = orient_graph(source, num_workers=config.procs_per_node)
         if tracing:
             phase_io["orient"] = master_stats.delta(phase_baseline)
             phase_baseline = master_stats.snapshot()
@@ -461,11 +425,11 @@ class PDTLRunner:
         with tracer.span("aggregate", cat="phase"):
             if dynamic:
                 reports, edge_ranges, schedule = self._aggregate_dynamic(
-                    cluster, chunks, outcomes, sink_kind, oriented.num_edges
+                    cluster, chunks, outcomes, sink_kind, oriented
                 )
             else:
                 reports, edge_ranges = self._aggregate_static(
-                    cluster, ranges, outcomes, sink_kind, oriented.num_edges
+                    cluster, ranges, outcomes, sink_kind, oriented
                 )
         total_triangles = sum(outcome.triangles for outcome in outcomes)
 
@@ -530,7 +494,6 @@ class PDTLRunner:
             max_out_degree=orientation.max_out_degree,
             num_chunks=len(units),
             shm_used=publication is not None,
-            preprocess_parallel=orientation.executor == "processes",
             telemetry=telemetry,
         )
 
@@ -655,7 +618,7 @@ class PDTLRunner:
         ranges: list[EdgeRange],
         outcomes: list[ChunkOutcome],
         sink_kind: str,
-        num_edges: int,
+        oriented: GraphFile,
     ) -> tuple[list[WorkerReport], list[EdgeRange]]:
         """The paper's step 5: one result message per fixed-range worker."""
         reports: list[WorkerReport] = []
@@ -677,7 +640,7 @@ class PDTLRunner:
             )
             cluster.send_result(
                 edge_range.node_index,
-                self._result_payload(sink_kind, mgt_result.triangles, num_edges),
+                self._result_payload(sink_kind, mgt_result.triangles, oriented),
             )
         return reports, ranges
 
@@ -687,7 +650,7 @@ class PDTLRunner:
         chunks: list[Chunk],
         outcomes: list[ChunkOutcome],
         sink_kind: str,
-        num_edges: int,
+        oriented: GraphFile,
     ) -> tuple[list[WorkerReport], list[EdgeRange], ScheduleResult]:
         """Replay the pull-based schedule and account it to the cluster.
 
@@ -748,7 +711,7 @@ class PDTLRunner:
                 cluster.send_result(
                     node,
                     self._result_payload(
-                        sink_kind, outcomes[index].triangles, num_edges
+                        sink_kind, outcomes[index].triangles, oriented
                     ),
                 )
 

@@ -44,12 +44,9 @@ def count_triangles(
 
     ``config_overrides`` are forwarded to :class:`PDTLConfig`
     (``num_nodes=2, procs_per_node=4, memory_per_proc="8MB"`` ...).
-    The host-side acceleration knobs compose freely here: ``shm=True``
-    serves the triangle phase's memory windows zero-copy from shared
-    memory, and ``parallel_preprocess=True`` fans the master's
-    orientation scan out over the persistent process pool -- both are
-    strictly below the accounting layer, so counts, IOStats and modelled
-    times are identical with them on or off.
+    ``shm=True`` serves the triangle phase's memory windows zero-copy from
+    shared memory; it is strictly below the accounting layer, so counts,
+    IOStats and modelled times are identical with it on or off.
     """
     cfg = _make_config(config, **config_overrides)
     return PDTLRunner(cfg, backend=backend).run(graph, sink_kind="count")
@@ -63,8 +60,6 @@ def list_triangles(
 ) -> PDTLResult:
     """List all triangles (the result's ``triangle_list`` holds them)."""
     cfg = _make_config(config, **config_overrides)
-    if config is None and "count_only" not in config_overrides:
-        cfg = PDTLConfig(**{**config_overrides, "count_only": False})  # type: ignore[arg-type]
     return PDTLRunner(cfg, backend=backend).run(graph, sink_kind="list")
 
 
@@ -95,12 +90,6 @@ def edge_supports(
 
     This is the input of the k-truss decomposition; see
     :func:`repro.analytics.run_analytics` for the full derived pipeline.
-
-    Like :func:`list_triangles`, the run materialises per-worker output
-    (the partial support arrays), so ``count_only`` defaults to False
-    here and the result messages are charged at their real size.
     """
     cfg = _make_config(config, **config_overrides)
-    if config is None and "count_only" not in config_overrides:
-        cfg = PDTLConfig(**{**config_overrides, "count_only": False})  # type: ignore[arg-type]
     return PDTLRunner(cfg, backend=backend).run(graph, sink_kind="edge-support")

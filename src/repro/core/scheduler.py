@@ -306,7 +306,6 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
             task.device_root,
             block_size=task.device_block_size,
             model=task.disk_model,
-            mmap_reads=task.config.mmap_reads,
         )
         graph = GraphFile(
             device=device,

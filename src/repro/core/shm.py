@@ -7,9 +7,9 @@ bounded multicore scaling long before the CPUs did.  This module publishes
 the oriented graph **once** into named :mod:`multiprocessing.shared_memory`
 segments so workers slice memory windows zero-copy:
 
-* :func:`publish_graph` copies the degree array, the adjacency array and
-  the precomputed vertex offsets of an on-disk oriented graph into three
-  named segments and returns a :class:`SharedGraphPublication` whose small
+* :func:`publish_graph` copies the degree array, the adjacency array, the
+  precomputed vertex offsets and the MGT scan invariants of an on-disk
+  oriented graph into named segments and returns a :class:`SharedGraphPublication` whose small
   :class:`SharedGraphDescriptor` (segment names + dtypes + shapes) is all
   that ever crosses a process boundary;
 * :class:`SharedGraphView` reconstructs zero-copy, read-only numpy views
@@ -24,7 +24,7 @@ segments so workers slice memory windows zero-copy:
   and serves every subsequent chunk task from the existing mapping.
 
 Everything here sits strictly below the accounting layer, like the fd
-cache and the read-ahead buffer in :mod:`repro.externalmem.blockio`: the
+cache in :mod:`repro.externalmem.blockio`: the
 publication reads the graph files raw (no block charges), and a view never
 touches an :class:`~repro.externalmem.iostats.IOStats` counter -- the MGT
 worker keeps charging its modelled reads exactly as before.
@@ -72,7 +72,6 @@ __all__ = [
     "attach_view",
     "detach_view",
     "publish_graph",
-    "publish_input_graph",
     "shm_available",
 ]
 
@@ -191,23 +190,12 @@ class SharedGraphDescriptor:
     publication; worker-side attachments are cached by it.
 
     Besides the raw graph arrays (degrees, adjacency, offsets) a
-    publication can carry *derived* arrays, each a pure function of the
-    graph that every worker would otherwise recompute:
-
-    * for an **oriented** graph (:func:`publish_graph`), the two scan
-      invariants of the MGT full-graph pass -- the per-entry source vertex
-      of every adjacency position and the globally sorted packed
-      ``(source, destination)`` keys
-      (:func:`repro.core.kernels.packed_keys`) -- so each worker runs its
-      window scan as one fused vectorised pass;
-    * for the **input** (unoriented) graph (:func:`publish_input_graph`),
-      the degree-order keys of
-      :func:`repro.core.orientation.degree_order_keys`, so each parallel
-      orientation worker filters its vertex window with one vectorised
-      comparison instead of re-deriving the order per chunk.
-
-    Absent derived arrays are ``None`` in the descriptor and their
-    segments are never created.
+    publication carries the two scan invariants of the MGT full-graph pass,
+    each a pure function of the graph that every worker would otherwise
+    recompute: the per-entry source vertex of every adjacency position and
+    the globally sorted packed ``(source, destination)`` keys
+    (:func:`repro.core.kernels.packed_keys`), so each worker runs its
+    window scan as one fused vectorised pass.
     """
 
     token: str
@@ -218,8 +206,11 @@ class SharedGraphDescriptor:
     num_edges: int
     directed: bool
     max_degree: int
-    scan_sources: SharedArraySpec | None = None
-    scan_keys: SharedArraySpec | None = None
+    scan_sources: SharedArraySpec
+    scan_keys: SharedArraySpec
+    #: always ``None``: publications carry no degree-order keys.  The field
+    #: stays so tools that sum a publication's segments by field name
+    #: (``getattr(descriptor, "order_keys")``) keep working.
     order_keys: SharedArraySpec | None = None
 
 
@@ -279,24 +270,15 @@ def _read_file_raw(graph: GraphFile, file_name: str, num_items: int) -> np.ndarr
     return np.fromfile(path, dtype=np.int64, count=num_items)
 
 
-def publish_graph(
-    graph: GraphFile,
-    scan_invariants: bool = True,
-    order_keys: bool = False,
-) -> SharedGraphPublication:
-    """Publish an on-disk graph into named shared-memory segments.
+def publish_graph(graph: GraphFile) -> SharedGraphPublication:
+    """Publish an on-disk oriented graph into named shared-memory segments.
 
-    One copy per host: the degree array, the adjacency array and the
-    derived vertex-offset array each get a segment named after a fresh
-    publication token.  The files are read raw (``np.fromfile`` on the
-    device paths), so no I/O counter anywhere moves -- publication is a
-    host-side optimisation, invisible to the simulation.
-
-    ``scan_invariants`` additionally publishes the MGT full-graph scan
-    invariants (per-entry sources + sorted packed keys; the default, for
-    oriented graphs); ``order_keys`` publishes the degree-order keys the
-    parallel orientation workers filter with (see
-    :func:`publish_input_graph`).
+    One copy per host: the degree array, the adjacency array, the derived
+    vertex-offset array and the MGT scan invariants (per-entry sources and
+    sorted packed keys) each get a segment named after a fresh publication
+    token.  The files are read raw (``np.fromfile`` on the device paths),
+    so no I/O counter anywhere moves -- publication is a host-side
+    optimisation, invisible to the simulation.
     """
     available, reason = shm_available()
     if not available:
@@ -307,24 +289,16 @@ def publish_graph(
     degrees = _read_file_raw(graph, graph.degree_file_name, graph.num_vertices)
     adjacency = _read_file_raw(graph, graph.adjacency_file_name, graph.num_edges)
     offsets = prefix_sums(degrees)
-
+    # the scan invariants (see SharedGraphDescriptor): per-entry sources
+    # and the sorted packed (source, destination) keys of the adjacency
+    scan_sources = kernels.window_sources(offsets, 0, graph.num_vertices)
     arrays = {
         "deg": degrees,
         "adj": adjacency,
         "off": offsets,
+        "src": scan_sources,
+        "key": kernels.packed_keys(scan_sources, adjacency, graph.num_vertices),
     }
-    if scan_invariants:
-        # the scan invariants (see SharedGraphDescriptor): per-entry sources
-        # and the sorted packed (source, destination) keys of the adjacency
-        scan_sources = kernels.window_sources(offsets, 0, graph.num_vertices)
-        arrays["src"] = scan_sources
-        arrays["key"] = kernels.packed_keys(
-            scan_sources, adjacency, graph.num_vertices
-        )
-    if order_keys:
-        from repro.core.orientation import degree_order_keys
-
-        arrays["ord"] = degree_order_keys(degrees)
     segments = []
     specs: dict[str, SharedArraySpec] = {}
     try:
@@ -355,29 +329,14 @@ def publish_graph(
         degrees=specs["deg"],
         adjacency=specs["adj"],
         offsets=specs["off"],
-        scan_sources=specs.get("src"),
-        scan_keys=specs.get("key"),
-        order_keys=specs.get("ord"),
+        scan_sources=specs["src"],
+        scan_keys=specs["key"],
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
         directed=graph.directed,
         max_degree=graph.max_degree,
     )
     return SharedGraphPublication(descriptor, segments)
-
-
-def publish_input_graph(graph: GraphFile) -> SharedGraphPublication:
-    """Publish the *input* (unoriented) graph for parallel preprocessing.
-
-    The publication carries the raw graph arrays plus the degree-order
-    keys (computed once, instead of once per orientation worker) and skips
-    the MGT scan invariants, which only the oriented graph needs.  The
-    master unlinks it as soon as orientation completes -- the segments
-    never outlive the preprocessing phase, even when a worker raises
-    mid-run (:class:`~repro.core.pdtl.PDTLRunner` unlinks in a
-    ``finally``).
-    """
-    return publish_graph(graph, scan_invariants=False, order_keys=True)
 
 
 class _SharedDevice:
@@ -413,13 +372,10 @@ class SharedGraphView:
         self._offsets = self._attach(descriptor.offsets)
         self._scan_sources = self._attach(descriptor.scan_sources)
         self._scan_keys = self._attach(descriptor.scan_keys)
-        self._order_keys = self._attach(descriptor.order_keys)
         self._closed = False
 
-    def _attach(self, spec: SharedArraySpec | None) -> np.ndarray | None:
-        """Attach one published array (absent derived arrays stay ``None``)."""
-        if spec is None:
-            return None
+    def _attach(self, spec: SharedArraySpec) -> np.ndarray:
+        """Attach one published array."""
         shm = _attach_segment(spec.name)
         self._segments.append(shm)
         return self._as_view(shm, spec)
@@ -458,33 +414,22 @@ class SharedGraphView:
         """The published exclusive prefix sums of the degree array."""
         return self._offsets
 
-    def _require(self, array: np.ndarray | None, label: str) -> np.ndarray:
+    def _require(self, array: np.ndarray) -> np.ndarray:
         if self._closed:
             raise PDTLError(
                 f"shared graph view of {self.descriptor.token!r} is closed"
-            )
-        if array is None:
-            raise PDTLError(
-                f"publication {self.descriptor.token!r} does not carry "
-                f"{label}; it was published without them"
             )
         return array
 
     @property
     def scan_sources(self) -> np.ndarray:
         """Per-entry source vertex of every adjacency position (length E)."""
-        return self._require(self._scan_sources, "the MGT scan invariants")
+        return self._require(self._scan_sources)
 
     @property
     def scan_keys(self) -> np.ndarray:
         """Globally sorted packed ``(source, destination)`` keys (length E)."""
-        return self._require(self._scan_keys, "the MGT scan invariants")
-
-    @property
-    def order_keys(self) -> np.ndarray:
-        """Degree-order keys of the input graph (length n); see
-        :func:`repro.core.orientation.degree_order_keys`."""
-        return self._require(self._order_keys, "the degree-order keys")
+        return self._require(self._scan_keys)
 
     def offsets(self) -> np.ndarray:
         return self._offsets
@@ -500,10 +445,6 @@ class SharedGraphView:
             )
         return self._adjacency[start_edge : start_edge + count]
 
-    def with_readahead(self, buffer_bytes: int | str) -> "SharedGraphView":
-        """Read-ahead is meaningless for memory-resident data: no-op."""
-        return self
-
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
@@ -513,7 +454,7 @@ class SharedGraphView:
             return
         self._closed = True
         self._degrees = self._adjacency = self._offsets = None  # type: ignore[assignment]
-        self._scan_sources = self._scan_keys = self._order_keys = None  # type: ignore[assignment]
+        self._scan_sources = self._scan_keys = None  # type: ignore[assignment]
         for shm in self._segments:
             try:
                 shm.close()

@@ -17,32 +17,18 @@ data genuinely leaves process memory -- the memory budget of an MGT worker
 only ever holds the ``Θ(M)`` edge window plus per-vertex scratch arrays,
 exactly as in the paper.
 
-Three host-side buffering layers sit **strictly below** the accounting, so
-they change wall-clock cost only -- never a single counter of
+One host-side layer sits **strictly below** the accounting, so it changes
+wall-clock cost only -- never a single counter of
 :class:`~repro.externalmem.iostats.IOStats` nor a microsecond of modelled
-device time:
-
-* the device keeps a bounded, thread-safe cache of raw file descriptors
-  and serves reads/writes with ``os.pread``/``os.pwrite``, instead of
-  re-opening the file on every call (the dominant host cost of the
-  fine-grained access patterns the external sort and the MGT scans issue);
-* a :class:`BlockFile` can enable an *aligned read-ahead buffer*
-  (:meth:`BlockFile.set_readahead`): sequential scans then hit the host
-  filesystem once per buffer instead of once per logical read, while every
-  logical read is still accounted at exactly its requested offset and
-  length;
-* a device constructed with ``mmap_reads=True`` serves reads from a cached
-  read-only ``mmap`` of each file instead of issuing one ``pread`` syscall
-  per logical read (ROADMAP's named candidate for the non-shm backends).
-  Mappings are invalidated on every write path through the device, and a
-  read the current mapping cannot serve falls back to ``pread``, so the
-  returned bytes -- and therefore every accounted length -- are identical
-  with the flag on or off.
+device time: the device keeps a bounded, thread-safe cache of raw file
+descriptors and serves reads/writes with ``os.pread``/``os.pwrite``,
+instead of re-opening the file on every call (the dominant host cost of
+the fine-grained access patterns the external sort and the MGT scans
+issue).
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 import shutil
 import threading
@@ -69,39 +55,22 @@ MAX_CACHED_FDS = 128
 class HostCounters:
     """Host-side cache effectiveness counters for one :class:`BlockDevice`.
 
-    These count what the buffering layers *below* the accounting actually
-    did -- fd-cache hits vs ``os.open`` calls, read-ahead window loads vs
-    logical reads served, mmap-served reads.  They are observability only:
-    plain integer increments with no locking (device instances are either
-    private to one task or incremented under the caches' existing locks),
-    and nothing in the accounting layer reads them.
+    These count what the fd cache *below* the accounting actually did --
+    cache hits vs ``os.open`` calls.  They are observability only: plain
+    integer increments under the cache's existing lock, and nothing in the
+    accounting layer reads them.
     """
 
-    __slots__ = (
-        "fd_cache_hits",
-        "fd_cache_misses",
-        "readahead_hits",
-        "readahead_misses",
-        "readahead_window_loads",
-        "mmap_served_reads",
-    )
+    __slots__ = ("fd_cache_hits", "fd_cache_misses")
 
     def __init__(self) -> None:
         self.fd_cache_hits = 0
         self.fd_cache_misses = 0
-        self.readahead_hits = 0
-        self.readahead_misses = 0
-        self.readahead_window_loads = 0
-        self.mmap_served_reads = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "fd_cache.hits": self.fd_cache_hits,
             "fd_cache.misses": self.fd_cache_misses,
-            "readahead.hits": self.readahead_hits,
-            "readahead.misses": self.readahead_misses,
-            "readahead.window_loads": self.readahead_window_loads,
-            "mmap.served_reads": self.mmap_served_reads,
         }
 
 
@@ -157,9 +126,6 @@ class BlockDevice:
         block size ``B`` in bytes; all I/O is rounded to whole blocks.
     model:
         optional :class:`DiskModel` used to accumulate modelled device time.
-    mmap_reads:
-        serve reads from cached read-only memory maps (see the module
-        docstring); strictly below the accounting layer.
     """
 
     def __init__(
@@ -167,7 +133,6 @@ class BlockDevice:
         root: str | os.PathLike[str],
         block_size: int | str = DEFAULT_BLOCK_SIZE,
         model: DiskModel | None = None,
-        mmap_reads: bool = False,
     ) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -184,10 +149,6 @@ class BlockDevice:
         # component, which dominated fine-grained access patterns
         self._root_resolved = self.root.resolve()
         self._path_cache: dict[str, Path] = {}
-        # mmap read cache (host-side only, invisible to the accounting)
-        self.mmap_reads = bool(mmap_reads)
-        self._mmap_lock = threading.Lock()
-        self._mmaps: dict[str, mmap.mmap] = {}
         # host-cache effectiveness counters (observability only)
         self.host_counters = HostCounters()
 
@@ -216,7 +177,6 @@ class BlockDevice:
 
     def delete(self, name: str) -> None:
         self._close_fd(name)
-        self._invalidate_mmap(name)
         p = self.path(name)
         if p.exists():
             p.unlink()
@@ -252,7 +212,6 @@ class BlockDevice:
         dst_path = other.path(dest_name)
         dst_path.parent.mkdir(parents=True, exist_ok=True)
         other._close_fd(dest_name)
-        other._invalidate_mmap(dest_name)
         shutil.copyfile(src_path, dst_path)
         blocks = ceil_div(nbytes, self.block_size) if nbytes else 0
         self.stats.record_read(blocks, nbytes, sequential=True)
@@ -315,53 +274,6 @@ class BlockDevice:
                 entry.closed = True
                 os.close(entry.fd)
 
-    # -- mmap read cache (below the accounting layer) -----------------------------
-
-    def _mmap_pread(self, name: str, path: Path, nbytes: int, offset: int):
-        """Serve a read from a cached read-only mapping of ``name``.
-
-        Returns the bytes (truncated at EOF exactly like ``os.pread``), or
-        ``None`` when the mapping cannot serve the request -- missing or
-        empty file (an empty file cannot be mapped) -- in which case the
-        caller falls back to ``pread`` so error behaviour is unchanged.
-        A request past the mapped size triggers a size probe: the mapping
-        is rebuilt when the file has grown, otherwise the short read is
-        served from the existing map.
-        """
-        if nbytes <= 0:
-            return None  # let pread keep its exact zero-length/error behaviour
-        with self._mmap_lock:
-            mapped = self._mmaps.get(name)
-            if mapped is None or offset + nbytes > len(mapped):
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    return None
-                if mapped is not None and size != len(mapped):
-                    self._mmaps.pop(name, None)
-                    mapped.close()
-                    mapped = None
-                if mapped is None:
-                    if size == 0:
-                        return None
-                    fd = os.open(path, os.O_RDONLY)
-                    try:
-                        mapped = mmap.mmap(fd, 0, access=mmap.ACCESS_READ)
-                    finally:
-                        os.close(fd)
-                    self._mmaps[name] = mapped
-            self.host_counters.mmap_served_reads += 1
-            return mapped[offset : offset + nbytes]
-
-    def _invalidate_mmap(self, name: str) -> None:
-        """Drop the cached mapping after any write path touches ``name``."""
-        if not self.mmap_reads:
-            return
-        with self._mmap_lock:
-            mapped = self._mmaps.pop(name, None)
-            if mapped is not None:
-                mapped.close()
-
     def _close_fd(self, name: str) -> None:
         with self._fd_lock:
             entry = self._fds.pop(name, None)
@@ -386,11 +298,6 @@ class BlockDevice:
                 os.close(fd)
             except OSError:  # pragma: no cover - already closed elsewhere
                 pass
-        with self._mmap_lock:
-            maps = list(self._mmaps.values())
-            self._mmaps.clear()
-            for mapped in maps:
-                mapped.close()
 
     def __del__(self) -> None:  # pragma: no cover - interpreter shutdown order
         try:
@@ -403,21 +310,15 @@ class BlockDevice:
     def charge_read(self, name: str, offset: int, nbytes: int) -> None:
         """Charge the accounting for a read served out-of-band.
 
-        The parallel preprocessing master uses this to keep the modelled
-        I/O of a fanned-out scan bit-identical to the serial scan it
-        replaces: workers read the bytes below the accounting (raw
-        ``np.fromfile`` or a shared-memory view), and the master charges
-        each window here, in the serial scan's order.  Block rounding,
+        Orientation uses this to keep the modelled I/O of its chunked scan
+        independent of how the chunks execute: the chunks read their bytes
+        below the accounting (raw ``np.fromfile``), and the master charges
+        each window here, in chunk order.  Block rounding,
         sequential/random classification and modelled device time are
         exactly what a real :meth:`BlockFile.read_bytes` of the same
         ``(offset, nbytes)`` would have recorded.
         """
         self._account(name, offset, nbytes, write=False)
-
-    def charge_write(self, name: str, offset: int, nbytes: int) -> None:
-        """Charge the accounting for a write performed out-of-band
-        (the write twin of :meth:`charge_read`)."""
-        self._account(name, offset, nbytes, write=True)
 
     def _account(self, name: str, offset: int, nbytes: int, write: bool) -> None:
         if nbytes <= 0:
@@ -443,8 +344,7 @@ class BlockFile:
     """A single file on a :class:`BlockDevice` with typed numpy helpers.
 
     All byte offsets are explicit; the file object itself is stateless apart
-    from its parent device's sequential/random tracking and the optional
-    read-ahead buffer.  Numeric data is stored little-endian int64 unless a
+    from its parent device's sequential/random tracking.  Numeric data is stored little-endian int64 unless a
     dtype is given.
     """
 
@@ -452,11 +352,6 @@ class BlockFile:
         self.device = device
         self.name = name
         self.path = device.path(name)
-        self._ra_size = 0
-        # (window_start, window_bytes): kept as ONE tuple so readers can
-        # snapshot it with a single (GIL-atomic) attribute load -- a racing
-        # writer swaps the whole pair, never a mismatched half
-        self._ra_window: tuple[int, bytes] = (-1, b"")
         # create the file on first open so size/read of a fresh file behave
         # (cheap when the descriptor is already cached)
         with device._fd_lock:
@@ -465,79 +360,12 @@ class BlockFile:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self.path.touch()
 
-    # -- read-ahead (below the accounting layer) -----------------------------------
-
-    def set_readahead(self, buffer_bytes: int | str) -> None:
-        """Enable (or, with ``0``, disable) an aligned read-ahead buffer.
-
-        Reads are then served from a cached window of ``buffer_bytes``
-        (rounded up to a whole number of device blocks) loaded with one
-        host read, so a sequential scan touches the host filesystem once
-        per window.  Accounting is unaffected: every logical read is still
-        charged at its exact offset and length, so
-        :class:`~repro.externalmem.iostats.IOStats` and modelled device
-        seconds are bit-identical with the buffer on or off.
-
-        The buffer assumes a read-mostly file: writes through *this* handle
-        invalidate it, but writes through other handles to the same file do
-        not -- enable read-ahead only on scan handles (as
-        :meth:`repro.graph.binfmt.GraphFile.set_readahead` does for the
-        adjacency file).  Concurrent readers sharing one buffered handle
-        stay *correct* (each read serves from a private snapshot of the
-        window), but they thrash each other's window -- give each scanning
-        thread its own handle for performance.
-        """
-        nbytes = parse_size(buffer_bytes)
-        if nbytes <= 0:
-            self._ra_size = 0
-        else:
-            self._ra_size = ceil_div(nbytes, self.device.block_size) * self.device.block_size
-        self._ra_window = (-1, b"")
-
-    def _invalidate_readahead(self) -> None:
-        self._ra_window = (-1, b"")
-
     def _pread(self, nbytes: int, offset: int) -> bytes:
-        if self.device.mmap_reads:
-            data = self.device._mmap_pread(self.name, self.path, nbytes, offset)
-            if data is not None:
-                return data
         entry = self.device._acquire_fd(self.name, self.path, create=False)
         try:
             return os.pread(entry.fd, nbytes, offset)
         finally:
             self.device._release_fd(entry)
-
-    def _read_via_buffer(self, offset: int, nbytes: int) -> bytes:
-        chunks: list[bytes] = []
-        pos = offset
-        remaining = nbytes
-        loads = 0
-        # private snapshot: consistent even if another thread swaps the
-        # shared window mid-read
-        window_start, window = self._ra_window
-        while remaining > 0:
-            if not (window_start >= 0 and window_start <= pos < window_start + len(window)):
-                window_start = (pos // self._ra_size) * self._ra_size
-                window = self._pread(self._ra_size, window_start)
-                self._ra_window = (window_start, window)
-                loads += 1
-                if pos >= window_start + len(window):
-                    break  # at or past EOF
-            take = min(remaining, window_start + len(window) - pos)
-            lo = pos - window_start
-            chunks.append(window[lo : lo + take])
-            pos += take
-            remaining -= take
-            if remaining > 0 and len(window) < self._ra_size:
-                break  # the window ends at EOF; nothing further to read
-        counters = self.device.host_counters
-        if loads:
-            counters.readahead_misses += 1
-            counters.readahead_window_loads += loads
-        else:
-            counters.readahead_hits += 1
-        return b"".join(chunks)
 
     # -- raw byte interface -------------------------------------------------------
 
@@ -548,10 +376,7 @@ class BlockFile:
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        if self._ra_size:
-            data = self._read_via_buffer(offset, nbytes)
-        else:
-            data = self._pread(nbytes, offset)
+        data = self._pread(nbytes, offset)
         self.device._account(self.name, offset, len(data), write=False)
         return data
 
@@ -563,8 +388,6 @@ class BlockFile:
             os.pwrite(entry.fd, data, offset)
         finally:
             self.device._release_fd(entry)
-        self._invalidate_readahead()
-        self.device._invalidate_mmap(self.name)
         self.device._account(self.name, offset, len(data), write=True)
         return len(data)
 
@@ -576,8 +399,6 @@ class BlockFile:
                 os.pwrite(entry.fd, data, offset)
         finally:
             self.device._release_fd(entry)
-        self._invalidate_readahead()
-        self.device._invalidate_mmap(self.name)
         self.device._account(self.name, offset, len(data), write=True)
         return len(data)
 
@@ -587,8 +408,6 @@ class BlockFile:
             os.ftruncate(entry.fd, nbytes)
         finally:
             self.device._release_fd(entry)
-        self._invalidate_readahead()
-        self.device._invalidate_mmap(self.name)
 
     # -- typed numpy interface -------------------------------------------------------
 

@@ -9,8 +9,11 @@ stored as consecutive int64 pairs in a :class:`~repro.externalmem.blockio.BlockF
 The implementation follows the classic two-phase scheme:
 
 1. **Run formation** -- read windows of at most ``memory_items`` edges,
-   sort them in memory (numpy lexsort), and write each as a sorted run to a
-   temporary file on the same device.
+   sort them in memory, and write each as a sorted run to a temporary file
+   on the same device.  A window whose values pack into int64 keys is
+   sorted by one radix ``np.sort`` of the packed keys with a ``divmod``
+   reconstruction; any other window takes the stable ``lexsort``.  Both
+   orders are identical, so the run bytes do not depend on which ran.
 2. **K-way merge** -- repeatedly merge up to ``fan_in`` runs into longer
    runs until one run remains; the fan-in is derived from the memory cap so
    the merge buffers also respect ``M``.
@@ -27,20 +30,6 @@ original loop is retained as ``merge_impl="heapq"`` -- it remains the
 serial reference the equivalence tests and the CI perf-smoke job compare
 against, and the fallback for inputs that cannot be packed into int64 keys
 (negative ids, or ``max_src * (max_dst + 1)`` overflowing 63 bits).
-
-The *run formation* phase is parallelisable the same way
-(``formation="parallel"``): each memory window becomes a picklable
-:class:`_RunFormationTask` fanned out over the persistent process pool
-(:func:`repro.cluster.executor.run_preprocess_queue`).  A worker reads its
-window raw from the host file (below the accounting), sorts it -- by one
-radix ``np.sort`` of the packed keys with a divmod reconstruction when the
-window packs into int64, the stable ``lexsort`` otherwise; both orders are
-identical -- and writes the run raw.  The master then charges the exact
-window-read/run-write accounting of the serial pass, in run order, via
-:meth:`~repro.externalmem.blockio.BlockDevice.charge_read` /
-:meth:`~repro.externalmem.blockio.BlockDevice.charge_write`.  Run bytes,
-IOStats and modelled device seconds are bit-identical to
-``formation="serial"`` -- the equivalence suite asserts it per run file.
 
 Both merge implementations issue byte-identical I/O: the same per-run
 refill chunks and the same full-buffer output writes, so
@@ -60,7 +49,7 @@ from repro.errors import ConfigurationError
 from repro.externalmem.blockio import BlockDevice, BlockFile
 from repro.utils import Timer
 
-__all__ = ["external_sort_edges", "ExternalSortResult", "form_runs_parallel"]
+__all__ = ["external_sort_edges", "ExternalSortResult"]
 
 _EDGE_ITEMS = 2  # int64 words per edge record
 _EDGE_BYTES = _EDGE_ITEMS * 8
@@ -77,7 +66,7 @@ class ExternalSortResult:
     """Outcome of an external sort: the output file plus run statistics.
 
     ``formation_seconds`` / ``merge_seconds`` are host wall-clock timings of
-    the two phases (run formation is a numpy ``lexsort`` in both merge
+    the two phases (run formation is the same in both merge
     implementations; the merge phase is where ``"vectorized"`` and
     ``"heapq"`` differ), recorded so the perf harness can attribute
     speedups to the phase that actually changed.
@@ -90,7 +79,6 @@ class ExternalSortResult:
     fan_in: int = 0
     formation_seconds: float = 0.0
     merge_seconds: float = 0.0
-    formation_impl: str = "serial"
 
 
 def _read_edges(file: BlockFile, offset_edges: int, count_edges: int) -> np.ndarray:
@@ -105,22 +93,6 @@ def _write_edges(file: BlockFile, edges: np.ndarray) -> None:
 def _sort_in_memory(edges: np.ndarray) -> np.ndarray:
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     return edges[order]
-
-
-def _formation_windows(
-    total_edges: int, memory_edges: int, temp_prefix: str
-) -> list[tuple[int, int, str]]:
-    """The run-formation decomposition: ``(offset, count, run name)`` per
-    memory window.  Both formation paths cut (and name) their runs through
-    this single helper, so the byte-identity contract between them cannot
-    drift on window sizing."""
-    windows: list[tuple[int, int, str]] = []
-    offset = 0
-    while offset < total_edges:
-        count = min(memory_edges, total_edges - offset)
-        windows.append((offset, count, f"{temp_prefix}_run{len(windows)}.bin"))
-        offset += count
-    return windows
 
 
 def _sort_window_fast(window: np.ndarray) -> tuple[np.ndarray, int, int, int]:
@@ -153,93 +125,6 @@ def _sort_window_fast(window: np.ndarray) -> tuple[np.ndarray, int, int, int]:
         max_dst,
         min_value,
     )
-
-
-@dataclass(frozen=True)
-class _RunFormationTask:
-    """One run-formation window, picklable for the persistent pool.
-
-    Plain paths and offsets only: the worker reads its window raw from
-    ``input_path`` (below the accounting), sorts it, writes the run raw to
-    ``run_path`` and returns the window's value range -- the master needs
-    it to decide merge-key packability, exactly like the serial pass.
-    """
-
-    input_path: str
-    run_path: str
-    offset_edges: int
-    count_edges: int
-
-
-def _form_run_task(task: _RunFormationTask) -> tuple[int, int, int]:
-    """Execute one formation window; module-level so it pickles.
-
-    Returns ``(max_src, max_dst, min_value)`` of the window.  The run file
-    bytes are identical to what the serial pass writes for the same window
-    (:func:`_sort_window_fast` reproduces the lexsort order exactly).
-    """
-    window = np.fromfile(
-        task.input_path,
-        dtype=np.int64,
-        count=task.count_edges * _EDGE_ITEMS,
-        offset=task.offset_edges * _EDGE_BYTES,
-    ).reshape(-1, _EDGE_ITEMS)
-    sorted_window, max_src, max_dst, min_value = _sort_window_fast(window)
-    np.ascontiguousarray(sorted_window, dtype=np.int64).tofile(task.run_path)
-    return max_src, max_dst, min_value
-
-
-def form_runs_parallel(
-    device: BlockDevice,
-    input_name: str,
-    total_edges: int,
-    memory_edges: int,
-    temp_prefix: str,
-    max_workers: int | None = None,
-) -> tuple[list[str], int, int, int]:
-    """Form the sorted runs of an external sort on the persistent pool.
-
-    Cuts the input edge file into the same memory windows the serial pass
-    reads, fans one :class:`_RunFormationTask` per window out over the
-    persistent process pool, then charges the serial pass's exact
-    accounting (window read, run write; in run order) on ``device``.
-    Returns ``(run names, max_src, max_dst, min_value)`` -- the same state
-    the serial formation loop leaves behind, with byte-identical run files
-    and bit-identical I/O counters.
-    """
-    from repro.cluster.executor import run_preprocess_queue
-
-    input_path = str(device.path(input_name))
-    windows = _formation_windows(total_edges, memory_edges, temp_prefix)
-    tasks: list[_RunFormationTask] = []
-    for offset, count, run_name in windows:
-        device.delete(run_name)
-        tasks.append(
-            _RunFormationTask(
-                input_path=input_path,
-                run_path=str(device.path(run_name)),
-                offset_edges=offset,
-                count_edges=count,
-            )
-        )
-    outcomes = run_preprocess_queue(tasks, _form_run_task, max_workers=max_workers)
-
-    max_src = -1
-    max_dst = -1
-    min_value = 0
-    run_names: list[str] = []
-    for (offset, count, run_name), (w_max_src, w_max_dst, w_min) in zip(
-        windows, outcomes
-    ):
-        # the serial pass's accounting, charge for charge: one window read
-        # from the input, one full run write at offset 0
-        device.charge_read(input_name, offset * _EDGE_BYTES, count * _EDGE_BYTES)
-        device.charge_write(run_name, 0, count * _EDGE_BYTES)
-        run_names.append(run_name)
-        max_src = max(max_src, w_max_src)
-        max_dst = max(max_dst, w_max_dst)
-        min_value = min(min_value, w_min)
-    return run_names, max_src, max_dst, min_value
 
 
 class _RunReader:
@@ -347,8 +232,6 @@ def external_sort_edges(
     fan_in: int | None = None,
     temp_prefix: str = "_extsort",
     merge_impl: str = "vectorized",
-    formation: str = "serial",
-    formation_workers: int | None = None,
 ) -> ExternalSortResult:
     """Sort the edge file ``input_name`` by (source, destination).
 
@@ -368,13 +251,6 @@ def external_sort_edges(
         ``"vectorized"`` (default) merges runs with buffered numpy packed-key
         splicing; ``"heapq"`` uses the original per-edge heap loop.  Both
         produce identical output files and identical I/O accounting.
-    formation:
-        ``"serial"`` (default) forms runs in the calling process through
-        the block layer; ``"parallel"`` fans the windows out over the
-        persistent process pool (:func:`form_runs_parallel`).  Both produce
-        byte-identical run files and bit-identical I/O accounting.
-    formation_workers:
-        crew cap for ``formation="parallel"``; the usable CPUs when omitted.
 
     Returns an :class:`ExternalSortResult`.  The input file is left intact.
     """
@@ -386,10 +262,6 @@ def external_sort_edges(
         raise ConfigurationError(
             f"merge_impl must be 'vectorized' or 'heapq', got {merge_impl!r}"
         )
-    if formation not in ("serial", "parallel"):
-        raise ConfigurationError(
-            f"formation must be 'serial' or 'parallel', got {formation!r}"
-        )
     infile = device.open(input_name)
     total_edges = infile.num_items() // _EDGE_ITEMS
     memory_edges = max(memory_bytes // _EDGE_BYTES, 4)
@@ -397,32 +269,20 @@ def external_sort_edges(
     # Phase 1: run formation (also records the value range so the merge can
     # decide whether packed int64 keys are exact for this input)
     formation_timer = Timer().start()
-    if formation == "parallel":
-        run_names, max_src, max_dst, min_value = form_runs_parallel(
-            device,
-            input_name,
-            total_edges,
-            memory_edges,
-            temp_prefix,
-            max_workers=formation_workers,
-        )
-    else:
-        run_names = []
-        max_src = -1
-        max_dst = -1
-        min_value = 0
-        for offset, count, run_name in _formation_windows(
-            total_edges, memory_edges, temp_prefix
-        ):
-            window = _read_edges(infile, offset, count)
-            if window.size:
-                max_src = max(max_src, int(window[:, 0].max()))
-                max_dst = max(max_dst, int(window[:, 1].max()))
-                min_value = min(min_value, int(window.min()))
-            sorted_window = _sort_in_memory(window)
-            device.delete(run_name)
-            _write_edges(device.open(run_name), sorted_window)
-            run_names.append(run_name)
+    run_names: list[str] = []
+    max_src = -1
+    max_dst = -1
+    min_value = 0
+    for offset in range(0, total_edges, memory_edges):
+        window = _read_edges(infile, offset, min(memory_edges, total_edges - offset))
+        sorted_window, w_max_src, w_max_dst, w_min = _sort_window_fast(window)
+        max_src = max(max_src, w_max_src)
+        max_dst = max(max_dst, w_max_dst)
+        min_value = min(min_value, w_min)
+        run_name = f"{temp_prefix}_run{len(run_names)}.bin"
+        device.delete(run_name)
+        _write_edges(device.open(run_name), sorted_window)
+        run_names.append(run_name)
     num_runs = len(run_names)
     formation_timer.stop()
 
@@ -433,7 +293,7 @@ def external_sort_edges(
         device.delete(output_name)
         device.open(output_name)  # create empty output
         return ExternalSortResult(
-            output_name, 0, 0, 0, fan_in, formation_timer.elapsed, 0.0, formation
+            output_name, 0, 0, 0, fan_in, formation_timer.elapsed, 0.0
         )
 
     key_base = max_dst + 1
@@ -487,7 +347,6 @@ def external_sort_edges(
         fan_in,
         formation_timer.elapsed,
         merge_timer.elapsed,
-        formation,
     )
 
 

@@ -20,7 +20,7 @@ uses to size its ``nm`` / ``nmp`` scratch arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -46,13 +46,6 @@ class GraphFile:
     and the orientation step need: full degree scans, contiguous adjacency
     ranges (the memory window), and per-vertex adjacency reads during the
     triangle pass.
-
-    ``readahead_bytes`` (see :meth:`set_readahead`) optionally coalesces
-    sequential adjacency reads through an aligned host-side buffer -- a
-    wall-clock optimisation strictly below the accounting layer, so I/O
-    statistics are identical with it on or off.  The buffered handle is
-    private to this ``GraphFile`` instance; give each concurrent scanner
-    its own handle (as :class:`~repro.core.mgt.MGTWorker` does).
     """
 
     device: BlockDevice
@@ -61,8 +54,6 @@ class GraphFile:
     num_edges: int
     directed: bool
     max_degree: int
-    readahead_bytes: int = 0
-    _adj_handle: BlockFile | None = field(default=None, repr=False, compare=False)
 
     # -- file names -------------------------------------------------------------
 
@@ -82,40 +73,7 @@ class GraphFile:
         return self.device.open(self.degree_file_name)
 
     def _adj_file(self) -> BlockFile:
-        if self.readahead_bytes:
-            if self._adj_handle is None:
-                handle = self.device.open(self.adjacency_file_name)
-                handle.set_readahead(self.readahead_bytes)
-                self._adj_handle = handle
-            return self._adj_handle
         return self.device.open(self.adjacency_file_name)
-
-    def set_readahead(self, buffer_bytes: int | str) -> None:
-        """Enable (``> 0``) or disable (``0``) adjacency read coalescing.
-
-        See :meth:`repro.externalmem.blockio.BlockFile.set_readahead`; the
-        buffer serves the sequential scans of
-        :meth:`read_adjacency_range` / :meth:`iter_adjacency_blocks`
-        without changing a single I/O counter.
-        """
-        from repro.utils import parse_size
-
-        self.readahead_bytes = parse_size(buffer_bytes)
-        self._adj_handle = None
-
-    def with_readahead(self, buffer_bytes: int | str) -> "GraphFile":
-        """A new handle to the same on-disk graph with its own read-ahead
-        buffer (concurrent scanners must not share one buffered handle)."""
-        clone = GraphFile(
-            device=self.device,
-            name=self.name,
-            num_vertices=self.num_vertices,
-            num_edges=self.num_edges,
-            directed=self.directed,
-            max_degree=self.max_degree,
-        )
-        clone.set_readahead(buffer_bytes)
-        return clone
 
     @property
     def size_bytes(self) -> int:

@@ -1,7 +1,7 @@
 """Metrics registry: named counters/gauges/histograms for one PDTL run.
 
 The registry unifies the engine's previously scattered signals -- per-phase
-``IOStats`` deltas, fd-cache and read-ahead hit/miss counts from
+``IOStats`` deltas, fd-cache hit/miss counts from
 ``externalmem/blockio.py``, shm attach-cache hits from ``core/shm.py``,
 scheduler queue depths and steal/re-enqueue counts, ``EdgeSupportSink``
 spill events, and per-kernel dispatch counts from

@@ -34,9 +34,9 @@ class TestMGTEstimate:
 
     def test_listing_adds_output_term(self, graph):
         config = PDTLConfig(memory_per_proc=1 << 20)
-        count_only = estimate_mgt_cost(graph, config, num_triangles=100_000, count_only=True)
+        counting = estimate_mgt_cost(graph, config, num_triangles=100_000, count_only=True)
         listing = estimate_mgt_cost(graph, config, num_triangles=100_000, count_only=False)
-        assert listing.io_blocks > count_only.io_blocks
+        assert listing.io_blocks > counting.io_blocks
 
     def test_cpu_scales_with_inverse_memory(self, graph):
         small = estimate_mgt_cost(graph, PDTLConfig(memory_per_proc=16 * 1024, block_size=512))
@@ -57,13 +57,13 @@ class TestMGTEstimate:
 
 class TestPDTLEstimate:
     def test_network_traffic_formula(self, graph):
-        config = PDTLConfig(num_nodes=3, procs_per_node=4, count_only=True)
+        config = PDTLConfig(num_nodes=3, procs_per_node=4, sink="count")
         est = estimate_pdtl_cost(graph, config, num_triangles=1000)
         expected = 3 * (4 + graph.num_undirected_edges)  # + 0 for counting
         assert est.network_traffic_elements == expected
 
     def test_network_traffic_includes_triangles_when_listing(self, graph):
-        config = PDTLConfig(num_nodes=2, procs_per_node=2, count_only=False)
+        config = PDTLConfig(num_nodes=2, procs_per_node=2, sink="list")
         est = estimate_pdtl_cost(graph, config, num_triangles=1000)
         assert est.network_traffic_elements == 2 * (2 + graph.num_undirected_edges) + 1000
 

@@ -129,9 +129,7 @@ class TestSinkKindsAcrossBackends:
         reference_sets = forward_list(graph)
         lists = []
         for label, backend, shm in _backends():
-            result = _run(
-                graph, scheduling, backend, shm, sink_kind="list", count_only=False
-            )
+            result = _run(graph, scheduling, backend, shm, sink_kind="list")
             assert {t.as_vertex_set() for t in result.triangle_list} == reference_sets
             lists.append([tuple(t) for t in result.triangle_list])
         # deterministic merge by chunk index: identical *order*, not just set
@@ -252,16 +250,13 @@ class TestCompiledTierEquivalence:
 
     def test_listing_order_identical(self, graph):
         for label, backend, shm in _backends():
-            plain = self._run_tier(
-                graph, "numpy", backend, shm, sink_kind="list", count_only=False
-            )
+            plain = self._run_tier(graph, "numpy", backend, shm, sink_kind="list")
             compiled = self._run_tier(
                 graph,
                 _COMPILED_TIER,
                 backend,
                 shm,
                 sink_kind="list",
-                count_only=False,
             )
             assert [tuple(t) for t in compiled.triangle_list] == [
                 tuple(t) for t in plain.triangle_list
@@ -302,31 +297,3 @@ class TestCompiledTierEquivalence:
                 compiled.per_vertex_counts, plain.per_vertex_counts, err_msg=label
             )
             assert int(compiled.per_vertex_counts.sum()) == 3 * expected, label
-
-
-class TestMmapReadsEquivalence:
-    """``mmap_reads`` is a host-side read strategy strictly below the
-    accounting layer: every modelled quantity must be bit-identical with
-    the flag on or off, on every backend."""
-
-    def test_mmap_on_off_bit_identical(self, graph, expected):
-        reference = _run(graph, "dynamic", "serial", False, sink_kind="edge-support")
-        for label, backend, shm in _backends():
-            mapped = _run(
-                graph,
-                "dynamic",
-                backend,
-                shm,
-                sink_kind="edge-support",
-                mmap_reads=True,
-            )
-            assert mapped.triangles == expected, label
-            assert mapped.calc_seconds == reference.calc_seconds, label
-            assert mapped.total_io_seconds == reference.total_io_seconds, label
-            np.testing.assert_array_equal(
-                mapped.edge_supports, reference.edge_supports, err_msg=label
-            )
-            for ours, theirs in zip(mapped.workers, reference.workers):
-                assert (
-                    ours.result.io_stats.as_dict() == theirs.result.io_stats.as_dict()
-                ), label

@@ -11,30 +11,30 @@ import pytest
 from repro.cluster.executor import (
     ExecutionBackend,
     process_pool,
-    run_jobs,
     run_task_queue,
     shutdown_process_pool,
 )
 
 
-def _square(x):
-    return x * x
+def _call(job):
+    """Run a zero-argument job; module-level so it pickles."""
+    return job()
 
 
 class TestSerialBackend:
     def test_results_in_order(self):
         jobs = [lambda i=i: i * 10 for i in range(5)]
-        assert run_jobs(jobs, backend="serial") == [0, 10, 20, 30, 40]
+        assert run_task_queue(jobs, _call, backend="serial") == [0, 10, 20, 30, 40]
 
     def test_empty_jobs(self):
-        assert run_jobs([], backend="serial") == []
+        assert run_task_queue([], _call, backend="serial") == []
 
     def test_exceptions_propagate(self):
         def boom():
             raise RuntimeError("nope")
 
         with pytest.raises(RuntimeError):
-            run_jobs([boom], backend="serial")
+            run_task_queue([boom], _call, backend="serial")
 
 
 class TestThreadBackend:
@@ -47,7 +47,7 @@ class TestThreadBackend:
             return run
 
         jobs = [job(0, 0.05), job(1, 0.0), job(2, 0.02)]
-        assert run_jobs(jobs, backend="threads") == [0, 1, 2]
+        assert run_task_queue(jobs, _call, backend="threads") == [0, 1, 2]
 
     def test_actually_concurrent(self):
         barrier = threading.Barrier(3, timeout=5)
@@ -56,30 +56,30 @@ class TestThreadBackend:
             barrier.wait()  # deadlocks unless all three run concurrently
             return threading.get_ident()
 
-        results = run_jobs([job, job, job], backend="threads", max_workers=3)
+        results = run_task_queue([job, job, job], _call, backend="threads", max_workers=3)
         assert len(results) == 3
 
     def test_single_job_runs_inline(self):
-        assert run_jobs([lambda: 7], backend="threads") == [7]
+        assert run_task_queue([lambda: 7], _call, backend="threads") == [7]
 
     def test_exceptions_propagate(self):
         def boom():
             raise ValueError("bad")
 
         with pytest.raises(ValueError):
-            run_jobs([boom, lambda: 1], backend="threads")
+            run_task_queue([boom, lambda: 1], _call, backend="threads")
 
 
 class TestBackendSelection:
     def test_enum_and_string_equivalent(self):
         jobs = [lambda: 1, lambda: 2]
-        assert run_jobs(jobs, backend=ExecutionBackend.SERIAL) == run_jobs(
-            jobs, backend="serial"
-        )
+        assert run_task_queue(
+            jobs, _call, backend=ExecutionBackend.SERIAL
+        ) == run_task_queue(jobs, _call, backend="serial")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
-            run_jobs([lambda: 1], backend="quantum")
+            run_task_queue([lambda: 1], _call, backend="quantum")
 
     def test_max_workers_respected(self):
         active = []
@@ -95,7 +95,7 @@ class TestBackendSelection:
                 active.pop()
             return True
 
-        run_jobs([job] * 6, backend="threads", max_workers=2)
+        run_task_queue([job] * 6, _call, backend="threads", max_workers=2)
         assert peak[0] <= 2
 
 
@@ -126,7 +126,7 @@ class TestDefaultWorkerCap:
                 active.pop()
             return True
 
-        run_jobs([job] * num_jobs, backend="threads")
+        run_task_queue([job] * num_jobs, _call, backend="threads")
         return peak[0]
 
     def test_default_thread_crew_capped_at_cpu_count(self, monkeypatch):
@@ -157,7 +157,9 @@ class TestDefaultWorkerCap:
             return True
 
         # three concurrent workers despite the 1-CPU host: explicit cap rules
-        assert run_jobs([job] * 3, backend="threads", max_workers=3) == [True] * 3
+        assert run_task_queue(
+            [job] * 3, _call, backend="threads", max_workers=3
+        ) == [True] * 3
 
 
 class TestRunTaskQueue:
@@ -253,10 +255,10 @@ class TestPersistentProcessPool:
         assert grown is not small
         assert process_pool(1) is grown  # a smaller request keeps the big pool
 
-    def test_run_jobs_uses_the_shared_pool(self):
+    def test_callable_jobs_use_the_shared_pool(self):
         shutdown_process_pool()
-        results = run_jobs(
-            [_make_const(3), _make_const(4)], backend="processes", max_workers=2
+        results = run_task_queue(
+            [_make_const(3), _make_const(4)], _call, backend="processes", max_workers=2
         )
         assert results == [3, 4]
 

@@ -138,15 +138,6 @@ class TestOrientGraphOnDisk:
         with pytest.raises(ValueError):
             orient_graph(gf, num_workers=0)
 
-    def test_invalid_executor_combinations(self, on_disk):
-        _, gf = on_disk
-        with pytest.raises(ValueError, match="executor must be"):
-            orient_graph(gf, executor="bogus")
-        with pytest.raises(ValueError, match="requires a shared"):
-            orient_graph(gf, executor="processes")
-        with pytest.raises(ValueError, match="conflicts with executor"):
-            orient_graph(gf, executor="processes", shared=object(), parallel=False)
-
     def test_output_written_to_requested_device(self, on_disk, tmp_path):
         from repro.externalmem.blockio import BlockDevice
 

@@ -12,8 +12,11 @@ from repro.baselines.inmemory import (
 )
 from repro.core.config import PDTLConfig
 from repro.core.load_balance import ranges_cover_exactly
+from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
+from repro.core.triangles import oriented_edge_array
 from repro.errors import ConfigurationError
+from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, rmat, watts_strogatz
@@ -60,17 +63,26 @@ class TestCorrectnessAcrossConfigurations:
         result = PDTLRunner(config, backend="threads").run(medium_graph)
         assert result.triangles == medium_expected
 
-    def test_sequential_orientation_matches(self, medium_graph, medium_expected):
-        config = PDTLConfig(
-            num_nodes=1, procs_per_node=2, parallel_orientation=False
+    @pytest.mark.parametrize("procs", [1, 2, 4])
+    def test_sequential_orientation_matches(self, medium_graph, tmp_path, procs):
+        """The runner orients in ``procs_per_node`` chunks on threads; its
+        oriented graph equals the sequential single-window orientation."""
+        device = BlockDevice(tmp_path, block_size=512)
+        reference = orient_graph(
+            write_graph(device, "g", medium_graph), num_workers=1, parallel=False
+        ).oriented
+        config = PDTLConfig(num_nodes=1, procs_per_node=procs, sink="edge-support")
+        result = PDTLRunner(config).run(medium_graph)
+        np.testing.assert_array_equal(
+            result.oriented_edges, oriented_edge_array(reference)
         )
-        assert PDTLRunner(config).run(medium_graph).triangles == medium_expected
+        assert result.max_out_degree == reference.max_degree
 
 
 class TestSinkKinds:
     def test_listing_matches_reference(self):
         graph = CSRGraph.from_edgelist(watts_strogatz(60, k=6, p=0.1, seed=2))
-        config = PDTLConfig(num_nodes=2, procs_per_node=2, count_only=False)
+        config = PDTLConfig(num_nodes=2, procs_per_node=2)
         result = PDTLRunner(config).run(graph, sink_kind="list")
         listed = {t.as_vertex_set() for t in result.triangle_list}
         assert listed == forward_list(graph)
@@ -85,6 +97,54 @@ class TestSinkKinds:
         )
         # each triangle contributes 3 vertex participations
         assert int(result.per_vertex_counts.sum()) == 3 * result.triangles
+
+    def test_per_vertex_results_charged_as_dense_arrays(self, k6):
+        """Each result message from node 1 ships ``n`` int64 counts on top
+        of the 8 bytes a counting run ships."""
+        runner = PDTLRunner(PDTLConfig(num_nodes=2))
+        counted = runner.run(k6, sink_kind="count")
+        per_vertex = runner.run(k6, sink_kind="per-vertex")
+        remote_messages = 1  # one static range on node 1
+        assert (
+            per_vertex.network_bytes - counted.network_bytes
+            == remote_messages * 8 * k6.num_vertices
+        )
+
+    @pytest.mark.parametrize("scheduling", ["static", "dynamic"])
+    @pytest.mark.parametrize("num_nodes", [2, 3])
+    def test_result_payloads_follow_the_sink_kind(self, num_nodes, scheduling):
+        """Against a counting run, each result message from a remote node
+        adds ``8n`` bytes for per-vertex, ``8m`` for edge-support and 24
+        bytes per listed triangle.  Modelled CPU keeps the dynamic replay,
+        and so the chunk owners, identical across the four runs."""
+        graph = CSRGraph.from_edgelist(rmat(7, edge_factor=8, seed=4))
+        runner = PDTLRunner(
+            PDTLConfig(
+                num_nodes=num_nodes,
+                procs_per_node=2,
+                memory_per_proc=2048,
+                block_size=256,
+                scheduling=scheduling,
+                modelled_cpu=True,
+            )
+        )
+        runs = {
+            kind: runner.run(graph, sink_kind=kind)
+            for kind in ("count", "per-vertex", "edge-support", "list")
+        }
+        remote = [w for w in runs["count"].workers if w.node_index != 0]
+        messages = sum(w.chunks_completed for w in remote)
+        remote_triangles = sum(w.result.triangles for w in remote)
+        assert messages >= 1 and remote_triangles >= 1
+        extra = {
+            kind: run.network_bytes - runs["count"].network_bytes
+            for kind, run in runs.items()
+        }
+        n = graph.num_vertices
+        m = runs["edge-support"].edge_supports.shape[0]
+        assert extra["per-vertex"] == messages * 8 * n
+        assert extra["edge-support"] == messages * 8 * m
+        assert extra["list"] == 24 * remote_triangles
 
     def test_unknown_sink_kind_rejected(self, k6):
         with pytest.raises(ConfigurationError):

@@ -7,6 +7,7 @@ import pytest
 
 from repro import PDTLConfig, count_triangles, list_triangles, triangle_counts_per_vertex
 from repro.baselines.inmemory import forward_count, per_vertex_triangle_counts
+from repro.core.pdtl import PDTLRunner
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, rmat
 
@@ -39,9 +40,13 @@ class TestListTriangles:
         assert len(result.triangle_list) == 20
         assert len({t.as_vertex_set() for t in result.triangle_list}) == 20
 
-    def test_listing_disables_count_only(self, k6):
-        result = list_triangles(k6)
-        assert result.config.count_only is False
+    def test_listing_runs_charge_their_real_output(self, k6):
+        """A listing run ships its triangles back to the master, so it
+        moves more bytes than a counting run of the same configuration."""
+        runner = PDTLRunner(PDTLConfig(num_nodes=2))
+        listed = runner.run(k6, sink_kind="list")
+        counted = runner.run(k6, sink_kind="count")
+        assert listed.network_bytes > counted.network_bytes
 
     def test_triangle_free(self, triangle_free_graph):
         assert list_triangles(triangle_free_graph).triangle_list == []

@@ -27,7 +27,6 @@ from repro.core.shm import (
     attach_view,
     detach_view,
     publish_graph,
-    publish_input_graph,
     shm_available,
 )
 from repro.errors import PDTLError
@@ -122,11 +121,14 @@ class TestPublishAttach:
         # unlink dropped the same-process cached attachment too
         assert _segments_on_host() == []
 
-    def test_with_readahead_is_noop(self, oriented):
+    def test_oriented_publication_has_no_order_keys(self, oriented):
+        """``order_keys`` stays on the descriptor and is always ``None``, so
+        tools that size a publication field by field still find it."""
         with publish_graph(oriented) as publication:
-            view = SharedGraphView(publication.descriptor, oriented.device.model)
-            assert view.with_readahead("1MB") is view
-            view.close()
+            descriptor = publication.descriptor
+            assert descriptor.order_keys is None
+            for name in ("degrees", "adjacency", "offsets", "scan_sources", "scan_keys"):
+                assert getattr(descriptor, name) is not None, name
 
 
 class TestLifecycle:
@@ -190,6 +192,14 @@ class TestLifecycle:
             fresh_pub.unlink()
             stale_pub._unlinked = True  # segments already gone
         assert _segments_on_host() == []
+
+    def test_closed_view_reports_closed_not_missing(self, oriented):
+        """Use-after-close of a scan invariant is reported as a closed view."""
+        with publish_graph(oriented) as publication:
+            view = SharedGraphView(publication.descriptor, oriented.device.model)
+            view.close()
+            with pytest.raises(PDTLError, match="is closed"):
+                view.scan_sources
 
     def test_tokens_are_unique(self, oriented):
         with publish_graph(oriented) as first, publish_graph(oriented) as second:
@@ -316,168 +326,6 @@ class TestRunnerIntegration:
         assert _segments_on_host() == []
 
 
-class TestInputPublication:
-    """The input-graph publisher behind ``parallel_preprocess``."""
-
-    @pytest.fixture
-    def input_graph(self, tmp_path):
-        device = BlockDevice(tmp_path / "disk", block_size=512)
-        graph = CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5))
-        return write_graph(device, "g", graph)
-
-    def test_roundtrip_carries_order_keys_not_scan_invariants(self, input_graph):
-        from repro.core.orientation import degree_order_keys
-
-        with publish_input_graph(input_graph) as publication:
-            descriptor = publication.descriptor
-            assert descriptor.order_keys is not None
-            assert descriptor.scan_sources is None and descriptor.scan_keys is None
-            view = SharedGraphView(descriptor, input_graph.device.model)
-            np.testing.assert_array_equal(
-                view.read_degrees(), input_graph.read_degrees()
-            )
-            np.testing.assert_array_equal(
-                view.read_adjacency_range(0, input_graph.num_edges),
-                input_graph.read_adjacency_range(0, input_graph.num_edges),
-            )
-            np.testing.assert_array_equal(
-                view.order_keys, degree_order_keys(input_graph.read_degrees())
-            )
-            assert not view.directed
-            with pytest.raises(PDTLError, match="scan invariants"):
-                view.scan_sources
-            with pytest.raises(PDTLError, match="scan invariants"):
-                view.scan_keys
-            view.close()
-        assert _segments_on_host() == []
-
-    def test_oriented_publication_has_no_order_keys(self, oriented):
-        with publish_graph(oriented) as publication:
-            assert publication.descriptor.order_keys is None
-            view = SharedGraphView(publication.descriptor, oriented.device.model)
-            with pytest.raises(PDTLError, match="degree-order keys"):
-                view.order_keys
-            view.close()
-
-    def test_closed_view_reports_closed_not_missing(self, oriented):
-        """Use-after-close must not be misdiagnosed as a publication that
-        lacked the derived arrays."""
-        with publish_graph(oriented) as publication:
-            view = SharedGraphView(publication.descriptor, oriented.device.model)
-            view.close()
-            with pytest.raises(PDTLError, match="is closed"):
-                view.scan_sources
-
-    def test_unlink_removes_input_segments(self, input_graph):
-        publication = publish_input_graph(input_graph)
-        names = [
-            publication.descriptor.degrees.name,
-            publication.descriptor.adjacency.name,
-            publication.descriptor.offsets.name,
-            publication.descriptor.order_keys.name,
-        ]
-        for name in names:
-            assert glob.glob(f"/dev/shm/{name}")
-        publication.unlink()
-        publication.unlink()  # idempotent
-        assert _segments_on_host() == []
-
-
-class TestParallelPreprocessLifecycle:
-    """Input-segment cleanup of ``PDTLConfig(parallel_preprocess=True)``
-    runs -- on success, on mid-run worker failure, and on the
-    shm-unavailable fallback path."""
-
-    def _config(self, **overrides) -> PDTLConfig:
-        base = dict(
-            num_nodes=2,
-            procs_per_node=2,
-            memory_per_proc=4096,
-            block_size=512,
-            modelled_cpu=True,
-            parallel_preprocess=True,
-        )
-        base.update(overrides)
-        return PDTLConfig(**base)
-
-    def test_no_segment_survives_a_run(self, rmat_small):
-        expected = forward_count(rmat_small)
-        for backend in ("serial", "threads", "processes"):
-            result = PDTLRunner(self._config(), backend=backend).run(rmat_small)
-            assert result.triangles == expected
-            assert result.preprocess_parallel
-            assert _segments_on_host() == [], backend
-
-    def test_no_segment_survives_with_shm_triangle_phase(self, rmat_small):
-        """Both publications -- input graph and oriented graph -- are
-        unlinked by the end of a combined shm + parallel_preprocess run."""
-        result = PDTLRunner(self._config(shm=True), backend="processes").run(rmat_small)
-        assert result.triangles == forward_count(rmat_small)
-        assert result.shm_used and result.preprocess_parallel
-        assert _segments_on_host() == []
-
-    def test_cleanup_when_preprocess_worker_raises(self, rmat_small, monkeypatch):
-        """A preprocessing task failing mid-fan-out must not leak the
-        input-graph segments (the runner unlinks in a finally)."""
-        import repro.cluster.executor as executor_mod
-
-        def boom(tasks, fn, max_workers=None):
-            raise RuntimeError("injected preprocessing failure")
-
-        monkeypatch.setattr(executor_mod, "run_preprocess_queue", boom)
-        with pytest.raises(RuntimeError, match="injected preprocessing failure"):
-            PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert _segments_on_host() == []
-
-    def test_cleanup_when_mgt_task_raises_after_preprocess(
-        self, rmat_small, monkeypatch
-    ):
-        """PR 3's leak check extended: with parallel preprocessing on, a
-        triangle-phase task exception still leaves /dev/shm clean."""
-        import repro.core.pdtl as pdtl_mod
-
-        def boom(task):
-            raise RuntimeError("injected task failure")
-
-        monkeypatch.setattr(pdtl_mod, "execute_chunk_task", boom)
-        with pytest.raises(RuntimeError, match="injected task failure"):
-            PDTLRunner(self._config(shm=True), backend="serial").run(rmat_small)
-        assert _segments_on_host() == []
-
-    def test_falls_back_with_warning_when_unavailable(self, rmat_small, monkeypatch):
-        import repro.core.pdtl as pdtl_mod
-
-        monkeypatch.setattr(
-            pdtl_mod, "shm_available", lambda: (False, "no /dev/shm mount")
-        )
-        with pytest.warns(RuntimeWarning, match="parallel_preprocess=True requested"):
-            result = PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert result.triangles == forward_count(rmat_small)
-        assert not result.preprocess_parallel
-        assert _segments_on_host() == []
-
-    def test_fallback_results_identical(self, rmat_small, monkeypatch):
-        """The fallback path's modelled numbers equal the parallel path's --
-        degrading hosts only lose wall clock, never accounting."""
-        reference = PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert reference.preprocess_parallel
-
-        import repro.core.pdtl as pdtl_mod
-
-        monkeypatch.setattr(
-            pdtl_mod, "shm_available", lambda: (False, "no /dev/shm mount")
-        )
-        with pytest.warns(RuntimeWarning):
-            fallback = PDTLRunner(self._config(), backend="serial").run(rmat_small)
-        assert fallback.triangles == reference.triangles
-        assert fallback.calc_seconds == reference.calc_seconds
-        assert fallback.modelled_setup_seconds == reference.modelled_setup_seconds
-        assert (
-            fallback.metrics.setup_io_stats.as_dict()
-            == reference.metrics.setup_io_stats.as_dict()
-        )
-
-
 class TestAvailabilityGuard:
     def _config(self) -> PDTLConfig:
         return PDTLConfig(memory_per_proc=4096, block_size=512, shm=True)
@@ -497,6 +345,37 @@ class TestAvailabilityGuard:
             result = PDTLRunner(self._config(), backend="serial").run(rmat_small)
         assert result.triangles == forward_count(rmat_small)
         assert not result.shm_used
+
+    def test_fallback_results_identical(self, rmat_small, monkeypatch):
+        """The fallback's modelled numbers equal the shm run's: a host
+        without /dev/shm loses wall clock, never accounting."""
+        import repro.core.pdtl as pdtl_mod
+
+        config = PDTLConfig(
+            num_nodes=2,
+            procs_per_node=2,
+            memory_per_proc=4096,
+            block_size=512,
+            modelled_cpu=True,
+            shm=True,
+        )
+        reference = PDTLRunner(config, backend="serial").run(rmat_small)
+        assert reference.shm_used
+        monkeypatch.setattr(
+            pdtl_mod, "shm_available", lambda: (False, "no /dev/shm mount")
+        )
+        with pytest.warns(RuntimeWarning):
+            fallback = PDTLRunner(config, backend="serial").run(rmat_small)
+        assert not fallback.shm_used
+        assert fallback.triangles == reference.triangles
+        assert fallback.calc_seconds == reference.calc_seconds
+        assert fallback.total_io_seconds == reference.total_io_seconds
+        assert fallback.modelled_setup_seconds == reference.modelled_setup_seconds
+        assert (
+            fallback.metrics.setup_io_stats.as_dict()
+            == reference.metrics.setup_io_stats.as_dict()
+        )
+        assert _segments_on_host() == []
 
     def test_publish_raises_when_unavailable(self, oriented, monkeypatch):
         monkeypatch.setattr(shm_mod, "_AVAILABLE", (False, "probe failed"))

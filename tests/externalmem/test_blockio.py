@@ -193,79 +193,6 @@ class TestDiskModel:
         assert model.transfer_time(1 << 20, True) == 0.0
 
 
-class TestReadahead:
-    """The aligned read-ahead buffer: same bytes, same accounting, fewer host reads."""
-
-    def _filled_file(self, tmp_path, n_items=5000, block_size=512):
-        dev = BlockDevice(tmp_path / "disk", block_size=block_size)
-        f = dev.open("data.bin")
-        data = np.arange(n_items, dtype=np.int64)
-        f.append_array(data)
-        return dev, f, data
-
-    def test_reads_identical_with_and_without_buffer(self, tmp_path):
-        dev, f, data = self._filled_file(tmp_path)
-        plain = dev.open("data.bin")
-        buffered = dev.open("data.bin")
-        buffered.set_readahead(2048)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            off = int(rng.integers(0, data.shape[0]))
-            count = int(rng.integers(0, data.shape[0] - off + 10))
-            np.testing.assert_array_equal(
-                buffered.read_array(off, min(count, data.shape[0] - off)),
-                plain.read_array(off, min(count, data.shape[0] - off)),
-            )
-
-    def test_read_spanning_many_windows(self, tmp_path):
-        dev, f, data = self._filled_file(tmp_path)
-        buffered = dev.open("data.bin")
-        buffered.set_readahead(512)  # one block window, read spans many
-        np.testing.assert_array_equal(buffered.read_array(3, 4000), data[3:4003])
-
-    def test_read_past_eof_truncates_like_plain_read(self, tmp_path):
-        dev, f, data = self._filled_file(tmp_path, n_items=100)
-        buffered = dev.open("data.bin")
-        buffered.set_readahead(4096)
-        raw = buffered.read_bytes(90 * 8, 1000)
-        assert len(raw) == 10 * 8
-        np.testing.assert_array_equal(np.frombuffer(raw, dtype=np.int64), data[90:])
-
-    def test_iostats_bit_identical(self, tmp_path):
-        stats = {}
-        for label, readahead in (("plain", 0), ("buffered", 1 << 14)):
-            dev = BlockDevice(tmp_path / label, block_size=512)
-            f = dev.open("data.bin")
-            f.append_array(np.arange(4096, dtype=np.int64))
-            dev.stats.reset()
-            reader = dev.open("data.bin")
-            if readahead:
-                reader.set_readahead(readahead)
-            offset = 0
-            while offset < 4096:
-                reader.read_array(offset, min(128, 4096 - offset))
-                offset += 128
-            stats[label] = dev.stats.as_dict()
-        assert stats["plain"] == stats["buffered"]
-
-    def test_write_through_handle_invalidates_buffer(self, tmp_path):
-        dev, f, data = self._filled_file(tmp_path, n_items=64)
-        buffered = dev.open("data.bin")
-        buffered.set_readahead(4096)
-        np.testing.assert_array_equal(buffered.read_array(0, 64), data)
-        new = np.arange(100, 164, dtype=np.int64)
-        buffered.write_array(new)
-        np.testing.assert_array_equal(buffered.read_array(0, 64), new)
-
-    def test_readahead_accepts_sizes_and_disables(self, tmp_path):
-        dev, f, data = self._filled_file(tmp_path)
-        g = dev.open("data.bin")
-        g.set_readahead("16k")
-        np.testing.assert_array_equal(g.read_array(0, 10), data[:10])
-        g.set_readahead(0)
-        np.testing.assert_array_equal(g.read_array(0, 10), data[:10])
-
-
 class TestFdCache:
     """The raw-fd cache must be transparent and bounded."""
 
@@ -316,83 +243,22 @@ class TestFdCache:
         g = dev.open("pinned.bin")
         assert g.num_items() == 0
 
-
-class TestMmapReads:
-    """The mmap read path sits strictly below the accounting layer."""
-
-    def _fill(self, dev: BlockDevice) -> None:
-        f = dev.open("data.bin")
-        f.append_array(np.arange(1000, dtype=np.int64))
-        g = dev.open("other.bin")
-        g.append_array(np.arange(64, dtype=np.int64))
-
-    def _access_pattern(self, dev: BlockDevice) -> list[bytes]:
-        f = dev.open("data.bin")
-        g = dev.open("other.bin")
-        out = [
-            f.read_bytes(0, 256),
-            f.read_bytes(4096, 512),          # random jump
-            f.read_bytes(7900, 400),          # short read at EOF
-            g.read_bytes(8, 128),
-            f.read_bytes(256, 8192),
-            f.read_bytes(0, 0),               # zero-length
-        ]
-        out.append(bytes(f.read_array(10, 20)))
-        return out
-
-    def test_bytes_and_iostats_identical_on_off(self, tmp_path):
-        results = {}
-        for flag in (False, True):
-            dev = BlockDevice(tmp_path / str(flag), block_size=512, mmap_reads=flag)
-            self._fill(dev)
-            dev.stats.reset()
-            results[flag] = (self._access_pattern(dev), dev.stats.as_dict())
-        assert results[False][0] == results[True][0]
-        assert results[False][1] == results[True][1]
-
-    def test_write_invalidates_mapping(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
-        f = dev.open("data.bin")
-        f.append_array(np.arange(100, dtype=np.int64))
-        assert np.array_equal(f.read_array(0, 100), np.arange(100))  # map cached
-        f.write_array(np.full(100, 7, dtype=np.int64))
-        assert np.array_equal(f.read_array(0, 100), np.full(100, 7))
-
     def test_append_after_read_is_visible(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
+        dev = BlockDevice(tmp_path, block_size=512)
         f = dev.open("data.bin")
         f.append_array(np.arange(10, dtype=np.int64))
         assert f.read_array(0, 10)[-1] == 9
         f.append_array(np.arange(10, 20, dtype=np.int64))
         assert np.array_equal(f.read_array(0, 20), np.arange(20))
 
-    def test_truncate_invalidates_mapping(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
-        f = dev.open("data.bin")
-        f.append_array(np.arange(50, dtype=np.int64))
-        f.read_array(0, 50)
-        f.truncate(8 * 10)
-        assert f.num_items() == 10
-        assert np.array_equal(f.read_array(0, 10), np.arange(10))
-
-    def test_delete_and_recreate(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
-        f = dev.open("data.bin")
-        f.append_array(np.arange(10, dtype=np.int64))
-        f.read_array(0, 10)
-        dev.delete("data.bin")
-        f2 = dev.open("data.bin")
-        f2.append_array(np.full(10, 3, dtype=np.int64))
-        assert np.array_equal(f2.read_array(0, 10), np.full(10, 3))
-
     def test_empty_file_reads(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
+        dev = BlockDevice(tmp_path, block_size=512)
         f = dev.open("empty.bin")
         assert f.read_bytes(0, 100) == b""
 
-    def test_copy_file_invalidates_destination(self, tmp_path):
+    def test_copy_file_refreshes_open_destination(self, tmp_path):
         src = BlockDevice(tmp_path / "src", block_size=512)
-        dst = BlockDevice(tmp_path / "dst", block_size=512, mmap_reads=True)
+        dst = BlockDevice(tmp_path / "dst", block_size=512)
         a = src.open("a.bin")
         a.append_array(np.arange(20, dtype=np.int64))
         src.copy_file("a.bin", dst)
@@ -403,28 +269,112 @@ class TestMmapReads:
         src.copy_file("a.bin", dst)
         assert np.array_equal(d.read_array(0, 20), np.full(20, 9))
 
-    def test_readahead_composes_with_mmap(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
-        f = dev.open("data.bin")
-        f.append_array(np.arange(2000, dtype=np.int64))
-        f.set_readahead(4096)
-        dev.stats.reset()
-        chunks = [f.read_array(i * 250, 250) for i in range(8)]
-        assert np.array_equal(np.concatenate(chunks), np.arange(2000))
-        plain = BlockDevice(tmp_path / "plain", block_size=512)
-        p = plain.open("data.bin")
-        p.append_array(np.arange(2000, dtype=np.int64))
-        plain.stats.reset()
-        for i in range(8):
-            p.read_array(i * 250, 250)
-        assert dev.stats.as_dict() == plain.stats.as_dict()
+    def test_write_through_one_handle_visible_to_another(self, tmp_path):
+        dev = BlockDevice(tmp_path, block_size=512)
+        reader = dev.open("data.bin")
+        writer = dev.open("data.bin")
+        writer.append_array(np.arange(64, dtype=np.int64))
+        np.testing.assert_array_equal(reader.read_array(0, 64), np.arange(64))
+        writer.write_array(np.arange(100, 164, dtype=np.int64))
+        np.testing.assert_array_equal(reader.read_array(0, 64), np.arange(100, 164))
 
-    def test_close_drops_mappings(self, tmp_path):
-        dev = BlockDevice(tmp_path, block_size=512, mmap_reads=True)
+    def test_truncate_then_read(self, tmp_path):
+        dev = BlockDevice(tmp_path, block_size=512)
+        f = dev.open("data.bin")
+        f.append_array(np.arange(50, dtype=np.int64))
+        f.read_array(0, 50)  # descriptor now cached
+        f.truncate(8 * 10)
+        assert f.num_items() == 10
+        np.testing.assert_array_equal(f.read_array(0, 50), np.arange(10))
+
+    def test_close_drops_cached_descriptors(self, tmp_path):
+        dev = BlockDevice(tmp_path, block_size=512)
         f = dev.open("data.bin")
         f.append_array(np.arange(10, dtype=np.int64))
         f.read_array(0, 10)
-        assert dev._mmaps
+        assert dev._fds
         dev.close()
-        assert not dev._mmaps
-        assert np.array_equal(f.read_array(0, 10), np.arange(10))
+        assert not dev._fds
+        np.testing.assert_array_equal(f.read_array(0, 10), np.arange(10))
+
+    def test_cold_and_warm_descriptors_read_and_charge_identically(self, tmp_path):
+        """Closing every cached descriptor before each access changes no
+        byte read and no counter: the cache sits below the accounting."""
+        outcomes = {}
+        for cold in (False, True):
+            dev = BlockDevice(tmp_path / f"cold_{cold}", block_size=512)
+            dev.open("data.bin").append_array(np.arange(1000, dtype=np.int64))
+            dev.open("other.bin").append_array(np.arange(64, dtype=np.int64))
+            dev.stats.reset()
+            f, g = dev.open("data.bin"), dev.open("other.bin")
+            accesses = [
+                (f, 0, 256),
+                (f, 4096, 512),  # random jump
+                (f, 7900, 400),  # short read at EOF
+                (g, 8, 128),
+                (f, 256, 8192),
+                (f, 0, 0),  # zero-length
+            ]
+            data = []
+            for handle, offset, nbytes in accesses:
+                if cold:
+                    dev.close()
+                data.append(handle.read_bytes(offset, nbytes))
+            outcomes[cold] = (data, dev.stats.as_dict(), dev.host_counters.as_dict())
+        warm, cold = outcomes[False], outcomes[True]
+        assert cold[0] == warm[0]
+        assert cold[1] == warm[1]
+        # only the host counters see the difference: one miss per cold access
+        assert warm[2]["fd_cache.hits"] == 6
+        assert cold[2]["fd_cache.misses"] == warm[2]["fd_cache.misses"] + 6
+
+
+class TestPreadPath:
+    """Reads go straight to ``os.pread`` on the cached descriptor: exact
+    bytes for any offset and length, charged exactly once."""
+
+    def _filled(self, tmp_path, n_items=5000):
+        dev = BlockDevice(tmp_path, block_size=512)
+        data = np.arange(n_items, dtype=np.int64)
+        dev.open("data.bin").append_array(data)
+        return dev, dev.open("data.bin"), data
+
+    def test_random_reads_match_written_data(self, tmp_path):
+        dev, f, data = self._filled(tmp_path)
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            off = int(rng.integers(0, data.shape[0]))
+            count = int(rng.integers(0, data.shape[0] - off + 1))
+            np.testing.assert_array_equal(
+                f.read_array(off, count), data[off : off + count]
+            )
+
+    def test_read_spanning_many_blocks(self, tmp_path):
+        dev, f, data = self._filled(tmp_path)
+        dev.stats.reset()
+        np.testing.assert_array_equal(f.read_array(3, 4000), data[3:4003])
+        # bytes [24, 32024) touch blocks 0..62 in one call
+        assert dev.stats.blocks_read == 63
+        assert dev.stats.read_calls == 1
+
+    def test_read_past_eof_truncates(self, tmp_path):
+        dev, f, data = self._filled(tmp_path, n_items=100)
+        dev.stats.reset()
+        raw = f.read_bytes(90 * 8, 1000)
+        assert len(raw) == 10 * 8
+        np.testing.assert_array_equal(np.frombuffer(raw, dtype=np.int64), data[90:])
+        # only the bytes that exist are charged
+        assert dev.stats.bytes_read == 10 * 8
+        assert dev.stats.blocks_read == 1
+
+    def test_chunked_scan_accounting_is_exact(self, tmp_path):
+        dev, f, _ = self._filled(tmp_path, n_items=4096)
+        dev.stats.reset()
+        for offset in range(0, 4096, 128):
+            f.read_array(offset, 128)  # 1 KB = 2 blocks per call
+        assert dev.stats.read_calls == 32
+        assert dev.stats.bytes_read == 4096 * 8
+        assert dev.stats.blocks_read == 64
+        # the head sits at the end of the write, so only the first call seeks
+        assert dev.stats.random_reads == 2
+        assert dev.stats.sequential_reads == 62

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.externalmem.blockio import BlockDevice
 from repro.externalmem.extsort import (
+    _sort_window_fast,
     external_sort_edges,
     read_edge_file,
     write_edge_file,
@@ -173,33 +174,29 @@ class TestFanInDerivation:
 
 class TestMergeEdgeCases:
     """Edge cases the vectorised-merge rewrite left thin, exercised for
-    both run-formation paths and both merge implementations."""
+    both merge implementations."""
 
     def _out_bytes(self, device, name="out.bin") -> bytes:
         path = device.path(name)
         return path.read_bytes() if path.exists() else b""
 
-    @pytest.mark.parametrize("formation", ["serial", "parallel"])
     @pytest.mark.parametrize("merge_impl", ["vectorized", "heapq"])
-    def test_empty_input_file(self, device, formation, merge_impl):
+    def test_empty_input_file(self, device, merge_impl):
         write_edge_file(device, "in.bin", np.empty((0, 2), dtype=np.int64))
         result = external_sort_edges(
             device,
             "in.bin",
             "out.bin",
             memory_bytes=4096,
-            formation=formation,
             merge_impl=merge_impl,
         )
         assert result.num_edges == 0
         assert result.num_runs == 0
         assert result.merge_passes == 0
-        assert result.formation_impl == formation
         assert read_edge_file(device, "out.bin").shape == (0, 2)
 
-    @pytest.mark.parametrize("formation", ["serial", "parallel"])
     @pytest.mark.parametrize("merge_impl", ["vectorized", "heapq"])
-    def test_single_run_smaller_than_one_block(self, device, formation, merge_impl):
+    def test_single_run_smaller_than_one_block(self, device, merge_impl):
         """A run below the device block size (512 B = 32 edges here) still
         round-trips through run formation and the final copy exactly."""
         edges = random_edges(20, 10, seed=3)
@@ -209,7 +206,6 @@ class TestMergeEdgeCases:
             "in.bin",
             "out.bin",
             memory_bytes=1 << 16,
-            formation=formation,
             merge_impl=merge_impl,
         )
         assert result.num_runs == 1
@@ -219,8 +215,7 @@ class TestMergeEdgeCases:
         expected = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
         np.testing.assert_array_equal(out, expected)
 
-    @pytest.mark.parametrize("formation", ["serial", "parallel"])
-    def test_fan_in_clamped_low_end_to_end(self, device, formation):
+    def test_fan_in_clamped_low_end_to_end(self, device):
         """Derived fan-in at the lower clamp (2): many binary merge passes,
         both merge impls byte-identical."""
         edges = random_edges(600, 40, seed=4)
@@ -232,7 +227,6 @@ class TestMergeEdgeCases:
                 "in.bin",
                 f"out_{merge_impl}.bin",
                 memory_bytes=256,  # 16 edges/run, buffer 32 edges -> clamp at 2
-                formation=formation,
                 merge_impl=merge_impl,
             )
             assert result.fan_in == 2
@@ -241,8 +235,7 @@ class TestMergeEdgeCases:
         assert outputs["vectorized"] == outputs["heapq"] != b""
         assert is_lexsorted(read_edge_file(device, "out_vectorized.bin"))
 
-    @pytest.mark.parametrize("formation", ["serial", "parallel"])
-    def test_fan_in_clamped_high_end_to_end(self, device, formation):
+    def test_fan_in_clamped_high_end_to_end(self, device):
         """Derived fan-in at the upper clamp (64): one wide merge pass."""
         edges = random_edges(8000, 300, seed=5)
         write_edge_file(device, "in.bin", edges)
@@ -251,15 +244,14 @@ class TestMergeEdgeCases:
             "in.bin",
             "out.bin",
             memory_bytes=36864,  # 2304 edges -> 2304//32 - 1 = 71 -> clamp 64
-            formation=formation,
         )
         assert result.fan_in == 64
         assert result.num_runs == 4
         assert result.merge_passes == 1
         assert is_lexsorted(read_edge_file(device, "out.bin"))
 
-    def test_merge_impls_byte_identical_on_worker_runs(self, device):
-        """heapq vs vectorized merges of the pool workers' runs: identical
+    def test_merge_impls_byte_identical_on_radix_sorted_runs(self, device):
+        """heapq vs vectorized merges of the radix-sorted runs: identical
         output bytes and identical accounting."""
         edges = random_edges(3000, 120, seed=6)
         write_edge_file(device, "in.bin", edges)
@@ -271,7 +263,6 @@ class TestMergeEdgeCases:
                 "in.bin",
                 f"out_{merge_impl}.bin",
                 memory_bytes=2048,
-                formation="parallel",
                 merge_impl=merge_impl,
             )
             stats[merge_impl] = device.stats.delta(baseline)
@@ -284,29 +275,65 @@ class TestMergeEdgeCases:
         v.pop("device_seconds"), h.pop("device_seconds")  # float base differs
         assert v == h
 
-    def test_negative_ids_fall_back_to_lexsort_in_workers(self, device):
+    def test_negative_ids_fall_back_to_lexsort(self, device):
         """Unpackable windows (negative ids) take the stable-lexsort
-        fallback in the pool workers -- still byte-identical to serial."""
+        fallback in run formation and the heapq merge -- the output is
+        still the lexicographic order."""
         rng = np.random.default_rng(7)
         edges = rng.integers(-50, 50, size=(900, 2), dtype=np.int64)
         write_edge_file(device, "in.bin", edges)
-        for formation in ("serial", "parallel"):
-            external_sort_edges(
-                device,
-                "in.bin",
-                f"out_{formation}.bin",
-                memory_bytes=1024,
-                formation=formation,
-            )
-        assert (
-            self._out_bytes(device, "out_serial.bin")
-            == self._out_bytes(device, "out_parallel.bin")
-            != b""
+        result = external_sort_edges(device, "in.bin", "out.bin", memory_bytes=1024)
+        assert result.num_runs > 1
+        np.testing.assert_array_equal(
+            read_edge_file(device, "out.bin"),
+            edges[np.lexsort((edges[:, 1], edges[:, 0]))],
         )
 
-    def test_invalid_formation_rejected(self, device):
-        write_edge_file(device, "in.bin", random_edges(10, 5))
-        with pytest.raises(ConfigurationError):
-            external_sort_edges(
-                device, "in.bin", "out.bin", memory_bytes=4096, formation="bogus"
-            )
+
+_INT32_MAX = 2**31 - 1
+
+
+def _with_rows(rows: list[tuple[int, int]], seed: int) -> np.ndarray:
+    """A shuffled window of small random edges plus the given extreme rows."""
+    rng = np.random.default_rng(seed)
+    small = rng.integers(0, 40, size=(200, 2), dtype=np.int64)
+    window = np.vstack([small, np.array(rows, dtype=np.int64)])
+    return window[rng.permutation(window.shape[0])]
+
+
+_WINDOWS = {
+    "empty": lambda: np.empty((0, 2), dtype=np.int64),
+    "single": lambda: np.array([[5, 3]], dtype=np.int64),
+    "all_equal": lambda: np.full((50, 2), 7, dtype=np.int64),
+    "all_zero": lambda: np.zeros((20, 2), dtype=np.int64),
+    "reverse_sorted": lambda: np.stack(
+        [np.repeat(np.arange(30, 0, -1), 3), np.tile([9, 4, 1], 30)], axis=1
+    ).astype(np.int64),
+    "random_duplicates": lambda: random_edges(500, 30, seed=8),
+    # max_src * (max_dst + 1) + max_dst == 2**63 - 1: the last packable window
+    "at_packing_limit": lambda: _with_rows([(2**32 - 1, _INT32_MAX)], seed=9),
+    # one past it: the stable lexsort fallback
+    "past_packing_limit": lambda: _with_rows([(2**32, _INT32_MAX)], seed=10),
+    "negative_ids": lambda: _with_rows([(-3, 4), (2, -7)], seed=11),
+}
+
+
+class TestRadixWindowSort:
+    """``_sort_window_fast`` is run formation's only window sort: on every
+    window, packable or not, it must equal the stable lexsort byte for
+    byte and report the window's extrema."""
+
+    @pytest.mark.parametrize("case", sorted(_WINDOWS))
+    def test_matches_lexsort_and_reports_extrema(self, case):
+        window = _WINDOWS[case]()
+        fast, max_src, max_dst, min_value = _sort_window_fast(window)
+        expected = window[np.lexsort((window[:, 1], window[:, 0]))]
+        assert fast.dtype == np.int64
+        assert fast.shape == window.shape
+        assert np.ascontiguousarray(fast).tobytes() == expected.tobytes()
+        if window.shape[0] == 0:
+            assert (max_src, max_dst, min_value) == (-1, -1, 0)
+        else:
+            assert max_src == int(window[:, 0].max())
+            assert max_dst == int(window[:, 1].max())
+            assert min_value == int(window.min())

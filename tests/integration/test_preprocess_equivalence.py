@@ -1,20 +1,19 @@
-"""Backend-equivalence matrix for the parallel preprocessing pipeline.
+"""Equivalence matrix for the master's preprocessing.
 
-The parallel preprocessing of this PR -- orientation chunks fanned over
-the persistent process pool against the published input graph, external-
-sort run formation fanned the same way -- must be *bit-identical* to the
-serial path in every observable the simulation produces:
+The multicore orientation (chunks filtered on threads) and the external
+sort's radix-sorted run formation must be *bit-identical* to their
+sequential references in every observable the simulation produces:
 
 * the oriented graph's on-disk bytes (degree, adjacency and meta files);
-* the external sort's output file and its intermediate run files;
+* the external sort's run windows and output file;
 * the master device's IOStats (block counts, sequential/random split,
   call counts, bytes);
 * the modelled setup seconds of a full PDTL run,
 
-and this must hold on every execution backend (serial / threads /
-processes / processes+shm), including under failure, straggler and
-host-jitter injection.  These tests assert all of it -- nothing here is
-assumed.
+and the setup accounting must not depend on the execution backend
+(serial / threads / processes, with and without shm), including under
+failure, straggler and host-jitter injection.  These tests assert all of
+it -- nothing here is assumed.
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ from repro.baselines.inmemory import forward_count
 from repro.core.config import PDTLConfig
 from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
-from repro.core.shm import publish_input_graph, shm_available
+from repro.core.shm import shm_available
+from repro.externalmem import extsort as extsort_mod
 from repro.externalmem.blockio import BlockDevice
 from repro.externalmem.extsort import (
+    _sort_window_fast,
     external_sort_edges,
-    read_edge_file,
     write_edge_file,
 )
 from repro.graph.binfmt import write_graph
@@ -64,38 +64,20 @@ def _file_bytes(device: BlockDevice, name: str) -> bytes:
 
 
 class TestOrientationBitIdentity:
-    """Oriented file bytes + accounting across every orientation executor.
+    """Oriented file bytes + accounting, sequential against threads.
 
     Each path runs on its own *fresh* device (zero counters), exactly like
     the fresh cluster a real run builds -- that makes the whole IOStats
     dict, device seconds included, comparable bit for bit.
     """
 
-    def _orient_on_fresh_device(
-        self, tmp_path, graph, label, num_workers, parallel=True, pooled=False
-    ):
+    def _orient_on_fresh_device(self, tmp_path, graph, label, num_workers, parallel):
         device = BlockDevice(tmp_path / f"disk_{label}", block_size=512)
         gf = write_graph(device, "g", graph)
         staged = device.stats.snapshot()
-        if pooled:
-            publication = publish_input_graph(gf)
-            try:
-                result = orient_graph(
-                    gf,
-                    num_workers=num_workers,
-                    executor="processes",
-                    shared=publication.descriptor,
-                    output_name="oriented",
-                )
-            finally:
-                publication.unlink()
-        else:
-            result = orient_graph(
-                gf,
-                num_workers=num_workers,
-                parallel=parallel,
-                output_name="oriented",
-            )
+        result = orient_graph(
+            gf, num_workers=num_workers, parallel=parallel, output_name="oriented"
+        )
         return device, result, staged, device.stats.snapshot()
 
     def test_oriented_bytes_identical(self, tmp_path, graph):
@@ -107,30 +89,23 @@ class TestOrientationBitIdentity:
             for suffix in (".deg", ".adj", ".meta")
         }
         assert reference[".adj"], "reference orientation produced no adjacency"
-        variants = {
-            "threads": dict(num_workers=4, parallel=True),
-            "processes": dict(num_workers=4, pooled=True),
-        }
-        for label, kwargs in variants.items():
-            device, *_ = self._orient_on_fresh_device(tmp_path, graph, label, **kwargs)
-            for suffix in (".deg", ".adj", ".meta"):
-                assert (
-                    _file_bytes(device, f"oriented{suffix}") == reference[suffix]
-                ), (label, suffix)
+        device, result, *_ = self._orient_on_fresh_device(
+            tmp_path, graph, "threads", num_workers=4, parallel=True
+        )
+        assert result.executor == "threads"
+        for suffix in (".deg", ".adj", ".meta"):
+            assert _file_bytes(device, f"oriented{suffix}") == reference[suffix], suffix
 
     def test_accounting_bit_identical_across_executors(self, tmp_path, graph):
-        """With an identical work decomposition (4 chunks), the sequential,
-        threaded and pooled executors charge bit-identical accounting --
-        whole IOStats dict, modelled device seconds included."""
+        """With an identical work decomposition (4 chunks), the sequential
+        and threaded executors charge bit-identical accounting -- whole
+        IOStats dict, modelled device seconds included."""
         runs = {
             "sequential": self._orient_on_fresh_device(
                 tmp_path, graph, "acc_seq", num_workers=4, parallel=False
             ),
             "threads": self._orient_on_fresh_device(
                 tmp_path, graph, "acc_thr", num_workers=4, parallel=True
-            ),
-            "processes": self._orient_on_fresh_device(
-                tmp_path, graph, "acc_pool", num_workers=4, pooled=True
             ),
         }
         _, ref_result, ref_staged, ref_total = runs["sequential"]
@@ -148,7 +123,7 @@ class TestOrientationBitIdentity:
             tmp_path, graph, "one", num_workers=1, parallel=False
         )
         _, _, staged_4, total_4 = self._orient_on_fresh_device(
-            tmp_path, graph, "four", num_workers=4, pooled=True
+            tmp_path, graph, "four", num_workers=4, parallel=True
         )
         one = total_1.delta(staged_1)
         four = total_4.delta(staged_4)
@@ -159,15 +134,15 @@ class TestOrientationBitIdentity:
 
 
 class TestExtsortFormationBitIdentity:
-    """Run files, output file and accounting: serial vs pool formation."""
+    """Radix run formation and the two merges against their references."""
 
     @pytest.fixture(scope="class")
     def edges(self) -> np.ndarray:
         rng = np.random.default_rng(11)
         return rng.integers(0, 900, size=(30000, 2)).astype(np.int64)
 
-    def _sort(self, tmp_path, edges, formation, merge_impl="vectorized"):
-        device = BlockDevice(tmp_path / f"disk_{formation}_{merge_impl}", block_size=512)
+    def _sort(self, tmp_path, edges, merge_impl):
+        device = BlockDevice(tmp_path / f"disk_{merge_impl}", block_size=512)
         write_edge_file(device, "in.bin", edges)
         baseline = device.stats.snapshot()
         result = external_sort_edges(
@@ -175,58 +150,56 @@ class TestExtsortFormationBitIdentity:
             "in.bin",
             "out.bin",
             memory_bytes=32 * 1024,
-            formation=formation,
             merge_impl=merge_impl,
         )
         return device, result, device.stats.delta(baseline)
 
-    def test_output_and_stats_identical(self, tmp_path, edges):
-        dev_s, res_s, stats_s = self._sort(tmp_path, edges, "serial")
-        dev_p, res_p, stats_p = self._sort(tmp_path, edges, "parallel")
-        assert res_s.num_runs == res_p.num_runs > 1
-        assert res_s.merge_passes == res_p.merge_passes
-        assert (res_s.formation_impl, res_p.formation_impl) == ("serial", "parallel")
-        assert _file_bytes(dev_s, "out.bin") == _file_bytes(dev_p, "out.bin")
-        assert stats_s.as_dict() == stats_p.as_dict()
-
-    def test_worker_runs_byte_identical_to_serial_runs(self, tmp_path, edges):
-        """Every intermediate run file the pool workers write matches the
-        serial pass's run for the same window, byte for byte."""
-        from repro.externalmem.extsort import form_runs_parallel
-
-        dev_s = BlockDevice(tmp_path / "runs_serial", block_size=512)
-        dev_p = BlockDevice(tmp_path / "runs_parallel", block_size=512)
-        for dev in (dev_s, dev_p):
-            write_edge_file(dev, "in.bin", edges)
+    def test_radix_windows_match_lexsort(self, edges):
+        """Every run window the radix sort forms equals the stable lexsort
+        of the same window, byte for byte, with the same extrema."""
         memory_edges = (32 * 1024) // 16
-        # serial windows via the reference lexsort
-        serial_runs = []
-        offset = 0
-        while offset < edges.shape[0]:
-            count = min(memory_edges, edges.shape[0] - offset)
-            window = edges[offset : offset + count]
-            order = np.lexsort((window[:, 1], window[:, 0]))
-            serial_runs.append(window[order])
-            offset += count
-        run_names, max_src, max_dst, min_value = form_runs_parallel(
-            dev_p, "in.bin", edges.shape[0], memory_edges, "_extsort"
-        )
-        assert len(run_names) == len(serial_runs)
-        assert max_src == int(edges[:, 0].max())
-        assert max_dst == int(edges[:, 1].max())
-        assert min_value == min(int(edges.min()), 0)
-        for name, expected in zip(run_names, serial_runs):
-            np.testing.assert_array_equal(read_edge_file(dev_p, name), expected)
+        for offset in range(0, edges.shape[0], memory_edges):
+            window = edges[offset : offset + memory_edges]
+            fast, max_src, max_dst, min_value = _sort_window_fast(window)
+            expected = window[np.lexsort((window[:, 1], window[:, 0]))]
+            assert fast.dtype == expected.dtype
+            assert fast.tobytes() == np.ascontiguousarray(expected).tobytes()
+            assert max_src == int(window[:, 0].max())
+            assert max_dst == int(window[:, 1].max())
+            assert min_value == int(window.min())
 
-    def test_merge_impls_agree_on_worker_runs(self, tmp_path, edges):
-        dev_v, _, stats_v = self._sort(tmp_path, edges, "parallel", "vectorized")
-        dev_h, _, stats_h = self._sort(tmp_path, edges, "parallel", "heapq")
-        assert _file_bytes(dev_v, "out.bin") == _file_bytes(dev_h, "out.bin")
+    def test_output_and_stats_identical(self, tmp_path, edges, monkeypatch):
+        """Radix run formation against lexsort run formation: identical
+        output bytes, run and pass counts, and the whole IOStats dict."""
+        dev_r, res_r, stats_r = self._sort(tmp_path / "radix", edges, "vectorized")
+
+        def lexsort_window(window):
+            order = np.lexsort((window[:, 1], window[:, 0]))
+            return (
+                window[order],
+                int(window[:, 0].max()),
+                int(window[:, 1].max()),
+                int(window.min()),
+            )
+
+        monkeypatch.setattr(extsort_mod, "_sort_window_fast", lexsort_window)
+        dev_l, res_l, stats_l = self._sort(tmp_path / "lexsort", edges, "vectorized")
+        assert res_r.num_runs == res_l.num_runs > 1
+        assert res_r.merge_passes == res_l.merge_passes
+        assert _file_bytes(dev_r, "out.bin") == _file_bytes(dev_l, "out.bin") != b""
+        assert stats_r.as_dict() == stats_l.as_dict()
+
+    def test_merge_impls_agree(self, tmp_path, edges):
+        dev_v, res_v, stats_v = self._sort(tmp_path, edges, "vectorized")
+        dev_h, res_h, stats_h = self._sort(tmp_path, edges, "heapq")
+        assert res_v.num_runs == res_h.num_runs > 1
+        assert res_v.merge_passes == res_h.merge_passes
+        assert _file_bytes(dev_v, "out.bin") == _file_bytes(dev_h, "out.bin") != b""
         assert stats_v.as_dict() == stats_h.as_dict()
 
 
 class TestRunMatrixEquivalence:
-    """Full PDTL runs: serial vs parallel preprocessing on every backend."""
+    """Full PDTL runs: the setup accounting on every backend."""
 
     def _config(self, **overrides) -> PDTLConfig:
         base = dict(
@@ -254,15 +227,11 @@ class TestRunMatrixEquivalence:
         expected = forward_count(graph)
         reference = PDTLRunner(self._config(), backend="serial").run(graph)
         assert reference.triangles == expected
-        assert not reference.preprocess_parallel
         assert reference.modelled_setup_seconds > 0.0
         for backend in BACKENDS:
             for shm in (False, True):
-                result = PDTLRunner(
-                    self._config(parallel_preprocess=True, shm=shm), backend=backend
-                ).run(graph)
+                result = PDTLRunner(self._config(shm=shm), backend=backend).run(graph)
                 label = f"{backend}/shm={shm}"
-                assert result.preprocess_parallel, label
                 assert result.shm_used == shm, label
                 self._assert_equivalent(reference, result, label)
 
@@ -281,29 +250,33 @@ class TestRunMatrixEquivalence:
         assert reference.metrics.total_chunks_retried >= 1
         for backend in BACKENDS:
             result = PDTLRunner(
-                self._config(parallel_preprocess=True, shm=True, **injections),
-                backend=backend,
+                self._config(shm=True, **injections), backend=backend
             ).run(skewed_graph)
-            assert result.preprocess_parallel, backend
             self._assert_equivalent(reference, result, backend)
 
-    def test_respects_disabled_parallel_orientation_chunking(self, graph):
-        """With parallel_orientation=False the chunk decomposition is one
-        window everywhere, so parallel_preprocess keeps the exact same
-        accounting (read_calls included) as the serial reference -- and the
-        shm-unavailable fallback of the same config is equivalent too."""
+    def test_edge_support_sink_unaffected(self, skewed_graph):
+        """The derived-analytics input (edge supports) does not depend on
+        the backend or on shm either."""
         reference = PDTLRunner(
-            self._config(parallel_orientation=False), backend="serial"
-        ).run(graph)
-        pooled = PDTLRunner(
-            self._config(parallel_orientation=False, parallel_preprocess=True),
-            backend="serial",
-        ).run(graph)
-        assert pooled.preprocess_parallel
-        self._assert_equivalent(reference, pooled, "parallel_orientation=False")
+            self._config(sink="edge-support"), backend="serial"
+        ).run(skewed_graph)
+        assert reference.triangles == forward_count(skewed_graph)
+        for backend in BACKENDS:
+            for shm in (False, True):
+                result = PDTLRunner(
+                    self._config(sink="edge-support", shm=shm), backend=backend
+                ).run(skewed_graph)
+                label = f"{backend}/shm={shm}"
+                self._assert_equivalent(reference, result, label)
+                np.testing.assert_array_equal(
+                    result.edge_supports, reference.edge_supports, err_msg=label
+                )
+                np.testing.assert_array_equal(
+                    result.oriented_edges, reference.oriented_edges, err_msg=label
+                )
 
     def test_setup_stats_within_scan_envelope(self, graph):
-        config = self._config(parallel_preprocess=True)
+        config = self._config()
         result = PDTLRunner(config, backend="serial").run(graph)
         estimate = estimate_setup_cost(graph, config)
         measured = result.metrics.setup_io_stats.total_blocks
@@ -311,17 +284,3 @@ class TestRunMatrixEquivalence:
         # the envelope ignores meta files and block-boundary rounding; the
         # measured counters must sit within a small constant of it
         assert 0.5 * estimate.total_blocks <= measured <= 2.0 * estimate.total_blocks
-
-    def test_edge_support_sink_unaffected(self, skewed_graph):
-        """The derived-analytics input (edge supports) is preprocessing-
-        independent too."""
-        config = self._config(count_only=False, sink="edge-support")
-        reference = PDTLRunner(config, backend="serial").run(skewed_graph)
-        result = PDTLRunner(
-            self._config(
-                count_only=False, sink="edge-support", parallel_preprocess=True
-            ),
-            backend="processes",
-        ).run(skewed_graph)
-        np.testing.assert_array_equal(result.edge_supports, reference.edge_supports)
-        np.testing.assert_array_equal(result.oriented_edges, reference.oriented_edges)

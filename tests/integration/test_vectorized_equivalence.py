@@ -5,8 +5,9 @@ merge and the MGT scan path; these tests pin each rewritten path against
 (a) the frozen golden triangle counts and (b) the retained pre-refactor
 implementations (:mod:`repro.baselines.reference_impl`, the ``heapq``
 merge), so a silent count divergence in any vectorised kernel fails
-loudly.  The CI perf-smoke job runs this module alongside the perf
-microbenchmarks.
+loudly.  The MGT scan path is also pinned across its two kernel tiers and
+between the on-disk graph and its shared-memory view.  The CI perf-smoke
+job runs this module alongside the perf microbenchmarks.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ from repro.baselines.opt import run_opt
 from repro.baselines.patric import run_patric
 from repro.baselines.powergraph import run_powergraph
 from repro.baselines.reference_impl import forward_count_scalar
+from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
-from repro.core.mgt import mgt_count
+from repro.core.mgt import MGTWorker, mgt_count
 from repro.core.orientation import orient_csr, orient_graph
+from repro.core.shm import SharedGraphView, publish_graph, shm_available
+from repro.core.triangles import ListingSink
 from repro.externalmem.blockio import BlockDevice
 from repro.externalmem.extsort import external_sort_edges, read_edge_file, write_edge_file
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
+
+
+_COMPILED_OK, _COMPILED_TIER = kernel_backend.compiled_available()
+_SHM_OK, _SHM_DETAIL = shm_available()
 
 
 @pytest.fixture(params=sorted(GOLDEN))
@@ -75,29 +83,76 @@ class TestVectorizedBaselinesMatchGolden:
         assert result.triangles == count, name
 
 
-class TestMGTReadaheadEquivalence:
-    """The read-ahead buffer must change neither counts nor any I/O counter."""
+class TestMGTScanPathEquivalence:
+    """Single-core MGT over the golden graphs: the compiled kernel tier and
+    the shared-memory view change no count, no listing order and no I/O
+    counter.  Each path orients on its own fresh device, so the whole
+    IOStats dicts compare bit for bit."""
 
-    def test_counts_and_iostats_identical(self, golden_case, tmp_path):
+    def _oriented(self, root, graph):
+        device = BlockDevice(root, block_size=512)
+        return orient_graph(write_graph(device, "g", graph)).oriented
+
+    def _config(self, tier: str = "auto") -> PDTLConfig:
+        return PDTLConfig(
+            memory_per_proc=4096, block_size=512, modelled_cpu=True, kernel_backend=tier
+        )
+
+    def _summary(self, result, device) -> tuple:
+        return (
+            result.triangles,
+            result.iterations,
+            result.cpu_operations,
+            result.intersections,
+            result.cpu_seconds,
+            result.io_seconds,
+            result.io_stats.as_dict(),
+            device.stats.as_dict(),
+        )
+
+    @pytest.mark.skipif(not _COMPILED_OK, reason=f"no compiled tier: {_COMPILED_TIER}")
+    def test_counts_and_iostats_identical_across_tiers(self, golden_case, tmp_path):
         name, graph, count = golden_case
         outcomes = {}
-        for readahead in (0, 1 << 16):
-            root = tmp_path / f"disk_ra{readahead}"
-            device = BlockDevice(root, block_size=512)
-            oriented = orient_graph(write_graph(device, "g", graph)).oriented
-            config = PDTLConfig(
-                memory_per_proc=4096, block_size=512, readahead_bytes=readahead
-            )
-            result = mgt_count(oriented, config)
-            outcomes[readahead] = (
-                result.triangles,
-                result.io_stats.as_dict(),
-                device.stats.as_dict(),
-            )
-        base, buffered = outcomes[0], outcomes[1 << 16]
-        assert base[0] == count == buffered[0], name
-        assert base[1] == buffered[1], name  # worker's own analytic counters
-        assert base[2] == buffered[2], name  # shared device counters
+        for tier in ("numpy", _COMPILED_TIER):
+            oriented = self._oriented(tmp_path / tier, graph)
+            with kernel_backend.use(tier):
+                result = mgt_count(oriented, self._config(tier))
+            outcomes[tier] = self._summary(result, oriented.device)
+        assert outcomes["numpy"][0] == count, name
+        assert outcomes[_COMPILED_TIER] == outcomes["numpy"], name
+
+    @pytest.mark.skipif(not _COMPILED_OK, reason=f"no compiled tier: {_COMPILED_TIER}")
+    def test_listing_order_identical_across_tiers(self, golden_case, tmp_path):
+        name, graph, count = golden_case
+        listings = {}
+        for tier in ("numpy", _COMPILED_TIER):
+            oriented = self._oriented(tmp_path / tier, graph)
+            sink = ListingSink()
+            with kernel_backend.use(tier):
+                mgt_count(oriented, self._config(tier), sink)
+            listings[tier] = [tuple(t) for t in sink.triangles]
+        assert len(listings["numpy"]) == count, name
+        assert listings[_COMPILED_TIER] == listings["numpy"], name
+
+    @pytest.mark.skipif(not _SHM_OK, reason=f"POSIX shared memory unavailable: {_SHM_DETAIL}")
+    def test_shared_view_matches_disk(self, golden_case, tmp_path):
+        name, graph, count = golden_case
+        disk_graph = self._oriented(tmp_path / "disk", graph)
+        disk = self._summary(mgt_count(disk_graph, self._config()), disk_graph.device)
+        shared_graph = self._oriented(tmp_path / "shm", graph)
+        oriented_stats = shared_graph.device.stats.as_dict()
+        with publish_graph(shared_graph) as publication:
+            view = SharedGraphView(publication.descriptor, shared_graph.device.model)
+            try:
+                result = MGTWorker(view, self._config()).run()
+            finally:
+                view.close()
+        shared = self._summary(result, shared_graph.device)
+        assert disk[0] == count, name
+        assert shared[:7] == disk[:7], name
+        # the view charges the worker's own counters, never the device's
+        assert shared[7] == oriented_stats, name
 
 
 class TestExtsortMergeEquivalence:

@@ -1,9 +1,9 @@
 """Property-based tests for the degree-based order and orientation.
 
 Besides the long-standing ``orient_csr`` invariants, this module drives
-the *parallel* orientation path -- the chunked shared-memory scan of
-:func:`repro.core.orientation.orient_chunk_shared` -- over randomized
-graph families (Erdős–Rényi, power-law, stars, paths, duplicate-heavy
+the *chunked* on-disk orientation path --
+:func:`repro.core.orientation.orient_graph` with ``num_workers`` vertex
+chunks -- over randomized graph families (Erdős–Rényi, power-law, stars, paths, duplicate-heavy
 edge lists) and asserts its output exactly equals the vectorised
 in-memory reference, with every :func:`degree_order_keys` invariant
 holding on the result.
@@ -20,20 +20,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import kernels
 from repro.core.orientation import (
-    OrientChunkTask,
     degree_order_keys,
-    orient_chunk_shared,
     orient_csr,
     orient_graph,
     precedes,
 )
-from repro.core.shm import detach_view, publish_input_graph, shm_available
 from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import power_law_degree_graph
-from repro.utils import chunk_ranges
 
 SETTINGS = dict(
     max_examples=40,
@@ -42,11 +38,6 @@ SETTINGS = dict(
 )
 
 PARALLEL_SETTINGS = dict(SETTINGS, max_examples=25)
-
-_SHM_OK, _SHM_REASON = shm_available()
-needs_shm = pytest.mark.skipif(
-    not _SHM_OK, reason=f"POSIX shared memory unavailable: {_SHM_REASON}"
-)
 
 
 @st.composite
@@ -102,33 +93,19 @@ def family_graphs(draw):
     return CSRGraph.from_edgelist(EdgeList(edges.astype(np.int64), n))
 
 
-def parallel_orientation_via_shared_chunks(
-    graph: CSRGraph, num_chunks: int
-) -> tuple[CSRGraph, np.ndarray]:
-    """Run the shared-memory orientation path chunk by chunk, in process.
+def chunked_orientation(graph: CSRGraph, num_chunks: int) -> tuple[CSRGraph, np.ndarray]:
+    """Orient ``graph`` on disk with ``num_chunks`` vertex chunks.
 
-    Publishes the input graph exactly like the PDTL master does, executes
-    one :class:`OrientChunkTask` per vertex chunk through the same code the
-    pool workers run, and assembles the oriented CSR from the per-chunk
-    outputs.  Returns ``(oriented CSR, out-degree array)``.
+    Writes the input graph to a scratch device exactly like the PDTL
+    master stages it and runs :func:`orient_graph` with
+    ``num_workers=num_chunks`` (threads when more than one chunk).
+    Returns ``(oriented CSR, out-degree array)``.
     """
     with tempfile.TemporaryDirectory(prefix="pdtl_prop_orient_") as root:
         device = BlockDevice(Path(root) / "disk", block_size=512)
         gf = write_graph(device, "g", graph)
-        publication = publish_input_graph(gf)
-        try:
-            ranges = chunk_ranges(gf.num_vertices, num_chunks)
-            results = [
-                orient_chunk_shared(
-                    OrientChunkTask(descriptor=publication.descriptor, lo=lo, hi=hi)
-                )
-                for lo, hi in ranges
-            ]
-        finally:
-            publication.unlink()  # also drops this process's cached attachment
-    out_degrees = np.concatenate([r[0] for r in results])
-    adjacency = np.concatenate([r[1] for r in results])
-    return CSRGraph.from_arrays(out_degrees, adjacency, directed=True), out_degrees
+        result = orient_graph(gf, num_workers=num_chunks)
+        return result.oriented.to_csr(), result.out_degrees
 
 
 @given(degrees=st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=50))
@@ -200,29 +177,27 @@ def test_oriented_adjacency_stays_sorted_and_simple(graph):
 
 
 # ---------------------------------------------------------------------------
-# the parallel (shared-memory, chunked) orientation path
+# the chunked on-disk orientation path
 # ---------------------------------------------------------------------------
 
 
-@needs_shm
 @given(graph=family_graphs(), num_chunks=st.integers(min_value=1, max_value=6))
 @settings(**PARALLEL_SETTINGS)
-def test_parallel_orientation_equals_orient_csr(graph, num_chunks):
-    """The chunked shared-memory scan is exactly the in-memory reference,
-    for any chunking, on every graph family."""
+def test_chunked_orientation_equals_orient_csr(graph, num_chunks):
+    """The chunked on-disk scan is exactly the in-memory reference, for
+    any chunking, on every graph family."""
     expected = orient_csr(graph)
-    oriented, out_degrees = parallel_orientation_via_shared_chunks(graph, num_chunks)
+    oriented, out_degrees = chunked_orientation(graph, num_chunks)
     np.testing.assert_array_equal(oriented.indptr, expected.indptr)
     np.testing.assert_array_equal(oriented.indices, expected.indices)
     np.testing.assert_array_equal(out_degrees, expected.degrees)
 
 
-@needs_shm
 @given(graph=family_graphs())
 @settings(**PARALLEL_SETTINGS)
-def test_parallel_orientation_respects_degree_order(graph):
-    """Every oriented edge the parallel path emits satisfies ``u ≺ v``."""
-    oriented, _ = parallel_orientation_via_shared_chunks(graph, num_chunks=3)
+def test_chunked_orientation_respects_degree_order(graph):
+    """Every oriented edge the chunked path emits satisfies ``u ≺ v``."""
+    oriented, _ = chunked_orientation(graph, num_chunks=3)
     degrees = graph.degrees
     keys = degree_order_keys(degrees)
     sources = oriented.edge_sources()
@@ -231,14 +206,13 @@ def test_parallel_orientation_respects_degree_order(graph):
         assert precedes(u, v, degrees)
 
 
-@needs_shm
 @given(graph=family_graphs())
 @settings(**PARALLEL_SETTINGS)
-def test_parallel_orientation_packed_keys_globally_sorted(graph):
-    """The packed (source, destination) keys of the parallel output are
+def test_chunked_orientation_packed_keys_globally_sorted(graph):
+    """The packed (source, destination) keys of the chunked output are
     strictly increasing -- the sortedness invariant every downstream MGT
     scan and shared-memory publication relies on."""
-    oriented, _ = parallel_orientation_via_shared_chunks(graph, num_chunks=4)
+    oriented, _ = chunked_orientation(graph, num_chunks=4)
     packed = kernels.csr_packed_keys(oriented.indptr, oriented.indices)
     if packed.shape[0] > 1:
         assert bool(np.all(np.diff(packed) > 0))
@@ -262,11 +236,10 @@ def test_degree_order_keys_invariants_on_families(graph):
             assert (keys[u] < keys[v]) == precedes(u, v, degrees)
 
 
-@needs_shm
 @pytest.mark.parametrize("family", ["er", "power_law", "star", "path", "duplicates"])
-def test_pool_executor_end_to_end(family, tmp_path):
-    """One real process-pool orientation per family: orient_graph with
-    executor='processes' equals the reference, byte for byte."""
+def test_threaded_orientation_end_to_end(family, tmp_path):
+    """One threaded orientation per family: orient_graph with three
+    chunks on threads equals the reference, byte for byte."""
     rng = np.random.default_rng(99)
     n = 60
     if family == "er":
@@ -297,12 +270,6 @@ def test_pool_executor_end_to_end(family, tmp_path):
     device = BlockDevice(tmp_path / "disk", block_size=512)
     gf = write_graph(device, "g", graph)
     expected = orient_csr(graph)
-    publication = publish_input_graph(gf)
-    try:
-        result = orient_graph(
-            gf, num_workers=3, executor="processes", shared=publication.descriptor
-        )
-    finally:
-        publication.unlink()
-    assert result.executor == "processes"
+    result = orient_graph(gf, num_workers=3)
+    assert result.executor == "threads"
     assert result.oriented.to_csr() == expected

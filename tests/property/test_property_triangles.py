@@ -85,7 +85,7 @@ def test_arboricity_bound_always_holds(graph):
 @given(graph=random_graphs())
 @settings(**SETTINGS)
 def test_listing_is_consistent_with_count(graph):
-    config = PDTLConfig(count_only=False)
+    config = PDTLConfig()
     result = PDTLRunner(config).run(graph, sink_kind="list")
     assert len(result.triangle_list) == result.triangles
     vertex_sets = {t.as_vertex_set() for t in result.triangle_list}

@@ -128,6 +128,12 @@ def _self_check(registry: dict[str, Callable]) -> None:
             (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0), True),
             (1, 1, 1, [0], [1], [2]),
         ),
+        # the same window walked through the in-lists 1 <- {0}, 2 <- {0, 1}
+        "mgt_window_scan": (
+            (indptr, indices, i64(0, 0, 1, 3, 3), i64(0, 0, 1), indices, 0, 2,
+             i64(0, 2, 3), i64(2, 1, 0), True),
+            (1, 1, 1, [0], [1], [2]),
+        ),
         "edge_support_accumulate": ((keys, us, vs, ws, 4, support), True),
         # peel the triangle's three edges at k = 3 in one round
         "truss_peel_level": (

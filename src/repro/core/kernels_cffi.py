@@ -14,8 +14,9 @@ Semantics are pinned to the numpy twins in
   (duplicate queries each count, duplicate haystack entries do not);
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
-  an entry in ``N⁺(v)`` order; ``edge_common_neighbors`` emits owner-major
-  with ``ws`` in ``N(v)`` order;
+  an entry in ``N⁺(v)`` order; ``mgt_window_scan`` walks the in-lists
+  v-major and restores that order with a stable sort by cone;
+  ``edge_common_neighbors`` emits owner-major with ``ws`` in ``N(v)`` order;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
 * ``edge_support_accumulate`` rolls back every applied increment before
@@ -72,6 +73,12 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
                             const int64_t *win_offsets, const int64_t *win_degrees,
                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
                             int64_t *pairs, int64_t *total);
+int64_t pdtl_mgt_window_scan(const int64_t *offsets, const int64_t *adjacency,
+                             const int64_t *in_offsets, const int64_t *in_sources,
+                             const int64_t *edg, int64_t vlow, int64_t vhigh,
+                             const int64_t *win_offsets, const int64_t *win_degrees,
+                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                             int64_t *pairs, int64_t *total);
 int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
                                      int64_t nvert, const int64_t *us,
                                      const int64_t *vs, const int64_t *ws,
@@ -144,6 +151,36 @@ static int64_t pdtl_isect_count(const int64_t *a, int64_t na,
         }
     }
     return c;
+}
+
+/* append (u, v, w) for every w of the sorted ev (length d) that occurs in
+ * the sorted nu (length du), in ev order; returns the new hit count.  A
+ * cone list that dwarfs ev is binary-searched per w (galloping), otherwise
+ * the two lists are merged -- the emission order is the same either way. */
+static int64_t pdtl_isect_emit(const int64_t *nu, int64_t du,
+                               const int64_t *ev, int64_t d,
+                               int64_t u, int64_t v, int64_t nhit,
+                               int64_t *cones, int64_t *vs, int64_t *ws) {
+    if (du > 32 * d) {
+        for (int64_t j = 0; j < d; j++) {
+            int64_t w = ev[j];
+            int64_t pos = pdtl_lower_bound(nu, du, w);
+            if (pos < du && nu[pos] == w) {
+                cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++;
+            }
+        }
+    } else {
+        int64_t i = 0;
+        for (int64_t j = 0; j < d; j++) {
+            int64_t w = ev[j];
+            while (i < du && nu[i] < w) i++;
+            if (i >= du) break;
+            if (nu[i] == w) {
+                cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++;
+            }
+        }
+    }
+    return nhit;
 }
 
 int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
@@ -231,30 +268,10 @@ int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices,
         int64_t du = indptr[u + 1] - indptr[u];
         for (int64_t p = 0; p < du; p++) {
             int64_t v = nu[p];
-            const int64_t *nv = indices + indptr[v];
             int64_t dv = indptr[v + 1] - indptr[v];
             gathered += dv;
-            if (du > 32 * dv) {
-                /* lopsided pair (hub cone list): binary-search each w --
-                 * emission order (ascending j) matches the merge loop */
-                for (int64_t j = 0; j < dv; j++) {
-                    int64_t w = nv[j];
-                    int64_t pos = pdtl_lower_bound(nu, du, w);
-                    if (pos < du && nu[pos] == w) {
-                        cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++;
-                    }
-                }
-            } else {
-                int64_t i = 0;
-                for (int64_t j = 0; j < dv; j++) {
-                    int64_t w = nv[j];
-                    while (i < du && nu[i] < w) i++;
-                    if (i >= du) break;
-                    if (nu[i] == w) {
-                        cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++;
-                    }
-                }
-            }
+            nhit = pdtl_isect_emit(nu, du, indices + indptr[v], dv, u, v, nhit,
+                                   cones, vs, ws);
         }
     }
     *ops = (indptr[hi] - indptr[lo]) + gathered;
@@ -348,29 +365,42 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
             npairs++;
             t += d;
             ev = edg + win_offsets[v - vlow];
-            if (want) {
-                if (du > 32 * d) {
-                    for (int64_t j = 0; j < d; j++) {
-                        int64_t w = ev[j];
-                        int64_t pos = pdtl_lower_bound(nu, du, w);
-                        if (pos < du && nu[pos] == w) {
-                            cones[nhit] = bu; vs[nhit] = v; ws[nhit] = w; nhit++;
-                        }
-                    }
-                } else {
-                    int64_t i = 0;
-                    for (int64_t j = 0; j < d; j++) {
-                        int64_t w = ev[j];
-                        while (i < du && nu[i] < w) i++;
-                        if (i >= du) break;
-                        if (nu[i] == w) {
-                            cones[nhit] = bu; vs[nhit] = v; ws[nhit] = w; nhit++;
-                        }
-                    }
-                }
-            } else {
-                nhit += pdtl_isect_count(nu, du, ev, d);
-            }
+            if (want) nhit = pdtl_isect_emit(nu, du, ev, d, bu, v, nhit, cones, vs, ws);
+            else nhit += pdtl_isect_count(nu, du, ev, d);
+        }
+    }
+    *pairs = npairs;
+    *total = t;
+    return nhit;
+}
+
+/* one memory window's whole-graph scan, walked through the in-neighbour
+ * lists: the candidate pairs of the window are the entries (u, v) whose v
+ * has in-window out-edges (win_degrees[v - vlow] > 0), i.e. the in-edges
+ * of those v.  Each pair merges N(u) with E_v; pairs and total are the
+ * same counts the streaming scan takes over the whole file.  The walk is
+ * v-major, so listed hits come out ordered (v, cone, w). */
+int64_t pdtl_mgt_window_scan(const int64_t *offsets, const int64_t *adjacency,
+                             const int64_t *in_offsets, const int64_t *in_sources,
+                             const int64_t *edg, int64_t vlow, int64_t vhigh,
+                             const int64_t *win_offsets, const int64_t *win_degrees,
+                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                             int64_t *pairs, int64_t *total) {
+    int64_t npairs = 0, t = 0, nhit = 0;
+    for (int64_t v = vlow; v <= vhigh; v++) {
+        int64_t d = win_degrees[v - vlow];
+        int64_t indeg = in_offsets[v + 1] - in_offsets[v];
+        const int64_t *ev;
+        if (d <= 0) continue;
+        ev = edg + win_offsets[v - vlow];
+        npairs += indeg;
+        t += indeg * d;
+        for (int64_t q = in_offsets[v]; q < in_offsets[v + 1]; q++) {
+            int64_t u = in_sources[q];
+            const int64_t *nu = adjacency + offsets[u];
+            int64_t du = offsets[u + 1] - offsets[u];
+            if (want) nhit = pdtl_isect_emit(nu, du, ev, d, u, v, nhit, cones, vs, ws);
+            else nhit += pdtl_isect_count(nu, du, ev, d);
         }
     }
     *pairs = npairs;
@@ -779,6 +809,52 @@ def build_registry() -> dict[str, Callable]:
         )
         return int(pairs[0]), int(total[0]), nhit, cones[:nhit], vs[:nhit], ws[:nhit]
 
+    def mgt_window_scan(
+        offsets, adjacency, in_offsets, in_sources, edg, vlow, vhigh,
+        win_offsets, win_degrees, want_triples,
+    ):
+        offsets = as_i64(offsets)
+        adjacency = as_i64(adjacency)
+        in_offsets = as_i64(in_offsets)
+        in_sources = as_i64(in_sources)
+        edg = as_i64(edg)
+        win_offsets = as_i64(win_offsets)
+        win_degrees = as_i64(win_degrees)
+        vlow = int(vlow)
+        vhigh = int(vhigh)
+        span = vhigh - vlow + 1
+        # C reads the span's in-lists and window slots unchecked
+        if not (
+            0 <= vlow <= vhigh < offsets.shape[0] - 1
+            and in_offsets.shape == offsets.shape
+            and min(win_offsets.shape[0], win_degrees.shape[0]) >= span
+        ):
+            raise ValueError("window span [vlow, vhigh] does not fit the graph")
+        pairs = ffi.new("int64_t *")
+        total = ffi.new("int64_t *")
+        args = (
+            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources), ptr(edg),
+            vlow, vhigh, ptr(win_offsets), ptr(win_degrees),
+        )
+        if not want_triples:
+            nhit = lib.pdtl_mgt_window_scan(
+                *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, pairs, total
+            )
+            return int(pairs[0]), int(total[0]), int(nhit), None, None, None
+        # every pair hits at most |E_v| times
+        cap = int(np.diff(in_offsets[vlow : vhigh + 2]) @ win_degrees[:span])
+        cones = np.empty(cap, dtype=np.int64)
+        vs = np.empty(cap, dtype=np.int64)
+        ws = np.empty(cap, dtype=np.int64)
+        nhit = int(
+            lib.pdtl_mgt_window_scan(
+                *args, 1, wptr(cones), wptr(vs), wptr(ws), pairs, total
+            )
+        )
+        # v-major walk -> the streaming scan's (cone, v, w) order
+        order = np.argsort(cones[:nhit], kind="stable")
+        return int(pairs[0]), int(total[0]), nhit, cones[order], vs[order], ws[order]
+
     def edge_support_accumulate(edge_keys, us, vs, ws, num_vertices, support):
         if support.dtype != np.int64 or not support.flags.c_contiguous:
             raise TypeError("support must be a contiguous int64 array")
@@ -851,6 +927,7 @@ def build_registry() -> dict[str, Callable]:
         "edge_intersections": edge_intersections,
         "edge_common_neighbors": edge_common_neighbors,
         "mgt_block_scan": mgt_block_scan,
+        "mgt_window_scan": mgt_window_scan,
         "edge_support_accumulate": edge_support_accumulate,
         "truss_peel_level": truss_peel_level,
         "triangle_edge_ids": triangle_edge_ids,

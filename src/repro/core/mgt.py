@@ -16,8 +16,17 @@ The paper's modification relative to Hu et al.'s high-level description is
 that the membership structures are *sorted arrays*, not hash sets -- the
 intersection ``N(u) ∩ E_v`` is a sorted-array intersection -- which in turn
 requires the adjacency file to be sorted by source and destination.  This
-module implements exactly that variant, with the intersection realised as
-a vectorised ``searchsorted`` over numpy arrays.
+module implements exactly that variant.  On the compiled tier the
+intersection is a merge of the two sorted lists (galloping when one dwarfs
+the other); the numpy tier realises it as a batched binary search of
+packed ``(u, w)`` keys.
+
+A worker reading the on-disk file streams the scan block by block.  On a
+:class:`~repro.core.shm.SharedGraphView` the whole graph is in memory and
+its in-neighbour lists are published, so a window's scan visits only its
+candidate pairs: the in-edges ``(u, v)`` of the window's vertices ``v``.
+Both paths charge the same modelled reads and report the same pairs,
+operations and triangles in the same order.
 
 :class:`MGTWorker` additionally supports the PDTL restriction to a
 *contiguous edge range* ``[range_start, range_stop)``: only memory windows
@@ -28,7 +37,7 @@ the full range is the single-core MGT baseline of Figures 10/11.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import time
 
 import numpy as np
@@ -130,6 +139,9 @@ class MGTWorker:
         self.io_stats = IOStats(block_size=config.block_size)
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._window_edges = config.window_edges
+        # the full-graph scan reads cone vertices in blocks of this many, so
+        # its reads stay sequential
+        self._scan_block_vertices = max(config.block_items // 2, 1024)
         # Small-degree assumption (footnote 1): every oriented out-list must
         # fit inside one memory window, otherwise a vertex's list could span
         # more than two windows and the CPU analysis breaks down.
@@ -189,23 +201,16 @@ class MGTWorker:
         self.budget.allocate("nmp", dmax * _ITEM_BYTES)
 
         window_start = self.range_start
-        total_range = self.range_stop - self.range_start
         edges_processed = 0
 
-        # A shared-memory graph view publishes the scan invariants (per-entry
-        # sources + globally sorted packed keys); with those and the whole
-        # adjacency memory-resident, the full-graph scan of each window runs
-        # as ONE fused vectorised pass over just the window's candidate
-        # entries instead of a per-block loop over the whole file.  The
-        # modelled reads are still charged block by block, identically.
-        scan_sources = getattr(self.graph, "scan_sources", None)
-        scan_keys = getattr(self.graph, "scan_keys", None)
-        fused_scan = scan_sources is not None and scan_keys is not None
-        scan_plan: _SharedScanPlan | None = None
-        if fused_scan:
-            t0 = time.thread_time()
-            scan_plan = self._build_shared_scan_plan(offsets)
-            cpu_seconds += time.thread_time() - t0
+        # A shared-memory graph view publishes its in-neighbour lists; with
+        # those and the whole graph memory-resident, each window's
+        # full-graph scan visits just the window's candidate pairs instead
+        # of looping over the file block by block.  It still charges the
+        # streaming scan's modelled reads, computed once here.
+        shared = getattr(self.graph, "in_offsets", None) is not None
+        if shared:
+            scan_counters, scan_seconds = self._scan_charge(offsets)
 
         # hot loop: only build window spans when tracing is actually on, so
         # the disabled path costs one attribute load per run, not per window
@@ -254,77 +259,58 @@ class MGTWorker:
             cpu_seconds += time.thread_time() - t0
 
             # ---- scan the whole graph vertex by vertex ----------------------------
-            scan_block_vertices = max(
-                self.config.block_items // 2, 1024
-            )  # batch reads to keep the scan sequential
-            if scan_plan is not None:
-                # charge the exact per-block modelled reads of the streaming
-                # scan (same batching, same block counts, same device time),
-                # then evaluate the whole scan in one vectorised pass
-                v = 0
-                while v < self.graph.num_vertices:
-                    hi = min(v + scan_block_vertices, self.graph.num_vertices)
-                    block_edge_count = int(offsets[hi] - offsets[v])
-                    if block_edge_count:
-                        self._charge_read(block_edge_count, sequential=True)
-                    v = hi
+            if shared:
+                self._charge_scan(scan_counters, scan_seconds)
                 t0 = time.thread_time()
-                window_index = (window_start - self.range_start) // self._window_edges
-                pairs, window_ops = self._process_window_shared(
+                window_pairs, window_ops = self._process_window_shared(
                     sink,
-                    scan_sources,
-                    scan_keys,
-                    candidates=scan_plan.window_candidates(window_index),
+                    offsets,
                     edg=edg,
                     vlow=vlow,
                     vhigh=vhigh,
                     win_offsets=win_offsets,
                     win_degrees=win_degrees,
                 )
-                intersections += pairs
                 cpu_operations += window_ops
                 cpu_seconds += time.thread_time() - t0
-                self.budget.release("edg")
-                self.budget.release("ind")
-                if window_span is not None:
-                    window_span.end(pairs=pairs)
-                window_start = window_stop
-                continue
-            v = 0
-            while v < self.graph.num_vertices:
-                hi = min(v + scan_block_vertices, self.graph.num_vertices)
-                block_start_edge = int(offsets[v])
-                block_edge_count = int(offsets[hi] - offsets[v])
-                if block_edge_count:
-                    block_adj = self.graph.read_adjacency_range(
-                        block_start_edge, block_edge_count
-                    )
-                    self._charge_read(block_edge_count, sequential=True)
-                else:
-                    block_adj = np.empty(0, dtype=np.int64)
+            else:
+                window_pairs = 0
+                v = 0
+                while v < self.graph.num_vertices:
+                    hi = min(v + self._scan_block_vertices, self.graph.num_vertices)
+                    block_start_edge = int(offsets[v])
+                    block_edge_count = int(offsets[hi] - offsets[v])
+                    if block_edge_count:
+                        block_adj = self.graph.read_adjacency_range(
+                            block_start_edge, block_edge_count
+                        )
+                        self._charge_read(block_edge_count, sequential=True)
+                    else:
+                        block_adj = np.empty(0, dtype=np.int64)
 
-                t0 = time.thread_time()
-                block_offsets = offsets[v : hi + 1] - offsets[v]
-                pairs, block_ops = self._process_block(
-                    sink,
-                    block_adj,
-                    block_offsets,
-                    first_vertex=v,
-                    edg=edg,
-                    vlow=vlow,
-                    vhigh=vhigh,
-                    win_offsets=win_offsets,
-                    win_degrees=win_degrees,
-                )
-                intersections += pairs
-                cpu_operations += block_ops
-                cpu_seconds += time.thread_time() - t0
-                v = hi
+                    t0 = time.thread_time()
+                    block_offsets = offsets[v : hi + 1] - offsets[v]
+                    pairs, block_ops = self._process_block(
+                        sink,
+                        block_adj,
+                        block_offsets,
+                        first_vertex=v,
+                        edg=edg,
+                        vlow=vlow,
+                        vhigh=vhigh,
+                        win_offsets=win_offsets,
+                        win_degrees=win_degrees,
+                    )
+                    window_pairs += pairs
+                    cpu_operations += block_ops
+                    cpu_seconds += time.thread_time() - t0
+                    v = hi
+            intersections += window_pairs
 
             self.budget.release("edg")
             self.budget.release("ind")
             if window_span is not None:
-                window_span.end()
+                window_span.end(pairs=window_pairs)
             window_start = window_stop
 
         peak = self.budget.peak_usage
@@ -456,132 +442,118 @@ class MGTWorker:
             sink.add_triples(cones, pivots_v, pivots_w)
         return num_pairs, scanned + total
 
-    def _build_shared_scan_plan(self, offsets: np.ndarray) -> "_SharedScanPlan":
-        """Bucket every adjacency entry by the memory windows it scans into.
+    def _scan_charge(self, offsets: np.ndarray) -> tuple[IOStats, list[float]]:
+        """The modelled reads of one streaming full-graph scan, built once.
 
-        An entry ``(u, v)`` at position ``p`` is a candidate pair of window
-        ``k`` exactly when ``v``'s out-list ``[offsets[v], offsets[v+1])``
-        overlaps the window's edge range -- the same condition the
-        streaming scan evaluates per block as ``v ∈ [vlow, vhigh]`` and
-        ``win_degrees[v - vlow] > 0``.  Because the small-degree assumption
-        bounds every out-list by one window capacity, a list overlaps at
-        most **two consecutive** windows, so one stable radix sort of the
-        active positions by first window (plus a small spill bucket for the
-        straddlers) yields every window's candidate list up front; the
-        per-window scan then touches only its candidates instead of the
-        whole file.
+        The streaming scan charges one sequential read per non-empty block
+        of :attr:`_scan_block_vertices` cone vertices, in vertex order.
+        Returns the integer counters of all those reads (``device_seconds``
+        left at 0) and their transfer times in read order.
         """
-        adjacency = self.graph.read_adjacency_range(0, self.graph.num_edges)
-        window = self._window_edges
-        rs, rstop = self.range_start, self.range_stop
-        if adjacency.shape[0] == 0 or rstop <= rs:
-            return _SharedScanPlan.empty()
-        nbr_start = offsets[adjacency]
-        nbr_stop = offsets[adjacency + 1]
-        lo = np.maximum(nbr_start, rs)
-        hi = np.minimum(nbr_stop, rstop)
-        pos = np.nonzero(lo < hi)[0]  # entries whose target list meets the range
-        first = (lo[pos] - rs) // window
-        last = (hi[pos] - 1 - rs) // window
-        order = np.argsort(first, kind="stable")  # radix sort: positions stay sorted per bucket
-        num_windows = ceil_div(rstop - rs, window)
-        boundaries = np.arange(num_windows + 1, dtype=np.int64)
-        straddlers = np.nonzero(last > first)[0]
-        spill_order = straddlers[np.argsort(last[straddlers], kind="stable")]
-        return _SharedScanPlan(
-            positions=pos[order],
-            bucket_bounds=np.searchsorted(first[order], boundaries),
-            spill_positions=pos[spill_order],
-            spill_bounds=np.searchsorted(last[spill_order], boundaries),
-        )
+        counters = IOStats(block_size=self.config.block_size)
+        seconds: list[float] = []
+        model = self.graph.device.model
+        n = self.graph.num_vertices
+        starts = np.arange(0, n, self._scan_block_vertices)
+        stops = np.minimum(starts + self._scan_block_vertices, n)
+        for count in (offsets[stops] - offsets[starts]).tolist():
+            if count:
+                nbytes = count * _ITEM_BYTES
+                counters.record_read(
+                    ceil_div(nbytes, self.config.block_size), nbytes, sequential=True
+                )
+                seconds.append(model.transfer_time(nbytes, True))
+        return counters, seconds
+
+    def _charge_scan(self, counters: IOStats, seconds: list[float]) -> None:
+        """Charge one window's full-graph scan as the streaming scan would.
+
+        The integer counters are exact sums.  The device time is added one
+        read at a time, in read order: a precomputed total would round
+        differently in the last bits.
+        """
+        self.io_stats.merge(counters)  # its device_seconds is 0.0
+        device_seconds = self.io_stats.device_seconds
+        for read_seconds in seconds:
+            device_seconds += read_seconds
+        self.io_stats.device_seconds = device_seconds
 
     def _process_window_shared(
         self,
         sink: TriangleSink,
-        entry_sources: np.ndarray,
-        adj_keys: np.ndarray,
-        candidates: np.ndarray,
+        offsets: np.ndarray,
         edg: np.ndarray,
         vlow: int,
         vhigh: int,
         win_offsets: np.ndarray,
         win_degrees: np.ndarray,
     ) -> tuple[int, int]:
-        """The fused full-graph scan of one memory window (shared-memory path).
+        """The full-graph scan of one memory window on a shared-memory view.
 
-        Semantically identical to running :meth:`_process_block` over every
-        scan block in order -- candidate pairs are enumerated in adjacency
-        position order (the concatenation of the per-block orders), the
-        gathered ``E_v`` segments follow their pairs, and the membership
-        test is the same packed-key binary search, just against the
-        published whole-graph key array instead of each block's slice (the
-        keys partition by source vertex, so block-local and global
-        membership coincide).  Triangle counts, emission order, the pair
-        count and the deterministic operation count (whole file scanned
-        plus gathered elements) are all bit-identical to the streaming
-        path; only the host-side work changes -- no reads, no per-block
-        ``packed_keys`` rebuild, one numpy pass over the precomputed
-        candidates per window.
+        The streaming scan marks every adjacency entry ``(u, v)`` whose
+        ``v`` has out-edges in the window; those are exactly the in-edges
+        of the window's vertices with ``win_degrees > 0``, so this scan
+        walks their published in-neighbour lists instead of the file.  The
+        pair count, the operation count (whole file scanned plus gathered
+        ``E_v`` elements) and the triangles -- emitted in the streaming
+        ``(cone, v, w)`` order -- are identical to running
+        :meth:`_process_block` over every scan block.
         """
-        scanned = self.graph.num_edges
-        num_pairs = int(candidates.shape[0])
+        graph = self.graph
+        scanned = graph.num_edges
+        adjacency = graph.read_adjacency_range(0, scanned)
+        in_offsets = graph.in_offsets
+        in_sources = graph.in_sources
+
+        # compiled tier: one C pass merges N(u) with E_v for every pair
+        fused_scan = kernel_backend.fused("mgt_window_scan")
+        if fused_scan is not None:
+            count_only = type(sink) is CountingSink
+            num_pairs, total, hits, cones, pivots_v, pivots_w = fused_scan(
+                offsets,
+                adjacency,
+                in_offsets,
+                in_sources,
+                edg,
+                vlow,
+                vhigh,
+                win_offsets,
+                win_degrees,
+                not count_only,
+            )
+            if hits:
+                if count_only:
+                    sink.count += hits
+                else:
+                    sink.add_triples(cones, pivots_v, pivots_w)
+            return num_pairs, scanned + total
+
+        # numpy tier: the same candidates in adjacency position order (their
+        # packed keys sort that way), then gather E_v and search each
+        # (u, w) in the published key array
+        n = graph.num_vertices
+        active = np.flatnonzero(win_degrees) + vlow
+        in_starts = in_offsets[active]
+        pair_u, owners = kernels.segment_gather(
+            in_sources, in_starts, in_offsets[active + 1] - in_starts
+        )
+        num_pairs = int(pair_u.shape[0])
         if num_pairs == 0:
             return 0, scanned
-        adjacency = self.graph.read_adjacency_range(0, self.graph.num_edges)
-        pair_v = adjacency[candidates]           # out-neighbour with in-window edges
+        pair_keys = np.sort(kernels.packed_keys(pair_u, active[owners], n))
+        pair_u, pair_v = np.divmod(pair_keys, n)
         seg_lengths = win_degrees[pair_v - vlow]
         total = int(seg_lengths.sum())
-        seg_starts = win_offsets[pair_v - vlow]
-        ev_all, pair_ids = kernels.segment_gather(edg, seg_starts, seg_lengths)
-        pair_u = entry_sources[candidates]       # cone vertices (global ids)
-        query_keys = kernels.packed_keys(
-            pair_u[pair_ids], ev_all, self.graph.num_vertices
+        ev_all, pair_ids = kernels.segment_gather(
+            edg, win_offsets[pair_v - vlow], seg_lengths
         )
-        found = kernels.sorted_membership(adj_keys, query_keys)
+        query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
+        found = kernels.sorted_membership(graph.scan_keys, query_keys)
         if found.any():
             sink.add_triples(
                 pair_u[pair_ids[found]], pair_v[pair_ids[found]], ev_all[found]
             )
         return num_pairs, scanned + total
-
-
-@dataclass
-class _SharedScanPlan:
-    """Per-window candidate positions for the fused shared-memory scan.
-
-    ``positions`` holds the active adjacency positions stably sorted by the
-    first window their target's out-list overlaps, ``bucket_bounds[k]``
-    delimiting window ``k``'s slice; ``spill_positions``/``spill_bounds``
-    hold the straddlers (lists crossing one window boundary) bucketed by
-    their *second* window.  Window ``k``'s candidates are the union of its
-    bucket and its spill, re-sorted to adjacency position order so the
-    emission order matches the streaming scan exactly.
-    """
-
-    positions: np.ndarray
-    bucket_bounds: np.ndarray
-    spill_positions: np.ndarray
-    spill_bounds: np.ndarray
-
-    @classmethod
-    def empty(cls) -> "_SharedScanPlan":
-        return cls(
-            positions=np.empty(0, dtype=np.int64),
-            bucket_bounds=np.zeros(1, dtype=np.int64),
-            spill_positions=np.empty(0, dtype=np.int64),
-            spill_bounds=np.zeros(1, dtype=np.int64),
-        )
-
-    def window_candidates(self, window_index: int) -> np.ndarray:
-        if window_index + 1 >= self.bucket_bounds.shape[0]:
-            return np.empty(0, dtype=np.int64)
-        lo, hi = self.bucket_bounds[window_index], self.bucket_bounds[window_index + 1]
-        bucket = self.positions[lo:hi]
-        slo = self.spill_bounds[window_index]
-        shi = self.spill_bounds[window_index + 1]
-        if shi == slo:
-            return bucket
-        return np.sort(np.concatenate((bucket, self.spill_positions[slo:shi])))
 
 
 def mgt_count(

@@ -7,9 +7,10 @@ bounded multicore scaling long before the CPUs did.  This module publishes
 the oriented graph **once** into named :mod:`multiprocessing.shared_memory`
 segments so workers slice memory windows zero-copy:
 
-* :func:`publish_graph` copies the degree array, the adjacency array, the
-  precomputed vertex offsets and the MGT scan invariants of an on-disk
-  oriented graph into named segments and returns a :class:`SharedGraphPublication` whose small
+* :func:`publish_graph` copies the degree array, the adjacency array and
+  the precomputed vertex offsets of an on-disk oriented graph, plus its
+  packed edge keys and its in-neighbour lists, into named segments and
+  returns a :class:`SharedGraphPublication` whose small
   :class:`SharedGraphDescriptor` (segment names + dtypes + shapes) is all
   that ever crosses a process boundary;
 * :class:`SharedGraphView` reconstructs zero-copy, read-only numpy views
@@ -190,27 +191,35 @@ class SharedGraphDescriptor:
     publication; worker-side attachments are cached by it.
 
     Besides the raw graph arrays (degrees, adjacency, offsets) a
-    publication carries the two scan invariants of the MGT full-graph pass,
-    each a pure function of the graph that every worker would otherwise
-    recompute: the per-entry source vertex of every adjacency position and
-    the globally sorted packed ``(source, destination)`` keys
-    (:func:`repro.core.kernels.packed_keys`), so each worker runs its
-    window scan as one fused vectorised pass.
+    publication carries two pure functions of the graph that every worker
+    would otherwise recompute:
+
+    * ``scan_keys``, the globally sorted packed ``(source, destination)``
+      keys (:func:`repro.core.kernels.packed_keys`), which the edge-support
+      sink indexes and the numpy window scan searches;
+    * ``in_offsets`` (n + 1 entries) and ``in_sources`` (E entries), the
+      in-neighbour lists: the transpose of the adjacency, sources ascending
+      per target.  A memory window's candidate pairs ``(u, v)`` are exactly
+      the in-edges of the vertices ``v`` whose out-lists meet the window,
+      so one transpose serves every window of every edge range.
     """
 
     token: str
     degrees: SharedArraySpec
     adjacency: SharedArraySpec
     offsets: SharedArraySpec
+    in_offsets: SharedArraySpec
+    in_sources: SharedArraySpec
     num_vertices: int
     num_edges: int
     directed: bool
     max_degree: int
-    scan_sources: SharedArraySpec
     scan_keys: SharedArraySpec
-    #: always ``None``: publications carry no degree-order keys.  The field
-    #: stays so tools that sum a publication's segments by field name
-    #: (``getattr(descriptor, "order_keys")``) keep working.
+    #: always ``None``: publications carry no per-entry sources (the window
+    #: scan walks ``in_sources`` instead) and no degree-order keys.  The
+    #: fields stay so tools that sum a publication's segments by field name
+    #: (``getattr(descriptor, "scan_sources")``) keep working.
+    scan_sources: SharedArraySpec | None = None
     order_keys: SharedArraySpec | None = None
 
 
@@ -274,11 +283,12 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     """Publish an on-disk oriented graph into named shared-memory segments.
 
     One copy per host: the degree array, the adjacency array, the derived
-    vertex-offset array and the MGT scan invariants (per-entry sources and
-    sorted packed keys) each get a segment named after a fresh publication
-    token.  The files are read raw (``np.fromfile`` on the device paths),
-    so no I/O counter anywhere moves -- publication is a host-side
-    optimisation, invisible to the simulation.
+    vertex-offset array, the sorted packed edge keys and the in-neighbour
+    lists (see :class:`SharedGraphDescriptor`) each get a segment named
+    after a fresh publication token.  The files are read raw
+    (``np.fromfile`` on the device paths), so no I/O counter anywhere moves
+    -- publication is a host-side optimisation, invisible to the
+    simulation.
     """
     available, reason = shm_available()
     if not available:
@@ -286,18 +296,22 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     from multiprocessing import shared_memory
 
     token = _new_token()
-    degrees = _read_file_raw(graph, graph.degree_file_name, graph.num_vertices)
+    n = graph.num_vertices
+    degrees = _read_file_raw(graph, graph.degree_file_name, n)
     adjacency = _read_file_raw(graph, graph.adjacency_file_name, graph.num_edges)
     offsets = prefix_sums(degrees)
-    # the scan invariants (see SharedGraphDescriptor): per-entry sources
-    # and the sorted packed (source, destination) keys of the adjacency
-    scan_sources = kernels.window_sources(offsets, 0, graph.num_vertices)
+    sources = kernels.window_sources(offsets, 0, n)
+    # in-lists: sorting the unique packed (target, source) keys orders the
+    # entries by target, sources ascending -- one sort, no stable argsort
+    in_keys = kernels.packed_keys(adjacency, sources, n)
+    in_keys.sort()
     arrays = {
         "deg": degrees,
         "adj": adjacency,
         "off": offsets,
-        "src": scan_sources,
-        "key": kernels.packed_keys(scan_sources, adjacency, graph.num_vertices),
+        "key": kernels.packed_keys(sources, adjacency, n),
+        "ino": prefix_sums(np.bincount(adjacency, minlength=n)),
+        "ins": in_keys % n,
     }
     segments = []
     specs: dict[str, SharedArraySpec] = {}
@@ -329,7 +343,8 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
         degrees=specs["deg"],
         adjacency=specs["adj"],
         offsets=specs["off"],
-        scan_sources=specs["src"],
+        in_offsets=specs["ino"],
+        in_sources=specs["ins"],
         scan_keys=specs["key"],
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
@@ -360,7 +375,10 @@ class SharedGraphView:
     numpy slice of the shared segments: no file descriptors, no syscalls,
     no copies.  ``cached_offsets`` additionally exposes the published
     vertex-offset array so the worker can skip recomputing prefix sums per
-    chunk (it still charges the modelled degree-file read).
+    chunk (it still charges the modelled degree-file read), and
+    ``in_offsets``/``in_sources`` the in-neighbour lists its window scan
+    walks.  Every array accessor of a closed view raises
+    :class:`~repro.errors.PDTLError`.
     """
 
     def __init__(self, descriptor: SharedGraphDescriptor, model: DiskModel) -> None:
@@ -370,7 +388,8 @@ class SharedGraphView:
         self._degrees = self._attach(descriptor.degrees)
         self._adjacency = self._attach(descriptor.adjacency)
         self._offsets = self._attach(descriptor.offsets)
-        self._scan_sources = self._attach(descriptor.scan_sources)
+        self._in_offsets = self._attach(descriptor.in_offsets)
+        self._in_sources = self._attach(descriptor.in_sources)
         self._scan_keys = self._attach(descriptor.scan_keys)
         self._closed = False
 
@@ -409,11 +428,6 @@ class SharedGraphView:
 
     # -- GraphFile-compatible reads (zero-copy) ----------------------------------------
 
-    @property
-    def cached_offsets(self) -> np.ndarray:
-        """The published exclusive prefix sums of the degree array."""
-        return self._offsets
-
     def _require(self, array: np.ndarray) -> np.ndarray:
         if self._closed:
             raise PDTLError(
@@ -422,28 +436,39 @@ class SharedGraphView:
         return array
 
     @property
-    def scan_sources(self) -> np.ndarray:
-        """Per-entry source vertex of every adjacency position (length E)."""
-        return self._require(self._scan_sources)
+    def cached_offsets(self) -> np.ndarray:
+        """The published exclusive prefix sums of the degree array."""
+        return self._require(self._offsets)
 
     @property
     def scan_keys(self) -> np.ndarray:
         """Globally sorted packed ``(source, destination)`` keys (length E)."""
         return self._require(self._scan_keys)
 
+    @property
+    def in_offsets(self) -> np.ndarray:
+        """Offsets of each vertex's in-neighbour list (length n + 1)."""
+        return self._require(self._in_offsets)
+
+    @property
+    def in_sources(self) -> np.ndarray:
+        """In-neighbour lists, sources ascending per target (length E)."""
+        return self._require(self._in_sources)
+
     def offsets(self) -> np.ndarray:
-        return self._offsets
+        return self._require(self._offsets)
 
     def read_degrees(self) -> np.ndarray:
-        return self._degrees
+        return self._require(self._degrees)
 
     def read_adjacency_range(self, start_edge: int, count: int) -> np.ndarray:
+        adjacency = self._require(self._adjacency)
         if start_edge < 0 or count < 0 or start_edge + count > self.num_edges:
             raise PDTLError(
                 f"adjacency range [{start_edge}, {start_edge + count}) out of "
                 f"bounds (shared graph has {self.num_edges} entries)"
             )
-        return self._adjacency[start_edge : start_edge + count]
+        return adjacency[start_edge : start_edge + count]
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -454,7 +479,7 @@ class SharedGraphView:
             return
         self._closed = True
         self._degrees = self._adjacency = self._offsets = None  # type: ignore[assignment]
-        self._scan_sources = self._scan_keys = None  # type: ignore[assignment]
+        self._in_offsets = self._in_sources = self._scan_keys = None  # type: ignore[assignment]
         for shm in self._segments:
             try:
                 shm.close()

@@ -29,6 +29,7 @@ _RETIRED_TIER = "numba"
 #: the C kernels that replace multi-pass numpy caller chains (no numpy twin)
 _FUSED_KERNELS = (
     "mgt_block_scan",
+    "mgt_window_scan",
     "edge_support_accumulate",
     "truss_peel_level",
     "triangle_edge_ids",
@@ -219,7 +220,7 @@ class TestCompiledTier:
         assert kernel_backend.activate("cffi") == "cffi"
         expected = set(kernels.NUMPY_IMPLS) | set(_FUSED_KERNELS)
         assert set(kernels._ACTIVE_IMPLS) == expected
-        assert len(expected) == 12
+        assert len(expected) == 13
         for name in _FUSED_KERNELS:
             assert callable(kernel_backend.fused(name)), name
 

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro.baselines.inmemory import forward_count
-from repro.core import shm as shm_mod
+from repro.core import kernel_backend, shm as shm_mod
 from repro.core.config import PDTLConfig
 from repro.core.mgt import MGTWorker, mgt_count
-from repro.core.orientation import orient_graph
+from repro.core.orientation import orient_csr, orient_graph
 from repro.core.pdtl import PDTLRunner
 from repro.core.scheduler import ChunkTask, chunk_seed, execute_chunk_task
 from repro.core.shm import (
@@ -29,15 +29,23 @@ from repro.core.shm import (
     publish_graph,
     shm_available,
 )
+from repro.core.triangles import make_sink
 from repro.errors import PDTLError
 from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
+from repro.graph.edgelist import EdgeList
 from repro.graph.generators import rmat
 
 pytestmark = pytest.mark.skipif(
     not shm_available()[0],
     reason=f"POSIX shared memory unavailable: {shm_available()[1]}",
+)
+
+
+#: the descriptor fields that name a published segment
+_PUBLISHED_FIELDS = (
+    "degrees", "adjacency", "offsets", "in_offsets", "in_sources", "scan_keys",
 )
 
 
@@ -86,6 +94,8 @@ class TestPublishAttach:
             view.close()
 
     def test_scan_invariants_published(self, oriented):
+        """The sorted packed edge keys and the in-neighbour lists (the
+        transpose, sources ascending per target)."""
         with publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             adjacency = oriented.read_adjacency_range(0, oriented.num_edges)
@@ -94,10 +104,14 @@ class TestPublishAttach:
                 np.arange(oriented.num_vertices, dtype=np.int64),
                 np.diff(offsets).astype(np.int64),
             )
-            np.testing.assert_array_equal(view.scan_sources, sources)
             expected_keys = sources * oriented.num_vertices + adjacency
             np.testing.assert_array_equal(view.scan_keys, expected_keys)
             assert bool(np.all(np.diff(view.scan_keys) >= 0))  # sorted haystack
+            by_target = np.argsort(adjacency, kind="stable")
+            np.testing.assert_array_equal(view.in_sources, sources[by_target])
+            in_degrees = np.bincount(adjacency, minlength=oriented.num_vertices)
+            np.testing.assert_array_equal(np.diff(view.in_offsets), in_degrees)
+            assert view.in_offsets[0] == 0
             view.close()
 
     def test_out_of_bounds_range_rejected(self, oriented):
@@ -122,25 +136,21 @@ class TestPublishAttach:
         assert _segments_on_host() == []
 
     def test_oriented_publication_has_no_order_keys(self, oriented):
-        """``order_keys`` stays on the descriptor and is always ``None``, so
-        tools that size a publication field by field still find it."""
+        """``order_keys`` and ``scan_sources`` stay on the descriptor and are
+        always ``None``, so tools that size a publication field by field
+        still find them."""
         with publish_graph(oriented) as publication:
             descriptor = publication.descriptor
             assert descriptor.order_keys is None
-            for name in ("degrees", "adjacency", "offsets", "scan_sources", "scan_keys"):
+            assert descriptor.scan_sources is None
+            for name in _PUBLISHED_FIELDS:
                 assert getattr(descriptor, name) is not None, name
 
 
 class TestLifecycle:
     def test_unlink_removes_segments_and_is_idempotent(self, oriented):
         publication = publish_graph(oriented)
-        names = [
-            publication.descriptor.degrees.name,
-            publication.descriptor.adjacency.name,
-            publication.descriptor.offsets.name,
-            publication.descriptor.scan_sources.name,
-            publication.descriptor.scan_keys.name,
-        ]
+        names = [getattr(publication.descriptor, f).name for f in _PUBLISHED_FIELDS]
         for name in names:
             assert glob.glob(f"/dev/shm/{name}")
         publication.unlink()
@@ -193,13 +203,35 @@ class TestLifecycle:
             stale_pub._unlinked = True  # segments already gone
         assert _segments_on_host() == []
 
-    def test_closed_view_reports_closed_not_missing(self, oriented):
-        """Use-after-close of a scan invariant is reported as a closed view."""
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda view: view.cached_offsets,
+            lambda view: view.offsets(),
+            lambda view: view.read_degrees(),
+            lambda view: view.read_adjacency_range(0, 1),
+            lambda view: view.scan_keys,
+            lambda view: view.in_offsets,
+            lambda view: view.in_sources,
+        ],
+        ids=["cached_offsets", "offsets", "read_degrees", "read_adjacency_range",
+             "scan_keys", "in_offsets", "in_sources"],
+    )
+    def test_closed_view_reports_closed_not_missing(self, oriented, read):
+        """Use-after-close of any published array is reported as a closed
+        view, not as a missing array or a ``TypeError``."""
         with publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             view.close()
             with pytest.raises(PDTLError, match="is closed"):
-                view.scan_sources
+                read(view)
+
+    def test_closed_view_fails_the_worker_clearly(self, oriented, config):
+        with publish_graph(oriented) as publication:
+            view = SharedGraphView(publication.descriptor, oriented.device.model)
+            view.close()
+            with pytest.raises(PDTLError, match="is closed"):
+                MGTWorker(view, config).run()
 
     def test_tokens_are_unique(self, oriented):
         with publish_graph(oriented) as first, publish_graph(oriented) as second:
@@ -253,6 +285,110 @@ class TestMGTOnSharedView:
             outcome = execute_chunk_task(task)
             detach_view(publication.descriptor.token)
         assert outcome.triangles == mgt_count(oriented, config).triangles
+
+
+def _cone_dag() -> CSRGraph:
+    """Cone 0 points at all 79 other vertices; sparse extra edges run from
+    the smaller id to the larger.  Most out-lists hold 0 to 2 entries, so
+    window spans contain vertices of out-degree 0, lists straddle window
+    boundaries, and cone 0's list is more than 32 times longer than its
+    partner ``E_v`` (the galloping branch of the C merge)."""
+    n = 80
+    rng = np.random.default_rng(3)
+    spokes = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
+    extra = np.sort(rng.integers(1, n, size=(60, 2)), axis=1)
+    edges = np.concatenate((spokes, extra[extra[:, 0] != extra[:, 1]]))
+    return CSRGraph.from_edgelist(EdgeList(edges, n), directed=True)
+
+
+#: oriented graphs off the easy path of the shared-memory window scan; the
+#: rmat graph has more than 1024 vertices, so each scan charges two blocks
+_SCAN_GRAPHS = {
+    "rmat": lambda: orient_csr(CSRGraph.from_edgelist(rmat(11, edge_factor=8, seed=5))),
+    "cone": _cone_dag,
+    "empty": lambda: CSRGraph.empty(6, directed=True),
+}
+
+
+def _window_shapes(graph: CSRGraph, start: int, stop: int, window: int) -> set[str]:
+    """Which hard cases the windows of ``[start, stop)`` contain."""
+    offsets, adjacency = graph.indptr, graph.indices
+    degrees = np.diff(offsets)
+    sources = np.repeat(np.arange(graph.num_vertices), degrees)
+    shapes = set()
+    for lo in range(start, stop, window):
+        hi = min(lo + window, stop)
+        vlow = int(np.searchsorted(offsets, lo, side="right")) - 1
+        vhigh = max(int(np.searchsorted(offsets, hi, side="left")) - 1, vlow)
+        if (degrees[vlow : vhigh + 1] == 0).any():
+            shapes.add("out-degree 0 in span")
+        if offsets[vlow] < lo or offsets[vhigh + 1] > hi:
+            shapes.add("straddling list")
+        for v in range(vlow, vhigh + 1):
+            d = min(offsets[v + 1], hi) - max(offsets[v], lo)
+            if d > 0 and (degrees[sources[adjacency == v]] > 32 * d).any():
+                shapes.add("galloping")
+    return shapes
+
+
+def _scan_outcome(graph, config: PDTLConfig, start: int, stop: int, kind: str):
+    """Everything one worker run reports, for ``kind``'s sink."""
+    sink = make_sink(kind, num_vertices=graph.num_vertices, graph=graph)
+    result = MGTWorker(graph, config, range_start=start, range_stop=stop).run(sink)
+    payload = {
+        "count": lambda: sink.count,
+        "list": lambda: [(t.cone, t.v, t.w) for t in sink.triangles],
+        "per-vertex": lambda: sink.per_vertex.tolist(),
+        "edge-support": lambda: sink.supports().tolist(),
+    }[kind]()
+    return (
+        payload,
+        result.triangles,
+        result.iterations,
+        result.intersections,
+        result.cpu_operations,
+        result.cpu_seconds,
+        result.io_stats.as_dict(),
+    )
+
+
+class TestSharedScanMatchesDisk:
+    """The in-list window scan against the streaming scan, off the easy
+    path: a static three-way split (ranges not window-aligned) and the
+    whole range, every sink kind, both kernel tiers."""
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi"])
+    @pytest.mark.parametrize("kind", ["count", "list", "per-vertex", "edge-support"])
+    @pytest.mark.parametrize("name", sorted(_SCAN_GRAPHS))
+    def test_worker_matches_disk(self, tmp_path, name, kind, tier):
+        if tier == "cffi" and not kernel_backend.compiled_available()[0]:
+            pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
+        graph = _SCAN_GRAPHS[name]()
+        config = PDTLConfig(memory_per_proc=8192, block_size=512, modelled_cpu=True)
+        window = config.window_edges
+        m = graph.num_edges
+        splits = [0, m // 3, 2 * m // 3, m]
+        ranges = list(zip(splits[:-1], splits[1:])) + [(0, m)]
+        if name == "cone":
+            shapes = set().union(*(_window_shapes(graph, lo, hi, window) for lo, hi in ranges))
+            assert shapes == {"out-degree 0 in span", "straddling list", "galloping"}
+        if m:
+            assert any(bound % window for bound in splits[1:-1])
+
+        oriented = write_graph(BlockDevice(tmp_path / "disk", block_size=512), name, graph)
+        with kernel_backend.use(tier), publish_graph(oriented) as publication:
+            view = SharedGraphView(publication.descriptor, oriented.device.model)
+            before = kernel_backend.dispatch_counts().get(f"mgt_window_scan.{tier}", 0)
+            try:
+                for lo, hi in ranges:
+                    shared = _scan_outcome(view, config, lo, hi, kind)
+                    disk = _scan_outcome(oriented, config, lo, hi, kind)
+                    assert shared == disk, (lo, hi)
+            finally:
+                view.close()
+            dispatched = kernel_backend.dispatch_counts()[f"mgt_window_scan.{tier}"] - before
+        # the shared path ran once per window
+        assert dispatched == sum(-(-(hi - lo) // window) for lo, hi in ranges)
 
 
 class TestRunnerIntegration:

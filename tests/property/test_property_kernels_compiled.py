@@ -8,8 +8,9 @@ C tier cannot be built the whole module skips with the build's reason; a
 registry that builds but disagrees with numpy fails here rather than
 skipping, even though the tier probe refuses it.
 
-The fused entry points (``mgt_block_scan``, ``edge_support_accumulate``,
-``truss_peel_level``, ``triangle_edge_ids``, ``incidence_csr``) have no
+The fused entry points (``mgt_block_scan``, ``mgt_window_scan``,
+``edge_support_accumulate``, ``truss_peel_level``, ``triangle_edge_ids``,
+``incidence_csr``) have no
 single numpy twin -- they replace multi-pass
 caller chains -- so they are checked against in-test references built from
 the numpy primitives, and end-to-end by installing the registry and
@@ -114,6 +115,23 @@ def hub_graphs(draw):
     extra = rng.integers(1, n, size=(n // 4, 2))
     edges = np.concatenate((spokes, extra[extra[:, 0] != extra[:, 1]]))
     return CSRGraph.from_edgelist(EdgeList(edges, n))
+
+
+@st.composite
+def cone_dags(draw):
+    """Cone 0 pointing at every other vertex, plus sparse extra edges.
+
+    Edges run from the smaller id to the larger with sorted lists, as an
+    orientation stores them.  With at least 65 targets and most lists of
+    length 0 to 2, cone 0's out-list is more than 32 times longer than most
+    in-window lists ``E_v``, so the window scan takes its galloping branch.
+    """
+    n = draw(st.integers(min_value=66, max_value=100))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    spokes = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
+    extra = np.sort(rng.integers(1, n, size=(n // 2, 2)), axis=1)
+    edges = np.concatenate((spokes, extra[extra[:, 0] != extra[:, 1]]))
+    return CSRGraph.from_edgelist(EdgeList(edges, n), directed=True)
 
 
 # -- primitives vs their numpy twins ----------------------------------------
@@ -322,6 +340,63 @@ def test_mgt_block_scan_matches_reference(registry, graph, data):
         block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, False
     )
     assert (counted[0], counted[1], counted[2]) == (pairs, total, len(cones))
+
+
+@REGISTRY_PARAMS
+@given(graph=st.one_of(random_graphs().map(orient_csr), cone_dags()), data=st.data())
+@settings(**SETTINGS)
+def test_mgt_window_scan_matches_reference(registry, graph, data):
+    """The in-list walk of one memory window equals the streaming scan of
+    the whole graph: same pairs, gathered total and triples in the same
+    order.  The window is any edge range, so lists straddle its ends."""
+    indptr, indices = graph.indptr, graph.indices
+    n, m = graph.num_vertices, graph.num_edges
+    if m == 0:
+        return
+    start = data.draw(st.integers(min_value=0, max_value=m - 1))
+    stop = data.draw(st.integers(min_value=start + 1, max_value=m))
+    # the window's ind arrays, as MGTWorker builds them
+    vlow = int(np.searchsorted(indptr, start, side="right")) - 1
+    vhigh = max(int(np.searchsorted(indptr, stop, side="left")) - 1, vlow)
+    span = np.arange(vlow, vhigh + 1)
+    win_starts = np.maximum(indptr[span], start)
+    win_degrees = np.maximum(np.minimum(indptr[span + 1], stop) - win_starts, 0)
+    win_offsets = win_starts - start
+    edg = indices[start:stop].copy()
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    in_sources = sources[np.argsort(indices, kind="stable")]
+    in_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=in_offsets[1:])
+
+    # the whole graph as one scan block
+    pairs, total, cones, vs_ref, ws_ref = _mgt_block_scan_reference(
+        indices, indptr, edg, vlow, vhigh, win_offsets, win_degrees
+    )
+    args = (indptr, indices, in_offsets, in_sources, edg, vlow, vhigh,
+            win_offsets, win_degrees)
+    got = registry["mgt_window_scan"](*args, True)
+    assert (got[0], got[1], got[2]) == (pairs, total, len(cones))
+    np.testing.assert_array_equal(np.asarray(got[3]), np.asarray(cones, dtype=np.int64))
+    np.testing.assert_array_equal(np.asarray(got[4]), np.asarray(vs_ref, dtype=np.int64))
+    np.testing.assert_array_equal(np.asarray(got[5]), np.asarray(ws_ref, dtype=np.int64))
+
+    counted = registry["mgt_window_scan"](*args, False)
+    assert (counted[0], counted[1], counted[2]) == (pairs, total, len(cones))
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("vlow, vhigh", [(-1, 0), (2, 1), (0, 4)])
+def test_mgt_window_scan_refuses_spans_outside_the_graph(registry, vlow, vhigh):
+    indptr = np.array([0, 2, 3, 3, 3], dtype=np.int64)
+    indices = np.array([1, 2, 2], dtype=np.int64)
+    in_offsets = np.array([0, 0, 1, 3, 3], dtype=np.int64)
+    in_sources = np.array([0, 0, 1], dtype=np.int64)
+    window = np.zeros(5, dtype=np.int64)
+    with pytest.raises(ValueError):
+        registry["mgt_window_scan"](
+            indptr, indices, in_offsets, in_sources, indices, vlow, vhigh,
+            window, window, True,
+        )
 
 
 @REGISTRY_PARAMS

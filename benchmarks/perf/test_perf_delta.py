@@ -79,7 +79,7 @@ def test_perf_delta(perf_graph, perf_report):
         "delta_vs_recompute",
         batch_deletions=int(applied.deleted.shape[0]),
         touched_edges=applied.touched_edges,
-        cascade_rounds=applied.replayed_levels,
+        cascade_rounds=applied.truss.rounds,
         max_truss_k=applied.truss.max_k,
         full_recompute_s=recompute_seconds,
         delta_apply_s=delta_seconds,

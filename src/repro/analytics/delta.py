@@ -32,8 +32,17 @@ the true decomposition is itself a fixpoint.  Deleting edges can only
 the surviving members of the removed rows.  Iterating ``new tau(e) =
 min(tau(e), H(tau)(e))`` from that seed worklist, pushing the row-mates
 of every edge that drops, therefore converges to the greatest fixpoint
-under the old values: the exact new decomposition.  The work is
-proportional to the affected cascade, not the graph.
+under the old values: the exact new decomposition.
+
+Each round's work is proportional to the incident rows of its worklist,
+not to the graph, but a cascade through a deep truss re-evaluates the
+same edges over many rounds, since every demotion pushes its row-mates
+back onto the worklist.  On deep-truss graphs it can then cost more than
+a from-scratch decomposition: on
+``rmat(12, edge_factor=16, seed=3)`` (49,617 edges, max k 48, C tier,
+2-CPU x86 host, medians of 12 batches) a batch of 8 random deletions took
+152 ms and a batch of 8 top-level ones 689 ms, against 100 ms for a full
+``truss_decomposition``.
 
 Replay soundness (batches with insertions)
 ------------------------------------------
@@ -42,8 +51,9 @@ Peeling is deterministic, and the state at the start of level ``k`` is a
 pure function of the triangle table and the final trussness: ``alive =
 {e : τ(e) >= k}``, a triangle row is alive iff all three edges are, and
 each alive edge's support counts its alive rows.  The replay therefore
-runs the ordinary level loop from ``k = 2`` but stops as soon as the old
-run's answer provably takes over, namely when
+runs the level loop of :func:`~repro.analytics.truss.truss_decomposition`
+from ``k = 2`` but stops as soon as the old run's answer provably takes
+over, namely when
 
 * ``k`` exceeds the largest old trussness of any **deleted** edge (so the
   old run's level-``k`` state contained none of them, nor any removed
@@ -58,8 +68,9 @@ run's level-``k`` state, so the remaining trussness is the old trussness
 and is copied wholesale.  A batch that only perturbs low levels replays
 only those; a no-op batch replays none.
 
-``rounds`` counts the replayed peel batches only, so it is *not*
-comparable with a from-scratch run; the oracle equality the tests pin is
+``rounds`` counts the replayed peel rounds only, or the fixpoint's rounds
+for a deletion-only batch, so it is *not* comparable with a from-scratch
+run; the oracle equality the tests pin is
 ``num_vertices``/``edges``/``trussness``/``support`` (and
 :meth:`GraphDelta.apply` re-checks it inline under ``verify=True``).
 
@@ -83,7 +94,10 @@ import numpy as np
 
 from repro.analytics.truss import (
     TrussResult,
+    _incidence,
+    _peel,
     _triangle_edge_ids,
+    _triple_edge_ids,
     canonical_edges,
 )
 from repro.core import kernels
@@ -129,7 +143,8 @@ class DeltaResult:
     mutations (no-ops dropped).  ``touched_edges`` counts the canonical
     edges whose existence or support changed; ``replayed_levels`` the peel
     levels the truncated replay actually scanned before the old trussness
-    took over.
+    took over (``0`` for a deletion-only batch, which the fixpoint settles
+    without scanning a level; its rounds are ``truss.rounds``).
     """
 
     graph: CSRGraph
@@ -379,12 +394,13 @@ class GraphDelta:
             del_max = -1
         if tau_hat is not None and real_ins_keys.shape[0] == 0:
             # deletion-only: local downward fixpoint from the old trussness
-            # seeded at the edges that lost a triangle (module docstring)
+            # seeded at the edges that lost a triangle (module docstring);
+            # it scans no peel level, so it replays none
             trussness, rounds = _fixpoint_demote(new_tri, tau_hat, minus_ids)
-            replayed = rounds
+            replayed = 0
         else:
             trussness, rounds, replayed = _replay_peel(
-                m_new, new_tri, new_supports, tau_hat, del_max
+                new_tri, new_supports, tau_hat, del_max
             )
         truss = TrussResult(
             num_vertices=n,
@@ -457,13 +473,11 @@ class GraphDelta:
             )
             if owners.shape[0] == 0:
                 continue
-            a = us[lo:hi][owners]
-            b = vs[lo:hi][owners]
-            tri = np.empty((owners.shape[0], 3), dtype=np.int64)
-            for slot, (x, y) in enumerate(((a, b), (a, ws), (b, ws))):
-                queries = kernels.packed_keys(np.minimum(x, y), np.maximum(x, y), n)
-                tri[:, slot] = np.searchsorted(new_keys, queries)
-            rows.append(tri)
+            rows.append(
+                _triple_edge_ids(
+                    new_keys, us[lo:hi][owners], vs[lo:hi][owners], ws, n
+                )
+            )
         if not rows:
             return np.empty((0, 3), dtype=np.int64)
         tri = np.concatenate(rows)
@@ -496,7 +510,8 @@ def _fixpoint_demote(
     h-index (``max_j min(v_j, j+3)`` over each edge's row values sorted
     descending, where ``v`` is the smaller trussness of the row's other
     two edges), demotes, and pushes the row-mates of every demoted edge.
-    Work is proportional to the cascade; an untouched graph costs nothing.
+    Each round costs the worklist's incident rows; an untouched graph
+    costs nothing.
     """
     m = int(tau0.shape[0])
     tau = tau0.copy()
@@ -505,11 +520,7 @@ def _fixpoint_demote(
         # no triangle can be lost, or none remain: only seeds can drop (to 2)
         tau[work] = 2
         return tau, 0
-    flat = tri_edges.reshape(-1)
-    order = np.argsort(flat.astype(np.int32), kind="stable")
-    inc_triangles = order // 3
-    inc_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+    inc_ptr, inc_triangles = _incidence(tri_edges, m)
     inc_degrees = inc_ptr[1:] - inc_ptr[:-1]
 
     rounds = 0
@@ -609,14 +620,13 @@ def _mutate_csr(
 
 
 def _replay_peel(
-    m: int,
     tri_edges: np.ndarray,
     supports: np.ndarray,
     tau_hat: np.ndarray | None,
     del_max: int,
 ) -> tuple[np.ndarray, int, int]:
-    """The level loop of :func:`~repro.analytics.truss.truss_decomposition`
-    with the early-termination check of the module docstring.
+    """The truss level loop (:func:`~repro.analytics.truss._peel`) with the
+    take-over rule of the module docstring.
 
     ``tau_hat`` is the old trussness mapped onto the new edge ids (``-1``
     for inserted edges) or ``None`` for a cold replay; ``del_max`` the
@@ -624,81 +634,16 @@ def _replay_peel(
     rounds, replayed_levels)`` where ``replayed_levels`` counts the level
     scans actually executed.
     """
-    from repro.core import kernel_backend
+    if tau_hat is None:
+        trussness, _, rounds, levels = _peel(tri_edges, supports)
+        return trussness, rounds, levels
 
-    support = supports.copy()
-    num_triangles = int(tri_edges.shape[0])
-    flat = tri_edges.reshape(-1)
-    fused_incidence = kernel_backend.fused("incidence_csr")
-    if fused_incidence is not None:
-        inc_ptr, inc_triangles = fused_incidence(flat, m)
-    else:
-        order = np.argsort(flat, kind="stable")
-        inc_triangles = order // 3
-        inc_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
-    inc_degrees = inc_ptr[1:] - inc_ptr[:-1]
-
-    alive = np.ones(m, dtype=bool)
-    tri_alive = np.ones(num_triangles, dtype=bool)
-    trussness = np.zeros(m, dtype=np.int64)
-    rounds = 0
-    replayed = 0
-    k = 2
-
-    def settled(k: int) -> bool:
+    def settled(k: int, alive: np.ndarray) -> bool:
         # the old run takes over once no deleted edge (nor removed row)
         # was part of its level-k state and the alive set matches the old
         # prediction -- which also forces every inserted edge dead
-        return (
-            tau_hat is not None
-            and k > del_max
-            and np.array_equal(alive, tau_hat >= k)
-        )
+        return k > del_max and np.array_equal(alive, tau_hat >= k)
 
-    fused_peel = kernel_backend.fused("truss_peel_level")
-    if fused_peel is not None:
-        flat_edges = flat
-        while alive.any():
-            if settled(k):
-                trussness[alive] = tau_hat[alive]
-                return trussness, rounds, replayed
-            peeled, level_rounds = fused_peel(
-                k, alive, support, trussness, inc_ptr, inc_triangles,
-                flat_edges, tri_alive,
-            )
-            rounds += level_rounds
-            replayed += 1
-            if peeled == 0:
-                k = max(k + 1, 2 + int(support[alive].min()))
-                continue
-            k += 1
-        return trussness, rounds, replayed
-
-    while alive.any():
-        if settled(k):
-            trussness[alive] = tau_hat[alive]
-            return trussness, rounds, replayed
-        replayed += 1
-        frontier = np.nonzero(alive & (support <= k - 2))[0]
-        if frontier.shape[0] == 0:
-            k = max(k + 1, 2 + int(support[alive].min()))
-            continue
-        while frontier.shape[0]:
-            rounds += 1
-            alive[frontier] = False
-            trussness[frontier] = k
-            gathered, _ = kernels.segment_gather(
-                inc_triangles, inc_ptr[frontier], inc_degrees[frontier]
-            )
-            if gathered.shape[0]:
-                dead = np.unique(gathered[tri_alive[gathered]])
-                if dead.shape[0]:
-                    tri_alive[dead] = False
-                    targets = tri_edges[dead].reshape(-1)
-                    targets = targets[alive[targets]]
-                    if targets.shape[0]:
-                        np.subtract.at(support, targets, 1)
-            frontier = np.nonzero(alive & (support <= k - 2))[0]
-        k += 1
-    return trussness, rounds, replayed
+    trussness, alive, rounds, levels = _peel(tri_edges, supports, settled)
+    trussness[alive] = tau_hat[alive]
+    return trussness, rounds, levels

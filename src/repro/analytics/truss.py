@@ -16,12 +16,18 @@ Two implementations live here:
   (:func:`~repro.core.kernels.triangle_range` over the degree-based
   orientation), each triangle's three edges are mapped to canonical edge
   ids with one packed-key binary search, and an edge→triangle incidence
-  CSR is built with one stable argsort.  Peeling then never searches
-  again: every batch gathers the peeled edges' incident triangle ids with
-  one :func:`~repro.core.kernels.segment_gather`, kills each still-alive
-  triangle exactly once (``np.unique``), and applies the support
-  decrements to the surviving edges with one ``np.subtract.at`` -- no
-  per-edge Python loops anywhere.
+  CSR is built (:func:`_incidence`: one stable argsort of the triangle
+  slots, or on the compiled tier one stable counting-sort pass).  Peeling
+  then never searches again: the level loop (:func:`_peel`) runs every
+  peel round of one level ``k`` per call of the ``truss_peel_level``
+  kernel -- the fused C loop, or its numpy twin
+  :func:`_peel_level_numpy`, where every round gathers the peeled edges'
+  incident triangle ids with one :func:`~repro.core.kernels.segment_gather`,
+  kills each still-alive triangle exactly once (``np.unique``), and
+  applies the support decrements to the surviving edges with one
+  ``np.subtract.at`` -- no per-edge Python loops anywhere.  The dynamic
+  graph path (:mod:`repro.analytics.delta`) reuses the incidence builder
+  and the level loop.
 * :func:`trussness_reference` -- a deliberately simple scalar
   implementation (sets, dicts, one edge at a time) kept as the pinned
   reference for the property tests and the perf benchmark.  Trussness is a
@@ -40,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import kernels
+from repro.core import kernel_backend, kernels
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -179,7 +185,6 @@ def _triangle_edge_ids(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
     one packed-key binary search per edge slot (fused into a single
     compiled loop when the kernel tier provides one).
     """
-    from repro.core import kernel_backend
     from repro.core.orientation import orient_csr
 
     oriented = orient_csr(graph)
@@ -199,16 +204,113 @@ def _triangle_edge_ids(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
         cones, vs, ws, _ = kernels.triangle_range(
             oriented.indptr, oriented.indices, blo, bhi, want_triples=True
         )
-        if cones.shape[0] == 0:
-            continue
-        tri = np.empty((cones.shape[0], 3), dtype=np.int64)
-        for slot, (a, b) in enumerate(((cones, vs), (cones, ws), (vs, ws))):
-            queries = kernels.packed_keys(np.minimum(a, b), np.maximum(a, b), n)
-            tri[:, slot] = np.searchsorted(keys, queries)
-        parts.append(tri)
+        if cones.shape[0]:
+            parts.append(_triple_edge_ids(keys, cones, vs, ws, n))
     if not parts:
         return np.empty((0, 3), dtype=np.int64)
     return np.concatenate(parts)
+
+
+def _triple_edge_ids(
+    keys: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int
+) -> np.ndarray:
+    """Canonical ids of the edges ``(a, b)``, ``(a, c)``, ``(b, c)`` of every
+    triangle ``(a[i], b[i], c[i])``, shape ``(T, 3)``: one packed-key binary
+    search in the sorted canonical ``keys`` per edge slot."""
+    tri = np.empty((a.shape[0], 3), dtype=np.int64)
+    for slot, (x, y) in enumerate(((a, b), (a, c), (b, c))):
+        queries = kernels.packed_keys(np.minimum(x, y), np.maximum(x, y), n)
+        tri[:, slot] = np.searchsorted(keys, queries)
+    return tri
+
+
+def _incidence(tri_edges: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edge → incident-triangle CSR ``(inc_ptr, inc_triangles)`` of a
+    ``(T, 3)`` triangle table over ``m`` edges.
+
+    One stable argsort of the ``3T`` slots (slot index // 3 is the owning
+    triangle), or on the compiled tier one stable counting-sort pass --
+    the same arrays bit for bit.
+    """
+    flat = tri_edges.reshape(-1)
+    fused = kernel_backend.fused("incidence_csr")
+    if fused is not None:
+        return fused(flat, m)
+    inc_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+    return inc_ptr, np.argsort(flat, kind="stable") // 3
+
+
+def _peel_level_numpy(
+    k: int,
+    alive: np.ndarray,
+    support: np.ndarray,
+    trussness: np.ndarray,
+    inc_ptr: np.ndarray,
+    inc_triangles: np.ndarray,
+    tri_edges_flat: np.ndarray,
+    tri_alive: np.ndarray,
+) -> tuple[int, int]:
+    """numpy twin of the compiled ``truss_peel_level``: every peel round of
+    level ``k``, updating ``alive``, ``support``, ``trussness`` and
+    ``tri_alive`` in place.  Returns ``(peeled, rounds)``.
+
+    A round peels every alive edge with support ``<= k - 2`` at once and
+    kills its still-alive incident triangles exactly once (``np.unique``
+    -- a triangle losing two or three edges in one round still dies
+    once); each dead triangle decrements its surviving edges.
+    """
+    tri_edges = tri_edges_flat.reshape(-1, 3)
+    peeled = rounds = 0
+    frontier = np.nonzero(alive & (support <= k - 2))[0]
+    while frontier.shape[0]:
+        rounds += 1
+        peeled += int(frontier.shape[0])
+        alive[frontier] = False
+        trussness[frontier] = k
+        starts = inc_ptr[frontier]
+        gathered, _ = kernels.segment_gather(
+            inc_triangles, starts, inc_ptr[frontier + 1] - starts
+        )
+        dead = np.unique(gathered[tri_alive[gathered]])
+        tri_alive[dead] = False
+        targets = tri_edges[dead].reshape(-1)
+        np.subtract.at(support, targets[alive[targets]], 1)
+        frontier = np.nonzero(alive & (support <= k - 2))[0]
+    return peeled, rounds
+
+
+def _peel(tri_edges: np.ndarray, support: np.ndarray, settled=None):
+    """The level loop: peel from ``k = 2`` until every edge is peeled, or
+    until ``settled(k, alive)`` says an earlier decomposition takes over.
+
+    ``support`` holds the initial supports and is left unchanged.  When a
+    level peels nothing, ``k`` jumps straight to ``2 + min(surviving
+    support)``.  Returns ``(trussness, alive, rounds, levels)``: edges
+    still alive when ``settled`` stopped the loop keep trussness ``0`` for
+    the caller to fill in, ``rounds`` counts peel rounds and ``levels``
+    the level scans run.
+    """
+    m = int(support.shape[0])
+    support = support.copy()
+    inc_ptr, inc_triangles = _incidence(tri_edges, m)
+    flat = tri_edges.reshape(-1)
+    peel_level = kernel_backend.fused("truss_peel_level") or _peel_level_numpy
+    alive = np.ones(m, dtype=bool)
+    tri_alive = np.ones(tri_edges.shape[0], dtype=bool)
+    trussness = np.zeros(m, dtype=np.int64)
+    rounds = levels = 0
+    k = 2
+    while alive.any():
+        if settled is not None and settled(k, alive):
+            break
+        peeled, level_rounds = peel_level(
+            k, alive, support, trussness, inc_ptr, inc_triangles, flat, tri_alive
+        )
+        rounds += level_rounds
+        levels += 1
+        k = k + 1 if peeled else max(k + 1, 2 + int(support[alive].min()))
+    return trussness, alive, rounds, levels
 
 
 def truss_decomposition(
@@ -239,15 +341,10 @@ def truss_decomposition(
 
     Algorithm: classic support peeling, batched, with the triangle
     structure materialised up front.  One pass of the shared counting
-    kernel yields every triangle's three canonical edge ids; a stable
-    argsort turns them into an edge→triangle incidence CSR; initial
-    supports are a ``bincount``.  At level ``k`` every surviving edge with
-    support ``<= k - 2`` peels at once: its incident still-alive triangles
-    are gathered, killed exactly once (``np.unique`` -- a triangle losing
-    two or three edges in one batch still dies once), and each dead
-    triangle decrements its surviving edges in a single
-    ``np.subtract.at``.  When a level stabilises, ``k`` jumps straight to
-    ``2 + min(surviving support)``.
+    kernel yields every triangle's three canonical edge ids; initial
+    supports are a ``bincount``; the level loop (:func:`_peel`) peels at
+    level ``k`` every surviving edge with support ``<= k - 2``, round after
+    round, until the level is stable.
     """
     if graph.directed:
         raise ValueError("truss_decomposition expects the undirected CSR graph")
@@ -258,7 +355,6 @@ def truss_decomposition(
     keys = kernels.packed_keys(edges[:, 0], edges[:, 1], n)  # sorted by canon order
 
     tri_edges = _triangle_edge_ids(graph, keys)
-    num_triangles = int(tri_edges.shape[0])
     support = np.bincount(tri_edges.reshape(-1), minlength=m).astype(np.int64)
     if supports is not None:
         supports = np.asarray(supports, dtype=np.int64)
@@ -270,90 +366,12 @@ def truss_decomposition(
             raise ValueError(
                 "given supports disagree with the graph's triangle counts"
             )
-    initial_support = support.copy()
-
-    # edge -> incident-triangle CSR: one stable argsort of the 3T slots
-    # (or, on the compiled tier, one stable counting-sort pass -- same
-    # inc_ptr/inc_triangles bit for bit)
-    from repro.core import kernel_backend
-
-    flat = tri_edges.reshape(-1)
-    fused_incidence = kernel_backend.fused("incidence_csr")
-    if fused_incidence is not None:
-        inc_ptr, inc_triangles = fused_incidence(flat, m)
-    else:
-        order = np.argsort(flat, kind="stable")
-        inc_triangles = order // 3  # slot index -> owning triangle id
-        inc_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
-    inc_degrees = inc_ptr[1:] - inc_ptr[:-1]
-
-    alive = np.ones(m, dtype=bool)
-    tri_alive = np.ones(num_triangles, dtype=bool)
-    trussness = np.zeros(m, dtype=np.int64)
-    rounds = 0
-    k = 2
-
-    # compiled tier: one call runs every peel round of level k -- frontier
-    # scan, triangle kill, support decrement -- as a single fused loop.
-    # Rounds, trussness and the surviving supports are identical to the
-    # numpy batch peeling below by contract; Python keeps the outer loop
-    # and the k-jump over empty levels.
-    fused_peel = kernel_backend.fused("truss_peel_level")
-    if fused_peel is not None:
-        flat_edges = tri_edges.reshape(-1)
-        while alive.any():
-            peeled, level_rounds = fused_peel(
-                k, alive, support, trussness, inc_ptr, inc_triangles,
-                flat_edges, tri_alive,
-            )
-            rounds += level_rounds
-            if peeled == 0:
-                # nothing peels at this level: jump to the next populated one
-                k = max(k + 1, 2 + int(support[alive].min()))
-                continue
-            k += 1
-        return TrussResult(
-            num_vertices=n,
-            edges=edges,
-            trussness=trussness,
-            support=initial_support,
-            rounds=rounds,
-            tri_edges=tri_edges if keep_triangles else None,
-        )
-
-    while alive.any():
-        frontier = np.nonzero(alive & (support <= k - 2))[0]
-        if frontier.shape[0] == 0:
-            # nothing peels at this level: jump to the next populated one
-            k = max(k + 1, 2 + int(support[alive].min()))
-            continue
-        while frontier.shape[0]:
-            rounds += 1
-            alive[frontier] = False
-            trussness[frontier] = k
-            # triangles incident to the peeled edges that are still alive
-            # die now -- exactly once each, even when two or three of their
-            # edges peel in the same batch
-            gathered, _ = kernels.segment_gather(
-                inc_triangles, inc_ptr[frontier], inc_degrees[frontier]
-            )
-            if gathered.shape[0]:
-                dead = np.unique(gathered[tri_alive[gathered]])
-                if dead.shape[0]:
-                    tri_alive[dead] = False
-                    targets = tri_edges[dead].reshape(-1)
-                    targets = targets[alive[targets]]
-                    if targets.shape[0]:
-                        np.subtract.at(support, targets, 1)
-            frontier = np.nonzero(alive & (support <= k - 2))[0]
-        k += 1
-
+    trussness, _, rounds, _ = _peel(tri_edges, support)
     return TrussResult(
         num_vertices=n,
         edges=edges,
         trussness=trussness,
-        support=initial_support,
+        support=support,
         rounds=rounds,
         tri_edges=tri_edges if keep_triangles else None,
     )

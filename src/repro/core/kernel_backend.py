@@ -118,9 +118,7 @@ def _self_check(registry: dict[str, Callable]) -> None:
     cases = {
         "sorted_membership": ((a, b), None),
         "merge_positions": ((a, b), None),
-        "intersect_sorted": ((a, b), None),
         "triangle_range": ((indptr, indices, 0, 4, True), None),
-        "count_cone_range": ((indptr, indices, 0, 4), None),
         "edge_intersections": ((indptr, indices, us, vs, True), None),
         "edge_common_neighbors": ((indptr, indices, us, vs), None),
         # MGT window [0, 2] over the block of vertices 0 and 1

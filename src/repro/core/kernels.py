@@ -20,9 +20,8 @@ shares one implementation:
   for a whole query batch;
 * :func:`segment_gather` -- gather many adjacency segments into one flat
   array with ``repeat``/``cumsum`` arithmetic (no per-segment loop);
-* :func:`merge_sorted` -- the galloping two-array merge (each array is
+* :func:`merge_positions` -- the galloping two-array merge (each array is
   placed by binary-searching the other, no element-wise loop);
-* :func:`intersect_sorted` -- sorted two-array intersection on top of it;
 * :func:`triangle_range` / :func:`count_cone_range` -- the full MGT
   counting identity ``Σ_{u ∈ [lo,hi)} Σ_{v ∈ N⁺(u)} |N⁺(u) ∩ N⁺(v)|``
   evaluated for a whole contiguous cone-vertex range per call;
@@ -64,8 +63,6 @@ __all__ = [
     "sorted_membership",
     "segment_gather",
     "merge_positions",
-    "merge_sorted",
-    "intersect_sorted",
     "iter_vertex_batches",
     "triangle_range",
     "count_cone_range",
@@ -237,27 +234,6 @@ def _merge_positions_numpy(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np
     return pos_a, pos_b
 
 
-def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Merge two sorted arrays into one sorted array (stable: ties keep ``a`` first)."""
-    pos_a, pos_b = merge_positions(a, b)
-    out = np.empty(a.shape[0] + b.shape[0], dtype=np.result_type(a, b))
-    out[pos_a] = a
-    out[pos_b] = b
-    return out
-
-
-def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elements of sorted array ``b`` that also occur in sorted array ``a``."""
-    impl = _impl("intersect_sorted")
-    if impl is not None:
-        return impl(a, b)
-    return _intersect_sorted_numpy(a, b)
-
-
-def _intersect_sorted_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return b[_sorted_membership_numpy(a, b)]
-
-
 def iter_vertex_batches(
     indptr: np.ndarray,
     lo: int,
@@ -363,22 +339,11 @@ def count_cone_range(
     :func:`iter_vertex_batches`.
     """
     hi = int(indptr.shape[0] - 1) if hi is None else hi
-    impl = _impl("count_cone_range")
+    impl = _impl("triangle_range")
     if impl is not None:
-        # the fused loop keeps no per-batch scratch, so it takes the whole
-        # range in one call; batch_entries only shapes the numpy fallback
-        return impl(indptr, indices, lo, hi)
-    return _count_cone_range_numpy(indptr, indices, lo, hi, batch_entries)
-
-
-def _count_cone_range_numpy(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    lo: int = 0,
-    hi: int | None = None,
-    batch_entries: int = DEFAULT_BATCH_ENTRIES,
-) -> int:
-    hi = int(indptr.shape[0] - 1) if hi is None else hi
+        # the compiled count keeps no per-batch scratch, so it takes the
+        # whole range in one call; batch_entries only shapes the numpy loop
+        return impl(indptr, indices, lo, hi)[0]
     total = 0
     for blo, bhi in iter_vertex_batches(indptr, lo, hi, batch_entries):
         count, _ = _triangle_range_numpy(indptr, indices, blo, bhi)
@@ -495,9 +460,7 @@ def _edge_common_neighbors_numpy(
 NUMPY_IMPLS = {
     "sorted_membership": _sorted_membership_numpy,
     "merge_positions": _merge_positions_numpy,
-    "intersect_sorted": _intersect_sorted_numpy,
     "triangle_range": _triangle_range_numpy,
-    "count_cone_range": _count_cone_range_numpy,
     "edge_intersections": _edge_intersections_numpy,
     "edge_common_neighbors": _edge_common_neighbors_numpy,
 }

@@ -11,7 +11,13 @@ Semantics are pinned to the numpy twins in
 :data:`repro.core.kernels.NUMPY_IMPLS`:
 
 * membership-style intersection counts each *query* element independently
-  (duplicate queries each count, duplicate haystack entries do not);
+  (duplicate queries each count, duplicate haystack entries do not) --
+  the counting walk ``pdtl_isect_count``;
+* every kernel that enumerates intersections (the listing paths of
+  ``triangle_range`` and both MGT scans, ``edge_common_neighbors`` and
+  ``triangle_edge_ids``) walks its two sorted lists with the one
+  galloping/merge walk ``PDTL_ISECT_WALK``, which hands each hit's
+  position in both lists to its caller;
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
   an entry in ``N⁺(v)`` order; ``mgt_window_scan`` walks the in-lists
@@ -46,10 +52,6 @@ int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
 void pdtl_merge_positions(const int64_t *a, int64_t na,
                           const int64_t *b, int64_t nb,
                           int64_t *pa, int64_t *pb);
-int64_t pdtl_intersect_sorted(const int64_t *a, int64_t na,
-                              const int64_t *b, int64_t nb, int64_t *out);
-int64_t pdtl_count_cone_range(const int64_t *indptr, const int64_t *indices,
-                              int64_t lo, int64_t hi);
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
                                int64_t lo, int64_t hi);
 int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices,
@@ -153,33 +155,36 @@ static int64_t pdtl_isect_count(const int64_t *a, int64_t na,
     return c;
 }
 
+/* The one enumerating walk of two sorted lists: run HIT for every ev[j]
+ * (j < d) that occurs in nu (length du), in ev order, with i its position
+ * in nu and j its position in ev.  A nu that dwarfs ev is binary-searched
+ * per element (galloping), otherwise the two lists are merged -- the hits
+ * and their order are the same either way. */
+#define PDTL_ISECT_WALK(nu, du, ev, d, HIT)                                  \
+    do {                                                                    \
+        if ((du) > 32 * (d)) {                                              \
+            for (int64_t j = 0; j < (d); j++) {                             \
+                int64_t i = pdtl_lower_bound((nu), (du), (ev)[j]);          \
+                if (i < (du) && (nu)[i] == (ev)[j]) { HIT; }                \
+            }                                                               \
+        } else {                                                            \
+            int64_t i = 0;                                                  \
+            for (int64_t j = 0; j < (d); j++) {                             \
+                while (i < (du) && (nu)[i] < (ev)[j]) i++;                  \
+                if (i >= (du)) break;                                       \
+                if ((nu)[i] == (ev)[j]) { HIT; }                            \
+            }                                                               \
+        }                                                                   \
+    } while (0)
+
 /* append (u, v, w) for every w of the sorted ev (length d) that occurs in
- * the sorted nu (length du), in ev order; returns the new hit count.  A
- * cone list that dwarfs ev is binary-searched per w (galloping), otherwise
- * the two lists are merged -- the emission order is the same either way. */
+ * the sorted nu (length du), in ev order; returns the new hit count */
 static int64_t pdtl_isect_emit(const int64_t *nu, int64_t du,
                                const int64_t *ev, int64_t d,
                                int64_t u, int64_t v, int64_t nhit,
                                int64_t *cones, int64_t *vs, int64_t *ws) {
-    if (du > 32 * d) {
-        for (int64_t j = 0; j < d; j++) {
-            int64_t w = ev[j];
-            int64_t pos = pdtl_lower_bound(nu, du, w);
-            if (pos < du && nu[pos] == w) {
-                cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++;
-            }
-        }
-    } else {
-        int64_t i = 0;
-        for (int64_t j = 0; j < d; j++) {
-            int64_t w = ev[j];
-            while (i < du && nu[i] < w) i++;
-            if (i >= du) break;
-            if (nu[i] == w) {
-                cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++;
-            }
-        }
-    }
+    PDTL_ISECT_WALK(nu, du, ev, d,
+                    cones[nhit] = u; vs[nhit] = v; ws[nhit] = ev[j]; nhit++);
     return nhit;
 }
 
@@ -204,32 +209,6 @@ void pdtl_merge_positions(const int64_t *a, int64_t na,
         if (j >= nb || (i < na && a[i] <= b[j])) { pa[i] = i + j; i++; }
         else { pb[j] = i + j; j++; }
     }
-}
-
-int64_t pdtl_intersect_sorted(const int64_t *a, int64_t na,
-                              const int64_t *b, int64_t nb, int64_t *out) {
-    int64_t n = 0, i = 0;
-    for (int64_t j = 0; j < nb; j++) {
-        while (i < na && a[i] < b[j]) i++;
-        if (i >= na) break;
-        if (a[i] == b[j]) out[n++] = b[j];
-    }
-    return n;
-}
-
-int64_t pdtl_count_cone_range(const int64_t *indptr, const int64_t *indices,
-                              int64_t lo, int64_t hi) {
-    int64_t total = 0;
-    for (int64_t u = lo; u < hi; u++) {
-        const int64_t *nu = indices + indptr[u];
-        int64_t du = indptr[u + 1] - indptr[u];
-        for (int64_t p = 0; p < du; p++) {
-            int64_t v = nu[p];
-            total += pdtl_isect_count(nu, du, indices + indptr[v],
-                                      indptr[v + 1] - indptr[v]);
-        }
-    }
-    return total;
 }
 
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
@@ -306,25 +285,7 @@ int64_t pdtl_edge_common_neighbors(const int64_t *indptr, const int64_t *indices
         int64_t du = indptr[us[e] + 1] - indptr[us[e]];
         const int64_t *nv = indices + indptr[vs[e]];
         int64_t dv = indptr[vs[e] + 1] - indptr[vs[e]];
-        if (du > 32 * dv) {
-            for (int64_t j = 0; j < dv; j++) {
-                int64_t w = nv[j];
-                int64_t pos = pdtl_lower_bound(nu, du, w);
-                if (pos < du && nu[pos] == w) {
-                    owners[nhit] = e; ws[nhit] = w; nhit++;
-                }
-            }
-        } else {
-            int64_t i = 0;
-            for (int64_t j = 0; j < dv; j++) {
-                int64_t w = nv[j];
-                while (i < du && nu[i] < w) i++;
-                if (i >= du) break;
-                if (nu[i] == w) {
-                    owners[nhit] = e; ws[nhit] = w; nhit++;
-                }
-            }
-        }
+        PDTL_ISECT_WALK(nu, du, nv, dv, owners[nhit] = e; ws[nhit] = nv[j]; nhit++);
     }
     return nhit;
 }
@@ -534,31 +495,11 @@ int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
             const int64_t *nv = indices + indptr[v];
             int64_t dv = indptr[v + 1] - indptr[v];
             int64_t uv = slot_to_id[indptr[u] + p];
-            if (du > 32 * dv) {
-                for (int64_t j = 0; j < dv; j++) {
-                    int64_t w = nv[j];
-                    int64_t pos = pdtl_lower_bound(nu, du, w);
-                    if (pos < du && nu[pos] == w) {
-                        out[3 * nhit] = uv;
-                        out[3 * nhit + 1] = slot_to_id[indptr[u] + pos];
-                        out[3 * nhit + 2] = slot_to_id[indptr[v] + j];
-                        nhit++;
-                    }
-                }
-            } else {
-                int64_t i = 0;
-                for (int64_t j = 0; j < dv; j++) {
-                    int64_t w = nv[j];
-                    while (i < du && nu[i] < w) i++;
-                    if (i >= du) break;
-                    if (nu[i] == w) {
-                        out[3 * nhit] = uv;
-                        out[3 * nhit + 1] = slot_to_id[indptr[u] + i];
-                        out[3 * nhit + 2] = slot_to_id[indptr[v] + j];
-                        nhit++;
-                    }
-                }
-            }
+            PDTL_ISECT_WALK(nu, du, nv, dv,
+                            out[3 * nhit] = uv;
+                            out[3 * nhit + 1] = slot_to_id[indptr[u] + i];
+                            out[3 * nhit + 2] = slot_to_id[indptr[v] + j];
+                            nhit++);
         }
     }
     return nhit;
@@ -698,17 +639,6 @@ def build_registry() -> dict[str, Callable]:
         )
         return pos_a, pos_b
 
-    def intersect_sorted(a, b):
-        from repro.core.kernels import NUMPY_IMPLS
-
-        if not integer_kinds(a, b):
-            return NUMPY_IMPLS["intersect_sorted"](a, b)
-        a = as_i64(a)
-        b = as_i64(b)
-        out = np.empty(b.shape[0], dtype=np.int64)
-        n = lib.pdtl_intersect_sorted(ptr(a), a.shape[0], ptr(b), b.shape[0], wptr(out))
-        return out[: int(n)]
-
     def triangle_range(indptr, indices, lo, hi, want_triples=False):
         indptr = as_i64(indptr)
         indices = as_i64(indices)
@@ -728,11 +658,6 @@ def build_registry() -> dict[str, Callable]:
             )
         )
         return cones[:nhit], vs[:nhit], ws[:nhit], int(ops[0])
-
-    def count_cone_range(indptr, indices, lo, hi):
-        indptr = as_i64(indptr)
-        indices = as_i64(indices)
-        return int(lib.pdtl_count_cone_range(ptr(indptr), ptr(indices), int(lo), int(hi)))
 
     def edge_intersections(indptr, indices, us, vs, per_edge=False):
         indptr = as_i64(indptr)
@@ -921,9 +846,7 @@ def build_registry() -> dict[str, Callable]:
     return {
         "sorted_membership": sorted_membership,
         "merge_positions": merge_positions,
-        "intersect_sorted": intersect_sorted,
         "triangle_range": triangle_range,
-        "count_cone_range": count_cone_range,
         "edge_intersections": edge_intersections,
         "edge_common_neighbors": edge_common_neighbors,
         "mgt_block_scan": mgt_block_scan,

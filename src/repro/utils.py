@@ -9,12 +9,10 @@ own entropy.
 
 from __future__ import annotations
 
-import math
 import re
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -23,9 +21,7 @@ __all__ = [
     "parse_size",
     "format_size",
     "format_seconds",
-    "parse_duration",
     "Timer",
-    "StopwatchRegistry",
     "chunk_ranges",
     "even_splits",
     "prefix_sums",
@@ -111,28 +107,6 @@ def format_seconds(seconds: float) -> str:
     return f"{secs:.1f}s"
 
 
-_DURATION_RE = re.compile(
-    r"^\s*(?:(?P<h>\d+)h)?(?:(?P<m>\d+)m)?(?:(?P<s>[0-9]*\.?[0-9]+)s?)?\s*$"
-)
-
-
-def parse_duration(text: str | float | int) -> float:
-    """Parse a duration like ``"2m44.2s"`` or ``"1h17m24.5s"`` into seconds.
-
-    Used by the experiment harness to embed the paper's reported values and
-    compare them against measured ones.
-    """
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return float(text)
-    match = _DURATION_RE.match(str(text))
-    if not match or not any(match.groupdict().values()):
-        raise ValueError(f"cannot parse duration {text!r}")
-    hours = int(match.group("h") or 0)
-    minutes = int(match.group("m") or 0)
-    seconds = float(match.group("s") or 0.0)
-    return hours * 3600.0 + minutes * 60.0 + seconds
-
-
 @dataclass
 class Timer:
     """A tiny wall-clock timer usable as a context manager.
@@ -162,40 +136,6 @@ class Timer:
 
     def __exit__(self, *exc: object) -> None:
         self.stop()
-
-
-@dataclass
-class StopwatchRegistry:
-    """Named accumulating timers, used for CPU / I/O time breakdowns.
-
-    The cluster metrics layer uses one registry per simulated node so that
-    figures 6-8 (CPU vs I/O breakdown) can be regenerated from a single run.
-    """
-
-    times: dict[str, float] = field(default_factory=dict)
-
-    @contextmanager
-    def track(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.times[name] = self.times.get(name, 0.0) + (
-                time.perf_counter() - start
-            )
-
-    def add(self, name: str, seconds: float) -> None:
-        self.times[name] = self.times.get(name, 0.0) + float(seconds)
-
-    def get(self, name: str) -> float:
-        return self.times.get(name, 0.0)
-
-    def merge(self, other: "StopwatchRegistry") -> None:
-        for name, value in other.times.items():
-            self.add(name, value)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.times)
 
 
 def chunk_ranges(total: int, chunks: int) -> list[tuple[int, int]]:
@@ -269,15 +209,3 @@ def ceil_div(a: int, b: int) -> int:
     if b <= 0:
         raise ValueError(f"divisor must be positive, got {b}")
     return -(-a // b)
-
-
-def is_power_of_two(x: int) -> bool:
-    """True when ``x`` is a positive power of two."""
-    return x > 0 and (x & (x - 1)) == 0
-
-
-def log2_int(x: int) -> int:
-    """Exact integer log2; raises if ``x`` is not a power of two."""
-    if not is_power_of_two(x):
-        raise ValueError(f"{x} is not a positive power of two")
-    return int(math.log2(x))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis.report import (
     format_seconds_cell,
     format_table,
@@ -13,7 +11,7 @@ from repro.analysis.report import (
 )
 from repro.cluster.metrics import ClusterMetrics
 from repro.externalmem.iostats import IOStats
-from repro.utils import format_seconds, parse_duration
+from repro.utils import format_seconds
 
 
 class TestSecondsCells:
@@ -26,9 +24,15 @@ class TestSecondsCells:
         assert format_seconds_cell(None) == "-"
         assert format_seconds_cell(float("inf")) == "F"
 
-    def test_roundtrip_with_parse_duration(self):
-        for value in (0.5, 59.9, 60.0, 3600.0, 4644.5):
-            assert parse_duration(format_seconds(value)) == pytest.approx(value, abs=0.05)
+    def test_format_seconds_at_unit_boundaries(self):
+        for value, text in (
+            (0.5, "0.5s"),
+            (59.9, "59.9s"),
+            (60.0, "1m00.0s"),
+            (3600.0, "1h00m00.0s"),
+            (4644.5, "1h17m24.5s"),
+        ):
+            assert format_seconds(value) == text
 
 
 class TestFormatTable:

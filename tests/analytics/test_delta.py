@@ -243,6 +243,19 @@ class TestDeltaOracle:
         assert prev.max_k == 12
         assert applied.replayed_levels < 12 - 2
 
+    def test_cold_replay_runs_the_whole_level_loop(self, graph):
+        # without a previous decomposition nothing takes over: the replay
+        # scans every level the from-scratch decomposition scans
+        from repro.analytics.truss import _peel
+
+        applied = GraphDelta(insertions=_absent_edges(graph, 4, seed=33)).apply(
+            graph, verify=True
+        )
+        oracle = truss_decomposition(applied.graph, keep_triangles=True)
+        _, _, rounds, levels = _peel(oracle.tri_edges, oracle.support)
+        assert applied.truss.rounds == oracle.rounds == rounds
+        assert applied.replayed_levels == levels > 0
+
 
 # -- kernel tiers ----------------------------------------------------------
 
@@ -261,17 +274,21 @@ class TestDeltaKernelTiers:
         assert active.replayed_levels == numpy_tier.replayed_levels
 
     @pytest.mark.skipif(not _COMPILED_OK, reason="no compiled kernel tier")
-    def test_compiled_tier_matches_numpy(self, graph, base):
-        delta = GraphDelta(
-            insertions=_absent_edges(graph, 5, seed=8),
-            deletions=_some_edges(graph, 5, seed=9),
-        )
+    @pytest.mark.parametrize("kind", ["insert", "delete", "mixed"])
+    def test_compiled_tier_matches_numpy(self, graph, base, kind):
+        insertions = _absent_edges(graph, 5, seed=8) if kind != "delete" else None
+        deletions = _some_edges(graph, 5, seed=9) if kind != "insert" else None
+        delta = GraphDelta(insertions=insertions, deletions=deletions)
         with kernel_backend.use(_COMPILED_TIER):
             compiled = delta.apply(graph, prev=base, verify=True)
         with kernel_backend.use("numpy"):
             numpy_tier = delta.apply(graph, prev=base, verify=True)
+        assert np.array_equal(compiled.truss.edges, numpy_tier.truss.edges)
         assert np.array_equal(compiled.truss.trussness, numpy_tier.truss.trussness)
         assert np.array_equal(compiled.truss.support, numpy_tier.truss.support)
+        assert compiled.truss.rounds == numpy_tier.truss.rounds
+        assert compiled.replayed_levels == numpy_tier.replayed_levels
+        assert compiled.touched_edges == numpy_tier.touched_edges
 
 
 # -- telemetry -------------------------------------------------------------
@@ -300,6 +317,27 @@ class TestDeltaTelemetry:
         assert telemetry.counters["delta.batches"] == 1
         assert telemetry.counters["delta.touched_edges"] == traced.touched_edges
         assert telemetry.counters["delta.replayed_levels"] == traced.replayed_levels
+
+    def test_fixpoint_batch_replays_no_levels(self):
+        # deleting one edge of K8 demotes every edge from 8 to 7 through
+        # the deletion fixpoint: its rounds are the decomposition's rounds,
+        # and no peel level is replayed
+        from repro.obs.export import RunTelemetry
+
+        graph = CSRGraph.from_edgelist(complete_graph(8))
+        prev = truss_decomposition(graph, keep_triangles=True)
+        telemetry = RunTelemetry(
+            backend="serial", scheduling="static", num_workers=1, procs_per_node=1
+        )
+        applied = GraphDelta(deletions=[(0, 1)]).apply(
+            graph, prev=prev, telemetry=telemetry, verify=True
+        )
+        assert (prev.max_k, applied.truss.max_k) == (8, 7)
+        assert applied.truss.rounds > 0
+        assert applied.replayed_levels == 0
+        assert telemetry.counters["delta.replayed_levels"] == 0
+        (span,) = [e for e in telemetry.events if e.name == "delta_replay"]
+        assert span.args_dict["replayed_levels"] == 0
 
     def test_counters_accumulate_across_batches(self, graph, base):
         from repro.obs.export import RunTelemetry

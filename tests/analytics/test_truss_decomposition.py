@@ -7,15 +7,26 @@ import pytest
 
 from repro.analytics.truss import (
     TrussResult,
+    _incidence,
+    _peel,
+    _peel_level_numpy,
+    _triple_edge_ids,
     canonical_edges,
     truss_decomposition,
     trussness_reference,
     truss_summary_rows,
     undirected_edge_supports,
 )
+from repro.core import kernel_backend, kernels
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import complete_graph, erdos_renyi, ring_graph
+
+_COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
+TIERS = (
+    "numpy",
+    pytest.param("cffi", marks=pytest.mark.skipif(not _COMPILED_OK, reason=_COMPILED_DETAIL)),
+)
 
 
 def graph_from_edges(edges, n):
@@ -171,6 +182,91 @@ class TestTrussDecomposition:
                 tuple(sorted(edge)) for edge in nx.k_truss(reference, k).edges()
             }
             assert ours == theirs, k
+
+
+def _k4_with_pendant():
+    """K4's four triangles over edges 0-5, plus a pendant triangle
+    ``(5, 6, 7)`` hung on edge 5: edges 6 and 7 are a 3-truss, the rest a
+    4-truss."""
+    tri = np.array(
+        [[0, 1, 3], [0, 2, 4], [1, 2, 5], [3, 4, 5], [5, 6, 7]], dtype=np.int64
+    )
+    return tri, np.bincount(tri.reshape(-1), minlength=8).astype(np.int64)
+
+
+class TestLevelLoop:
+    """The incidence builder and level loop shared by
+    :func:`truss_decomposition` and the delta replay."""
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_incidence_lists_each_edges_rows_in_order(self, tier):
+        tri, _ = _k4_with_pendant()
+        with kernel_backend.use(tier):
+            inc_ptr, inc_tri = _incidence(tri, 9)  # edge 8 is in no triangle
+        np.testing.assert_array_equal(inc_ptr, [0, 2, 4, 6, 8, 10, 13, 14, 15, 15])
+        np.testing.assert_array_equal(
+            inc_tri, [0, 1, 0, 2, 1, 2, 0, 3, 1, 3, 2, 3, 4, 4, 4]
+        )
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_incidence_of_empty_table(self, tier):
+        with kernel_backend.use(tier):
+            inc_ptr, inc_tri = _incidence(np.empty((0, 3), dtype=np.int64), 4)
+        np.testing.assert_array_equal(inc_ptr, np.zeros(5, dtype=np.int64))
+        assert inc_tri.shape == (0,)
+
+    def test_triple_edge_ids_are_canonical_positions(self):
+        graph = CSRGraph.from_edgelist(complete_graph(5))
+        edges = canonical_edges(graph)
+        keys = kernels.packed_keys(edges[:, 0], edges[:, 1], 5)
+        # vertex order within a triple does not matter
+        a = np.array([0, 4, 3], dtype=np.int64)
+        b = np.array([1, 2, 1], dtype=np.int64)
+        c = np.array([2, 0, 4], dtype=np.int64)
+        ids = _triple_edge_ids(keys, a, b, c, 5)
+        for row, (x, y, z) in zip(ids, zip(a, b, c)):
+            pairs = [sorted(p) for p in ((x, y), (x, z), (y, z))]
+            assert edges[row].tolist() == pairs
+
+    def test_numpy_level_runs_to_stability(self):
+        tri, support = _k4_with_pendant()
+        m = support.shape[0]
+        inc_ptr, inc_tri = _incidence(tri, m)
+        alive = np.ones(m, dtype=bool)
+        truss = np.zeros(m, dtype=np.int64)
+        tri_alive = np.ones(tri.shape[0], dtype=bool)
+        args = (alive, support, truss, inc_ptr, inc_tri, tri.reshape(-1), tri_alive)
+        # level 3: the pendant edges peel in one round and their triangle's
+        # death drops edge 5 to the K4's support, which then holds
+        assert _peel_level_numpy(3, *args) == (2, 1)
+        np.testing.assert_array_equal(support[:6], [2] * 6)
+        np.testing.assert_array_equal(truss, [0] * 6 + [3, 3])
+        np.testing.assert_array_equal(tri_alive, [True] * 4 + [False])
+        # level 4: the whole K4 peels at once
+        assert _peel_level_numpy(4, *args) == (6, 1)
+        np.testing.assert_array_equal(truss, [4] * 6 + [3, 3])
+        assert not alive.any() and not tri_alive.any()
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_peel_counts_rounds_and_levels(self, tier):
+        tri, support = _k4_with_pendant()
+        before = support.copy()
+        with kernel_backend.use(tier):
+            trussness, alive, rounds, levels = _peel(tri, support)
+        np.testing.assert_array_equal(trussness, [4] * 6 + [3, 3])
+        assert not alive.any()
+        # level 2 peels nothing and jumps to 3; levels 3 and 4 one round each
+        assert (rounds, levels) == (2, 3)
+        np.testing.assert_array_equal(support, before)
+
+    def test_peel_stops_when_settled(self):
+        tri, support = _k4_with_pendant()
+        trussness, alive, rounds, levels = _peel(
+            tri, support, settled=lambda k, alive: k == 4
+        )
+        np.testing.assert_array_equal(alive, [True] * 6 + [False, False])
+        np.testing.assert_array_equal(trussness, [0] * 6 + [3, 3])
+        assert (rounds, levels) == (1, 2)
 
 
 class TestTrussResultHelpers:

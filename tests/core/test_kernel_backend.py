@@ -220,7 +220,7 @@ class TestCompiledTier:
         assert kernel_backend.activate("cffi") == "cffi"
         expected = set(kernels.NUMPY_IMPLS) | set(_FUSED_KERNELS)
         assert set(kernels._ACTIVE_IMPLS) == expected
-        assert len(expected) == 13
+        assert len(expected) == 11
         for name in _FUSED_KERNELS:
             assert callable(kernel_backend.fused(name)), name
 

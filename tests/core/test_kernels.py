@@ -9,11 +9,18 @@ from repro.baselines.reference_impl import (
     count_cone_range_scalar,
     edge_intersections_scalar,
 )
-from repro.core import kernels
+from repro.core import kernel_backend, kernels
 from repro.core.orientation import orient_csr
 from repro.errors import PDTLError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_degree_graph, rmat
+
+
+_COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
+TIERS = (
+    "numpy",
+    pytest.param("cffi", marks=pytest.mark.skipif(not _COMPILED_OK, reason=_COMPILED_DETAIL)),
+)
 
 
 @pytest.fixture(scope="module")
@@ -112,35 +119,37 @@ class TestSegmentGather:
         assert owners.shape == (0,)
 
 
-class TestMergeIntersect:
-    def test_merge_matches_numpy_sort(self):
+class TestMergePositions:
+    def test_positions_place_a_sorted_merge(self):
         rng = np.random.default_rng(3)
         a = np.sort(rng.integers(0, 50, size=40))
         b = np.sort(rng.integers(0, 50, size=25))
+        pos_a, pos_b = kernels.merge_positions(a, b)
+        merged = np.empty(a.shape[0] + b.shape[0], dtype=np.int64)
+        merged[pos_a] = a
+        merged[pos_b] = b
+        np.testing.assert_array_equal(merged, np.sort(np.concatenate([a, b])))
+        # every output slot is claimed exactly once
         np.testing.assert_array_equal(
-            kernels.merge_sorted(a, b), np.sort(np.concatenate([a, b]), kind="stable")
+            np.sort(np.concatenate([pos_a, pos_b])), np.arange(merged.shape[0])
         )
 
-    def test_merge_is_stable_on_ties(self):
-        # with all-equal keys, a's elements must land before b's
+    def test_ties_place_a_first(self):
         a = np.zeros(3, dtype=np.int64)
         b = np.zeros(2, dtype=np.int64)
-        merged = kernels.merge_sorted(a, b)
-        assert merged.shape == (5,)
+        pos_a, pos_b = kernels.merge_positions(a, b)
+        np.testing.assert_array_equal(pos_a, [0, 1, 2])
+        np.testing.assert_array_equal(pos_b, [3, 4])
 
-    def test_merge_empty(self):
+    def test_empty_side(self):
         a = np.array([1, 3], dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
-        np.testing.assert_array_equal(kernels.merge_sorted(a, empty), a)
-        np.testing.assert_array_equal(kernels.merge_sorted(empty, a), a)
-
-    def test_intersect_matches_intersect1d(self):
-        rng = np.random.default_rng(4)
-        a = np.unique(rng.integers(0, 60, size=50))
-        b = np.unique(rng.integers(0, 60, size=50))
-        np.testing.assert_array_equal(
-            kernels.intersect_sorted(a, b), np.intersect1d(a, b)
-        )
+        pos_a, pos_b = kernels.merge_positions(a, empty)
+        np.testing.assert_array_equal(pos_a, [0, 1])
+        assert pos_b.shape == (0,)
+        pos_a, pos_b = kernels.merge_positions(empty, a)
+        assert pos_a.shape == (0,)
+        np.testing.assert_array_equal(pos_b, [0, 1])
 
 
 class TestVertexBatches:
@@ -209,6 +218,21 @@ class TestTriangleRange:
     def test_empty_range(self, oriented):
         count, ops = kernels.triangle_range(oriented.indptr, oriented.indices, 0, 0)
         assert count == 0 and ops == 0
+
+
+class TestCountConeRange:
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_subranges_match_scalar_reference(self, oriented, tier):
+        # the C tier counts a range with one triangle_range call, the numpy
+        # tier in adjacency-bounded batches
+        n = oriented.num_vertices
+        with kernel_backend.use(tier):
+            for lo, hi in ((0, n // 3), (n // 3, n // 2), (n // 2, n), (n, n)):
+                got = kernels.count_cone_range(
+                    oriented.indptr, oriented.indices, lo, hi, batch_entries=64
+                )
+                want = count_cone_range_scalar(oriented.indptr, oriented.indices, lo, hi)
+                assert got == want, (lo, hi)
 
 
 class TestEdgeIntersections:

@@ -9,12 +9,12 @@ registry that builds but disagrees with numpy fails here rather than
 skipping, even though the tier probe refuses it.
 
 The fused entry points (``mgt_block_scan``, ``mgt_window_scan``,
-``edge_support_accumulate``, ``truss_peel_level``, ``triangle_edge_ids``,
-``incidence_csr``) have no
-single numpy twin -- they replace multi-pass
-caller chains -- so they are checked against in-test references built from
-the numpy primitives, and end-to-end by installing the registry and
-comparing whole decompositions.
+``edge_support_accumulate``, ``triangle_edge_ids``, ``incidence_csr``)
+have no single numpy twin -- they replace multi-pass caller chains -- so
+they are checked against in-test references built from the numpy
+primitives, and end-to-end by installing the registry and comparing whole
+decompositions.  ``truss_peel_level`` is checked level by level against
+its numpy twin in :mod:`repro.analytics.truss`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analytics.truss import truss_decomposition
+from repro.analytics.truss import _peel_level_numpy, truss_decomposition
 from repro.core import kernels, kernels_cffi
 from repro.core.orientation import orient_csr
 from repro.graph.csr import CSRGraph
@@ -162,15 +162,6 @@ def test_merge_positions_matches_numpy(registry, a, b):
 
 
 @REGISTRY_PARAMS
-@given(a=_sorted_arrays(), b=_sorted_arrays())
-@settings(**SETTINGS)
-def test_intersect_sorted_matches_numpy(registry, a, b):
-    want = kernels.NUMPY_IMPLS["intersect_sorted"](a, b)
-    got = registry["intersect_sorted"](a, b)
-    np.testing.assert_array_equal(got, want)
-
-
-@REGISTRY_PARAMS
 @given(graph=random_graphs(), data=st.data())
 @settings(**SETTINGS)
 def test_triangle_range_matches_numpy(registry, graph, data):
@@ -196,13 +187,14 @@ def test_triangle_range_matches_numpy(registry, graph, data):
 @REGISTRY_PARAMS
 @given(graph=random_graphs())
 @settings(**SETTINGS)
-def test_count_cone_range_matches_numpy(registry, graph):
+def test_count_cone_range_same_on_both_tiers(registry, graph):
+    # the C tier answers with triangle_range's count in one call, the
+    # numpy tier with its batched loop
     oriented = orient_csr(graph)
-    n = oriented.num_vertices
-    want = kernels.NUMPY_IMPLS["count_cone_range"](
-        oriented.indptr, oriented.indices, 0, n, kernels.DEFAULT_BATCH_ENTRIES
-    )
-    got = registry["count_cone_range"](oriented.indptr, oriented.indices, 0, n)
+    with installed({}):
+        want = kernels.count_cone_range(oriented.indptr, oriented.indices, batch_entries=7)
+    with installed(registry):
+        got = kernels.count_cone_range(oriented.indptr, oriented.indices, batch_entries=7)
     assert got == want
 
 
@@ -444,15 +436,18 @@ def test_edge_support_accumulate_rolls_back_on_bad_pair(registry, graph):
 
 
 @REGISTRY_PARAMS
-@given(graph=random_graphs())
+@given(oriented=st.one_of(random_graphs().map(orient_csr), cone_dags()))
 @settings(**SETTINGS)
-def test_triangle_edge_ids_matches_searchsorted(registry, graph):
-    from repro.analytics.truss import canonical_edges
-
-    oriented = orient_csr(graph)
-    n = graph.num_vertices
-    edges = canonical_edges(graph)
-    keys = kernels.packed_keys(edges[:, 0], edges[:, 1], n)
+def test_triangle_edge_ids_matches_searchsorted(registry, oriented):
+    # cone DAGs make the walk gallop, where the kernel reads the hit's
+    # position in N(u) from the binary search
+    n = oriented.num_vertices
+    sources = oriented.edge_sources()
+    keys = np.sort(
+        kernels.packed_keys(
+            np.minimum(sources, oriented.indices), np.maximum(sources, oriented.indices), n
+        )
+    )
     cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
         oriented.indptr, oriented.indices, 0, n, True
     )
@@ -504,3 +499,56 @@ def test_truss_decomposition_identical_under_registry(registry, graph):
     np.testing.assert_array_equal(got.support, want.support)
     assert got.rounds == want.rounds
     assert got.max_k == want.max_k
+
+
+@st.composite
+def peel_states(draw):
+    """A random ``(T, 3)`` triangle table over ``m`` edges (three distinct
+    ids per row, not necessarily a real graph's) with random supports, or
+    with the table's own supports."""
+    m = draw(st.integers(min_value=0, max_value=30))
+    num_tri = draw(st.integers(min_value=0, max_value=60)) if m >= 3 else 0
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    tri = np.array(
+        [rng.choice(m, size=3, replace=False) for _ in range(num_tri)], dtype=np.int64
+    ).reshape(num_tri, 3)
+    if draw(st.booleans()):
+        support = np.bincount(tri.reshape(-1), minlength=m).astype(np.int64)
+    else:
+        support = rng.integers(0, 8, size=m).astype(np.int64)
+    return tri, support
+
+
+@REGISTRY_PARAMS
+@given(state=peel_states())
+@settings(**SETTINGS)
+def test_truss_peel_level_matches_numpy_twin_level_by_level(registry, state):
+    tri, support = state
+    m = support.shape[0]
+    flat = tri.reshape(-1)
+    inc_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=m), out=inc_ptr[1:])
+    inc_tri = np.argsort(flat, kind="stable") // 3
+
+    def fresh():
+        return [
+            np.ones(m, dtype=bool),
+            support.copy(),
+            np.zeros(m, dtype=np.int64),
+            np.ones(tri.shape[0], dtype=bool),
+        ]
+
+    c_state, np_state = fresh(), fresh()
+    k = 2
+    while np_state[0].any():
+        alive, sup, truss, tri_alive = c_state
+        got = registry["truss_peel_level"](
+            k, alive, sup, truss, inc_ptr, inc_tri, flat, tri_alive
+        )
+        alive, sup, truss, tri_alive = np_state
+        want = _peel_level_numpy(k, alive, sup, truss, inc_ptr, inc_tri, flat, tri_alive)
+        assert got == want, k
+        for g, w in zip(c_state, np_state):
+            np.testing.assert_array_equal(g, w)
+        k = k + 1 if want[0] else max(k + 1, 2 + int(sup[alive].min()))
+    assert not c_state[0].any()

@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    StopwatchRegistry,
     Timer,
     ceil_div,
     chunk_ranges,
     even_splits,
     format_seconds,
     format_size,
-    is_power_of_two,
-    log2_int,
-    parse_duration,
     parse_size,
     prefix_sums,
 )
@@ -50,23 +46,6 @@ class TestParseSize:
 
 
 class TestDurations:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("3.6s", 3.6),
-            ("2m44.2s", 164.2),
-            ("1h17m24.5s", 4644.5),
-            ("45m", 2700.0),
-            (12.0, 12.0),
-        ],
-    )
-    def test_parse(self, text, expected):
-        assert parse_duration(text) == pytest.approx(expected)
-
-    def test_parse_invalid(self):
-        with pytest.raises(ValueError):
-            parse_duration("not a duration")
-
     def test_format(self):
         assert format_seconds(164.2) == "2m44.2s"
         assert format_seconds(4644.5) == "1h17m24.5s"
@@ -92,19 +71,6 @@ class TestTimers:
     def test_stop_without_start(self):
         with pytest.raises(RuntimeError):
             Timer().stop()
-
-    def test_stopwatch_registry(self):
-        reg = StopwatchRegistry()
-        with reg.track("io"):
-            pass
-        reg.add("cpu", 2.0)
-        assert reg.get("io") >= 0.0
-        assert reg.get("cpu") == 2.0
-        assert reg.get("missing") == 0.0
-        other = StopwatchRegistry()
-        other.add("cpu", 1.0)
-        reg.merge(other)
-        assert reg.as_dict()["cpu"] == 3.0
 
 
 class TestChunking:
@@ -154,14 +120,3 @@ class TestIntegerHelpers:
         assert ceil_div(0, 5) == 0
         with pytest.raises(ValueError):
             ceil_div(1, 0)
-
-    def test_power_of_two(self):
-        assert is_power_of_two(1)
-        assert is_power_of_two(64)
-        assert not is_power_of_two(0)
-        assert not is_power_of_two(12)
-
-    def test_log2_int(self):
-        assert log2_int(32) == 5
-        with pytest.raises(ValueError):
-            log2_int(12)

@@ -29,11 +29,17 @@ __all__ = [
 
 def format_seconds_cell(value: float | None) -> str:
     """Format a duration cell the way the paper does (``2m44.2s``), with ``-``
-    for missing values and ``F`` for failures (out-of-memory)."""
+    for missing values and ``F`` for failures (out-of-memory).
+
+    A duration that would round to ``0.0s`` at the paper's 0.1 s resolution
+    prints in milliseconds instead (``42.3ms``).
+    """
     if value is None:
         return "-"
     if value == float("inf"):
         return "F"
+    if abs(value) < 0.09995:
+        return f"{value * 1000:.1f}ms"
     return format_seconds(value)
 
 

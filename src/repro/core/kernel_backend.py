@@ -18,7 +18,8 @@ with its numpy twin.  Any build failure, crash or disagreement refuses the
 whole tier, so a process runs either every kernel in C or every kernel in
 numpy.  Dispatch happens inside :mod:`repro.core.kernels` (primitives) and
 via :func:`fused` (the multi-pass entry points of the MGT worker, the
-edge-support sink and the truss peeler).
+edge-support sink and the truss peeler, and the master's orientation
+filter, shared-memory transpose and format check).
 
 Both tiers are bit-identical by contract: triangle counts, listing order,
 edge supports, IOStats and modelled operation counts do not change with
@@ -103,7 +104,9 @@ def _self_check(registry: dict[str, Callable]) -> None:
     The graph is the oriented triangle-plus-tail 0->{1,2}, 1->2, 3->{} --
     small, but every branch (hits, misses, empty lists) runs.  Primitives
     are compared with their numpy twins; the fused kernels with the
-    one-triangle answer their numpy caller chains produce.
+    one-triangle answer their numpy caller chains produce, and the
+    preprocessing kernels with the graph's orientation, transpose and
+    format check.
     """
 
     def i64(*values: int) -> np.ndarray:
@@ -141,6 +144,21 @@ def _self_check(registry: dict[str, Callable]) -> None:
         ),
         "triangle_edge_ids": ((indptr, indices, keys, i64(0, 2, 3, 3, 3), 4, 0, 4), [tri]),
         "incidence_csr": ((tri, 3), (i64(0, 1, 2, 3), i64(0, 0, 0))),
+        # orient the undirected graph 0-1, 0-2, 1-2 plus the isolated 3
+        # (degree keys 2|0, 2|1, 2|2, 0|3) into the graph above
+        "orient_range": (
+            (i64(1, 2, 0, 2, 0, 1), (i64(2, 2, 2, 0) << 32) | i64(0, 1, 2, 3),
+             i64(0, 2, 4, 6, 6), 0, 4),
+            (i64(2, 1, 0, 0), indices),
+        ),
+        # the graph's packed keys and its in-lists 1 <- {0}, 2 <- {0, 1}
+        "in_lists": (
+            (indptr, indices, np.empty(3, np.int64), np.empty(5, np.int64),
+             np.empty(3, np.int64)),
+            (keys, i64(0, 0, 1, 3, 3), i64(0, 0, 1)),
+        ),
+        # 0 -> [1, 1] repeats, 2 -> [3, 0] decreases, nobody loops
+        "csr_violations": ((i64(0, 2, 4, 6, 6), i64(1, 1, 0, 3, 3, 0)), (2, -1, 0)),
     }
     for name, (args, want) in cases.items():
         got = registry[name](*args)

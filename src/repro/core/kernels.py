@@ -123,6 +123,14 @@ def packed_keys(
     around int64 and the "monotone, therefore sorted" guarantee every caller
     builds on is gone.
     """
+    _require_packable(num_vertices)
+    return np.asarray(sources, dtype=np.int64) * np.int64(num_vertices) + np.asarray(
+        destinations, dtype=np.int64
+    )
+
+
+def _require_packable(num_vertices: int) -> None:
+    """The check of :func:`packed_keys`, shared with the C tier's packers."""
     if num_vertices > MAX_PACKABLE_VERTICES:
         raise PDTLError(
             f"cannot pack (source, destination) pairs for num_vertices="
@@ -131,9 +139,6 @@ def packed_keys(
             f"(num_vertices**2 - 1 must stay <= 2**63 - 1), and wrapped keys "
             f"would break the sorted-key membership tests"
         )
-    return np.asarray(sources, dtype=np.int64) * np.int64(num_vertices) + np.asarray(
-        destinations, dtype=np.int64
-    )
 
 
 def csr_packed_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:

@@ -27,7 +27,13 @@ Semantics are pinned to the numpy twins in
   modelled CPU seconds are identical under either tier;
 * ``edge_support_accumulate`` rolls back every applied increment before
   reporting a bad pair, matching the numpy sink's check-before-mutate
-  contract.
+  contract;
+* the master's preprocessing kernels match the numpy code they replace:
+  ``orient_range`` keeps the entries the orientation's numpy filter keeps,
+  in storage order, and reports an id outside the graph before reading at
+  it; ``in_lists`` builds the published in-lists and packed keys byte for
+  byte; ``csr_violations`` finds the first vertex of each format
+  violation, so ``write_graph`` raises the numpy checks' error.
 
 C calls release the GIL (cffi does so around every call), so the threads
 execution backend runs the kernels of concurrent chunks in parallel.
@@ -43,6 +49,9 @@ import tempfile
 from typing import Callable
 
 import numpy as np
+
+from repro.core import kernels
+from repro.errors import GraphFormatError
 
 _MODULE_NAME = "_pdtl_kernels_cffi"
 
@@ -97,6 +106,13 @@ int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
                                int64_t *slot_to_id, int64_t *out);
 void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
                         int64_t *inc_ptr, int64_t *inc_tri, int64_t *cursor);
+int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
+                          const int64_t *offsets, int64_t lo, int64_t hi,
+                          int64_t *out_degrees, int64_t *kept);
+int64_t pdtl_in_lists(const int64_t *offsets, const int64_t *adj, int64_t n,
+                      int64_t *key, int64_t *in_offsets, int64_t *in_sources);
+void pdtl_csr_violations(const int64_t *indptr, const int64_t *indices, int64_t n,
+                         int64_t *out);
 """
 
 _C_SOURCE = r"""
@@ -521,6 +537,93 @@ void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
         inc_tri[cursor[e]++] = s / 3;
     }
 }
+
+/* the orientation filter of the vertex chunk [lo, hi): keep each entry
+ * (u, v) with keys[u] < keys[v], in storage order, and count the kept
+ * entries of every vertex.  adj holds the chunk's entries only (its first
+ * is entry offsets[lo]).  The keep is branch-free: every entry is written
+ * and the cursor advances by the comparison.  Returns the kept count, or
+ * -1 - u for the first vertex u listing an id outside [0, n), before keys
+ * is read at that id. */
+int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
+                          const int64_t *offsets, int64_t lo, int64_t hi,
+                          int64_t *out_degrees, int64_t *kept) {
+    int64_t nk = 0, p = 0;
+    for (int64_t u = lo; u < hi; u++) {
+        const int64_t ku = keys[u], first = nk, end = offsets[u + 1] - offsets[lo];
+        for (; p < end; p++) {
+            int64_t v = adj[p];
+            if ((uint64_t)v >= (uint64_t)n) return -1 - u;
+            kept[nk] = v;
+            nk += ku < keys[v];
+        }
+        out_degrees[u - lo] = nk - first;
+    }
+    return nk;
+}
+
+/* the transpose of a CSR graph by a stable counting sort, plus its packed
+ * (source, destination) keys key[p] = u * n + adj[p], filled by the
+ * counting pass.  in_offsets (n + 1) and in_sources list every target's
+ * sources ascending.  The scatter walks the entries backwards and fills
+ * each target's slots from the end, so in_offsets[v] moves from the end of
+ * v's slots to their start and no cursor array is needed.  Returns 0, or
+ * 1 + p for the first entry p holding an id outside [0, n) (nothing is
+ * scattered then). */
+int64_t pdtl_in_lists(const int64_t *offsets, const int64_t *adj, int64_t n,
+                      int64_t *key, int64_t *in_offsets, int64_t *in_sources) {
+    const int64_t m = offsets[n];
+    int64_t p = 0;
+    for (int64_t v = 0; v <= n; v++) in_offsets[v] = 0;
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t end = offsets[u + 1], row = u * n;
+        for (; p < end; p++) {
+            int64_t v = adj[p];
+            if ((uint64_t)v >= (uint64_t)n) return 1 + p;
+            key[p] = row + v;
+            in_offsets[v]++;
+        }
+    }
+    for (int64_t v = 1; v < n; v++) in_offsets[v] += in_offsets[v - 1];
+    in_offsets[n] = m;
+    p = m - 1;
+    for (int64_t u = n - 1; u >= 0; u--) {
+        const int64_t start = offsets[u];
+        for (; p >= start; p--) in_sources[--in_offsets[adj[p]]] = u;
+    }
+    return 0;
+}
+
+/* the format checks of a CSR graph in one pass: out[0] is the first vertex
+ * whose list decreases, out[1] the first with a self loop and out[2] the
+ * first with two equal adjacent entries, -1 where there is none.  The
+ * checks of one list are branch-free; the walk stops at the first
+ * unsorted list, whose error outranks the other two. */
+void pdtl_csr_violations(const int64_t *indptr, const int64_t *indices, int64_t n,
+                         int64_t *out) {
+    int64_t unsorted = -1, loop = -1, repeat = -1, p = 0;
+    for (int64_t u = 0; u < n; u++) {
+        const int64_t end = indptr[u + 1];
+        int64_t decreases = 0, loops = 0, repeats = 0;
+        if (p < end) {
+            int64_t prev = indices[p++];
+            loops = prev == u;
+            for (; p < end; p++) {
+                int64_t x = indices[p];
+                loops |= x == u;
+                decreases |= x < prev;
+                repeats |= x == prev;
+                prev = x;
+            }
+        }
+        if (loops && loop < 0) loop = u;
+        if (repeats && repeat < 0) repeat = u;
+        if (decreases) { unsorted = u; break; }
+    }
+    out[0] = unsorted;
+    out[1] = loop;
+    out[2] = repeat;
+}
 """
 
 _loaded: tuple | None = None
@@ -612,10 +715,8 @@ def build_registry() -> dict[str, Callable]:
         return all(np.asarray(a).dtype.kind in "iu" for a in arrays)
 
     def sorted_membership(haystack, queries):
-        from repro.core.kernels import NUMPY_IMPLS
-
         if not integer_kinds(haystack, queries):
-            return NUMPY_IMPLS["sorted_membership"](haystack, queries)
+            return kernels.NUMPY_IMPLS["sorted_membership"](haystack, queries)
         haystack = as_i64(haystack)
         queries = as_i64(queries)
         out = np.zeros(queries.shape[0], dtype=bool)
@@ -626,10 +727,8 @@ def build_registry() -> dict[str, Callable]:
         return out
 
     def merge_positions(a, b):
-        from repro.core.kernels import NUMPY_IMPLS
-
         if not integer_kinds(a, b):
-            return NUMPY_IMPLS["merge_positions"](a, b)
+            return kernels.NUMPY_IMPLS["merge_positions"](a, b)
         a = as_i64(a)
         b = as_i64(b)
         pos_a = np.empty(a.shape[0], dtype=np.int64)
@@ -843,6 +942,78 @@ def build_registry() -> dict[str, Callable]:
             )
         return inc_ptr, inc_tri
 
+    def monotone_offsets(offsets: np.ndarray, count: int) -> bool:
+        return (
+            offsets.shape[0] >= 1
+            and offsets[0] == 0
+            and offsets[-1] == count
+            and not (np.diff(offsets) < 0).any()
+        )
+
+    def orient_range(adjacency, keys, offsets, lo, hi):
+        adjacency = as_i64(adjacency)
+        keys = as_i64(keys)
+        offsets = as_i64(offsets)
+        lo = int(lo)
+        hi = int(hi)
+        n = keys.shape[0]
+        # C walks offsets[lo..hi] and the chunk's entries unchecked
+        if not (
+            0 <= lo <= hi <= n
+            and offsets.shape[0] == n + 1
+            and not (np.diff(offsets[lo : hi + 1]) < 0).any()
+            and offsets[hi] - offsets[lo] == adjacency.shape[0]
+        ):
+            raise ValueError("chunk [lo, hi) does not fit the offsets and adjacency")
+        out_degrees = np.empty(hi - lo, dtype=np.int64)
+        kept = np.empty(adjacency.shape[0], dtype=np.int64)
+        nkept = int(
+            lib.pdtl_orient_range(
+                ptr(adjacency), ptr(keys), n, ptr(offsets), lo, hi,
+                wptr(out_degrees), wptr(kept),
+            )
+        )
+        if nkept < 0:
+            # an id outside the graph: raise the numpy filter's error
+            from repro.core.orientation import _out_of_range
+
+            raise _out_of_range(adjacency, offsets, lo, n) or RuntimeError(
+                f"orient_range flagged vertex {-1 - nkept}, but every id lies in [0, {n})"
+            )
+        return out_degrees, kept[:nkept]
+
+    def in_lists(offsets, adjacency, key, in_offsets, in_sources):
+        offsets = as_i64(offsets)
+        adjacency = as_i64(adjacency)
+        n = offsets.shape[0] - 1
+        m = adjacency.shape[0]
+        for out, size in ((key, m), (in_offsets, n + 1), (in_sources, m)):
+            if out.dtype != np.int64 or not out.flags.c_contiguous or out.shape != (size,):
+                raise TypeError("outputs must be contiguous int64 arrays of the graph's sizes")
+        if not monotone_offsets(offsets, m):
+            raise ValueError("offsets must rise from 0 to the adjacency length")
+        kernels._require_packable(n)
+        bad = int(
+            lib.pdtl_in_lists(
+                ptr(offsets), ptr(adjacency), n, wptr(key), wptr(in_offsets), wptr(in_sources)
+            )
+        )
+        if bad:
+            raise GraphFormatError(
+                f"adjacency entry {bad - 1} holds id {int(adjacency[bad - 1])} "
+                f"outside [0, {n})"
+            )
+        return key, in_offsets, in_sources
+
+    def csr_violations(indptr, indices):
+        indptr = as_i64(indptr)
+        indices = as_i64(indices)
+        if not monotone_offsets(indptr, indices.shape[0]):
+            raise ValueError("indptr must rise from 0 to the number of indices")
+        out = np.empty(3, dtype=np.int64)
+        lib.pdtl_csr_violations(ptr(indptr), ptr(indices), indptr.shape[0] - 1, wptr(out))
+        return int(out[0]), int(out[1]), int(out[2])
+
     return {
         "sorted_membership": sorted_membership,
         "merge_positions": merge_positions,
@@ -855,4 +1026,7 @@ def build_registry() -> dict[str, Callable]:
         "truss_peel_level": truss_peel_level,
         "triangle_edge_ids": triangle_edge_ids,
         "incidence_csr": incidence_csr,
+        "orient_range": orient_range,
+        "in_lists": in_lists,
+        "csr_violations": csr_violations,
     }

@@ -30,6 +30,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.executor import ExecutionBackend, run_task_queue
 from repro.cluster.metrics import ClusterMetrics
+from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
 from repro.core.load_balance import EdgeRange, split_edges
 from repro.core.mgt import MGTResult
@@ -329,6 +330,9 @@ class PDTLRunner:
     ) -> PDTLResult:
         config = self.config
         dynamic = config.scheduling == "dynamic"
+        # the master's preprocessing kernels run on the configured tier, as
+        # the workers' scans do
+        kernel_backend.ensure(config.kernel_backend)
 
         # Observability: a live tracer (master track) only when configured;
         # everything below feeds spans/phase deltas through it, and the

@@ -7,12 +7,13 @@ bounded multicore scaling long before the CPUs did.  This module publishes
 the oriented graph **once** into named :mod:`multiprocessing.shared_memory`
 segments so workers slice memory windows zero-copy:
 
-* :func:`publish_graph` copies the degree array, the adjacency array and
+* :func:`publish_graph` writes the degree array, the adjacency array and
   the precomputed vertex offsets of an on-disk oriented graph, plus its
-  packed edge keys and its in-neighbour lists, into named segments and
-  returns a :class:`SharedGraphPublication` whose small
-  :class:`SharedGraphDescriptor` (segment names + dtypes + shapes) is all
-  that ever crosses a process boundary;
+  packed edge keys and its in-neighbour lists, straight into named
+  segments (the C tier's ``in_lists`` builds the last two in one
+  counting-sort pass) and returns a :class:`SharedGraphPublication` whose
+  small :class:`SharedGraphDescriptor` (segment names + dtypes + shapes)
+  is all that ever crosses a process boundary;
 * :class:`SharedGraphView` reconstructs zero-copy, read-only numpy views
   from a descriptor inside a worker and exposes the exact read API
   :class:`~repro.core.mgt.MGTWorker` needs
@@ -53,12 +54,13 @@ from __future__ import annotations
 
 import os
 import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import kernels
-from repro.errors import PDTLError
+from repro.core import kernel_backend, kernels
+from repro.errors import GraphFormatError, PDTLError
 from repro.externalmem.blockio import DiskModel
 from repro.graph.binfmt import GraphFile
 from repro.utils import prefix_sums
@@ -271,12 +273,40 @@ class SharedGraphPublication:
             pass
 
 
-def _read_file_raw(graph: GraphFile, file_name: str, num_items: int) -> np.ndarray:
-    """Read a graph file directly from the host path, below the accounting."""
-    path = graph.device.path(file_name)
-    if num_items == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.fromfile(path, dtype=np.int64, count=num_items)
+def _read_into(graph: GraphFile, file_name: str, out: np.ndarray) -> None:
+    """Fill ``out`` from the start of a graph file, straight from the host
+    path and below the accounting."""
+    view = memoryview(out).cast("B")
+    with open(graph.device.path(file_name), "rb", buffering=0) as handle:
+        filled = 0
+        while filled < len(view):
+            got = handle.readinto(view[filled:])
+            if not got:
+                raise GraphFormatError(
+                    f"{file_name} holds {filled} bytes, its graph's metadata says "
+                    f"{len(view)}"
+                )
+            filled += got
+
+
+def _in_lists_numpy(
+    offsets: np.ndarray,
+    adjacency: np.ndarray,
+    key: np.ndarray,
+    in_offsets: np.ndarray,
+    in_sources: np.ndarray,
+) -> None:
+    """The numpy twin of the C tier's ``in_lists``: fill the packed keys and
+    the in-neighbour lists of the graph ``(offsets, adjacency)``."""
+    n = offsets.shape[0] - 1
+    sources = kernels.window_sources(offsets, 0, n)
+    # in-lists: sorting the unique packed (target, source) keys orders the
+    # entries by target, sources ascending -- one sort, no stable argsort
+    in_keys = kernels.packed_keys(adjacency, sources, n)
+    in_keys.sort()
+    key[:] = kernels.packed_keys(sources, adjacency, n)
+    in_offsets[:] = prefix_sums(np.bincount(adjacency, minlength=n))
+    in_sources[:] = in_keys % n
 
 
 def publish_graph(graph: GraphFile) -> SharedGraphPublication:
@@ -285,10 +315,12 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     One copy per host: the degree array, the adjacency array, the derived
     vertex-offset array, the sorted packed edge keys and the in-neighbour
     lists (see :class:`SharedGraphDescriptor`) each get a segment named
-    after a fresh publication token.  The files are read raw
-    (``np.fromfile`` on the device paths), so no I/O counter anywhere moves
-    -- publication is a host-side optimisation, invisible to the
-    simulation.
+    after a fresh publication token.  Every array is written straight into
+    its segment: the files are read into theirs raw (below the accounting,
+    so no I/O counter anywhere moves -- publication is a host-side
+    optimisation, invisible to the simulation), and the keys and in-lists
+    come from one pass of the C tier's ``in_lists`` counting sort, or from
+    its numpy twin.
     """
     available, reason = shm_available()
     if not available:
@@ -296,47 +328,40 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     from multiprocessing import shared_memory
 
     token = _new_token()
-    n = graph.num_vertices
-    degrees = _read_file_raw(graph, graph.degree_file_name, n)
-    adjacency = _read_file_raw(graph, graph.adjacency_file_name, graph.num_edges)
-    offsets = prefix_sums(degrees)
-    sources = kernels.window_sources(offsets, 0, n)
-    # in-lists: sorting the unique packed (target, source) keys orders the
-    # entries by target, sources ascending -- one sort, no stable argsort
-    in_keys = kernels.packed_keys(adjacency, sources, n)
-    in_keys.sort()
-    arrays = {
-        "deg": degrees,
-        "adj": adjacency,
-        "off": offsets,
-        "key": kernels.packed_keys(sources, adjacency, n),
-        "ino": prefix_sums(np.bincount(adjacency, minlength=n)),
-        "ins": in_keys % n,
-    }
-    segments = []
+    n, m = graph.num_vertices, graph.num_edges
+    segments: list = []
     specs: dict[str, SharedArraySpec] = {}
+    views: dict[str, np.ndarray] = {}
     try:
-        for suffix, array in arrays.items():
+        for suffix, count in (
+            ("deg", n), ("adj", m), ("off", n + 1), ("key", m), ("ino", n + 1), ("ins", m)
+        ):
             name = f"{token}-{suffix}"
             # POSIX segments must be non-empty; over-allocate one byte for
             # empty arrays and let the spec's shape carry the truth
-            shm = shared_memory.SharedMemory(
-                name=name, create=True, size=max(array.nbytes, 1)
-            )
+            shm = shared_memory.SharedMemory(name=name, create=True, size=max(count * 8, 1))
             segments.append(shm)
-            if array.size:
-                np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)[:] = array
-            specs[suffix] = SharedArraySpec(
-                name=name, dtype=str(array.dtype), shape=tuple(array.shape)
-            )
-    except BaseException:
+            views[suffix] = np.ndarray((count,), dtype=np.int64, buffer=shm.buf)
+            specs[suffix] = SharedArraySpec(name=name, dtype="int64", shape=(count,))
+        _read_into(graph, graph.degree_file_name, views["deg"])
+        _read_into(graph, graph.adjacency_file_name, views["adj"])
+        views["off"][0] = 0
+        np.cumsum(views["deg"], out=views["off"][1:])
+        in_lists = kernel_backend.fused("in_lists") or _in_lists_numpy
+        in_lists(*(views[s] for s in ("off", "adj", "key", "ino", "ins")))
+    except BaseException as exc:
+        # a segment cannot be closed while views of it live, and the frames
+        # of the traceback still hold some: drop them all first
+        views.clear()
+        traceback.clear_frames(exc.__traceback__)
         for shm in segments:
-            shm.close()
             try:
                 shm.unlink()
             except FileNotFoundError:
                 pass
+            shm.close()
         raise
+    views.clear()
 
     descriptor = SharedGraphDescriptor(
         token=token,

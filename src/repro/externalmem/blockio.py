@@ -340,6 +340,15 @@ class BlockDevice:
         self.stats.add_device_time(self.model.transfer_time(nbytes, sequential))
 
 
+def _byte_view(arr: np.ndarray) -> np.ndarray:
+    """A contiguous array's bytes as a flat uint8 view, without a copy.
+
+    Flat bytes, so that ``len`` is the byte count the accounting charges:
+    the ``len`` of an int64 view would be its item count.
+    """
+    return arr.reshape(-1).view(np.uint8)
+
+
 class BlockFile:
     """A single file on a :class:`BlockDevice` with typed numpy helpers.
 
@@ -414,13 +423,12 @@ class BlockFile:
     def write_array(self, array: np.ndarray, offset_items: int = 0) -> int:
         """Write a 1-D numpy array at an item offset; returns items written."""
         arr = np.ascontiguousarray(array)
-        itemsize = arr.dtype.itemsize
-        self.write_bytes(offset_items * itemsize, arr.tobytes())
+        self.write_bytes(offset_items * arr.dtype.itemsize, _byte_view(arr))
         return int(arr.size)
 
     def append_array(self, array: np.ndarray) -> int:
         arr = np.ascontiguousarray(array)
-        self.append_bytes(arr.tobytes())
+        self.append_bytes(_byte_view(arr))
         return int(arr.size)
 
     def read_array(

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.externalmem.blockio import BlockDevice, BlockFile
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import FORMAT_VIOLATIONS, CSRGraph
 from repro.utils import prefix_sums
 
 __all__ = ["GraphFile", "write_graph", "open_graph"]
@@ -178,9 +178,7 @@ class GraphFile:
             )
         if degrees.size and int(degrees.max()) != self.max_degree:
             raise GraphFormatError("max_degree metadata is stale")
-        csr = self.to_csr()
-        csr.check_sorted_adjacency()
-        csr.check_simple()
+        _check_format(self.to_csr())
 
     # -- copy (graph duplication across machines) --------------------------------------
 
@@ -211,24 +209,44 @@ class GraphFile:
         self.device.delete(self.meta_file_name)
 
 
+def _check_format(graph: CSRGraph) -> None:
+    """Raise :class:`GraphFormatError` unless every list of ``graph`` is
+    sorted, loop-free and duplicate-free.
+
+    The C tier checks all three in one pass (``csr_violations``) and raises
+    the error :meth:`CSRGraph.check_sorted_adjacency` followed by
+    :meth:`CSRGraph.check_simple` would raise; the numpy tier runs those two.
+    """
+    from repro.core import kernel_backend  # lazy: repro.core imports this module
+
+    violations = kernel_backend.fused("csr_violations")
+    if violations is None:
+        graph.check_sorted_adjacency()
+        graph.check_simple()
+        return
+    for message, vertex in zip(FORMAT_VIOLATIONS, violations(graph.indptr, graph.indices)):
+        if vertex >= 0:
+            raise GraphFormatError(message.format(vertex))
+
+
 def write_graph(device: BlockDevice, name: str, graph: CSRGraph) -> GraphFile:
     """Write a CSR graph to ``device`` in the degree/adjacency format.
 
     The CSR invariants (sorted lists, no loops, no duplicates) are checked
     before writing so that every on-disk graph satisfies the modified-MGT
-    preconditions.
+    preconditions.  The arrays are written from contiguous int64 views of
+    the graph, not from copies.
     """
-    graph.check_sorted_adjacency()
-    graph.check_simple()
+    _check_format(graph)
     for suffix in (".deg", ".adj", ".meta"):
         device.delete(f"{name}{suffix}")
     deg_file = device.open(f"{name}.deg")
     adj_file = device.open(f"{name}.adj")
     meta_file = device.open(f"{name}.meta")
 
-    deg_file.append_array(graph.degrees.astype(np.int64))
+    deg_file.append_array(np.ascontiguousarray(graph.degrees, dtype=np.int64))
     if graph.num_edges:
-        adj_file.append_array(graph.indices.astype(np.int64))
+        adj_file.append_array(np.ascontiguousarray(graph.indices, dtype=np.int64))
     meta = np.array(
         [
             _META_MAGIC,

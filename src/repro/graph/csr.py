@@ -24,7 +24,18 @@ from repro.errors import GraphFormatError
 from repro.graph.edgelist import EdgeList
 from repro.utils import prefix_sums
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "FORMAT_VIOLATIONS"]
+
+#: The messages of the format checks, in the order they are checked: an
+#: unsorted list, then a self loop, then a duplicate edge, each formatted
+#: with the first vertex at fault.  :func:`repro.graph.binfmt.write_graph`
+#: raises the same ones from the C tier's one-pass check.
+FORMAT_VIOLATIONS = (
+    "adjacency list of vertex {} is not sorted; "
+    "modified MGT requires destination-sorted lists",
+    "self loop at vertex {}",
+    "duplicate edge out of vertex {}",
+)
 
 
 @dataclass
@@ -158,10 +169,7 @@ class CSRGraph:
         bad = (diffs < 0) & ~boundary
         if np.any(bad):
             v = int(np.searchsorted(self.indptr, np.nonzero(bad)[0][0], side="right")) - 1
-            raise GraphFormatError(
-                f"adjacency list of vertex {v} is not sorted; "
-                "modified MGT requires destination-sorted lists"
-            )
+            raise GraphFormatError(FORMAT_VIOLATIONS[0].format(v))
 
     def check_simple(self) -> None:
         """Raise unless the graph has no self loops and no duplicate edges."""
@@ -170,14 +178,14 @@ class CSRGraph:
         sources = self.edge_sources()
         loops = np.nonzero(self.indices == sources)[0]
         if loops.size:
-            raise GraphFormatError(f"self loop at vertex {int(sources[loops[0]])}")
+            raise GraphFormatError(FORMAT_VIOLATIONS[1].format(int(sources[loops[0]])))
         # duplicates: equal consecutive destinations within one adjacency list
         same_dst = np.nonzero(np.diff(self.indices) == 0)[0]
         if same_dst.size:
             same_src = sources[same_dst] == sources[same_dst + 1]
             if np.any(same_src):
                 v = int(sources[same_dst[np.argmax(same_src)]])
-                raise GraphFormatError(f"duplicate edge out of vertex {v}")
+                raise GraphFormatError(FORMAT_VIOLATIONS[2].format(v))
 
     def is_undirected_consistent(self) -> bool:
         """True when every stored edge has its reverse also stored."""

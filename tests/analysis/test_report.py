@@ -20,6 +20,17 @@ class TestSecondsCells:
         assert format_seconds_cell(4644.5) == "1h17m24.5s"
         assert format_seconds_cell(3.6) == "3.6s"
 
+    def test_durations_under_a_tenth_print_in_milliseconds(self):
+        for value, text in (
+            (0.0, "0.0ms"),
+            (0.0423, "42.3ms"),
+            (0.0999, "99.9ms"),
+            (0.09996, "0.1s"),
+            (0.1, "0.1s"),
+            (0.3, "0.3s"),
+        ):
+            assert format_seconds_cell(value) == text
+
     def test_missing_and_failure_markers(self):
         assert format_seconds_cell(None) == "-"
         assert format_seconds_cell(float("inf")) == "F"

@@ -34,6 +34,9 @@ _FUSED_KERNELS = (
     "truss_peel_level",
     "triangle_edge_ids",
     "incidence_csr",
+    "orient_range",
+    "in_lists",
+    "csr_violations",
 )
 
 
@@ -220,7 +223,7 @@ class TestCompiledTier:
         assert kernel_backend.activate("cffi") == "cffi"
         expected = set(kernels.NUMPY_IMPLS) | set(_FUSED_KERNELS)
         assert set(kernels._ACTIVE_IMPLS) == expected
-        assert len(expected) == 11
+        assert len(expected) == 14
         for name in _FUSED_KERNELS:
             assert callable(kernel_backend.fused(name)), name
 

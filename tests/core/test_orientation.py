@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import kernel_backend
+from repro.core.config import PDTLConfig
 from repro.core.orientation import (
     degree_order_keys,
     orient_csr,
     orient_graph,
     precedes,
 )
+from repro.core.pdtl import PDTLRunner
+from repro.errors import GraphFormatError
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -157,3 +161,54 @@ class TestOrientGraphOnDisk:
         result = orient_graph(gf)
         assert result.num_edges == 0
         assert result.max_out_degree == 0
+
+
+_COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
+_TIERS = [
+    "numpy",
+    pytest.param(
+        "cffi", marks=pytest.mark.skipif(not _COMPILED_OK, reason=f"no C tier: {_COMPILED_DETAIL}")
+    ),
+]
+
+
+class TestOutOfRangeIds:
+    """An on-disk adjacency id outside ``[0, n)`` is a format error naming
+    the vertex that lists it, on either tier: ``keys[adjacency]`` used to
+    raise a bare IndexError for a large id and wrap a negative one silently
+    to vertex n - 1, so the corrupt entry simply disappeared."""
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("bad_id", [-1, 5])
+    @pytest.mark.parametrize("num_workers", [1, 2])
+    def test_corrupt_id_raises_naming_the_vertex(self, device, tier, bad_id, num_workers):
+        # vertex 4 neighbours 0-3
+        graph = CSRGraph.from_edgelist(EdgeList([(4, 0), (4, 1), (4, 2), (4, 3)], 5))
+        gf = write_graph(device, "g", graph)
+        path = device.path(gf.adjacency_file_name)
+        adjacency = np.fromfile(path, dtype=np.int64)
+        adjacency[graph.indptr[4]] = bad_id
+        adjacency.tofile(path)
+        message = rf"^adjacency list of vertex 4 holds id {bad_id} outside the graph's vertices \[0, 5\)$"
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError, match=message):
+                orient_graph(gf, num_workers=num_workers)
+
+
+class TestMasterKernelTier:
+    """The master's preprocessing honours ``PDTLConfig.kernel_backend``, as
+    the workers' scans do."""
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_preprocessing_dispatches_on_the_configured_tier(self, tier):
+        graph = CSRGraph.from_edgelist(rmat(6, edge_factor=6, seed=4))
+        config = PDTLConfig(memory_per_proc=4096, block_size=512, kernel_backend=tier)
+        other = "cffi" if tier == "numpy" else "numpy"
+        with kernel_backend.use(other):
+            before = kernel_backend.dispatch_counts()
+            PDTLRunner(config, backend="serial").run(graph)
+            after = kernel_backend.dispatch_counts()
+        for kernel in ("csr_violations", "orient_range"):
+            key = f"{kernel}.{tier}"
+            assert after.get(key, 0) > before.get(key, 0), key
+            assert after.get(f"{kernel}.{other}", 0) == before.get(f"{kernel}.{other}", 0)

@@ -30,7 +30,7 @@ from repro.core.shm import (
     shm_available,
 )
 from repro.core.triangles import make_sink
-from repro.errors import PDTLError
+from repro.errors import GraphFormatError, PDTLError
 from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
@@ -42,6 +42,8 @@ pytestmark = pytest.mark.skipif(
     reason=f"POSIX shared memory unavailable: {shm_available()[1]}",
 )
 
+
+_COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
 
 #: the descriptor fields that name a published segment
 _PUBLISHED_FIELDS = (
@@ -113,6 +115,59 @@ class TestPublishAttach:
             np.testing.assert_array_equal(np.diff(view.in_offsets), in_degrees)
             assert view.in_offsets[0] == 0
             view.close()
+
+    @pytest.mark.skipif(not _COMPILED_OK, reason=f"no C tier: {_COMPILED_DETAIL}")
+    def test_tiers_publish_identical_segments(self, oriented):
+        """The C tier's counting-sort in-lists and its packed keys, written
+        in place, are byte for byte the numpy tier's sort-based arrays."""
+        published = {}
+        for tier in ("numpy", "cffi"):
+            with kernel_backend.use(tier), publish_graph(oriented) as publication:
+                view = SharedGraphView(publication.descriptor, oriented.device.model)
+                published[tier] = [
+                    np.array(a)
+                    for a in (
+                        view.read_degrees(),
+                        view.read_adjacency_range(0, oriented.num_edges),
+                        view.cached_offsets,
+                        view.scan_keys,
+                        view.in_offsets,
+                        view.in_sources,
+                    )
+                ]
+                view.close()
+        for c_array, numpy_array in zip(published["cffi"], published["numpy"]):
+            assert c_array.tobytes() == numpy_array.tobytes()
+
+    @pytest.mark.parametrize(
+        "tier, corruption",
+        [
+            ("numpy", "short"),
+            pytest.param(
+                "cffi", "short",
+                marks=pytest.mark.skipif(not _COMPILED_OK, reason="no C tier"),
+            ),
+            pytest.param(
+                "cffi", "id",
+                marks=pytest.mark.skipif(not _COMPILED_OK, reason="no C tier"),
+            ),
+        ],
+    )
+    def test_failed_publication_leaves_no_segment(self, oriented, tier, corruption):
+        """A graph file shorter than its metadata, or (on the C tier) an id
+        outside the graph, fails the publication with a format error after
+        its segments exist; every segment is closed and unlinked."""
+        path = oriented.device.path(oriented.adjacency_file_name)
+        adjacency = np.fromfile(path, dtype=np.int64)
+        if corruption == "short":
+            adjacency = adjacency[:-1]
+        else:
+            adjacency[-1] = oriented.num_vertices
+        adjacency.tofile(path)
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError):
+                publish_graph(oriented)
+        assert _segments_on_host() == []
 
     def test_out_of_bounds_range_rejected(self, oriented):
         with publish_graph(oriented) as publication:
@@ -444,6 +499,39 @@ class TestRunnerIntegration:
             assert shared.total_io_seconds == disk.total_io_seconds
             assert shared.total_cpu_seconds == disk.total_cpu_seconds
             assert not disk.shm_used and shared.shm_used
+
+    @pytest.mark.parametrize("kept", ["first", "second"])
+    def test_asymmetric_input_matches_disk(self, kept):
+        """An undirected CSRGraph that stores one edge of a triangle in one
+        direction only.  write_graph does not check symmetry, and the shm
+        in-lists are the transpose of the oriented adjacency, so the shm
+        path lists the disk path's triangles, in the same order, under the
+        same IOStats.  (Reading the in-lists off the entries orientation
+        drops would give the transpose only for symmetric inputs.)"""
+        full = CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5))
+        u = next(x for x in range(full.num_vertices) if full.degree(x))
+        v = int(full.neighbors(u)[0])
+        drop_from, dropped = (v, u) if kept == "first" else (u, v)
+        at = int(full.indptr[drop_from]) + int(np.searchsorted(full.neighbors(drop_from), dropped))
+        graph = CSRGraph(
+            np.concatenate([full.indptr[: drop_from + 1], full.indptr[drop_from + 1 :] - 1]),
+            np.delete(full.indices, at),
+        )
+        assert not graph.is_undirected_consistent()
+        runs = {
+            shm: PDTLRunner(
+                self._config(shm=shm, scheduling="dynamic"), backend="serial"
+            ).run(graph, sink_kind="list")
+            for shm in (False, True)
+        }
+        disk, shared = runs[False], runs[True]
+        assert shared.shm_used and not disk.shm_used
+        assert shared.triangles == disk.triangles > 0
+        assert shared.triangle_list == disk.triangle_list
+        assert shared.metrics.setup_io_stats.as_dict() == disk.metrics.setup_io_stats.as_dict()
+        for shared_node, disk_node in zip(shared.metrics.nodes, disk.metrics.nodes):
+            assert shared_node.io_stats.as_dict() == disk_node.io_stats.as_dict()
+        assert _segments_on_host() == []
 
     def test_straggler_spec_reroutes_chunks_and_keeps_counts(self, rmat_small):
         expected = forward_count(rmat_small)

@@ -139,6 +139,29 @@ class TestBlockFile:
         f.append_array(data)
         np.testing.assert_allclose(f.read_array(0, 20, dtype=np.float64), data)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.arange(12, dtype=np.int64).reshape(6, 2),
+            np.arange(24, dtype=np.int64)[::2],
+            np.arange(7, dtype=np.int32),
+            np.empty(0, dtype=np.int64),
+        ],
+        ids=["rows", "strided", "int32", "empty"],
+    )
+    def test_array_writes_store_and_charge_every_byte(self, tmp_path, data):
+        """Arrays are written from a byte view, not a ``tobytes`` copy: the
+        file holds the array's bytes and the accounting charges its byte
+        count (not its item count) on both write paths."""
+        dev = BlockDevice(tmp_path, block_size=8)
+        appended, written = dev.open("appended.bin"), dev.open("written.bin")
+        assert appended.append_array(data) == data.size
+        assert written.write_array(data) == data.size
+        assert dev.stats.bytes_written == 2 * data.nbytes
+        expected = np.ascontiguousarray(data).tobytes()
+        assert dev.path("appended.bin").read_bytes() == expected
+        assert dev.path("written.bin").read_bytes() == expected
+
     def test_num_items(self, tmp_path):
         dev = BlockDevice(tmp_path)
         f = dev.open("arr.bin")

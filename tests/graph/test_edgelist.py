@@ -104,6 +104,76 @@ class TestNormalisation:
         assert el.is_symmetric()
 
 
+def _unique_rows_reference(rows: np.ndarray) -> np.ndarray:
+    """The normalisation's former implementation."""
+    return np.unique(rows, axis=0) if rows.shape[0] else rows.reshape(0, 2)
+
+
+def _noisy_rows(seed: int, num_vertices: int, num_rows: int) -> np.ndarray:
+    """Random rows plus repeated rows, reversed rows and self loops, shuffled."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, num_vertices, size=(num_rows, 2))
+    repeated = rows[rng.random(num_rows) < 0.3]
+    reversed_rows = rows[rng.random(num_rows) < 0.3][:, ::-1]
+    loops = np.repeat(rng.integers(0, num_vertices, size=(5, 1)), 2, axis=1)
+    noisy = np.concatenate([rows, repeated, reversed_rows, loops])
+    return noisy[rng.permutation(noisy.shape[0])].astype(np.int64)
+
+
+class TestNormalisationMatchesUnique:
+    """The packed-key normalisation returns exactly what
+    ``np.unique(rows, axis=0)`` did: the same rows, order and dtype."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("num_vertices", [1, 3, 40])
+    def test_every_normalisation_step(self, seed, num_vertices):
+        rows = _noisy_rows(seed, num_vertices, 60)
+        el = EdgeList(rows, num_vertices)
+        no_loops = rows[rows[:, 0] != rows[:, 1]]
+        canonical = np.sort(no_loops, axis=1)
+        cases = (
+            (el.deduplicated().edges, _unique_rows_reference(rows)),
+            (
+                el.symmetrized().edges,
+                _unique_rows_reference(np.vstack([no_loops, no_loops[:, ::-1]])),
+            ),
+            (el.canonical_undirected().edges, _unique_rows_reference(canonical)),
+        )
+        for got, want in cases:
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        forward = _unique_rows_reference(rows)
+        assert el.is_symmetric() == np.array_equal(
+            forward, _unique_rows_reference(forward[:, ::-1])
+        )
+        assert el.symmetrized().is_symmetric()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.empty((0, 2), dtype=np.int64),
+            np.array([[3, 1]], dtype=np.int64),
+            np.array([[2, 2]], dtype=np.int64),
+            np.array([[0, 0], [0, 0]], dtype=np.int64),
+        ],
+        ids=["empty", "single", "single-loop", "repeated-loop"],
+    )
+    def test_empty_and_single_rows(self, rows):
+        el = EdgeList(rows, 4)
+        assert el.deduplicated().edges.tobytes() == _unique_rows_reference(rows).tobytes()
+        assert el.deduplicated().edges.shape == _unique_rows_reference(rows).shape
+        assert el.is_symmetric() == (rows.shape[0] == 0 or bool((rows[:, 0] == rows[:, 1]).all()))
+
+    def test_ids_too_large_to_pack(self):
+        """Rows whose packed keys would overflow int64 take the lexsort."""
+        big = 2**62
+        rows = np.array([[big, big], [1, big], [big, big], [0, 5], [1, big]], dtype=np.int64)
+        el = EdgeList(rows)
+        assert el.deduplicated().edges.tobytes() == np.unique(rows, axis=0).tobytes()
+        assert not el.is_symmetric()
+
+
 class TestTransformations:
     def test_relabeled_preserves_edge_count(self):
         el = EdgeList([(0, 1), (1, 2), (2, 3)])

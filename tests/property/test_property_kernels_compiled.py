@@ -14,11 +14,15 @@ have no single numpy twin -- they replace multi-pass caller chains -- so
 they are checked against in-test references built from the numpy
 primitives, and end-to-end by installing the registry and comparing whole
 decompositions.  ``truss_peel_level`` is checked level by level against
-its numpy twin in :mod:`repro.analytics.truss`.
+its numpy twin in :mod:`repro.analytics.truss`; the master's preprocessing
+kernels against theirs: ``orient_range`` against the orientation's numpy
+filter, ``in_lists`` against the shared-memory publication's sort-based
+transpose, and ``csr_violations`` against the two numpy format checks.
 """
 
 from __future__ import annotations
 
+import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -27,7 +31,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analytics.truss import _peel_level_numpy, truss_decomposition
 from repro.core import kernels, kernels_cffi
-from repro.core.orientation import orient_csr
+from repro.core.orientation import _orient_range_numpy, degree_order_keys, orient_csr
+from repro.core.shm import _in_lists_numpy
+from repro.errors import GraphFormatError
+from repro.externalmem.blockio import BlockDevice
+from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 
@@ -552,3 +560,197 @@ def test_truss_peel_level_matches_numpy_twin_level_by_level(registry, state):
             np.testing.assert_array_equal(g, w)
         k = k + 1 if want[0] else max(k + 1, 2 + int(sup[alive].min()))
     assert not c_state[0].any()
+
+
+# -- the master's preprocessing kernels -------------------------------------
+
+
+def _symmetric(graph: CSRGraph) -> CSRGraph:
+    """The undirected closure of ``graph``, as the master stages its input."""
+    return CSRGraph.from_edgelist(graph.to_edgelist())
+
+
+@REGISTRY_PARAMS
+@given(
+    graph=st.one_of(random_graphs(), cone_dags().map(_symmetric)),
+    num_chunks=st.integers(min_value=1, max_value=4),
+    data=st.data(),
+)
+@settings(**SETTINGS)
+def test_orient_range_matches_numpy_filter(registry, graph, num_chunks, data):
+    """The C filter keeps the numpy filter's entries and out-degrees on
+    every chunk of a 1-4 way split.  Borders are drawn from the vertices
+    with no edges when there are some, so chunks start and end at empty
+    lists, and chunks may be empty."""
+    n = graph.num_vertices
+    keys = degree_order_keys(graph.degrees)
+    isolated = np.flatnonzero(graph.degrees == 0).tolist()
+    border = st.integers(min_value=0, max_value=n)
+    if isolated:
+        border = st.one_of(border, st.sampled_from(isolated))
+    inner = sorted(data.draw(st.lists(border, min_size=num_chunks - 1, max_size=num_chunks - 1)))
+    bounds = [0, *inner, n]
+    kept = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        adjacency = graph.indices[graph.indptr[lo] : graph.indptr[hi]].copy()
+        want = _orient_range_numpy(adjacency, keys, graph.indptr, lo, hi)
+        got = registry["orient_range"](adjacency, keys, graph.indptr, lo, hi)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        kept.append(got[1])
+    np.testing.assert_array_equal(np.concatenate(kept), orient_csr(graph).indices)
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("bad_id", [-1, 5, 2**62])
+def test_orient_range_raises_the_numpy_error_on_ids_outside_the_graph(registry, bad_id):
+    # vertex 4 neighbours 0-3; its first neighbour is corrupt
+    indptr = np.array([0, 1, 2, 3, 4, 8], dtype=np.int64)
+    adjacency = np.array([4, 4, 4, 4, bad_id, 1, 2, 3], dtype=np.int64)
+    keys = degree_order_keys(np.diff(indptr))
+    with pytest.raises(GraphFormatError) as numpy_error:
+        _orient_range_numpy(adjacency[1:], keys, indptr, 1, 5)
+    with pytest.raises(GraphFormatError) as c_error:
+        registry["orient_range"](adjacency[1:], keys, indptr, 1, 5)
+    assert str(c_error.value) == str(numpy_error.value)
+    assert "vertex 4 holds id" in str(c_error.value)
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("lo, hi, count", [(-1, 2, 2), (3, 2, 0), (0, 6, 8), (0, 5, 7)])
+def test_orient_range_refuses_chunks_that_do_not_fit(registry, lo, hi, count):
+    indptr = np.array([0, 1, 2, 3, 4, 8], dtype=np.int64)
+    keys = degree_order_keys(np.diff(indptr))
+    with pytest.raises(ValueError):
+        registry["orient_range"](np.zeros(count, dtype=np.int64), keys, indptr, lo, hi)
+
+
+@REGISTRY_PARAMS
+@given(graph=st.one_of(random_graphs().map(orient_csr), cone_dags()))
+@settings(**SETTINGS)
+def test_in_lists_matches_sort_transpose(registry, graph):
+    """The counting-sort transpose and its packed keys equal the numpy
+    tier's sort of packed (target, source) keys; every output slot is
+    written (the outputs start as garbage)."""
+    n, m = graph.num_vertices, graph.num_edges
+    want = [np.empty(m, np.int64), np.empty(n + 1, np.int64), np.empty(m, np.int64)]
+    _in_lists_numpy(graph.indptr, graph.indices, *want)
+    got = [np.full(m, -7, np.int64), np.full(n + 1, -7, np.int64), np.full(m, -7, np.int64)]
+    returned = registry["in_lists"](graph.indptr, graph.indices, *got)
+    assert all(r is g for r, g in zip(returned, got))
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(
+        got[0], kernels.csr_packed_keys(graph.indptr, graph.indices)
+    )
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_in_lists_of_graphs_without_edges(registry, n):
+    graph = CSRGraph.empty(n, directed=True)
+    key, in_offsets, in_sources = registry["in_lists"](
+        graph.indptr, graph.indices, np.empty(0, np.int64),
+        np.full(n + 1, -7, np.int64), np.empty(0, np.int64),
+    )
+    assert key.shape == in_sources.shape == (0,)
+    np.testing.assert_array_equal(in_offsets, np.zeros(n + 1, dtype=np.int64))
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("bad_id", [-1, 3])
+def test_in_lists_refuses_ids_outside_the_graph(registry, bad_id):
+    indptr = np.array([0, 2, 3, 3], dtype=np.int64)
+    adjacency = np.array([1, bad_id, 2], dtype=np.int64)
+    outs = (np.empty(3, np.int64), np.empty(4, np.int64), np.empty(3, np.int64))
+    with pytest.raises(GraphFormatError, match=f"entry 1 holds id {bad_id}"):
+        registry["in_lists"](indptr, adjacency, *outs)
+
+
+_FLAWS = ("unsorted", "loop", "duplicate")
+
+
+@st.composite
+def flawed_graphs(draw):
+    """A random simple graph with planted format violations: none, one kind
+    or several kinds (an unsorted list, a self loop, a duplicate entry),
+    each at a drawn vertex.  Built as raw CSR arrays, past the checks of
+    the constructors."""
+    graph = draw(random_graphs())
+    n = graph.num_vertices
+    lists = [graph.neighbors(v).tolist() for v in range(n)]
+    for flaw in draw(st.lists(st.sampled_from(_FLAWS), max_size=4)):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if flaw == "unsorted" and len(set(lists[v])) >= 2:
+            lists[v].reverse()
+        elif flaw == "unsorted" and n >= 2:
+            lists[v] = [1, 0]
+        elif flaw == "loop":
+            lists[v] = sorted(lists[v] + [v])
+        elif flaw == "duplicate":
+            at = draw(st.integers(min_value=0, max_value=max(len(lists[v]) - 1, 0)))
+            lists[v] = lists[v][: at + 1] + lists[v][at:] if lists[v] else [v, v]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in lists], out=indptr[1:])
+    indices = np.array([w for a in lists for w in a], dtype=np.int64)
+    return CSRGraph(indptr, indices)
+
+
+def _format_error(check, graph: CSRGraph) -> str | None:
+    try:
+        check(graph)
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
+@REGISTRY_PARAMS
+@given(graph=flawed_graphs())
+@settings(**SETTINGS)
+def test_csr_violations_raise_the_numpy_checks_error(registry, graph):
+    """One C pass finds what check_sorted_adjacency followed by check_simple
+    finds: write_graph raises the same message, with the same precedence,
+    on either tier (or nothing on both)."""
+
+    def numpy_checks(g):
+        g.check_sorted_adjacency()
+        g.check_simple()
+
+    def write(g):
+        with tempfile.TemporaryDirectory(prefix="pdtl_prop_format_") as root:
+            write_graph(BlockDevice(root, block_size=512), "g", g)
+
+    want = _format_error(numpy_checks, graph)
+    with installed({}):
+        assert _format_error(write, graph) == want
+    with installed(registry):
+        assert _format_error(write, graph) == want
+    found = registry["csr_violations"](graph.indptr, graph.indices)
+    assert (max(found) < 0) == (want is None)
+
+
+#: vertex 2's list [0, 1, 3, 4] of a 6-vertex graph with each kind of
+#: violation planted at its first, an inner and its last position
+_PLANTED = {
+    "unsorted": ([1, 0, 3, 4], [0, 3, 1, 4], [0, 1, 4, 3]),
+    "loop": ([2, 3, 4], [0, 2, 3], [0, 1, 2]),
+    "duplicate": ([0, 0, 1, 3], [0, 1, 1, 3], [0, 1, 3, 3]),
+}
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("kind", list(_PLANTED))
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "inner", "last"])
+def test_csr_violations_find_each_kind_anywhere_in_a_list(registry, kind, where):
+    lists = [[1], [0, 5], _PLANTED[kind][where], [], [5], [1, 4]]
+    indptr = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in lists], out=indptr[1:])
+    indices = np.array([w for a in lists for w in a], dtype=np.int64)
+    found = registry["csr_violations"](indptr, indices)
+    assert found == tuple(2 if k == kind else -1 for k in _PLANTED)
+
+
+@REGISTRY_PARAMS
+def test_csr_violations_refuses_indptr_that_does_not_fit(registry):
+    with pytest.raises(ValueError):
+        registry["csr_violations"](np.array([0, 2, 5], dtype=np.int64), np.zeros(3, np.int64))

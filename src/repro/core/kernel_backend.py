@@ -129,11 +129,12 @@ def _self_check(registry: dict[str, Callable]) -> None:
             (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0), True),
             (1, 1, 1, [0], [1], [2]),
         ),
-        # the same window walked through the in-lists 1 <- {0}, 2 <- {0, 1}
-        "mgt_window_scan": (
-            (indptr, indices, i64(0, 0, 1, 3, 3), i64(0, 0, 1), indices, 0, 2,
-             i64(0, 2, 3), i64(2, 1, 0), True),
-            (1, 1, 1, [0], [1], [2]),
+        # the entries as the windows [0, 2) and [2, 3), walked through the
+        # in-lists 1 <- {0}, 2 <- {0, 1}: only (0, 1) of the second pairs
+        "mgt_chunk_scan": (
+            (indptr, indices, i64(0, 0, 1, 3, 3), i64(0, 0, 1), i64(0, 2, 3), i64(0, 1),
+             i64(0, 1), True, False),
+            (1, 1, 1, [0], [1], [2], None, None),
         ),
         "edge_support_accumulate": ((keys, us, vs, ws, 4, support), True),
         # peel the triangle's three edges at k = 3 in one round

@@ -20,8 +20,11 @@ Semantics are pinned to the numpy twins in
   position in both lists to its caller;
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
-  an entry in ``N⁺(v)`` order; ``mgt_window_scan`` walks the in-lists
-  v-major and restores that order with a stable sort by cone;
+  an entry in ``N⁺(v)`` order; ``mgt_chunk_scan`` scans every memory
+  window of a chunk in one call, walks each window's in-lists v-major,
+  prefetching along them, and restores that order per window with a
+  stable sort by window and cone; asked to, it also times each window,
+  which a traced run's ``window`` spans report;
   ``edge_common_neighbors`` emits owner-major with ``ws`` in ``N(v)`` order;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
@@ -84,12 +87,13 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
                             const int64_t *win_offsets, const int64_t *win_degrees,
                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
                             int64_t *pairs, int64_t *total);
-int64_t pdtl_mgt_window_scan(const int64_t *offsets, const int64_t *adjacency,
-                             const int64_t *in_offsets, const int64_t *in_sources,
-                             const int64_t *edg, int64_t vlow, int64_t vhigh,
-                             const int64_t *win_offsets, const int64_t *win_degrees,
-                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
-                             int64_t *pairs, int64_t *total);
+int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
+                            const int64_t *in_offsets, const int64_t *in_sources,
+                            const int64_t *bounds, const int64_t *vlows,
+                            const int64_t *vhighs, int64_t nwin, int64_t want,
+                            int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *window_hits, int64_t *window_pairs,
+                            double *window_seconds, int64_t *pairs, int64_t *total);
 int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
                                      int64_t nvert, const int64_t *us,
                                      const int64_t *vs, const int64_t *ws,
@@ -117,6 +121,7 @@ void pdtl_csr_violations(const int64_t *indptr, const int64_t *indices, int64_t 
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <time.h>
 
 /* first index with a[i] >= key */
 static int64_t pdtl_lower_bound(const int64_t *a, int64_t n, int64_t key) {
@@ -351,34 +356,59 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
     return nhit;
 }
 
-/* one memory window's whole-graph scan, walked through the in-neighbour
- * lists: the candidate pairs of the window are the entries (u, v) whose v
- * has in-window out-edges (win_degrees[v - vlow] > 0), i.e. the in-edges
- * of those v.  Each pair merges N(u) with E_v; pairs and total are the
- * same counts the streaming scan takes over the whole file.  The walk is
- * v-major, so listed hits come out ordered (v, cone, w). */
-int64_t pdtl_mgt_window_scan(const int64_t *offsets, const int64_t *adjacency,
-                             const int64_t *in_offsets, const int64_t *in_sources,
-                             const int64_t *edg, int64_t vlow, int64_t vhigh,
-                             const int64_t *win_offsets, const int64_t *win_degrees,
-                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
-                             int64_t *pairs, int64_t *total) {
+/* seconds on the monotonic clock (time.perf_counter's clock on Linux) */
+static double pdtl_now(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+/* the whole-graph scans of every memory window of an edge range, each
+ * walked through the in-neighbour lists.  Window i holds the entries
+ * [bounds[i], bounds[i + 1]) and spans the vertices [vlows[i], vhighs[i]];
+ * E_v is the part of v's out-list inside the window.  The window's
+ * candidate pairs are the entries (u, v) whose E_v is not empty, i.e. the
+ * in-edges of those v, and each merges N(u) with E_v; pairs and total are
+ * the counts the streaming scan takes over the whole file, once per
+ * window.  A window's in-edges are one slice of in_sources, so the walk
+ * prefetches offsets[u] 16 pairs and N(u) 8 pairs ahead along it: each
+ * pair's two dependent loads are random.  Listed hits come out window by
+ * window, v-major within a window, and window_hits[i] counts window i's;
+ * window_pairs and window_seconds, when given, receive each window's pair
+ * count and elapsed seconds. */
+int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
+                            const int64_t *in_offsets, const int64_t *in_sources,
+                            const int64_t *bounds, const int64_t *vlows,
+                            const int64_t *vhighs, int64_t nwin, int64_t want,
+                            int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *window_hits, int64_t *window_pairs,
+                            double *window_seconds, int64_t *pairs, int64_t *total) {
     int64_t npairs = 0, t = 0, nhit = 0;
-    for (int64_t v = vlow; v <= vhigh; v++) {
-        int64_t d = win_degrees[v - vlow];
-        int64_t indeg = in_offsets[v + 1] - in_offsets[v];
-        const int64_t *ev;
-        if (d <= 0) continue;
-        ev = edg + win_offsets[v - vlow];
-        npairs += indeg;
-        t += indeg * d;
-        for (int64_t q = in_offsets[v]; q < in_offsets[v + 1]; q++) {
-            int64_t u = in_sources[q];
-            const int64_t *nu = adjacency + offsets[u];
-            int64_t du = offsets[u + 1] - offsets[u];
-            if (want) nhit = pdtl_isect_emit(nu, du, ev, d, u, v, nhit, cones, vs, ws);
-            else nhit += pdtl_isect_count(nu, du, ev, d);
+    for (int64_t i = 0; i < nwin; i++) {
+        const int64_t lo = bounds[i], hi = bounds[i + 1];
+        const int64_t qend = in_offsets[vhighs[i] + 1];
+        const int64_t first_pair = npairs, first_hit = nhit;
+        const double started = window_seconds ? pdtl_now() : 0.0;
+        for (int64_t v = vlows[i]; v <= vhighs[i]; v++) {
+            const int64_t a = offsets[v] > lo ? offsets[v] : lo;
+            const int64_t d = (offsets[v + 1] < hi ? offsets[v + 1] : hi) - a;
+            const int64_t *ev = adjacency + a;
+            if (d <= 0) continue;
+            npairs += in_offsets[v + 1] - in_offsets[v];
+            t += (in_offsets[v + 1] - in_offsets[v]) * d;
+            for (int64_t q = in_offsets[v]; q < in_offsets[v + 1]; q++) {
+                const int64_t u = in_sources[q];
+                const int64_t *nu = adjacency + offsets[u];
+                const int64_t du = offsets[u + 1] - offsets[u];
+                if (q + 16 < qend) __builtin_prefetch(offsets + in_sources[q + 16]);
+                if (q + 8 < qend) __builtin_prefetch(adjacency + offsets[in_sources[q + 8]]);
+                if (want) nhit = pdtl_isect_emit(nu, du, ev, d, u, v, nhit, cones, vs, ws);
+                else nhit += pdtl_isect_count(nu, du, ev, d);
+            }
         }
+        if (want) window_hits[i] = nhit - first_hit;
+        if (window_pairs) window_pairs[i] = npairs - first_pair;
+        if (window_seconds) window_seconds[i] = pdtl_now() - started;
     }
     *pairs = npairs;
     *total = t;
@@ -711,6 +741,11 @@ def build_registry() -> dict[str, Callable]:
             return ffi.NULL
         return ffi.from_buffer("uint8_t[]", a, require_writable=True)
 
+    def dptr(a: np.ndarray):
+        if a.shape[0] == 0:
+            return ffi.NULL
+        return ffi.from_buffer("double[]", a, require_writable=True)
+
     def integer_kinds(*arrays: np.ndarray) -> bool:
         return all(np.asarray(a).dtype.kind in "iu" for a in arrays)
 
@@ -833,51 +868,69 @@ def build_registry() -> dict[str, Callable]:
         )
         return int(pairs[0]), int(total[0]), nhit, cones[:nhit], vs[:nhit], ws[:nhit]
 
-    def mgt_window_scan(
-        offsets, adjacency, in_offsets, in_sources, edg, vlow, vhigh,
-        win_offsets, win_degrees, want_triples,
+    def mgt_chunk_scan(
+        offsets, adjacency, in_offsets, in_sources, bounds, vlows, vhighs,
+        want_triples, per_window,
     ):
         offsets = as_i64(offsets)
         adjacency = as_i64(adjacency)
         in_offsets = as_i64(in_offsets)
         in_sources = as_i64(in_sources)
-        edg = as_i64(edg)
-        win_offsets = as_i64(win_offsets)
-        win_degrees = as_i64(win_degrees)
-        vlow = int(vlow)
-        vhigh = int(vhigh)
-        span = vhigh - vlow + 1
-        # C reads the span's in-lists and window slots unchecked
+        bounds = as_i64(bounds)
+        vlows = as_i64(vlows)
+        vhighs = as_i64(vhighs)
+        nwin = vlows.shape[0]
+        n = offsets.shape[0] - 1
+        # C reads the windows' entries, spans and in-lists unchecked; the
+        # listing capacity below also needs the windows to be disjoint
         if not (
-            0 <= vlow <= vhigh < offsets.shape[0] - 1
-            and in_offsets.shape == offsets.shape
-            and min(win_offsets.shape[0], win_degrees.shape[0]) >= span
+            in_offsets.shape == offsets.shape
+            and bounds.shape[0] == nwin + 1
+            and vhighs.shape[0] == nwin
+            and 0 <= bounds[0]
+            and bounds[-1] <= adjacency.shape[0]
+            and not (np.diff(bounds) < 0).any()
+            and (nwin == 0 or (vlows.min() >= 0 and vhighs.max() < n))
+            and not (vlows > vhighs).any()
         ):
-            raise ValueError("window span [vlow, vhigh] does not fit the graph")
+            raise ValueError("the windows do not fit the graph")
+        window_pairs = np.empty(nwin, dtype=np.int64) if per_window else None
+        window_seconds = np.empty(nwin, dtype=np.float64) if per_window else None
         pairs = ffi.new("int64_t *")
         total = ffi.new("int64_t *")
         args = (
-            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources), ptr(edg),
-            vlow, vhigh, ptr(win_offsets), ptr(win_degrees),
+            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources),
+            ptr(bounds), ptr(vlows), ptr(vhighs), nwin,
         )
+        timings = (wptr(window_pairs), dptr(window_seconds)) if per_window else (ffi.NULL,) * 2
         if not want_triples:
-            nhit = lib.pdtl_mgt_window_scan(
-                *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, pairs, total
+            nhit = lib.pdtl_mgt_chunk_scan(
+                *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, ffi.NULL, *timings, pairs, total
             )
-            return int(pairs[0]), int(total[0]), int(nhit), None, None, None
-        # every pair hits at most |E_v| times
-        cap = int(np.diff(in_offsets[vlow : vhigh + 2]) @ win_degrees[:span])
+            return (
+                int(pairs[0]), int(total[0]), int(nhit), None, None, None,
+                window_pairs, window_seconds,
+            )
+        # every pair hits at most |E_v| times, and the windows split each list
+        span = np.arange(vlows.min(), vhighs.max() + 1) if nwin else np.empty(0, np.int64)
+        overlap = np.minimum(offsets[span + 1], bounds[-1]) - np.maximum(offsets[span], bounds[0])
+        cap = int(np.maximum(overlap, 0) @ (in_offsets[span + 1] - in_offsets[span]))
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
+        window_hits = np.empty(nwin, dtype=np.int64)
         nhit = int(
-            lib.pdtl_mgt_window_scan(
-                *args, 1, wptr(cones), wptr(vs), wptr(ws), pairs, total
+            lib.pdtl_mgt_chunk_scan(
+                *args, 1, wptr(cones), wptr(vs), wptr(ws), wptr(window_hits),
+                *timings, pairs, total,
             )
         )
-        # v-major walk -> the streaming scan's (cone, v, w) order
-        order = np.argsort(cones[:nhit], kind="stable")
-        return int(pairs[0]), int(total[0]), nhit, cones[order], vs[order], ws[order]
+        # v-major walk -> the streaming scan's (cone, v, w) order per window
+        order = np.lexsort((cones[:nhit], np.repeat(np.arange(nwin), window_hits)))
+        return (
+            int(pairs[0]), int(total[0]), nhit, cones[order], vs[order], ws[order],
+            window_pairs, window_seconds,
+        )
 
     def edge_support_accumulate(edge_keys, us, vs, ws, num_vertices, support):
         if support.dtype != np.int64 or not support.flags.c_contiguous:
@@ -1021,7 +1074,7 @@ def build_registry() -> dict[str, Callable]:
         "edge_intersections": edge_intersections,
         "edge_common_neighbors": edge_common_neighbors,
         "mgt_block_scan": mgt_block_scan,
-        "mgt_window_scan": mgt_window_scan,
+        "mgt_chunk_scan": mgt_chunk_scan,
         "edge_support_accumulate": edge_support_accumulate,
         "truss_peel_level": truss_peel_level,
         "triangle_edge_ids": triangle_edge_ids,

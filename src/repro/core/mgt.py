@@ -21,12 +21,17 @@ intersection is a merge of the two sorted lists (galloping when one dwarfs
 the other); the numpy tier realises it as a batched binary search of
 packed ``(u, w)`` keys.
 
-A worker reading the on-disk file streams the scan block by block.  On a
-:class:`~repro.core.shm.SharedGraphView` the whole graph is in memory and
-its in-neighbour lists are published, so a window's scan visits only its
-candidate pairs: the in-edges ``(u, v)`` of the window's vertices ``v``.
-Both paths charge the same modelled reads and report the same pairs,
-operations and triangles in the same order.
+A worker reading the on-disk file streams the scan block by block, one
+window at a time.  On a :class:`~repro.core.shm.SharedGraphView` the
+whole graph is in memory and its in-neighbour lists are published, so a
+window's scan visits only its candidate pairs: the in-edges ``(u, v)`` of
+the window's vertices ``v``.  There the worker makes one call per chunk:
+it checks every window against the budget and charges every window's
+reads at once, and the compiled kernel ``mgt_chunk_scan`` walks all the
+windows, prefetching along each window's in-lists.  In a traced run the
+kernel times each window, and the worker records those times as the
+``window`` spans.  Both paths charge the same modelled reads and report
+the same pairs, operations and triangles in the same order.
 
 :class:`MGTWorker` additionally supports the PDTL restriction to a
 *contiguous edge range* ``[range_start, range_stop)``: only memory windows
@@ -173,13 +178,6 @@ class MGTWorker:
         (a fresh :class:`CountingSink` when omitted).
         """
         sink = sink if sink is not None else CountingSink()
-        cpu_seconds = 0.0
-        intersections = 0
-        iterations = 0
-        # Deterministic operation count: edges loaded/scanned plus gathered
-        # intersection elements.  Unlike the measured thread time it is a pure
-        # function of the input, so it backs the ``modelled_cpu`` mode.
-        cpu_operations = 0
 
         # The degree file is scanned once to build the vertex offsets used to
         # address the adjacency file.  In the paper's implementation the
@@ -200,26 +198,55 @@ class MGTWorker:
         self.budget.allocate("nm", dmax * _ITEM_BYTES)
         self.budget.allocate("nmp", dmax * _ITEM_BYTES)
 
-        window_start = self.range_start
-        edges_processed = 0
-
         # A shared-memory graph view publishes its in-neighbour lists; with
         # those and the whole graph memory-resident, each window's
         # full-graph scan visits just the window's candidate pairs instead
-        # of looping over the file block by block.  It still charges the
-        # streaming scan's modelled reads, computed once here.
+        # of looping over the file block by block.
         shared = getattr(self.graph, "in_offsets", None) is not None
-        if shared:
-            scan_counters, scan_seconds = self._scan_charge(offsets)
+        scan_windows = self._run_shared if shared else self._run_streaming
+        # cpu_operations is the deterministic operation count: edges
+        # loaded/scanned plus gathered intersection elements.  Unlike the
+        # measured thread time it is a pure function of the input, so it
+        # backs the ``modelled_cpu`` mode.
+        iterations, intersections, cpu_operations, cpu_seconds = scan_windows(sink, offsets)
 
+        peak = self.budget.peak_usage
+        self.budget.release_all()
+        if self.config.modelled_cpu:
+            cpu_seconds = cpu_operations / MODELLED_CPU_OPS_PER_SECOND
+        return MGTResult(
+            triangles=sink.count,
+            iterations=iterations,
+            cpu_seconds=cpu_seconds,
+            io_seconds=self.io_stats.device_seconds,
+            io_stats=self.io_stats.snapshot(),
+            intersections=intersections,
+            edges_processed=self.range_stop - self.range_start,
+            range_start=self.range_start,
+            range_stop=self.range_stop,
+            peak_memory_bytes=peak,
+            cpu_operations=cpu_operations,
+        )
+
+    def _run_streaming(
+        self, sink: TriangleSink, offsets: np.ndarray
+    ) -> tuple[int, int, int, float]:
+        """Every window of the range, each scanning the on-disk file.
+
+        Returns ``(windows, pairs, operations, cpu_seconds)``.
+        """
+        cpu_seconds = 0.0
+        intersections = 0
+        iterations = 0
+        cpu_operations = 0
         # hot loop: only build window spans when tracing is actually on, so
         # the disabled path costs one attribute load per run, not per window
         traced = self._tracer.enabled
+        window_start = self.range_start
 
         while window_start < self.range_stop:
             window_stop = min(window_start + self._window_edges, self.range_stop)
             iterations += 1
-            edges_processed += window_stop - window_start
             cpu_operations += window_stop - window_start
             window_span = (
                 self._tracer.span(
@@ -259,52 +286,37 @@ class MGTWorker:
             cpu_seconds += time.thread_time() - t0
 
             # ---- scan the whole graph vertex by vertex ----------------------------
-            if shared:
-                self._charge_scan(scan_counters, scan_seconds)
+            window_pairs = 0
+            v = 0
+            while v < self.graph.num_vertices:
+                hi = min(v + self._scan_block_vertices, self.graph.num_vertices)
+                block_start_edge = int(offsets[v])
+                block_edge_count = int(offsets[hi] - offsets[v])
+                if block_edge_count:
+                    block_adj = self.graph.read_adjacency_range(
+                        block_start_edge, block_edge_count
+                    )
+                    self._charge_read(block_edge_count, sequential=True)
+                else:
+                    block_adj = np.empty(0, dtype=np.int64)
+
                 t0 = time.thread_time()
-                window_pairs, window_ops = self._process_window_shared(
+                block_offsets = offsets[v : hi + 1] - offsets[v]
+                pairs, block_ops = self._process_block(
                     sink,
-                    offsets,
+                    block_adj,
+                    block_offsets,
+                    first_vertex=v,
                     edg=edg,
                     vlow=vlow,
                     vhigh=vhigh,
                     win_offsets=win_offsets,
                     win_degrees=win_degrees,
                 )
-                cpu_operations += window_ops
+                window_pairs += pairs
+                cpu_operations += block_ops
                 cpu_seconds += time.thread_time() - t0
-            else:
-                window_pairs = 0
-                v = 0
-                while v < self.graph.num_vertices:
-                    hi = min(v + self._scan_block_vertices, self.graph.num_vertices)
-                    block_start_edge = int(offsets[v])
-                    block_edge_count = int(offsets[hi] - offsets[v])
-                    if block_edge_count:
-                        block_adj = self.graph.read_adjacency_range(
-                            block_start_edge, block_edge_count
-                        )
-                        self._charge_read(block_edge_count, sequential=True)
-                    else:
-                        block_adj = np.empty(0, dtype=np.int64)
-
-                    t0 = time.thread_time()
-                    block_offsets = offsets[v : hi + 1] - offsets[v]
-                    pairs, block_ops = self._process_block(
-                        sink,
-                        block_adj,
-                        block_offsets,
-                        first_vertex=v,
-                        edg=edg,
-                        vlow=vlow,
-                        vhigh=vhigh,
-                        win_offsets=win_offsets,
-                        win_degrees=win_degrees,
-                    )
-                    window_pairs += pairs
-                    cpu_operations += block_ops
-                    cpu_seconds += time.thread_time() - t0
-                    v = hi
+                v = hi
             intersections += window_pairs
 
             self.budget.release("edg")
@@ -312,25 +324,7 @@ class MGTWorker:
             if window_span is not None:
                 window_span.end(pairs=window_pairs)
             window_start = window_stop
-
-        peak = self.budget.peak_usage
-        self.budget.release_all()
-        if self.config.modelled_cpu:
-            cpu_seconds = cpu_operations / MODELLED_CPU_OPS_PER_SECOND
-        return MGTResult(
-            triangles=sink.count,
-            iterations=iterations,
-            cpu_seconds=cpu_seconds,
-            io_seconds=self.io_stats.device_seconds,
-            io_stats=self.io_stats.snapshot(),
-            intersections=intersections,
-            edges_processed=edges_processed,
-            range_start=self.range_start,
-            range_stop=self.range_stop,
-            peak_memory_bytes=peak,
-            cpu_operations=cpu_operations,
-        )
-
+        return iterations, intersections, cpu_operations, cpu_seconds
 
     def _process_block(
         self,
@@ -442,118 +436,184 @@ class MGTWorker:
             sink.add_triples(cones, pivots_v, pivots_w)
         return num_pairs, scanned + total
 
-    def _scan_charge(self, offsets: np.ndarray) -> tuple[IOStats, list[float]]:
-        """The modelled reads of one streaming full-graph scan, built once.
-
-        The streaming scan charges one sequential read per non-empty block
-        of :attr:`_scan_block_vertices` cone vertices, in vertex order.
-        Returns the integer counters of all those reads (``device_seconds``
-        left at 0) and their transfer times in read order.
-        """
-        counters = IOStats(block_size=self.config.block_size)
-        seconds: list[float] = []
-        model = self.graph.device.model
-        n = self.graph.num_vertices
-        starts = np.arange(0, n, self._scan_block_vertices)
-        stops = np.minimum(starts + self._scan_block_vertices, n)
-        for count in (offsets[stops] - offsets[starts]).tolist():
-            if count:
-                nbytes = count * _ITEM_BYTES
-                counters.record_read(
-                    ceil_div(nbytes, self.config.block_size), nbytes, sequential=True
-                )
-                seconds.append(model.transfer_time(nbytes, True))
-        return counters, seconds
-
-    def _charge_scan(self, counters: IOStats, seconds: list[float]) -> None:
-        """Charge one window's full-graph scan as the streaming scan would.
-
-        The integer counters are exact sums.  The device time is added one
-        read at a time, in read order: a precomputed total would round
-        differently in the last bits.
-        """
-        self.io_stats.merge(counters)  # its device_seconds is 0.0
-        device_seconds = self.io_stats.device_seconds
-        for read_seconds in seconds:
-            device_seconds += read_seconds
-        self.io_stats.device_seconds = device_seconds
-
-    def _process_window_shared(
-        self,
-        sink: TriangleSink,
-        offsets: np.ndarray,
-        edg: np.ndarray,
-        vlow: int,
-        vhigh: int,
-        win_offsets: np.ndarray,
-        win_degrees: np.ndarray,
-    ) -> tuple[int, int]:
-        """The full-graph scan of one memory window on a shared-memory view.
+    def _run_shared(
+        self, sink: TriangleSink, offsets: np.ndarray
+    ) -> tuple[int, int, int, float]:
+        """Every window of the range on a shared-memory view, in one call.
 
         The streaming scan marks every adjacency entry ``(u, v)`` whose
         ``v`` has out-edges in the window; those are exactly the in-edges
-        of the window's vertices with ``win_degrees > 0``, so this scan
-        walks their published in-neighbour lists instead of the file.  The
-        pair count, the operation count (whole file scanned plus gathered
-        ``E_v`` elements) and the triangles -- emitted in the streaming
-        ``(cone, v, w)`` order -- are identical to running
-        :meth:`_process_block` over every scan block.
+        of the window's vertices, so each window's scan walks their
+        published in-neighbour lists instead of the file.  The worker takes
+        every window's span, checks every window against the budget and
+        charges the whole range's modelled reads up front; then one
+        ``mgt_chunk_scan`` call scans every window.  Pairs, operations,
+        charges and triangles -- window by window, in the streaming
+        ``(cone, v, w)`` order -- are identical to :meth:`_run_streaming`'s.
+
+        Returns ``(windows, pairs, operations, cpu_seconds)``.
         """
+        t0 = time.thread_time()
         graph = self.graph
-        scanned = graph.num_edges
-        adjacency = graph.read_adjacency_range(0, scanned)
-        in_offsets = graph.in_offsets
-        in_sources = graph.in_sources
-
-        # compiled tier: one C pass merges N(u) with E_v for every pair
-        fused_scan = kernel_backend.fused("mgt_window_scan")
-        if fused_scan is not None:
-            count_only = type(sink) is CountingSink
-            num_pairs, total, hits, cones, pivots_v, pivots_w = fused_scan(
-                offsets,
-                adjacency,
-                in_offsets,
-                in_sources,
-                edg,
-                vlow,
-                vhigh,
-                win_offsets,
-                win_degrees,
-                not count_only,
-            )
-            if hits:
-                if count_only:
-                    sink.count += hits
-                else:
-                    sink.add_triples(cones, pivots_v, pivots_w)
-            return num_pairs, scanned + total
-
-        # numpy tier: the same candidates in adjacency position order (their
-        # packed keys sort that way), then gather E_v and search each
-        # (u, w) in the published key array
-        n = graph.num_vertices
-        active = np.flatnonzero(win_degrees) + vlow
-        in_starts = in_offsets[active]
-        pair_u, owners = kernels.segment_gather(
-            in_sources, in_starts, in_offsets[active + 1] - in_starts
+        bounds = np.append(
+            np.arange(self.range_start, self.range_stop, self._window_edges),
+            self.range_stop,
         )
-        num_pairs = int(pair_u.shape[0])
-        if num_pairs == 0:
-            return 0, scanned
-        pair_keys = np.sort(kernels.packed_keys(pair_u, active[owners], n))
-        pair_u, pair_v = np.divmod(pair_keys, n)
-        seg_lengths = win_degrees[pair_v - vlow]
-        total = int(seg_lengths.sum())
-        ev_all, pair_ids = kernels.segment_gather(
-            edg, win_offsets[pair_v - vlow], seg_lengths
+        windows = bounds.shape[0] - 1
+        if windows == 0:
+            return 0, 0, 0, 0.0
+        # each window's span: the vertices whose out-lists overlap it
+        vlows = np.searchsorted(offsets, bounds[:-1], side="right") - 1
+        vhighs = np.maximum(np.searchsorted(offsets, bounds[1:], side="left") - 1, vlows)
+        # each window holds edg and ind on top of nm and nmp: reserving the
+        # first that does not fit raises the error the streaming loop
+        # raises, and reserving the largest sets the same peak
+        edg_bytes = np.diff(bounds) * _ITEM_BYTES
+        ind_bytes = (vhighs - vlows + 1) * (2 * _ITEM_BYTES)
+        need = edg_bytes + ind_bytes
+        over = np.flatnonzero(need > self.budget.free)
+        worst = int(over[0]) if over.shape[0] else int(np.argmax(need))
+        self.budget.allocate("edg", int(edg_bytes[worst]))
+        self.budget.allocate("ind", int(ind_bytes[worst]))
+        self.budget.release("edg")
+        self.budget.release("ind")
+        self._charge_windows(offsets, edg_bytes)
+
+        count_only = type(sink) is CountingSink
+        traced = self._tracer.enabled
+        scan = kernel_backend.fused("mgt_chunk_scan") or self._chunk_scan_numpy
+        started = self._tracer.clock() if traced else 0.0
+        pairs, total, hits, cones, pivots_v, pivots_w, window_pairs, window_seconds = scan(
+            offsets,
+            graph.read_adjacency_range(0, graph.num_edges),
+            graph.in_offsets,
+            graph.in_sources,
+            bounds,
+            vlows,
+            vhighs,
+            not count_only,
+            traced,
         )
-        query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
-        found = kernels.sorted_membership(graph.scan_keys, query_keys)
-        if found.any():
-            sink.add_triples(
-                pair_u[pair_ids[found]], pair_v[pair_ids[found]], ev_all[found]
+        if hits:
+            if count_only:
+                sink.count += hits
+            else:
+                sink.add_triples(cones, pivots_v, pivots_w)
+        if traced:
+            # the kernel timed each window; lay the spans end to end
+            for i, (window_pair_count, seconds) in enumerate(
+                zip(window_pairs.tolist(), window_seconds.tolist())
+            ):
+                self._tracer.record_span(
+                    "window",
+                    started,
+                    seconds,
+                    cat="kernel",
+                    window=i,
+                    start=int(bounds[i]),
+                    stop=int(bounds[i + 1]),
+                    pairs=window_pair_count,
+                )
+                started += seconds
+        operations = int(bounds[-1] - bounds[0]) + windows * graph.num_edges + total
+        return windows, pairs, operations, time.thread_time() - t0
+
+    def _charge_windows(self, offsets: np.ndarray, window_bytes: np.ndarray) -> None:
+        """Charge each window's load and full-graph scan as the streaming
+        loop does.
+
+        The streaming loop reads a window, then scans the file in one
+        sequential read per non-empty block of :attr:`_scan_block_vertices`
+        cone vertices, in vertex order.  The integer counters are exact
+        sums.  The device time is added one read at a time in that order, by
+        one sequential ``np.add.accumulate``: a pairwise sum or a
+        precomputed total would round differently in the last bits.
+        """
+        n = self.graph.num_vertices
+        starts = np.arange(0, n, self._scan_block_vertices)
+        stops = np.minimum(starts + self._scan_block_vertices, n)
+        scan_bytes = (offsets[stops] - offsets[starts]) * _ITEM_BYTES
+        scan_bytes = scan_bytes[scan_bytes > 0]
+        windows = window_bytes.shape[0]
+        block = self.config.block_size
+        window_blocks = -(-window_bytes // block)
+        scan_blocks = -(-scan_bytes // block)
+        blocks = int(window_blocks.sum() + windows * scan_blocks.sum())
+        stats = self.io_stats
+        stats.blocks_read += blocks
+        stats.sequential_reads += blocks
+        stats.bytes_read += int(window_bytes.sum() + windows * scan_bytes.sum())
+        stats.read_calls += windows * (1 + scan_bytes.shape[0])
+        model = self.graph.device.model
+        seconds = np.empty((windows, 1 + scan_bytes.shape[0]))
+        seconds[:, 0] = [model.transfer_time(b, True) for b in window_bytes.tolist()]
+        seconds[:, 1:] = [model.transfer_time(b, True) for b in scan_bytes.tolist()]
+        total = np.add.accumulate(np.append(stats.device_seconds, seconds))
+        stats.device_seconds = float(total[-1])
+
+    def _chunk_scan_numpy(
+        self,
+        offsets: np.ndarray,
+        adjacency: np.ndarray,
+        in_offsets: np.ndarray,
+        in_sources: np.ndarray,
+        bounds: np.ndarray,
+        vlows: np.ndarray,
+        vhighs: np.ndarray,
+        want_triples: bool,
+        per_window: bool,
+    ) -> tuple:
+        """The numpy tier of the C kernel ``mgt_chunk_scan``, same arguments
+        and results: the windows one at a time.
+
+        A window's candidate pairs come in adjacency position order (their
+        packed keys sort that way); then ``E_v`` is gathered for every pair
+        and each ``(u, w)`` searched in the published key array.
+        """
+        n = self.graph.num_vertices
+        keys = self.graph.scan_keys
+        nwin = vlows.shape[0]
+        window_pairs = np.zeros(nwin, dtype=np.int64)
+        window_seconds = np.zeros(nwin)
+        total = hits = 0
+        listed: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for i in range(nwin):
+            started = time.perf_counter()
+            vlow = vlows[i]
+            span = np.arange(vlow, vhighs[i] + 1)
+            starts = np.maximum(offsets[span], bounds[i])
+            degrees = np.maximum(np.minimum(offsets[span + 1], bounds[i + 1]) - starts, 0)
+            active = span[degrees > 0]
+            in_starts = in_offsets[active]
+            pair_u, owners = kernels.segment_gather(
+                in_sources, in_starts, in_offsets[active + 1] - in_starts
             )
-        return num_pairs, scanned + total
+            window_pairs[i] = pair_u.shape[0]
+            if pair_u.shape[0]:
+                pair_keys = np.sort(kernels.packed_keys(pair_u, active[owners], n))
+                pair_u, pair_v = np.divmod(pair_keys, n)
+                seg_lengths = degrees[pair_v - vlow]
+                total += int(seg_lengths.sum())
+                ev_all, pair_ids = kernels.segment_gather(
+                    adjacency, starts[pair_v - vlow], seg_lengths
+                )
+                query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
+                found = kernels.sorted_membership(keys, query_keys)
+                hits += int(np.count_nonzero(found))
+                if want_triples:
+                    hit_pairs = pair_ids[found]
+                    listed.append((pair_u[hit_pairs], pair_v[hit_pairs], ev_all[found]))
+            window_seconds[i] = time.perf_counter() - started
+        pairs = int(window_pairs.sum())
+        if not want_triples:
+            cones = pivots_v = pivots_w = None
+        elif listed:
+            cones, pivots_v, pivots_w = (np.concatenate(column) for column in zip(*listed))
+        else:
+            cones = pivots_v = pivots_w = np.empty(0, dtype=np.int64)
+        if not per_window:
+            window_pairs = window_seconds = None
+        return pairs, total, hits, cones, pivots_v, pivots_w, window_pairs, window_seconds
 
 
 def mgt_count(

@@ -164,6 +164,24 @@ class Tracer:
             )
         )
 
+    def record_span(
+        self, name: str, start: float, duration: float, /, cat: str = "phase", **args: object
+    ) -> None:
+        """Append a span timed elsewhere (a compiled kernel's memory window),
+        nested in the spans open now."""
+        self._events.append(
+            SpanEvent(
+                seq=self._next_seq(),
+                name=name,
+                cat=cat,
+                start=start,
+                duration=duration,
+                depth=self._depth,
+                track=self.track,
+                args=tuple(sorted(args.items())),
+            )
+        )
+
     def _finish(self, span: Span) -> None:
         self._depth -= 1
         self._events.append(

@@ -29,7 +29,7 @@ _RETIRED_TIER = "numba"
 #: the C kernels that replace multi-pass numpy caller chains (no numpy twin)
 _FUSED_KERNELS = (
     "mgt_block_scan",
-    "mgt_window_scan",
+    "mgt_chunk_scan",
     "edge_support_accumulate",
     "truss_peel_level",
     "triangle_edge_ids",

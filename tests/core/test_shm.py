@@ -30,7 +30,7 @@ from repro.core.shm import (
     shm_available,
 )
 from repro.core.triangles import make_sink
-from repro.errors import GraphFormatError, PDTLError
+from repro.errors import GraphFormatError, OutOfMemoryError, PDTLError
 from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
@@ -404,6 +404,7 @@ def _scan_outcome(graph, config: PDTLConfig, start: int, stop: int, kind: str):
         result.cpu_operations,
         result.cpu_seconds,
         result.io_stats.as_dict(),
+        result.peak_memory_bytes,
     )
 
 
@@ -433,7 +434,7 @@ class TestSharedScanMatchesDisk:
         oriented = write_graph(BlockDevice(tmp_path / "disk", block_size=512), name, graph)
         with kernel_backend.use(tier), publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
-            before = kernel_backend.dispatch_counts().get(f"mgt_window_scan.{tier}", 0)
+            before = kernel_backend.dispatch_counts().get(f"mgt_chunk_scan.{tier}", 0)
             try:
                 for lo, hi in ranges:
                     shared = _scan_outcome(view, config, lo, hi, kind)
@@ -441,9 +442,83 @@ class TestSharedScanMatchesDisk:
                     assert shared == disk, (lo, hi)
             finally:
                 view.close()
-            dispatched = kernel_backend.dispatch_counts()[f"mgt_window_scan.{tier}"] - before
-        # the shared path ran once per window
-        assert dispatched == sum(-(-(hi - lo) // window) for lo, hi in ranges)
+            dispatched = kernel_backend.dispatch_counts().get(f"mgt_chunk_scan.{tier}", 0) - before
+        # the shared path scanned every range with windows in one call
+        assert dispatched == sum(hi > lo for lo, hi in ranges)
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi"])
+    def test_traced_chunk_records_every_window(self, tmp_path, tier):
+        if tier == "cffi" and not _COMPILED_OK:
+            pytest.skip(f"no C tier: {_COMPILED_DETAIL}")
+        graph = _SCAN_GRAPHS["rmat"]()
+        config = PDTLConfig(memory_per_proc=8192, block_size=512, trace=True)
+        start, stop = graph.num_edges // 3, 2 * graph.num_edges // 3
+        oriented = write_graph(BlockDevice(tmp_path / "disk", block_size=512), "g", graph)
+        with kernel_backend.use(tier), publish_graph(oriented) as publication:
+            task = ChunkTask(
+                index=0,
+                device_root=str(oriented.device.root),
+                device_block_size=oriented.device.block_size,
+                disk_model=DiskModel(),
+                graph_name=oriented.name,
+                num_vertices=oriented.num_vertices,
+                num_edges=oriented.num_edges,
+                max_degree=oriented.max_degree,
+                config=config,
+                start=start,
+                stop=stop,
+                sink_kind="count",
+                shm=publication.descriptor,
+                seed=chunk_seed(0, 0),
+            )
+            outcome = execute_chunk_task(task)
+            detach_view(publication.descriptor.token)
+        (chunk,) = [e for e in outcome.events if e.name == "chunk"]
+        windows = [e for e in outcome.events if e.name == "window"]
+        result = outcome.result
+        assert result.iterations > 1
+        assert len(windows) == result.iterations
+        assert [e.args_dict["window"] for e in windows] == list(range(result.iterations))
+        bounds = [e.args_dict["start"] for e in windows] + [windows[-1].args_dict["stop"]]
+        assert bounds[0] == start and bounds[-1] == stop
+        assert all(e.args_dict["stop"] == b for e, b in zip(windows, bounds[1:]))
+        ends = [chunk.start] + [e.start + e.duration for e in windows]
+        assert all(e.cat == "kernel" and e.depth == chunk.depth + 1 for e in windows)
+        assert all(e.start >= end for e, end in zip(windows, ends))
+        assert ends[-1] <= chunk.start + chunk.duration
+        assert sum(e.args_dict["pairs"] for e in windows) == result.intersections
+
+
+class TestWindowBudget:
+    """A window whose ``edg`` and ``ind`` arrays overflow the budget fails
+    the run with the error of its ``ind`` allocation, on every path."""
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi"])
+    @pytest.mark.parametrize("path", ["disk", "shm"])
+    def test_oversized_window_span_raises(self, tmp_path, path, tier):
+        if tier == "cffi" and not _COMPILED_OK:
+            pytest.skip(f"no C tier: {_COMPILED_DETAIL}")
+        # the triangles {0, 1, 2} and {1997, 1998, 1999}: the one window
+        # spans 1,999 vertices, so ind needs 2 x 8 x 1,999 = 31,984 bytes,
+        # and 8,192 - 16 (nm) - 16 (nmp) - 48 (edg) = 8,112 are free
+        n = 2000
+        ends = (0, n - 3)
+        edges = [(a + i, a + j) for a in ends for i, j in ((0, 1), (0, 2), (1, 2))]
+        graph = orient_csr(CSRGraph.from_edgelist(EdgeList(np.array(edges), n)))
+        config = PDTLConfig(memory_per_proc=8192, block_size=512)
+        oriented = write_graph(BlockDevice(tmp_path / "disk", block_size=512), "g", graph)
+        message = (
+            "allocation of 31984 bytes exceeds available budget of 8112 bytes "
+            "(allocation 'ind' on budget of 8.0KiB)"
+        )
+        with kernel_backend.use(tier), publish_graph(oriented) as publication:
+            view = SharedGraphView(publication.descriptor, oriented.device.model)
+            try:
+                with pytest.raises(OutOfMemoryError) as raised:
+                    MGTWorker(view if path == "shm" else oriented, config).run()
+            finally:
+                view.close()
+        assert str(raised.value) == message
 
 
 class TestRunnerIntegration:

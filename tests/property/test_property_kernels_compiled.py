@@ -8,7 +8,7 @@ C tier cannot be built the whole module skips with the build's reason; a
 registry that builds but disagrees with numpy fails here rather than
 skipping, even though the tier probe refuses it.
 
-The fused entry points (``mgt_block_scan``, ``mgt_window_scan``,
+The fused entry points (``mgt_block_scan``, ``mgt_chunk_scan``,
 ``edge_support_accumulate``, ``triangle_edge_ids``, ``incidence_csr``)
 have no single numpy twin -- they replace multi-pass caller chains -- so
 they are checked against in-test references built from the numpy
@@ -345,57 +345,75 @@ def test_mgt_block_scan_matches_reference(registry, graph, data):
 @REGISTRY_PARAMS
 @given(graph=st.one_of(random_graphs().map(orient_csr), cone_dags()), data=st.data())
 @settings(**SETTINGS)
-def test_mgt_window_scan_matches_reference(registry, graph, data):
-    """The in-list walk of one memory window equals the streaming scan of
-    the whole graph: same pairs, gathered total and triples in the same
-    order.  The window is any edge range, so lists straddle its ends."""
+def test_mgt_chunk_scan_matches_reference(registry, graph, data):
+    """The in-list walk of an edge range's one to four memory windows
+    equals the streaming scan of the whole graph once per window: same
+    pairs, gathered total and triples, in the same order, window by window.
+    The range and its windows end anywhere, so lists straddle their ends."""
     indptr, indices = graph.indptr, graph.indices
     n, m = graph.num_vertices, graph.num_edges
     if m == 0:
         return
     start = data.draw(st.integers(min_value=0, max_value=m - 1))
     stop = data.draw(st.integers(min_value=start + 1, max_value=m))
-    # the window's ind arrays, as MGTWorker builds them
-    vlow = int(np.searchsorted(indptr, start, side="right")) - 1
-    vhigh = max(int(np.searchsorted(indptr, stop, side="left")) - 1, vlow)
-    span = np.arange(vlow, vhigh + 1)
-    win_starts = np.maximum(indptr[span], start)
-    win_degrees = np.maximum(np.minimum(indptr[span + 1], stop) - win_starts, 0)
-    win_offsets = win_starts - start
-    edg = indices[start:stop].copy()
+    width = data.draw(st.integers(min_value=-(-(stop - start) // 4), max_value=stop - start))
+    bounds = np.append(np.arange(start, stop, width), stop)
+    # the windows' spans, as MGTWorker takes them
+    vlows = np.searchsorted(indptr, bounds[:-1], side="right") - 1
+    vhighs = np.maximum(np.searchsorted(indptr, bounds[1:], side="left") - 1, vlows)
     sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     in_sources = sources[np.argsort(indices, kind="stable")]
     in_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=n), out=in_offsets[1:])
 
-    # the whole graph as one scan block
-    pairs, total, cones, vs_ref, ws_ref = _mgt_block_scan_reference(
-        indices, indptr, edg, vlow, vhigh, win_offsets, win_degrees
-    )
-    args = (indptr, indices, in_offsets, in_sources, edg, vlow, vhigh,
-            win_offsets, win_degrees)
-    got = registry["mgt_window_scan"](*args, True)
-    assert (got[0], got[1], got[2]) == (pairs, total, len(cones))
+    # each window's ind arrays, and the whole graph as one scan block
+    window_pairs, total, cones, vs_ref, ws_ref = [], 0, [], [], []
+    for lo, hi, vlow, vhigh in zip(bounds[:-1], bounds[1:], vlows, vhighs):
+        span = np.arange(vlow, vhigh + 1)
+        win_starts = np.maximum(indptr[span], lo)
+        win_degrees = np.maximum(np.minimum(indptr[span + 1], hi) - win_starts, 0)
+        pairs, gathered, *triples = _mgt_block_scan_reference(
+            indices, indptr, indices[lo:hi].copy(), vlow, vhigh, win_starts - lo, win_degrees
+        )
+        window_pairs.append(pairs)
+        total += gathered
+        for column, part in zip((cones, vs_ref, ws_ref), triples):
+            column.extend(part)
+    args = (indptr, indices, in_offsets, in_sources, bounds, vlows, vhighs)
+    got = registry["mgt_chunk_scan"](*args, True, True)
+    assert (got[0], got[1], got[2]) == (sum(window_pairs), total, len(cones))
     np.testing.assert_array_equal(np.asarray(got[3]), np.asarray(cones, dtype=np.int64))
     np.testing.assert_array_equal(np.asarray(got[4]), np.asarray(vs_ref, dtype=np.int64))
     np.testing.assert_array_equal(np.asarray(got[5]), np.asarray(ws_ref, dtype=np.int64))
+    assert got[6].tolist() == window_pairs
+    assert got[7].shape == (len(window_pairs),) and (got[7] >= 0).all()
 
-    counted = registry["mgt_window_scan"](*args, False)
-    assert (counted[0], counted[1], counted[2]) == (pairs, total, len(cones))
+    counted = registry["mgt_chunk_scan"](*args, False, False)
+    assert counted == (sum(window_pairs), total, len(cones), None, None, None, None, None)
 
 
 @REGISTRY_PARAMS
-@pytest.mark.parametrize("vlow, vhigh", [(-1, 0), (2, 1), (0, 4)])
-def test_mgt_window_scan_refuses_spans_outside_the_graph(registry, vlow, vhigh):
+@pytest.mark.parametrize(
+    "bounds, vlows, vhighs",
+    [
+        ((0, 3), (-1,), (0,)),  # span below the first vertex
+        ((0, 3), (2,), (1,)),  # span ends before it starts
+        ((0, 3), (0,), (4,)),  # span past the last vertex
+        ((-1, 3), (0,), (2,)),  # window before the first entry
+        ((0, 4), (0,), (2,)),  # window past the last entry
+        ((2, 1, 3), (0, 0), (2, 2)),  # windows out of order
+        ((0, 3), (0, 0), (2, 2)),  # fewer bounds than windows
+    ],
+)
+def test_mgt_chunk_scan_refuses_windows_outside_the_graph(registry, bounds, vlows, vhighs):
     indptr = np.array([0, 2, 3, 3, 3], dtype=np.int64)
     indices = np.array([1, 2, 2], dtype=np.int64)
     in_offsets = np.array([0, 0, 1, 3, 3], dtype=np.int64)
     in_sources = np.array([0, 0, 1], dtype=np.int64)
-    window = np.zeros(5, dtype=np.int64)
     with pytest.raises(ValueError):
-        registry["mgt_window_scan"](
-            indptr, indices, in_offsets, in_sources, indices, vlow, vhigh,
-            window, window, True,
+        registry["mgt_chunk_scan"](
+            indptr, indices, in_offsets, in_sources,
+            np.array(bounds), np.array(vlows), np.array(vhighs), True, False,
         )
 
 

@@ -54,7 +54,7 @@ def test_analytics_truss(perf_graph, expected_triangles, perf_report):
             memory_per_proc="4MB",
             scheduling="dynamic",
             modelled_cpu=True,
-            backend="threads",
+            backend="processes",
         ),
         repeats=1,
     )

@@ -1,11 +1,11 @@
-"""Backend scaling: serial vs threads vs processes vs processes+shm.
+"""Backend scaling: serial vs processes vs processes+shm.
 
 The quantity this benchmark tracks is the cost of the *execution backend*
 itself on one full PDTL run -- the same graph, the same dynamic chunk
 schedule, the same modelled numbers (asserted bit-identical), only the
 host-side execution strategy varies:
 
-* ``serial`` / ``threads`` -- in-process references;
+* ``serial`` -- the in-process reference;
 * ``processes`` -- the persistent-pool processes backend, every chunk task
   re-reading its memory windows from the on-disk replica (the duplicated
   host reads the shared-memory subsystem removes);
@@ -98,7 +98,6 @@ def test_backend_scaling(scaling_graph, perf_report):
 
     runs = {
         "serial": _best_run(scaling_graph, "serial", shm=False),
-        "threads": _best_run(scaling_graph, "threads", shm=False),
         "processes": _best_run(scaling_graph, "processes", shm=False),
         "processes_shm": _best_run(scaling_graph, "processes", shm=True),
         "processes_fresh_pool": _best_run(
@@ -128,7 +127,6 @@ def test_backend_scaling(scaling_graph, perf_report):
         memory_bytes=_MEMORY,
         num_chunks=runs["serial"][1].num_chunks,
         serial_wall_s=runs["serial"][0],
-        threads_wall_s=runs["threads"][0],
         processes_wall_s=runs["processes"][0],
         processes_fresh_pool_wall_s=runs["processes_fresh_pool"][0],
         processes_shm_wall_s=runs["processes_shm"][0],

@@ -156,7 +156,7 @@ def test_orientation_throughput(perf_graph, perf_report, tmp_path_factory):
         device = BlockDevice(tmp_path_factory.mktemp(f"orient{i}"), block_size=_BLOCK)
         source = write_graph(device, "g", perf_graph)
         wall, orientation = best_of(
-            lambda: orient_graph(source, num_workers=1, parallel=False), repeats=1
+            lambda: orient_graph(source), repeats=1
         )
         assert orientation.oriented.num_edges == perf_graph.num_undirected_edges
         walls.append(wall)

@@ -4,10 +4,16 @@ Table II compares PDTL's orientation time against PowerGraph's setup and
 OPT's database creation; Figure 2 shows how PDTL's multicore orientation
 scales with the number of cores.  Here the same two views are regenerated:
 
-* orientation wall time for 1..8 orientation workers on every dataset
-  (Figure 2's series), and
+* orientation wall time with the graph split into 1..8 chunks, one per
+  master core, filtered in sequence on every dataset (Figure 2's
+  series), and
 * PDTL orientation vs PowerGraph setup vs OPT database creation on the
   comparison datasets (Table II's rows).
+
+Figure 2's multicore speed-up is not reproduced: the chunks run one
+after another, and orientation has no modelled CPU term to divide
+across cores yet (ROADMAP item 1), so the series shows only what more
+chunks cost in sequence.
 
 The shape to reproduce: preprocessing is a small fraction of total runtime
 for PDTL, and the competing systems' setup phases are heavier because they
@@ -28,16 +34,15 @@ from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import write_graph
 
 
-def _orientation_time(graph, workers: int) -> float:
+def _orientation_time(graph, chunks: int) -> float:
     with tempfile.TemporaryDirectory(prefix="bench_orient_") as root:
         device = BlockDevice(root, block_size=4096)
         gf = write_graph(device, "g", graph)
-        result = orient_graph(gf, num_workers=workers, parallel=workers > 1)
-        return result.elapsed_seconds
+        return orient_graph(gf, num_chunks=chunks).elapsed_seconds
 
 
 def test_fig2_multicore_orientation(benchmark, datasets, results_dir):
-    """Figure 2: orientation time as the number of orientation workers grows."""
+    """Figure 2: orientation time as the number of chunks (cores) grows."""
 
     def sweep():
         rows = []
@@ -54,7 +59,14 @@ def test_fig2_multicore_orientation(benchmark, datasets, results_dir):
     write_result(
         results_dir,
         "fig2_orientation_scaling",
-        format_table(rows, title="Figure 2: PDTL multicore orientation time"),
+        format_table(
+            rows,
+            title=(
+                "Figure 2: PDTL orientation time, one chunk per core, chunks in "
+                "sequence (multicore speed-up not modelled: orientation has no "
+                "CPU term yet)"
+            ),
+        ),
     )
     assert len(rows) == 4
 
@@ -67,7 +79,7 @@ def test_table2_preprocessing_comparison(benchmark, datasets, results_dir):
         rows = []
         for name in names:
             graph = datasets[name]
-            orientation_s = _orientation_time(graph, workers=4)
+            orientation_s = _orientation_time(graph, chunks=4)
             pg = run_powergraph(graph, num_machines=4, memory_per_machine="1GB")
             opt = run_opt(graph, num_threads=4)
             pdtl_output_bytes = 8 * (graph.num_vertices + graph.num_undirected_edges)

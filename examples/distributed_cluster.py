@@ -49,7 +49,7 @@ def main() -> None:
             memory_per_proc="1MB",
             load_balanced=True,
         )
-        result = PDTLRunner(config, backend="threads").run(graph)
+        result = PDTLRunner(config, backend="processes").run(graph)
         speedup = baseline.calc_seconds / max(result.calc_seconds, 1e-9)
         print(
             f"{num_nodes:>5} | {result.triangles:>10} | "
@@ -61,7 +61,7 @@ def main() -> None:
 
     # Per-node breakdown of the largest configuration (Figures 7/8 layout).
     config = PDTLConfig(num_nodes=4, procs_per_node=cores_per_node, memory_per_proc="1MB")
-    result = PDTLRunner(config, backend="threads").run(graph)
+    result = PDTLRunner(config, backend="processes").run(graph)
     print("\nper-node breakdown at 4 nodes:")
     for row in result.node_breakdown():
         print(

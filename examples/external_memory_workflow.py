@@ -62,7 +62,7 @@ def main() -> None:
     sorted_edges = EdgeList(read_edge_file(device, "sorted_edges.bin"), edges.num_vertices)
     graph = CSRGraph.from_edgelist(sorted_edges, symmetrize=False)
     graph_file = write_graph(device, "graph", graph)
-    orientation = orient_graph(graph_file, num_workers=2)
+    orientation = orient_graph(graph_file, num_chunks=2)
     print(f"oriented graph: {orientation.num_edges} edges, "
           f"d*_max = {orientation.max_out_degree}")
 

@@ -49,7 +49,7 @@ def main() -> None:
         memory_per_proc="1MB",
         load_balanced=True,
     )
-    runner = PDTLRunner(config, backend="threads")
+    runner = PDTLRunner(config, backend="processes")
     distributed = runner.run(graph)
     print(f"\ndistributed PDTL ({config.describe()}):")
     print(f"  triangles        : {distributed.triangles}")

@@ -70,7 +70,7 @@ def main() -> None:
         procs_per_node=4,
         memory_per_proc="4MB",
         scheduling="dynamic",
-        backend="threads",
+        backend="processes",
     )
     print()
     print(result.report())

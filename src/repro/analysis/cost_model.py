@@ -94,10 +94,9 @@ class SetupCostEstimate:
 
     The setup phase -- staging the input graph, orienting it and serving
     the replication reads -- is a fixed number of sequential scans of the
-    degree and adjacency files, so its block count is execution-strategy
-    independent: orienting on threads charges exactly the same scans as
-    the sequential path (the preprocessing equivalence suite asserts the
-    measured counters are bit-identical).
+    degree and adjacency files, so its block count does not depend on the
+    execution backend (the preprocessing equivalence suite asserts the
+    measured counters are bit-identical across backends).
     This estimate gives the scan-cost envelope those counters must sit
     near, in the same no-hidden-constants spirit as the MGT and PDTL
     estimates above.

@@ -148,8 +148,10 @@ def run_analytics(
     ``graph`` is the undirected input (in-memory CSR or on-disk).  The
     engine configuration comes from ``config`` or keyword overrides exactly
     as in :func:`repro.core.runner.edge_supports` (which this delegates
-    to); the sink kind is forced to ``edge-support`` because everything
-    downstream derives from the per-edge supports.
+    to), and ``backend`` (``serial`` or ``processes``) runs it as in
+    :class:`~repro.core.pdtl.PDTLRunner`; the sink kind is forced to
+    ``edge-support`` because everything downstream derives from the
+    per-edge supports.
 
     ``deltas`` -- one :class:`~repro.analytics.delta.GraphDelta` or a
     sequence of them -- mutates the graph *after* the base run: each batch

@@ -78,7 +78,7 @@ def run_single_core_mgt(
                     device = BlockDevice(tempdir.name, block_size=block_size)
             source = write_graph(device, "mgt_input", graph)
 
-        orientation = orient_graph(source, num_workers=1, parallel=False)
+        orientation = orient_graph(source)
         calc_timer = Timer().start()
         worker = MGTWorker(orientation.oriented, config)
         result = worker.run()

@@ -15,8 +15,9 @@ that preserves the quantities the evaluation reports:
   seconds, I/O seconds and block counts, which regenerate the CPU-vs-I/O
   breakdowns of Figures 6-8 and Tables IV/VII;
 * :mod:`~repro.cluster.executor` runs the per-core MGT jobs either
-  serially (deterministic, used in tests), with a thread pool, or with a
-  process pool (true parallelism for the wall-clock benchmarks).
+  serially (deterministic, used in tests) or on a persistent process pool
+  with one worker per usable CPU (true parallelism for the wall-clock
+  benchmarks).
 """
 
 from repro.cluster.cluster import Cluster

@@ -110,9 +110,9 @@ class ClusterMetrics:
     *preprocessing* phase -- staging the input, orienting it and
     replicating the oriented graph -- as modelled device time and block
     counters on the master's disk.  They are charged identically on every
-    backend, whether the orientation chunks ran on threads or in sequence
-    (the accounting is below the execution strategy), which is exactly
-    what the preprocessing equivalence suite asserts.
+    backend (the master preprocesses in its own process, and the
+    accounting is below the execution strategy), which is exactly what
+    the preprocessing equivalence suite asserts.
     """
 
     nodes: list[NodeMetrics] = field(default_factory=list)

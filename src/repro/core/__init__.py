@@ -37,8 +37,8 @@ Modules
 ``pdtl``
     The PDTL master/worker framework: orientation, graph duplication, edge
     range assignment (static ranges or the dynamic chunk queue), per-core
-    MGT execution (serially, via threads, or via a simulated cluster), and
-    result aggregation.
+    MGT execution (serially or on the process pool), and result
+    aggregation.
 ``runner``
     One-call convenience entry points ``count_triangles`` / ``list_triangles``.
 """

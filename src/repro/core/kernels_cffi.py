@@ -37,9 +37,6 @@ Semantics are pinned to the numpy twins in
   it; ``in_lists`` builds the published in-lists and packed keys byte for
   byte; ``csr_violations`` finds the first vertex of each format
   violation, so ``write_graph`` raises the numpy checks' error.
-
-C calls release the GIL (cffi does so around every call), so the threads
-execution backend runs the kernels of concurrent chunks in parallel.
 """
 
 from __future__ import annotations

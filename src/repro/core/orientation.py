@@ -15,26 +15,25 @@ Two code paths are provided:
   in-memory baselines and by tests as the reference implementation;
 * :func:`orient_graph` -- the external-memory path: the degree array is
   read into memory (the paper assumes ``|V| < P·M``), the adjacency file
-  is split into contiguous vertex chunks that are stream-filtered
-  independently (on a thread pool when ``parallel=True``, sequentially
-  otherwise) and concatenated in order -- the "multicore orientation" of
-  section IV-B1 whose speed-up Figure 2 reports.  Each chunk's filter is
-  one branch-free pass of the C tier's ``orient_range`` kernel, or its
-  numpy twin :func:`_orient_range_numpy` (the reference the kernel is
-  tested against, with :func:`orient_csr`).  Either raises
+  is split into ``num_chunks`` contiguous vertex chunks (one per master
+  core in a PDTL run, the "multicore orientation" of section IV-B1) that
+  are stream-filtered one after another and concatenated in order.  Each
+  chunk's filter is one branch-free pass of the C tier's ``orient_range``
+  kernel, or its numpy twin :func:`_orient_range_numpy` (the reference
+  the kernel is tested against, with :func:`orient_csr`).  Either raises
   :class:`~repro.errors.GraphFormatError` naming the vertex when an
   on-disk id lies outside ``[0, n)``.  At this reproduction's sizes the
-  filter is a few milliseconds, and two chunks on threads are no faster
-  than the same chunks in sequence (README, "Preprocessing").
+  filter is a few milliseconds, and two chunks on threads were no faster
+  than the same chunks in sequence (README, "Preprocessing"), so the
+  chunks run in sequence.
 
-Both modes of :func:`orient_graph` charge the identical I/O accounting:
-the master charges one degree-file scan plus one adjacency read per chunk
-**in chunk order**
+The chunk decomposition fixes the I/O accounting: the master charges one
+degree-file scan plus one adjacency read per chunk **in chunk order**
 (:meth:`repro.externalmem.blockio.BlockDevice.charge_read`), while the
 chunk compute reads the bytes below the accounting (raw ``np.fromfile``).
-IOStats, modelled device seconds and the output file bytes are therefore
-bit-identical whether the chunks ran on threads or in sequence -- the
-equivalence suite asserts this, it is not assumed.
+The oriented file bytes do not depend on the chunk count, and IOStats
+and the modelled device seconds depend on it only through the number of
+charged reads -- the equivalence suite asserts this, it is not assumed.
 
 Because both the input and output adjacency files are sorted by source and
 then destination, and orientation only *removes* entries, the output
@@ -43,7 +42,6 @@ automatically satisfies the sortedness invariant the modified MGT needs.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +70,7 @@ class OrientationResult:
     of *incoming* oriented edges -- which is exactly the per-vertex weight
     the load-balancing step uses to split edge ranges (section IV-B1).
     ``modelled_io_seconds`` is the modelled device time charged during the
-    orientation (input scans plus output writes) -- identical across
-    executors by construction; ``executor`` records which path ran the
-    chunks (``"serial"`` / ``"threads"``).
+    orientation (input scans plus output writes).
     """
 
     oriented: GraphFile
@@ -84,7 +80,6 @@ class OrientationResult:
     elapsed_seconds: float
     num_chunks: int
     modelled_io_seconds: float = 0.0
-    executor: str = "serial"
 
     @property
     def num_vertices(self) -> int:
@@ -148,9 +143,9 @@ def _orient_chunk(
     out-degrees, filtered adjacency).
 
     The adjacency window is read raw from the host file, below the
-    accounting on purpose: the master charges the modelled chunk read
-    itself, in chunk order, so the accounting is identical whether this
-    runs inline or on a thread.  ``orient_range`` is the filter: the C
+    accounting on purpose: the master charges every chunk's modelled read
+    itself, in chunk order, before any chunk is filtered.  ``orient_range``
+    is the filter: the C
     tier's one-pass kernel, or its numpy twin :func:`_orient_range_numpy`.
     """
     lo, hi = vertex_range
@@ -203,8 +198,7 @@ def orient_graph(
     source: GraphFile,
     device: BlockDevice | None = None,
     output_name: str | None = None,
-    num_workers: int = 1,
-    parallel: bool = True,
+    num_chunks: int = 1,
 ) -> OrientationResult:
     """Orient an on-disk undirected graph into an on-disk oriented graph.
 
@@ -216,23 +210,18 @@ def orient_graph(
         where to write the oriented graph; defaults to the source's device.
     output_name:
         name of the oriented graph; defaults to ``"<source>_oriented"``.
-    num_workers:
-        number of orientation workers (the master's cores).  The adjacency
-        file is split into ``num_workers`` contiguous vertex ranges that are
-        filtered independently and concatenated in order.
-    parallel:
-        when False the chunks are processed sequentially even if
-        ``num_workers > 1`` (used to measure the multicore speed-up of
-        Figure 2 against an identical work decomposition).
+    num_chunks:
+        number of contiguous vertex ranges the adjacency file is split
+        into (the master's cores in a PDTL run); each is filtered on its
+        own and the results are concatenated in order.
 
-    The I/O accounting is identical either way: one degree-file read plus
-    one charged adjacency read per chunk in chunk order, then the output
-    writes.
+    The I/O accounting is one degree-file read plus one charged adjacency
+    read per chunk in chunk order, then the output writes.
     """
     if source.directed:
         raise ValueError("orient_graph expects an undirected on-disk graph")
-    if num_workers <= 0:
-        raise ValueError("num_workers must be positive")
+    if num_chunks <= 0:
+        raise ValueError("num_chunks must be positive")
     device = device if device is not None else source.device
     output_name = output_name if output_name is not None else f"{source.name}_oriented"
 
@@ -244,12 +233,11 @@ def orient_graph(
     degrees = source.read_degrees()
     offsets = prefix_sums(degrees)
     keys = degree_order_keys(degrees)
-    ranges = chunk_ranges(source.num_vertices, num_workers)
+    ranges = chunk_ranges(source.num_vertices, num_chunks)
 
     # charge every chunk's adjacency read now, in chunk order: the compute
     # below reads raw, so this is the single place the modelled input scan
-    # is accounted -- deterministically, no matter which executor runs the
-    # chunks or in which order they finish
+    # is accounted
     adjacency_name = source.adjacency_file_name
     for lo, hi in ranges:
         count = int(offsets[hi] - offsets[lo])
@@ -257,21 +245,10 @@ def orient_graph(
             source.device.charge_read(adjacency_name, int(offsets[lo]) * 8, count * 8)
 
     adjacency_path = str(source.device.path(adjacency_name))
-    # resolved once, here: the chunks may run on threads
     orient_range = kernel_backend.fused("orient_range") or _orient_range_numpy
-    if parallel and num_workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=num_workers) as pool:
-            futures = [
-                pool.submit(_orient_chunk, adjacency_path, keys, offsets, r, orient_range)
-                for r in ranges
-            ]
-            results = [f.result() for f in futures]
-        used_executor = "threads"
-    else:
-        results = [
-            _orient_chunk(adjacency_path, keys, offsets, r, orient_range) for r in ranges
-        ]
-        used_executor = "serial"
+    results = [
+        _orient_chunk(adjacency_path, keys, offsets, r, orient_range) for r in ranges
+    ]
 
     out_degree_parts = [r[0] for r in results]
     adjacency_parts = [r[1] for r in results]
@@ -301,7 +278,6 @@ def orient_graph(
         out_degrees=out_degrees,
         in_degrees=in_degrees,
         elapsed_seconds=timer.elapsed,
-        num_chunks=num_workers,
+        num_chunks=num_chunks,
         modelled_io_seconds=modelled_after - modelled_before,
-        executor=used_executor,
     )

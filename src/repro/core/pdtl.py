@@ -181,8 +181,8 @@ class PDTLRunner:
         the (N, P, M, B) environment plus algorithm switches.
     backend:
         how per-core MGT jobs execute on the host
-        (``serial`` / ``threads`` / ``processes``); the modelled results are
-        backend-independent.
+        (``serial`` in this process, or ``processes`` on the persistent
+        process pool); the modelled results are backend-independent.
     storage_root:
         optional directory for the simulated machines' disks; a temporary
         directory per machine is used when omitted.
@@ -358,10 +358,10 @@ class PDTLRunner:
             phase_io["stage_input"] = master_stats.delta(phase_baseline)
             phase_baseline = master_stats.snapshot()
         with tracer.span("orient", cat="phase"):
-            # one chunk per master core, whatever the backend: every chunk
-            # charges the same reads, so IOStats and the modelled setup
-            # time do not depend on how the chunks execute
-            orientation = orient_graph(source, num_workers=config.procs_per_node)
+            # one chunk per master core, whatever the backend: the chunk
+            # count fixes the charged reads, so IOStats and the modelled
+            # setup time do not depend on the backend
+            orientation = orient_graph(source, num_chunks=config.procs_per_node)
         if tracing:
             phase_io["orient"] = master_stats.delta(phase_baseline)
             phase_baseline = master_stats.snapshot()
@@ -607,8 +607,8 @@ class PDTLRunner:
                 registry.inc(f"master.blockio.{key}", value)
         if run_counters_before is not None:
             # run-level process-global delta: exact totals for the serial
-            # and threads backends (everything shares this process); the
-            # master-side publish/attach share for the processes backends
+            # backend (everything runs in this process); the master-side
+            # publish/attach share for the processes backend
             registry.add_counts(
                 counter_delta(snapshot_process_counters(), run_counters_before),
                 prefix="run.",

@@ -73,7 +73,7 @@ def triangle_counts_per_vertex(
 
     This is the building block for clustering coefficients, transitivity,
     k-truss seeds and the other applications listed in the paper's
-    introduction; see ``examples/clustering_coefficients.py``.
+    introduction; see ``examples/social_network_analysis.py``.
     """
     cfg = _make_config(config, **config_overrides)
     return PDTLRunner(cfg, backend=backend).run(graph, sink_kind="per-vertex")

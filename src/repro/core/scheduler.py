@@ -283,7 +283,7 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
     tracer = Tracer(track=f"chunk{task.index}") if trace else NULL_TRACER
     # process-global counters (shm attach cache, kernel dispatch) are only
     # delta'd per task inside a worker process, where tasks run one at a
-    # time so the delta is exact; in the master process (serial/threads)
+    # time so the delta is exact; in the master process (serial backend)
     # the runner's run-level delta covers them without double counting
     counters_before = (
         snapshot_process_counters()

@@ -246,8 +246,8 @@ class SharedGraphPublication:
         if self._unlinked:
             return
         self._unlinked = True
-        # drop any same-process cached view first (serial/threads backends
-        # attach in this very process)
+        # drop any same-process cached view first (the serial backend
+        # attaches in this very process)
         detach_view(self.descriptor.token)
         for shm in self._segments:
             try:
@@ -553,7 +553,8 @@ def _sweep_dead_locked() -> None:
 
 def attach_view(descriptor: SharedGraphDescriptor, model: DiskModel) -> SharedGraphView:
     """Return the process-local cached view for ``descriptor`` (attaching on
-    first use).  Thread-safe; threads backend workers share one mapping."""
+    first use).  Thread-safe: concurrent callers in one process share one
+    mapping."""
     with _ATTACH_LOCK:
         _sweep_dead_locked()
         view = _ATTACHED.pop(descriptor.token, None)

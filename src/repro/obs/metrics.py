@@ -217,9 +217,9 @@ def snapshot_process_counters() -> dict[str, float]:
     Covers the shm attach cache and the compiled-kernel dispatch counts.
     Call once before and once after a unit of work, then diff with
     :func:`counter_delta`, to attribute increments to that unit.  Inside a
-    pool worker (single-threaded, tasks run sequentially) the delta is
-    exact; the master-side run-level delta is exact for the serial and
-    threads backends where everything shares one process.
+    pool worker (tasks run one at a time) the delta is exact; the
+    master-side run-level delta is exact for the serial backend, where
+    everything runs in one process.
     """
     from repro.core import kernel_backend, shm
 

@@ -66,9 +66,9 @@ class TestDerivations:
 
 class TestDriver:
     def test_backends_agree(self, graph, result):
-        threaded = run_analytics(
+        pooled = run_analytics(
             graph,
-            backend="threads",
+            backend="processes",
             num_nodes=2,
             procs_per_node=2,
             memory_per_proc="64KB",
@@ -76,12 +76,12 @@ class TestDriver:
             modelled_cpu=True,
         )
         np.testing.assert_array_equal(
-            threaded.edge_supports, result.edge_supports
+            pooled.edge_supports, result.edge_supports
         )
         np.testing.assert_array_equal(
-            threaded.truss.trussness, result.truss.trussness
+            pooled.truss.trussness, result.truss.trussness
         )
-        assert threaded.pdtl.calc_seconds == result.pdtl.calc_seconds
+        assert pooled.pdtl.calc_seconds == result.pdtl.calc_seconds
 
     def test_spilling_workers_match_dense_workers(self, graph, result):
         """With a tiny memory budget every chunk task's support sink spills

@@ -23,7 +23,6 @@ from repro.graph.generators import complete_graph, ring_graph, rmat
 
 BACKENDS = (
     ("serial", "serial", False),
-    ("threads", "threads", False),
     ("processes", "processes", False),
     ("processes+shm", "processes", True),
 )
@@ -414,7 +413,7 @@ class TestPipelineDeltas:
         )
         injected = run_analytics(
             graph,
-            backend="threads",
+            backend="processes",
             num_nodes=2,
             procs_per_node=2,
             memory_per_proc="64KB",

@@ -1,11 +1,11 @@
-"""Cross-backend equivalence: serial / threads / processes / processes+shm.
+"""Cross-backend equivalence: serial / processes / processes+shm.
 
 The execution backend is a host concern -- the simulated cluster's modelled
 quantities must not depend on it.  With ``modelled_cpu=True`` every per-chunk
 cost is a pure function of the input, and chunk→worker assignment is the
 deterministic pull-protocol replay, so *every* modelled number (not just the
 triangle count) must be bit-identical across backends, for both scheduling
-modes and all three sink kinds.  The shared-memory variant adds a fourth
+modes and all three sink kinds.  The shared-memory variant adds a third
 backend: the same persistent process pool, but with memory windows sliced
 zero-copy from published segments instead of re-read from disk -- it too
 must be bit-identical, because the zero-copy layer sits strictly below the
@@ -25,10 +25,9 @@ from repro.core.shm import shm_available
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
 
-#: (label, executor backend, shm) -- the four host execution strategies
+#: (label, executor backend, shm) -- the three host execution strategies
 BACKENDS = (
     ("serial", "serial", False),
-    ("threads", "threads", False),
     ("processes", "processes", False),
     ("processes+shm", "processes", True),
 )
@@ -63,7 +62,7 @@ def _config(scheduling: str, shm: bool, **overrides) -> PDTLConfig:
 def _backends():
     for label, backend, shm in BACKENDS:
         if shm and not _SHM_OK:
-            continue  # pragma: no cover - shm-capable hosts run all four
+            continue  # pragma: no cover - shm-capable hosts run all three
         yield label, backend, shm
 
 
@@ -224,7 +223,7 @@ class TestDynamicMatchesStatic:
 class TestCompiledTierEquivalence:
     """The compiled kernel tier is a host concern strictly below the
     accounting layer: with it on or off, every modelled quantity, count,
-    listing order and support array must be bit-identical -- on all four
+    listing order and support array must be bit-identical -- on all three
     execution backends, with and without failure/straggler/jitter
     injection.  The tier is applied on both sides of the seam: the master
     via ``kernel_backend.use`` and the workers via the pickled config's

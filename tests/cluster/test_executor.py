@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.cluster.executor import (
     ExecutionBackend,
-    process_pool,
+    _lease,
+    _usable_cpus,
     run_task_queue,
     shutdown_process_pool,
 )
@@ -37,39 +40,6 @@ class TestSerialBackend:
             run_task_queue([boom], _call, backend="serial")
 
 
-class TestThreadBackend:
-    def test_results_in_submission_order_despite_timing(self):
-        def job(i, delay):
-            def run():
-                time.sleep(delay)
-                return i
-
-            return run
-
-        jobs = [job(0, 0.05), job(1, 0.0), job(2, 0.02)]
-        assert run_task_queue(jobs, _call, backend="threads") == [0, 1, 2]
-
-    def test_actually_concurrent(self):
-        barrier = threading.Barrier(3, timeout=5)
-
-        def job():
-            barrier.wait()  # deadlocks unless all three run concurrently
-            return threading.get_ident()
-
-        results = run_task_queue([job, job, job], _call, backend="threads", max_workers=3)
-        assert len(results) == 3
-
-    def test_single_job_runs_inline(self):
-        assert run_task_queue([lambda: 7], _call, backend="threads") == [7]
-
-    def test_exceptions_propagate(self):
-        def boom():
-            raise ValueError("bad")
-
-        with pytest.raises(ValueError):
-            run_task_queue([boom, lambda: 1], _call, backend="threads")
-
-
 class TestBackendSelection:
     def test_enum_and_string_equivalent(self):
         jobs = [lambda: 1, lambda: 2]
@@ -77,26 +47,13 @@ class TestBackendSelection:
             jobs, _call, backend=ExecutionBackend.SERIAL
         ) == run_task_queue(jobs, _call, backend="serial")
 
-    def test_unknown_backend_rejected(self):
+    def test_exactly_two_backends(self):
+        assert {b.value for b in ExecutionBackend} == {"serial", "processes"}
+
+    @pytest.mark.parametrize("name", ["quantum", "threads"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(ValueError):
-            run_task_queue([lambda: 1], _call, backend="quantum")
-
-    def test_max_workers_respected(self):
-        active = []
-        lock = threading.Lock()
-        peak = [0]
-
-        def job():
-            with lock:
-                active.append(1)
-                peak[0] = max(peak[0], len(active))
-            time.sleep(0.01)
-            with lock:
-                active.pop()
-            return True
-
-        run_task_queue([job] * 6, _call, backend="threads", max_workers=2)
-        assert peak[0] <= 2
+            run_task_queue([lambda: 1], _call, backend=name)
 
 
 def _pin_cpus(monkeypatch, cpus: int) -> None:
@@ -108,58 +65,40 @@ def _pin_cpus(monkeypatch, cpus: int) -> None:
 
 
 class TestDefaultWorkerCap:
-    """Regression: ``max_workers or len(jobs)`` used to spawn one OS thread
-    (or process) per job, even for hundreds of jobs; the default crew is now
-    capped at the CPUs this process may use."""
+    """Regression: one OS process per task melts down once tasks number in
+    the hundreds; the pool is sized once, at the CPUs this process may use,
+    however many tasks a call brings."""
 
-    def _measure_peak(self, num_jobs: int) -> int:
-        active = []
-        lock = threading.Lock()
-        peak = [0]
+    @pytest.fixture(autouse=True)
+    def _rebuilt_pool(self):
+        # the pool is sized when it is built: start from none, and leave
+        # none behind sized for the pinned CPUs
+        shutdown_process_pool()
+        yield
+        shutdown_process_pool()
 
-        def job():
-            with lock:
-                active.append(1)
-                peak[0] = max(peak[0], len(active))
-            time.sleep(0.005)
-            with lock:
-                active.pop()
-            return True
+    def _worker_pids(self, num_tasks: int) -> set[int]:
+        return set(run_task_queue(range(num_tasks), _worker_pid, backend="processes"))
 
-        run_task_queue([job] * num_jobs, _call, backend="threads")
-        return peak[0]
-
-    def test_default_thread_crew_capped_at_cpu_count(self, monkeypatch):
+    def test_pool_capped_at_usable_cpus(self, monkeypatch):
         _pin_cpus(monkeypatch, 2)
-        assert self._measure_peak(40) <= 2
+        assert _usable_cpus() == 2
+        assert 1 <= len(self._worker_pids(40)) <= 2
 
     def test_cap_survives_unknown_cpu_count(self, monkeypatch):
-        # no affinity API and an unknown CPU count: a crew of one
+        # no affinity API and an unknown CPU count: a pool of one
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert self._measure_peak(10) <= 1
+        assert len(self._worker_pids(10)) == 1
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform"
     )
-    def test_crew_follows_affinity_not_host_cpu_count(self, monkeypatch):
+    def test_pool_follows_affinity_not_host_cpu_count(self, monkeypatch):
         # a 64-CPU host, but this process is pinned to one CPU
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert self._measure_peak(10) == 1
-
-    def test_explicit_max_workers_still_wins(self, monkeypatch):
-        _pin_cpus(monkeypatch, 1)
-        barrier = threading.Barrier(3, timeout=5)
-
-        def job():
-            barrier.wait()
-            return True
-
-        # three concurrent workers despite the 1-CPU host: explicit cap rules
-        assert run_task_queue(
-            [job] * 3, _call, backend="threads", max_workers=3
-        ) == [True] * 3
+        assert len(self._worker_pids(10)) == 1
 
 
 class TestRunTaskQueue:
@@ -169,45 +108,32 @@ class TestRunTaskQueue:
             x * x for x in tasks
         ]
 
-    def test_threads_pull_until_drained(self, monkeypatch):
-        _pin_cpus(monkeypatch, 3)
+    def test_processes_results_in_task_order_despite_timing(self):
+        delays = [0.05, 0.0, 0.02, 0.0]
+        assert run_task_queue(delays, _sleep_return, backend="processes") == delays
+
+    def test_processes_pull_until_drained(self):
         tasks = list(range(50))
-        results = run_task_queue(tasks, lambda x: x + 1, backend="threads")
-        assert results == [x + 1 for x in tasks]
+        results = run_task_queue(tasks, _double, backend="processes")
+        assert results == [2 * x for x in tasks]
 
+    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs a pool of two workers")
     def test_straggler_does_not_block_other_workers(self):
-        order = []
-        lock = threading.Lock()
-
-        def work(task):
-            if task == 0:
-                time.sleep(0.1)  # straggling task
-            with lock:
-                order.append(task)
-            return task
-
-        results = run_task_queue(
-            [0, 1, 2, 3, 4], work, backend="threads", max_workers=2
+        # task 0 straggles; every other task is pulled by the free worker
+        # and finishes before it
+        timings = run_task_queue(
+            [0.5, 0.0, 0.0, 0.0, 0.0], _timed_sleep, backend="processes"
         )
-        assert results == [0, 1, 2, 3, 4]
-        # everything else finished while the straggler slept
-        assert order[-1] == 0
+        straggler_pid, straggler_end = timings[0]
+        assert all(end < straggler_end for _, end in timings[1:])
+        assert {pid for pid, _ in timings[1:]} != {straggler_pid}
 
     def test_processes_backend_requires_picklable_and_works(self):
-        results = run_task_queue([1, 2, 3], _double, backend="processes", max_workers=2)
+        results = run_task_queue([1, 2, 3], _double, backend="processes")
         assert results == [2, 4, 6]
 
-    def test_exceptions_propagate(self):
-        def boom(task):
-            if task == 2:
-                raise RuntimeError("task 2 failed")
-            return task
-
-        with pytest.raises(RuntimeError):
-            run_task_queue([0, 1, 2, 3], boom, backend="threads", max_workers=2)
-
     def test_empty_tasks(self):
-        assert run_task_queue([], lambda x: x, backend="threads") == []
+        assert run_task_queue([], lambda x: x, backend="processes") == []
 
 
 def _double(x):
@@ -216,6 +142,11 @@ def _double(x):
 
 def _worker_pid(_task):
     return os.getpid()
+
+
+def _timed_sleep(delay):
+    time.sleep(delay)
+    return os.getpid(), time.monotonic()
 
 
 def _kill_worker(task):
@@ -230,35 +161,30 @@ class TestPersistentProcessPool:
 
     def test_pool_object_is_reused_across_calls(self):
         shutdown_process_pool()
-        first = process_pool(1)
-        second = process_pool(1)
-        assert first is second
-        # a run that does not need a bigger pool keeps the same handle
-        assert run_task_queue([1, 2], _double, backend="processes", max_workers=1) == [2, 4]
-        assert process_pool(1) is first
+        with _lease() as first:
+            pass
+        assert run_task_queue([1, 2], _double, backend="processes") == [2, 4]
+        with _lease() as second:
+            assert second is first
 
     def test_worker_processes_survive_between_runs(self):
         shutdown_process_pool()
         pids_a = set(run_task_queue([0, 1, 2], _worker_pid, backend="processes"))
-        workers = set(process_pool(1)._processes)
+        with _lease() as executor:
+            workers = set(executor._processes)
         pids_b = set(run_task_queue([0, 1, 2], _worker_pid, backend="processes"))
         # an idle worker may serve no task, so the two runs' PID sets can
         # differ; but both come from one worker set that was not respawned
         assert pids_a <= workers and pids_b <= workers
-        assert set(process_pool(1)._processes) == workers
+        assert 1 <= len(workers) <= _usable_cpus()
+        with _lease() as executor:
+            assert set(executor._processes) == workers
         assert os.getpid() not in workers
-
-    def test_pool_grows_but_never_shrinks(self):
-        shutdown_process_pool()
-        small = process_pool(1)
-        grown = process_pool(2)
-        assert grown is not small
-        assert process_pool(1) is grown  # a smaller request keeps the big pool
 
     def test_callable_jobs_use_the_shared_pool(self):
         shutdown_process_pool()
         results = run_task_queue(
-            [_make_const(3), _make_const(4)], _call, backend="processes", max_workers=2
+            [_make_const(3), _make_const(4)], _call, backend="processes"
         )
         assert results == [3, 4]
 
@@ -270,43 +196,146 @@ class TestPersistentProcessPool:
 
     def test_broken_pool_is_discarded_and_rebuilt(self):
         shutdown_process_pool()
-        from concurrent.futures.process import BrokenProcessPool
-
+        with _lease() as broken:
+            pass
         with pytest.raises(BrokenProcessPool):
             run_task_queue(["ok", "die"], _kill_worker, backend="processes")
         # the next call transparently builds a fresh pool
         assert run_task_queue([1, 2, 3], _double, backend="processes") == [2, 4, 6]
+        with _lease() as fresh:
+            assert fresh is not broken
 
     def test_exceptions_propagate_without_breaking_the_pool(self):
         shutdown_process_pool()
+        with _lease() as before:
+            pass
         with pytest.raises(ValueError, match="bad task"):
             run_task_queue([0, 1], _raise_on_one, backend="processes")
         assert run_task_queue([7], _double, backend="processes") == [14]
-
-    def test_growth_does_not_break_a_concurrent_run(self):
-        """Regression: replacing the pool with a larger one must not shut
-        the old executor down under a thread still submitting to it."""
+        with _lease() as after:
+            assert after is before
+        # the failed call released its lease: a shutdown now is not deferred
         shutdown_process_pool()
-        outcome: dict[str, object] = {}
+        assert multiprocessing.active_children() == []
 
-        def long_run():
-            try:
-                outcome["a"] = run_task_queue(
-                    [0.03] * 6, _sleep_return, backend="processes", max_workers=1
-                )
-            except BaseException as exc:  # noqa: BLE001 - asserted below
-                outcome["error"] = exc
+    def test_first_failure_in_task_order_is_raised(self):
+        with pytest.raises(ValueError, match="task 1"):
+            run_task_queue([0, 1, 2, 3], _raise_from_one, backend="processes")
 
-        thread = threading.Thread(target=long_run)
-        thread.start()
-        time.sleep(0.05)  # let the long run occupy the 1-worker pool
-        outcome["b"] = run_task_queue(
-            [1, 2], _double, backend="processes", max_workers=2
-        )  # grows (replaces) the shared pool mid-flight
-        thread.join()
-        assert "error" not in outcome, outcome.get("error")
-        assert outcome["a"] == [0.03] * 6
-        assert outcome["b"] == [2, 4]
+    def test_failure_returns_after_running_tasks_finish(self, tmp_path):
+        marker = tmp_path / "finished"
+        with pytest.raises(ValueError, match="bad task"):
+            run_task_queue([None, str(marker)], _fail_or_mark, backend="processes")
+        assert marker.exists()
+
+    def test_shutdown_during_a_lease_takes_effect_when_it_ends(self):
+        """A shutdown that arrives mid-lease retires the pool at once -- the
+        next lease gets a fresh one, never the retired pool -- but the
+        holder keeps a working executor until its lease ends."""
+        shutdown_process_pool()
+        with _lease() as held:
+            shutdown_process_pool()
+            with _lease() as fresh:
+                assert fresh is not held
+                assert fresh.submit(_double, 3).result() == 6
+            assert held.submit(_double, 2).result() == 4
+        with pytest.raises(RuntimeError, match="after shutdown"):
+            held.submit(_double, 1)
+        assert run_task_queue([4], _double, backend="processes") == [8]
+
+
+class TestLeaseStress:
+    """Concurrent callers run rounds while other threads shut the pool down
+    and crash its workers.
+
+    Every round must return the right results or raise
+    :class:`BrokenProcessPool`, no thread may hang, no worker may outlive
+    the final shutdown, and a lease taken right after a pool was retired
+    (shut down or discarded as broken) must get a fresh pool -- the
+    "context from an already-cancelled parent" class of bug.
+    """
+
+    CALLERS = 3
+    ROUNDS = 25
+    TIME_BOUND_S = 60.0
+
+    def test_rounds_survive_concurrent_shutdowns_and_crashes(self):
+        shutdown_process_pool()
+        stop = threading.Event()
+        lock = threading.Lock()
+        failures: list[object] = []
+        outcomes = {"ok": 0, "broken": 0}
+
+        def fail(what: object) -> None:
+            with lock:
+                failures.append(what)
+
+        def caller() -> None:
+            for _ in range(self.ROUNDS):
+                try:
+                    result = run_task_queue(range(6), _double, backend="processes")
+                except BrokenProcessPool:
+                    with lock:
+                        outcomes["broken"] += 1
+                    continue
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    fail(exc)
+                    continue
+                if result != [0, 2, 4, 6, 8, 10]:
+                    fail(result)
+                with lock:
+                    outcomes["ok"] += 1
+
+        def shutter() -> None:
+            while not stop.is_set():
+                try:
+                    with _lease() as before:
+                        pass
+                    shutdown_process_pool()  # retires `before` if nobody did
+                    with _lease() as after:
+                        if after is before:
+                            fail("lease after a shutdown got the retired pool")
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    fail(exc)
+                stop.wait(0.01)
+
+        def killer() -> None:
+            while not stop.is_set():
+                try:
+                    try:
+                        with _lease() as broken:
+                            broken.submit(_kill_worker, "die").result()
+                        fail("a worker crash did not break the pool")
+                    except BrokenProcessPool:
+                        pass
+                    with _lease() as after:
+                        if after is broken:
+                            fail("lease after a crash got the discarded pool")
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    fail(exc)
+                stop.wait(0.005)
+
+        callers = [threading.Thread(target=caller, daemon=True) for _ in range(self.CALLERS)]
+        disruptors = [
+            threading.Thread(target=shutter, daemon=True),
+            threading.Thread(target=killer, daemon=True),
+        ]
+        deadline = time.monotonic() + self.TIME_BOUND_S
+        for thread in disruptors + callers:
+            thread.start()
+        for thread in callers:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        stop.set()
+        for thread in disruptors:
+            thread.join(max(0.0, deadline - time.monotonic()))
+        hung = [t for t in callers + disruptors if t.is_alive()]
+        assert not hung, f"{len(hung)} thread(s) still running after {self.TIME_BOUND_S} s"
+        assert not failures, failures[:5]
+        assert outcomes["ok"] + outcomes["broken"] == self.CALLERS * self.ROUNDS
+        # with the disruption over, the pool serves rounds again
+        assert run_task_queue(range(6), _double, backend="processes") == [0, 2, 4, 6, 8, 10]
+        shutdown_process_pool()
+        assert multiprocessing.active_children() == []
 
 
 def _make_const(value):
@@ -323,6 +352,21 @@ def _raise_on_one(task):
     if task == 1:
         raise ValueError("bad task")
     return task
+
+
+def _raise_from_one(task):
+    if task >= 1:
+        raise ValueError(f"task {task}")
+    return task
+
+
+def _fail_or_mark(path):
+    """Task 0 fails at once; task 1 finishes late and leaves a marker."""
+    if path is None:
+        raise ValueError("bad task")
+    time.sleep(0.3)
+    with open(path, "w"):
+        pass
 
 
 def _sleep_return(delay):

@@ -109,18 +109,18 @@ class TestOrientGraphOnDisk:
 
     def test_matches_in_memory_orientation(self, on_disk):
         g, gf = on_disk
-        result = orient_graph(gf, num_workers=1)
+        result = orient_graph(gf, num_chunks=1)
         assert result.oriented.to_csr() == orient_csr(g)
 
-    def test_parallel_matches_sequential(self, on_disk):
+    def test_chunked_matches_single_chunk(self, on_disk):
         g, gf = on_disk
-        sequential = orient_graph(gf, num_workers=1, output_name="seq")
-        parallel = orient_graph(gf, num_workers=4, output_name="par")
-        assert sequential.oriented.to_csr() == parallel.oriented.to_csr()
+        single = orient_graph(gf, num_chunks=1, output_name="one")
+        chunked = orient_graph(gf, num_chunks=4, output_name="four")
+        assert single.oriented.to_csr() == chunked.oriented.to_csr()
 
     def test_degree_arrays_consistent(self, on_disk):
         g, gf = on_disk
-        result = orient_graph(gf, num_workers=2)
+        result = orient_graph(gf, num_chunks=2)
         np.testing.assert_array_equal(
             result.out_degrees + result.in_degrees, g.degrees
         )
@@ -128,7 +128,7 @@ class TestOrientGraphOnDisk:
 
     def test_oriented_edge_count_is_half(self, on_disk):
         g, gf = on_disk
-        result = orient_graph(gf, num_workers=3)
+        result = orient_graph(gf, num_chunks=3)
         assert result.num_edges == g.num_undirected_edges
 
     def test_rejects_oriented_input(self, on_disk, device):
@@ -137,10 +137,10 @@ class TestOrientGraphOnDisk:
         with pytest.raises(ValueError):
             orient_graph(oriented)
 
-    def test_invalid_worker_count(self, on_disk):
+    def test_invalid_chunk_count(self, on_disk):
         _, gf = on_disk
         with pytest.raises(ValueError):
-            orient_graph(gf, num_workers=0)
+            orient_graph(gf, num_chunks=0)
 
     def test_output_written_to_requested_device(self, on_disk, tmp_path):
         from repro.externalmem.blockio import BlockDevice
@@ -180,8 +180,8 @@ class TestOutOfRangeIds:
 
     @pytest.mark.parametrize("tier", _TIERS)
     @pytest.mark.parametrize("bad_id", [-1, 5])
-    @pytest.mark.parametrize("num_workers", [1, 2])
-    def test_corrupt_id_raises_naming_the_vertex(self, device, tier, bad_id, num_workers):
+    @pytest.mark.parametrize("num_chunks", [1, 2])
+    def test_corrupt_id_raises_naming_the_vertex(self, device, tier, bad_id, num_chunks):
         # vertex 4 neighbours 0-3
         graph = CSRGraph.from_edgelist(EdgeList([(4, 0), (4, 1), (4, 2), (4, 3)], 5))
         gf = write_graph(device, "g", graph)
@@ -192,7 +192,7 @@ class TestOutOfRangeIds:
         message = rf"^adjacency list of vertex 4 holds id {bad_id} outside the graph's vertices \[0, 5\)$"
         with kernel_backend.use(tier):
             with pytest.raises(GraphFormatError, match=message):
-                orient_graph(gf, num_workers=num_workers)
+                orient_graph(gf, num_chunks=num_chunks)
 
 
 class TestMasterKernelTier:

@@ -58,19 +58,17 @@ class TestCorrectnessAcrossConfigurations:
         assert PDTLRunner(balanced).run(medium_graph).triangles == medium_expected
         assert PDTLRunner(naive).run(medium_graph).triangles == medium_expected
 
-    def test_threads_backend_matches(self, medium_graph, medium_expected):
+    def test_processes_backend_matches(self, medium_graph, medium_expected):
         config = PDTLConfig(num_nodes=2, procs_per_node=2, memory_per_proc="1MB")
-        result = PDTLRunner(config, backend="threads").run(medium_graph)
+        result = PDTLRunner(config, backend="processes").run(medium_graph)
         assert result.triangles == medium_expected
 
     @pytest.mark.parametrize("procs", [1, 2, 4])
     def test_sequential_orientation_matches(self, medium_graph, tmp_path, procs):
-        """The runner orients in ``procs_per_node`` chunks on threads; its
-        oriented graph equals the sequential single-window orientation."""
+        """The runner orients in ``procs_per_node`` chunks; its oriented
+        graph equals the single-chunk orientation."""
         device = BlockDevice(tmp_path, block_size=512)
-        reference = orient_graph(
-            write_graph(device, "g", medium_graph), num_workers=1, parallel=False
-        ).oriented
+        reference = orient_graph(write_graph(device, "g", medium_graph)).oriented
         config = PDTLConfig(num_nodes=1, procs_per_node=procs, sink="edge-support")
         result = PDTLRunner(config).run(medium_graph)
         np.testing.assert_array_equal(

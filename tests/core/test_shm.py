@@ -536,7 +536,7 @@ class TestRunnerIntegration:
 
     def test_no_segment_survives_a_run(self, rmat_small):
         expected = forward_count(rmat_small)
-        for backend in ("serial", "threads", "processes"):
+        for backend in ("serial", "processes"):
             result = PDTLRunner(self._config(), backend=backend).run(rmat_small)
             assert result.triangles == expected
             assert result.shm_used

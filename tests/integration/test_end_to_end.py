@@ -81,7 +81,7 @@ class TestDatasetsThroughTheStack:
     def test_distributed_run_on_dataset(self):
         graph = load_dataset("rmat-10", seed=2)
         config = PDTLConfig(num_nodes=4, procs_per_node=2, memory_per_proc="512KB")
-        result = PDTLRunner(config, backend="threads").run(graph)
+        result = PDTLRunner(config, backend="processes").run(graph)
         assert result.triangles == forward_count(graph)
         assert len(result.workers) == 8
 

@@ -1,8 +1,8 @@
 """Equivalence matrix for the master's preprocessing.
 
-The multicore orientation (chunks filtered on threads) and the external
-sort's radix-sorted run formation must be *bit-identical* to their
-sequential references in every observable the simulation produces:
+The chunked orientation (one vertex chunk per master core) and the
+external sort's radix-sorted run formation must be *bit-identical* to
+their references in every observable the simulation produces:
 
 * the oriented graph's on-disk bytes (degree, adjacency and meta files);
 * the external sort's run windows and output file;
@@ -11,7 +11,7 @@ sequential references in every observable the simulation produces:
 * the modelled setup seconds of a full PDTL run,
 
 and the setup accounting must not depend on the execution backend
-(serial / threads / processes, with and without shm), including under
+(serial / processes, with and without shm), including under
 failure, straggler and host-jitter injection.  These tests assert all of
 it -- nothing here is assumed.
 """
@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis.cost_model import estimate_setup_cost
 from repro.baselines.inmemory import forward_count
+from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
 from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
@@ -43,7 +44,9 @@ pytestmark = pytest.mark.skipif(
     reason=f"POSIX shared memory unavailable: {shm_available()[1]}",
 )
 
-BACKENDS = ("serial", "threads", "processes")
+BACKENDS = ("serial", "processes")
+
+_COMPILED_OK, _COMPILED_TIER = kernel_backend.compiled_available()
 
 
 @pytest.fixture(scope="module")
@@ -64,25 +67,23 @@ def _file_bytes(device: BlockDevice, name: str) -> bytes:
 
 
 class TestOrientationBitIdentity:
-    """Oriented file bytes + accounting, sequential against threads.
+    """Oriented file bytes + accounting, across chunk counts and kernel tiers.
 
     Each path runs on its own *fresh* device (zero counters), exactly like
     the fresh cluster a real run builds -- that makes the whole IOStats
     dict, device seconds included, comparable bit for bit.
     """
 
-    def _orient_on_fresh_device(self, tmp_path, graph, label, num_workers, parallel):
+    def _orient_on_fresh_device(self, tmp_path, graph, label, num_chunks):
         device = BlockDevice(tmp_path / f"disk_{label}", block_size=512)
         gf = write_graph(device, "g", graph)
         staged = device.stats.snapshot()
-        result = orient_graph(
-            gf, num_workers=num_workers, parallel=parallel, output_name="oriented"
-        )
+        result = orient_graph(gf, num_chunks=num_chunks, output_name="oriented")
         return device, result, staged, device.stats.snapshot()
 
     def test_oriented_bytes_identical(self, tmp_path, graph):
         reference_device, *_ = self._orient_on_fresh_device(
-            tmp_path, graph, "ref", num_workers=1, parallel=False
+            tmp_path, graph, "ref", num_chunks=1
         )
         reference = {
             suffix: _file_bytes(reference_device, f"oriented{suffix}")
@@ -90,25 +91,24 @@ class TestOrientationBitIdentity:
         }
         assert reference[".adj"], "reference orientation produced no adjacency"
         device, result, *_ = self._orient_on_fresh_device(
-            tmp_path, graph, "threads", num_workers=4, parallel=True
+            tmp_path, graph, "chunked", num_chunks=4
         )
-        assert result.executor == "threads"
+        assert result.num_chunks == 4
         for suffix in (".deg", ".adj", ".meta"):
             assert _file_bytes(device, f"oriented{suffix}") == reference[suffix], suffix
 
-    def test_accounting_bit_identical_across_executors(self, tmp_path, graph):
-        """With an identical work decomposition (4 chunks), the sequential
-        and threaded executors charge bit-identical accounting -- whole
+    @pytest.mark.skipif(not _COMPILED_OK, reason=f"no compiled backend: {_COMPILED_TIER}")
+    def test_accounting_bit_identical_across_kernel_tiers(self, tmp_path, graph):
+        """With an identical work decomposition (4 chunks), the numpy and
+        the compiled filter charge bit-identical accounting -- whole
         IOStats dict, modelled device seconds included."""
-        runs = {
-            "sequential": self._orient_on_fresh_device(
-                tmp_path, graph, "acc_seq", num_workers=4, parallel=False
-            ),
-            "threads": self._orient_on_fresh_device(
-                tmp_path, graph, "acc_thr", num_workers=4, parallel=True
-            ),
-        }
-        _, ref_result, ref_staged, ref_total = runs["sequential"]
+        runs = {}
+        for tier in ("numpy", _COMPILED_TIER):
+            with kernel_backend.use(tier):
+                runs[tier] = self._orient_on_fresh_device(
+                    tmp_path, graph, f"acc_{tier}", num_chunks=4
+                )
+        _, ref_result, ref_staged, ref_total = runs["numpy"]
         for label, (_, result, staged, total) in runs.items():
             assert staged.as_dict() == ref_staged.as_dict(), label
             assert total.as_dict() == ref_total.as_dict(), label
@@ -120,10 +120,10 @@ class TestOrientationBitIdentity:
         """The single-window serial reference moves the same bytes; only the
         read-call count differs (1 window vs 4)."""
         _, _, staged_1, total_1 = self._orient_on_fresh_device(
-            tmp_path, graph, "one", num_workers=1, parallel=False
+            tmp_path, graph, "one", num_chunks=1
         )
         _, _, staged_4, total_4 = self._orient_on_fresh_device(
-            tmp_path, graph, "four", num_workers=4, parallel=True
+            tmp_path, graph, "four", num_chunks=4
         )
         one = total_1.delta(staged_1)
         four = total_4.delta(staged_4)

@@ -24,7 +24,6 @@ from repro.graph.generators import rmat
 
 BACKENDS = (
     ("serial", "serial", False),
-    ("threads", "threads", False),
     ("processes", "processes", False),
     ("processes+shm", "processes", True),
 )
@@ -52,7 +51,7 @@ def graph() -> CSRGraph:
 def _backends():
     for label, backend, shm in BACKENDS:
         if shm and not _SHM_OK:
-            continue  # pragma: no cover - shm-capable hosts run all four
+            continue  # pragma: no cover - shm-capable hosts run all three
         yield label, backend, shm
 
 
@@ -195,7 +194,7 @@ class TestDeterministicEventMerge:
         assert ("chunk0", "host", "jitter") in reference
 
     def test_master_phases_lead_every_merge(self, graph):
-        order = _run(graph, "threads", False, True).telemetry.event_order()
+        order = _run(graph, "serial", False, True).telemetry.event_order()
         phases = [name for track, cat, name in order if track == "master"]
         assert phases[: len(phases)] == [
             "stage_input", "orient", "plan", "replicate", "triangle_scan",

@@ -2,7 +2,7 @@
 
 Besides the long-standing ``orient_csr`` invariants, this module drives
 the *chunked* on-disk orientation path --
-:func:`repro.core.orientation.orient_graph` with ``num_workers`` vertex
+:func:`repro.core.orientation.orient_graph` with ``num_chunks`` vertex
 chunks -- over randomized graph families (Erdős–Rényi, power-law, stars, paths, duplicate-heavy
 edge lists) and asserts its output exactly equals the vectorised
 in-memory reference, with every :func:`degree_order_keys` invariant
@@ -37,7 +37,7 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-PARALLEL_SETTINGS = dict(SETTINGS, max_examples=25)
+CHUNKED_SETTINGS = dict(SETTINGS, max_examples=25)
 
 
 @st.composite
@@ -56,7 +56,7 @@ def random_graphs(draw, max_vertices: int = 30):
 
 @st.composite
 def family_graphs(draw):
-    """Randomized graphs across the structural families the parallel
+    """Randomized graphs across the structural families the chunked
     orientation must handle: ER, power-law hubs, stars (one giant degree),
     paths (all degrees tied) and duplicate-heavy raw edge lists."""
     kind = draw(st.sampled_from(["er", "power_law", "star", "path", "duplicates"]))
@@ -97,14 +97,14 @@ def chunked_orientation(graph: CSRGraph, num_chunks: int) -> tuple[CSRGraph, np.
     """Orient ``graph`` on disk with ``num_chunks`` vertex chunks.
 
     Writes the input graph to a scratch device exactly like the PDTL
-    master stages it and runs :func:`orient_graph` with
-    ``num_workers=num_chunks`` (threads when more than one chunk).
+    master stages it and runs :func:`orient_graph` with ``num_chunks``
+    vertex chunks.
     Returns ``(oriented CSR, out-degree array)``.
     """
     with tempfile.TemporaryDirectory(prefix="pdtl_prop_orient_") as root:
         device = BlockDevice(Path(root) / "disk", block_size=512)
         gf = write_graph(device, "g", graph)
-        result = orient_graph(gf, num_workers=num_chunks)
+        result = orient_graph(gf, num_chunks=num_chunks)
         return result.oriented.to_csr(), result.out_degrees
 
 
@@ -182,7 +182,7 @@ def test_oriented_adjacency_stays_sorted_and_simple(graph):
 
 
 @given(graph=family_graphs(), num_chunks=st.integers(min_value=1, max_value=6))
-@settings(**PARALLEL_SETTINGS)
+@settings(**CHUNKED_SETTINGS)
 def test_chunked_orientation_equals_orient_csr(graph, num_chunks):
     """The chunked on-disk scan is exactly the in-memory reference, for
     any chunking, on every graph family."""
@@ -194,7 +194,7 @@ def test_chunked_orientation_equals_orient_csr(graph, num_chunks):
 
 
 @given(graph=family_graphs())
-@settings(**PARALLEL_SETTINGS)
+@settings(**CHUNKED_SETTINGS)
 def test_chunked_orientation_respects_degree_order(graph):
     """Every oriented edge the chunked path emits satisfies ``u ≺ v``."""
     oriented, _ = chunked_orientation(graph, num_chunks=3)
@@ -207,7 +207,7 @@ def test_chunked_orientation_respects_degree_order(graph):
 
 
 @given(graph=family_graphs())
-@settings(**PARALLEL_SETTINGS)
+@settings(**CHUNKED_SETTINGS)
 def test_chunked_orientation_packed_keys_globally_sorted(graph):
     """The packed (source, destination) keys of the chunked output are
     strictly increasing -- the sortedness invariant every downstream MGT
@@ -219,7 +219,7 @@ def test_chunked_orientation_packed_keys_globally_sorted(graph):
 
 
 @given(graph=family_graphs())
-@settings(**PARALLEL_SETTINGS)
+@settings(**CHUNKED_SETTINGS)
 def test_degree_order_keys_invariants_on_families(graph):
     """``degree_order_keys`` is a strict total order consistent with
     ``precedes`` on every family's degree sequence."""
@@ -237,9 +237,9 @@ def test_degree_order_keys_invariants_on_families(graph):
 
 
 @pytest.mark.parametrize("family", ["er", "power_law", "star", "path", "duplicates"])
-def test_threaded_orientation_end_to_end(family, tmp_path):
-    """One threaded orientation per family: orient_graph with three
-    chunks on threads equals the reference, byte for byte."""
+def test_chunked_orientation_end_to_end(family, tmp_path):
+    """One chunked orientation per family: orient_graph with three
+    chunks equals the reference, byte for byte."""
     rng = np.random.default_rng(99)
     n = 60
     if family == "er":
@@ -270,6 +270,5 @@ def test_threaded_orientation_end_to_end(family, tmp_path):
     device = BlockDevice(tmp_path / "disk", block_size=512)
     gf = write_graph(device, "g", graph)
     expected = orient_csr(graph)
-    result = orient_graph(gf, num_workers=3)
-    assert result.executor == "threads"
+    result = orient_graph(gf, num_chunks=3)
     assert result.oriented.to_csr() == expected

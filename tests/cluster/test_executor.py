@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -38,6 +39,12 @@ class TestSerialBackend:
 
         with pytest.raises(RuntimeError):
             run_task_queue([boom], _call, backend="serial")
+
+    def test_runs_in_the_calling_process_without_a_pool(self):
+        shutdown_process_pool()
+        pids = run_task_queue(range(3), _worker_pid, backend="serial")
+        assert pids == [os.getpid()] * 3
+        assert multiprocessing.active_children() == []
 
 
 class TestBackendSelection:
@@ -85,6 +92,21 @@ class TestDefaultWorkerCap:
         assert _usable_cpus() == 2
         assert 1 <= len(self._worker_pids(40)) <= 2
 
+    def test_pool_is_sized_once_when_built(self, monkeypatch):
+        _pin_cpus(monkeypatch, 1)
+        with _lease() as built:
+            assert built._max_workers == 1
+        # the affinity widens: the built pool keeps its size ...
+        _pin_cpus(monkeypatch, 2)
+        assert len(self._worker_pids(10)) == 1
+        with _lease() as same:
+            assert same is built
+        # ... and only a rebuild picks up the new CPU count
+        shutdown_process_pool()
+        with _lease() as rebuilt:
+            assert rebuilt is not built
+            assert rebuilt._max_workers == 2
+
     def test_cap_survives_unknown_cpu_count(self, monkeypatch):
         # no affinity API and an unknown CPU count: a pool of one
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -117,13 +139,17 @@ class TestRunTaskQueue:
         results = run_task_queue(tasks, _double, backend="processes")
         assert results == [2 * x for x in tasks]
 
-    @pytest.mark.skipif(_usable_cpus() < 2, reason="needs a pool of two workers")
-    def test_straggler_does_not_block_other_workers(self):
+    def test_straggler_does_not_block_other_workers(self, monkeypatch):
         # task 0 straggles; every other task is pulled by the free worker
-        # and finishes before it
-        timings = run_task_queue(
-            [0.5, 0.0, 0.0, 0.0, 0.0], _timed_sleep, backend="processes"
-        )
+        # of a pool of two (even on a one-CPU host) and finishes before it
+        shutdown_process_pool()
+        _pin_cpus(monkeypatch, 2)
+        try:
+            timings = run_task_queue(
+                [0.5, 0.0, 0.0, 0.0, 0.0], _timed_sleep, backend="processes"
+            )
+        finally:
+            shutdown_process_pool()
         straggler_pid, straggler_end = timings[0]
         assert all(end < straggler_end for _, end in timings[1:])
         assert {pid for pid, _ in timings[1:]} != {straggler_pid}
@@ -131,6 +157,36 @@ class TestRunTaskQueue:
     def test_processes_backend_requires_picklable_and_works(self):
         results = run_task_queue([1, 2, 3], _double, backend="processes")
         assert results == [2, 4, 6]
+
+    def test_unpicklable_task_rejected_without_breaking_the_pool(self):
+        shutdown_process_pool()
+        with _lease() as before:
+            pass
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            run_task_queue([lambda: 1], _call, backend="processes")
+        assert run_task_queue([3], _double, backend="processes") == [6]
+        with _lease() as after:
+            assert after is before
+
+    def test_single_task_runs_on_the_pool(self):
+        # never inline: a one-task run still crosses the process boundary
+        [pid] = run_task_queue([0], _worker_pid, backend="processes")
+        assert pid != os.getpid()
+
+    def test_processes_actually_concurrent(self, tmp_path, monkeypatch):
+        # every task waits until all have started, so the round returns
+        # True only if the pool runs one task per usable CPU at once (two
+        # here, even on a one-CPU host)
+        shutdown_process_pool()
+        _pin_cpus(monkeypatch, 2)
+        tasks = [(str(tmp_path), 2, i) for i in range(2)]
+        try:
+            assert run_task_queue(tasks, _rendezvous, backend="processes") == [
+                True,
+                True,
+            ]
+        finally:
+            shutdown_process_pool()
 
     def test_empty_tasks(self):
         assert run_task_queue([], lambda x: x, backend="processes") == []
@@ -147,6 +203,18 @@ def _worker_pid(_task):
 def _timed_sleep(delay):
     time.sleep(delay)
     return os.getpid(), time.monotonic()
+
+
+def _rendezvous(task):
+    """Mark this task started, then wait (10 s at most) for all parties."""
+    directory, parties, index = task
+    open(os.path.join(directory, str(index)), "w").close()
+    deadline = time.monotonic() + 10.0
+    while len(os.listdir(directory)) < parties:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 def _kill_worker(task):
@@ -222,11 +290,23 @@ class TestPersistentProcessPool:
         with pytest.raises(ValueError, match="task 1"):
             run_task_queue([0, 1, 2, 3], _raise_from_one, backend="processes")
 
-    def test_failure_returns_after_running_tasks_finish(self, tmp_path):
-        marker = tmp_path / "finished"
-        with pytest.raises(ValueError, match="bad task"):
-            run_task_queue([None, str(marker)], _fail_or_mark, backend="processes")
-        assert marker.exists()
+    def test_failure_returns_after_running_tasks_finish(self, tmp_path, monkeypatch):
+        # a pool of two, even on a one-CPU host, and task 0 fails only once
+        # task 1 runs: with one worker task 1 could still be queued when
+        # task 0 fails, and a queued task is cancelled, not waited for
+        shutdown_process_pool()
+        _pin_cpus(monkeypatch, 2)
+        started, finished = str(tmp_path / "started"), tmp_path / "finished"
+        try:
+            with pytest.raises(ValueError, match="bad task"):
+                run_task_queue(
+                    [(None, started), (str(finished), started)],
+                    _fail_or_mark,
+                    backend="processes",
+                )
+            assert finished.exists()
+        finally:
+            shutdown_process_pool()
 
     def test_shutdown_during_a_lease_takes_effect_when_it_ends(self):
         """A shutdown that arrives mid-lease retires the pool at once -- the
@@ -360,13 +440,18 @@ def _raise_from_one(task):
     return task
 
 
-def _fail_or_mark(path):
-    """Task 0 fails at once; task 1 finishes late and leaves a marker."""
-    if path is None:
+def _fail_or_mark(task):
+    """Task 0 fails once task 1 has started (10 s at most); task 1 marks
+    its start, finishes late and leaves a marker."""
+    finished, started = task
+    if finished is None:
+        deadline = time.monotonic() + 10.0
+        while not os.path.exists(started) and time.monotonic() < deadline:
+            time.sleep(0.005)
         raise ValueError("bad task")
+    open(started, "w").close()
     time.sleep(0.3)
-    with open(path, "w"):
-        pass
+    open(finished, "w").close()
 
 
 def _sleep_return(delay):

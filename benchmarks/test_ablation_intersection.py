@@ -16,6 +16,19 @@ containers (allocation churn and cache misses), whereas CPython's ``set``
 is itself a tuned C structure -- at this substrate the two strategies land
 within a small factor of each other.  EXPERIMENTS.md records this as a
 deliberately non-asserted shape.
+
+The compiled tier's MGT kernels test membership against a *mark array*:
+``N⁺(u)`` (or ``E_v``) is marked in a scratch array with one entry per
+vertex id, and each other list is walked against it.  That is not the
+hash container section IV-A1 rejects.  The address of a mark is the
+vertex id itself, so there is no hashing, no probing and no collision;
+the array is allocated once per kernel call and reused for every cone,
+so there is no allocation per element or per set; and the lists are
+still the sorted adjacency arrays, read in order, that the paper's
+modified MGT requires (the model charges the same sorted-array operation
+count on either tier).  Schank and Wagner's experimental study of
+triangle listing (WEA 2005) separates the forward algorithm's merge from
+exactly this kind of marked membership test.
 """
 
 from __future__ import annotations

@@ -5,6 +5,25 @@ measures total time as the number of cores grows.  Expected shape: more
 cores help, with diminishing returns; the scale-free Twitter/RMAT graphs
 scale well, while the skewed Yahoo graph scales noticeably worse (5x at 24
 cores vs 13x for the others in the paper).
+
+The sweep follows the paper's setup: one node with a fixed 16 MB in total,
+split evenly across the cores (16 MB for one core, 2 MB each for eight).
+The shape is asserted on the modelled calculation time (``modelled_cpu``:
+the deterministic operation count plus the modelled reads), which is
+identical on every host and kernel tier.  The measured wall time of each
+run is printed beside it and asserted on nothing: the runs use the serial
+backend, so their wall time does not fall with the modelled cores.
+
+Modelled 8-core calc speedups of the four analogues:
+
+* 16 MB in total (this sweep): twitter 4.129x, yahoo 4.169x, rmat-12
+  3.895x, rmat-13 4.357x.  Yahoo stays within rmat-13 + 0.25 by 0.44.
+* 2 MB per core (the sweep before): twitter 4.129x, yahoo 4.625x, rmat-12
+  3.895x, rmat-13 4.357x.  Yahoo exceeds rmat-13 + 0.25 = 4.607x by
+  0.018, so the paper's shape does not appear under a per-core budget.
+
+Every speedup stops near 4x: each worker repeats the full-graph scan for
+each of its windows, and the calc time charges that scan as modelled I/O.
 """
 
 from __future__ import annotations
@@ -15,13 +34,17 @@ from repro.analysis.report import format_seconds_cell, format_table
 from repro.core.config import PDTLConfig
 from repro.core.pdtl import PDTLRunner
 
+#: the node's memory, split evenly across the cores of each run
+TOTAL_MEMORY_MB = 16
+
 
 def _run(graph, cores: int):
     config = PDTLConfig(
         num_nodes=1,
         procs_per_node=cores,
-        memory_per_proc="2MB",
+        memory_per_proc=f"{TOTAL_MEMORY_MB // cores}MB",
         load_balanced=True,
+        modelled_cpu=True,
     )
     return PDTLRunner(config).run(graph)
 
@@ -32,23 +55,35 @@ def test_fig3_total_time_vs_cores(benchmark, datasets, reference_counts, results
         speedups: dict[str, float] = {}
         for name in SCALING_DATASETS:
             graph = datasets[name]
-            row: dict[str, object] = {"Graph": name}
+            calc = {"Graph": name, "time": "modelled calc"}
+            wall = {"Graph": "", "time": "wall"}
             times = {}
+            walls = {}
             for cores in CORE_SWEEP:
                 result = _run(graph, cores)
                 assert result.triangles == reference_counts[name]
                 times[cores] = result.calc_seconds
-                row[f"{cores} cores"] = format_seconds_cell(result.total_seconds)
-            speedups[name] = times[CORE_SWEEP[0]] / max(times[CORE_SWEEP[-1]], 1e-9)
-            row["speedup"] = f"{speedups[name]:.1f}x"
-            rows.append(row)
+                walls[cores] = result.wall_seconds
+                calc[f"{cores} cores"] = format_seconds_cell(result.calc_seconds)
+                wall[f"{cores} cores"] = format_seconds_cell(result.wall_seconds)
+            first, last = CORE_SWEEP[0], CORE_SWEEP[-1]
+            speedups[name] = times[first] / max(times[last], 1e-9)
+            calc["speedup"] = f"{speedups[name]:.3f}x"
+            wall["speedup"] = f"{walls[first] / max(walls[last], 1e-9):.1f}x"
+            rows.extend((calc, wall))
         return rows, speedups
 
     rows, speedups = benchmark.pedantic(sweep, rounds=1, iterations=1)
     write_result(
         results_dir,
         "fig3_multicore_scaling",
-        format_table(rows, title="Figure 3: PDTL local multicore total time"),
+        format_table(
+            rows,
+            title=(
+                f"Figure 3: PDTL local multicore calc time, {TOTAL_MEMORY_MB} MB "
+                "split across the cores (speedups asserted on the modelled row)"
+            ),
+        ),
     )
     # shape: every graph benefits from more cores ...
     assert all(s > 1.0 for s in speedups.values())

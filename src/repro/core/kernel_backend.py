@@ -126,7 +126,8 @@ def _self_check(registry: dict[str, Callable]) -> None:
         "edge_common_neighbors": ((indptr, indices, us, vs), None),
         # MGT window [0, 2] over the block of vertices 0 and 1
         "mgt_block_scan": (
-            (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0), True),
+            (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0),
+             np.zeros(4, dtype=np.uint8), True),
             (1, 1, 1, [0], [1], [2]),
         ),
         # the entries as the windows [0, 2) and [2, 3), walked through the
@@ -136,7 +137,7 @@ def _self_check(registry: dict[str, Callable]) -> None:
              i64(0, 1), True, False),
             (1, 1, 1, [0], [1], [2], None, None),
         ),
-        "edge_support_accumulate": ((keys, us, vs, ws, 4, support), True),
+        "edge_support_accumulate": ((keys, indptr, us, vs, ws, 4, support), True),
         # peel the triangle's three edges at k = 3 in one round
         "truss_peel_level": (
             (3, np.ones(3, dtype=bool), np.ones(3, dtype=np.int64), np.zeros(3, dtype=np.int64),

@@ -11,13 +11,29 @@ Semantics are pinned to the numpy twins in
 :data:`repro.core.kernels.NUMPY_IMPLS`:
 
 * membership-style intersection counts each *query* element independently
-  (duplicate queries each count, duplicate haystack entries do not) --
-  the counting walk ``pdtl_isect_count``;
-* every kernel that enumerates intersections (the listing paths of
-  ``triangle_range`` and both MGT scans, ``edge_common_neighbors`` and
-  ``triangle_edge_ids``) walks its two sorted lists with the one
-  galloping/merge walk ``PDTL_ISECT_WALK``, which hands each hit's
-  position in both lists to its caller;
+  (duplicate queries each count, duplicate haystack entries do not);
+* the kernels that test many lists against one list mark that list once
+  in a scratch array indexed by vertex id and walk each other list
+  against the mark (``PDTL_MARKED_WALK``): the u-major ones
+  (``triangle_range``, ``mgt_block_scan``, ``triangle_edge_ids``) mark
+  ``N⁺(u)`` once per cone, ``mgt_chunk_scan`` marks ``E_v`` once per
+  window vertex, and each clears its marks before the next.  A hit is a
+  walked entry that is marked.  The u-major walks keep the membership
+  semantics above (the walked lists hold the queries); the chunk scan
+  walks ``N(u)`` against the marked ``E_v``, which finds the same hits
+  in the same order on strictly increasing lists, the format
+  ``write_graph`` checks every oriented file for.  The scratch is
+  allocated per call, except ``mgt_block_scan``'s: the streaming scan
+  calls it once per scan block of every window, so it takes the
+  caller's all-zero array and leaves it all zero.  The scratch sits
+  outside the modelled budget like the worker's cached offsets: the
+  operation count and the budget stay those of the paper's sorted-array
+  MGT (section IV-A1).  Every id is tested against
+  ``[0, n)`` before the scratch is touched at it, and an id outside
+  raises :class:`~repro.errors.GraphFormatError`;
+* the one-pair kernels ``edge_intersections`` and
+  ``edge_common_neighbors`` reuse no list, so they keep the galloping/
+  merge walks ``pdtl_isect_count`` and ``PDTL_ISECT_WALK``;
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
   an entry in ``N⁺(v)`` order; ``mgt_chunk_scan`` scans every memory
@@ -28,9 +44,12 @@ Semantics are pinned to the numpy twins in
   ``edge_common_neighbors`` emits owner-major with ``ws`` in ``N(v)`` order;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
-* ``edge_support_accumulate`` rolls back every applied increment before
-  reporting a bad pair, matching the numpy sink's check-before-mutate
-  contract;
+* ``edge_support_accumulate`` searches each pair in its source's row of
+  the key array only (the rows are the oriented graph's offsets, because
+  key position ``p`` is adjacency position ``p``), counts a pair with an
+  id outside the graph as no edge, and rolls back every applied increment
+  before reporting a bad pair, matching the numpy sink's
+  check-before-mutate contract;
 * the master's preprocessing kernels match the numpy code they replace:
   ``orient_range`` keeps the entries the orientation's numpy filter keeps,
   in storage order, and reports an id outside the graph before reading at
@@ -55,6 +74,10 @@ from repro.errors import GraphFormatError
 
 _MODULE_NAME = "_pdtl_kernels_cffi"
 
+#: what a marked-walk kernel returns at a vertex id outside the graph
+#: (``PDTL_BAD_ID`` in the C source)
+_BAD_ID = -1
+
 _CDEF = """
 int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
                                const int64_t *q, int64_t nq, uint8_t *out);
@@ -62,11 +85,11 @@ void pdtl_merge_positions(const int64_t *a, int64_t na,
                           const int64_t *b, int64_t nb,
                           int64_t *pa, int64_t *pb);
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
-                               int64_t lo, int64_t hi);
-int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices,
-                            int64_t lo, int64_t hi, int64_t *ops);
-int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices,
-                           int64_t lo, int64_t hi, int64_t *cones,
+                               int64_t n, int64_t lo, int64_t hi);
+int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices, int64_t n,
+                            int64_t lo, int64_t hi, uint8_t *mark, int64_t *ops);
+int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices, int64_t n,
+                           int64_t lo, int64_t hi, uint8_t *mark, int64_t *cones,
                            int64_t *vs, int64_t *ws, int64_t *ops);
 int64_t pdtl_edge_intersections(const int64_t *indptr, const int64_t *indices,
                                 const int64_t *us, const int64_t *vs,
@@ -82,19 +105,21 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
                             int64_t nbv, const int64_t *edg,
                             int64_t vlow, int64_t vhigh,
                             const int64_t *win_offsets, const int64_t *win_degrees,
+                            int64_t n, uint8_t *mark,
                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
                             int64_t *pairs, int64_t *total);
 int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
                             const int64_t *in_offsets, const int64_t *in_sources,
+                            int64_t n, uint8_t *mark,
                             const int64_t *bounds, const int64_t *vlows,
                             const int64_t *vhighs, int64_t nwin, int64_t want,
                             int64_t *cones, int64_t *vs, int64_t *ws,
                             int64_t *window_hits, int64_t *window_pairs,
                             double *window_seconds, int64_t *pairs, int64_t *total);
 int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
-                                     int64_t nvert, const int64_t *us,
-                                     const int64_t *vs, const int64_t *ws,
-                                     int64_t n, int64_t *support);
+                                     const int64_t *rows, int64_t nvert,
+                                     const int64_t *us, const int64_t *vs,
+                                     const int64_t *ws, int64_t n, int64_t *support);
 int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
                               int64_t *trussness, const int64_t *inc_ptr,
                               const int64_t *inc_tri, const int64_t *tri_edges,
@@ -104,7 +129,7 @@ int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
 int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
                                const int64_t *keys, const int64_t *row_start,
                                int64_t n, int64_t lo, int64_t hi,
-                               int64_t *slot_to_id, int64_t *out);
+                               int64_t *slot_to_id, int64_t *mark, int64_t *out);
 void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
                         int64_t *inc_ptr, int64_t *inc_tri, int64_t *cursor);
 int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
@@ -173,11 +198,11 @@ static int64_t pdtl_isect_count(const int64_t *a, int64_t na,
     return c;
 }
 
-/* The one enumerating walk of two sorted lists: run HIT for every ev[j]
- * (j < d) that occurs in nu (length du), in ev order, with i its position
- * in nu and j its position in ev.  A nu that dwarfs ev is binary-searched
- * per element (galloping), otherwise the two lists are merged -- the hits
- * and their order are the same either way. */
+/* The enumerating walk of one pair of sorted lists: run HIT for every
+ * ev[j] (j < d) that occurs in nu (length du), in ev order, with i its
+ * position in nu and j its position in ev.  A nu that dwarfs ev is
+ * binary-searched per element (galloping), otherwise the two lists are
+ * merged -- the hits and their order are the same either way. */
 #define PDTL_ISECT_WALK(nu, du, ev, d, HIT)                                  \
     do {                                                                    \
         if ((du) > 32 * (d)) {                                              \
@@ -195,16 +220,40 @@ static int64_t pdtl_isect_count(const int64_t *a, int64_t na,
         }                                                                   \
     } while (0)
 
-/* append (u, v, w) for every w of the sorted ev (length d) that occurs in
- * the sorted nu (length du), in ev order; returns the new hit count */
-static int64_t pdtl_isect_emit(const int64_t *nu, int64_t du,
-                               const int64_t *ev, int64_t d,
-                               int64_t u, int64_t v, int64_t nhit,
-                               int64_t *cones, int64_t *vs, int64_t *ws) {
-    PDTL_ISECT_WALK(nu, du, ev, d,
-                    cones[nhit] = u; vs[nhit] = v; ws[nhit] = ev[j]; nhit++);
-    return nhit;
+/* The marked walk of the kernels that test many lists against one: the
+ * reused list is marked once in the call's scratch array (one entry per
+ * vertex id, all zero between uses), each other list is walked in order
+ * and every entry whose mark is set is a hit, and the marks are cleared
+ * again before the next reused list.  Hits and their order are the
+ * merge's: membership of each walked entry, in the walked list's order.
+ * Every id is tested against [0, n) before the scratch is touched at it;
+ * a kernel that meets one outside returns PDTL_BAD_ID, and its wrapper
+ * raises without returning anything the call wrote. */
+#define PDTL_BAD_ID (-1)
+
+/* mark every entry of a (length na); returns 0, or 1 at an id outside
+ * [0, n) */
+static int pdtl_mark(uint8_t *mark, int64_t n, const int64_t *a, int64_t na) {
+    for (int64_t i = 0; i < na; i++) {
+        if ((uint64_t)a[i] >= (uint64_t)n) return 1;
+        mark[a[i]] = 1;
+    }
+    return 0;
 }
+
+static void pdtl_unmark(uint8_t *mark, const int64_t *a, int64_t na) {
+    for (int64_t i = 0; i < na; i++) mark[a[i]] = 0;
+}
+
+/* run HIT for every entry w = list[j] (j < len) marked in mark, in list
+ * order; returns PDTL_BAD_ID from the enclosing kernel at an id outside
+ * [0, n), before reading its mark */
+#define PDTL_MARKED_WALK(list, len, n, mark, HIT)                            \
+    for (int64_t j = 0; j < (len); j++) {                                   \
+        const int64_t w = (list)[j];                                        \
+        if ((uint64_t)w >= (uint64_t)(n)) return PDTL_BAD_ID;               \
+        if ((mark)[w]) { HIT; }                                             \
+    }
 
 int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
                                const int64_t *q, int64_t nq, uint8_t *out) {
@@ -229,47 +278,55 @@ void pdtl_merge_positions(const int64_t *a, int64_t na,
     }
 }
 
+/* the gathered total of the cones [lo, hi): the listing capacity */
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
-                               int64_t lo, int64_t hi) {
+                               int64_t n, int64_t lo, int64_t hi) {
     int64_t g = 0;
     for (int64_t p = indptr[lo]; p < indptr[hi]; p++) {
         int64_t v = indices[p];
+        if ((uint64_t)v >= (uint64_t)n) return PDTL_BAD_ID;
         g += indptr[v + 1] - indptr[v];
     }
     return g;
 }
 
-int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices,
-                            int64_t lo, int64_t hi, int64_t *ops) {
+/* u-major: N(u) is marked once per cone and every N(v), v in N(u), walked
+ * against it.  Marking N(u) checks each v before indptr is read at it. */
+int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices, int64_t n,
+                            int64_t lo, int64_t hi, uint8_t *mark, int64_t *ops) {
     int64_t count = 0, gathered = 0;
     for (int64_t u = lo; u < hi; u++) {
         const int64_t *nu = indices + indptr[u];
-        int64_t du = indptr[u + 1] - indptr[u];
+        const int64_t du = indptr[u + 1] - indptr[u];
+        if (pdtl_mark(mark, n, nu, du)) return PDTL_BAD_ID;
         for (int64_t p = 0; p < du; p++) {
-            int64_t v = nu[p];
-            int64_t dv = indptr[v + 1] - indptr[v];
+            const int64_t v = nu[p];
+            const int64_t dv = indptr[v + 1] - indptr[v];
             gathered += dv;
-            count += pdtl_isect_count(nu, du, indices + indptr[v], dv);
+            PDTL_MARKED_WALK(indices + indptr[v], dv, n, mark, count++);
         }
+        pdtl_unmark(mark, nu, du);
     }
     *ops = (indptr[hi] - indptr[lo]) + gathered;
     return count;
 }
 
-int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices,
-                           int64_t lo, int64_t hi, int64_t *cones,
+int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices, int64_t n,
+                           int64_t lo, int64_t hi, uint8_t *mark, int64_t *cones,
                            int64_t *vs, int64_t *ws, int64_t *ops) {
     int64_t nhit = 0, gathered = 0;
     for (int64_t u = lo; u < hi; u++) {
         const int64_t *nu = indices + indptr[u];
-        int64_t du = indptr[u + 1] - indptr[u];
+        const int64_t du = indptr[u + 1] - indptr[u];
+        if (pdtl_mark(mark, n, nu, du)) return PDTL_BAD_ID;
         for (int64_t p = 0; p < du; p++) {
-            int64_t v = nu[p];
-            int64_t dv = indptr[v + 1] - indptr[v];
+            const int64_t v = nu[p];
+            const int64_t dv = indptr[v + 1] - indptr[v];
             gathered += dv;
-            nhit = pdtl_isect_emit(nu, du, indices + indptr[v], dv, u, v, nhit,
-                                   cones, vs, ws);
+            PDTL_MARKED_WALK(indices + indptr[v], dv, n, mark,
+                             cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++);
         }
+        pdtl_unmark(mark, nu, du);
     }
     *ops = (indptr[hi] - indptr[lo]) + gathered;
     return nhit;
@@ -324,18 +381,22 @@ void pdtl_mgt_block_bound(const int64_t *block_adj, const int64_t *block_offsets
     *total = t;
 }
 
+/* u-major: a cone's N(u) is marked at its first candidate pair and every
+ * E_v walked against it */
 int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offsets,
                             int64_t nbv, const int64_t *edg,
                             int64_t vlow, int64_t vhigh,
                             const int64_t *win_offsets, const int64_t *win_degrees,
+                            int64_t n, uint8_t *mark,
                             int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
                             int64_t *pairs, int64_t *total) {
     int64_t npairs = 0, t = 0, nhit = 0;
     for (int64_t bu = 0; bu < nbv; bu++) {
         const int64_t *nu = block_adj + block_offsets[bu];
-        int64_t du = block_offsets[bu + 1] - block_offsets[bu];
+        const int64_t du = block_offsets[bu + 1] - block_offsets[bu];
+        int marked = 0;
         for (int64_t p = 0; p < du; p++) {
-            int64_t v = nu[p];
+            const int64_t v = nu[p];
             int64_t d;
             const int64_t *ev;
             if (v < vlow || v > vhigh) continue;
@@ -343,10 +404,19 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
             if (d <= 0) continue;
             npairs++;
             t += d;
+            if (!marked) {
+                if (pdtl_mark(mark, n, nu, du)) return PDTL_BAD_ID;
+                marked = 1;
+            }
             ev = edg + win_offsets[v - vlow];
-            if (want) nhit = pdtl_isect_emit(nu, du, ev, d, bu, v, nhit, cones, vs, ws);
-            else nhit += pdtl_isect_count(nu, du, ev, d);
+            if (want) {
+                PDTL_MARKED_WALK(ev, d, n, mark,
+                                 cones[nhit] = bu; vs[nhit] = v; ws[nhit] = w; nhit++);
+            } else {
+                PDTL_MARKED_WALK(ev, d, n, mark, nhit++);
+            }
         }
+        if (marked) pdtl_unmark(mark, nu, du);
     }
     *pairs = npairs;
     *total = t;
@@ -367,14 +437,19 @@ static double pdtl_now(void) {
  * candidate pairs are the entries (u, v) whose E_v is not empty, i.e. the
  * in-edges of those v, and each merges N(u) with E_v; pairs and total are
  * the counts the streaming scan takes over the whole file, once per
- * window.  A window's in-edges are one slice of in_sources, so the walk
- * prefetches offsets[u] 16 pairs and N(u) 8 pairs ahead along it: each
- * pair's two dependent loads are random.  Listed hits come out window by
- * window, v-major within a window, and window_hits[i] counts window i's;
- * window_pairs and window_seconds, when given, receive each window's pair
- * count and elapsed seconds. */
+ * window.  The walk is v-major: E_v is marked once per window vertex, each
+ * in-neighbour's N(u) is walked against it whole (stopping at E_v's last
+ * entry measured slower: the lists are short, and the stop is one more
+ * unpredictable branch per entry), and the marks are cleared before the
+ * next vertex.  A window's in-edges are one slice of in_sources, so the
+ * walk prefetches offsets[u] 16 pairs and N(u) 8 pairs ahead along it:
+ * each pair's two dependent loads are random.  Listed hits come out window
+ * by window, v-major within a window, and window_hits[i] counts window
+ * i's; window_pairs and window_seconds, when given, receive each window's
+ * pair count and elapsed seconds. */
 int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
                             const int64_t *in_offsets, const int64_t *in_sources,
+                            int64_t n, uint8_t *mark,
                             const int64_t *bounds, const int64_t *vlows,
                             const int64_t *vhighs, int64_t nwin, int64_t want,
                             int64_t *cones, int64_t *vs, int64_t *ws,
@@ -393,15 +468,25 @@ int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
             if (d <= 0) continue;
             npairs += in_offsets[v + 1] - in_offsets[v];
             t += (in_offsets[v + 1] - in_offsets[v]) * d;
+            if (in_offsets[v + 1] == in_offsets[v]) continue;
+            if (pdtl_mark(mark, n, ev, d)) return PDTL_BAD_ID;
             for (int64_t q = in_offsets[v]; q < in_offsets[v + 1]; q++) {
                 const int64_t u = in_sources[q];
-                const int64_t *nu = adjacency + offsets[u];
-                const int64_t du = offsets[u + 1] - offsets[u];
+                const int64_t *nu;
+                int64_t du;
+                if ((uint64_t)u >= (uint64_t)n) return PDTL_BAD_ID;
+                nu = adjacency + offsets[u];
+                du = offsets[u + 1] - offsets[u];
                 if (q + 16 < qend) __builtin_prefetch(offsets + in_sources[q + 16]);
                 if (q + 8 < qend) __builtin_prefetch(adjacency + offsets[in_sources[q + 8]]);
-                if (want) nhit = pdtl_isect_emit(nu, du, ev, d, u, v, nhit, cones, vs, ws);
-                else nhit += pdtl_isect_count(nu, du, ev, d);
+                if (want) {
+                    PDTL_MARKED_WALK(nu, du, n, mark,
+                                     cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++);
+                } else {
+                    PDTL_MARKED_WALK(nu, du, n, mark, nhit++);
+                }
             }
+            pdtl_unmark(mark, ev, d);
         }
         if (want) window_hits[i] = nhit - first_hit;
         if (window_pairs) window_pairs[i] = npairs - first_pair;
@@ -412,34 +497,45 @@ int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
     return nhit;
 }
 
+/* position of the oriented edge (s, d) in edge_keys, or -1 when s or d
+ * lies outside [0, nvert) or s's row does not hold it.  Key position p is
+ * adjacency position p, so s's keys are the row [rows[s], rows[s + 1]) of
+ * the oriented graph's offsets; a row outside [0, m) holds nothing. */
+static int64_t pdtl_edge_position(const int64_t *edge_keys, int64_t m,
+                                  const int64_t *rows, int64_t nvert,
+                                  int64_t s, int64_t d) {
+    int64_t lo, hi, key, pos;
+    if ((uint64_t)s >= (uint64_t)nvert || (uint64_t)d >= (uint64_t)nvert) return -1;
+    lo = rows[s];
+    hi = rows[s + 1];
+    if (lo < 0 || hi > m || lo >= hi) return -1;
+    key = s * nvert + d;
+    pos = lo + pdtl_lower_bound(edge_keys + lo, hi - lo, key);
+    return (pos < hi && edge_keys[pos] == key) ? pos : -1;
+}
+
+/* add one support to the edges (u, v), (u, w) and (v, w) of every triple;
+ * a triple with a pair that is no edge undoes the earlier triples'
+ * increments and returns 0, so the caller raises with the sink untouched */
 int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
-                                     int64_t nvert, const int64_t *us,
-                                     const int64_t *vs, const int64_t *ws,
-                                     int64_t n, int64_t *support) {
+                                     const int64_t *rows, int64_t nvert,
+                                     const int64_t *us, const int64_t *vs,
+                                     const int64_t *ws, int64_t n, int64_t *support) {
     for (int64_t i = 0; i < n; i++) {
-        int64_t s[3], d[3];
-        s[0] = us[i]; s[1] = us[i]; s[2] = vs[i];
-        d[0] = vs[i]; d[1] = ws[i]; d[2] = ws[i];
-        for (int sl = 0; sl < 3; sl++) {
-            int64_t key = s[sl] * nvert + d[sl];
-            int64_t pos = pdtl_lower_bound(edge_keys, m, key);
-            if (pos >= m || edge_keys[pos] != key) {
-                /* bad pair: undo every increment already applied so the
-                 * caller can raise with the sink untouched */
-                for (int64_t ri = 0; ri <= i; ri++) {
-                    int64_t rs[3], rd[3];
-                    int rmax = (ri == i) ? sl : 3;
-                    rs[0] = us[ri]; rs[1] = us[ri]; rs[2] = vs[ri];
-                    rd[0] = vs[ri]; rd[1] = ws[ri]; rd[2] = ws[ri];
-                    for (int rsl = 0; rsl < rmax; rsl++) {
-                        int64_t rkey = rs[rsl] * nvert + rd[rsl];
-                        support[pdtl_lower_bound(edge_keys, m, rkey)]--;
-                    }
-                }
-                return 0;
+        const int64_t uv = pdtl_edge_position(edge_keys, m, rows, nvert, us[i], vs[i]);
+        const int64_t uw = pdtl_edge_position(edge_keys, m, rows, nvert, us[i], ws[i]);
+        const int64_t vw = pdtl_edge_position(edge_keys, m, rows, nvert, vs[i], ws[i]);
+        if (uv < 0 || uw < 0 || vw < 0) {
+            for (int64_t r = 0; r < i; r++) {
+                support[pdtl_edge_position(edge_keys, m, rows, nvert, us[r], vs[r])]--;
+                support[pdtl_edge_position(edge_keys, m, rows, nvert, us[r], ws[r])]--;
+                support[pdtl_edge_position(edge_keys, m, rows, nvert, vs[r], ws[r])]--;
             }
-            support[pos]++;
+            return 0;
         }
+        support[uv]++;
+        support[uw]++;
+        support[vw]++;
     }
     return 1;
 }
@@ -511,39 +607,49 @@ int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
  * lower_bound np.searchsorted uses, confined to the source row
  * [row_start[x], row_start[x+1]) (row_start[u] = lower bound of u*n in
  * keys, which brackets every key of row x, so the position equals the
- * global searchsorted result).  The enumeration then emits each hit's
- * three ids by direct slot lookup -- (u,v) at the scanned slot, (u,w) at
- * the matched position in N(u), (v,w) at the gathered slot -- with no
- * per-triangle searching at all. */
+ * global searchsorted result).  This pass tests every id against [0, n).
+ * The enumeration is the marked walk of pdtl_triangle_list, with each
+ * cone's mark holding 1 + the id of (u, w): a hit's three ids are the
+ * scanned slot's (u, v), the mark's (u, w) and the walked slot's (v, w),
+ * with no per-triangle searching at all. */
 int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
                                const int64_t *keys, const int64_t *row_start,
                                int64_t n, int64_t lo, int64_t hi,
-                               int64_t *slot_to_id, int64_t *out) {
+                               int64_t *slot_to_id, int64_t *mark, int64_t *out) {
     int64_t nhit = 0;
     for (int64_t u = 0; u < n; u++) {
         for (int64_t p = indptr[u]; p < indptr[u + 1]; p++) {
             int64_t v = indices[p];
             int64_t x = u < v ? u : v;
             int64_t y = u < v ? v : u;
-            int64_t rs = row_start[x];
+            int64_t rs;
+            if ((uint64_t)v >= (uint64_t)n) return PDTL_BAD_ID;
+            rs = row_start[x];
             slot_to_id[p] = rs + pdtl_lower_bound(
                 keys + rs, row_start[x + 1] - rs, x * n + y);
         }
     }
     for (int64_t u = lo; u < hi; u++) {
         const int64_t *nu = indices + indptr[u];
-        int64_t du = indptr[u + 1] - indptr[u];
+        const int64_t *nu_ids = slot_to_id + indptr[u];
+        const int64_t du = indptr[u + 1] - indptr[u];
+        for (int64_t p = 0; p < du; p++) mark[nu[p]] = nu_ids[p] + 1;
         for (int64_t p = 0; p < du; p++) {
-            int64_t v = nu[p];
+            const int64_t v = nu[p];
             const int64_t *nv = indices + indptr[v];
-            int64_t dv = indptr[v + 1] - indptr[v];
-            int64_t uv = slot_to_id[indptr[u] + p];
-            PDTL_ISECT_WALK(nu, du, nv, dv,
-                            out[3 * nhit] = uv;
-                            out[3 * nhit + 1] = slot_to_id[indptr[u] + i];
-                            out[3 * nhit + 2] = slot_to_id[indptr[v] + j];
-                            nhit++);
+            const int64_t *nv_ids = slot_to_id + indptr[v];
+            const int64_t dv = indptr[v + 1] - indptr[v];
+            for (int64_t j = 0; j < dv; j++) {
+                const int64_t uw = mark[nv[j]];
+                if (uw) {
+                    out[3 * nhit] = nu_ids[p];
+                    out[3 * nhit + 1] = uw - 1;
+                    out[3 * nhit + 2] = nv_ids[j];
+                    nhit++;
+                }
+            }
         }
+        for (int64_t p = 0; p < du; p++) mark[nu[p]] = 0;
     }
     return nhit;
 }
@@ -746,6 +852,22 @@ def build_registry() -> dict[str, Callable]:
     def integer_kinds(*arrays: np.ndarray) -> bool:
         return all(np.asarray(a).dtype.kind in "iu" for a in arrays)
 
+    def checked(result: int, n: int, *arrays: np.ndarray, scratch=None) -> int:
+        """``result``, unless the marked walk flagged an id outside
+        ``[0, n)``: then clear the caller's ``scratch`` (the walk stopped
+        with marks set) and raise naming the first such id of ``arrays``."""
+        if result != _BAD_ID:
+            return result
+        if scratch is not None:
+            scratch[:] = 0
+        for a in arrays:
+            bad = a[(a < 0) | (a >= n)]
+            if bad.shape[0]:
+                raise GraphFormatError(
+                    f"adjacency list holds vertex id {int(bad[0])} outside [0, {n})"
+                )
+        raise RuntimeError(f"a kernel flagged an id outside [0, {n}), but none is")
+
     def sorted_membership(haystack, queries):
         if not integer_kinds(haystack, queries):
             return kernels.NUMPY_IMPLS["sorted_membership"](haystack, queries)
@@ -775,19 +897,27 @@ def build_registry() -> dict[str, Callable]:
         indices = as_i64(indices)
         lo = int(lo)
         hi = int(hi)
+        n = indptr.shape[0] - 1
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"cone range [{lo}, {hi}) is not inside [0, {n}]")
+        mark = np.zeros(n, dtype=np.uint8)
         ops = ffi.new("int64_t *")
         if not want_triples:
-            count = lib.pdtl_triangle_count(ptr(indptr), ptr(indices), lo, hi, ops)
-            return int(count), int(ops[0])
-        cap = int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), lo, hi))
+            count = lib.pdtl_triangle_count(
+                ptr(indptr), ptr(indices), n, lo, hi, bptr(mark), ops
+            )
+            return checked(int(count), n, indices), int(ops[0])
+        cap = checked(
+            int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), n, lo, hi)), n, indices
+        )
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
-        nhit = int(
-            lib.pdtl_triangle_list(
-                ptr(indptr), ptr(indices), lo, hi, wptr(cones), wptr(vs), wptr(ws), ops
-            )
+        nhit = lib.pdtl_triangle_list(
+            ptr(indptr), ptr(indices), n, lo, hi, bptr(mark),
+            wptr(cones), wptr(vs), wptr(ws), ops,
         )
+        nhit = checked(int(nhit), n, indices)
         return cones[:nhit], vs[:nhit], ws[:nhit], int(ops[0])
 
     def edge_intersections(indptr, indices, us, vs, per_edge=False):
@@ -831,23 +961,34 @@ def build_registry() -> dict[str, Callable]:
         return owners[:nhit], ws[:nhit]
 
     def mgt_block_scan(
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, want_triples
+        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark,
+        want_triples,
     ):
+        # the streaming scan calls this once per scan block of every window,
+        # so the scratch is the caller's: an all-zero uint8 array with one
+        # entry per vertex id, which every call leaves all zero (bptr
+        # refuses one that is not contiguous)
+        if mark.dtype != np.uint8:
+            raise TypeError("mark must be a uint8 array")
         block_adj = as_i64(block_adj)
         block_offsets = as_i64(block_offsets)
         edg = as_i64(edg)
         win_offsets = as_i64(win_offsets)
         win_degrees = as_i64(win_degrees)
         nbv = block_offsets.shape[0] - 1
+        n = mark.shape[0]
+        args = (
+            ptr(block_adj), ptr(block_offsets), nbv, ptr(edg), int(vlow), int(vhigh),
+            ptr(win_offsets), ptr(win_degrees), n, bptr(mark),
+        )
         pairs = ffi.new("int64_t *")
         total = ffi.new("int64_t *")
         if not want_triples:
             nhit = lib.pdtl_mgt_block_scan(
-                ptr(block_adj), ptr(block_offsets), nbv, ptr(edg),
-                int(vlow), int(vhigh), ptr(win_offsets), ptr(win_degrees),
-                0, ffi.NULL, ffi.NULL, ffi.NULL, pairs, total,
+                *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, pairs, total
             )
-            return int(pairs[0]), int(total[0]), int(nhit), None, None, None
+            nhit = checked(int(nhit), n, block_adj, edg, scratch=mark)
+            return int(pairs[0]), int(total[0]), nhit, None, None, None
         lib.pdtl_mgt_block_bound(
             ptr(block_adj), ptr(block_offsets), nbv, int(vlow), int(vhigh),
             ptr(win_degrees), pairs, total,
@@ -856,13 +997,10 @@ def build_registry() -> dict[str, Callable]:
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
-        nhit = int(
-            lib.pdtl_mgt_block_scan(
-                ptr(block_adj), ptr(block_offsets), nbv, ptr(edg),
-                int(vlow), int(vhigh), ptr(win_offsets), ptr(win_degrees),
-                1, wptr(cones), wptr(vs), wptr(ws), pairs, total,
-            )
+        nhit = lib.pdtl_mgt_block_scan(
+            *args, 1, wptr(cones), wptr(vs), wptr(ws), pairs, total
         )
+        nhit = checked(int(nhit), n, block_adj, edg, scratch=mark)
         return int(pairs[0]), int(total[0]), nhit, cones[:nhit], vs[:nhit], ws[:nhit]
 
     def mgt_chunk_scan(
@@ -895,8 +1033,9 @@ def build_registry() -> dict[str, Callable]:
         window_seconds = np.empty(nwin, dtype=np.float64) if per_window else None
         pairs = ffi.new("int64_t *")
         total = ffi.new("int64_t *")
+        mark = np.zeros(n, dtype=np.uint8)
         args = (
-            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources),
+            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources), n, bptr(mark),
             ptr(bounds), ptr(vlows), ptr(vhighs), nwin,
         )
         timings = (wptr(window_pairs), dptr(window_seconds)) if per_window else (ffi.NULL,) * 2
@@ -905,8 +1044,8 @@ def build_registry() -> dict[str, Callable]:
                 *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, ffi.NULL, *timings, pairs, total
             )
             return (
-                int(pairs[0]), int(total[0]), int(nhit), None, None, None,
-                window_pairs, window_seconds,
+                int(pairs[0]), int(total[0]), checked(int(nhit), n, adjacency, in_sources),
+                None, None, None, window_pairs, window_seconds,
             )
         # every pair hits at most |E_v| times, and the windows split each list
         span = np.arange(vlows.min(), vhighs.max() + 1) if nwin else np.empty(0, np.int64)
@@ -916,12 +1055,11 @@ def build_registry() -> dict[str, Callable]:
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
         window_hits = np.empty(nwin, dtype=np.int64)
-        nhit = int(
-            lib.pdtl_mgt_chunk_scan(
-                *args, 1, wptr(cones), wptr(vs), wptr(ws), wptr(window_hits),
-                *timings, pairs, total,
-            )
+        nhit = lib.pdtl_mgt_chunk_scan(
+            *args, 1, wptr(cones), wptr(vs), wptr(ws), wptr(window_hits),
+            *timings, pairs, total,
         )
+        nhit = checked(int(nhit), n, adjacency, in_sources)
         # v-major walk -> the streaming scan's (cone, v, w) order per window
         order = np.lexsort((cones[:nhit], np.repeat(np.arange(nwin), window_hits)))
         return (
@@ -929,15 +1067,21 @@ def build_registry() -> dict[str, Callable]:
             window_pairs, window_seconds,
         )
 
-    def edge_support_accumulate(edge_keys, us, vs, ws, num_vertices, support):
-        if support.dtype != np.int64 or not support.flags.c_contiguous:
-            raise TypeError("support must be a contiguous int64 array")
+    def edge_support_accumulate(edge_keys, offsets, us, vs, ws, num_vertices, support):
         edge_keys = as_i64(edge_keys)
+        offsets = as_i64(offsets)
         us = as_i64(us)
         vs = as_i64(vs)
         ws = as_i64(ws)
+        if support.dtype != np.int64 or not support.flags.c_contiguous:
+            raise TypeError("support must be a contiguous int64 array")
+        # C reads a row's bounds at every source id it accepts
+        if offsets.shape != (int(num_vertices) + 1,) or not (
+            us.shape == vs.shape == ws.shape and support.shape == edge_keys.shape
+        ):
+            raise ValueError("offsets, triples and support do not fit the edge keys")
         ok = lib.pdtl_edge_support_accumulate(
-            ptr(edge_keys), edge_keys.shape[0], int(num_vertices),
+            ptr(edge_keys), edge_keys.shape[0], ptr(offsets), int(num_vertices),
             ptr(us), ptr(vs), ptr(ws), ws.shape[0], wptr(support),
         )
         return bool(ok)
@@ -968,15 +1112,20 @@ def build_registry() -> dict[str, Callable]:
         indices = as_i64(indices)
         keys = as_i64(keys)
         row_start = as_i64(row_start)
-        cap = int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), int(lo), int(hi)))
-        slot_to_id = np.empty(indices.shape[0], dtype=np.int64)
-        out = np.empty(3 * cap, dtype=np.int64)
-        nhit = int(
-            lib.pdtl_triangle_edge_ids(
-                ptr(indptr), ptr(indices), ptr(keys), ptr(row_start),
-                int(num_vertices), int(lo), int(hi), wptr(slot_to_id), wptr(out),
-            )
+        n, lo, hi = int(num_vertices), int(lo), int(hi)
+        if not (indptr.shape == row_start.shape == (n + 1,) and 0 <= lo <= hi <= n):
+            raise ValueError("indptr, row_start and [lo, hi) do not fit num_vertices")
+        cap = checked(
+            int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), n, lo, hi)), n, indices
         )
+        slot_to_id = np.empty(indices.shape[0], dtype=np.int64)
+        mark = np.zeros(n, dtype=np.int64)
+        out = np.empty(3 * cap, dtype=np.int64)
+        nhit = lib.pdtl_triangle_edge_ids(
+            ptr(indptr), ptr(indices), ptr(keys), ptr(row_start),
+            n, lo, hi, wptr(slot_to_id), wptr(mark), wptr(out),
+        )
+        nhit = checked(int(nhit), n, indices)
         return out[: 3 * nhit].reshape(nhit, 3)
 
     def incidence_csr(flat_edges, num_edges):

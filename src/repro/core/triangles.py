@@ -342,9 +342,19 @@ def oriented_edge_keys(graph) -> np.ndarray:
     stored at adjacency position ``p`` -- the indexing contract of
     :class:`EdgeSupportSink`.
     """
+    return _oriented_edge_index(graph)[0]
+
+
+def _oriented_edge_index(graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, offsets)``: :func:`oriented_edge_keys` and the graph's
+    offsets, which bound each source's row of keys by the indexing
+    contract."""
     keys = getattr(graph, "scan_keys", None)
     if keys is not None:
-        return np.asarray(keys)
+        return np.asarray(keys), graph.cached_offsets
+    indptr = getattr(graph, "indptr", None)
+    if indptr is not None:  # in-memory CSR
+        return kernels.csr_packed_keys(indptr, graph.indices), indptr
     cache_key = None
     device = getattr(graph, "device", None)
     if device is not None:  # file-backed: memoise against the file identity
@@ -358,10 +368,17 @@ def oriented_edge_keys(graph) -> np.ndarray:
             cached = _EDGE_KEY_CACHE.pop(cache_key)
             _EDGE_KEY_CACHE[cache_key] = cached  # re-insert: LRU recency
             return cached
-    edges = oriented_edge_array(graph)
-    result = kernels.packed_keys(edges[:, 0], edges[:, 1], graph.num_vertices)
+    offsets = graph.offsets()
+    keys = kernels.csr_packed_keys(
+        offsets,
+        graph.read_adjacency_range(0, graph.num_edges)
+        if graph.num_edges
+        else np.empty(0, dtype=np.int64),
+    )
+    result = (keys, offsets)
     if cache_key is not None:
-        result.flags.writeable = False  # shared across sinks in this process
+        for array in result:
+            array.flags.writeable = False  # shared across sinks in this process
         _EDGE_KEY_CACHE[cache_key] = result
         while len(_EDGE_KEY_CACHE) > _EDGE_KEY_CACHE_MAX:
             _EDGE_KEY_CACHE.pop(next(iter(_EDGE_KEY_CACHE)))
@@ -420,7 +437,12 @@ class EdgeSupportSink:
     binary search of the packed ``(source, destination)`` keys against the
     sorted whole-graph key array (:func:`oriented_edge_keys` /
     :func:`repro.core.kernels.packed_keys`), the same primitive the MGT
-    inner loop uses for membership.
+    inner loop uses for membership.  The compiled tier searches each pair
+    in its source's row only: key position ``p`` is adjacency position
+    ``p``, so the rows are the oriented graph's ``offsets`` (given by the
+    sink factory, or derived from the keys).  A pair with an id outside
+    ``[0, num_vertices)`` is no edge on either tier, whatever key it packs
+    into.
 
     Two accumulation modes:
 
@@ -445,6 +467,7 @@ class EdgeSupportSink:
         "num_vertices",
         "num_edges",
         "support",
+        "_offsets",
         "_spill_file",
         "_buffer",
         "_fill",
@@ -457,11 +480,16 @@ class EdgeSupportSink:
         num_vertices: int,
         spill_file: BlockFile | None = None,
         memory_budget_bytes: int | None = None,
+        offsets: np.ndarray | None = None,
     ) -> None:
         self.count = 0
         self.edge_keys = np.asarray(edge_keys, dtype=np.int64)
         self.num_vertices = int(num_vertices)
         self.num_edges = int(self.edge_keys.shape[0])
+        # the oriented graph's offsets: source u's keys are the row
+        # edge_keys[offsets[u] : offsets[u + 1]]; derived from the keys
+        # on first use when the caller does not have them
+        self._offsets = offsets
         spilling = (
             memory_budget_bytes is not None
             and self.num_edges * 8 > int(memory_budget_bytes)
@@ -500,7 +528,21 @@ class EdgeSupportSink:
 
     # -- position resolution ------------------------------------------------------
 
+    def _rows(self) -> np.ndarray:
+        if self._offsets is None:
+            n = self.num_vertices
+            self._offsets = np.searchsorted(
+                self.edge_keys, np.arange(n + 1, dtype=np.int64) * n
+            )
+        return self._offsets
+
     def _positions(self, sources: np.ndarray, destinations: np.ndarray) -> np.ndarray:
+        # an id outside [0, n) would pack into the key of another pair
+        if sources.shape[0] and not (
+            min(sources.min(), destinations.min()) >= 0
+            and max(sources.max(), destinations.max()) < self.num_vertices
+        ):
+            raise ValueError("triangle references a pair that is not an oriented edge")
         queries = kernels.packed_keys(sources, destinations, self.num_vertices)
         pos = np.searchsorted(self.edge_keys, queries)
         if pos.shape[0]:
@@ -562,11 +604,12 @@ class EdgeSupportSink:
         if self.support is not None:
             # compiled tier, dense mode only: resolve all three edge positions
             # and accumulate in one fused loop (no concatenated key arrays,
-            # no np.add.at scatter).  A triple referencing a missing edge
-            # rolls back its partial increments before we raise, preserving
-            # the numpy path's check-before-mutate contract.  Spill mode
-            # keeps the numpy path: its run contents are position *streams*,
-            # not commutative sums.
+            # no np.add.at scatter), each searched in its source's row only.
+            # A triple referencing a missing edge or an id outside the graph
+            # rolls back the increments before we raise, preserving the
+            # numpy path's check-before-mutate contract.  Spill mode keeps
+            # the numpy path: its run contents are position *streams*, not
+            # commutative sums.
             from repro.core import kernel_backend
 
             fused_accumulate = kernel_backend.fused("edge_support_accumulate")
@@ -575,7 +618,8 @@ class EdgeSupportSink:
                 and self.num_vertices <= kernels.MAX_PACKABLE_VERTICES
             ):
                 if not fused_accumulate(
-                    self.edge_keys, us, vs, ws, self.num_vertices, self.support
+                    self.edge_keys, self._rows(), us, vs, ws, self.num_vertices,
+                    self.support,
                 ):
                     raise ValueError(
                         "triangle references a pair that is not an oriented edge"
@@ -850,9 +894,11 @@ def _make_edge_support_sink(
 ) -> EdgeSupportSink:
     if graph is None:
         raise ValueError("edge-support sink requires the oriented graph")
+    keys, offsets = _oriented_edge_index(graph)
     return EdgeSupportSink(
-        oriented_edge_keys(graph),
+        keys,
         graph.num_vertices,
         spill_file=spill_file,
         memory_budget_bytes=memory_budget_bytes,
+        offsets=offsets,
     )

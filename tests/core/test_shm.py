@@ -347,7 +347,8 @@ def _cone_dag() -> CSRGraph:
     the smaller id to the larger.  Most out-lists hold 0 to 2 entries, so
     window spans contain vertices of out-degree 0, lists straddle window
     boundaries, and cone 0's list is more than 32 times longer than its
-    partner ``E_v`` (the galloping branch of the C merge)."""
+    partner ``E_v`` (a lopsided pair: the walk tests cone 0's whole list
+    against a short marked ``E_v``)."""
     n = 80
     rng = np.random.default_rng(3)
     spokes = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
@@ -382,7 +383,7 @@ def _window_shapes(graph: CSRGraph, start: int, stop: int, window: int) -> set[s
         for v in range(vlow, vhigh + 1):
             d = min(offsets[v + 1], hi) - max(offsets[v], lo)
             if d > 0 and (degrees[sources[adjacency == v]] > 32 * d).any():
-                shapes.add("galloping")
+                shapes.add("lopsided pair")
     return shapes
 
 
@@ -427,7 +428,7 @@ class TestSharedScanMatchesDisk:
         ranges = list(zip(splits[:-1], splits[1:])) + [(0, m)]
         if name == "cone":
             shapes = set().union(*(_window_shapes(graph, lo, hi, window) for lo, hi in ranges))
-            assert shapes == {"out-degree 0 in span", "straddling list", "galloping"}
+            assert shapes == {"out-degree 0 in span", "straddling list", "lopsided pair"}
         if m:
             assert any(bound % window for bound in splits[1:-1])
 

@@ -467,6 +467,67 @@ class TestEdgeSupportSink:
             a.merge(b)
 
 
+class TestEdgeSupportSinkIds:
+    """A pair with an id outside ``[0, n)`` is no edge, whatever key it
+    packs into, on both kernel tiers."""
+
+    #: oriented edges (0, 1), (0, 4), (1, 2), (1, 3), (2, 3) of a graph on
+    #: 5 vertices, with the one triangle (1, 2, 3)
+    INDPTR = np.array([0, 2, 4, 5, 5, 5], dtype=np.int64)
+    INDICES = np.array([1, 4, 2, 3, 3], dtype=np.int64)
+
+    @pytest.fixture(params=["numpy", "cffi"])
+    def tier(self, request):
+        from repro.core import kernel_backend
+
+        if request.param == "cffi" and not kernel_backend.compiled_available()[0]:
+            pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
+        with kernel_backend.use(request.param):
+            yield request.param
+
+    def _sink(self, with_offsets: bool):
+        from repro.core import kernels
+        from repro.core.triangles import EdgeSupportSink
+
+        keys = kernels.csr_packed_keys(self.INDPTR, self.INDICES)
+        offsets = self.INDPTR if with_offsets else None
+        return EdgeSupportSink(keys, 5, offsets=offsets)
+
+    @pytest.mark.parametrize("with_offsets", [True, False], ids=["offsets", "derived"])
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (2, 3, -2),  # (2, -2) packs as (1, 3) and (3, -2) as (2, 3)
+            (0, 1, 8),  # (0, 8) packs as (1, 3) and (1, 8) as (2, 3)
+            (1, 2, 5),  # 5 = n: (1, 5) and (2, 5) pack as no edge
+            (5, 1, 2),  # a source id of n has no row
+        ],
+    )
+    def test_ids_outside_the_graph_raise_untouched(self, tier, triple, with_offsets):
+        sink = self._sink(with_offsets)
+        sink.add_triples(*(np.array([x], dtype=np.int64) for x in (1, 2, 3)))
+        before = sink.supports().copy()
+        us, vs, ws = (np.array([x], dtype=np.int64) for x in triple)
+        with pytest.raises(ValueError, match="not an oriented edge"):
+            sink.add_triples(us, vs, ws)
+        np.testing.assert_array_equal(sink.supports(), before)
+        assert sink.count == 1
+        assert before.tolist() == [0, 0, 1, 1, 1]
+
+    def test_factory_hands_the_sink_the_graph_offsets(self):
+        from repro.core.orientation import orient_csr
+        from repro.core.triangles import _oriented_edge_index
+        from repro.graph.csr import CSRGraph
+        from repro.graph.generators import rmat
+
+        oriented = orient_csr(CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=21)))
+        keys, offsets = _oriented_edge_index(oriented)
+        np.testing.assert_array_equal(offsets, oriented.indptr)
+        n = oriented.num_vertices
+        derived = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        np.testing.assert_array_equal(derived, offsets)
+
+
 class TestEdgeSupportSinkDelta:
     """from_supports re-hydration + signed merge_delta (dynamic-graph path)."""
 

@@ -132,7 +132,8 @@ def cone_dags(draw):
     Edges run from the smaller id to the larger with sorted lists, as an
     orientation stores them.  With at least 65 targets and most lists of
     length 0 to 2, cone 0's out-list is more than 32 times longer than most
-    in-window lists ``E_v``, so the window scan takes its galloping branch.
+    in-window lists ``E_v``: lopsided pairs, where the walk tests cone 0's
+    whole list against a short marked ``E_v``.
     """
     n = draw(st.integers(min_value=66, max_value=100))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
@@ -328,8 +329,9 @@ def test_mgt_block_scan_matches_reference(registry, graph, data):
     pairs, total, cones, vs_ref, ws_ref = _mgt_block_scan_reference(
         block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees
     )
+    mark = np.zeros(n, dtype=np.uint8)
     got = registry["mgt_block_scan"](
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, True
+        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark, True
     )
     assert (got[0], got[1], got[2]) == (pairs, total, len(cones))
     np.testing.assert_array_equal(np.asarray(got[3]), np.asarray(cones, dtype=np.int64))
@@ -337,9 +339,10 @@ def test_mgt_block_scan_matches_reference(registry, graph, data):
     np.testing.assert_array_equal(np.asarray(got[5]), np.asarray(ws_ref, dtype=np.int64))
 
     counted = registry["mgt_block_scan"](
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, False
+        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark, False
     )
     assert (counted[0], counted[1], counted[2]) == (pairs, total, len(cones))
+    assert not mark.any()
 
 
 @REGISTRY_PARAMS
@@ -436,7 +439,9 @@ def test_edge_support_accumulate_matches_scatter(registry, graph):
     np.add.at(want, positions, 1)
 
     got = np.zeros(edge_keys.shape[0], dtype=np.int64)
-    assert registry["edge_support_accumulate"](edge_keys, cones, vs, ws, n, got)
+    assert registry["edge_support_accumulate"](
+        edge_keys, oriented.indptr, cones, vs, ws, n, got
+    )
     np.testing.assert_array_equal(got, want)
 
 
@@ -446,7 +451,8 @@ def test_edge_support_accumulate_matches_scatter(registry, graph):
 def test_edge_support_accumulate_rolls_back_on_bad_pair(registry, graph):
     oriented = orient_csr(graph)
     n = oriented.num_vertices + 2  # room for a vertex pair that is no edge
-    edge_keys = kernels.csr_packed_keys(oriented.indptr, oriented.indices)
+    edge_keys = kernels.packed_keys(oriented.edge_sources(), oriented.indices, n)
+    offsets = np.append(oriented.indptr, [oriented.num_edges] * 2)
     cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
         oriented.indptr, oriented.indices, 0, oriented.num_vertices, True
     )
@@ -455,7 +461,9 @@ def test_edge_support_accumulate_rolls_back_on_bad_pair(registry, graph):
     bad_v = np.concatenate((vs, np.array([n - 2], dtype=np.int64)))
     bad_w = np.concatenate((ws, np.array([n - 1], dtype=np.int64)))
     support = np.zeros(edge_keys.shape[0], dtype=np.int64)
-    ok = registry["edge_support_accumulate"](edge_keys, bad_u, bad_v, bad_w, n, support)
+    ok = registry["edge_support_accumulate"](
+        edge_keys, offsets, bad_u, bad_v, bad_w, n, support
+    )
     assert not ok
     # every partial increment was rolled back
     np.testing.assert_array_equal(support, np.zeros_like(support))
@@ -465,8 +473,8 @@ def test_edge_support_accumulate_rolls_back_on_bad_pair(registry, graph):
 @given(oriented=st.one_of(random_graphs().map(orient_csr), cone_dags()))
 @settings(**SETTINGS)
 def test_triangle_edge_ids_matches_searchsorted(registry, oriented):
-    # cone DAGs make the walk gallop, where the kernel reads the hit's
-    # position in N(u) from the binary search
+    # cone DAGs give cone 0 a long list, marked once with its edge ids and
+    # tested by many short ones
     n = oriented.num_vertices
     sources = oriented.edge_sources()
     keys = np.sort(
@@ -578,6 +586,199 @@ def test_truss_peel_level_matches_numpy_twin_level_by_level(registry, state):
             np.testing.assert_array_equal(g, w)
         k = k + 1 if want[0] else max(k + 1, 2 + int(sup[alive].min()))
     assert not c_state[0].any()
+
+
+# -- the marked walk --------------------------------------------------------
+#
+# The walks mark one list per cone (per window vertex on the shm scan) in a
+# scratch array indexed by vertex id; these pin the marks' lifetime and the
+# id checks that guard the scratch.
+
+
+def _i64(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def _in_lists(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    n = indptr.shape[0] - 1
+    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    in_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(indices, minlength=n), out=in_offsets[1:])
+    return in_offsets, sources[np.argsort(indices, kind="stable")]
+
+
+#: the oriented graph 0 -> {3, 4}, 1 -> {2}, 2 -> {4}, 3 -> {4}: its one
+#: triangle is (0, 3, 4), and cone 1 reaches 4, which cone 0 marked, through
+#: 2.  Its canonical edges (0, 3), (0, 4), (1, 2), (2, 4), (3, 4) pack into
+#: these keys, and each source's row of them starts at these positions.
+_SHARED_INDPTR = _i64(0, 2, 3, 4, 5, 5)
+_SHARED_INDICES = _i64(3, 4, 2, 4, 4)
+_SHARED_KEYS = _i64(3, 4, 7, 14, 19)
+_SHARED_ROWS = _i64(0, 2, 3, 4, 5, 5)
+
+
+@REGISTRY_PARAMS
+def test_mgt_chunk_scan_clears_marks_between_window_vertices(registry):
+    """Vertex 1's out-list [2, 3] straddles the windows [0, 3) and [3, 4).
+    Its in-neighbour 0 is adjacent to 2 only, so the first window lists
+    (0, 1, 2) and the second, whose E_1 is [3], lists nothing: a mark of 2
+    kept past the first window would list the triangle twice."""
+    indptr, indices = _i64(0, 2, 4, 4, 4), _i64(1, 2, 2, 3)
+    in_offsets, in_sources = _in_lists(indptr, indices)
+    args = (indptr, indices, in_offsets, in_sources, _i64(0, 3, 4), _i64(0, 1), _i64(1, 1))
+    pairs, total, hits, cones, vs, ws, window_pairs, _ = registry["mgt_chunk_scan"](
+        *args, True, True
+    )
+    assert (pairs, total, hits) == (2, 2, 1)
+    assert (cones.tolist(), vs.tolist(), ws.tolist()) == ([0], [1], [2])
+    assert window_pairs.tolist() == [1, 1]
+    assert registry["mgt_chunk_scan"](*args, False, False)[:3] == (2, 2, 1)
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("want_triples", [True, False])
+def test_mgt_block_scan_marks_each_cone_afresh(registry, want_triples):
+    """The window holds E_4 = [6, 7] and E_5 = [7].  Cone 0 (N = [4, 6])
+    has the one triangle (0, 4, 6); cone 1 (N = [2, 7]) has no candidate
+    pair but neighbours 7; cones 2 (N = [5]) and 3 (N = [4]) have candidate
+    pairs and no triangle.  A mark kept from cone 1 would list (2, 5, 7),
+    one kept from cone 0 would list (3, 4, 6).  The caller's scratch is
+    all zero again afterwards."""
+    mark = np.zeros(8, dtype=np.uint8)
+    got = registry["mgt_block_scan"](
+        _i64(4, 6, 2, 7, 5, 4), _i64(0, 2, 4, 5, 6), _i64(6, 7, 7), 4, 5,
+        _i64(0, 2), _i64(2, 1), mark, want_triples,
+    )
+    assert got[:3] == (3, 5, 1)
+    if want_triples:
+        assert [a.tolist() for a in got[3:]] == [[0], [4], [6]]
+    assert not mark.any()
+
+
+@REGISTRY_PARAMS
+def test_mgt_block_scan_leaves_the_scratch_clear_after_a_bad_id(registry):
+    """Two calls share one scratch, as a worker's blocks do.  The first
+    marks cone 1's N = [4, 6] and meets -1 in E_4; the second call's cone 1
+    (N = [4]) walks E_4 = [6, 7] and must not find 6 marked."""
+    mark = np.zeros(8, dtype=np.uint8)
+    window = (4, 5, _i64(0, 2), _i64(2, 1), mark, True)
+    with pytest.raises(GraphFormatError):
+        registry["mgt_block_scan"](_i64(5, 4, 6), _i64(0, 1, 3), _i64(6, -1, 7), *window)
+    assert not mark.any()
+    got = registry["mgt_block_scan"](_i64(5, 4), _i64(0, 1, 2), _i64(6, 7, 7), *window)
+    assert got[:3] == (2, 3, 0)
+
+
+@REGISTRY_PARAMS
+def test_triangle_range_marks_each_cone_afresh(registry):
+    """A mark of 4 kept from cone 0 would list (1, 2, 4) beside (0, 3, 4)."""
+    args = (_SHARED_INDPTR, _SHARED_INDICES, 0, 5)
+    assert registry["triangle_range"](*args) == (1, 7)
+    cones, vs, ws, ops = registry["triangle_range"](*args, True)
+    assert (cones.tolist(), vs.tolist(), ws.tolist(), ops) == ([0], [3], [4], 7)
+
+
+@REGISTRY_PARAMS
+def test_triangle_range_starts_each_call_unmarked(registry):
+    """The first call marks cone 0's N = [3, 4] and stops at vertex 3's
+    out-of-range neighbour; cone 1 of the second call reaches 4 through 2
+    and must not find it marked."""
+    with pytest.raises(GraphFormatError):
+        registry["triangle_range"](_i64(0, 2, 2, 2, 3, 3), _i64(3, 4, 7), 0, 5)
+    assert registry["triangle_range"](_SHARED_INDPTR, _SHARED_INDICES, 1, 5) == (0, 4)
+
+
+@REGISTRY_PARAMS
+def test_triangle_edge_ids_marks_each_cone_afresh(registry):
+    got = registry["triangle_edge_ids"](
+        _SHARED_INDPTR, _SHARED_INDICES, _SHARED_KEYS, _SHARED_ROWS, 5, 0, 5
+    )
+    # the triangle (0, 3, 4) as the ids of (0, 3), (0, 4) and (3, 4)
+    assert np.asarray(got).tolist() == [[0, 1, 4]]
+
+
+#: an id below, at and far above the vertex range
+_BAD_IDS = pytest.mark.parametrize("bad", ["below", "n", "huge"])
+
+
+def _bad_id(bad: str, n: int) -> int:
+    return {"below": -1, "n": n, "huge": 2**62}[bad]
+
+
+def _refused(kernel, *args) -> None:
+    """``kernel(*args)`` raises the id error and leaves its inputs as they
+    were."""
+    before = [np.array(a, copy=True) if isinstance(a, np.ndarray) else a for a in args]
+    with pytest.raises(GraphFormatError, match="outside"):
+        kernel(*args)
+    for a, b in zip(args, before):
+        if isinstance(a, np.ndarray):
+            np.testing.assert_array_equal(a, b)
+
+
+@REGISTRY_PARAMS
+@_BAD_IDS
+@pytest.mark.parametrize("where", ["cone list", "walked list"])
+@pytest.mark.parametrize("want_triples", [True, False])
+def test_triangle_range_refuses_ids_outside_the_graph(registry, bad, where, want_triples):
+    x = _bad_id(bad, 5)
+    if where == "cone list":  # vertex 0 lists [3, x]
+        indptr, indices = _i64(0, 2, 2, 2, 2, 2), np.sort(_i64(3, x))
+    else:  # vertex 0 lists [3], and 3 lists [x]
+        indptr, indices = _i64(0, 1, 1, 1, 2, 2), _i64(3, x)
+    _refused(registry["triangle_range"], indptr, indices, 0, 5, want_triples)
+
+
+@REGISTRY_PARAMS
+@_BAD_IDS
+@pytest.mark.parametrize("where", ["cone list", "E_v"])
+@pytest.mark.parametrize("want_triples", [True, False])
+def test_mgt_block_scan_refuses_ids_outside_the_graph(registry, bad, where, want_triples):
+    x = _bad_id(bad, 8)
+    block_adj, edg = _i64(4, 6), _i64(6, 7, 7)
+    if where == "cone list":
+        block_adj = np.sort(_i64(4, x))
+    else:
+        edg = _i64(6, x, 7)
+    _refused(
+        registry["mgt_block_scan"], block_adj, _i64(0, 2), edg, 4, 5,
+        _i64(0, 2), _i64(2, 1), np.zeros(8, dtype=np.uint8), want_triples,
+    )
+
+
+@REGISTRY_PARAMS
+@_BAD_IDS
+@pytest.mark.parametrize("where", ["E_v", "in_sources", "walked list"])
+@pytest.mark.parametrize("want_triples", [True, False])
+def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, want_triples):
+    """0 -> {1, 2}, 1 -> {2, 3} in one window: the walk reads every entry
+    of E_1, the in-neighbour 0 of vertex 1 and the whole of N(0)."""
+    x = _bad_id(bad, 4)
+    indptr, indices = _i64(0, 2, 4, 4, 4), _i64(1, 2, 2, 3)
+    in_offsets, in_sources = _in_lists(indptr, indices)
+    if where == "E_v":  # vertex 1's list, marked when 0 -> 1 is walked
+        indices = np.concatenate((indices[:2], np.sort(_i64(2, x))))
+    elif where == "in_sources":
+        in_sources = in_sources.copy()
+        in_sources[0] = x  # the in-neighbour of vertex 1
+    else:  # vertex 0's list, walked against E_1
+        indptr = _i64(0, 3, 5, 5, 5)
+        indices = np.concatenate((np.sort(_i64(1, 2, x)), indices[2:]))
+    _refused(
+        registry["mgt_chunk_scan"], indptr, indices, in_offsets, in_sources,
+        _i64(0, indices.shape[0]), _i64(0), _i64(1), want_triples, True,
+    )
+
+
+@REGISTRY_PARAMS
+@_BAD_IDS
+def test_triangle_edge_ids_refuses_ids_outside_the_graph(registry, bad):
+    indices = _SHARED_INDICES.copy()
+    indices[2] = _bad_id(bad, 5)
+    _refused(
+        registry["triangle_edge_ids"], _SHARED_INDPTR, indices, _SHARED_KEYS, _SHARED_ROWS,
+        5, 0, 5,
+    )
 
 
 # -- the master's preprocessing kernels -------------------------------------

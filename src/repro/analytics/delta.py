@@ -6,9 +6,10 @@ PR 5 -- edge supports merge *exactly* (integer addition over sparse
 positions in :class:`~repro.core.triangles.EdgeSupportSink`), so an
 insertion/deletion batch only needs
 
-1. the triangles through the **touched edges** re-enumerated (the packed-key
+1. the triangles through the **touched edges** re-enumerated (the
    common-neighbour kernel :func:`repro.core.kernels.edge_common_neighbors`
-   for insertions, a mask over the retained triangle table for deletions),
+   for insertions, one gather over the retained triangle table for
+   deletions),
 2. the support deltas merged into the retained sink state
    (:meth:`EdgeSupportSink.merge_delta`, exact signed integer addition), and
 3. only the **affected part** of the truss decomposition recomputed: a
@@ -74,6 +75,23 @@ run; the oracle equality the tests pin is
 ``num_vertices``/``edges``/``trussness``/``support`` (and
 :meth:`GraphDelta.apply` re-checks it inline under ``verify=True``).
 
+Bookkeeping cost
+----------------
+
+Around those three steps the batch is bookkeeping: the realised edge-set
+difference, the new canonical keys and edges, the re-indexed triangle
+table, the new CSR, and the supports and old trussness carried over to the
+new edge ids.  Its searches are batch-sized (the batch keys in the sorted
+old keys, each directed entry inside its source's row), and each retained
+array is rebuilt by one ``take`` through a splice plan shared by every
+array of its length (:func:`_splice_plan`).  Beyond those copies an
+8-edge batch packs the old edges' keys once and scans the re-indexed
+triangle table for deleted ids, but runs no m-query search, whole-graph
+cumulative sum, adjacency key array or sort.  The checks (batch
+validation, :class:`~repro.graph.csr.CSRGraph` validation,
+``from_supports``/``merge_delta`` and the support cross-check) still read
+whole arrays.
+
 Semantics
 ---------
 
@@ -103,7 +121,6 @@ from repro.analytics.truss import (
 from repro.core import kernels
 from repro.core.triangles import EdgeSupportSink
 from repro.graph.csr import CSRGraph
-from repro.utils import prefix_sums
 
 __all__ = ["DeltaResult", "GraphDelta"]
 
@@ -113,11 +130,11 @@ _INSERT_BATCH_EDGES = 8192
 
 
 def _normalise_batch(edges, num_vertices: int, what: str) -> np.ndarray:
-    """Canonicalise one mutation batch: ``(u, v)`` with ``u < v``, unique,
-    sorted by packed key, self-loops rejected, ids validated."""
+    """Canonicalise one mutation batch into the sorted, unique packed keys
+    of its ``(u, v)``, ``u < v`` edges; self-loops rejected, ids validated."""
     arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
+        return np.empty(0, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{what} must be an (n, 2) edge array")
     if int(arr.min()) < 0 or int(arr.max()) >= num_vertices:
@@ -128,8 +145,101 @@ def _normalise_batch(edges, num_vertices: int, what: str) -> np.ndarray:
     high = np.maximum(arr[:, 0], arr[:, 1])
     if np.any(low == high):
         raise ValueError(f"{what} contains a self-loop")
-    keys = np.unique(kernels.packed_keys(low, high, num_vertices))
-    return np.stack([keys // num_vertices, keys % num_vertices], axis=1)
+    return _unique(kernels.packed_keys(low, high, num_vertices))
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a 1-D array, by one sort and an
+    adjacent-difference mask (numpy 2.4's hash-based ``np.unique`` took
+    1.4 ms against 0.08 ms for 8,192 int64 keys on a 2-CPU x86 host)."""
+    values = np.sort(values)
+    first = np.ones(values.shape[0], dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _unpack(keys: np.ndarray, n: int) -> np.ndarray:
+    """Packed canonical keys back to ``(u, v)`` rows."""
+    return np.stack([keys // n, keys % n], axis=1)
+
+
+def _step_function(length: int, at: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """``out[i]`` = the sum of ``steps[j]`` over every ``at[j] <= i``, for
+    ``i`` in ``range(length)``: one level per mutation, written by one
+    ``repeat`` (``0 <= at <= length``)."""
+    order = np.argsort(at)
+    bounds = np.concatenate(([0], at[order], [length]))
+    levels = np.concatenate(([0], np.cumsum(steps[order])))
+    return np.repeat(levels, np.diff(bounds))
+
+
+def _signs(plus: int, minus: int) -> np.ndarray:
+    """``plus`` steps of ``+1`` followed by ``minus`` steps of ``-1``."""
+    return np.concatenate(
+        (np.ones(plus, dtype=np.int64), np.full(minus, -1, dtype=np.int64))
+    )
+
+
+def _splice_plan(
+    length: int, deleted: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """How to splice an array of ``length`` rows: drop the rows at the
+    sorted positions ``deleted`` and put one new row before each old
+    position in the sorted ``at`` (a position of ``length`` appends; new
+    rows at one position keep their order).
+
+    Returns ``(source, slots)``: new row ``j`` copies old row
+    ``source[j]``, and the new rows fill ``slots``, whose ``source`` is
+    arbitrary (clipped into range) because :func:`_splice` overwrites them.
+    Every array of one length shares the plan, and each splice is then one
+    ``take`` -- no mask over the array, no loop over the mutations.
+    """
+    dropped, added = deleted.shape[0], at.shape[0]
+    slots = at - np.searchsorted(deleted, at) + np.arange(added)
+    # the new index a dropped row would have had: from there on every new
+    # row reads one old row further; after each new row, one less
+    gaps = deleted - np.arange(dropped) + np.searchsorted(at, deleted, side="right")
+    new_length = length - dropped + added
+    source = _step_function(
+        new_length, np.concatenate((gaps, slots + 1)), _signs(dropped, added)
+    )
+    source += np.arange(new_length)
+    return source, slots
+
+
+def _splice(old: np.ndarray, plan: tuple[np.ndarray, np.ndarray], new) -> np.ndarray:
+    """``old`` spliced by ``plan`` (:func:`_splice_plan`), with ``new``
+    (rows or one scalar) filling the new rows."""
+    source, slots = plan
+    if old.shape[0]:
+        out = old.take(source, axis=0, mode="clip")
+    else:  # nothing to copy: every row is new
+        out = np.empty(source.shape + old.shape[1:], dtype=old.dtype)
+    out[slots] = new
+    return out
+
+
+def _row_search(
+    indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """The first adjacency position of row ``src[i]`` holding an entry
+    ``>= dst[i]``, for every ``i``: a binary search inside each query's
+    sorted row, all queries stepping together by halving powers of two, so
+    the cost is the batch times ``log2`` of the longest row searched."""
+    lo = indptr[src]
+    hi = indptr[src + 1]
+    last = indices.shape[0] - 1
+    longest = int((hi - lo).max(initial=0))
+    step = 1 << (longest.bit_length() - 1) if longest else 0
+    # before[i]: the last position known to hold an entry < dst[i]
+    before = lo - 1
+    while step:
+        probe = before + step
+        below = probe < hi
+        below &= indices[np.minimum(probe, last)] < dst
+        before += below * step
+        step >>= 1
+    return before + 1
 
 
 @dataclass
@@ -277,36 +387,36 @@ class GraphDelta:
             )
 
         # -- normalise: realised edge-set difference over packed keys ------
-        # everything here is O(|E| + |batch| log |E|): the canonical key
-        # arrays are already sorted, so the set algebra is membership masks
-        # plus positional delete/insert -- never a fresh sort of the graph
-        ins = _normalise_batch(self._stacked(self._insertions), n, "insertions")
-        dels = _normalise_batch(self._stacked(self._deletions), n, "deletions")
-        ins_keys = kernels.packed_keys(ins[:, 0], ins[:, 1], n)
-        del_keys = kernels.packed_keys(dels[:, 0], dels[:, 1], n)
+        # the batch keys are searched in the sorted old keys, never the
+        # other way round, so the set algebra costs O(|batch| log |E|); the
+        # old arrays are then spliced at the realised positions, one take
+        # per retained array (_splice_plan) -- never a mask over the graph
+        # or a fresh sort of it
+        ins_keys = _normalise_batch(self._stacked(self._insertions), n, "insertions")
+        del_keys = _normalise_batch(self._stacked(self._deletions), n, "deletions")
         # an edge both deleted and inserted in one batch survives
-        del_mask = kernels.sorted_membership(
-            del_keys, old_keys
-        ) & ~kernels.sorted_membership(ins_keys, old_keys)
-        surviving = ~del_mask
-        real_del_keys = old_keys[del_mask]
+        realised = kernels.sorted_membership(
+            old_keys, del_keys
+        ) & ~kernels.sorted_membership(ins_keys, del_keys)
+        real_del_keys = del_keys[realised]
+        del_ids = np.searchsorted(old_keys, real_del_keys)
         real_ins_keys = ins_keys[~kernels.sorted_membership(old_keys, ins_keys)]
-        kept_keys = old_keys[surviving]
-        new_keys = np.insert(
-            kept_keys, np.searchsorted(kept_keys, real_ins_keys), real_ins_keys
-        )
+        ins_at = np.searchsorted(old_keys, real_ins_keys)
+        plan = _splice_plan(m_old, del_ids, ins_at)
+        new_keys = _splice(old_keys, plan, real_ins_keys)
         m_new = int(new_keys.shape[0])
-        new_edges = np.stack([new_keys // n, new_keys % n], axis=1)
+        new_edges = _splice(old_edges, plan, _unpack(real_ins_keys, n))
         new_graph = _mutate_csr(graph, real_del_keys, real_ins_keys, n)
 
         # old edge id -> new edge id (-1 for deleted edges): a survivor's id
         # shifts down by the deletions before it, up by the insertions below
-        old_to_new = (
-            np.arange(m_old, dtype=np.int64)
-            - np.cumsum(del_mask)
-            + np.searchsorted(real_ins_keys, old_keys)
+        old_to_new = _step_function(
+            m_old,
+            np.concatenate((ins_at, del_ids + 1)),
+            _signs(ins_at.shape[0], del_ids.shape[0]),
         )
-        old_to_new[del_mask] = -1
+        old_to_new += np.arange(m_old)
+        old_to_new[del_ids] = -1
         if telemetry is not None:
             telemetry.record_span(
                 "delta_normalise",
@@ -327,25 +437,30 @@ class GraphDelta:
             # triangles are re-enumerated once (still no full re-peel)
             old_tri = _triangle_edge_ids(graph, old_keys)
 
-        if old_tri.shape[0]:
-            row_deleted = (old_to_new[old_tri] < 0).any(axis=1)
-            kept_tri = old_to_new[old_tri[~row_deleted]]
-            minus_ids = old_to_new[old_tri[row_deleted].reshape(-1)]
-            minus_ids = minus_ids[minus_ids >= 0]
-        else:
-            kept_tri = np.empty((0, 3), dtype=np.int64)
-            minus_ids = np.empty(0, dtype=np.int64)
+        # one gather maps the table to new ids; a row holding a deleted
+        # edge (-1) is a removed triangle, and its survivors lose a support
+        mapped = old_to_new.take(old_tri)
+        dead_rows = _unique(np.flatnonzero(mapped.reshape(-1) < 0) // 3)
+        minus_ids = mapped[dead_rows].reshape(-1)
+        minus_ids = minus_ids[minus_ids >= 0]
 
         plus_tri = self._inserted_triangles(new_graph, new_keys, real_ins_keys, n)
+        # the surviving rows in their order, then the added ones
+        new_tri = _splice(
+            mapped,
+            _splice_plan(
+                mapped.shape[0],
+                dead_rows,
+                np.full(plus_tri.shape[0], mapped.shape[0], dtype=np.int64),
+            ),
+            plus_tri,
+        )
 
-        base = np.zeros(m_new, dtype=np.int64)
-        if old_supports is not None:
-            base[old_to_new[surviving]] = old_supports[surviving]
-        elif m_old:
-            base[old_to_new[surviving]] = np.bincount(
-                old_tri.reshape(-1), minlength=m_old
-            )[surviving]
-        sink = EdgeSupportSink.from_supports(new_keys, n, base)
+        if old_supports is None:
+            old_supports = np.bincount(old_tri.reshape(-1), minlength=m_old)
+        sink = EdgeSupportSink.from_supports(
+            new_keys, n, _splice(old_supports, plan, 0)
+        )
         positions = np.concatenate((minus_ids, plus_tri.reshape(-1)))
         deltas = np.concatenate(
             (
@@ -357,7 +472,6 @@ class GraphDelta:
         sink.count = int(sink.support.sum()) // 3
         new_supports = sink.supports().copy()
 
-        new_tri = np.concatenate((kept_tri, plus_tri))
         # the merged sink state and the maintained triangle table are the
         # same integer quantity; any disagreement means a corrupt delta
         if not np.array_equal(
@@ -369,7 +483,7 @@ class GraphDelta:
         touched = int(
             real_del_keys.shape[0]
             + real_ins_keys.shape[0]
-            + np.unique(minus_ids).shape[0]
+            + _unique(minus_ids).shape[0]
         )
         if telemetry is not None:
             telemetry.record_span(
@@ -378,16 +492,15 @@ class GraphDelta:
                 time.perf_counter() - merge_start,
                 cat="delta",
                 track="analytics",
-                removed_triangles=int(old_tri.shape[0] - kept_tri.shape[0]),
+                removed_triangles=int(dead_rows.shape[0]),
                 added_triangles=int(plus_tri.shape[0]),
             )
 
         # -- incremental trussness ----------------------------------------
         replay_start = time.perf_counter()
         if prev is not None:
-            tau_hat = np.full(m_new, -1, dtype=np.int64)
-            tau_hat[old_to_new[surviving]] = prev.trussness[surviving]
-            deleted_tau = prev.trussness[~surviving]
+            tau_hat = _splice(prev.trussness, plan, -1)
+            deleted_tau = prev.trussness[del_ids]
             del_max = int(deleted_tau.max()) if deleted_tau.shape[0] else -1
         else:
             tau_hat = None
@@ -430,12 +543,8 @@ class GraphDelta:
             graph=new_graph,
             truss=truss,
             sink=sink,
-            inserted=np.stack(
-                [real_ins_keys // n, real_ins_keys % n], axis=1
-            ),
-            deleted=np.stack(
-                [real_del_keys // n, real_del_keys % n], axis=1
-            ),
+            inserted=_unpack(real_ins_keys, n),
+            deleted=_unpack(real_del_keys, n),
             touched_edges=touched,
             replayed_levels=replayed,
         )
@@ -460,16 +569,11 @@ class GraphDelta:
             return np.empty((0, 3), dtype=np.int64)
         us = real_ins_keys // n
         vs = real_ins_keys % n
-        csr_keys = kernels.csr_packed_keys(new_graph.indptr, new_graph.indices)
         rows: list[np.ndarray] = []
         for lo in range(0, us.shape[0], _INSERT_BATCH_EDGES):
             hi = lo + _INSERT_BATCH_EDGES
             owners, ws = kernels.edge_common_neighbors(
-                new_graph.indptr,
-                new_graph.indices,
-                us[lo:hi],
-                vs[lo:hi],
-                csr_keys=csr_keys,
+                new_graph.indptr, new_graph.indices, us[lo:hi], vs[lo:hi]
             )
             if owners.shape[0] == 0:
                 continue
@@ -576,47 +680,39 @@ def _mutate_csr(
 ) -> CSRGraph:
     """Apply realised canonical deletions/insertions to the symmetric CSR.
 
-    The adjacency of an undirected CSR is globally sorted by the directed
-    packed key ``src * n + dst``, so each mutation is two positional
-    entries (one per direction) located by ``searchsorted`` -- an O(|E|)
-    delete/insert, never a rebuild through the symmetrize/dedup path.
+    Each mutation is two directed entries, one per direction, located by a
+    binary search inside its source's row (:func:`_row_search`), so the
+    search costs the batch times ``log2`` of the longest row.  ``indices``
+    is then spliced at those positions (one ``take``) and ``indptr``
+    shifted by a step function with one step per entry -- never a keep
+    mask over the ``2|E|`` entries, a whole-graph key array or a rebuild
+    through the symmetrize/dedup path.
     """
     if real_del_keys.shape[0] == 0 and real_ins_keys.shape[0] == 0:
         return graph
 
-    def positions(indptr, indices, keys):
-        """Sorted adjacency positions of directed ``src * n + dst`` keys."""
-        if keys.shape[0] > 1024:
-            return np.searchsorted(kernels.csr_packed_keys(indptr, indices), keys)
-        # small batches: per-entry binary search inside the source's list
-        # beats materialising the full packed-key array
-        out = np.empty(keys.shape[0], dtype=np.int64)
-        for i, key in enumerate(keys):
-            src, dst = divmod(int(key), n)
-            lo, hi = int(indptr[src]), int(indptr[src + 1])
-            out[i] = lo + int(np.searchsorted(indices[lo:hi], dst))
-        return out
+    def entries(keys):
+        """``(src, dst)`` of both directions of each edge, in CSR order."""
+        sym = np.sort(np.concatenate((keys, (keys % n) * n + keys // n)))
+        return sym // n, sym % n
 
-    degrees = (graph.indptr[1:] - graph.indptr[:-1]).astype(np.int64)
-    indptr = graph.indptr
-    indices = graph.indices
-    if real_del_keys.shape[0]:
-        du, dv = real_del_keys // n, real_del_keys % n
-        sym = np.concatenate((du * n + dv, dv * n + du))
-        sym.sort()
-        keep = np.ones(indices.shape[0], dtype=bool)
-        keep[positions(indptr, indices, sym)] = False
-        indices = indices[keep]
-        degrees -= np.bincount(du, minlength=n) + np.bincount(dv, minlength=n)
-        indptr = prefix_sums(degrees)
-    if real_ins_keys.shape[0]:
-        iu, iv = real_ins_keys // n, real_ins_keys % n
-        sym = np.concatenate((iu * n + iv, iv * n + iu))
-        sym.sort()
-        indices = np.insert(indices, positions(indptr, indices, sym), sym % n)
-        degrees += np.bincount(iu, minlength=n) + np.bincount(iv, minlength=n)
-        indptr = prefix_sums(degrees)
-    return CSRGraph(indptr, indices, directed=False)
+    del_src, del_dst = entries(real_del_keys)
+    ins_src, ins_dst = entries(real_ins_keys)
+    indptr, indices = graph.indptr, graph.indices
+    found = _row_search(
+        indptr,
+        indices,
+        np.concatenate((del_src, ins_src)),
+        np.concatenate((del_dst, ins_dst)),
+    )
+    dropped = del_src.shape[0]
+    plan = _splice_plan(indices.shape[0], found[:dropped], found[dropped:])
+    shift = _step_function(
+        n + 1,
+        np.concatenate((ins_src, del_src)) + 1,
+        _signs(ins_src.shape[0], del_src.shape[0]),
+    )
+    return CSRGraph(indptr + shift, _splice(indices, plan, ins_dst), directed=False)
 
 
 def _replay_peel(

@@ -413,7 +413,6 @@ def edge_common_neighbors(
     indices: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
-    csr_keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``N(u) ∩ N(v)`` for an arbitrary batch of edges, with provenance.
 
@@ -425,16 +424,16 @@ def edge_common_neighbors(
     This is the primitive of the dynamic-graph delta path: the triangles
     through a touched edge ``(u, v)`` are exactly its common neighbours.
 
-    ``csr_keys``, when given, must equal ``csr_packed_keys(indptr, indices)``
-    -- a cache, not an independent input; the compiled tier intersects the
-    adjacency lists directly and never materialises the keys.
+    The compiled tier intersects the adjacency lists directly; the numpy
+    twin tests membership against the whole graph's packed keys, which it
+    builds per call.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     impl = _impl("edge_common_neighbors")
     if impl is not None:
         return impl(indptr, indices, us, vs)
-    return _edge_common_neighbors_numpy(indptr, indices, us, vs, csr_keys)
+    return _edge_common_neighbors_numpy(indptr, indices, us, vs)
 
 
 def _edge_common_neighbors_numpy(
@@ -442,12 +441,10 @@ def _edge_common_neighbors_numpy(
     indices: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
-    csr_keys: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
-    if csr_keys is None:
-        csr_keys = csr_packed_keys(indptr, indices)
+    csr_keys = csr_packed_keys(indptr, indices)
     num_vertices = int(indptr.shape[0] - 1)
     seg_starts = indptr[vs]
     seg_lengths = (indptr[vs + 1] - indptr[vs]).astype(np.int64)

@@ -36,6 +36,7 @@ a default sink.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
@@ -323,7 +324,9 @@ def oriented_edge_array(graph) -> np.ndarray:
 #: adjacency file's identity (resolved path, mtime, size) so a chunked run
 #: builds the m-entry key array once per worker process instead of once
 #: per chunk.  Bounded LRU; host-side only (the skipped repeat reads were
-#: never part of the worker's modelled accounting).
+#: never part of the worker's modelled accounting).  Every run stages its
+#: oriented file in a fresh directory that cleanup deletes, so each lookup
+#: first drops the entries whose file is gone.
 _EDGE_KEY_CACHE: dict = {}
 _EDGE_KEY_CACHE_MAX = 4
 
@@ -364,6 +367,8 @@ def _oriented_edge_index(graph) -> tuple[np.ndarray, np.ndarray]:
                          stat.st_mtime_ns, stat.st_size)
         except OSError:
             cache_key = None
+        for gone in [key for key in _EDGE_KEY_CACHE if not os.path.exists(key[0])]:
+            del _EDGE_KEY_CACHE[gone]
         if cache_key is not None and cache_key in _EDGE_KEY_CACHE:
             cached = _EDGE_KEY_CACHE.pop(cache_key)
             _EDGE_KEY_CACHE[cache_key] = cached  # re-insert: LRU recency

@@ -9,6 +9,8 @@ injection (which may only perturb the engine's schedule, never the
 analytics).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from repro.core.shm import shm_available
 from repro.core.triangles import EdgeSupportSink
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
-from repro.graph.generators import complete_graph, ring_graph, rmat
+from repro.graph.generators import (
+    complete_graph,
+    power_law_degree_graph,
+    ring_graph,
+    rmat,
+)
 
 BACKENDS = (
     ("serial", "serial", False),
@@ -55,6 +62,21 @@ def _some_edges(graph, count, seed):
     edges = canonical_edges(graph)
     rng = np.random.default_rng(seed)
     return edges[rng.choice(edges.shape[0], size=count, replace=False)]
+
+
+def _wedge_closing_edges(graph, count, rng):
+    """``count`` absent edges ``(u, v)`` that close a wedge ``u - w - v``."""
+    indptr, indices = graph.indptr, graph.indices
+    picked = set()
+    while len(picked) < count:
+        u = int(rng.integers(graph.num_vertices))
+        if indptr[u + 1] == indptr[u]:
+            continue
+        w = int(indices[rng.integers(indptr[u], indptr[u + 1])])
+        v = int(indices[rng.integers(indptr[w], indptr[w + 1])])
+        if u != v and not graph.has_edge(u, v):
+            picked.add((min(u, v), max(u, v)))
+    return np.array(sorted(picked), dtype=np.int64).reshape(-1, 2)
 
 
 def _absent_edges(graph, count, seed):
@@ -223,6 +245,52 @@ class TestDeltaOracle:
                 applied.truss,
                 applied.sink,
             )
+        _oracle_check(applied)
+
+    def test_seeded_chain_is_pinned(self):
+        # twelve chained 8-edge batches (deletions, wedge-closing
+        # insertions, both): touched edges, replayed levels, rounds and
+        # the row order of the triangle table (as a digest) are part of
+        # the result, so every batch's values are pinned
+        graph = CSRGraph.from_edgelist(
+            power_law_degree_graph(
+                300, exponent=2.1, min_degree=3, max_degree=60, seed=5
+            )
+        )
+        truss = truss_decomposition(graph, keep_triangles=True)
+        rng = np.random.default_rng(2024)
+        pinned = [
+            (37, 0, 2, "fa05c37d48db7632"),
+            (8, 3, 9, "f8a3818fff1ff67e"),
+            (18, 3, 9, "f7d553531c47d119"),
+            (24, 0, 2, "a9798d0c2291f420"),
+            (8, 3, 9, "caa23c8be8980005"),
+            (12, 3, 9, "74d72e71aba91d7d"),
+            (31, 0, 1, "98c559f77a49a2d3"),
+            (8, 3, 10, "ba050af547641ec8"),
+            (20, 3, 10, "1585121bc71b5146"),
+            (36, 0, 3, "b70689aaa90ab2c5"),
+            (8, 3, 10, "1f07a301f3fdfc70"),
+            (16, 2, 6, "890e0e60b308f1b3"),
+        ]
+        for step, want in enumerate(pinned):
+            deletes = (8, 0, 4)[step % 3]
+            deletions = truss.edges[
+                rng.choice(truss.num_edges, deletes, replace=False)
+            ]
+            insertions = _wedge_closing_edges(graph, 8 - deletes, rng)
+            applied = GraphDelta(insertions=insertions, deletions=deletions).apply(
+                graph, prev=truss
+            )
+            rows = applied.truss.tri_edges.astype("<i8").tobytes()
+            got = (
+                applied.touched_edges,
+                applied.replayed_levels,
+                applied.truss.rounds,
+                hashlib.sha256(rows).hexdigest()[:16],
+            )
+            assert got == want, f"batch {step}"
+            graph, truss = applied.graph, applied.truss
         _oracle_check(applied)
 
     def test_truncated_replay_skips_high_levels(self, base):

@@ -528,6 +528,58 @@ class TestEdgeSupportSinkIds:
         np.testing.assert_array_equal(derived, offsets)
 
 
+class TestOrientedEdgeKeyCache:
+    """The per-process cache of file-backed oriented edge keys."""
+
+    @pytest.fixture()
+    def counted_builds(self, monkeypatch):
+        """An empty cache, and a list that grows by one per key build."""
+        from repro.core import kernels, triangles
+
+        monkeypatch.setattr(triangles, "_EDGE_KEY_CACHE", {})
+        builds = []
+        real = kernels.csr_packed_keys
+
+        def counting(*args):
+            builds.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "csr_packed_keys", counting)
+        return triangles._EDGE_KEY_CACHE, builds
+
+    def test_repeated_runs_keep_no_deleted_file(self, counted_builds):
+        # every run stages its oriented file in a directory its cleanup
+        # deletes: a later lookup drops the dead entry before adding its own
+        from repro.analytics import run_analytics
+        from repro.graph.csr import CSRGraph
+        from repro.graph.generators import rmat
+
+        cache, _ = counted_builds
+        graph = CSRGraph.from_edgelist(rmat(7, edge_factor=8, seed=3))
+        for _ in range(4):
+            run_analytics(graph, backend="serial")
+        assert len(cache) <= 1
+
+    def test_chunked_run_builds_its_keys_once(self, counted_builds):
+        from repro.core.config import PDTLConfig
+        from repro.core.pdtl import PDTLRunner
+        from repro.graph.csr import CSRGraph
+        from repro.graph.generators import rmat
+
+        cache, builds = counted_builds
+        graph = CSRGraph.from_edgelist(rmat(8, edge_factor=8, seed=4))
+        config = PDTLConfig(
+            num_nodes=1, procs_per_node=2, memory_per_proc="16KB",
+            scheduling="dynamic",
+        )
+        result = PDTLRunner(config, backend="serial").run(
+            graph, sink_kind="edge-support"
+        )
+        assert result.num_chunks > 1
+        assert len(builds) == 1
+        assert len(cache) == 1
+
+
 class TestEdgeSupportSinkDelta:
     """from_supports re-hydration + signed merge_delta (dynamic-graph path)."""
 

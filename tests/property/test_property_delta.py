@@ -5,18 +5,21 @@ equality with a from-scratch ``truss_decomposition`` of the mutated
 graph -- not approximate, not "equivalent up to peel order".  The suite
 drives random insert/delete batches (including no-op, duplicate, and
 self-inverse batches) over arbitrary random graphs and the named graph
-families, always with ``verify=True`` so the delta path re-checks itself
-against the oracle inline, then pins the result fields again here.
+families, plus fixed batches at the boundaries of the array splices
+(``BOUNDARY``), always with ``verify=True`` so the delta path re-checks
+itself against the oracle inline, then pins every result field again
+here: the graph, edges, supports, trussness, triangle table and sink.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analytics import GraphDelta, truss_decomposition
 from repro.analytics.truss import canonical_edges
+from repro.core import kernels
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import (
@@ -66,16 +69,96 @@ def graph_and_batch(draw, max_vertices: int = 24, max_extra_edges: int = 90):
     return graph, ins, dels
 
 
+def _boundary_batches():
+    """The positions a splice can get wrong, as ``(graph, ins, dels)``:
+    mutations at the first and last canonical ids, several insertions
+    between the same two old keys, insertions before the first key and
+    after the last, every edge of one triangle deleted, and one 2,048-edge
+    mixed batch on a graph of a few thousand edges."""
+    base = CSRGraph.from_edgelist(
+        power_law_degree_graph(
+            1200, exponent=2.2, min_degree=3, max_degree=60, seed=17
+        )
+    )
+    n = base.num_vertices
+    # with (0, 1) and (n - 2, n - 1) absent, their keys lie before the
+    # first old key and after the last one
+    ends = np.array([[0, 1], [n - 2, n - 1]])
+    edges = canonical_edges(base)
+    keep = ~np.isin(edges[:, 0] * n + edges[:, 1], ends[:, 0] * n + ends[:, 1])
+    graph = CSRGraph.from_edgelist(EdgeList(edges[keep], n))
+    edges = canonical_edges(graph)
+    m = edges.shape[0]
+    keys = edges[:, 0] * n + edges[:, 1]
+    widest = int(np.argmax(np.diff(keys)))
+    between = np.arange(keys[widest] + 1, keys[widest + 1])
+    between = between[between // n < between % n][:3]
+    between = np.stack([between // n, between % n], axis=1)
+    triangle = edges[truss_decomposition(graph, keep_triangles=True).tri_edges[0]]
+    rng = np.random.default_rng(2048)
+    present = set(keys.tolist())
+    absent = set()
+    while len(absent) < 1024:
+        u, v = sorted(rng.integers(0, n, size=2).tolist())
+        if u != v and u * n + v not in present:
+            absent.add(u * n + v)
+    absent = np.array(sorted(absent))
+    none = np.empty((0, 2), dtype=np.int64)
+    assert between.shape[0] == 3
+    return [
+        (graph, none, edges[[0, m - 1]]),
+        (graph, ends, edges[[0, m - 1]]),
+        (graph, between, none),
+        (graph, ends, none),
+        (graph, none, triangle),
+        (
+            graph,
+            np.stack([absent // n, absent % n], axis=1),
+            edges[rng.choice(m, size=1024, replace=False)],
+        ),
+    ]
+
+
+BOUNDARY = _boundary_batches()
+
+
+def _row_sets(tri):
+    """A triangle table as the sorted multiset of its sorted id rows."""
+    rows = np.sort(tri, axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _check_against_oracle(applied):
-    oracle = truss_decomposition(applied.graph)
-    np.testing.assert_array_equal(applied.truss.edges, oracle.edges)
-    np.testing.assert_array_equal(applied.truss.support, oracle.support)
-    np.testing.assert_array_equal(applied.truss.trussness, oracle.trussness)
-    assert applied.truss.num_vertices == oracle.num_vertices
+    oracle = truss_decomposition(applied.graph, keep_triangles=True)
+    truss = applied.truss
+    np.testing.assert_array_equal(truss.edges, oracle.edges)
+    np.testing.assert_array_equal(truss.support, oracle.support)
+    np.testing.assert_array_equal(truss.trussness, oracle.trussness)
+    assert truss.num_vertices == oracle.num_vertices
+    # the mutated graph is the CSR of the result's edges
+    rebuilt = CSRGraph.from_edgelist(EdgeList(truss.edges, truss.num_vertices))
+    np.testing.assert_array_equal(applied.graph.indptr, rebuilt.indptr)
+    np.testing.assert_array_equal(applied.graph.indices, rebuilt.indices)
+    # the maintained triangle table holds the graph's triangles
+    np.testing.assert_array_equal(
+        _row_sets(truss.tri_edges), _row_sets(oracle.tri_edges)
+    )
+    # the sink indexes the result's edges and holds its supports
+    np.testing.assert_array_equal(
+        applied.sink.edge_keys,
+        kernels.packed_keys(truss.edges[:, 0], truss.edges[:, 1], truss.num_vertices),
+    )
+    np.testing.assert_array_equal(applied.sink.support, truss.support)
 
 
 @given(case=graph_and_batch())
 @settings(**SETTINGS)
+@example(case=BOUNDARY[0])
+@example(case=BOUNDARY[1])
+@example(case=BOUNDARY[2])
+@example(case=BOUNDARY[3])
+@example(case=BOUNDARY[4])
+@example(case=BOUNDARY[5])
 def test_random_batch_matches_full_recompute(case):
     graph, ins, dels = case
     prev = truss_decomposition(graph, keep_triangles=True)
@@ -87,6 +170,9 @@ def test_random_batch_matches_full_recompute(case):
 
 @given(case=graph_and_batch())
 @settings(**SETTINGS)
+@example(case=BOUNDARY[0])
+@example(case=BOUNDARY[4])
+@example(case=BOUNDARY[5])
 def test_self_inverse_batch_round_trips(case):
     """delete(B) then insert(realised B) restores the graph exactly."""
     graph, _, dels = case

@@ -40,7 +40,6 @@ QUICK = bool(os.environ.get("PDTL_PERF_QUICK"))
 #: timing repetitions (min is reported); 1 in quick mode
 REPEATS = 1 if QUICK else 3
 #: acceptance thresholds, asserted only in full mode
-EXTSORT_MIN_SPEEDUP = 10.0
 BASELINE_MIN_SPEEDUP = 5.0
 #: processes+shm over the plain processes backend (test_perf_backends)
 BACKEND_SHM_MIN_SPEEDUP = 1.5
@@ -58,8 +57,8 @@ DELTA_MIN_SPEEDUP = 5.0
 def numpy_kernel_tier():
     """Pin the numpy kernel tier for every perf benchmark.
 
-    The historical entries of ``BENCH_pdtl.json`` (extsort, baselines,
-    backends, truss) measure the *vectorised numpy* paths
+    The historical entries of ``BENCH_pdtl.json`` (baselines, backends,
+    truss) measure the *vectorised numpy* paths
     against their pre-PR references and floors; letting the auto-detected
     compiled tier leak in would silently change what those numbers mean
     (and shift relative floors like the shm-vs-processes ratio).  The

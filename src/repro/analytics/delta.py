@@ -619,7 +619,7 @@ def _fixpoint_demote(
     """
     m = int(tau0.shape[0])
     tau = tau0.copy()
-    work = np.unique(seed_ids)
+    work = _unique(seed_ids)
     if work.shape[0] == 0 or tri_edges.shape[0] == 0:
         # no triangle can be lost, or none remain: only seeds can drop (to 2)
         tau[work] = 2
@@ -668,7 +668,7 @@ def _fixpoint_demote(
         changed_rows = rows[row_dropped]
         thresh = np.repeat(h[owners][row_dropped], 3)
         cand = tri_edges[changed_rows].reshape(-1)
-        work = np.unique(cand[tau[cand] > thresh])
+        work = _unique(cand[tau[cand] > thresh])
     return tau, rounds
 
 

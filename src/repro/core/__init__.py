@@ -6,8 +6,8 @@ Modules
     :class:`PDTLConfig` -- the (N nodes, P processors/node, M memory/processor,
     B block size) computational-environment model of section IV.
 ``triangles``
-    Triangle records and the counting / listing / file sinks that consume
-    reported triangles.
+    Triangle records and the counting / listing / file / per-vertex /
+    edge-support sinks that consume reported triangles.
 ``orientation``
     The degree-based total order ``≺`` (Definition III.2), sequential and
     multicore orientation of an on-disk graph, exactly as the master
@@ -17,8 +17,8 @@ Modules
     load-balancing step (evaluated in Figure 9).
 ``kernels``
     The shared vectorised sorted-intersection kernels (packed-key
-    membership, segment gather, galloping merge) used by the MGT inner
-    loop, the in-memory baselines and the external sort alike.
+    membership, segment gather, range triangle enumeration) used by the
+    MGT inner loop and the in-memory baselines alike.
 ``mgt``
     The modified Massive Graph Triangulation algorithm (Algorithm 2),
     operating over the binary on-disk format with a strict memory budget.

@@ -54,7 +54,7 @@ class PDTLConfig:
         ``"edge-support"`` (per-edge triangle supports, the input of the
         k-truss decomposition in :mod:`repro.analytics`).  Underscore
         spellings (``"edge_support"``) are normalised to the hyphenated
-        kind names of the :func:`repro.core.triangles.make_sink` registry.
+        kind names that :func:`repro.core.triangles.make_sink` builds.
         The kind also sizes every result message the network charges: one
         count for ``"count"`` (Theorem IV.3's counting convention), the
         triangles for ``"list"``, and a dense array for the other two.

@@ -120,7 +120,6 @@ def _self_check(registry: dict[str, Callable]) -> None:
     support = np.zeros(3, dtype=np.int64)
     cases = {
         "sorted_membership": ((a, b), None),
-        "merge_positions": ((a, b), None),
         "triangle_range": ((indptr, indices, 0, 4, True), None),
         "edge_intersections": ((indptr, indices, us, vs, True), None),
         "edge_common_neighbors": ((indptr, indices, us, vs), None),

@@ -20,8 +20,6 @@ shares one implementation:
   for a whole query batch;
 * :func:`segment_gather` -- gather many adjacency segments into one flat
   array with ``repeat``/``cumsum`` arithmetic (no per-segment loop);
-* :func:`merge_positions` -- the galloping two-array merge (each array is
-  placed by binary-searching the other, no element-wise loop);
 * :func:`triangle_range` / :func:`count_cone_range` -- the full MGT
   counting identity ``Σ_{u ∈ [lo,hi)} Σ_{v ∈ N⁺(u)} |N⁺(u) ∩ N⁺(v)|``
   evaluated for a whole contiguous cone-vertex range per call;
@@ -62,7 +60,6 @@ __all__ = [
     "window_sources",
     "sorted_membership",
     "segment_gather",
-    "merge_positions",
     "iter_vertex_batches",
     "triangle_range",
     "count_cone_range",
@@ -214,29 +211,6 @@ def segment_gather(
     )
     owners = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
     return data[flat_index], owners
-
-
-def merge_positions(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output positions of each element of two sorted arrays in their merge.
-
-    The galloping two-array merge: each element's output position is its own
-    rank plus the number of elements of the *other* array that precede it,
-    found with two whole-array binary searches instead of an element loop.
-    Stable -- on ties ``a``'s elements precede ``b``'s.  Returning positions
-    (rather than merged values) lets callers permute *payload* arrays by the
-    key merge, which is how the external-sort merge splices two run buffers
-    (rows follow their packed keys).
-    """
-    impl = _impl("merge_positions")
-    if impl is not None:
-        return impl(a, b)
-    return _merge_positions_numpy(a, b)
-
-
-def _merge_positions_numpy(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pos_a = np.arange(a.shape[0]) + np.searchsorted(b, a, side="left")
-    pos_b = np.arange(b.shape[0]) + np.searchsorted(a, b, side="right")
-    return pos_a, pos_b
 
 
 def iter_vertex_batches(
@@ -461,7 +435,6 @@ def _edge_common_neighbors_numpy(
 #: any C kernel disagrees with its twin on a miniature graph.
 NUMPY_IMPLS = {
     "sorted_membership": _sorted_membership_numpy,
-    "merge_positions": _merge_positions_numpy,
     "triangle_range": _triangle_range_numpy,
     "edge_intersections": _edge_intersections_numpy,
     "edge_common_neighbors": _edge_common_neighbors_numpy,

@@ -81,9 +81,6 @@ _BAD_ID = -1
 _CDEF = """
 int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
                                const int64_t *q, int64_t nq, uint8_t *out);
-void pdtl_merge_positions(const int64_t *a, int64_t na,
-                          const int64_t *b, int64_t nb,
-                          int64_t *pa, int64_t *pb);
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
                                int64_t n, int64_t lo, int64_t hi);
 int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices, int64_t n,
@@ -265,17 +262,6 @@ int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
         hits += hit;
     }
     return hits;
-}
-
-/* stable merge positions: ties place a's elements first */
-void pdtl_merge_positions(const int64_t *a, int64_t na,
-                          const int64_t *b, int64_t nb,
-                          int64_t *pa, int64_t *pb) {
-    int64_t i = 0, j = 0;
-    while (i < na || j < nb) {
-        if (j >= nb || (i < na && a[i] <= b[j])) { pa[i] = i + j; i++; }
-        else { pb[j] = i + j; j++; }
-    }
 }
 
 /* the gathered total of the cones [lo, hi): the listing capacity */
@@ -880,18 +866,6 @@ def build_registry() -> dict[str, Callable]:
             )
         return out
 
-    def merge_positions(a, b):
-        if not integer_kinds(a, b):
-            return kernels.NUMPY_IMPLS["merge_positions"](a, b)
-        a = as_i64(a)
-        b = as_i64(b)
-        pos_a = np.empty(a.shape[0], dtype=np.int64)
-        pos_b = np.empty(b.shape[0], dtype=np.int64)
-        lib.pdtl_merge_positions(
-            ptr(a), a.shape[0], ptr(b), b.shape[0], wptr(pos_a), wptr(pos_b)
-        )
-        return pos_a, pos_b
-
     def triangle_range(indptr, indices, lo, hi, want_triples=False):
         indptr = as_i64(indptr)
         indices = as_i64(indices)
@@ -1215,7 +1189,6 @@ def build_registry() -> dict[str, Callable]:
 
     return {
         "sorted_membership": sorted_membership,
-        "merge_positions": merge_positions,
         "triangle_range": triangle_range,
         "edge_intersections": edge_intersections,
         "edge_common_neighbors": edge_common_neighbors,

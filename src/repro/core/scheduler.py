@@ -321,12 +321,11 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
             f"sink kind {task.sink_kind!r} cannot run as a chunk task; "
             f"supported kinds: {', '.join(CHUNK_SINK_KINDS)}"
         )
-    # single registry dispatch -- an unregistered kind raises in make_sink
-    # instead of silently degrading to a default sink.  The edge-support
-    # sink honours the worker's memory budget M: when the dense per-edge
-    # support array would exceed it, positions spill as sorted runs to a
-    # private host-side scratch file (below the modelled accounting) and
-    # the outcome is assembled from the bounded external merge.
+    # The edge-support sink honours the worker's memory budget M: when the
+    # dense per-edge support array would exceed it, positions spill as
+    # sorted runs to a private host-side scratch file (below the modelled
+    # accounting) and the outcome is assembled from the bounded external
+    # merge.
     spill_scratch: tempfile.TemporaryDirectory | None = None
     spill_device: BlockDevice | None = None
     if sink_kind == "edge-support":

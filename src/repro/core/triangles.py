@@ -21,22 +21,20 @@ sink:
   sink spills sorted position runs to a block file and merges them
   externally, so the accumulation working set stays bounded.
 
-Sinks receive *batches* as numpy arrays wherever possible: the MGT inner
-loop produces, for each (cone u, out-neighbour v) pair, the whole array of
-pivot endpoints ``w`` at once, so the sink interface is
-``add_batch(u, v, ws)`` plus a scalar ``add(u, v, w)`` convenience.
+Sinks receive *batches* as numpy arrays: every producer (MGT's block
+scan on either kernel tier and the shared-memory chunk scan) reports the
+triangles of a whole scanned block or chunk at once, so the sink
+interface is the one call ``add_triples(us, vs, ws)``.
 
-Sink construction is centralised in the :func:`make_sink` registry: every
-sink kind registers a factory under its name (``register_sink``), the
-chunk scheduler and the high-level runner both dispatch through the
-registry, and an unknown kind raises instead of silently falling back to
-a default sink.
+:func:`make_sink` builds the sink of a chunk task from a fixed table of
+the four :data:`CHUNK_SINK_KINDS`, and an unknown kind raises instead of
+silently falling back to a default sink.  A :class:`FileSink` is built
+directly by its caller: it binds a host-local block file.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
@@ -56,8 +54,6 @@ __all__ = [
     "EdgeSupportSink",
     "oriented_edge_array",
     "oriented_edge_keys",
-    "register_sink",
-    "sink_kinds",
     "normalize_sink_kind",
     "make_sink",
     "CHUNK_SINK_KINDS",
@@ -88,19 +84,10 @@ class TriangleSink(Protocol):
 
     count: int
 
-    def add(self, u: int, v: int, w: int) -> None:
-        """Report a single triangle ``(u, v, w)``."""
-        ...
-
-    def add_batch(self, u: int, v: int, ws: np.ndarray) -> None:
-        """Report triangles ``(u, v, w)`` for every ``w`` in ``ws``."""
-        ...
-
     def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         """Report triangles ``(us[i], vs[i], ws[i])`` for every index ``i``.
 
-        This is the vectorised entry point the MGT inner loop uses: one call
-        per scanned block instead of one call per (cone, out-neighbour) pair.
+        The MGT scans make one call per scanned block or chunk.
         """
         ...
 
@@ -113,17 +100,8 @@ class CountingSink:
     def __init__(self) -> None:
         self.count = 0
 
-    def add(self, u: int, v: int, w: int) -> None:
-        self.count += 1
-
-    def add_batch(self, u: int, v: int, ws: np.ndarray) -> None:
-        self.count += int(ws.shape[0])
-
     def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         self.count += int(ws.shape[0])
-
-    def merge(self, other: "CountingSink") -> None:
-        self.count += other.count
 
 
 class ListingSink:
@@ -135,15 +113,6 @@ class ListingSink:
         self.count = 0
         self.triangles: list[Triangle] = []
 
-    def add(self, u: int, v: int, w: int) -> None:
-        self.triangles.append(Triangle(int(u), int(v), int(w)))
-        self.count += 1
-
-    def add_batch(self, u: int, v: int, ws: np.ndarray) -> None:
-        for w in ws:
-            self.triangles.append(Triangle(int(u), int(v), int(w)))
-        self.count += int(ws.shape[0])
-
     def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         for u, v, w in zip(us.tolist(), vs.tolist(), ws.tolist()):
             self.triangles.append(Triangle(u, v, w))
@@ -152,10 +121,6 @@ class ListingSink:
     def vertex_sets(self) -> set[frozenset[int]]:
         """Unordered vertex sets of all collected triangles (for equality tests)."""
         return {t.as_vertex_set() for t in self.triangles}
-
-    def merge(self, other: "ListingSink") -> None:
-        self.triangles.extend(other.triangles)
-        self.count += other.count
 
 
 class FileSink:
@@ -207,27 +172,6 @@ class FileSink:
                 self.file.append_array(self._buffer)
                 self._fill = 0
 
-    def add(self, u: int, v: int, w: int) -> None:
-        self._buffer[self._fill] = u
-        self._buffer[self._fill + 1] = v
-        self._buffer[self._fill + 2] = w
-        self._fill += 3
-        self.count += 1
-        if self._fill == self._capacity:
-            self.file.append_array(self._buffer)
-            self._fill = 0
-
-    def add_batch(self, u: int, v: int, ws: np.ndarray) -> None:
-        n = int(ws.shape[0])
-        if n == 0:
-            return
-        triples = np.empty((n, 3), dtype=np.int64)
-        triples[:, 0] = u
-        triples[:, 1] = v
-        triples[:, 2] = ws
-        self._push(triples.reshape(-1))
-        self.count += n
-
     def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         n = int(ws.shape[0])
         if n == 0:
@@ -268,21 +212,6 @@ class PerVertexCountSink:
         self.count = 0
         self.per_vertex = np.zeros(num_vertices, dtype=np.int64)
 
-    def add(self, u: int, v: int, w: int) -> None:
-        self.per_vertex[u] += 1
-        self.per_vertex[v] += 1
-        self.per_vertex[w] += 1
-        self.count += 1
-
-    def add_batch(self, u: int, v: int, ws: np.ndarray) -> None:
-        n = int(ws.shape[0])
-        if n == 0:
-            return
-        self.per_vertex[u] += n
-        self.per_vertex[v] += n
-        np.add.at(self.per_vertex, ws, 1)
-        self.count += n
-
     def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         n = int(ws.shape[0])
         if n == 0:
@@ -291,10 +220,6 @@ class PerVertexCountSink:
         np.add.at(self.per_vertex, vs, 1)
         np.add.at(self.per_vertex, ws, 1)
         self.count += n
-
-    def merge(self, other: "PerVertexCountSink") -> None:
-        self.per_vertex += other.per_vertex
-        self.count += other.count
 
 
 def oriented_edge_array(graph) -> np.ndarray:
@@ -320,26 +245,13 @@ def oriented_edge_array(graph) -> np.ndarray:
     return np.stack([sources, destinations], axis=1)
 
 
-#: Per-process cache of file-backed oriented edge keys, keyed on the
-#: adjacency file's identity (resolved path, mtime, size) so a chunked run
-#: builds the m-entry key array once per worker process instead of once
-#: per chunk.  Bounded LRU; host-side only (the skipped repeat reads were
-#: never part of the worker's modelled accounting).  Every run stages its
-#: oriented file in a fresh directory that cleanup deletes, so each lookup
-#: first drops the entries whose file is gone.
-_EDGE_KEY_CACHE: dict = {}
-_EDGE_KEY_CACHE_MAX = 4
-
-
 def oriented_edge_keys(graph) -> np.ndarray:
     """Sorted packed ``(source, destination)`` keys of every oriented edge.
 
     A :class:`~repro.core.shm.SharedGraphView`'s published ``scan_keys``
     are reused as-is (zero-copy); for a file-backed graph the keys are
-    built from one full adjacency read and memoised per process against
-    the file's (path, mtime, size) identity, so repeated chunk tasks over
-    the same oriented file pay the read once.  Both paths sit *below* the
-    worker's modelled accounting.  The adjacency is (source,
+    built from one full adjacency read, which sits *below* the worker's
+    modelled accounting.  The adjacency is (source,
     destination)-sorted in every representation, so the key array is
     sorted and the key at position ``p`` identifies the oriented edge
     stored at adjacency position ``p`` -- the indexing contract of
@@ -358,21 +270,6 @@ def _oriented_edge_index(graph) -> tuple[np.ndarray, np.ndarray]:
     indptr = getattr(graph, "indptr", None)
     if indptr is not None:  # in-memory CSR
         return kernels.csr_packed_keys(indptr, graph.indices), indptr
-    cache_key = None
-    device = getattr(graph, "device", None)
-    if device is not None:  # file-backed: memoise against the file identity
-        try:
-            stat = device.path(graph.adjacency_file_name).stat()
-            cache_key = (str(device.path(graph.adjacency_file_name)),
-                         stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            cache_key = None
-        for gone in [key for key in _EDGE_KEY_CACHE if not os.path.exists(key[0])]:
-            del _EDGE_KEY_CACHE[gone]
-        if cache_key is not None and cache_key in _EDGE_KEY_CACHE:
-            cached = _EDGE_KEY_CACHE.pop(cache_key)
-            _EDGE_KEY_CACHE[cache_key] = cached  # re-insert: LRU recency
-            return cached
     offsets = graph.offsets()
     keys = kernels.csr_packed_keys(
         offsets,
@@ -380,14 +277,7 @@ def _oriented_edge_index(graph) -> tuple[np.ndarray, np.ndarray]:
         if graph.num_edges
         else np.empty(0, dtype=np.int64),
     )
-    result = (keys, offsets)
-    if cache_key is not None:
-        for array in result:
-            array.flags.writeable = False  # shared across sinks in this process
-        _EDGE_KEY_CACHE[cache_key] = result
-        while len(_EDGE_KEY_CACHE) > _EDGE_KEY_CACHE_MAX:
-            _EDGE_KEY_CACHE.pop(next(iter(_EDGE_KEY_CACHE)))
-    return result
+    return keys, offsets
 
 
 class _SpillRun:
@@ -452,9 +342,8 @@ class EdgeSupportSink:
     Two accumulation modes:
 
     * **dense** (default): an int64 array with one slot per oriented edge,
-      updated with ``np.add.at`` -- exact, and mergeable across chunk tasks
-      with :meth:`merge` (integer addition commutes, so partial supports
-      from any chunk partition combine bit-identically);
+      updated with ``np.add.at`` -- exact, and integer addition commutes,
+      so the partial supports of any chunk partition sum bit-identically;
     * **spill**: when ``memory_budget_bytes`` is given and the dense array
       would exceed it, positions accumulate in a bounded buffer that is
       sorted and appended to ``spill_file`` as a run whenever it fills;
@@ -587,21 +476,6 @@ class EdgeSupportSink:
 
     # -- TriangleSink interface ---------------------------------------------------
 
-    def add(self, u: int, v: int, w: int) -> None:
-        self.add_triples(
-            np.array([u], dtype=np.int64),
-            np.array([v], dtype=np.int64),
-            np.array([w], dtype=np.int64),
-        )
-
-    def add_batch(self, u: int, v: int, ws: np.ndarray) -> None:
-        n = int(ws.shape[0])
-        if n == 0:
-            return
-        self.add_triples(
-            np.full(n, u, dtype=np.int64), np.full(n, v, dtype=np.int64), ws
-        )
-
     def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
         n = int(ws.shape[0])
         if n == 0:
@@ -663,44 +537,16 @@ class EdgeSupportSink:
         sink.count = int(supports.sum()) // 3
         return sink
 
-    def merge(self, other: "EdgeSupportSink") -> None:
-        """Combine partial supports exactly, in any mode pairing.
-
-        Dense + dense is one array addition.  When either side spills, the
-        spilled side's sorted runs are drained through
-        :meth:`iter_position_counts` (bounded buffers, reads charged to its
-        spill device) and folded in -- into the dense array directly, or
-        re-recorded through the bounded spill buffer when *this* sink is
-        the spilling one.  Integer addition commutes, so every pairing and
-        order yields the same final supports; the dense+dense fast path is
-        untouched, keeping its accounting bit-identical.
-        """
-        if other.num_edges != self.num_edges:
-            raise ValueError("cannot merge supports of different edge counts")
-        if self.support is not None and other.support is not None:
-            self.support += other.support
-        elif self.support is not None:
-            for positions, counts in other.iter_position_counts():
-                np.add.at(self.support, positions, counts)
-        else:
-            for positions, counts in other.iter_position_counts():
-                # re-expand in bounded slices: one dense batch may cover
-                # every edge, and this sink's whole point is a small buffer
-                for lo in range(0, positions.shape[0], 8192):
-                    hi = lo + 8192
-                    self._record(np.repeat(positions[lo:hi], counts[lo:hi]))
-        self.count += other.count
-
     def merge_delta(self, positions: np.ndarray, deltas: np.ndarray) -> None:
         """Apply signed support deltas exactly (dense mode only).
 
         The dynamic-graph mutation path: deleted triangles contribute
-        ``-1`` per surviving edge, inserted ones ``+1`` -- integer
-        addition over sparse positions, the same exactness argument as
-        :meth:`merge`.  A delta that would drive any support negative is
-        corrupt input and raises with the sink untouched.  Spill mode is
-        refused: its state is a stream of positive increments, not a
-        mergeable array (callers re-hydrate via :meth:`from_supports`).
+        ``-1`` per surviving edge, inserted ones ``+1`` -- exact integer
+        addition over sparse positions.  A delta that would drive any
+        support negative is corrupt input and raises with the sink
+        untouched.  Spill mode is refused: its state is a stream of
+        positive increments, not a mergeable array (callers re-hydrate via
+        :meth:`from_supports`).
         """
         if self.support is None:
             raise ValueError(
@@ -796,35 +642,13 @@ class EdgeSupportSink:
 
 
 # ---------------------------------------------------------------------------
-# sink registry
+# sink construction
 # ---------------------------------------------------------------------------
 
-#: Sink kinds a picklable chunk task can construct worker-side (``file`` is
-#: excluded: a :class:`FileSink` binds a host-local handle that cannot cross
-#: a process boundary).
+#: The sink kinds a picklable chunk task constructs worker-side, and the
+#: kinds :func:`make_sink` builds.  A :class:`FileSink` is not among them:
+#: it binds a host-local handle that cannot cross a process boundary.
 CHUNK_SINK_KINDS = ("count", "list", "per-vertex", "edge-support")
-
-_SINK_FACTORIES: dict[str, Callable[..., TriangleSink]] = {}
-
-
-def register_sink(kind: str) -> Callable:
-    """Register a sink factory under ``kind`` (used as a decorator).
-
-    Factories receive the keyword context of :func:`make_sink`
-    (``num_vertices``, ``file``, ``graph``, ``spill_file``,
-    ``memory_budget_bytes``) and must ignore what they do not need.
-    """
-
-    def decorator(factory: Callable[..., TriangleSink]) -> Callable[..., TriangleSink]:
-        _SINK_FACTORIES[kind] = factory
-        return factory
-
-    return decorator
-
-
-def sink_kinds() -> tuple[str, ...]:
-    """Every registered sink kind, sorted."""
-    return tuple(sorted(_SINK_FACTORIES))
 
 
 def normalize_sink_kind(kind: str) -> str:
@@ -835,51 +659,39 @@ def normalize_sink_kind(kind: str) -> str:
 def make_sink(
     kind: str,
     num_vertices: int | None = None,
-    file: BlockFile | None = None,
     graph=None,
     spill_file: BlockFile | None = None,
     memory_budget_bytes: int | None = None,
 ) -> TriangleSink:
-    """Build a sink by registered kind: ``count``, ``list``, ``file``,
-    ``per-vertex`` or ``edge-support``.
+    """Build a sink of one of the :data:`CHUNK_SINK_KINDS`: ``count``,
+    ``list``, ``per-vertex`` or ``edge-support``.
 
-    This is the single dispatch point for every layer (high-level runner,
-    chunk scheduler, tests); an unregistered kind raises ``ValueError``
-    instead of silently falling back to a default sink.
+    Each kind takes what it needs of the keyword context: ``per-vertex``
+    the vertex count (or the graph's), ``edge-support`` the oriented graph
+    and optionally a spill file and memory budget.  An unknown kind raises
+    ``ValueError`` instead of silently falling back to a default sink.
     """
     factory = _SINK_FACTORIES.get(normalize_sink_kind(kind))
     if factory is None:
         raise ValueError(
-            f"unknown sink kind {kind!r}; registered kinds: "
-            f"{', '.join(sink_kinds())}"
+            f"unknown sink kind {kind!r}; kinds: {', '.join(CHUNK_SINK_KINDS)}"
         )
     return factory(
         num_vertices=num_vertices,
-        file=file,
         graph=graph,
         spill_file=spill_file,
         memory_budget_bytes=memory_budget_bytes,
     )
 
 
-@register_sink("count")
 def _make_counting_sink(**_context) -> CountingSink:
     return CountingSink()
 
 
-@register_sink("list")
 def _make_listing_sink(**_context) -> ListingSink:
     return ListingSink()
 
 
-@register_sink("file")
-def _make_file_sink(file: BlockFile | None = None, **_context) -> FileSink:
-    if file is None:
-        raise ValueError("file sink requires a BlockFile")
-    return FileSink(file)
-
-
-@register_sink("per-vertex")
 def _make_per_vertex_sink(
     num_vertices: int | None = None, graph=None, **_context
 ) -> PerVertexCountSink:
@@ -890,7 +702,6 @@ def _make_per_vertex_sink(
     return PerVertexCountSink(num_vertices)
 
 
-@register_sink("edge-support")
 def _make_edge_support_sink(
     graph=None,
     spill_file: BlockFile | None = None,
@@ -907,3 +718,11 @@ def _make_edge_support_sink(
         memory_budget_bytes=memory_budget_bytes,
         offsets=offsets,
     )
+
+
+_SINK_FACTORIES: dict[str, Callable[..., TriangleSink]] = {
+    "count": _make_counting_sink,
+    "list": _make_listing_sink,
+    "per-vertex": _make_per_vertex_sink,
+    "edge-support": _make_edge_support_sink,
+}

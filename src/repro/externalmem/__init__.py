@@ -1,10 +1,11 @@
-"""External-memory substrate: block-granular I/O, memory budgets, external sort.
+"""External-memory substrate: block-granular I/O and memory budgets.
 
 The paper's analysis follows the Aggarwal–Vitter I/O model: a disk with
 block size ``B`` and a memory of size ``M``, where reading ``N``
-consecutive elements costs ``scan(N) = Θ(N/B)`` I/Os and sorting costs
-``sort(N) = Θ((N/B)·log_{M/B}(N/B))`` I/Os.  This subpackage provides a
-concrete substrate for those abstractions:
+consecutive elements costs ``scan(N) = Θ(N/B)`` I/Os.  The paper's input
+is already in its sorted binary format, so the ``sort(N)`` term that
+Theorem IV.2 adds for an unsorted input is never paid here.  This
+subpackage provides a concrete substrate for those abstractions:
 
 * :class:`~repro.externalmem.blockio.BlockDevice` -- a simulated disk that
   wraps a real directory, tracks every block read/written, distinguishes
@@ -16,25 +17,19 @@ concrete substrate for those abstractions:
   budget ``M`` that raises :class:`~repro.errors.OutOfMemoryError` on
   over-allocation (this is how partition-based baselines fail on large
   graphs the way PowerGraph does in Table VI).
-* :func:`~repro.externalmem.extsort.external_sort_edges` -- an external
-  merge sort of on-disk edge files under a memory cap, used when the input
-  graph is not already sorted (Theorem IV.2's extra ``O(sort(|E|))`` term).
-* :class:`~repro.externalmem.iostats.IOStats` -- the counters and the
-  analytic ``scan``/``sort`` formulas used both for accounting and for the
+* :class:`~repro.externalmem.iostats.IOStats` -- the counters, and the
+  analytic ``scan`` formula used both for accounting and for the
   cost-model validation benchmarks.
 """
 
 from repro.externalmem.blockio import BlockDevice, BlockFile
-from repro.externalmem.iostats import IOStats, scan_io_cost, sort_io_cost
+from repro.externalmem.iostats import IOStats, scan_io_cost
 from repro.externalmem.memory import MemoryBudget
-from repro.externalmem.extsort import external_sort_edges
 
 __all__ = [
     "BlockDevice",
     "BlockFile",
     "IOStats",
     "MemoryBudget",
-    "external_sort_edges",
     "scan_io_cost",
-    "sort_io_cost",
 ]

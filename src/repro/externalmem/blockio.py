@@ -23,8 +23,8 @@ wall-clock cost only -- never a single counter of
 device time: the device keeps a bounded, thread-safe cache of raw file
 descriptors and serves reads/writes with ``os.pread``/``os.pwrite``,
 instead of re-opening the file on every call (the dominant host cost of
-the fine-grained access patterns the external sort and the MGT scans
-issue).
+the fine-grained access patterns the MGT scans and the edge-support
+spill issue).
 """
 
 from __future__ import annotations

@@ -1,21 +1,20 @@
-"""I/O statistics counters and the Aggarwal–Vitter cost formulas.
+"""I/O statistics counters and the Aggarwal–Vitter scan cost.
 
 Two distinct things live here on purpose:
 
 * :class:`IOStats` counts what a :class:`~repro.externalmem.blockio.BlockDevice`
   *actually did* (block reads/writes, sequential vs. random, bytes moved,
   modelled device time);
-* :func:`scan_io_cost` / :func:`sort_io_cost` compute what the theory says
-  an access pattern *should* cost, so benchmarks can compare measured
-  counters against the Theorem IV.2 / IV.3 predictions.
+* :func:`scan_io_cost` computes what the theory says a sequential scan
+  *should* cost, so benchmarks can compare measured counters against the
+  Theorem IV.2 / IV.3 predictions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
-__all__ = ["IOStats", "scan_io_cost", "sort_io_cost"]
+__all__ = ["IOStats", "scan_io_cost"]
 
 
 @dataclass
@@ -131,23 +130,3 @@ def scan_io_cost(num_elements: int, block_size_elements: int) -> int:
     if num_elements <= 0:
         return 0
     return -(-num_elements // block_size_elements)
-
-
-def sort_io_cost(
-    num_elements: int, memory_elements: int, block_size_elements: int
-) -> int:
-    """``sort(N) = Θ((N/B) log_{M/B}(N/B))`` block I/Os for external merge sort.
-
-    Returns the ceiling of the formula with the logarithm clamped to at
-    least 1 (a single merge pass), which matches the behaviour of the
-    concrete :func:`~repro.externalmem.extsort.external_sort_edges`
-    implementation when the data fits in memory.
-    """
-    if block_size_elements <= 0 or memory_elements <= 0:
-        raise ValueError("block size and memory must be positive")
-    if num_elements <= 0:
-        return 0
-    n_over_b = num_elements / block_size_elements
-    m_over_b = max(memory_elements / block_size_elements, 2.0)
-    passes = max(math.log(max(n_over_b, 2.0), m_over_b), 1.0)
-    return int(math.ceil(n_over_b * passes))

@@ -527,3 +527,25 @@ class TestPipelineDeltas:
             result.truss.trussness, untraced.truss.trussness
         )
         assert result.triangles == untraced.triangles
+
+
+class TestUnique:
+    """The sort-and-mask ``_unique`` that the splices and the deletion
+    fixpoint call in place of ``np.unique``: the sorted distinct values."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [5], [3, 3, 3], [1, 2, 3], [9, -2, 9, 0, -2, 7],
+         list(range(40, 0, -1)) + [25] * 5],
+        ids=["empty", "single", "all-equal", "distinct-sorted", "negatives",
+             "descending-with-repeats"],
+    )
+    def test_matches_np_unique(self, values):
+        from repro.analytics.delta import _unique
+
+        arr = np.array(values, dtype=np.int64)
+        before = arr.copy()
+        got = _unique(arr)
+        np.testing.assert_array_equal(got, np.unique(arr))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(arr, before)  # the input is not sorted in place

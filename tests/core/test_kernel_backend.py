@@ -223,7 +223,7 @@ class TestCompiledTier:
         assert kernel_backend.activate("cffi") == "cffi"
         expected = set(kernels.NUMPY_IMPLS) | set(_FUSED_KERNELS)
         assert set(kernels._ACTIVE_IMPLS) == expected
-        assert len(expected) == 14
+        assert len(expected) == 13
         for name in _FUSED_KERNELS:
             assert callable(kernel_backend.fused(name)), name
 

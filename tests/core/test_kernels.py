@@ -119,39 +119,6 @@ class TestSegmentGather:
         assert owners.shape == (0,)
 
 
-class TestMergePositions:
-    def test_positions_place_a_sorted_merge(self):
-        rng = np.random.default_rng(3)
-        a = np.sort(rng.integers(0, 50, size=40))
-        b = np.sort(rng.integers(0, 50, size=25))
-        pos_a, pos_b = kernels.merge_positions(a, b)
-        merged = np.empty(a.shape[0] + b.shape[0], dtype=np.int64)
-        merged[pos_a] = a
-        merged[pos_b] = b
-        np.testing.assert_array_equal(merged, np.sort(np.concatenate([a, b])))
-        # every output slot is claimed exactly once
-        np.testing.assert_array_equal(
-            np.sort(np.concatenate([pos_a, pos_b])), np.arange(merged.shape[0])
-        )
-
-    def test_ties_place_a_first(self):
-        a = np.zeros(3, dtype=np.int64)
-        b = np.zeros(2, dtype=np.int64)
-        pos_a, pos_b = kernels.merge_positions(a, b)
-        np.testing.assert_array_equal(pos_a, [0, 1, 2])
-        np.testing.assert_array_equal(pos_b, [3, 4])
-
-    def test_empty_side(self):
-        a = np.array([1, 3], dtype=np.int64)
-        empty = np.empty(0, dtype=np.int64)
-        pos_a, pos_b = kernels.merge_positions(a, empty)
-        np.testing.assert_array_equal(pos_a, [0, 1])
-        assert pos_b.shape == (0,)
-        pos_a, pos_b = kernels.merge_positions(empty, a)
-        assert pos_a.shape == (0,)
-        np.testing.assert_array_equal(pos_b, [0, 1])
-
-
 class TestVertexBatches:
     def test_batches_cover_range_exactly(self, oriented):
         n = oriented.num_vertices

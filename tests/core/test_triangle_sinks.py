@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from repro.core.triangles import (
+    CHUNK_SINK_KINDS,
     CountingSink,
     FileSink,
     ListingSink,
@@ -32,53 +36,59 @@ class TestTriangle:
         assert len({Triangle(0, 1, 2), Triangle(0, 1, 2)}) == 1
 
 
+def _i64(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+@pytest.fixture(params=["numpy", "cffi"])
+def tier(request):
+    """Run a test under each kernel tier; the C tier's sink takes the fused
+    accumulate, the numpy tier's the batched position search."""
+    from repro.core import kernel_backend
+
+    if request.param == "cffi" and not kernel_backend.compiled_available()[0]:
+        pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
+    with kernel_backend.use(request.param):
+        fused = kernel_backend.fused("edge_support_accumulate")
+        assert (fused is not None) == (request.param == "cffi")
+        yield request.param
+
+
 class TestCountingSink:
-    def test_add_and_batch(self):
+    def test_add_triples_counts_rows(self):
         sink = CountingSink()
-        sink.add(0, 1, 2)
-        sink.add_batch(0, 1, np.array([3, 4, 5]))
+        sink.add_triples(_i64(0), _i64(1), _i64(2))
+        sink.add_triples(_i64(0, 0, 0), _i64(1, 1, 1), _i64(3, 4, 5))
         assert sink.count == 4
 
     def test_empty_batch(self):
         sink = CountingSink()
-        sink.add_batch(0, 1, np.empty(0, dtype=np.int64))
+        empty = np.empty(0, dtype=np.int64)
+        sink.add_triples(empty, empty, empty)
         assert sink.count == 0
-
-    def test_merge(self):
-        a, b = CountingSink(), CountingSink()
-        a.add(0, 1, 2)
-        b.add_batch(1, 2, np.array([3, 4]))
-        a.merge(b)
-        assert a.count == 3
 
 
 class TestListingSink:
     def test_collects_triangles(self):
         sink = ListingSink()
-        sink.add(0, 1, 2)
-        sink.add_batch(0, 3, np.array([4, 5]))
+        sink.add_triples(_i64(0), _i64(1), _i64(2))
+        sink.add_triples(_i64(0, 0), _i64(3, 3), _i64(4, 5))
         assert sink.count == 3
         assert Triangle(0, 3, 4) in sink.triangles
+        # reported order is kept: the runner's listing order rests on it
+        assert sink.triangles == [Triangle(0, 1, 2), Triangle(0, 3, 4), Triangle(0, 3, 5)]
 
     def test_vertex_sets(self):
         sink = ListingSink()
-        sink.add(0, 1, 2)
+        sink.add_triples(_i64(0), _i64(1), _i64(2))
         assert sink.vertex_sets() == {frozenset({0, 1, 2})}
-
-    def test_merge(self):
-        a, b = ListingSink(), ListingSink()
-        a.add(0, 1, 2)
-        b.add(3, 4, 5)
-        a.merge(b)
-        assert a.count == 2
-        assert len(a.triangles) == 2
 
 
 class TestFileSink:
     def test_write_and_read_back(self, device):
         sink = FileSink(device.open("triangles.bin"), buffer_triangles=2)
-        sink.add(0, 1, 2)
-        sink.add_batch(3, 4, np.array([5, 6, 7]))
+        sink.add_triples(_i64(0), _i64(1), _i64(2))
+        sink.add_triples(_i64(3, 3, 3), _i64(4, 4, 4), _i64(5, 6, 7))
         triangles = sink.read_all()
         assert sink.count == 4
         assert Triangle(0, 1, 2) in triangles
@@ -87,22 +97,23 @@ class TestFileSink:
     def test_buffering_flushes_automatically(self, device):
         file = device.open("triangles.bin")
         sink = FileSink(file, buffer_triangles=1)
-        sink.add(0, 1, 2)
-        sink.add(1, 2, 3)
-        # with a 1-triangle buffer both adds must already be on disk
+        sink.add_triples(_i64(0), _i64(1), _i64(2))
+        sink.add_triples(_i64(1), _i64(2), _i64(3))
+        # with a 1-triangle buffer both reports must already be on disk
         assert file.num_items() >= 3
 
     def test_output_charged_to_device(self, device):
         device.stats.reset()
         sink = FileSink(device.open("triangles.bin"), buffer_triangles=1)
         for i in range(10):
-            sink.add(i, i + 1, i + 2)
+            sink.add_triples(_i64(i), _i64(i + 1), _i64(i + 2))
         sink.flush()
         assert device.stats.bytes_written >= 10 * 24
 
     def test_empty_batch_noop(self, device):
         sink = FileSink(device.open("t.bin"))
-        sink.add_batch(0, 1, np.empty(0, dtype=np.int64))
+        empty = np.empty(0, dtype=np.int64)
+        sink.add_triples(empty, empty, empty)
         assert sink.count == 0
         assert sink.read_all() == []
 
@@ -110,27 +121,28 @@ class TestFileSink:
 class TestPerVertexCountSink:
     def test_single_triangle(self):
         sink = PerVertexCountSink(5)
-        sink.add(0, 1, 2)
+        sink.add_triples(_i64(0), _i64(1), _i64(2))
         assert sink.per_vertex.tolist() == [1, 1, 1, 0, 0]
 
     def test_batch(self):
         sink = PerVertexCountSink(6)
-        sink.add_batch(0, 1, np.array([2, 3]))
+        sink.add_triples(_i64(0, 0), _i64(1, 1), _i64(2, 3))
         assert sink.per_vertex.tolist() == [2, 2, 1, 1, 0, 0]
         assert sink.count == 2
 
-    def test_repeated_w_in_batch(self):
+    def test_repeated_ids_in_batch(self):
+        # a vertex repeated within one column counts once per row
         sink = PerVertexCountSink(4)
-        sink.add_batch(0, 1, np.array([2, 2]))
-        assert sink.per_vertex[2] == 2
+        sink.add_triples(_i64(0, 0), _i64(1, 1), _i64(2, 2))
+        assert sink.per_vertex.tolist() == [2, 2, 2, 0]
 
-    def test_merge(self):
-        a, b = PerVertexCountSink(3), PerVertexCountSink(3)
-        a.add(0, 1, 2)
-        b.add(0, 1, 2)
-        a.merge(b)
-        assert a.count == 2
-        assert a.per_vertex.tolist() == [2, 2, 2]
+    def test_enumerated_stream_matches_per_triangle_count(self):
+        oriented, _, (cones, vs, ws), _ = _support_case("rmat")
+        sink = PerVertexCountSink(oriented.num_vertices)
+        sink.add_triples(cones, vs, ws)
+        want = Counter(x for row in zip(cones.tolist(), vs.tolist(), ws.tolist()) for x in row)
+        assert sink.per_vertex.tolist() == [want[x] for x in range(oriented.num_vertices)]
+        assert sink.count == ws.shape[0]
 
 
 class TestMakeSink:
@@ -148,17 +160,35 @@ class TestMakeSink:
         with pytest.raises(ValueError):
             make_sink("per-vertex")
 
-    def test_file_requires_file(self):
-        with pytest.raises(ValueError):
+    def test_file_kind_is_not_built(self):
+        # a FileSink binds a host-local file: its callers build it directly
+        with pytest.raises(ValueError, match="unknown sink kind"):
             make_sink("file")
-
-    def test_file(self, device):
-        sink = make_sink("file", file=device.open("t.bin"))
-        assert isinstance(sink, FileSink)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_sink("bogus")
+
+    @pytest.mark.parametrize("kind", CHUNK_SINK_KINDS)
+    def test_every_chunk_kind_builds_a_fresh_sink(self, kind):
+        from repro.core.orientation import orient_csr
+        from repro.core.triangles import EdgeSupportSink
+        from repro.graph.csr import CSRGraph
+        from repro.graph.generators import complete_graph
+
+        oriented = orient_csr(CSRGraph.from_edgelist(complete_graph(5)))
+        want = {
+            "count": CountingSink,
+            "list": ListingSink,
+            "per-vertex": PerVertexCountSink,
+            "edge-support": EdgeSupportSink,
+        }[kind]
+        sinks = [make_sink(kind, graph=oriented) for _ in range(2)]
+        assert all(type(sink) is want for sink in sinks)
+        assert sinks[0] is not sinks[1]
+        assert all(sink.count == 0 for sink in sinks)
+        # the underscore spelling builds the same kind
+        assert type(make_sink(kind.replace("-", "_"), graph=oriented)) is want
 
 
 class TestFileSinkBlockAlignedCharge:
@@ -170,7 +200,7 @@ class TestFileSinkBlockAlignedCharge:
         sink = FileSink(device.open("triangles.bin"), buffer_triangles=100)
         n = 10_000
         ws = np.arange(2, 2 + n, dtype=np.int64)
-        sink.add_batch(0, 1, ws)
+        sink.add_triples(np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64), ws)
         sink.flush()
         total_bytes = n * 24
         ideal_blocks = ceil_div(total_bytes, device.block_size)
@@ -190,12 +220,49 @@ class TestFileSinkBlockAlignedCharge:
             )
             total += k
         for i in range(37):
-            sink.add(i, i + 1, i + 2)
+            sink.add_triples(_i64(i), _i64(i + 1), _i64(i + 2))
             total += 1
         sink.flush()
         assert sink.count == total
         assert device.stats.bytes_written == total * 24
         assert device.stats.blocks_written == ceil_div(total * 24, device.block_size)
+
+    @pytest.mark.parametrize(
+        "block_size, buffer_triangles",
+        [(512, 64), (512, 100), (512, 1000), (512, 4096),
+         (4096, 512), (4096, 600), (4096, 1000), (4096, 4096)],
+    )
+    def test_charge_is_ideal_for_every_whole_quantum_buffer(
+        self, tmp_path, block_size, buffer_triangles
+    ):
+        # a buffer of at least lcm(B, 24) / 24 triangles (64 at B = 512,
+        # 512 at B = 4096) is rounded up to whole blocks, so ragged batches
+        # still charge exactly the ideal output blocks
+        from repro.externalmem.blockio import BlockDevice
+
+        device = BlockDevice(tmp_path, block_size=block_size)
+        sink = FileSink(device.open("triangles.bin"), buffer_triangles=buffer_triangles)
+        rng = np.random.default_rng(block_size + buffer_triangles)
+        total = 0
+        while total < 7_000:
+            k = int(rng.integers(0, 300))
+            sink.add_triples(*(rng.integers(0, 1_000, k) for _ in range(3)))
+            total += k
+        sink.flush()
+        assert sink.count == total
+        assert device.stats.bytes_written == total * 24
+        assert device.stats.blocks_written == ceil_div(total * 24, block_size)
+
+    def test_buffer_below_one_quantum_is_honoured(self, device):
+        # 3 triangles is below the 64-triangle quantum at B = 512: the sink
+        # keeps the small buffer and flushes every third report
+        file = device.open("triangles.bin")
+        sink = FileSink(file, buffer_triangles=3)
+        for i in range(7):
+            sink.add_triples(_i64(i), _i64(i + 1), _i64(i + 2))
+        assert file.num_items() == 6 * 3
+        assert device.stats.write_calls == 2
+        assert len(sink.read_all()) == 7
 
     def test_large_batch_exceeding_buffer(self, device):
         sink = FileSink(device.open("triangles.bin"), buffer_triangles=8)
@@ -241,39 +308,14 @@ class TestEdgeSupportSink:
         assert sink.count == ws.shape[0]
         assert int(sink.supports().sum()) == 3 * sink.count
 
-    def test_scalar_and_batch_paths_agree(self, oriented_stream):
-        from repro.core.triangles import EdgeSupportSink
-
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        batched = EdgeSupportSink(keys, oriented.num_vertices)
-        batched.add_triples(cones, vs, ws)
-        scalar = EdgeSupportSink(keys, oriented.num_vertices)
-        for u, v, w in zip(cones.tolist(), vs.tolist(), ws.tolist()):
-            scalar.add(u, v, w)
-        np.testing.assert_array_equal(scalar.supports(), batched.supports())
-
-    def test_merge_combines_partials_exactly(self, oriented_stream):
-        from repro.core.triangles import EdgeSupportSink
-
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        whole = EdgeSupportSink(keys, oriented.num_vertices)
-        whole.add_triples(cones, vs, ws)
-        merged = EdgeSupportSink(keys, oriented.num_vertices)
-        cut = ws.shape[0] // 3
-        for lo, hi in ((0, cut), (cut, 2 * cut), (2 * cut, ws.shape[0])):
-            part = EdgeSupportSink(keys, oriented.num_vertices)
-            part.add_triples(cones[lo:hi], vs[lo:hi], ws[lo:hi])
-            merged.merge(part)
-        np.testing.assert_array_equal(merged.supports(), whole.supports())
-        assert merged.count == whole.count
-
     def test_non_edge_triangle_raises(self, oriented_stream):
         from repro.core.triangles import EdgeSupportSink
 
         oriented, keys, _ = oriented_stream
         sink = EdgeSupportSink(keys, oriented.num_vertices)
+        n = oriented.num_vertices
         with pytest.raises(ValueError):
-            sink.add(0, oriented.num_vertices - 1, oriented.num_vertices - 2)
+            sink.add_triples(_i64(0), _i64(n - 1), _i64(n - 2))
 
     def test_spill_requires_file(self, oriented_stream):
         from repro.core.triangles import EdgeSupportSink
@@ -303,6 +345,66 @@ class TestEdgeSupportSink:
                 cones[lo : lo + step], vs[lo : lo + step], ws[lo : lo + step]
             )
         np.testing.assert_array_equal(spill.supports(), dense.supports())
+
+    @pytest.mark.parametrize("budget", [8, 64, 256, 1024])
+    @pytest.mark.parametrize("buffer_items", [1, 3, 64, 8192])
+    def test_spill_equals_dense_for_every_budget_and_buffer(
+        self, oriented_stream, tmp_path, budget, buffer_items
+    ):
+        from repro.core.triangles import EdgeSupportSink
+        from repro.externalmem.blockio import BlockDevice
+
+        oriented, keys, (cones, vs, ws) = oriented_stream
+        dense = EdgeSupportSink(keys, oriented.num_vertices)
+        dense.add_triples(cones, vs, ws)
+        spill = EdgeSupportSink(
+            keys,
+            oriented.num_vertices,
+            spill_file=BlockDevice(tmp_path, block_size=512).open("spill.run"),
+            memory_budget_bytes=budget,
+        )
+        assert spill.spilling
+        spill.add_triples(cones, vs, ws)
+        got = np.zeros(spill.num_edges, dtype=np.int64)
+        last = -1
+        for positions, counts in spill.iter_position_counts(buffer_items=buffer_items):
+            assert int(positions[0]) > last and np.all(np.diff(positions) > 0)
+            last = int(positions[-1])
+            got[positions] = counts
+        np.testing.assert_array_equal(got, dense.supports())
+        # one run per filled buffer of max(budget / 8, 16) positions
+        records = 3 * ws.shape[0]
+        assert spill.spilled_positions == records
+        assert spill.spill_run_count == ceil_div(records, max(budget // 8, 16))
+
+    def test_dense_iteration_yields_each_nonzero_position_once(self, oriented_stream):
+        from repro.core.triangles import EdgeSupportSink
+
+        oriented, keys, (cones, vs, ws) = oriented_stream
+        sink = EdgeSupportSink(keys, oriented.num_vertices)
+        sink.add_triples(cones, vs, ws)
+        (positions, counts), = list(sink.iter_position_counts())
+        np.testing.assert_array_equal(positions, np.flatnonzero(sink.supports()))
+        np.testing.assert_array_equal(counts, sink.supports()[positions])
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["dense", "spill"])
+    def test_a_sink_without_triangles_yields_nothing(
+        self, oriented_stream, tmp_path, spill
+    ):
+        from repro.core.triangles import EdgeSupportSink
+        from repro.externalmem.blockio import BlockDevice
+
+        oriented, keys, _ = oriented_stream
+        sink = EdgeSupportSink(
+            keys,
+            oriented.num_vertices,
+            spill_file=BlockDevice(tmp_path, block_size=512).open("s.run"),
+            memory_budget_bytes=64 if spill else None,
+        )
+        assert sink.spilling is spill
+        assert list(sink.iter_position_counts()) == []
+        assert not sink.supports().any()
+        assert sink.spill_run_count == 0
 
     def test_spill_iter_positions_strictly_increasing(
         self, oriented_stream, tmp_path
@@ -348,123 +450,109 @@ class TestEdgeSupportSink:
             stats.append(device.stats.as_dict())
         assert stats[0] == stats[1]
 
-    def _spill_sink(self, keys, num_vertices, device, budget=64):
+@lru_cache(maxsize=None)
+def _support_case(graph_name: str):
+    """An oriented graph, its edge keys, its triangle stream, and the
+    supports a per-triangle dictionary lookup of the three edges gives."""
+    from repro.core import kernels
+    from repro.core.orientation import orient_csr
+    from repro.core.triangles import oriented_edge_keys
+    from repro.graph.csr import CSRGraph
+    from repro.graph.generators import complete_graph, power_law_degree_graph, rmat
+
+    edges = {
+        "rmat": lambda: rmat(6, edge_factor=8, seed=21),
+        "power-law": lambda: power_law_degree_graph(
+            150, exponent=2.1, min_degree=2, max_degree=40, seed=4
+        ),
+        "complete": lambda: complete_graph(7),
+    }[graph_name]()
+    oriented = orient_csr(CSRGraph.from_edgelist(edges))
+    keys = oriented_edge_keys(oriented)
+    cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
+        oriented.indptr, oriented.indices, 0, oriented.num_vertices, True
+    )
+    n = oriented.num_vertices
+    position = {key: p for p, key in enumerate(keys.tolist())}
+    want = np.zeros(keys.shape[0], dtype=np.int64)
+    for u, v, w in zip(cones.tolist(), vs.tolist(), ws.tolist()):
+        for a, b in ((u, v), (u, w), (v, w)):
+            want[position[a * n + b]] += 1
+    return oriented, keys, (cones, vs, ws), want
+
+
+class TestEdgeSupportSinkTiers:
+    """Dense ``add_triples`` on both kernel tiers -- the C tier's fused
+    accumulate and the numpy tier's batched position search -- records the
+    supports of a per-triangle lookup, whether the sink is handed the
+    graph's offsets or derives them from the keys."""
+
+    @pytest.mark.parametrize("graph_name", ["rmat", "power-law", "complete"])
+    @pytest.mark.parametrize("step", [None, 17], ids=["one-batch", "ragged"])
+    @pytest.mark.parametrize("with_offsets", [True, False], ids=["offsets", "derived"])
+    def test_supports_match_per_triangle_lookup(
+        self, tier, graph_name, step, with_offsets
+    ):
         from repro.core.triangles import EdgeSupportSink
 
-        return EdgeSupportSink(
+        oriented, keys, (cones, vs, ws), want = _support_case(graph_name)
+        assert ws.shape[0] > 0
+        sink = EdgeSupportSink(
             keys,
-            num_vertices,
-            spill_file=device.open("s.run"),
-            memory_budget_bytes=budget,
+            oriented.num_vertices,
+            offsets=oriented.indptr if with_offsets else None,
         )
+        step = step or ws.shape[0]
+        for lo in range(0, ws.shape[0], step):
+            sink.add_triples(cones[lo : lo + step], vs[lo : lo + step], ws[lo : lo + step])
+        np.testing.assert_array_equal(sink.supports(), want)
+        assert sink.count == ws.shape[0]
 
-    def test_cross_mode_merge_both_orders(self, oriented_stream, tmp_path):
-        """Regression: merge used to require dense mode on both sides.
-
-        A spilled sink must merge into a dense one (runs drained through
-        the bounded k-way merge) and vice versa (batches re-recorded
-        through the spill buffer), in either order, with a tiny budget.
-        """
+    @pytest.mark.parametrize("spill", [False, True], ids=["dense", "spill"])
+    def test_empty_batch_records_nothing(self, tier, tmp_path, spill):
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        whole = EdgeSupportSink(keys, oriented.num_vertices)
-        whole.add_triples(cones, vs, ws)
-        cut = ws.shape[0] // 2
-
-        # dense.merge(spilled)
-        dense = EdgeSupportSink(keys, oriented.num_vertices)
-        dense.add_triples(cones[:cut], vs[:cut], ws[:cut])
-        spill = self._spill_sink(
-            keys, oriented.num_vertices, BlockDevice(tmp_path / "a", block_size=512)
+        oriented, keys, _, _ = _support_case("complete")
+        sink = EdgeSupportSink(
+            keys,
+            oriented.num_vertices,
+            spill_file=BlockDevice(tmp_path, block_size=512).open("s.run"),
+            memory_budget_bytes=8 if spill else None,
         )
-        spill.add_triples(cones[cut:], vs[cut:], ws[cut:])
-        dense.merge(spill)
-        np.testing.assert_array_equal(dense.supports(), whole.supports())
-        assert dense.count == whole.count
+        empty = np.empty(0, dtype=np.int64)
+        sink.add_triples(empty, empty, empty)
+        assert sink.count == 0
+        assert sink.spilled_positions == 0
+        assert not sink.supports().any()
 
-        # spilled.merge(dense)
-        spill2 = self._spill_sink(
-            keys, oriented.num_vertices, BlockDevice(tmp_path / "b", block_size=512)
-        )
-        spill2.add_triples(cones[cut:], vs[cut:], ws[cut:])
-        dense2 = EdgeSupportSink(keys, oriented.num_vertices)
-        dense2.add_triples(cones[:cut], vs[:cut], ws[:cut])
-        spill2.merge(dense2)
-        assert spill2.spilling
-        np.testing.assert_array_equal(spill2.supports(), whole.supports())
-        assert spill2.count == whole.count
 
-    def test_cross_mode_merge_empty_sides(self, oriented_stream, tmp_path):
-        from repro.core.triangles import EdgeSupportSink
+class TestOrientedEdgeKeys:
+    """File-backed oriented edge keys are read from the adjacency file on
+    every call and match the in-memory graph's."""
+
+    @pytest.mark.parametrize("graph_name", ["rmat", "complete", "edgeless"])
+    def test_file_backed_keys_match_the_in_memory_graph(self, tmp_path, graph_name):
+        from repro.core import kernels
+        from repro.core.triangles import EdgeSupportSink, _oriented_edge_index, oriented_edge_keys
         from repro.externalmem.blockio import BlockDevice
+        from repro.graph.binfmt import write_graph
+        from repro.graph.csr import CSRGraph
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        whole = EdgeSupportSink(keys, oriented.num_vertices)
-        whole.add_triples(cones, vs, ws)
-
-        # empty spilled side folded into a populated dense side, and an
-        # empty dense side folded into a populated spilled one
-        dense = EdgeSupportSink(keys, oriented.num_vertices)
-        dense.add_triples(cones, vs, ws)
-        empty_spill = self._spill_sink(
-            keys, oriented.num_vertices, BlockDevice(tmp_path / "a", block_size=512)
+        if graph_name == "edgeless":
+            oriented = CSRGraph(np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64), True)
+        else:
+            oriented = _support_case(graph_name)[0]
+        graph_file = write_graph(BlockDevice(tmp_path, block_size=512), "oriented", oriented)
+        keys, offsets = _oriented_edge_index(graph_file)
+        np.testing.assert_array_equal(
+            keys, kernels.csr_packed_keys(oriented.indptr, oriented.indices)
         )
-        dense.merge(empty_spill)
-        np.testing.assert_array_equal(dense.supports(), whole.supports())
-
-        spill = self._spill_sink(
-            keys, oriented.num_vertices, BlockDevice(tmp_path / "b", block_size=512)
-        )
-        spill.add_triples(cones, vs, ws)
-        spill.merge(EdgeSupportSink(keys, oriented.num_vertices))
-        np.testing.assert_array_equal(spill.supports(), whole.supports())
-
-    def test_spill_spill_merge(self, oriented_stream, tmp_path):
-        from repro.externalmem.blockio import BlockDevice
-
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        cut = ws.shape[0] // 2
-        a = self._spill_sink(
-            keys, oriented.num_vertices, BlockDevice(tmp_path / "a", block_size=512)
-        )
-        a.add_triples(cones[:cut], vs[:cut], ws[:cut])
-        b = self._spill_sink(
-            keys, oriented.num_vertices, BlockDevice(tmp_path / "b", block_size=512)
-        )
-        b.add_triples(cones[cut:], vs[cut:], ws[cut:])
-        a.merge(b)
-        from repro.core.triangles import EdgeSupportSink
-
-        whole = EdgeSupportSink(keys, oriented.num_vertices)
-        whole.add_triples(cones, vs, ws)
-        np.testing.assert_array_equal(a.supports(), whole.supports())
-
-    def test_cross_mode_merge_io_deterministic(self, oriented_stream, tmp_path):
-        """Same streams + budget => identical IOStats for the cross merge."""
-        from repro.core.triangles import EdgeSupportSink
-        from repro.externalmem.blockio import BlockDevice
-
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        stats = []
-        for run in range(2):
-            device = BlockDevice(tmp_path / f"dev{run}", block_size=512)
-            spill = self._spill_sink(keys, oriented.num_vertices, device, budget=256)
-            spill.add_triples(cones, vs, ws)
-            dense = EdgeSupportSink(keys, oriented.num_vertices)
-            dense.merge(spill)
-            stats.append(device.stats.as_dict())
-        assert stats[0] == stats[1]
-
-    def test_merge_edge_count_mismatch_raises(self, oriented_stream):
-        from repro.core.triangles import EdgeSupportSink
-
-        oriented, keys, _ = oriented_stream
-        a = EdgeSupportSink(keys, oriented.num_vertices)
-        b = EdgeSupportSink(keys[:-1], oriented.num_vertices)
-        with pytest.raises(ValueError):
-            a.merge(b)
+        np.testing.assert_array_equal(offsets, oriented.indptr)
+        np.testing.assert_array_equal(oriented_edge_keys(graph_file), keys)
+        sink = make_sink("edge-support", graph=graph_file)
+        assert isinstance(sink, EdgeSupportSink)
+        assert sink.num_edges == oriented.num_edges
 
 
 class TestEdgeSupportSinkIds:
@@ -475,15 +563,6 @@ class TestEdgeSupportSinkIds:
     #: 5 vertices, with the one triangle (1, 2, 3)
     INDPTR = np.array([0, 2, 4, 5, 5, 5], dtype=np.int64)
     INDICES = np.array([1, 4, 2, 3, 3], dtype=np.int64)
-
-    @pytest.fixture(params=["numpy", "cffi"])
-    def tier(self, request):
-        from repro.core import kernel_backend
-
-        if request.param == "cffi" and not kernel_backend.compiled_available()[0]:
-            pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
-        with kernel_backend.use(request.param):
-            yield request.param
 
     def _sink(self, with_offsets: bool):
         from repro.core import kernels
@@ -526,58 +605,6 @@ class TestEdgeSupportSinkIds:
         n = oriented.num_vertices
         derived = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         np.testing.assert_array_equal(derived, offsets)
-
-
-class TestOrientedEdgeKeyCache:
-    """The per-process cache of file-backed oriented edge keys."""
-
-    @pytest.fixture()
-    def counted_builds(self, monkeypatch):
-        """An empty cache, and a list that grows by one per key build."""
-        from repro.core import kernels, triangles
-
-        monkeypatch.setattr(triangles, "_EDGE_KEY_CACHE", {})
-        builds = []
-        real = kernels.csr_packed_keys
-
-        def counting(*args):
-            builds.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(kernels, "csr_packed_keys", counting)
-        return triangles._EDGE_KEY_CACHE, builds
-
-    def test_repeated_runs_keep_no_deleted_file(self, counted_builds):
-        # every run stages its oriented file in a directory its cleanup
-        # deletes: a later lookup drops the dead entry before adding its own
-        from repro.analytics import run_analytics
-        from repro.graph.csr import CSRGraph
-        from repro.graph.generators import rmat
-
-        cache, _ = counted_builds
-        graph = CSRGraph.from_edgelist(rmat(7, edge_factor=8, seed=3))
-        for _ in range(4):
-            run_analytics(graph, backend="serial")
-        assert len(cache) <= 1
-
-    def test_chunked_run_builds_its_keys_once(self, counted_builds):
-        from repro.core.config import PDTLConfig
-        from repro.core.pdtl import PDTLRunner
-        from repro.graph.csr import CSRGraph
-        from repro.graph.generators import rmat
-
-        cache, builds = counted_builds
-        graph = CSRGraph.from_edgelist(rmat(8, edge_factor=8, seed=4))
-        config = PDTLConfig(
-            num_nodes=1, procs_per_node=2, memory_per_proc="16KB",
-            scheduling="dynamic",
-        )
-        result = PDTLRunner(config, backend="serial").run(
-            graph, sink_kind="edge-support"
-        )
-        assert result.num_chunks > 1
-        assert len(builds) == 1
-        assert len(cache) == 1
 
 
 class TestEdgeSupportSinkDelta:
@@ -668,13 +695,7 @@ class TestEdgeSupportSinkDelta:
             spill.merge_delta(np.array([0]), np.array([1]))
 
 
-class TestSinkRegistry:
-    def test_registered_kinds(self):
-        from repro.core.triangles import CHUNK_SINK_KINDS, sink_kinds
-
-        assert set(CHUNK_SINK_KINDS) <= set(sink_kinds())
-        assert "file" in sink_kinds()
-
+class TestSinkKinds:
     def test_normalize_underscore_spelling(self):
         from repro.core.triangles import normalize_sink_kind
 
@@ -697,6 +718,23 @@ class TestSinkRegistry:
         with pytest.raises(ValueError):
             make_sink("edge-support")
 
+    @pytest.mark.parametrize("budget, spilling", [(None, False), (8, True), (1 << 20, False)])
+    def test_edge_support_takes_the_spill_context(self, tmp_path, budget, spilling):
+        from repro.core.orientation import orient_csr
+        from repro.externalmem.blockio import BlockDevice
+        from repro.graph.csr import CSRGraph
+        from repro.graph.generators import complete_graph
+
+        oriented = orient_csr(CSRGraph.from_edgelist(complete_graph(8)))
+        sink = make_sink(
+            "edge-support",
+            graph=oriented,
+            spill_file=BlockDevice(tmp_path, block_size=512).open("s.run"),
+            memory_budget_bytes=budget,
+        )
+        assert sink.spilling is spilling
+        assert sink._offsets is oriented.indptr
+
     def test_per_vertex_accepts_graph_context(self):
         from repro.core.orientation import orient_csr
         from repro.graph.csr import CSRGraph
@@ -705,23 +743,6 @@ class TestSinkRegistry:
         oriented = orient_csr(CSRGraph.from_edgelist(complete_graph(5)))
         sink = make_sink("per-vertex", graph=oriented)
         assert sink.per_vertex.shape[0] == 5
-
-    def test_custom_registration_dispatches(self):
-        from repro.core.triangles import (
-            _SINK_FACTORIES,
-            CountingSink,
-            make_sink,
-            register_sink,
-        )
-
-        @register_sink("test-custom")
-        def _factory(**_context):
-            return CountingSink()
-
-        try:
-            assert isinstance(make_sink("test_custom"), CountingSink)
-        finally:
-            del _SINK_FACTORIES["test-custom"]
 
     def test_unknown_kind_raises_not_falls_through(self):
         with pytest.raises(ValueError):

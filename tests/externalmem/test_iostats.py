@@ -1,10 +1,10 @@
-"""Unit tests for IOStats counters and the Aggarwal–Vitter cost formulas."""
+"""Unit tests for IOStats counters and the Aggarwal–Vitter scan cost."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.externalmem.iostats import IOStats, scan_io_cost, sort_io_cost
+from repro.externalmem.iostats import IOStats, scan_io_cost
 
 
 class TestIOStats:
@@ -76,33 +76,3 @@ class TestScanCost:
     def test_invalid_block(self):
         with pytest.raises(ValueError):
             scan_io_cost(10, 0)
-
-
-class TestSortCost:
-    def test_fits_in_memory_is_single_pass(self):
-        # data smaller than memory: one read+write pass ~ N/B
-        assert sort_io_cost(1000, memory_elements=10_000, block_size_elements=100) == 10
-
-    def test_larger_than_memory_needs_more_passes(self):
-        small_memory = sort_io_cost(100_000, memory_elements=1_000, block_size_elements=10)
-        big_memory = sort_io_cost(100_000, memory_elements=50_000, block_size_elements=10)
-        assert small_memory > big_memory
-
-    def test_monotone_in_input_size(self):
-        a = sort_io_cost(10_000, 1_000, 10)
-        b = sort_io_cost(100_000, 1_000, 10)
-        assert b > a
-
-    def test_zero_elements(self):
-        assert sort_io_cost(0, 100, 10) == 0
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            sort_io_cost(10, 0, 10)
-        with pytest.raises(ValueError):
-            sort_io_cost(10, 100, 0)
-
-    def test_scan_is_lower_bound(self):
-        # sorting can never be cheaper than scanning the same data
-        n, m, b = 50_000, 2_000, 50
-        assert sort_io_cost(n, m, b) >= scan_io_cost(n, b)

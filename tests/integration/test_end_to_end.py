@@ -18,13 +18,37 @@ from repro.baselines.opt import run_opt
 from repro.baselines.powergraph import run_powergraph
 from repro.core.orientation import orient_graph
 from repro.externalmem.blockio import BlockDevice
-from repro.externalmem.extsort import external_sort_edges, write_edge_file
 from repro.graph.binfmt import open_graph, write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import rmat, watts_strogatz
-from repro.graph.io import read_edgelist_text, write_edgelist_text
+from repro.graph.io import (
+    read_edgelist_binary,
+    read_edgelist_text,
+    write_edgelist_binary,
+    write_edgelist_text,
+)
 from repro.graph.properties import clustering_coefficient, transitivity
+
+
+class TestExternalMemoryExample:
+    def test_prints_its_counts_and_removes_its_disk(self, tmp_path, monkeypatch, capsys):
+        import runpy
+        import tempfile
+        from pathlib import Path
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        example = Path(__file__).resolve().parents[2] / "examples" / "external_memory_workflow.py"
+        runpy.run_path(str(example), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "triangles          : 118562" in out
+        assert "memory windows (h) : 3 (model predicts 3)" in out
+        assert "blocks read        : 151 " in out
+        # the simulated disk lived in a temporary directory that is gone
+        disk = Path(out.splitlines()[0].split(" at ", 1)[1].rsplit(" (block size", 1)[0])
+        assert disk.parent == tmp_path
+        assert disk.name.startswith("pdtl_extmem_")
+        assert not disk.exists()
 
 
 class TestTextToPDTLPipeline:
@@ -47,21 +71,18 @@ class TestTextToPDTLPipeline:
 
         assert result.triangles == forward_count(graph)
 
-    def test_unsorted_edge_file_can_be_external_sorted_then_counted(self, tmp_path):
-        device = BlockDevice(tmp_path / "disk", block_size=512)
+    def test_unsorted_binary_dump_sorted_in_memory_then_counted(self, tmp_path):
+        # the example's ingestion path: a shuffled binary edge dump is read
+        # back, sorted in memory into the paper's input order, stored and
+        # oriented on disk, and counted by MGT
         edgelist = rmat(6, edge_factor=8, seed=31).symmetrized()
-        shuffled = edgelist.shuffled(seed=1)
-        write_edge_file(device, "raw_edges.bin", shuffled.edges)
-
-        # Theorem IV.2's preprocessing path: external sort before orientation
-        external_sort_edges(device, "raw_edges.bin", "sorted_edges.bin", memory_bytes=4096)
-        from repro.externalmem.extsort import read_edge_file
-        from repro.graph.edgelist import EdgeList
-
-        sorted_edges = EdgeList(read_edge_file(device, "sorted_edges.bin"),
-                                edgelist.num_vertices)
-        assert sorted_edges.is_sorted()
+        dump = write_edgelist_binary(edgelist.shuffled(seed=1), tmp_path / "raw.bin")
+        loaded = read_edgelist_binary(dump)
+        assert not loaded.is_sorted()
+        sorted_edges = loaded.sorted()
+        assert sorted_edges == edgelist.sorted()
         graph = CSRGraph.from_edgelist(sorted_edges, symmetrize=False)
+        device = BlockDevice(tmp_path / "disk", block_size=512)
         gf = write_graph(device, "sorted_graph", graph)
         oriented = orient_graph(gf).oriented
         from repro.core.mgt import mgt_count

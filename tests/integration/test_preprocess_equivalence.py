@@ -1,11 +1,10 @@
 """Equivalence matrix for the master's preprocessing.
 
-The chunked orientation (one vertex chunk per master core) and the
-external sort's radix-sorted run formation must be *bit-identical* to
-their references in every observable the simulation produces:
+The chunked orientation (one vertex chunk per master core) must be
+*bit-identical* to its reference in every observable the simulation
+produces:
 
 * the oriented graph's on-disk bytes (degree, adjacency and meta files);
-* the external sort's run windows and output file;
 * the master device's IOStats (block counts, sequential/random split,
   call counts, bytes);
 * the modelled setup seconds of a full PDTL run,
@@ -28,13 +27,7 @@ from repro.core.config import PDTLConfig
 from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
 from repro.core.shm import shm_available
-from repro.externalmem import extsort as extsort_mod
 from repro.externalmem.blockio import BlockDevice
-from repro.externalmem.extsort import (
-    _sort_window_fast,
-    external_sort_edges,
-    write_edge_file,
-)
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_degree_graph, rmat
@@ -131,71 +124,6 @@ class TestOrientationBitIdentity:
         assert one.bytes_written == four.bytes_written
         assert one.blocks_written == four.blocks_written
         assert one.read_calls < four.read_calls
-
-
-class TestExtsortFormationBitIdentity:
-    """Radix run formation and the two merges against their references."""
-
-    @pytest.fixture(scope="class")
-    def edges(self) -> np.ndarray:
-        rng = np.random.default_rng(11)
-        return rng.integers(0, 900, size=(30000, 2)).astype(np.int64)
-
-    def _sort(self, tmp_path, edges, merge_impl):
-        device = BlockDevice(tmp_path / f"disk_{merge_impl}", block_size=512)
-        write_edge_file(device, "in.bin", edges)
-        baseline = device.stats.snapshot()
-        result = external_sort_edges(
-            device,
-            "in.bin",
-            "out.bin",
-            memory_bytes=32 * 1024,
-            merge_impl=merge_impl,
-        )
-        return device, result, device.stats.delta(baseline)
-
-    def test_radix_windows_match_lexsort(self, edges):
-        """Every run window the radix sort forms equals the stable lexsort
-        of the same window, byte for byte, with the same extrema."""
-        memory_edges = (32 * 1024) // 16
-        for offset in range(0, edges.shape[0], memory_edges):
-            window = edges[offset : offset + memory_edges]
-            fast, max_src, max_dst, min_value = _sort_window_fast(window)
-            expected = window[np.lexsort((window[:, 1], window[:, 0]))]
-            assert fast.dtype == expected.dtype
-            assert fast.tobytes() == np.ascontiguousarray(expected).tobytes()
-            assert max_src == int(window[:, 0].max())
-            assert max_dst == int(window[:, 1].max())
-            assert min_value == int(window.min())
-
-    def test_output_and_stats_identical(self, tmp_path, edges, monkeypatch):
-        """Radix run formation against lexsort run formation: identical
-        output bytes, run and pass counts, and the whole IOStats dict."""
-        dev_r, res_r, stats_r = self._sort(tmp_path / "radix", edges, "vectorized")
-
-        def lexsort_window(window):
-            order = np.lexsort((window[:, 1], window[:, 0]))
-            return (
-                window[order],
-                int(window[:, 0].max()),
-                int(window[:, 1].max()),
-                int(window.min()),
-            )
-
-        monkeypatch.setattr(extsort_mod, "_sort_window_fast", lexsort_window)
-        dev_l, res_l, stats_l = self._sort(tmp_path / "lexsort", edges, "vectorized")
-        assert res_r.num_runs == res_l.num_runs > 1
-        assert res_r.merge_passes == res_l.merge_passes
-        assert _file_bytes(dev_r, "out.bin") == _file_bytes(dev_l, "out.bin") != b""
-        assert stats_r.as_dict() == stats_l.as_dict()
-
-    def test_merge_impls_agree(self, tmp_path, edges):
-        dev_v, res_v, stats_v = self._sort(tmp_path, edges, "vectorized")
-        dev_h, res_h, stats_h = self._sort(tmp_path, edges, "heapq")
-        assert res_v.num_runs == res_h.num_runs > 1
-        assert res_v.merge_passes == res_h.merge_passes
-        assert _file_bytes(dev_v, "out.bin") == _file_bytes(dev_h, "out.bin") != b""
-        assert stats_v.as_dict() == stats_h.as_dict()
 
 
 class TestRunMatrixEquivalence:

@@ -1,18 +1,16 @@
 """Golden equivalence of every vectorised hot path against its serial reference.
 
-The vectorisation PR rewrote the baselines' per-vertex loops, the extsort
-merge and the MGT scan path; these tests pin each rewritten path against
-(a) the frozen golden triangle counts and (b) the retained pre-refactor
-implementations (:mod:`repro.baselines.reference_impl`, the ``heapq``
-merge), so a silent count divergence in any vectorised kernel fails
-loudly.  The MGT scan path is also pinned across its two kernel tiers and
+The baselines' per-vertex loops and the MGT scan path run vectorised;
+these tests pin each such path against (a) the frozen golden triangle
+counts and (b) the retained scalar implementations
+(:mod:`repro.baselines.reference_impl`), so a silent count divergence in
+any vectorised kernel fails loudly.  The MGT scan path is also pinned across its two kernel tiers and
 between the on-disk graph and its shared-memory view.  The CI perf-smoke
 job runs this module alongside the perf microbenchmarks.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from test_golden_counts import GOLDEN
@@ -30,7 +28,6 @@ from repro.core.orientation import orient_csr, orient_graph
 from repro.core.shm import SharedGraphView, publish_graph, shm_available
 from repro.core.triangles import ListingSink
 from repro.externalmem.blockio import BlockDevice
-from repro.externalmem.extsort import external_sort_edges, read_edge_file, write_edge_file
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 
@@ -153,43 +150,6 @@ class TestMGTScanPathEquivalence:
         assert shared[:7] == disk[:7], name
         # the view charges the worker's own counters, never the device's
         assert shared[7] == oriented_stats, name
-
-
-class TestExtsortMergeEquivalence:
-    """The vectorised merge must be indistinguishable from the heap merge."""
-
-    @pytest.mark.parametrize("memory_bytes", (2048, 16 * 1024))
-    def test_output_and_iostats_identical(self, tmp_path, memory_bytes):
-        rng = np.random.default_rng(42)
-        edges = rng.integers(0, 3000, size=(20000, 2), dtype=np.int64)
-        outcomes = {}
-        for impl in ("heapq", "vectorized"):
-            device = BlockDevice(tmp_path / f"disk_{impl}_{memory_bytes}", block_size=512)
-            write_edge_file(device, "in.bin", edges)
-            device.stats.reset()
-            result = external_sort_edges(
-                device, "in.bin", "out.bin", memory_bytes=memory_bytes, merge_impl=impl
-            )
-            outcomes[impl] = (
-                read_edge_file(device, "out.bin"),
-                device.stats.as_dict(),
-                result.num_runs,
-                result.merge_passes,
-                result.fan_in,
-            )
-        heap, vec = outcomes["heapq"], outcomes["vectorized"]
-        np.testing.assert_array_equal(heap[0], vec[0])
-        assert heap[1] == vec[1]
-        assert heap[2:] == vec[2:]
-
-    def test_vectorized_output_is_lexsorted_permutation(self, tmp_path):
-        rng = np.random.default_rng(7)
-        edges = rng.integers(0, 500, size=(5000, 2), dtype=np.int64)
-        device = BlockDevice(tmp_path / "disk", block_size=512)
-        write_edge_file(device, "in.bin", edges)
-        external_sort_edges(device, "in.bin", "out.bin", memory_bytes=4096)
-        expected = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-        np.testing.assert_array_equal(read_edge_file(device, "out.bin"), expected)
 
 
 def test_baselines_agree_with_each_other():

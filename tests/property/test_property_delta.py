@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analytics import GraphDelta, truss_decomposition
+from repro.analytics.delta import _unique
 from repro.analytics.truss import canonical_edges
 from repro.core import kernels
 from repro.graph.csr import CSRGraph
@@ -262,3 +263,10 @@ def test_structured_families(edges):
         applied.graph, prev=applied.truss, supports=applied.sink, verify=True
     )
     np.testing.assert_array_equal(restored.truss.trussness, prev.trussness)
+
+
+@given(values=st.lists(st.integers(-(2**62), 2**62), max_size=200))
+@settings(max_examples=60, deadline=None)
+def test_unique_matches_np_unique(values):
+    arr = np.array(values, dtype=np.int64)
+    np.testing.assert_array_equal(_unique(arr), np.unique(arr))

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.externalmem.blockio import BlockDevice
-from repro.externalmem.extsort import external_sort_edges, read_edge_file, write_edge_file
-from repro.externalmem.iostats import scan_io_cost, sort_io_cost
+from repro.externalmem.iostats import scan_io_cost
 from repro.externalmem.memory import MemoryBudget
 from repro.errors import OutOfMemoryError
 
@@ -20,23 +19,6 @@ SETTINGS = dict(
 
 
 @given(
-    edges=st.lists(
-        st.tuples(st.integers(0, 200), st.integers(0, 200)), min_size=0, max_size=400
-    ),
-    memory=st.sampled_from([256, 1024, 4096, 1 << 16]),
-)
-@settings(**SETTINGS)
-def test_external_sort_produces_sorted_permutation(tmp_path_factory, edges, memory):
-    device = BlockDevice(tmp_path_factory.mktemp("extsort"), block_size=256)
-    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    write_edge_file(device, "in.bin", arr)
-    external_sort_edges(device, "in.bin", "out.bin", memory_bytes=memory)
-    out = read_edge_file(device, "out.bin")
-    expected = arr[np.lexsort((arr[:, 1], arr[:, 0]))] if arr.size else arr
-    np.testing.assert_array_equal(out, expected)
-
-
-@given(
     num_elements=st.integers(min_value=0, max_value=10**7),
     block=st.integers(min_value=1, max_value=10**5),
 )
@@ -45,16 +27,6 @@ def test_scan_cost_is_tight_ceiling(num_elements, block):
     cost = scan_io_cost(num_elements, block)
     assert cost * block >= num_elements
     assert (cost - 1) * block < num_elements or cost == 0
-
-
-@given(
-    num_elements=st.integers(min_value=1, max_value=10**7),
-    memory=st.integers(min_value=2, max_value=10**6),
-    block=st.integers(min_value=1, max_value=10**4),
-)
-@settings(max_examples=60, deadline=None)
-def test_sort_cost_at_least_scan_cost(num_elements, memory, block):
-    assert sort_io_cost(num_elements, memory, block) >= scan_io_cost(num_elements, block)
 
 
 @given(

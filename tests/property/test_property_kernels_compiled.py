@@ -1,9 +1,9 @@
 """Property tests: every C kernel against its numpy twin.
 
-The C registry (:mod:`repro.core.kernels_cffi`) is driven through the
-adversarial input families the extsort fallback work established as the
-danger zone: empty arrays, single elements, duplicate-heavy values and
-negative ids -- plus random graphs for the structural kernels.  Where the
+The C registry (:mod:`repro.core.kernels_cffi`) is driven through
+adversarial input families: empty arrays, single elements,
+duplicate-heavy values and negative ids -- plus random graphs for the
+structural kernels.  Where the
 C tier cannot be built the whole module skips with the build's reason; a
 registry that builds but disagrees with numpy fails here rather than
 skipping, even though the tier probe refuses it.
@@ -153,21 +153,6 @@ def test_sorted_membership_matches_numpy(registry, haystack, queries):
     want = kernels.NUMPY_IMPLS["sorted_membership"](haystack, queries)
     got = registry["sorted_membership"](haystack, queries)
     np.testing.assert_array_equal(got, want)
-
-
-@REGISTRY_PARAMS
-@given(a=_sorted_arrays(), b=_sorted_arrays())
-@settings(**SETTINGS)
-def test_merge_positions_matches_numpy(registry, a, b):
-    want_a, want_b = kernels.NUMPY_IMPLS["merge_positions"](a, b)
-    got_a, got_b = registry["merge_positions"](a, b)
-    np.testing.assert_array_equal(got_a, want_a)
-    np.testing.assert_array_equal(got_b, want_b)
-    # and the positions actually describe a stable merge
-    merged = np.empty(a.shape[0] + b.shape[0], dtype=np.int64)
-    merged[np.asarray(got_a, dtype=np.int64)] = a
-    merged[np.asarray(got_b, dtype=np.int64)] = b
-    np.testing.assert_array_equal(merged, np.sort(np.concatenate((a, b))))
 
 
 @REGISTRY_PARAMS

@@ -87,10 +87,11 @@ array is rebuilt by one ``take`` through a splice plan shared by every
 array of its length (:func:`_splice_plan`).  Beyond those copies an
 8-edge batch packs the old edges' keys once and scans the re-indexed
 triangle table for deleted ids, but runs no m-query search, whole-graph
-cumulative sum, adjacency key array or sort.  The checks (batch
+cumulative sum, adjacency key array or sort.  ``merge_delta`` reads and
+writes only the positions a batch touches; the other checks (batch
 validation, :class:`~repro.graph.csr.CSRGraph` validation,
-``from_supports``/``merge_delta`` and the support cross-check) still read
-whole arrays.
+``from_supports``' non-negativity and the support cross-check) still
+read whole arrays.
 
 Semantics
 ---------
@@ -458,9 +459,7 @@ class GraphDelta:
 
         if old_supports is None:
             old_supports = np.bincount(old_tri.reshape(-1), minlength=m_old)
-        sink = EdgeSupportSink.from_supports(
-            new_keys, n, _splice(old_supports, plan, 0)
-        )
+        sink = EdgeSupportSink.from_supports(_splice(old_supports, plan, 0))
         positions = np.concatenate((minus_ids, plus_tri.reshape(-1)))
         deltas = np.concatenate(
             (

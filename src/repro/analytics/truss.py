@@ -11,16 +11,23 @@ triangle stream.
 
 Two implementations live here:
 
-* :func:`truss_decomposition` -- the vectorised peeler.  The triangles are
-  enumerated **once** with the shared MGT counting kernel
-  (:func:`~repro.core.kernels.triangle_range` over the degree-based
-  orientation), each triangle's three edges are mapped to canonical edge
-  ids with one packed-key binary search, and an edge→triangle incidence
-  CSR is built (:func:`_incidence`: one stable argsort of the triangle
-  slots, or on the compiled tier one stable counting-sort pass).  Peeling
-  then never searches again: the level loop (:func:`_peel`) runs every
-  peel round of one level ``k`` per call of the ``truss_peel_level``
-  kernel -- the fused C loop, or its numpy twin
+* :func:`truss_decomposition` -- the vectorised peeler (the support
+  peeling of Wang & Cheng, "Truss decomposition in massive networks",
+  PVLDB 2012).  The triangles are enumerated **once** with the shared
+  MGT counting kernel (:func:`~repro.core.kernels.triangle_range`'s walk
+  over the degree-based orientation) with each triangle's three edges as
+  canonical edge ids.  Given a PDTL run's orientation and the canonical
+  id of each of its edges (what :func:`~repro.analytics.run_analytics`'s
+  canonicalise step holds), it checks that orientation against the graph
+  in one exact pass (:func:`_run_orientation`) and walks it with those
+  ids; on its own it orients the graph
+  (:func:`~repro.core.orientation.orient_csr`) and maps each adjacency
+  slot to its id with one packed-key binary search.  Then an
+  edge→triangle incidence CSR is built (:func:`_incidence`: one stable
+  argsort of the triangle slots, or on the compiled tier one stable
+  counting-sort pass).  Peeling then never searches again: the level
+  loop (:func:`_peel`) runs every peel round of one level ``k`` per call
+  of the ``truss_peel_level`` kernel -- the fused C loop, or its numpy twin
   :func:`_peel_level_numpy`, where every round gathers the peeled edges'
   incident triangle ids with one :func:`~repro.core.kernels.segment_gather`,
   kills each still-alive triangle exactly once (``np.unique``), and
@@ -48,6 +55,7 @@ import numpy as np
 
 from repro.core import kernel_backend, kernels
 from repro.graph.csr import CSRGraph
+from repro.utils import prefix_sums
 
 __all__ = [
     "TrussResult",
@@ -179,11 +187,11 @@ def truss_summary_rows(
 def _triangle_edge_ids(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
     """Every triangle as its three canonical edge ids, shape ``(T, 3)``.
 
-    Enumerated with the shared MGT counting kernel over the degree-based
-    orientation (bounded out-degrees, so the gather volume obeys the
-    arboricity bound of Theorem III.4), then mapped to canonical ids with
-    one packed-key binary search per edge slot (fused into a single
-    compiled loop when the kernel tier provides one).
+    Enumerated with the shared MGT counting kernel's walk over the
+    degree-based orientation (bounded out-degrees, so the gather volume
+    obeys the arboricity bound of Theorem III.4), each adjacency slot
+    mapped to its canonical id with one packed-key binary search (fused
+    into a single compiled loop when the kernel tier provides one).
     """
     from repro.core.orientation import orient_csr
 
@@ -195,20 +203,118 @@ def _triangle_edge_ids(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
     if fused_ids is not None:
         # per-source-vertex slices of the sorted key array confine each
         # fused lookup to its row instead of the whole edge list; one call
-        # covers every vertex (the numpy batching below only bounds peak
-        # gather memory, which the fused loop never materialises)
+        # covers every vertex (the numpy batching only bounds peak gather
+        # memory, which the fused loop never materialises)
         row_start = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
         return fused_ids(oriented.indptr, oriented.indices, keys, row_start, n, 0, n)
-    parts: list[np.ndarray] = []
-    for blo, bhi in kernels.iter_vertex_batches(oriented.indptr, 0, n):
-        cones, vs, ws, _ = kernels.triangle_range(
-            oriented.indptr, oriented.indices, blo, bhi, want_triples=True
+    sources = oriented.edge_sources()
+    slot_ids = np.searchsorted(
+        keys,
+        kernels.packed_keys(
+            np.minimum(sources, oriented.indices), np.maximum(sources, oriented.indices), n
+        ),
+    )
+    return _walk_triangle_ids(oriented.indptr, oriented.indices, slot_ids)
+
+
+def _run_orientation(
+    graph: CSRGraph, oriented_edges: np.ndarray, edge_ids: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The run's oriented graph as CSR ``(indptr, indices)``, checked exactly.
+
+    ``oriented_edges`` must be, entry for entry, the input's entries going
+    up :func:`~repro.core.orientation.degree_order_keys` -- the one-pass
+    orientation filter (the compiled ``orient_range`` or its numpy twin)
+    over the whole input is compared with them -- and ``edge_ids`` must
+    map each of them onto the canonical edge with its key among the
+    strictly increasing ``keys``.  So an oriented edge that is reversed,
+    missing, extra or repeated raises, and so does an id that is not the
+    edge's.
+    """
+    from repro.core.orientation import _orient_range_numpy, degree_order_keys
+
+    n = graph.num_vertices
+    m = int(keys.shape[0])
+    if oriented_edges.shape != (m, 2) or edge_ids.shape != (m,):
+        raise ValueError(
+            f"got {oriented_edges.shape[0]} oriented edges and {edge_ids.shape[0]} "
+            f"edge ids for {m} canonical edges"
         )
-        if cones.shape[0]:
-            parts.append(_triple_edge_ids(keys, cones, vs, ws, n))
+    orient_range = kernel_backend.fused("orient_range") or _orient_range_numpy
+    out_degrees, indices = orient_range(
+        graph.indices, degree_order_keys(graph.degrees), graph.indptr, 0, n
+    )
+    sources = np.repeat(np.arange(n, dtype=np.int64), out_degrees)
+    if not (
+        np.array_equal(indices, oriented_edges[:, 1])
+        and np.array_equal(sources, oriented_edges[:, 0])
+    ):
+        raise ValueError(
+            "the oriented edges are not the graph's edges going up the degree order"
+        )
+    # each oriented edge's canonical key, built in place (the graph's keys
+    # were packed with this n already)
+    canonical = np.minimum(sources, indices)
+    np.maximum(sources, indices, out=sources)
+    canonical *= n
+    canonical += sources
+    if m and not (
+        (keys[1:] > keys[:-1]).all()
+        and 0 <= int(edge_ids.min())
+        and int(edge_ids.max()) < m
+        and np.array_equal(keys[edge_ids], canonical)
+    ):
+        raise ValueError(
+            "the edge ids do not map the oriented edges onto strictly increasing "
+            "canonical edges"
+        )
+    # a compact copy: the filter's output buffer holds every input entry
+    return prefix_sums(out_degrees), indices.copy()
+
+
+def _walk_triangle_ids(
+    indptr: np.ndarray, indices: np.ndarray, slot_ids: np.ndarray
+) -> np.ndarray:
+    """Every triangle of an oriented CSR graph as its three canonical edge
+    ids, shape ``(T, 3)``, given each adjacency slot's id (``slot_ids``).
+    The compiled ``triangle_edge_ids`` takes the ids in place of its slot
+    pass's searches; the numpy tier maps the positions
+    :func:`_triangle_slots` reports, in bounded vertex batches."""
+    n = int(indptr.shape[0] - 1)
+    fused_ids = kernel_backend.fused("triangle_edge_ids")
+    if fused_ids is not None:
+        return fused_ids(indptr, indices, None, None, n, 0, n, slot_ids)
+    parts: list[np.ndarray] = []
+    for blo, bhi in kernels.iter_vertex_batches(indptr, 0, n):
+        slots = _triangle_slots(indptr, indices, blo, bhi)
+        if slots.shape[0]:
+            parts.append(slot_ids[slots])
     if not parts:
         return np.empty((0, 3), dtype=np.int64)
     return np.concatenate(parts)
+
+
+def _triangle_slots(
+    indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """The adjacency positions of the edges ``(u, v)``, ``(u, w)`` and
+    ``(v, w)`` of every triangle with cone ``u`` in ``[lo, hi)``, shape
+    ``(T, 3)``, in :func:`~repro.core.kernels.triangle_range`'s order: its
+    gather and packed-key search, keeping where each hit was found."""
+    n = int(indptr.shape[0] - 1)
+    base = int(indptr[lo])
+    block_adj = indices[base : int(indptr[hi])]
+    entry_src = np.repeat(
+        np.arange(hi - lo, dtype=np.int64), np.diff(indptr[lo : hi + 1])
+    )
+    vw, owners = kernels.segment_positions(
+        indptr[block_adj], indptr[block_adj + 1] - indptr[block_adj]
+    )
+    uw, found = kernels.sorted_positions(
+        kernels.packed_keys(entry_src, block_adj, n),
+        kernels.packed_keys(entry_src[owners], indices[vw], n),
+    )
+    return np.stack((base + owners[found], base + uw[found], vw[found]), axis=1)
 
 
 def _triple_edge_ids(
@@ -318,6 +424,8 @@ def truss_decomposition(
     supports: np.ndarray | None = None,
     edges: np.ndarray | None = None,
     keep_triangles: bool = False,
+    oriented_edges: np.ndarray | None = None,
+    edge_ids: np.ndarray | None = None,
 ) -> TrussResult:
     """Vectorised k-truss peeling of an undirected CSR graph.
 
@@ -338,23 +446,42 @@ def truss_decomposition(
         retain the ``(T, 3)`` triangle table on the result
         (``TrussResult.tri_edges``) so the dynamic-graph delta path can
         update it incrementally instead of re-enumerating.
+    oriented_edges, edge_ids:
+        a PDTL run's orientation (``PDTLResult.oriented_edges``) and the
+        canonical id of each of its edges, with ``edges`` (the analytics
+        pipeline's canonicalise step holds all three).  The enumeration
+        then walks that orientation with those ids after one exact check
+        (:func:`_run_orientation`) instead of orienting the graph and
+        searching every slot's id; without them it orients the graph
+        itself (:func:`~repro.core.orientation.orient_csr`).
 
-    Algorithm: classic support peeling, batched, with the triangle
-    structure materialised up front.  One pass of the shared counting
-    kernel yields every triangle's three canonical edge ids; initial
-    supports are a ``bincount``; the level loop (:func:`_peel`) peels at
-    level ``k`` every surviving edge with support ``<= k - 2``, round after
-    round, until the level is stable.
+    Algorithm: classic support peeling (Wang & Cheng, "Truss decomposition
+    in massive networks", PVLDB 2012), batched, with the triangle structure
+    materialised up front.  One pass of the shared counting kernel yields
+    every triangle's three canonical edge ids; initial supports are a
+    ``bincount``; the level loop (:func:`_peel`) peels at level ``k``
+    every surviving edge with support ``<= k - 2``, round after round,
+    until the level is stable.
     """
     if graph.directed:
         raise ValueError("truss_decomposition expects the undirected CSR graph")
+    if (oriented_edges is None) != (edge_ids is None) or (
+        oriented_edges is not None and edges is None
+    ):
+        raise ValueError("oriented_edges and edge_ids come together, with edges")
     if edges is None:
         edges = canonical_edges(graph)
     m = int(edges.shape[0])
     n = graph.num_vertices
     keys = kernels.packed_keys(edges[:, 0], edges[:, 1], n)  # sorted by canon order
 
-    tri_edges = _triangle_edge_ids(graph, keys)
+    if oriented_edges is None:
+        tri_edges = _triangle_edge_ids(graph, keys)
+    else:
+        oriented_edges = np.asarray(oriented_edges, dtype=np.int64)
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        indptr, indices = _run_orientation(graph, oriented_edges, edge_ids, keys)
+        tri_edges = _walk_triangle_ids(indptr, indices, edge_ids)
     support = np.bincount(tri_edges.reshape(-1), minlength=m).astype(np.int64)
     if supports is not None:
         supports = np.asarray(supports, dtype=np.int64)

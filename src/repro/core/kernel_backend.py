@@ -17,9 +17,9 @@ the extension, runs every kernel once on a miniature graph and compares it
 with its numpy twin.  Any build failure, crash or disagreement refuses the
 whole tier, so a process runs either every kernel in C or every kernel in
 numpy.  Dispatch happens inside :mod:`repro.core.kernels` (primitives) and
-via :func:`fused` (the multi-pass entry points of the MGT worker, the
-edge-support sink and the truss peeler, and the master's orientation
-filter, shared-memory transpose and format check).
+via :func:`fused` (the multi-pass entry points of the MGT worker and the
+truss peeler, and the master's orientation filter, shared-memory
+transpose and format check).
 
 Both tiers are bit-identical by contract: triangle counts, listing order,
 edge supports, IOStats and modelled operation counts do not change with
@@ -74,7 +74,7 @@ def dispatch_counts() -> dict[str, int]:
     """Copy of this process's fused-kernel dispatch counts.
 
     Keys are ``"<kernel>.<tier>"`` (``"mgt_block_scan.cffi"``,
-    ``"edge_support_accumulate.numpy"``); a :func:`fused` call that found no
+    ``"truss_peel_level.numpy"``); a :func:`fused` call that found no
     compiled implementation counts as a numpy dispatch, since that is the
     path the caller takes.
     """
@@ -116,8 +116,12 @@ def _self_check(registry: dict[str, Callable]) -> None:
     a, b = i64(-3, 0, 2, 2, 5), i64(-3, 1, 2, 6)
     us, vs, ws = i64(0), i64(1), i64(2)
     keys = i64(1, 2, 6)  # packed (0,1), (0,2), (1,2) for n = 4
-    tri = i64(0, 1, 2)  # the triangle's canonical edge ids
-    support = np.zeros(3, dtype=np.int64)
+    # the triangle's canonical edge ids, which are also the adjacency
+    # positions of its edges (0, 1), (0, 2) and (1, 2)
+    tri = i64(0, 1, 2)
+    block_scan = (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0))
+    chunk_scan = (indptr, indices, i64(0, 0, 1, 3, 3), i64(0, 0, 1), i64(0, 2, 3), i64(0, 1),
+                  i64(0, 1))
     cases = {
         "sorted_membership": ((a, b), None),
         "triangle_range": ((indptr, indices, 0, 4, True), None),
@@ -125,18 +129,15 @@ def _self_check(registry: dict[str, Callable]) -> None:
         "edge_common_neighbors": ((indptr, indices, us, vs), None),
         # MGT window [0, 2] over the block of vertices 0 and 1
         "mgt_block_scan": (
-            (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0),
-             np.zeros(4, dtype=np.uint8), True),
+            (*block_scan, np.zeros(4, dtype=np.uint8), kernels.EMIT_TRIPLES),
             (1, 1, 1, [0], [1], [2]),
         ),
         # the entries as the windows [0, 2) and [2, 3), walked through the
         # in-lists 1 <- {0}, 2 <- {0, 1}: only (0, 1) of the second pairs
         "mgt_chunk_scan": (
-            (indptr, indices, i64(0, 0, 1, 3, 3), i64(0, 0, 1), i64(0, 2, 3), i64(0, 1),
-             i64(0, 1), True, False),
+            (*chunk_scan, kernels.EMIT_TRIPLES, False),
             (1, 1, 1, [0], [1], [2], None, None),
         ),
-        "edge_support_accumulate": ((keys, indptr, us, vs, ws, 4, support), True),
         # peel the triangle's three edges at k = 3 in one round
         "truss_peel_level": (
             (3, np.ones(3, dtype=bool), np.ones(3, dtype=np.int64), np.zeros(3, dtype=np.int64),
@@ -161,15 +162,26 @@ def _self_check(registry: dict[str, Callable]) -> None:
         # 0 -> [1, 1] repeats, 2 -> [3, 0] decreases, nobody loops
         "csr_violations": ((i64(0, 2, 4, 6, 6), i64(1, 1, 0, 3, 3, 0)), (2, -1, 0)),
     }
-    for name, (args, want) in cases.items():
+    checks = list(cases.items()) + [
+        # the scans' crediting mode: the triangle's three adjacency positions
+        ("mgt_block_scan", (
+            (*block_scan, np.zeros(4, dtype=np.int64), kernels.EMIT_POSITIONS),
+            (1, 1, 1, [tri], None, None),
+        )),
+        ("mgt_chunk_scan", (
+            (*chunk_scan, kernels.EMIT_POSITIONS, False),
+            (1, 1, 1, [tri], None, None, None, None),
+        )),
+        # the walk with the slots' ids given
+        ("triangle_edge_ids", ((indptr, indices, None, None, 4, 0, 4, tri), [tri])),
+    ]
+    for name, (args, want) in checks:
         got = registry[name](*args)
         if want is None:
             twin_args = args[:4] + (None, True) if name == "edge_intersections" else args
             want = kernels.NUMPY_IMPLS[name](*twin_args)
         if not _same(got, want):
             raise RuntimeError(f"kernel {name!r} disagrees with numpy on the self-check")
-    if support.tolist() != [1, 1, 1]:
-        raise RuntimeError("kernel 'edge_support_accumulate' disagrees with numpy")
 
 
 def _probe_c_tier() -> tuple[dict[str, Callable] | None, str]:

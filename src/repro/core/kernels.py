@@ -17,9 +17,11 @@ shares one implementation:
   destination)`` pairs as single monotone int64 keys, turning pair
   membership into a plain binary search;
 * :func:`sorted_membership` -- one ``searchsorted`` answering membership
-  for a whole query batch;
+  for a whole query batch (:func:`sorted_positions` also says where each
+  hit sits);
 * :func:`segment_gather` -- gather many adjacency segments into one flat
-  array with ``repeat``/``cumsum`` arithmetic (no per-segment loop);
+  array with ``repeat``/``cumsum`` arithmetic (no per-segment loop), and
+  :func:`segment_positions` the positions it gathers from;
 * :func:`triangle_range` / :func:`count_cone_range` -- the full MGT
   counting identity ``Σ_{u ∈ [lo,hi)} Σ_{v ∈ N⁺(u)} |N⁺(u) ∩ N⁺(v)|``
   evaluated for a whole contiguous cone-vertex range per call;
@@ -53,13 +55,18 @@ from repro.errors import PDTLError
 
 __all__ = [
     "DEFAULT_BATCH_ENTRIES",
+    "EMIT_COUNT",
+    "EMIT_POSITIONS",
+    "EMIT_TRIPLES",
     "MAX_PACKABLE_VERTICES",
     "NUMPY_IMPLS",
     "packed_keys",
     "csr_packed_keys",
     "window_sources",
     "sorted_membership",
+    "sorted_positions",
     "segment_gather",
+    "segment_positions",
     "iter_vertex_batches",
     "triangle_range",
     "count_cone_range",
@@ -97,6 +104,13 @@ def _impl(name: str):
 #: measurably beats larger batches while still amortising numpy dispatch
 #: overhead over thousands of edges per call.
 DEFAULT_BATCH_ENTRIES = 8192
+
+#: What an MGT scan kernel reports for its hits (its ``emit`` argument): the
+#: hit count only, the ``(cone, v, w)`` triples, or each triangle's three
+#: adjacency positions -- those of ``(cone, v)``, ``(cone, w)`` and ``(v, w)``,
+#: the entries the scan read to find it -- for the edge-support sink to
+#: credit.  ``False`` and ``True`` still mean count and triples.
+EMIT_COUNT, EMIT_TRIPLES, EMIT_POSITIONS = 0, 1, 2
 
 #: Largest ``num_vertices`` whose packed keys fit int64.  The packing maps
 #: ``(source, destination)`` with both ids below ``n`` to ``source * n +
@@ -180,13 +194,44 @@ def sorted_membership(haystack: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _sorted_membership_numpy(haystack: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    if queries.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    if haystack.shape[0] == 0:
-        return np.zeros(queries.shape[0], dtype=bool)
+    return sorted_positions(haystack, queries)[1]
+
+
+def sorted_positions(
+    haystack: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, found)``: the ``np.searchsorted`` position of every
+    query in the sorted ``haystack`` (clipped into range) and whether the
+    query sits there -- membership that also says where each hit is."""
+    if queries.shape[0] == 0 or haystack.shape[0] == 0:
+        return (
+            np.zeros(queries.shape[0], dtype=np.int64),
+            np.zeros(queries.shape[0], dtype=bool),
+        )
     pos = np.searchsorted(haystack, queries)
     np.minimum(pos, haystack.shape[0] - 1, out=pos)
-    return haystack[pos] == queries
+    return pos, haystack[pos] == queries
+
+
+def segment_positions(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``starts[i] .. starts[i] + lengths[i] - 1`` of every
+    segment, concatenated, and the segment index of each: ``(positions,
+    owners)``, by ``repeat``/``cumsum`` index arithmetic -- no Python-level
+    loop over segments."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    bounds = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    positions = np.repeat(starts - bounds[:-1], lengths) + np.arange(
+        total, dtype=np.int64
+    )
+    owners = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
+    return positions, owners
 
 
 def segment_gather(
@@ -196,21 +241,10 @@ def segment_gather(
 
     Returns ``(values, owners)`` where ``values`` is the concatenation of
     all segments and ``owners[j]`` is the segment index each value came
-    from.  Implemented with ``repeat``/``cumsum`` index arithmetic -- no
-    Python-level loop over segments.
+    from (:func:`segment_positions` gives the positions themselves).
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.asarray(starts, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=data.dtype), np.empty(0, dtype=np.int64)
-    bounds = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    flat_index = np.repeat(starts - bounds[:-1], lengths) + np.arange(
-        total, dtype=np.int64
-    )
-    owners = np.repeat(np.arange(lengths.shape[0], dtype=np.int64), lengths)
-    return data[flat_index], owners
+    positions, owners = segment_positions(starts, lengths)
+    return data[positions], owners
 
 
 def iter_vertex_batches(

@@ -44,12 +44,18 @@ Semantics are pinned to the numpy twins in
   ``edge_common_neighbors`` emits owner-major with ``ws`` in ``N(v)`` order;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
-* ``edge_support_accumulate`` searches each pair in its source's row of
-  the key array only (the rows are the oriented graph's offsets, because
-  key position ``p`` is adjacency position ``p``), counts a pair with an
-  id outside the graph as no edge, and rolls back every applied increment
-  before reporting a bad pair, matching the numpy sink's
-  check-before-mutate contract;
+* the two MGT scans count, list or credit (``EMIT_COUNT``,
+  ``EMIT_TRIPLES``, ``EMIT_POSITIONS`` of :mod:`repro.core.kernels`).  To
+  credit the edge-support sink, the marked list's scratch holds 1 + each
+  entry's adjacency position instead of a flag, and a hit writes the
+  triangle's three positions: the pair's entry ``(u, v)`` and the two
+  entries that meet in the walk, the marked side's read off its mark.
+  ``mgt_block_scan`` takes the positions of its block and window's first
+  entries; ``mgt_chunk_scan`` finds ``v`` in ``N(u)`` once per pair with
+  a hit, and credits in its walk's v-major order (a sum does not depend
+  on it), which its numpy twin reproduces;
+* ``triangle_edge_ids`` takes every adjacency slot's canonical id from
+  its caller when it has them, instead of its slot pass's searches;
 * the master's preprocessing kernels match the numpy code they replace:
   ``orient_range`` keeps the entries the orientation's numpy filter keeps,
   in storage order, and reports an id outside the graph before reading at
@@ -102,21 +108,18 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
                             int64_t nbv, const int64_t *edg,
                             int64_t vlow, int64_t vhigh,
                             const int64_t *win_offsets, const int64_t *win_degrees,
-                            int64_t n, uint8_t *mark,
-                            int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t n, uint8_t *mark, int64_t *slot_mark,
+                            int64_t want, int64_t block_base, int64_t window_base,
+                            int64_t *cones, int64_t *vs, int64_t *ws, int64_t *credits,
                             int64_t *pairs, int64_t *total);
 int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
                             const int64_t *in_offsets, const int64_t *in_sources,
-                            int64_t n, uint8_t *mark,
+                            int64_t n, uint8_t *mark, int64_t *slot_mark,
                             const int64_t *bounds, const int64_t *vlows,
                             const int64_t *vhighs, int64_t nwin, int64_t want,
-                            int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *cones, int64_t *vs, int64_t *ws, int64_t *credits,
                             int64_t *window_hits, int64_t *window_pairs,
                             double *window_seconds, int64_t *pairs, int64_t *total);
-int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
-                                     const int64_t *rows, int64_t nvert,
-                                     const int64_t *us, const int64_t *vs,
-                                     const int64_t *ws, int64_t n, int64_t *support);
 int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
                               int64_t *trussness, const int64_t *inc_ptr,
                               const int64_t *inc_tri, const int64_t *tri_edges,
@@ -125,7 +128,7 @@ int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
                               int64_t *rounds_out);
 int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
                                const int64_t *keys, const int64_t *row_start,
-                               int64_t n, int64_t lo, int64_t hi,
+                               int64_t n, int64_t lo, int64_t hi, int64_t given,
                                int64_t *slot_to_id, int64_t *mark, int64_t *out);
 void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
                         int64_t *inc_ptr, int64_t *inc_tri, int64_t *cursor);
@@ -240,6 +243,22 @@ static int pdtl_mark(uint8_t *mark, int64_t n, const int64_t *a, int64_t na) {
 
 static void pdtl_unmark(uint8_t *mark, const int64_t *a, int64_t na) {
     for (int64_t i = 0; i < na; i++) mark[a[i]] = 0;
+}
+
+/* the crediting modes' mark: entry i of a, stored at adjacency position
+ * base + i, is marked with 1 + that position, so a hit reads the marked
+ * edge's position off its mark; returns 0, or 1 at an id outside [0, n) */
+static int pdtl_mark_slots(int64_t *slot_mark, int64_t n, const int64_t *a, int64_t na,
+                           int64_t base) {
+    for (int64_t i = 0; i < na; i++) {
+        if ((uint64_t)a[i] >= (uint64_t)n) return 1;
+        slot_mark[a[i]] = base + i + 1;
+    }
+    return 0;
+}
+
+static void pdtl_unmark_slots(int64_t *slot_mark, const int64_t *a, int64_t na) {
+    for (int64_t i = 0; i < na; i++) slot_mark[a[i]] = 0;
 }
 
 /* run HIT for every entry w = list[j] (j < len) marked in mark, in list
@@ -368,18 +387,24 @@ void pdtl_mgt_block_bound(const int64_t *block_adj, const int64_t *block_offsets
 }
 
 /* u-major: a cone's N(u) is marked at its first candidate pair and every
- * E_v walked against it */
+ * E_v walked against it.  want is 0 (count), 1 (list the triples) or 2
+ * (credit): the crediting mode marks N(u) in slot_mark with its adjacency
+ * positions (block_adj[0] is entry block_base, edg[0] entry window_base)
+ * and writes each triangle's three positions to credits: the pair's entry
+ * (u, v), the mark's (u, w) and the walked entry (v, w). */
 int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offsets,
                             int64_t nbv, const int64_t *edg,
                             int64_t vlow, int64_t vhigh,
                             const int64_t *win_offsets, const int64_t *win_degrees,
-                            int64_t n, uint8_t *mark,
-                            int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t n, uint8_t *mark, int64_t *slot_mark,
+                            int64_t want, int64_t block_base, int64_t window_base,
+                            int64_t *cones, int64_t *vs, int64_t *ws, int64_t *credits,
                             int64_t *pairs, int64_t *total) {
     int64_t npairs = 0, t = 0, nhit = 0;
     for (int64_t bu = 0; bu < nbv; bu++) {
         const int64_t *nu = block_adj + block_offsets[bu];
         const int64_t du = block_offsets[bu + 1] - block_offsets[bu];
+        const int64_t ubase = block_base + block_offsets[bu];
         int marked = 0;
         for (int64_t p = 0; p < du; p++) {
             const int64_t v = nu[p];
@@ -391,18 +416,29 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
             npairs++;
             t += d;
             if (!marked) {
-                if (pdtl_mark(mark, n, nu, du)) return PDTL_BAD_ID;
+                if (want == 2 ? pdtl_mark_slots(slot_mark, n, nu, du, ubase)
+                              : pdtl_mark(mark, n, nu, du))
+                    return PDTL_BAD_ID;
                 marked = 1;
             }
             ev = edg + win_offsets[v - vlow];
-            if (want) {
+            if (want == 2) {
+                const int64_t vbase = window_base + win_offsets[v - vlow];
+                PDTL_MARKED_WALK(ev, d, n, slot_mark,
+                                 credits[3 * nhit] = ubase + p;
+                                 credits[3 * nhit + 1] = slot_mark[w] - 1;
+                                 credits[3 * nhit + 2] = vbase + j; nhit++);
+            } else if (want) {
                 PDTL_MARKED_WALK(ev, d, n, mark,
                                  cones[nhit] = bu; vs[nhit] = v; ws[nhit] = w; nhit++);
             } else {
                 PDTL_MARKED_WALK(ev, d, n, mark, nhit++);
             }
         }
-        if (marked) pdtl_unmark(mark, nu, du);
+        if (marked) {
+            if (want == 2) pdtl_unmark_slots(slot_mark, nu, du);
+            else pdtl_unmark(mark, nu, du);
+        }
     }
     *pairs = npairs;
     *total = t;
@@ -432,13 +468,17 @@ static double pdtl_now(void) {
  * each pair's two dependent loads are random.  Listed hits come out window
  * by window, v-major within a window, and window_hits[i] counts window
  * i's; window_pairs and window_seconds, when given, receive each window's
- * pair count and elapsed seconds. */
+ * pair count and elapsed seconds.  The crediting mode (want 2) marks E_v
+ * in slot_mark with its adjacency positions and writes each triangle's
+ * three positions to credits, in the walk's order: (u, v), found in N(u)
+ * once per pair with a hit, the walked entry (u, w) and the mark's
+ * (v, w). */
 int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
                             const int64_t *in_offsets, const int64_t *in_sources,
-                            int64_t n, uint8_t *mark,
+                            int64_t n, uint8_t *mark, int64_t *slot_mark,
                             const int64_t *bounds, const int64_t *vlows,
                             const int64_t *vhighs, int64_t nwin, int64_t want,
-                            int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *cones, int64_t *vs, int64_t *ws, int64_t *credits,
                             int64_t *window_hits, int64_t *window_pairs,
                             double *window_seconds, int64_t *pairs, int64_t *total) {
     int64_t npairs = 0, t = 0, nhit = 0;
@@ -455,7 +495,8 @@ int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
             npairs += in_offsets[v + 1] - in_offsets[v];
             t += (in_offsets[v + 1] - in_offsets[v]) * d;
             if (in_offsets[v + 1] == in_offsets[v]) continue;
-            if (pdtl_mark(mark, n, ev, d)) return PDTL_BAD_ID;
+            if (want == 2 ? pdtl_mark_slots(slot_mark, n, ev, d, a) : pdtl_mark(mark, n, ev, d))
+                return PDTL_BAD_ID;
             for (int64_t q = in_offsets[v]; q < in_offsets[v + 1]; q++) {
                 const int64_t u = in_sources[q];
                 const int64_t *nu;
@@ -465,65 +506,32 @@ int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
                 du = offsets[u + 1] - offsets[u];
                 if (q + 16 < qend) __builtin_prefetch(offsets + in_sources[q + 16]);
                 if (q + 8 < qend) __builtin_prefetch(adjacency + offsets[in_sources[q + 8]]);
-                if (want) {
+                if (want == 2) {
+                    const int64_t first = nhit, ubase = offsets[u];
+                    PDTL_MARKED_WALK(nu, du, n, slot_mark,
+                                     credits[3 * nhit + 1] = ubase + j;
+                                     credits[3 * nhit + 2] = slot_mark[w] - 1; nhit++);
+                    if (nhit > first) {
+                        const int64_t uv = ubase + pdtl_lower_bound(nu, du, v);
+                        for (int64_t h = first; h < nhit; h++) credits[3 * h] = uv;
+                    }
+                } else if (want) {
                     PDTL_MARKED_WALK(nu, du, n, mark,
                                      cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++);
                 } else {
                     PDTL_MARKED_WALK(nu, du, n, mark, nhit++);
                 }
             }
-            pdtl_unmark(mark, ev, d);
+            if (want == 2) pdtl_unmark_slots(slot_mark, ev, d);
+            else pdtl_unmark(mark, ev, d);
         }
-        if (want) window_hits[i] = nhit - first_hit;
+        if (window_hits) window_hits[i] = nhit - first_hit;
         if (window_pairs) window_pairs[i] = npairs - first_pair;
         if (window_seconds) window_seconds[i] = pdtl_now() - started;
     }
     *pairs = npairs;
     *total = t;
     return nhit;
-}
-
-/* position of the oriented edge (s, d) in edge_keys, or -1 when s or d
- * lies outside [0, nvert) or s's row does not hold it.  Key position p is
- * adjacency position p, so s's keys are the row [rows[s], rows[s + 1]) of
- * the oriented graph's offsets; a row outside [0, m) holds nothing. */
-static int64_t pdtl_edge_position(const int64_t *edge_keys, int64_t m,
-                                  const int64_t *rows, int64_t nvert,
-                                  int64_t s, int64_t d) {
-    int64_t lo, hi, key, pos;
-    if ((uint64_t)s >= (uint64_t)nvert || (uint64_t)d >= (uint64_t)nvert) return -1;
-    lo = rows[s];
-    hi = rows[s + 1];
-    if (lo < 0 || hi > m || lo >= hi) return -1;
-    key = s * nvert + d;
-    pos = lo + pdtl_lower_bound(edge_keys + lo, hi - lo, key);
-    return (pos < hi && edge_keys[pos] == key) ? pos : -1;
-}
-
-/* add one support to the edges (u, v), (u, w) and (v, w) of every triple;
- * a triple with a pair that is no edge undoes the earlier triples'
- * increments and returns 0, so the caller raises with the sink untouched */
-int64_t pdtl_edge_support_accumulate(const int64_t *edge_keys, int64_t m,
-                                     const int64_t *rows, int64_t nvert,
-                                     const int64_t *us, const int64_t *vs,
-                                     const int64_t *ws, int64_t n, int64_t *support) {
-    for (int64_t i = 0; i < n; i++) {
-        const int64_t uv = pdtl_edge_position(edge_keys, m, rows, nvert, us[i], vs[i]);
-        const int64_t uw = pdtl_edge_position(edge_keys, m, rows, nvert, us[i], ws[i]);
-        const int64_t vw = pdtl_edge_position(edge_keys, m, rows, nvert, vs[i], ws[i]);
-        if (uv < 0 || uw < 0 || vw < 0) {
-            for (int64_t r = 0; r < i; r++) {
-                support[pdtl_edge_position(edge_keys, m, rows, nvert, us[r], vs[r])]--;
-                support[pdtl_edge_position(edge_keys, m, rows, nvert, us[r], ws[r])]--;
-                support[pdtl_edge_position(edge_keys, m, rows, nvert, vs[r], ws[r])]--;
-            }
-            return 0;
-        }
-        support[uv]++;
-        support[uw]++;
-        support[vw]++;
-    }
-    return 1;
 }
 
 int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
@@ -587,20 +595,20 @@ int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
 }
 
 /* the triangle_list enumeration (same traversal, same emission order)
- * fused with the edge-id mapping.  First every oriented adjacency slot is
- * mapped to its canonical edge id: the pair is canonicalised to
- * (min, max), packed into min*n+max and looked up with the same
- * lower_bound np.searchsorted uses, confined to the source row
- * [row_start[x], row_start[x+1]) (row_start[u] = lower bound of u*n in
- * keys, which brackets every key of row x, so the position equals the
- * global searchsorted result).  This pass tests every id against [0, n).
- * The enumeration is the marked walk of pdtl_triangle_list, with each
- * cone's mark holding 1 + the id of (u, w): a hit's three ids are the
- * scanned slot's (u, v), the mark's (u, w) and the walked slot's (v, w),
- * with no per-triangle searching at all. */
+ * fused with the edge-id mapping.  Unless the caller has the ids (given),
+ * every oriented adjacency slot is first mapped to its canonical edge id:
+ * the pair is canonicalised to (min, max), packed into min*n+max and
+ * looked up with the same lower_bound np.searchsorted uses, confined to
+ * the source row [row_start[x], row_start[x+1]) (row_start[u] = lower
+ * bound of u*n in keys, which brackets every key of row x, so the position
+ * equals the global searchsorted result).  Either way a first pass tests
+ * every id against [0, n).  The enumeration is the marked walk of
+ * pdtl_triangle_list, with each cone's mark holding 1 + the id of (u, w):
+ * a hit's three ids are the scanned slot's (u, v), the mark's (u, w) and
+ * the walked slot's (v, w), with no per-triangle searching at all. */
 int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
                                const int64_t *keys, const int64_t *row_start,
-                               int64_t n, int64_t lo, int64_t hi,
+                               int64_t n, int64_t lo, int64_t hi, int64_t given,
                                int64_t *slot_to_id, int64_t *mark, int64_t *out) {
     int64_t nhit = 0;
     for (int64_t u = 0; u < n; u++) {
@@ -610,6 +618,7 @@ int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
             int64_t y = u < v ? v : u;
             int64_t rs;
             if ((uint64_t)v >= (uint64_t)n) return PDTL_BAD_ID;
+            if (given) continue;
             rs = row_start[x];
             slot_to_id[p] = rs + pdtl_lower_bound(
                 keys + rs, row_start[x + 1] - rs, x * n + y);
@@ -934,16 +943,27 @@ def build_registry() -> dict[str, Callable]:
         )
         return owners[:nhit], ws[:nhit]
 
+    def emit_mode(emit) -> int:
+        emit = int(emit)
+        if emit not in (kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS):
+            raise ValueError(
+                f"emit must be EMIT_COUNT, EMIT_TRIPLES or EMIT_POSITIONS, got {emit}"
+            )
+        return emit
+
     def mgt_block_scan(
         block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark,
-        want_triples,
+        emit, block_base=0, window_base=0,
     ):
         # the streaming scan calls this once per scan block of every window,
-        # so the scratch is the caller's: an all-zero uint8 array with one
-        # entry per vertex id, which every call leaves all zero (bptr
-        # refuses one that is not contiguous)
-        if mark.dtype != np.uint8:
-            raise TypeError("mark must be a uint8 array")
+        # so the scratch is the caller's: an all-zero array with one entry
+        # per vertex id, uint8 to count or list and int64 to credit, which
+        # every call leaves all zero (bptr and wptr refuse one that is not
+        # contiguous)
+        emit = emit_mode(emit)
+        credit = emit == kernels.EMIT_POSITIONS
+        if mark.dtype != (np.int64 if credit else np.uint8):
+            raise TypeError("mark must be a uint8 array, or an int64 one to credit positions")
         block_adj = as_i64(block_adj)
         block_offsets = as_i64(block_offsets)
         edg = as_i64(edg)
@@ -953,14 +973,14 @@ def build_registry() -> dict[str, Callable]:
         n = mark.shape[0]
         args = (
             ptr(block_adj), ptr(block_offsets), nbv, ptr(edg), int(vlow), int(vhigh),
-            ptr(win_offsets), ptr(win_degrees), n, bptr(mark),
+            ptr(win_offsets), ptr(win_degrees), n,
+            *((ffi.NULL, wptr(mark)) if credit else (bptr(mark), ffi.NULL)),
+            emit, int(block_base), int(window_base),
         )
         pairs = ffi.new("int64_t *")
         total = ffi.new("int64_t *")
-        if not want_triples:
-            nhit = lib.pdtl_mgt_block_scan(
-                *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, pairs, total
-            )
+        if emit == kernels.EMIT_COUNT:
+            nhit = lib.pdtl_mgt_block_scan(*args, *(ffi.NULL,) * 4, pairs, total)
             nhit = checked(int(nhit), n, block_adj, edg, scratch=mark)
             return int(pairs[0]), int(total[0]), nhit, None, None, None
         lib.pdtl_mgt_block_bound(
@@ -968,18 +988,25 @@ def build_registry() -> dict[str, Callable]:
             ptr(win_degrees), pairs, total,
         )
         cap = int(total[0])
+        if credit:
+            credits = np.empty((cap, 3), dtype=np.int64)
+            nhit = lib.pdtl_mgt_block_scan(
+                *args, *(ffi.NULL,) * 3, wptr(credits), pairs, total
+            )
+            nhit = checked(int(nhit), n, block_adj, edg, scratch=mark)
+            return int(pairs[0]), int(total[0]), nhit, credits[:nhit], None, None
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
         nhit = lib.pdtl_mgt_block_scan(
-            *args, 1, wptr(cones), wptr(vs), wptr(ws), pairs, total
+            *args, wptr(cones), wptr(vs), wptr(ws), ffi.NULL, pairs, total
         )
         nhit = checked(int(nhit), n, block_adj, edg, scratch=mark)
         return int(pairs[0]), int(total[0]), nhit, cones[:nhit], vs[:nhit], ws[:nhit]
 
     def mgt_chunk_scan(
         offsets, adjacency, in_offsets, in_sources, bounds, vlows, vhighs,
-        want_triples, per_window,
+        emit, per_window,
     ):
         offsets = as_i64(offsets)
         adjacency = as_i64(adjacency)
@@ -992,6 +1019,7 @@ def build_registry() -> dict[str, Callable]:
         n = offsets.shape[0] - 1
         # C reads the windows' entries, spans and in-lists unchecked; the
         # listing capacity below also needs the windows to be disjoint
+        emit = emit_mode(emit)
         if not (
             in_offsets.shape == offsets.shape
             and bounds.shape[0] == nwin + 1
@@ -1007,16 +1035,17 @@ def build_registry() -> dict[str, Callable]:
         window_seconds = np.empty(nwin, dtype=np.float64) if per_window else None
         pairs = ffi.new("int64_t *")
         total = ffi.new("int64_t *")
-        mark = np.zeros(n, dtype=np.uint8)
+        credit = emit == kernels.EMIT_POSITIONS
+        # the scratch: uint8 marks to count or list, positions to credit
+        mark = np.zeros(n, dtype=np.int64 if credit else np.uint8)
         args = (
-            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources), n, bptr(mark),
-            ptr(bounds), ptr(vlows), ptr(vhighs), nwin,
+            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources), n,
+            *((ffi.NULL, wptr(mark)) if credit else (bptr(mark), ffi.NULL)),
+            ptr(bounds), ptr(vlows), ptr(vhighs), nwin, emit,
         )
         timings = (wptr(window_pairs), dptr(window_seconds)) if per_window else (ffi.NULL,) * 2
-        if not want_triples:
-            nhit = lib.pdtl_mgt_chunk_scan(
-                *args, 0, ffi.NULL, ffi.NULL, ffi.NULL, ffi.NULL, *timings, pairs, total
-            )
+        if emit == kernels.EMIT_COUNT:
+            nhit = lib.pdtl_mgt_chunk_scan(*args, *(ffi.NULL,) * 5, *timings, pairs, total)
             return (
                 int(pairs[0]), int(total[0]), checked(int(nhit), n, adjacency, in_sources),
                 None, None, None, window_pairs, window_seconds,
@@ -1025,12 +1054,22 @@ def build_registry() -> dict[str, Callable]:
         span = np.arange(vlows.min(), vhighs.max() + 1) if nwin else np.empty(0, np.int64)
         overlap = np.minimum(offsets[span + 1], bounds[-1]) - np.maximum(offsets[span], bounds[0])
         cap = int(np.maximum(overlap, 0) @ (in_offsets[span + 1] - in_offsets[span]))
+        if credit:
+            credits = np.empty((cap, 3), dtype=np.int64)
+            nhit = lib.pdtl_mgt_chunk_scan(
+                *args, *(ffi.NULL,) * 3, wptr(credits), ffi.NULL, *timings, pairs, total
+            )
+            nhit = checked(int(nhit), n, adjacency, in_sources)
+            return (
+                int(pairs[0]), int(total[0]), nhit, credits[:nhit], None, None,
+                window_pairs, window_seconds,
+            )
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
         window_hits = np.empty(nwin, dtype=np.int64)
         nhit = lib.pdtl_mgt_chunk_scan(
-            *args, 1, wptr(cones), wptr(vs), wptr(ws), wptr(window_hits),
+            *args, wptr(cones), wptr(vs), wptr(ws), ffi.NULL, wptr(window_hits),
             *timings, pairs, total,
         )
         nhit = checked(int(nhit), n, adjacency, in_sources)
@@ -1040,25 +1079,6 @@ def build_registry() -> dict[str, Callable]:
             int(pairs[0]), int(total[0]), nhit, cones[order], vs[order], ws[order],
             window_pairs, window_seconds,
         )
-
-    def edge_support_accumulate(edge_keys, offsets, us, vs, ws, num_vertices, support):
-        edge_keys = as_i64(edge_keys)
-        offsets = as_i64(offsets)
-        us = as_i64(us)
-        vs = as_i64(vs)
-        ws = as_i64(ws)
-        if support.dtype != np.int64 or not support.flags.c_contiguous:
-            raise TypeError("support must be a contiguous int64 array")
-        # C reads a row's bounds at every source id it accepts
-        if offsets.shape != (int(num_vertices) + 1,) or not (
-            us.shape == vs.shape == ws.shape and support.shape == edge_keys.shape
-        ):
-            raise ValueError("offsets, triples and support do not fit the edge keys")
-        ok = lib.pdtl_edge_support_accumulate(
-            ptr(edge_keys), edge_keys.shape[0], ptr(offsets), int(num_vertices),
-            ptr(us), ptr(vs), ptr(ws), ws.shape[0], wptr(support),
-        )
-        return bool(ok)
 
     def truss_peel_level(
         k, alive, support, trussness, inc_ptr, inc_triangles, tri_edges_flat, tri_alive
@@ -1081,23 +1101,35 @@ def build_registry() -> dict[str, Callable]:
         )
         return int(peeled), int(rounds[0])
 
-    def triangle_edge_ids(indptr, indices, keys, row_start, num_vertices, lo, hi):
+    def triangle_edge_ids(indptr, indices, keys, row_start, num_vertices, lo, hi,
+                          slot_ids=None):
+        # slot_ids, when given, are each adjacency slot's canonical id, and
+        # keys and row_start go unread
         indptr = as_i64(indptr)
         indices = as_i64(indices)
-        keys = as_i64(keys)
-        row_start = as_i64(row_start)
         n, lo, hi = int(num_vertices), int(lo), int(hi)
-        if not (indptr.shape == row_start.shape == (n + 1,) and 0 <= lo <= hi <= n):
-            raise ValueError("indptr, row_start and [lo, hi) do not fit num_vertices")
+        if not (indptr.shape == (n + 1,) and 0 <= lo <= hi <= n):
+            raise ValueError("indptr and [lo, hi) do not fit num_vertices")
+        if slot_ids is None:
+            keys = as_i64(keys)
+            row_start = as_i64(row_start)
+            if row_start.shape != indptr.shape:
+                raise ValueError("row_start does not fit num_vertices")
+            lookup = (ptr(keys), ptr(row_start), 0)
+            slot_to_id = np.empty(indices.shape[0], dtype=np.int64)
+        else:
+            lookup = (ffi.NULL, ffi.NULL, 1)
+            slot_to_id = as_i64(slot_ids)
+            if slot_to_id.shape != indices.shape:
+                raise ValueError("slot_ids must hold one id per adjacency slot")
         cap = checked(
             int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), n, lo, hi)), n, indices
         )
-        slot_to_id = np.empty(indices.shape[0], dtype=np.int64)
         mark = np.zeros(n, dtype=np.int64)
         out = np.empty(3 * cap, dtype=np.int64)
         nhit = lib.pdtl_triangle_edge_ids(
-            ptr(indptr), ptr(indices), ptr(keys), ptr(row_start),
-            n, lo, hi, wptr(slot_to_id), wptr(mark), wptr(out),
+            ptr(indptr), ptr(indices), *lookup[:2], n, lo, hi, lookup[2],
+            ptr(slot_to_id), wptr(mark), wptr(out),
         )
         nhit = checked(int(nhit), n, indices)
         return out[: 3 * nhit].reshape(nhit, 3)
@@ -1194,7 +1226,6 @@ def build_registry() -> dict[str, Callable]:
         "edge_common_neighbors": edge_common_neighbors,
         "mgt_block_scan": mgt_block_scan,
         "mgt_chunk_scan": mgt_chunk_scan,
-        "edge_support_accumulate": edge_support_accumulate,
         "truss_peel_level": truss_peel_level,
         "triangle_edge_ids": triangle_edge_ids,
         "incidence_csr": incidence_csr,

@@ -39,6 +39,13 @@ kernel times each window, and the worker records those times as the
 ``window`` spans.  Both paths charge the same modelled reads and report
 the same pairs, operations and triangles in the same order.
 
+Each reported triangle's three oriented edges were read at known
+adjacency positions: ``(u, v)`` as the candidate pair's entry and
+``(u, w)``, ``(v, w)`` where ``N(u)`` and ``E_v`` meet.  For an
+:class:`~repro.core.triangles.EdgeSupportSink` both paths report those
+positions instead of the triple (their crediting mode), so the sink adds
+supports without looking an edge up.
+
 :class:`MGTWorker` additionally supports the PDTL restriction to a
 *contiguous edge range* ``[range_start, range_stop)``: only memory windows
 drawn from that range are processed, so a worker finds exactly the
@@ -55,7 +62,7 @@ import numpy as np
 
 from repro.core import kernel_backend, kernels
 from repro.core.config import PDTLConfig
-from repro.core.triangles import CountingSink, TriangleSink
+from repro.core.triangles import CountingSink, EdgeSupportSink, TriangleSink
 from repro.errors import ConfigurationError
 from repro.externalmem.iostats import IOStats
 from repro.externalmem.memory import MemoryBudget
@@ -253,9 +260,14 @@ class MGTWorker:
         # the disabled path costs one attribute load per run, not per window
         traced = self._tracer.enabled
         window_start = self.range_start
+        emit = _emit_mode(sink)
         # the compiled block scan's mark array, one entry per vertex, reused
-        # by every block of every window (each call leaves it all zero)
-        mark = np.zeros(self.graph.num_vertices, dtype=np.uint8)
+        # by every block of every window (each call leaves it all zero); it
+        # holds adjacency positions when the scan credits them
+        mark = np.zeros(
+            self.graph.num_vertices,
+            dtype=np.int64 if emit == kernels.EMIT_POSITIONS else np.uint8,
+        )
 
         while window_start < self.range_stop:
             window_stop = min(window_start + self._window_edges, self.range_stop)
@@ -317,10 +329,13 @@ class MGTWorker:
                 block_offsets = offsets[v : hi + 1] - offsets[v]
                 pairs, block_ops = self._process_block(
                     sink,
+                    emit,
                     block_adj,
                     block_offsets,
                     first_vertex=v,
+                    block_base=block_start_edge,
                     edg=edg,
+                    window_base=window_start,
                     vlow=vlow,
                     vhigh=vhigh,
                     win_offsets=win_offsets,
@@ -343,10 +358,13 @@ class MGTWorker:
     def _process_block(
         self,
         sink: TriangleSink,
+        emit: int,
         block_adj: np.ndarray,
         block_offsets: np.ndarray,
         first_vertex: int,
+        block_base: int,
         edg: np.ndarray,
+        window_base: int,
         vlow: int,
         vhigh: int,
         win_offsets: np.ndarray,
@@ -363,10 +381,10 @@ class MGTWorker:
            the current memory window (these are exactly the ``N⁺(u)``
            memberships);
         2. gather the in-window out-lists ``E_v`` of all marked pairs into one
-           flat array (:func:`repro.core.kernels.segment_gather`);
+           flat array (:func:`repro.core.kernels.segment_positions`);
         3. test membership ``w ∈ N(u)`` for all gathered elements with a
            single binary search against the block's (sorted) packed ``(u, w)``
-           key array (:func:`repro.core.kernels.sorted_membership`) -- the
+           key array (:func:`repro.core.kernels.sorted_positions`) -- the
            same sorted-array intersection the paper's modified MGT performs,
            just batched.
 
@@ -376,6 +394,13 @@ class MGTWorker:
         addressed by ``win_offsets``/``win_degrees`` rather than from the
         full adjacency.  ``mark`` is the run's all-zero scratch for the
         compiled tier's marked walk, which leaves it all zero.
+
+        ``emit`` says what the sink takes (:func:`_emit_mode`).  To credit
+        an edge-support sink, each triangle is reported as the adjacency
+        positions of the three entries the loop read: the candidate entry
+        ``(u, v)`` and the hit ``(u, w)`` of the block (whose first entry is
+        ``block_base``), and the gathered ``(v, w)`` of the window (whose
+        first entry is ``window_base``).
 
         Returns ``(pairs, operations)``: the number of (cone, out-neighbour)
         pairs intersected -- the Σ|N⁺(u)| term of the CPU analysis -- and the
@@ -392,8 +417,7 @@ class MGTWorker:
         # scanned + gathered operation count are identical by contract.
         fused_scan = kernel_backend.fused("mgt_block_scan")
         if fused_scan is not None:
-            count_only = type(sink) is CountingSink
-            num_pairs, total, hits, cones_rel, pivots_v, pivots_w = fused_scan(
+            num_pairs, total, hits, first, pivots_v, pivots_w = fused_scan(
                 block_adj,
                 block_offsets,
                 edg,
@@ -402,15 +426,14 @@ class MGTWorker:
                 win_offsets,
                 win_degrees,
                 mark,
-                not count_only,
+                emit,
+                block_base,
+                window_base,
             )
             if hits:
-                if count_only:
-                    sink.count += hits
-                else:
-                    sink.add_triples(
-                        cones_rel + np.int64(first_vertex), pivots_v, pivots_w
-                    )
+                if emit == kernels.EMIT_TRIPLES:
+                    first = first + np.int64(first_vertex)
+                _report(sink, emit, hits, first, pivots_v, pivots_w)
             return num_pairs, scanned + total
 
         num_block_vertices = block_offsets.shape[0] - 1
@@ -426,8 +449,9 @@ class MGTWorker:
         entry_sources = np.repeat(
             np.arange(num_block_vertices, dtype=np.int64), block_degrees
         )
-        pair_u = entry_sources[cand_mask]          # cone vertex (block-relative)
-        pair_v = block_adj[cand_mask]              # out-neighbour with in-window edges
+        candidates = np.flatnonzero(cand_mask)
+        pair_u = entry_sources[candidates]         # cone vertex (block-relative)
+        pair_v = block_adj[candidates]             # out-neighbour with in-window edges
         num_pairs = int(pair_u.shape[0])
 
         # step 2: gather E_v for every pair into one flat array
@@ -436,21 +460,34 @@ class MGTWorker:
         if total == 0:
             return num_pairs, scanned
         seg_starts = win_offsets[pair_v - vlow]
-        ev_all, pair_ids = kernels.segment_gather(edg, seg_starts, seg_lengths)
+        ev_positions, pair_ids = kernels.segment_positions(seg_starts, seg_lengths)
+        ev_all = edg[ev_positions]
 
         # step 3: membership w ∈ N(u) via one binary search on packed keys.
         # The block's adjacency is sorted by (source, destination), so the
         # packed keys are sorted and the query (u, w) hits exactly when the
-        # edge (u, w) is present in the block.
+        # edge (u, w) is present in the block, at the position found.
         n = self.graph.num_vertices
         block_keys = kernels.packed_keys(entry_sources, block_adj, n)
         query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
-        found = kernels.sorted_membership(block_keys, query_keys)
+        uw_positions, found = kernels.sorted_positions(block_keys, query_keys)
         if found.any():
-            cones = pair_u[pair_ids[found]] + first_vertex
-            pivots_v = pair_v[pair_ids[found]]
-            pivots_w = ev_all[found]
-            sink.add_triples(cones, pivots_v, pivots_w)
+            hit_pairs = pair_ids[found]
+            if emit == kernels.EMIT_POSITIONS:
+                sink.credit(
+                    np.stack(
+                        (
+                            block_base + candidates[hit_pairs],
+                            block_base + uw_positions[found],
+                            window_base + ev_positions[found],
+                        ),
+                        axis=1,
+                    )
+                )
+            else:
+                sink.add_triples(
+                    pair_u[hit_pairs] + first_vertex, pair_v[hit_pairs], ev_all[found]
+                )
         return num_pairs, scanned + total
 
     def _run_shared(
@@ -467,6 +504,8 @@ class MGTWorker:
         ``mgt_chunk_scan`` call scans every window.  Pairs, operations,
         charges and triangles -- window by window, in the streaming
         ``(cone, v, w)`` order -- are identical to :meth:`_run_streaming`'s.
+        Credited positions come in the walk's own order (v-major within a
+        window): the sink's sums do not depend on it.
 
         Returns ``(windows, pairs, operations, cpu_seconds)``.
         """
@@ -496,11 +535,11 @@ class MGTWorker:
         self.budget.release("ind")
         self._charge_windows(offsets, edg_bytes)
 
-        count_only = type(sink) is CountingSink
+        emit = _emit_mode(sink)
         traced = self._tracer.enabled
         scan = kernel_backend.fused("mgt_chunk_scan") or self._chunk_scan_numpy
         started = self._tracer.clock() if traced else 0.0
-        pairs, total, hits, cones, pivots_v, pivots_w, window_pairs, window_seconds = scan(
+        pairs, total, hits, first, pivots_v, pivots_w, window_pairs, window_seconds = scan(
             offsets,
             graph.read_adjacency_range(0, graph.num_edges),
             graph.in_offsets,
@@ -508,14 +547,11 @@ class MGTWorker:
             bounds,
             vlows,
             vhighs,
-            not count_only,
+            emit,
             traced,
         )
         if hits:
-            if count_only:
-                sink.count += hits
-            else:
-                sink.add_triples(cones, pivots_v, pivots_w)
+            _report(sink, emit, hits, first, pivots_v, pivots_w)
         if traced:
             # the kernel timed each window; lay the spans end to end
             for i, (window_pair_count, seconds) in enumerate(
@@ -577,7 +613,7 @@ class MGTWorker:
         bounds: np.ndarray,
         vlows: np.ndarray,
         vhighs: np.ndarray,
-        want_triples: bool,
+        emit: int,
         per_window: bool,
     ) -> tuple:
         """The numpy tier of the C kernel ``mgt_chunk_scan``, same arguments
@@ -585,7 +621,10 @@ class MGTWorker:
 
         A window's candidate pairs come in adjacency position order (their
         packed keys sort that way); then ``E_v`` is gathered for every pair
-        and each ``(u, w)`` searched in the published key array.
+        and each ``(u, w)`` searched in the published key array.  Credited
+        positions are put in the C walk's v-major order: the hits of each
+        window come ``(u, v, w)``-sorted, and a stable sort by ``v`` gives
+        ``(v, u, w)``.
         """
         n = self.graph.num_vertices
         keys = self.graph.scan_keys
@@ -611,26 +650,60 @@ class MGTWorker:
                 pair_u, pair_v = np.divmod(pair_keys, n)
                 seg_lengths = degrees[pair_v - vlow]
                 total += int(seg_lengths.sum())
-                ev_all, pair_ids = kernels.segment_gather(
-                    adjacency, starts[pair_v - vlow], seg_lengths
+                ev_positions, pair_ids = kernels.segment_positions(
+                    starts[pair_v - vlow], seg_lengths
                 )
+                ev_all = adjacency[ev_positions]
                 query_keys = kernels.packed_keys(pair_u[pair_ids], ev_all, n)
-                found = kernels.sorted_membership(keys, query_keys)
+                uw_positions, found = kernels.sorted_positions(keys, query_keys)
                 hits += int(np.count_nonzero(found))
-                if want_triples:
-                    hit_pairs = pair_ids[found]
+                hit_pairs = pair_ids[found]
+                if emit == kernels.EMIT_TRIPLES:
                     listed.append((pair_u[hit_pairs], pair_v[hit_pairs], ev_all[found]))
+                elif emit == kernels.EMIT_POSITIONS:
+                    order = np.argsort(pair_v[hit_pairs], kind="stable")
+                    listed.append((
+                        np.searchsorted(keys, pair_keys[hit_pairs[order]]),
+                        uw_positions[found][order],
+                        ev_positions[found][order],
+                    ))
             window_seconds[i] = time.perf_counter() - started
         pairs = int(window_pairs.sum())
-        if not want_triples:
-            cones = pivots_v = pivots_w = None
-        elif listed:
-            cones, pivots_v, pivots_w = (np.concatenate(column) for column in zip(*listed))
-        else:
-            cones = pivots_v = pivots_w = np.empty(0, dtype=np.int64)
+        columns = (
+            [np.concatenate(column) for column in zip(*listed)]
+            if listed
+            else [np.empty(0, dtype=np.int64)] * 3
+        )
+        first = pivots_v = pivots_w = None
+        if emit == kernels.EMIT_TRIPLES:
+            first, pivots_v, pivots_w = columns
+        elif emit == kernels.EMIT_POSITIONS:
+            first = np.stack(columns, axis=1)
         if not per_window:
             window_pairs = window_seconds = None
-        return pairs, total, hits, cones, pivots_v, pivots_w, window_pairs, window_seconds
+        return pairs, total, hits, first, pivots_v, pivots_w, window_pairs, window_seconds
+
+
+def _emit_mode(sink: TriangleSink) -> int:
+    """What the scans report to ``sink``: a :class:`CountingSink` takes the
+    hit count only, an :class:`EdgeSupportSink` each triangle's three
+    adjacency positions, and every other sink the triples."""
+    if type(sink) is CountingSink:
+        return kernels.EMIT_COUNT
+    if isinstance(sink, EdgeSupportSink):
+        return kernels.EMIT_POSITIONS
+    return kernels.EMIT_TRIPLES
+
+
+def _report(sink, emit: int, hits: int, first, pivots_v, pivots_w) -> None:
+    """Hand one scan's hits to ``sink`` as :func:`_emit_mode` says: the
+    count, the ``(T, 3)`` positions in ``first``, or the triples."""
+    if emit == kernels.EMIT_COUNT:
+        sink.count += hits
+    elif emit == kernels.EMIT_POSITIONS:
+        sink.credit(first)
+    else:
+        sink.add_triples(first, pivots_v, pivots_w)
 
 
 def mgt_count(

@@ -197,8 +197,9 @@ class SharedGraphDescriptor:
     would otherwise recompute:
 
     * ``scan_keys``, the globally sorted packed ``(source, destination)``
-      keys (:func:`repro.core.kernels.packed_keys`), which the edge-support
-      sink indexes and the numpy window scan searches;
+      keys (:func:`repro.core.kernels.packed_keys`), which the numpy window
+      scan searches (a hit's position is the edge's adjacency position,
+      which its crediting mode reports);
     * ``in_offsets`` (n + 1 entries) and ``in_sources`` (E entries), the
       in-neighbour lists: the transpose of the adjacency, sources ascending
       per target.  A memory window's candidate pairs ``(u, v)`` are exactly

@@ -14,17 +14,19 @@ sink:
   which is what the clustering-coefficient application in the examples
   needs;
 * :class:`EdgeSupportSink` accumulates per-*edge* triangle support (the
-  number of triangles each oriented edge participates in), keyed by the
-  packed ``(source, destination)`` keys of the oriented adjacency -- the
-  input of the k-truss decomposition in :mod:`repro.analytics`.  When the
-  dense support array would exceed a caller-supplied memory budget, the
-  sink spills sorted position runs to a block file and merges them
+  number of triangles each oriented edge participates in), indexed by
+  the edge's position in the oriented adjacency -- the input of the
+  k-truss decomposition in :mod:`repro.analytics`.  When the dense
+  support array would exceed a caller-supplied memory budget, the sink
+  spills sorted position runs to a block file and merges them
   externally, so the accumulation working set stays bounded.
 
 Sinks receive *batches* as numpy arrays: every producer (MGT's block
 scan on either kernel tier and the shared-memory chunk scan) reports the
-triangles of a whole scanned block or chunk at once, so the sink
-interface is the one call ``add_triples(us, vs, ws)``.
+triangles of a whole scanned block or chunk at once, in one call.  The
+vertex sinks take ``add_triples(us, vs, ws)``; the edge-support sink
+takes ``credit(positions)``, each triangle's three edges as the
+adjacency positions the scan read them at, so it never looks an edge up.
 
 :func:`make_sink` builds the sink of a chunk task from a fixed table of
 the four :data:`CHUNK_SINK_KINDS`, and an unknown kind raises instead of
@@ -40,7 +42,6 @@ from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
-from repro.core import kernels
 from repro.externalmem.blockio import BlockFile
 from repro.utils import ceil_div
 
@@ -53,7 +54,6 @@ __all__ = [
     "PerVertexCountSink",
     "EdgeSupportSink",
     "oriented_edge_array",
-    "oriented_edge_keys",
     "normalize_sink_kind",
     "make_sink",
     "CHUNK_SINK_KINDS",
@@ -80,7 +80,8 @@ class Triangle:
 
 
 class TriangleSink(Protocol):
-    """Protocol implemented by every triangle consumer."""
+    """Protocol implemented by every triangle consumer that takes triples
+    (:class:`EdgeSupportSink` takes credited positions instead)."""
 
     count: int
 
@@ -245,41 +246,6 @@ def oriented_edge_array(graph) -> np.ndarray:
     return np.stack([sources, destinations], axis=1)
 
 
-def oriented_edge_keys(graph) -> np.ndarray:
-    """Sorted packed ``(source, destination)`` keys of every oriented edge.
-
-    A :class:`~repro.core.shm.SharedGraphView`'s published ``scan_keys``
-    are reused as-is (zero-copy); for a file-backed graph the keys are
-    built from one full adjacency read, which sits *below* the worker's
-    modelled accounting.  The adjacency is (source,
-    destination)-sorted in every representation, so the key array is
-    sorted and the key at position ``p`` identifies the oriented edge
-    stored at adjacency position ``p`` -- the indexing contract of
-    :class:`EdgeSupportSink`.
-    """
-    return _oriented_edge_index(graph)[0]
-
-
-def _oriented_edge_index(graph) -> tuple[np.ndarray, np.ndarray]:
-    """``(keys, offsets)``: :func:`oriented_edge_keys` and the graph's
-    offsets, which bound each source's row of keys by the indexing
-    contract."""
-    keys = getattr(graph, "scan_keys", None)
-    if keys is not None:
-        return np.asarray(keys), graph.cached_offsets
-    indptr = getattr(graph, "indptr", None)
-    if indptr is not None:  # in-memory CSR
-        return kernels.csr_packed_keys(indptr, graph.indices), indptr
-    offsets = graph.offsets()
-    keys = kernels.csr_packed_keys(
-        offsets,
-        graph.read_adjacency_range(0, graph.num_edges)
-        if graph.num_edges
-        else np.empty(0, dtype=np.int64),
-    )
-    return keys, offsets
-
-
 class _SpillRun:
     """Bounded-buffer cursor over one sorted position run in the spill file."""
 
@@ -328,16 +294,13 @@ class EdgeSupportSink:
     consists of the three oriented edges ``(u, v)``, ``(u, w)`` and
     ``(v, w)``, all of which are stored in the oriented adjacency file;
     each reported triangle therefore contributes one unit of *support* to
-    three edge positions.  Positions are resolved with a single vectorised
-    binary search of the packed ``(source, destination)`` keys against the
-    sorted whole-graph key array (:func:`oriented_edge_keys` /
-    :func:`repro.core.kernels.packed_keys`), the same primitive the MGT
-    inner loop uses for membership.  The compiled tier searches each pair
-    in its source's row only: key position ``p`` is adjacency position
-    ``p``, so the rows are the oriented graph's ``offsets`` (given by the
-    sink factory, or derived from the keys).  A pair with an id outside
-    ``[0, num_vertices)`` is no edge on either tier, whatever key it packs
-    into.
+    three edge positions.  The MGT scans read each of those edges at its
+    adjacency position before they report the triangle, so they hand the
+    sink the positions themselves (:meth:`credit`, the scans' crediting
+    mode, ``EMIT_POSITIONS`` in :mod:`repro.core.kernels`): the sink keeps
+    no edge keys and searches nothing.  Position ``p`` is the edge stored
+    at adjacency position ``p``, the indexing contract shared with
+    ``PDTLResult.edge_supports``.
 
     Two accumulation modes:
 
@@ -352,16 +315,13 @@ class EdgeSupportSink:
       strictly increasing ``(positions, counts)`` batches.  All spill I/O
       goes through the block layer, so it is charged to the spill file's
       device -- deterministically, because the run contents are a pure
-      function of the triangle stream and the budget.
+      function of the position stream and the budget.
     """
 
     __slots__ = (
         "count",
-        "edge_keys",
-        "num_vertices",
         "num_edges",
         "support",
-        "_offsets",
         "_spill_file",
         "_buffer",
         "_fill",
@@ -370,20 +330,12 @@ class EdgeSupportSink:
 
     def __init__(
         self,
-        edge_keys: np.ndarray,
-        num_vertices: int,
+        num_edges: int,
         spill_file: BlockFile | None = None,
         memory_budget_bytes: int | None = None,
-        offsets: np.ndarray | None = None,
     ) -> None:
         self.count = 0
-        self.edge_keys = np.asarray(edge_keys, dtype=np.int64)
-        self.num_vertices = int(num_vertices)
-        self.num_edges = int(self.edge_keys.shape[0])
-        # the oriented graph's offsets: source u's keys are the row
-        # edge_keys[offsets[u] : offsets[u + 1]]; derived from the keys
-        # on first use when the caller does not have them
-        self._offsets = offsets
+        self.num_edges = int(num_edges)
         spilling = (
             memory_budget_bytes is not None
             and self.num_edges * 8 > int(memory_budget_bytes)
@@ -420,35 +372,6 @@ class EdgeSupportSink:
         """Total edge-position records spilled so far (observability)."""
         return sum(self._runs)
 
-    # -- position resolution ------------------------------------------------------
-
-    def _rows(self) -> np.ndarray:
-        if self._offsets is None:
-            n = self.num_vertices
-            self._offsets = np.searchsorted(
-                self.edge_keys, np.arange(n + 1, dtype=np.int64) * n
-            )
-        return self._offsets
-
-    def _positions(self, sources: np.ndarray, destinations: np.ndarray) -> np.ndarray:
-        # an id outside [0, n) would pack into the key of another pair
-        if sources.shape[0] and not (
-            min(sources.min(), destinations.min()) >= 0
-            and max(sources.max(), destinations.max()) < self.num_vertices
-        ):
-            raise ValueError("triangle references a pair that is not an oriented edge")
-        queries = kernels.packed_keys(sources, destinations, self.num_vertices)
-        pos = np.searchsorted(self.edge_keys, queries)
-        if pos.shape[0]:
-            clipped = np.minimum(pos, self.num_edges - 1)
-            if self.num_edges == 0 or not np.array_equal(
-                self.edge_keys[clipped], queries
-            ):
-                raise ValueError(
-                    "triangle references a pair that is not an oriented edge"
-                )
-        return pos
-
     def _record(self, positions: np.ndarray) -> None:
         if self.support is not None:
             np.add.at(self.support, positions, 1)
@@ -474,65 +397,40 @@ class EdgeSupportSink:
         self._runs.append(self._fill)
         self._fill = 0
 
-    # -- TriangleSink interface ---------------------------------------------------
+    # -- the scans' crediting mode ------------------------------------------------
 
-    def add_triples(self, us: np.ndarray, vs: np.ndarray, ws: np.ndarray) -> None:
-        n = int(ws.shape[0])
-        if n == 0:
+    def credit(self, positions: np.ndarray) -> None:
+        """Credit one support to each edge of every triangle of a batch.
+
+        ``positions`` is ``(T, 3)``: row ``i`` holds the adjacency positions
+        of triangle ``i``'s three edges.  They are added in dense mode and
+        spilled in spill mode.  A position outside ``[0, num_edges)`` is no
+        edge: the batch raises with the sink untouched.
+        """
+        flat = np.asarray(positions, dtype=np.int64).reshape(-1)
+        if flat.shape[0] == 0:
             return
-        if self.support is not None:
-            # compiled tier, dense mode only: resolve all three edge positions
-            # and accumulate in one fused loop (no concatenated key arrays,
-            # no np.add.at scatter), each searched in its source's row only.
-            # A triple referencing a missing edge or an id outside the graph
-            # rolls back the increments before we raise, preserving the
-            # numpy path's check-before-mutate contract.  Spill mode keeps
-            # the numpy path: its run contents are position *streams*, not
-            # commutative sums.
-            from repro.core import kernel_backend
-
-            fused_accumulate = kernel_backend.fused("edge_support_accumulate")
-            if (
-                fused_accumulate is not None
-                and self.num_vertices <= kernels.MAX_PACKABLE_VERTICES
-            ):
-                if not fused_accumulate(
-                    self.edge_keys, self._rows(), us, vs, ws, self.num_vertices,
-                    self.support,
-                ):
-                    raise ValueError(
-                        "triangle references a pair that is not an oriented edge"
-                    )
-                self.count += n
-                return
-        sources = np.concatenate((us, us, vs))
-        destinations = np.concatenate((vs, ws, ws))
-        self._record(self._positions(sources, destinations))
-        self.count += n
+        if int(flat.min()) < 0 or int(flat.max()) >= self.num_edges:
+            raise ValueError("a credited position is not an oriented edge")
+        self._record(flat)
+        self.count += flat.shape[0] // 3
 
     # -- results ------------------------------------------------------------------
 
     @classmethod
-    def from_supports(
-        cls,
-        edge_keys: np.ndarray,
-        num_vertices: int,
-        supports: np.ndarray,
-    ) -> "EdgeSupportSink":
+    def from_supports(cls, supports: np.ndarray) -> "EdgeSupportSink":
         """A dense sink re-hydrated from an already-merged support array.
 
         The retention path of the dynamic-graph deltas: a finished run's
         supports become sink state again so later batches can
         :meth:`merge_delta` into them.  ``supports`` is copied (the sink
-        mutates it); ``count`` is restored from the support identity
-        ``Σ support = 3 · triangles``.
+        mutates it) and must be non-negative; ``count`` is restored from the
+        support identity ``Σ support = 3 · triangles``.
         """
         supports = np.asarray(supports, dtype=np.int64)
-        if supports.shape[0] != np.asarray(edge_keys).shape[0]:
-            raise ValueError("supports and edge_keys must have equal length")
         if supports.shape[0] and int(supports.min()) < 0:
             raise ValueError("supports must be non-negative")
-        sink = cls(edge_keys, num_vertices)
+        sink = cls(supports.shape[0])
         sink.support = supports.copy()
         sink.count = int(supports.sum()) // 3
         return sink
@@ -542,11 +440,12 @@ class EdgeSupportSink:
 
         The dynamic-graph mutation path: deleted triangles contribute
         ``-1`` per surviving edge, inserted ones ``+1`` -- exact integer
-        addition over sparse positions.  A delta that would drive any
-        support negative is corrupt input and raises with the sink
-        untouched.  Spill mode is refused: its state is a stream of
-        positive increments, not a mergeable array (callers re-hydrate via
-        :meth:`from_supports`).
+        addition over sparse positions.  Only the touched positions are
+        read and written: the deltas are summed per position, and a sum
+        that would drive a support negative is corrupt input and raises
+        with the sink untouched.  Spill mode is refused: its state is a
+        stream of positive increments, not a mergeable array (callers
+        re-hydrate via :meth:`from_supports`).
         """
         if self.support is None:
             raise ValueError(
@@ -561,11 +460,16 @@ class EdgeSupportSink:
             return
         if int(positions.min()) < 0 or int(positions.max()) >= self.num_edges:
             raise ValueError("delta position out of range")
-        updated = self.support.copy()
-        np.add.at(updated, positions, deltas)
+        order = np.argsort(positions, kind="stable")
+        ordered = positions[order]
+        first = np.ones(ordered.shape[0], dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        touched = ordered[starts]
+        updated = self.support[touched] + np.add.reduceat(deltas[order], starts)
         if int(updated.min()) < 0:
             raise ValueError("support delta drives an edge support negative")
-        self.support = updated
+        self.support[touched] = updated
 
     def iter_position_counts(
         self, buffer_items: int = 8192
@@ -668,7 +572,7 @@ def make_sink(
 
     Each kind takes what it needs of the keyword context: ``per-vertex``
     the vertex count (or the graph's), ``edge-support`` the oriented graph
-    and optionally a spill file and memory budget.  An unknown kind raises
+    (for its edge count) and optionally a spill file and memory budget.  An unknown kind raises
     ``ValueError`` instead of silently falling back to a default sink.
     """
     factory = _SINK_FACTORIES.get(normalize_sink_kind(kind))
@@ -710,13 +614,10 @@ def _make_edge_support_sink(
 ) -> EdgeSupportSink:
     if graph is None:
         raise ValueError("edge-support sink requires the oriented graph")
-    keys, offsets = _oriented_edge_index(graph)
     return EdgeSupportSink(
-        keys,
-        graph.num_vertices,
+        graph.num_edges,
         spill_file=spill_file,
         memory_budget_bytes=memory_budget_bytes,
-        offsets=offsets,
     )
 
 

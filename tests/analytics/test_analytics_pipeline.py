@@ -132,3 +132,70 @@ class TestDriver:
         rows = {row["metric"]: row["value"] for row in result.summary_rows()}
         assert rows["triangles"] == result.triangles
         assert rows["max truss k"] == result.max_truss_k
+
+
+def _doctor(monkeypatch, change):
+    """Make run_analytics's PDTL run hand back a changed result."""
+    import repro.analytics.pipeline as pipeline
+
+    honest = pipeline.edge_supports
+
+    def doctored(*args, **kwargs):
+        result = honest(*args, **kwargs)
+        change(result)
+        return result
+
+    monkeypatch.setattr(pipeline, "edge_supports", doctored)
+
+
+def _tier(tier):
+    from repro.core import kernel_backend
+
+    if tier == "cffi" and not kernel_backend.compiled_available()[0]:
+        pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
+    return kernel_backend.use(tier)
+
+
+class TestEngineOrientationChecks:
+    """The truss walks the run's own orientation only after checking it
+    entry for entry against the input graph, and cross-checks the run's
+    supports against its own enumeration, on both kernel tiers."""
+
+    @staticmethod
+    def _reverse(result):
+        # an oriented edge pointing down the degree order
+        result.oriented_edges[5] = result.oriented_edges[5, ::-1].copy()
+
+    @staticmethod
+    def _drop(result):
+        result.oriented_edges = np.delete(result.oriented_edges, 7, axis=0)
+        result.edge_supports = np.delete(result.edge_supports, 7)
+
+    @staticmethod
+    def _duplicate(result):
+        result.oriented_edges = np.insert(
+            result.oriented_edges, 3, result.oriented_edges[3], axis=0
+        )
+        result.edge_supports = np.insert(result.edge_supports, 3, result.edge_supports[3])
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi"])
+    @pytest.mark.parametrize("fault", ["_reverse", "_drop", "_duplicate"])
+    def test_a_doctored_orientation_raises(self, graph, monkeypatch, tier, fault):
+        _doctor(monkeypatch, getattr(self, fault))
+        with _tier(tier), pytest.raises(ValueError, match="going up the degree order"):
+            run_analytics(graph, modelled_cpu=True)
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi"])
+    def test_doctored_supports_raise_the_cross_check(self, graph, monkeypatch, tier):
+        def bump(result):
+            result.edge_supports[11] += 1
+
+        _doctor(monkeypatch, bump)
+        with _tier(tier), pytest.raises(ValueError, match="disagree"):
+            run_analytics(graph, modelled_cpu=True)
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi"])
+    def test_the_honest_run_passes_both_checks(self, graph, result, tier):
+        with _tier(tier):
+            honest = run_analytics(graph, modelled_cpu=True)
+        np.testing.assert_array_equal(honest.truss.trussness, result.truss.trussness)

@@ -140,16 +140,11 @@ class TestGraphDeltaAPI:
             GraphDelta(insertions=[(0, 2)]).apply(graph, prev=base, supports=bad)
 
     def test_spilled_sink_rejected(self, graph, base, tmp_path):
-        from repro.core import kernels
         from repro.externalmem.blockio import BlockDevice
 
         device = BlockDevice(tmp_path, block_size=512)
-        keys = kernels.packed_keys(
-            base.edges[:, 0], base.edges[:, 1], graph.num_vertices
-        )
         sink = EdgeSupportSink(
-            keys,
-            graph.num_vertices,
+            base.edges.shape[0],
             spill_file=device.open("s.run"),
             memory_budget_bytes=64,
         )

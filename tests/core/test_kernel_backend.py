@@ -30,7 +30,6 @@ _RETIRED_TIER = "numba"
 _FUSED_KERNELS = (
     "mgt_block_scan",
     "mgt_chunk_scan",
-    "edge_support_accumulate",
     "truss_peel_level",
     "triangle_edge_ids",
     "incidence_csr",
@@ -223,7 +222,7 @@ class TestCompiledTier:
         assert kernel_backend.activate("cffi") == "cffi"
         expected = set(kernels.NUMPY_IMPLS) | set(_FUSED_KERNELS)
         assert set(kernels._ACTIVE_IMPLS) == expected
-        assert len(expected) == 13
+        assert len(expected) == 12
         for name in _FUSED_KERNELS:
             assert callable(kernel_backend.fused(name)), name
 

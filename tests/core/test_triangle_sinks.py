@@ -40,20 +40,6 @@ def _i64(*values: int) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-@pytest.fixture(params=["numpy", "cffi"])
-def tier(request):
-    """Run a test under each kernel tier; the C tier's sink takes the fused
-    accumulate, the numpy tier's the batched position search."""
-    from repro.core import kernel_backend
-
-    if request.param == "cffi" and not kernel_backend.compiled_available()[0]:
-        pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
-    with kernel_backend.use(request.param):
-        fused = kernel_backend.fused("edge_support_accumulate")
-        assert (fused is not None) == (request.param == "cffi")
-        yield request.param
-
-
 class TestCountingSink:
     def test_add_triples_counts_rows(self):
         sink = CountingSink()
@@ -137,7 +123,7 @@ class TestPerVertexCountSink:
         assert sink.per_vertex.tolist() == [2, 2, 2, 0]
 
     def test_enumerated_stream_matches_per_triangle_count(self):
-        oriented, _, (cones, vs, ws), _ = _support_case("rmat")
+        oriented, (cones, vs, ws), _, _ = _support_case("rmat")
         sink = PerVertexCountSink(oriented.num_vertices)
         sink.add_triples(cones, vs, ws)
         want = Counter(x for row in zip(cones.tolist(), vs.tolist(), ws.tolist()) for x in row)
@@ -279,72 +265,51 @@ class TestFileSinkBlockAlignedCharge:
 
 
 class TestEdgeSupportSink:
-    """Dense and spilling accumulation of per-edge triangle supports."""
+    """Dense and spilling accumulation of credited per-edge supports."""
 
     @pytest.fixture()
     def oriented_stream(self):
-        """An oriented CSR graph, its edge keys, and its full triangle stream."""
-        from repro.core import kernels
-        from repro.core.orientation import orient_csr
-        from repro.core.triangles import oriented_edge_keys
-        from repro.graph.csr import CSRGraph
-        from repro.graph.generators import rmat
-
-        oriented = orient_csr(CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=21)))
-        keys = oriented_edge_keys(oriented)
-        cones, vs, ws, _ = kernels.triangle_range(
-            oriented.indptr, oriented.indices, 0, oriented.num_vertices,
-            want_triples=True,
-        )
-        return oriented, keys, (cones, vs, ws)
+        """An oriented CSR graph and the adjacency positions of every
+        triangle's three edges."""
+        oriented, _, positions, _ = _support_case("rmat")
+        return oriented, positions
 
     def test_dense_support_sums_to_three_triangles(self, oriented_stream):
         from repro.core.triangles import EdgeSupportSink
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        sink = EdgeSupportSink(keys, oriented.num_vertices)
-        sink.add_triples(cones, vs, ws)
+        oriented, positions = oriented_stream
+        sink = EdgeSupportSink(oriented.num_edges)
+        sink.credit(positions)
         assert not sink.spilling
-        assert sink.count == ws.shape[0]
+        assert sink.count == positions.shape[0]
         assert int(sink.supports().sum()) == 3 * sink.count
-
-    def test_non_edge_triangle_raises(self, oriented_stream):
-        from repro.core.triangles import EdgeSupportSink
-
-        oriented, keys, _ = oriented_stream
-        sink = EdgeSupportSink(keys, oriented.num_vertices)
-        n = oriented.num_vertices
-        with pytest.raises(ValueError):
-            sink.add_triples(_i64(0), _i64(n - 1), _i64(n - 2))
 
     def test_spill_requires_file(self, oriented_stream):
         from repro.core.triangles import EdgeSupportSink
 
-        oriented, keys, _ = oriented_stream
+        oriented, _ = oriented_stream
         with pytest.raises(ValueError):
-            EdgeSupportSink(keys, oriented.num_vertices, memory_budget_bytes=8)
+            EdgeSupportSink(oriented.num_edges, memory_budget_bytes=8)
 
     def test_spill_matches_dense(self, oriented_stream, tmp_path):
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        dense = EdgeSupportSink(keys, oriented.num_vertices)
-        dense.add_triples(cones, vs, ws)
+        oriented, positions = oriented_stream
+        dense = EdgeSupportSink(oriented.num_edges)
+        dense.credit(positions)
         device = BlockDevice(tmp_path, block_size=512)
         spill = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
+            oriented.num_edges,
             spill_file=device.open("spill.run"),
             memory_budget_bytes=256,  # far below the dense array: many runs
         )
         assert spill.spilling
         step = 23  # ragged batches so runs straddle triangle boundaries
-        for lo in range(0, ws.shape[0], step):
-            spill.add_triples(
-                cones[lo : lo + step], vs[lo : lo + step], ws[lo : lo + step]
-            )
+        for lo in range(0, positions.shape[0], step):
+            spill.credit(positions[lo : lo + step])
         np.testing.assert_array_equal(spill.supports(), dense.supports())
+        assert spill.count == dense.count
 
     @pytest.mark.parametrize("budget", [8, 64, 256, 1024])
     @pytest.mark.parametrize("buffer_items", [1, 3, 64, 8192])
@@ -354,38 +319,37 @@ class TestEdgeSupportSink:
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        dense = EdgeSupportSink(keys, oriented.num_vertices)
-        dense.add_triples(cones, vs, ws)
+        oriented, positions = oriented_stream
+        dense = EdgeSupportSink(oriented.num_edges)
+        dense.credit(positions)
         spill = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
+            oriented.num_edges,
             spill_file=BlockDevice(tmp_path, block_size=512).open("spill.run"),
             memory_budget_bytes=budget,
         )
         assert spill.spilling
-        spill.add_triples(cones, vs, ws)
+        spill.credit(positions)
         got = np.zeros(spill.num_edges, dtype=np.int64)
         last = -1
-        for positions, counts in spill.iter_position_counts(buffer_items=buffer_items):
-            assert int(positions[0]) > last and np.all(np.diff(positions) > 0)
-            last = int(positions[-1])
-            got[positions] = counts
+        for pos, counts in spill.iter_position_counts(buffer_items=buffer_items):
+            assert int(pos[0]) > last and np.all(np.diff(pos) > 0)
+            last = int(pos[-1])
+            got[pos] = counts
         np.testing.assert_array_equal(got, dense.supports())
         # one run per filled buffer of max(budget / 8, 16) positions
-        records = 3 * ws.shape[0]
+        records = positions.size
         assert spill.spilled_positions == records
         assert spill.spill_run_count == ceil_div(records, max(budget // 8, 16))
 
     def test_dense_iteration_yields_each_nonzero_position_once(self, oriented_stream):
         from repro.core.triangles import EdgeSupportSink
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
-        sink = EdgeSupportSink(keys, oriented.num_vertices)
-        sink.add_triples(cones, vs, ws)
-        (positions, counts), = list(sink.iter_position_counts())
-        np.testing.assert_array_equal(positions, np.flatnonzero(sink.supports()))
-        np.testing.assert_array_equal(counts, sink.supports()[positions])
+        oriented, positions = oriented_stream
+        sink = EdgeSupportSink(oriented.num_edges)
+        sink.credit(positions)
+        (pos, counts), = list(sink.iter_position_counts())
+        np.testing.assert_array_equal(pos, np.flatnonzero(sink.supports()))
+        np.testing.assert_array_equal(counts, sink.supports()[pos])
 
     @pytest.mark.parametrize("spill", [False, True], ids=["dense", "spill"])
     def test_a_sink_without_triangles_yields_nothing(
@@ -394,10 +358,9 @@ class TestEdgeSupportSink:
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, _ = oriented_stream
+        oriented, _ = oriented_stream
         sink = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
+            oriented.num_edges,
             spill_file=BlockDevice(tmp_path, block_size=512).open("s.run"),
             memory_budget_bytes=64 if spill else None,
         )
@@ -412,51 +375,50 @@ class TestEdgeSupportSink:
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
+        oriented, positions = oriented_stream
         device = BlockDevice(tmp_path, block_size=512)
         spill = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
+            oriented.num_edges,
             spill_file=device.open("spill.run"),
             memory_budget_bytes=128,
         )
-        spill.add_triples(cones, vs, ws)
-        positions = []
+        spill.credit(positions)
+        merged_parts = []
         total = 0
         for pos, cnt in spill.iter_position_counts(buffer_items=13):
-            positions.append(pos)
+            merged_parts.append(pos)
             total += int(cnt.sum())
-        merged = np.concatenate(positions)
+        merged = np.concatenate(merged_parts)
         assert np.all(np.diff(merged) > 0)  # unique and sorted across batches
-        assert total == 3 * ws.shape[0]
+        assert total == positions.size
 
     def test_spill_io_is_deterministic(self, oriented_stream, tmp_path):
         """Identical streams + budget => identical spill IOStats."""
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, (cones, vs, ws) = oriented_stream
+        oriented, positions = oriented_stream
         stats = []
         for run in range(2):
             device = BlockDevice(tmp_path / f"dev{run}", block_size=512)
             sink = EdgeSupportSink(
-                keys,
-                oriented.num_vertices,
+                oriented.num_edges,
                 spill_file=device.open("spill.run"),
                 memory_budget_bytes=256,
             )
-            sink.add_triples(cones, vs, ws)
+            sink.credit(positions)
             sink.supports()
             stats.append(device.stats.as_dict())
         assert stats[0] == stats[1]
 
+
 @lru_cache(maxsize=None)
 def _support_case(graph_name: str):
-    """An oriented graph, its edge keys, its triangle stream, and the
-    supports a per-triangle dictionary lookup of the three edges gives."""
+    """An oriented graph, its triangle stream, the adjacency positions of
+    each triangle's edges (looked up in a dictionary of the adjacency), and
+    the supports those positions add up to."""
     from repro.core import kernels
     from repro.core.orientation import orient_csr
-    from repro.core.triangles import oriented_edge_keys
     from repro.graph.csr import CSRGraph
     from repro.graph.generators import complete_graph, power_law_degree_graph, rmat
 
@@ -468,73 +430,97 @@ def _support_case(graph_name: str):
         "complete": lambda: complete_graph(7),
     }[graph_name]()
     oriented = orient_csr(CSRGraph.from_edgelist(edges))
-    keys = oriented_edge_keys(oriented)
     cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
         oriented.indptr, oriented.indices, 0, oriented.num_vertices, True
     )
-    n = oriented.num_vertices
-    position = {key: p for p, key in enumerate(keys.tolist())}
-    want = np.zeros(keys.shape[0], dtype=np.int64)
-    for u, v, w in zip(cones.tolist(), vs.tolist(), ws.tolist()):
-        for a, b in ((u, v), (u, w), (v, w)):
-            want[position[a * n + b]] += 1
-    return oriented, keys, (cones, vs, ws), want
+    position = {
+        (u, v): p
+        for p, (u, v) in enumerate(
+            zip(oriented.edge_sources().tolist(), oriented.indices.tolist())
+        )
+    }
+    positions = np.array(
+        [
+            [position[u, v], position[u, w], position[v, w]]
+            for u, v, w in zip(cones.tolist(), vs.tolist(), ws.tolist())
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    want = np.bincount(positions.reshape(-1), minlength=oriented.num_edges)
+    return oriented, (cones, vs, ws), positions, want
 
 
-class TestEdgeSupportSinkTiers:
-    """Dense ``add_triples`` on both kernel tiers -- the C tier's fused
-    accumulate and the numpy tier's batched position search -- records the
-    supports of a per-triangle lookup, whether the sink is handed the
-    graph's offsets or derives them from the keys."""
+class TestEdgeSupportSinkCredit:
+    """``credit`` adds the supports of the positions it is handed, however
+    the stream is split into batches."""
 
     @pytest.mark.parametrize("graph_name", ["rmat", "power-law", "complete"])
     @pytest.mark.parametrize("step", [None, 17], ids=["one-batch", "ragged"])
-    @pytest.mark.parametrize("with_offsets", [True, False], ids=["offsets", "derived"])
-    def test_supports_match_per_triangle_lookup(
-        self, tier, graph_name, step, with_offsets
-    ):
+    def test_supports_match_per_triangle_lookup(self, graph_name, step):
         from repro.core.triangles import EdgeSupportSink
 
-        oriented, keys, (cones, vs, ws), want = _support_case(graph_name)
-        assert ws.shape[0] > 0
-        sink = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
-            offsets=oriented.indptr if with_offsets else None,
-        )
-        step = step or ws.shape[0]
-        for lo in range(0, ws.shape[0], step):
-            sink.add_triples(cones[lo : lo + step], vs[lo : lo + step], ws[lo : lo + step])
+        oriented, _, positions, want = _support_case(graph_name)
+        assert positions.shape[0] > 0
+        sink = EdgeSupportSink(oriented.num_edges)
+        step = step or positions.shape[0]
+        for lo in range(0, positions.shape[0], step):
+            sink.credit(positions[lo : lo + step])
         np.testing.assert_array_equal(sink.supports(), want)
-        assert sink.count == ws.shape[0]
+        assert sink.count == positions.shape[0]
 
     @pytest.mark.parametrize("spill", [False, True], ids=["dense", "spill"])
-    def test_empty_batch_records_nothing(self, tier, tmp_path, spill):
+    def test_empty_batch_records_nothing(self, tmp_path, spill):
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, _, _ = _support_case("complete")
+        oriented, _, _, _ = _support_case("complete")
         sink = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
+            oriented.num_edges,
             spill_file=BlockDevice(tmp_path, block_size=512).open("s.run"),
             memory_budget_bytes=8 if spill else None,
         )
-        empty = np.empty(0, dtype=np.int64)
-        sink.add_triples(empty, empty, empty)
+        sink.credit(np.empty((0, 3), dtype=np.int64))
         assert sink.count == 0
         assert sink.spilled_positions == 0
         assert not sink.supports().any()
 
 
-class TestOrientedEdgeKeys:
-    """File-backed oriented edge keys are read from the adjacency file on
-    every call and match the in-memory graph's."""
+class TestEdgeSupportSinkPositions:
+    """A position outside ``[0, num_edges)`` is no edge: the batch raises
+    with the sink untouched, dense or spilling."""
+
+    @pytest.mark.parametrize("spill", [False, True], ids=["dense", "spill"])
+    @pytest.mark.parametrize(
+        "row",
+        [(-1, 0, 1), (0, -1, 1), (0, 1, 10), (10, 0, 1), (0, 2**62, 1)],
+        ids=["negative-first", "negative-second", "m-third", "m-first", "huge"],
+    )
+    def test_positions_outside_the_edges_raise_untouched(self, tmp_path, spill, row):
+        from repro.core.triangles import EdgeSupportSink
+        from repro.externalmem.blockio import BlockDevice
+
+        sink = EdgeSupportSink(
+            10,
+            spill_file=BlockDevice(tmp_path, block_size=512).open("s.run"),
+            memory_budget_bytes=64 if spill else None,
+        )
+        sink.credit(np.array([[2, 3, 4]], dtype=np.int64))
+        before = sink.supports().copy()
+        batch = np.array([[5, 6, 7], row], dtype=np.int64)
+        with pytest.raises(ValueError, match="not an oriented edge"):
+            sink.credit(batch)
+        np.testing.assert_array_equal(sink.supports(), before)
+        assert sink.count == 1
+        assert before.tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0, 0]
+
+
+class TestEdgeSupportSinkFactory:
+    """The factory sizes the sink from the oriented graph and reads none
+    of its adjacency, on disk or in memory."""
 
     @pytest.mark.parametrize("graph_name", ["rmat", "complete", "edgeless"])
-    def test_file_backed_keys_match_the_in_memory_graph(self, tmp_path, graph_name):
-        from repro.core import kernels
-        from repro.core.triangles import EdgeSupportSink, _oriented_edge_index, oriented_edge_keys
+    def test_file_backed_graph_is_not_read(self, tmp_path, graph_name):
+        from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
         from repro.graph.binfmt import write_graph
         from repro.graph.csr import CSRGraph
@@ -543,68 +529,14 @@ class TestOrientedEdgeKeys:
             oriented = CSRGraph(np.zeros(5, dtype=np.int64), np.empty(0, dtype=np.int64), True)
         else:
             oriented = _support_case(graph_name)[0]
-        graph_file = write_graph(BlockDevice(tmp_path, block_size=512), "oriented", oriented)
-        keys, offsets = _oriented_edge_index(graph_file)
-        np.testing.assert_array_equal(
-            keys, kernels.csr_packed_keys(oriented.indptr, oriented.indices)
-        )
-        np.testing.assert_array_equal(offsets, oriented.indptr)
-        np.testing.assert_array_equal(oriented_edge_keys(graph_file), keys)
+        device = BlockDevice(tmp_path, block_size=512)
+        graph_file = write_graph(device, "oriented", oriented)
+        before = device.stats.as_dict()
         sink = make_sink("edge-support", graph=graph_file)
         assert isinstance(sink, EdgeSupportSink)
         assert sink.num_edges == oriented.num_edges
-
-
-class TestEdgeSupportSinkIds:
-    """A pair with an id outside ``[0, n)`` is no edge, whatever key it
-    packs into, on both kernel tiers."""
-
-    #: oriented edges (0, 1), (0, 4), (1, 2), (1, 3), (2, 3) of a graph on
-    #: 5 vertices, with the one triangle (1, 2, 3)
-    INDPTR = np.array([0, 2, 4, 5, 5, 5], dtype=np.int64)
-    INDICES = np.array([1, 4, 2, 3, 3], dtype=np.int64)
-
-    def _sink(self, with_offsets: bool):
-        from repro.core import kernels
-        from repro.core.triangles import EdgeSupportSink
-
-        keys = kernels.csr_packed_keys(self.INDPTR, self.INDICES)
-        offsets = self.INDPTR if with_offsets else None
-        return EdgeSupportSink(keys, 5, offsets=offsets)
-
-    @pytest.mark.parametrize("with_offsets", [True, False], ids=["offsets", "derived"])
-    @pytest.mark.parametrize(
-        "triple",
-        [
-            (2, 3, -2),  # (2, -2) packs as (1, 3) and (3, -2) as (2, 3)
-            (0, 1, 8),  # (0, 8) packs as (1, 3) and (1, 8) as (2, 3)
-            (1, 2, 5),  # 5 = n: (1, 5) and (2, 5) pack as no edge
-            (5, 1, 2),  # a source id of n has no row
-        ],
-    )
-    def test_ids_outside_the_graph_raise_untouched(self, tier, triple, with_offsets):
-        sink = self._sink(with_offsets)
-        sink.add_triples(*(np.array([x], dtype=np.int64) for x in (1, 2, 3)))
-        before = sink.supports().copy()
-        us, vs, ws = (np.array([x], dtype=np.int64) for x in triple)
-        with pytest.raises(ValueError, match="not an oriented edge"):
-            sink.add_triples(us, vs, ws)
-        np.testing.assert_array_equal(sink.supports(), before)
-        assert sink.count == 1
-        assert before.tolist() == [0, 0, 1, 1, 1]
-
-    def test_factory_hands_the_sink_the_graph_offsets(self):
-        from repro.core.orientation import orient_csr
-        from repro.core.triangles import _oriented_edge_index
-        from repro.graph.csr import CSRGraph
-        from repro.graph.generators import rmat
-
-        oriented = orient_csr(CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=21)))
-        keys, offsets = _oriented_edge_index(oriented)
-        np.testing.assert_array_equal(offsets, oriented.indptr)
-        n = oriented.num_vertices
-        derived = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        np.testing.assert_array_equal(derived, offsets)
+        assert not sink.supports().any()
+        assert device.stats.as_dict() == before  # no read was charged
 
 
 class TestEdgeSupportSinkDelta:
@@ -612,50 +544,36 @@ class TestEdgeSupportSinkDelta:
 
     @pytest.fixture()
     def sink_state(self):
-        from repro.core import kernels
-        from repro.core.orientation import orient_csr
-        from repro.core.triangles import EdgeSupportSink, oriented_edge_keys
-        from repro.graph.csr import CSRGraph
-        from repro.graph.generators import rmat
+        from repro.core.triangles import EdgeSupportSink
 
-        oriented = orient_csr(CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5)))
-        keys = oriented_edge_keys(oriented)
-        cones, vs, ws, _ = kernels.triangle_range(
-            oriented.indptr, oriented.indices, 0, oriented.num_vertices,
-            want_triples=True,
-        )
-        sink = EdgeSupportSink(keys, oriented.num_vertices)
-        sink.add_triples(cones, vs, ws)
-        return oriented, keys, sink
+        oriented, _, positions, _ = _support_case("power-law")
+        sink = EdgeSupportSink(oriented.num_edges)
+        sink.credit(positions)
+        return oriented, sink
 
     def test_from_supports_round_trip(self, sink_state):
         from repro.core.triangles import EdgeSupportSink
 
-        oriented, keys, sink = sink_state
-        rehydrated = EdgeSupportSink.from_supports(
-            keys, oriented.num_vertices, sink.supports()
-        )
+        oriented, sink = sink_state
+        rehydrated = EdgeSupportSink.from_supports(sink.supports())
         np.testing.assert_array_equal(rehydrated.supports(), sink.supports())
         assert rehydrated.count == sink.count
+        assert rehydrated.num_edges == oriented.num_edges
         # copied, not aliased
         rehydrated.support[0] += 1
         assert rehydrated.support[0] == sink.supports()[0] + 1
 
-    def test_from_supports_rejects_bad_input(self, sink_state):
+    def test_from_supports_rejects_negative_supports(self, sink_state):
         from repro.core.triangles import EdgeSupportSink
 
-        oriented, keys, sink = sink_state
-        with pytest.raises(ValueError):
-            EdgeSupportSink.from_supports(
-                keys, oriented.num_vertices, sink.supports()[:-1]
-            )
+        _, sink = sink_state
         bad = sink.supports().copy()
-        bad[0] = -1
-        with pytest.raises(ValueError):
-            EdgeSupportSink.from_supports(keys, oriented.num_vertices, bad)
+        bad[-1] = -1
+        with pytest.raises(ValueError, match="non-negative"):
+            EdgeSupportSink.from_supports(bad)
 
     def test_merge_delta_is_exact_integer_addition(self, sink_state):
-        oriented, keys, sink = sink_state
+        _, sink = sink_state
         before = sink.supports().copy()
         positions = np.array([0, 2, 2, 1], dtype=np.int64)
         deltas = np.array([1, -1, 2, 0], dtype=np.int64)
@@ -664,30 +582,56 @@ class TestEdgeSupportSinkDelta:
         np.add.at(want, positions, deltas)
         np.testing.assert_array_equal(sink.supports(), want)
 
+    def test_merge_delta_updates_the_touched_positions_in_place(self, sink_state):
+        _, sink = sink_state
+        array = sink.support
+        before = array.copy()
+        positions = np.array([7, 3, 7, 3, 5], dtype=np.int64)
+        deltas = np.array([2, 1, -1, 4, 0], dtype=np.int64)
+        sink.merge_delta(positions, deltas)
+        assert sink.support is array
+        want = before.copy()
+        want[3] += 5
+        want[7] += 1
+        np.testing.assert_array_equal(array, want)
+
+    def test_merge_delta_takes_each_position_net(self, sink_state):
+        # the first delta alone would drive support 0 below zero; the net
+        # change of the position does not
+        _, sink = sink_state
+        before = sink.supports().copy()
+        low = np.int64(before[0] + 1)
+        sink.merge_delta(np.array([0, 0]), np.array([-low, 1]))
+        assert sink.supports()[0] == 0
+        np.testing.assert_array_equal(sink.supports()[1:], before[1:])
+
     def test_merge_delta_negative_result_rejected_untouched(self, sink_state):
-        oriented, keys, sink = sink_state
+        _, sink = sink_state
         before = sink.supports().copy()
         huge = np.int64(before.max() + 1)
         with pytest.raises(ValueError):
-            sink.merge_delta(np.array([0]), np.array([-huge]))
+            sink.merge_delta(np.array([1, 0, 1]), np.array([1, -huge, 1]))
         np.testing.assert_array_equal(sink.supports(), before)
 
     def test_merge_delta_out_of_range_rejected(self, sink_state):
-        oriented, keys, sink = sink_state
+        _, sink = sink_state
+        before = sink.supports().copy()
         with pytest.raises(ValueError):
             sink.merge_delta(np.array([sink.num_edges]), np.array([1]))
         with pytest.raises(ValueError):
+            sink.merge_delta(np.array([0, -1]), np.array([1, 1]))
+        with pytest.raises(ValueError):
             sink.merge_delta(np.array([0, 1]), np.array([1]))
+        np.testing.assert_array_equal(sink.supports(), before)
 
     def test_merge_delta_spill_mode_refused(self, sink_state, tmp_path):
         from repro.core.triangles import EdgeSupportSink
         from repro.externalmem.blockio import BlockDevice
 
-        oriented, keys, _ = sink_state
+        oriented, _ = sink_state
         device = BlockDevice(tmp_path, block_size=512)
         spill = EdgeSupportSink(
-            keys,
-            oriented.num_vertices,
+            oriented.num_edges,
             spill_file=device.open("s.run"),
             memory_budget_bytes=64,
         )
@@ -733,7 +677,7 @@ class TestSinkKinds:
             memory_budget_bytes=budget,
         )
         assert sink.spilling is spilling
-        assert sink._offsets is oriented.indptr
+        assert sink.num_edges == oriented.num_edges
 
     def test_per_vertex_accepts_graph_context(self):
         from repro.core.orientation import orient_csr

@@ -20,7 +20,6 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro.analytics import GraphDelta, truss_decomposition
 from repro.analytics.delta import _unique
 from repro.analytics.truss import canonical_edges
-from repro.core import kernels
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import (
@@ -144,12 +143,10 @@ def _check_against_oracle(applied):
     np.testing.assert_array_equal(
         _row_sets(truss.tri_edges), _row_sets(oracle.tri_edges)
     )
-    # the sink indexes the result's edges and holds its supports
-    np.testing.assert_array_equal(
-        applied.sink.edge_keys,
-        kernels.packed_keys(truss.edges[:, 0], truss.edges[:, 1], truss.num_vertices),
-    )
+    # the sink holds one support per result edge, and its triangle count
+    assert applied.sink.num_edges == truss.edges.shape[0]
     np.testing.assert_array_equal(applied.sink.support, truss.support)
+    assert applied.sink.count == applied.triangles
 
 
 @given(case=graph_and_batch())

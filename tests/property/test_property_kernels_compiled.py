@@ -9,11 +9,12 @@ registry that builds but disagrees with numpy fails here rather than
 skipping, even though the tier probe refuses it.
 
 The fused entry points (``mgt_block_scan``, ``mgt_chunk_scan``,
-``edge_support_accumulate``, ``triangle_edge_ids``, ``incidence_csr``)
-have no single numpy twin -- they replace multi-pass caller chains -- so
-they are checked against in-test references built from the numpy
-primitives, and end-to-end by installing the registry and comparing whole
-decompositions.  ``truss_peel_level`` is checked level by level against
+``triangle_edge_ids``, ``incidence_csr``) have no single numpy twin --
+they replace multi-pass caller chains -- so they are checked against
+in-test references built from the numpy primitives, and end-to-end by
+installing the registry and comparing whole decompositions.  The scans'
+crediting mode is pinned to its numpy twins in
+``tests/property/test_property_edge_supports.py``.  ``truss_peel_level`` is checked level by level against
 its numpy twin in :mod:`repro.analytics.truss`; the master's preprocessing
 kernels against theirs: ``orient_range`` against the orientation's numpy
 filter, ``in_lists`` against the shared-memory publication's sort-based
@@ -272,13 +273,16 @@ def test_edge_common_neighbors_refuses_ids_outside_the_graph(registry, u, v):
 def _mgt_block_scan_reference(
     block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees
 ):
-    """The 3-pass chain of ``MGTWorker._process_block``, one entry at a time."""
+    """The 3-pass chain of ``MGTWorker._process_block``, one entry at a time.
+
+    Also returns each triangle's three positions, relative to ``block_adj``
+    (``(u, v)`` and ``(u, w)``) and to ``edg`` (``(v, w)``)."""
     pairs = 0
     total = 0
-    cones, vs_out, ws_out = [], [], []
+    cones, vs_out, ws_out, credits = [], [], [], []
     for bu in range(block_offsets.shape[0] - 1):
         nu = block_adj[block_offsets[bu] : block_offsets[bu + 1]]
-        for v in nu:
+        for p, v in enumerate(nu):
             if v < vlow or v > vhigh:
                 continue
             d = int(win_degrees[v - vlow])
@@ -287,11 +291,17 @@ def _mgt_block_scan_reference(
             pairs += 1
             total += d
             ev = edg[win_offsets[v - vlow] : win_offsets[v - vlow] + d]
-            for w in ev[np.isin(ev, nu)]:
+            for j in np.flatnonzero(np.isin(ev, nu)):
+                w = int(ev[j])
                 cones.append(bu)
                 vs_out.append(int(v))
-                ws_out.append(int(w))
-    return pairs, total, cones, vs_out, ws_out
+                ws_out.append(w)
+                credits.append((
+                    block_offsets[bu] + p,
+                    block_offsets[bu] + int(np.flatnonzero(nu == w)[0]),
+                    win_offsets[v - vlow] + j,
+                ))
+    return pairs, total, cones, vs_out, ws_out, credits
 
 
 @REGISTRY_PARAMS
@@ -311,23 +321,34 @@ def test_mgt_block_scan_matches_reference(registry, graph, data):
     win_offsets = (indptr[vlow : vhigh + 1] - indptr[vlow]).astype(np.int64)
     win_degrees = np.diff(indptr[vlow : vhigh + 2]).astype(np.int64)
 
-    pairs, total, cones, vs_ref, ws_ref = _mgt_block_scan_reference(
+    pairs, total, cones, vs_ref, ws_ref, credits = _mgt_block_scan_reference(
         block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees
     )
+    args = (block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees)
     mark = np.zeros(n, dtype=np.uint8)
-    got = registry["mgt_block_scan"](
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark, True
-    )
+    got = registry["mgt_block_scan"](*args, mark, True)
     assert (got[0], got[1], got[2]) == (pairs, total, len(cones))
     np.testing.assert_array_equal(np.asarray(got[3]), np.asarray(cones, dtype=np.int64))
     np.testing.assert_array_equal(np.asarray(got[4]), np.asarray(vs_ref, dtype=np.int64))
     np.testing.assert_array_equal(np.asarray(got[5]), np.asarray(ws_ref, dtype=np.int64))
 
-    counted = registry["mgt_block_scan"](
-        block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark, False
-    )
+    counted = registry["mgt_block_scan"](*args, mark, False)
     assert (counted[0], counted[1], counted[2]) == (pairs, total, len(cones))
     assert not mark.any()
+
+    # the crediting mode: the same hits as absolute adjacency positions
+    block_base = int(indptr[blo])
+    window_base = int(indptr[vlow])
+    slots = np.zeros(n, dtype=np.int64)
+    credited = registry["mgt_block_scan"](
+        *args, slots, kernels.EMIT_POSITIONS, block_base, window_base
+    )
+    want = np.asarray(credits, dtype=np.int64).reshape(-1, 3) + (
+        block_base, block_base, window_base
+    )
+    assert credited[:3] == (pairs, total, len(cones)) and credited[4:] == (None, None)
+    np.testing.assert_array_equal(credited[3], want)
+    assert not slots.any()
 
 
 @REGISTRY_PARAMS
@@ -355,18 +376,23 @@ def test_mgt_chunk_scan_matches_reference(registry, graph, data):
     np.cumsum(np.bincount(indices, minlength=n), out=in_offsets[1:])
 
     # each window's ind arrays, and the whole graph as one scan block
-    window_pairs, total, cones, vs_ref, ws_ref = [], 0, [], [], []
+    window_pairs, total, cones, vs_ref, ws_ref, credits = [], 0, [], [], [], []
     for lo, hi, vlow, vhigh in zip(bounds[:-1], bounds[1:], vlows, vhighs):
         span = np.arange(vlow, vhigh + 1)
         win_starts = np.maximum(indptr[span], lo)
         win_degrees = np.maximum(np.minimum(indptr[span + 1], hi) - win_starts, 0)
-        pairs, gathered, *triples = _mgt_block_scan_reference(
+        pairs, gathered, *triples, window_credits = _mgt_block_scan_reference(
             indices, indptr, indices[lo:hi].copy(), vlow, vhigh, win_starts - lo, win_degrees
         )
         window_pairs.append(pairs)
         total += gathered
         for column, part in zip((cones, vs_ref, ws_ref), triples):
             column.extend(part)
+        # the C walk credits v-major: a stable sort of the window by v
+        order = np.argsort(np.asarray(triples[1], dtype=np.int64), kind="stable")
+        credits.extend(
+            (a, b, c + lo) for a, b, c in np.asarray(window_credits).reshape(-1, 3)[order]
+        )
     args = (indptr, indices, in_offsets, in_sources, bounds, vlows, vhighs)
     got = registry["mgt_chunk_scan"](*args, True, True)
     assert (got[0], got[1], got[2]) == (sum(window_pairs), total, len(cones))
@@ -378,6 +404,13 @@ def test_mgt_chunk_scan_matches_reference(registry, graph, data):
 
     counted = registry["mgt_chunk_scan"](*args, False, False)
     assert counted == (sum(window_pairs), total, len(cones), None, None, None, None, None)
+
+    credited = registry["mgt_chunk_scan"](*args, kernels.EMIT_POSITIONS, False)
+    assert credited[:3] == (sum(window_pairs), total, len(cones))
+    assert credited[4:] == (None, None, None, None)
+    np.testing.assert_array_equal(
+        credited[3], np.asarray(credits, dtype=np.int64).reshape(-1, 3)
+    )
 
 
 @REGISTRY_PARAMS
@@ -406,55 +439,6 @@ def test_mgt_chunk_scan_refuses_windows_outside_the_graph(registry, bounds, vlow
 
 
 @REGISTRY_PARAMS
-@given(graph=random_graphs())
-@settings(**SETTINGS)
-def test_edge_support_accumulate_matches_scatter(registry, graph):
-    oriented = orient_csr(graph)
-    n = oriented.num_vertices
-    edge_keys = kernels.csr_packed_keys(oriented.indptr, oriented.indices)
-    cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
-        oriented.indptr, oriented.indices, 0, n, True
-    )
-    want = np.zeros(edge_keys.shape[0], dtype=np.int64)
-    sources = np.concatenate((cones, cones, vs))
-    destinations = np.concatenate((vs, ws, ws))
-    positions = np.searchsorted(
-        edge_keys, kernels.packed_keys(sources, destinations, n)
-    )
-    np.add.at(want, positions, 1)
-
-    got = np.zeros(edge_keys.shape[0], dtype=np.int64)
-    assert registry["edge_support_accumulate"](
-        edge_keys, oriented.indptr, cones, vs, ws, n, got
-    )
-    np.testing.assert_array_equal(got, want)
-
-
-@REGISTRY_PARAMS
-@given(graph=random_graphs())
-@settings(**SETTINGS)
-def test_edge_support_accumulate_rolls_back_on_bad_pair(registry, graph):
-    oriented = orient_csr(graph)
-    n = oriented.num_vertices + 2  # room for a vertex pair that is no edge
-    edge_keys = kernels.packed_keys(oriented.edge_sources(), oriented.indices, n)
-    offsets = np.append(oriented.indptr, [oriented.num_edges] * 2)
-    cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
-        oriented.indptr, oriented.indices, 0, oriented.num_vertices, True
-    )
-    # append one triple whose (u, w) pair cannot be an oriented edge
-    bad_u = np.concatenate((cones, np.array([n - 2], dtype=np.int64)))
-    bad_v = np.concatenate((vs, np.array([n - 2], dtype=np.int64)))
-    bad_w = np.concatenate((ws, np.array([n - 1], dtype=np.int64)))
-    support = np.zeros(edge_keys.shape[0], dtype=np.int64)
-    ok = registry["edge_support_accumulate"](
-        edge_keys, offsets, bad_u, bad_v, bad_w, n, support
-    )
-    assert not ok
-    # every partial increment was rolled back
-    np.testing.assert_array_equal(support, np.zeros_like(support))
-
-
-@REGISTRY_PARAMS
 @given(oriented=st.one_of(random_graphs().map(orient_csr), cone_dags()))
 @settings(**SETTINGS)
 def test_triangle_edge_ids_matches_searchsorted(registry, oriented):
@@ -480,6 +464,18 @@ def test_triangle_edge_ids_matches_searchsorted(registry, oriented):
         oriented.indptr, oriented.indices, keys, row_start, n, 0, n
     )
     np.testing.assert_array_equal(np.asarray(got), want)
+
+    # the walk with every slot's id given, unread keys and rows
+    slot_ids = np.searchsorted(
+        keys,
+        kernels.packed_keys(
+            np.minimum(sources, oriented.indices), np.maximum(sources, oriented.indices), n
+        ),
+    )
+    given_ids = registry["triangle_edge_ids"](
+        oriented.indptr, oriented.indices, None, None, n, 0, n, slot_ids
+    )
+    np.testing.assert_array_equal(np.asarray(given_ids), want)
 
 
 @REGISTRY_PARAMS
@@ -620,33 +616,49 @@ def test_mgt_chunk_scan_clears_marks_between_window_vertices(registry):
     assert registry["mgt_chunk_scan"](*args, False, False)[:3] == (2, 2, 1)
 
 
+#: every emit mode of the scans, with the scratch dtype each takes
+_EMITS = pytest.mark.parametrize(
+    "emit", [kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS],
+    ids=["count", "triples", "positions"],
+)
+
+
+def _scratch(emit: int, n: int) -> np.ndarray:
+    return np.zeros(n, dtype=np.int64 if emit == kernels.EMIT_POSITIONS else np.uint8)
+
+
 @REGISTRY_PARAMS
-@pytest.mark.parametrize("want_triples", [True, False])
-def test_mgt_block_scan_marks_each_cone_afresh(registry, want_triples):
+@_EMITS
+def test_mgt_block_scan_marks_each_cone_afresh(registry, emit):
     """The window holds E_4 = [6, 7] and E_5 = [7].  Cone 0 (N = [4, 6])
     has the one triangle (0, 4, 6); cone 1 (N = [2, 7]) has no candidate
     pair but neighbours 7; cones 2 (N = [5]) and 3 (N = [4]) have candidate
     pairs and no triangle.  A mark kept from cone 1 would list (2, 5, 7),
     one kept from cone 0 would list (3, 4, 6).  The caller's scratch is
     all zero again afterwards."""
-    mark = np.zeros(8, dtype=np.uint8)
+    mark = _scratch(emit, 8)
     got = registry["mgt_block_scan"](
         _i64(4, 6, 2, 7, 5, 4), _i64(0, 2, 4, 5, 6), _i64(6, 7, 7), 4, 5,
-        _i64(0, 2), _i64(2, 1), mark, want_triples,
+        _i64(0, 2), _i64(2, 1), mark, emit, 100, 200,
     )
     assert got[:3] == (3, 5, 1)
-    if want_triples:
+    if emit == kernels.EMIT_TRIPLES:
         assert [a.tolist() for a in got[3:]] == [[0], [4], [6]]
+    if emit == kernels.EMIT_POSITIONS:
+        # (0, 4) and (0, 6) are block entries 0 and 1, (4, 6) window entry 0
+        assert got[3].tolist() == [[100, 101, 200]]
     assert not mark.any()
 
 
 @REGISTRY_PARAMS
-def test_mgt_block_scan_leaves_the_scratch_clear_after_a_bad_id(registry):
+@pytest.mark.parametrize("emit", [kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS],
+                         ids=["triples", "positions"])
+def test_mgt_block_scan_leaves_the_scratch_clear_after_a_bad_id(registry, emit):
     """Two calls share one scratch, as a worker's blocks do.  The first
     marks cone 1's N = [4, 6] and meets -1 in E_4; the second call's cone 1
     (N = [4]) walks E_4 = [6, 7] and must not find 6 marked."""
-    mark = np.zeros(8, dtype=np.uint8)
-    window = (4, 5, _i64(0, 2), _i64(2, 1), mark, True)
+    mark = _scratch(emit, 8)
+    window = (4, 5, _i64(0, 2), _i64(2, 1), mark, emit)
     with pytest.raises(GraphFormatError):
         registry["mgt_block_scan"](_i64(5, 4, 6), _i64(0, 1, 3), _i64(6, -1, 7), *window)
     assert not mark.any()
@@ -717,8 +729,8 @@ def test_triangle_range_refuses_ids_outside_the_graph(registry, bad, where, want
 @REGISTRY_PARAMS
 @_BAD_IDS
 @pytest.mark.parametrize("where", ["cone list", "E_v"])
-@pytest.mark.parametrize("want_triples", [True, False])
-def test_mgt_block_scan_refuses_ids_outside_the_graph(registry, bad, where, want_triples):
+@_EMITS
+def test_mgt_block_scan_refuses_ids_outside_the_graph(registry, bad, where, emit):
     x = _bad_id(bad, 8)
     block_adj, edg = _i64(4, 6), _i64(6, 7, 7)
     if where == "cone list":
@@ -727,15 +739,15 @@ def test_mgt_block_scan_refuses_ids_outside_the_graph(registry, bad, where, want
         edg = _i64(6, x, 7)
     _refused(
         registry["mgt_block_scan"], block_adj, _i64(0, 2), edg, 4, 5,
-        _i64(0, 2), _i64(2, 1), np.zeros(8, dtype=np.uint8), want_triples,
+        _i64(0, 2), _i64(2, 1), _scratch(emit, 8), emit,
     )
 
 
 @REGISTRY_PARAMS
 @_BAD_IDS
 @pytest.mark.parametrize("where", ["E_v", "in_sources", "walked list"])
-@pytest.mark.parametrize("want_triples", [True, False])
-def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, want_triples):
+@_EMITS
+def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, emit):
     """0 -> {1, 2}, 1 -> {2, 3} in one window: the walk reads every entry
     of E_1, the in-neighbour 0 of vertex 1 and the whole of N(0)."""
     x = _bad_id(bad, 4)
@@ -751,18 +763,20 @@ def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, want
         indices = np.concatenate((np.sort(_i64(1, 2, x)), indices[2:]))
     _refused(
         registry["mgt_chunk_scan"], indptr, indices, in_offsets, in_sources,
-        _i64(0, indices.shape[0]), _i64(0), _i64(1), want_triples, True,
+        _i64(0, indices.shape[0]), _i64(0), _i64(1), emit, True,
     )
 
 
 @REGISTRY_PARAMS
 @_BAD_IDS
-def test_triangle_edge_ids_refuses_ids_outside_the_graph(registry, bad):
+@pytest.mark.parametrize("given", [False, True], ids=["searched", "given"])
+def test_triangle_edge_ids_refuses_ids_outside_the_graph(registry, bad, given):
     indices = _SHARED_INDICES.copy()
     indices[2] = _bad_id(bad, 5)
+    slot_ids = (_i64(0, 1, 2, 3, 4),) if given else ()
     _refused(
         registry["triangle_edge_ids"], _SHARED_INDPTR, indices, _SHARED_KEYS, _SHARED_ROWS,
-        5, 0, 5,
+        5, 0, 5, *slot_ids,
     )
 
 

@@ -120,7 +120,8 @@ def _self_check(registry: dict[str, Callable]) -> None:
     # positions of its edges (0, 1), (0, 2) and (1, 2)
     tri = i64(0, 1, 2)
     block_scan = (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0))
-    chunk_scan = (indptr, indices, i64(0, 0, 1, 3, 3), i64(0, 0, 1), i64(0, 2, 3), i64(0, 1),
+    in_sources = np.array([0, 0, 1], dtype=np.int32)  # 1 <- {0}, 2 <- {0, 1}
+    chunk_scan = (indptr, indices, i64(0, 0, 1, 3, 3), in_sources, i64(0, 2, 3), i64(0, 1),
                   i64(0, 1))
     cases = {
         "sorted_membership": ((a, b), None),
@@ -153,11 +154,10 @@ def _self_check(registry: dict[str, Callable]) -> None:
              i64(0, 2, 4, 6, 6), 0, 4),
             (i64(2, 1, 0, 0), indices),
         ),
-        # the graph's packed keys and its in-lists 1 <- {0}, 2 <- {0, 1}
+        # the graph's in-lists
         "in_lists": (
-            (indptr, indices, np.empty(3, np.int64), np.empty(5, np.int64),
-             np.empty(3, np.int64)),
-            (keys, i64(0, 0, 1, 3, 3), i64(0, 0, 1)),
+            (indptr, indices, np.empty(5, np.int64), np.empty(3, np.int32)),
+            (i64(0, 0, 1, 3, 3), in_sources),
         ),
         # 0 -> [1, 1] repeats, 2 -> [3, 0] decreases, nobody loops
         "csr_violations": ((i64(0, 2, 4, 6, 6), i64(1, 1, 0, 3, 3, 0)), (2, -1, 0)),

@@ -119,6 +119,10 @@ EMIT_COUNT, EMIT_TRIPLES, EMIT_POSITIONS = 0, 1, 2
 #: ``3037000500**2`` already overflows.
 MAX_PACKABLE_VERTICES = 3037000499
 
+#: Largest ``num_vertices`` whose ids fit int32, the dtype of the
+#: shared-memory in-lists' sources: the ids run up to ``2**31 - 1``.
+MAX_INT32_VERTICES = 2**31
+
 
 def packed_keys(
     sources: np.ndarray, destinations: np.ndarray, num_vertices: int
@@ -134,14 +138,6 @@ def packed_keys(
     around int64 and the "monotone, therefore sorted" guarantee every caller
     builds on is gone.
     """
-    _require_packable(num_vertices)
-    return np.asarray(sources, dtype=np.int64) * np.int64(num_vertices) + np.asarray(
-        destinations, dtype=np.int64
-    )
-
-
-def _require_packable(num_vertices: int) -> None:
-    """The check of :func:`packed_keys`, shared with the C tier's packers."""
     if num_vertices > MAX_PACKABLE_VERTICES:
         raise PDTLError(
             f"cannot pack (source, destination) pairs for num_vertices="
@@ -149,6 +145,19 @@ def _require_packable(num_vertices: int) -> None:
             f"int64 once num_vertices > {MAX_PACKABLE_VERTICES} "
             f"(num_vertices**2 - 1 must stay <= 2**63 - 1), and wrapped keys "
             f"would break the sorted-key membership tests"
+        )
+    return np.asarray(sources, dtype=np.int64) * np.int64(num_vertices) + np.asarray(
+        destinations, dtype=np.int64
+    )
+
+
+def _require_int32_ids(num_vertices: int) -> None:
+    """The bound of the shared-memory in-lists, which store vertex ids as
+    int32: every id below ``num_vertices`` must fit."""
+    if num_vertices > MAX_INT32_VERTICES:
+        raise PDTLError(
+            f"cannot store the in-neighbour lists of num_vertices={num_vertices} "
+            f"as int32: ids reach {num_vertices - 1}, above 2**31 - 1"
         )
 
 

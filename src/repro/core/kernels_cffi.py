@@ -37,7 +37,8 @@ Semantics are pinned to the numpy twins in
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
   an entry in ``N⁺(v)`` order; ``mgt_chunk_scan`` scans every memory
-  window of a chunk in one call, walks each window's in-lists v-major,
+  window of a chunk in one call, walks each window's in-lists (int32
+  sources, refused in any other dtype rather than cast) v-major,
   prefetching along them, and restores that order per window with a
   stable sort by window and cone; asked to, it also times each window,
   which a traced run's ``window`` spans report;
@@ -59,9 +60,10 @@ Semantics are pinned to the numpy twins in
 * the master's preprocessing kernels match the numpy code they replace:
   ``orient_range`` keeps the entries the orientation's numpy filter keeps,
   in storage order, and reports an id outside the graph before reading at
-  it; ``in_lists`` builds the published in-lists and packed keys byte for
-  byte; ``csr_violations`` finds the first vertex of each format
-  violation, so ``write_graph`` raises the numpy checks' error.
+  it; ``in_lists`` builds the published int32 in-lists byte for byte and
+  raises the numpy twin's error at an id outside the graph;
+  ``csr_violations`` finds the first vertex of each format violation, so
+  ``write_graph`` raises the numpy checks' error.
 """
 
 from __future__ import annotations
@@ -113,7 +115,7 @@ int64_t pdtl_mgt_block_scan(const int64_t *block_adj, const int64_t *block_offse
                             int64_t *cones, int64_t *vs, int64_t *ws, int64_t *credits,
                             int64_t *pairs, int64_t *total);
 int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
-                            const int64_t *in_offsets, const int64_t *in_sources,
+                            const int64_t *in_offsets, const int32_t *in_sources,
                             int64_t n, uint8_t *mark, int64_t *slot_mark,
                             const int64_t *bounds, const int64_t *vlows,
                             const int64_t *vhighs, int64_t nwin, int64_t want,
@@ -136,7 +138,7 @@ int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
                           const int64_t *offsets, int64_t lo, int64_t hi,
                           int64_t *out_degrees, int64_t *kept);
 int64_t pdtl_in_lists(const int64_t *offsets, const int64_t *adj, int64_t n,
-                      int64_t *key, int64_t *in_offsets, int64_t *in_sources);
+                      int64_t *in_offsets, int32_t *in_sources);
 void pdtl_csr_violations(const int64_t *indptr, const int64_t *indices, int64_t n,
                          int64_t *out);
 """
@@ -463,8 +465,8 @@ static double pdtl_now(void) {
  * in-neighbour's N(u) is walked against it whole (stopping at E_v's last
  * entry measured slower: the lists are short, and the stop is one more
  * unpredictable branch per entry), and the marks are cleared before the
- * next vertex.  A window's in-edges are one slice of in_sources, so the
- * walk prefetches offsets[u] 16 pairs and N(u) 8 pairs ahead along it:
+ * next vertex.  A window's in-edges are one slice of in_sources (int32),
+ * so the walk prefetches offsets[u] 16 pairs and N(u) 8 pairs ahead along it:
  * each pair's two dependent loads are random.  Listed hits come out window
  * by window, v-major within a window, and window_hits[i] counts window
  * i's; window_pairs and window_seconds, when given, receive each window's
@@ -474,7 +476,7 @@ static double pdtl_now(void) {
  * once per pair with a hit, the walked entry (u, w) and the mark's
  * (v, w). */
 int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
-                            const int64_t *in_offsets, const int64_t *in_sources,
+                            const int64_t *in_offsets, const int32_t *in_sources,
                             int64_t n, uint8_t *mark, int64_t *slot_mark,
                             const int64_t *bounds, const int64_t *vlows,
                             const int64_t *vhighs, int64_t nwin, int64_t want,
@@ -690,34 +692,29 @@ int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
     return nk;
 }
 
-/* the transpose of a CSR graph by a stable counting sort, plus its packed
- * (source, destination) keys key[p] = u * n + adj[p], filled by the
- * counting pass.  in_offsets (n + 1) and in_sources list every target's
- * sources ascending.  The scatter walks the entries backwards and fills
- * each target's slots from the end, so in_offsets[v] moves from the end of
- * v's slots to their start and no cursor array is needed.  Returns 0, or
- * 1 + p for the first entry p holding an id outside [0, n) (nothing is
- * scattered then). */
+/* the transpose of a CSR graph by a stable counting sort: in_offsets
+ * (n + 1) and in_sources list every target's sources ascending, the
+ * sources as int32 (the wrapper refuses n > 2^31).  The scatter walks the
+ * entries backwards and fills each target's slots from the end, so
+ * in_offsets[v] moves from the end of v's slots to their start and no
+ * cursor array is needed.  Returns 0, or 1 + p for the first entry p
+ * holding an id outside [0, n) (nothing is scattered then). */
 int64_t pdtl_in_lists(const int64_t *offsets, const int64_t *adj, int64_t n,
-                      int64_t *key, int64_t *in_offsets, int64_t *in_sources) {
+                      int64_t *in_offsets, int32_t *in_sources) {
     const int64_t m = offsets[n];
-    int64_t p = 0;
+    int64_t p;
     for (int64_t v = 0; v <= n; v++) in_offsets[v] = 0;
-    for (int64_t u = 0; u < n; u++) {
-        const int64_t end = offsets[u + 1], row = u * n;
-        for (; p < end; p++) {
-            int64_t v = adj[p];
-            if ((uint64_t)v >= (uint64_t)n) return 1 + p;
-            key[p] = row + v;
-            in_offsets[v]++;
-        }
+    for (p = 0; p < m; p++) {
+        const int64_t v = adj[p];
+        if ((uint64_t)v >= (uint64_t)n) return 1 + p;
+        in_offsets[v]++;
     }
     for (int64_t v = 1; v < n; v++) in_offsets[v] += in_offsets[v - 1];
     in_offsets[n] = m;
     p = m - 1;
     for (int64_t u = n - 1; u >= 0; u--) {
         const int64_t start = offsets[u];
-        for (; p >= start; p--) in_sources[--in_offsets[adj[p]]] = u;
+        for (; p >= start; p--) in_sources[--in_offsets[adj[p]]] = (int32_t)u;
     }
     return 0;
 }
@@ -843,6 +840,11 @@ def build_registry() -> dict[str, Callable]:
         if a.shape[0] == 0:
             return ffi.NULL
         return ffi.from_buffer("double[]", a, require_writable=True)
+
+    def i32ptr(a: np.ndarray, writable: bool = False):
+        if a.shape[0] == 0:
+            return ffi.NULL
+        return ffi.from_buffer("int32_t[]", a, require_writable=writable)
 
     def integer_kinds(*arrays: np.ndarray) -> bool:
         return all(np.asarray(a).dtype.kind in "iu" for a in arrays)
@@ -1008,10 +1010,15 @@ def build_registry() -> dict[str, Callable]:
         offsets, adjacency, in_offsets, in_sources, bounds, vlows, vhighs,
         emit, per_window,
     ):
+        # the in-lists are int32 and taken as they are: a cast could wrap an
+        # id outside the graph (2**32 + v) onto one inside it, past the
+        # walk's id check
+        if np.asarray(in_sources).dtype != np.int32:
+            raise TypeError("in_sources must be an int32 array")
+        in_sources = np.ascontiguousarray(in_sources)
         offsets = as_i64(offsets)
         adjacency = as_i64(adjacency)
         in_offsets = as_i64(in_offsets)
-        in_sources = as_i64(in_sources)
         bounds = as_i64(bounds)
         vlows = as_i64(vlows)
         vhighs = as_i64(vhighs)
@@ -1039,7 +1046,7 @@ def build_registry() -> dict[str, Callable]:
         # the scratch: uint8 marks to count or list, positions to credit
         mark = np.zeros(n, dtype=np.int64 if credit else np.uint8)
         args = (
-            ptr(offsets), ptr(adjacency), ptr(in_offsets), ptr(in_sources), n,
+            ptr(offsets), ptr(adjacency), ptr(in_offsets), i32ptr(in_sources), n,
             *((ffi.NULL, wptr(mark)) if credit else (bptr(mark), ffi.NULL)),
             ptr(bounds), ptr(vlows), ptr(vhighs), nwin, emit,
         )
@@ -1187,20 +1194,23 @@ def build_registry() -> dict[str, Callable]:
             )
         return out_degrees, kept[:nkept]
 
-    def in_lists(offsets, adjacency, key, in_offsets, in_sources):
+    def in_lists(offsets, adjacency, in_offsets, in_sources):
         offsets = as_i64(offsets)
         adjacency = as_i64(adjacency)
         n = offsets.shape[0] - 1
         m = adjacency.shape[0]
-        for out, size in ((key, m), (in_offsets, n + 1), (in_sources, m)):
-            if out.dtype != np.int64 or not out.flags.c_contiguous or out.shape != (size,):
-                raise TypeError("outputs must be contiguous int64 arrays of the graph's sizes")
+        kernels._require_int32_ids(n)
+        for out, size, dtype in ((in_offsets, n + 1, np.int64), (in_sources, m, np.int32)):
+            if out.dtype != dtype or not out.flags.c_contiguous or out.shape != (size,):
+                raise TypeError(
+                    "outputs must be contiguous arrays of the graph's sizes: int64 "
+                    "in_offsets and int32 in_sources"
+                )
         if not monotone_offsets(offsets, m):
             raise ValueError("offsets must rise from 0 to the adjacency length")
-        kernels._require_packable(n)
         bad = int(
             lib.pdtl_in_lists(
-                ptr(offsets), ptr(adjacency), n, wptr(key), wptr(in_offsets), wptr(in_sources)
+                ptr(offsets), ptr(adjacency), n, wptr(in_offsets), i32ptr(in_sources, True)
             )
         )
         if bad:
@@ -1208,7 +1218,7 @@ def build_registry() -> dict[str, Callable]:
                 f"adjacency entry {bad - 1} holds id {int(adjacency[bad - 1])} "
                 f"outside [0, {n})"
             )
-        return key, in_offsets, in_sources
+        return in_offsets, in_sources
 
     def csr_violations(indptr, indices):
         indptr = as_i64(indptr)

@@ -621,10 +621,11 @@ class MGTWorker:
 
         A window's candidate pairs come in adjacency position order (their
         packed keys sort that way); then ``E_v`` is gathered for every pair
-        and each ``(u, w)`` searched in the published key array.  Credited
-        positions are put in the C walk's v-major order: the hits of each
-        window come ``(u, v, w)``-sorted, and a stable sort by ``v`` gives
-        ``(v, u, w)``.
+        and each ``(u, w)`` searched in the view's packed edge keys
+        (:attr:`~repro.core.shm.SharedGraphView.scan_keys`, built once per
+        attached view).  Credited positions are put in the C walk's v-major
+        order: the hits of each window come ``(u, v, w)``-sorted, and a
+        stable sort by ``v`` gives ``(v, u, w)``.
         """
         n = self.graph.num_vertices
         keys = self.graph.scan_keys

@@ -7,17 +7,18 @@ bounded multicore scaling long before the CPUs did.  This module publishes
 the oriented graph **once** into named :mod:`multiprocessing.shared_memory`
 segments so workers slice memory windows zero-copy:
 
-* :func:`publish_graph` writes the degree array, the adjacency array and
-  the precomputed vertex offsets of an on-disk oriented graph, plus its
-  packed edge keys and its in-neighbour lists, straight into named
-  segments (the C tier's ``in_lists`` builds the last two in one
-  counting-sort pass) and returns a :class:`SharedGraphPublication` whose
-  small :class:`SharedGraphDescriptor` (segment names + dtypes + shapes)
-  is all that ever crosses a process boundary;
+* :func:`publish_graph` writes what the window scan reads into four named
+  segments: the adjacency array of an on-disk oriented graph, its vertex
+  offsets (the prefix sums of its degree file) and its in-neighbour lists
+  (``in_offsets``, and ``in_sources`` as int32, built by the C tier's
+  ``in_lists`` counting sort), and returns a
+  :class:`SharedGraphPublication` whose small
+  :class:`SharedGraphDescriptor` (segment names + dtypes + shapes) is all
+  that ever crosses a process boundary;
 * :class:`SharedGraphView` reconstructs zero-copy, read-only numpy views
   from a descriptor inside a worker and exposes the exact read API
   :class:`~repro.core.mgt.MGTWorker` needs
-  (:meth:`~SharedGraphView.read_degrees`,
+  (:attr:`~SharedGraphView.cached_offsets`,
   :meth:`~SharedGraphView.read_adjacency_range`), so the worker's analytic
   I/O accounting is **bit-identical** to the on-disk path -- the data just
   arrives without syscalls or copies;
@@ -192,23 +193,17 @@ class SharedGraphDescriptor:
     MGT without ever opening the on-disk files.  ``token`` identifies the
     publication; worker-side attachments are cached by it.
 
-    Besides the raw graph arrays (degrees, adjacency, offsets) a
-    publication carries two pure functions of the graph that every worker
-    would otherwise recompute:
-
-    * ``scan_keys``, the globally sorted packed ``(source, destination)``
-      keys (:func:`repro.core.kernels.packed_keys`), which the numpy window
-      scan searches (a hit's position is the edge's adjacency position,
-      which its crediting mode reports);
-    * ``in_offsets`` (n + 1 entries) and ``in_sources`` (E entries), the
-      in-neighbour lists: the transpose of the adjacency, sources ascending
-      per target.  A memory window's candidate pairs ``(u, v)`` are exactly
-      the in-edges of the vertices ``v`` whose out-lists meet the window,
-      so one transpose serves every window of every edge range.
+    Besides the graph's adjacency and vertex offsets, a publication carries
+    its in-neighbour lists, the one pure function of the graph that every
+    worker would otherwise recompute: ``in_offsets`` (n + 1 int64 entries)
+    and ``in_sources`` (E int32 entries), the transpose of the adjacency,
+    sources ascending per target.  A memory window's candidate pairs
+    ``(u, v)`` are exactly the in-edges of the vertices ``v`` whose
+    out-lists meet the window, so one transpose serves every window of
+    every edge range.
     """
 
     token: str
-    degrees: SharedArraySpec
     adjacency: SharedArraySpec
     offsets: SharedArraySpec
     in_offsets: SharedArraySpec
@@ -217,11 +212,14 @@ class SharedGraphDescriptor:
     num_edges: int
     directed: bool
     max_degree: int
-    scan_keys: SharedArraySpec
-    #: always ``None``: publications carry no per-entry sources (the window
-    #: scan walks ``in_sources`` instead) and no degree-order keys.  The
+    #: always ``None``: publications carry no degree array (workers read the
+    #: offsets), no packed edge keys (a view builds them for the numpy
+    #: window scan, :attr:`SharedGraphView.scan_keys`), no per-entry sources
+    #: (the window scan walks ``in_sources``) and no degree-order keys.  The
     #: fields stay so tools that sum a publication's segments by field name
-    #: (``getattr(descriptor, "scan_sources")``) keep working.
+    #: (``getattr(descriptor, "scan_keys")``) keep working.
+    degrees: SharedArraySpec | None = None
+    scan_keys: SharedArraySpec | None = None
     scan_sources: SharedArraySpec | None = None
     order_keys: SharedArraySpec | None = None
 
@@ -293,35 +291,43 @@ def _read_into(graph: GraphFile, file_name: str, out: np.ndarray) -> None:
 def _in_lists_numpy(
     offsets: np.ndarray,
     adjacency: np.ndarray,
-    key: np.ndarray,
     in_offsets: np.ndarray,
     in_sources: np.ndarray,
-) -> None:
-    """The numpy twin of the C tier's ``in_lists``: fill the packed keys and
-    the in-neighbour lists of the graph ``(offsets, adjacency)``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy twin of the C tier's ``in_lists``: fill the int64
+    ``in_offsets`` and the int32 ``in_sources`` of the graph ``(offsets,
+    adjacency)``, raising the C tier's error at an id outside the graph."""
     n = offsets.shape[0] - 1
-    sources = kernels.window_sources(offsets, 0, n)
-    # in-lists: sorting the unique packed (target, source) keys orders the
-    # entries by target, sources ascending -- one sort, no stable argsort
-    in_keys = kernels.packed_keys(adjacency, sources, n)
+    kernels._require_int32_ids(n)
+    if adjacency.shape[0] and (adjacency.min() < 0 or adjacency.max() >= n):
+        p = int(np.flatnonzero((adjacency < 0) | (adjacency >= n))[0])
+        raise GraphFormatError(
+            f"adjacency entry {p} holds id {int(adjacency[p])} outside [0, {n})"
+        )
+    # sorting the unique packed (target, source) keys orders the entries by
+    # target, sources ascending -- one sort, no stable argsort
+    in_keys = kernels.packed_keys(adjacency, kernels.window_sources(offsets, 0, n), n)
     in_keys.sort()
-    key[:] = kernels.packed_keys(sources, adjacency, n)
     in_offsets[:] = prefix_sums(np.bincount(adjacency, minlength=n))
     in_sources[:] = in_keys % n
+    return in_offsets, in_sources
 
 
 def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     """Publish an on-disk oriented graph into named shared-memory segments.
 
-    One copy per host: the degree array, the adjacency array, the derived
-    vertex-offset array, the sorted packed edge keys and the in-neighbour
-    lists (see :class:`SharedGraphDescriptor`) each get a segment named
-    after a fresh publication token.  Every array is written straight into
-    its segment: the files are read into theirs raw (below the accounting,
-    so no I/O counter anywhere moves -- publication is a host-side
-    optimisation, invisible to the simulation), and the keys and in-lists
-    come from one pass of the C tier's ``in_lists`` counting sort, or from
-    its numpy twin.
+    One copy per host, of what the window scan reads: the adjacency array,
+    the vertex offsets and the in-neighbour lists (see
+    :class:`SharedGraphDescriptor`) each get a segment named after a fresh
+    publication token.  Every published array is written straight into its
+    segment: the adjacency file is read into its segment raw (below the
+    accounting, so no I/O counter anywhere moves -- publication is a
+    host-side optimisation, invisible to the simulation), the degree file
+    into a private buffer whose prefix sums fill the offsets, and the
+    in-lists come from one pass of the C tier's ``in_lists`` counting sort,
+    or from its numpy twin.  A degree file whose sum is not the adjacency
+    length, or that holds a negative degree, raises
+    :class:`~repro.errors.GraphFormatError` before either runs.
     """
     available, reason = shm_available()
     if not available:
@@ -334,22 +340,34 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
     specs: dict[str, SharedArraySpec] = {}
     views: dict[str, np.ndarray] = {}
     try:
-        for suffix, count in (
-            ("deg", n), ("adj", m), ("off", n + 1), ("key", m), ("ino", n + 1), ("ins", m)
+        for suffix, count, dtype in (
+            ("adj", m, np.int64), ("off", n + 1, np.int64),
+            ("ino", n + 1, np.int64), ("ins", m, np.int32),
         ):
             name = f"{token}-{suffix}"
             # POSIX segments must be non-empty; over-allocate one byte for
             # empty arrays and let the spec's shape carry the truth
-            shm = shared_memory.SharedMemory(name=name, create=True, size=max(count * 8, 1))
+            size = max(count * np.dtype(dtype).itemsize, 1)
+            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
             segments.append(shm)
-            views[suffix] = np.ndarray((count,), dtype=np.int64, buffer=shm.buf)
-            specs[suffix] = SharedArraySpec(name=name, dtype="int64", shape=(count,))
-        _read_into(graph, graph.degree_file_name, views["deg"])
+            views[suffix] = np.ndarray((count,), dtype=dtype, buffer=shm.buf)
+            specs[suffix] = SharedArraySpec(
+                name=name, dtype=np.dtype(dtype).name, shape=(count,)
+            )
         _read_into(graph, graph.adjacency_file_name, views["adj"])
+        degrees = np.empty(n, dtype=np.int64)
+        _read_into(graph, graph.degree_file_name, degrees)
         views["off"][0] = 0
-        np.cumsum(views["deg"], out=views["off"][1:])
+        np.cumsum(degrees, out=views["off"][1:])
+        if views["off"][n] != m:
+            raise GraphFormatError(
+                f"degree sum {int(views['off'][n])} does not match adjacency length {m}"
+            )
+        if n and degrees.min() < 0:
+            v = int(np.argmax(degrees < 0))
+            raise GraphFormatError(f"vertex {v} has negative degree {int(degrees[v])}")
         in_lists = kernel_backend.fused("in_lists") or _in_lists_numpy
-        in_lists(*(views[s] for s in ("off", "adj", "key", "ino", "ins")))
+        in_lists(*(views[s] for s in ("off", "adj", "ino", "ins")))
     except BaseException as exc:
         # a segment cannot be closed while views of it live, and the frames
         # of the traceback still hold some: drop them all first
@@ -366,12 +384,10 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
 
     descriptor = SharedGraphDescriptor(
         token=token,
-        degrees=specs["deg"],
         adjacency=specs["adj"],
         offsets=specs["off"],
         in_offsets=specs["ino"],
         in_sources=specs["ins"],
-        scan_keys=specs["key"],
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
         directed=graph.directed,
@@ -399,24 +415,22 @@ class SharedGraphView:
     Mirrors the :class:`~repro.graph.binfmt.GraphFile` read API that
     :class:`~repro.core.mgt.MGTWorker` uses, but every read is a read-only
     numpy slice of the shared segments: no file descriptors, no syscalls,
-    no copies.  ``cached_offsets`` additionally exposes the published
-    vertex-offset array so the worker can skip recomputing prefix sums per
-    chunk (it still charges the modelled degree-file read), and
-    ``in_offsets``/``in_sources`` the in-neighbour lists its window scan
-    walks.  Every array accessor of a closed view raises
-    :class:`~repro.errors.PDTLError`.
+    no copies.  ``cached_offsets`` exposes the published vertex-offset
+    array, which the worker reads instead of the degree file (it still
+    charges the modelled degree-file read), and ``in_offsets``/
+    ``in_sources`` the in-neighbour lists its window scan walks.  Every
+    array accessor of a closed view raises :class:`~repro.errors.PDTLError`.
     """
 
     def __init__(self, descriptor: SharedGraphDescriptor, model: DiskModel) -> None:
         self.descriptor = descriptor
         self.device = _SharedDevice(model)
         self._segments: list = []
-        self._degrees = self._attach(descriptor.degrees)
         self._adjacency = self._attach(descriptor.adjacency)
         self._offsets = self._attach(descriptor.offsets)
         self._in_offsets = self._attach(descriptor.in_offsets)
         self._in_sources = self._attach(descriptor.in_sources)
-        self._scan_keys = self._attach(descriptor.scan_keys)
+        self._scan_keys: np.ndarray | None = None
         self._closed = False
 
     def _attach(self, spec: SharedArraySpec) -> np.ndarray:
@@ -468,8 +482,15 @@ class SharedGraphView:
 
     @property
     def scan_keys(self) -> np.ndarray:
-        """Globally sorted packed ``(source, destination)`` keys (length E)."""
-        return self._require(self._scan_keys)
+        """Globally sorted packed ``(source, destination)`` keys (length E),
+        built on first use and kept: only the numpy window scan reads them,
+        and a cached view serves every chunk of its process."""
+        offsets = self._require(self._offsets)
+        if self._scan_keys is None:
+            keys = kernels.csr_packed_keys(offsets, self._adjacency)
+            keys.flags.writeable = False
+            self._scan_keys = keys
+        return self._scan_keys
 
     @property
     def in_offsets(self) -> np.ndarray:
@@ -483,9 +504,6 @@ class SharedGraphView:
 
     def offsets(self) -> np.ndarray:
         return self._require(self._offsets)
-
-    def read_degrees(self) -> np.ndarray:
-        return self._require(self._degrees)
 
     def read_adjacency_range(self, start_edge: int, count: int) -> np.ndarray:
         adjacency = self._require(self._adjacency)
@@ -504,7 +522,7 @@ class SharedGraphView:
         if self._closed:
             return
         self._closed = True
-        self._degrees = self._adjacency = self._offsets = None  # type: ignore[assignment]
+        self._adjacency = self._offsets = None  # type: ignore[assignment]
         self._in_offsets = self._in_sources = self._scan_keys = None  # type: ignore[assignment]
         for shm in self._segments:
             try:

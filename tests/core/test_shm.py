@@ -45,10 +45,10 @@ pytestmark = pytest.mark.skipif(
 
 _COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
 
-#: the descriptor fields that name a published segment
-_PUBLISHED_FIELDS = (
-    "degrees", "adjacency", "offsets", "in_offsets", "in_sources", "scan_keys",
-)
+#: the descriptor fields that name a published segment, with its dtype
+_PUBLISHED_FIELDS = {
+    "adjacency": "int64", "offsets": "int64", "in_offsets": "int64", "in_sources": "int32",
+}
 
 
 def _segments_on_host() -> list[str]:
@@ -72,7 +72,9 @@ class TestPublishAttach:
     def test_roundtrip_matches_file_reads(self, oriented):
         with publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
-            np.testing.assert_array_equal(view.read_degrees(), oriented.read_degrees())
+            np.testing.assert_array_equal(
+                np.diff(view.cached_offsets), oriented.read_degrees()
+            )
             np.testing.assert_array_equal(
                 view.read_adjacency_range(0, oriented.num_edges),
                 oriented.read_adjacency_range(0, oriented.num_edges),
@@ -96,8 +98,8 @@ class TestPublishAttach:
             view.close()
 
     def test_scan_invariants_published(self, oriented):
-        """The sorted packed edge keys and the in-neighbour lists (the
-        transpose, sources ascending per target)."""
+        """The in-neighbour lists (the transpose, sources ascending per
+        target, as int32) and the view's sorted packed edge keys."""
         with publish_graph(oriented) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             adjacency = oriented.read_adjacency_range(0, oriented.num_edges)
@@ -109,6 +111,8 @@ class TestPublishAttach:
             expected_keys = sources * oriented.num_vertices + adjacency
             np.testing.assert_array_equal(view.scan_keys, expected_keys)
             assert bool(np.all(np.diff(view.scan_keys) >= 0))  # sorted haystack
+            assert not view.scan_keys.flags.writeable
+            assert view.in_sources.dtype == np.int32
             by_target = np.argsort(adjacency, kind="stable")
             np.testing.assert_array_equal(view.in_sources, sources[by_target])
             in_degrees = np.bincount(adjacency, minlength=oriented.num_vertices)
@@ -118,54 +122,77 @@ class TestPublishAttach:
 
     @pytest.mark.skipif(not _COMPILED_OK, reason=f"no C tier: {_COMPILED_DETAIL}")
     def test_tiers_publish_identical_segments(self, oriented):
-        """The C tier's counting-sort in-lists and its packed keys, written
-        in place, are byte for byte the numpy tier's sort-based arrays."""
+        """Both tiers publish the same four segments: the C tier's
+        counting-sort in-lists, written in place, are byte for byte the
+        numpy tier's sort-based arrays, in the same dtypes."""
         published = {}
         for tier in ("numpy", "cffi"):
             with kernel_backend.use(tier), publish_graph(oriented) as publication:
-                view = SharedGraphView(publication.descriptor, oriented.device.model)
-                published[tier] = [
-                    np.array(a)
-                    for a in (
-                        view.read_degrees(),
-                        view.read_adjacency_range(0, oriented.num_edges),
-                        view.cached_offsets,
-                        view.scan_keys,
-                        view.in_offsets,
-                        view.in_sources,
-                    )
-                ]
+                descriptor = publication.descriptor
+                view = SharedGraphView(descriptor, oriented.device.model)
+                arrays = (
+                    view.read_adjacency_range(0, oriented.num_edges),
+                    view.cached_offsets,
+                    view.in_offsets,
+                    view.in_sources,
+                )
+                assert {
+                    name: getattr(descriptor, name).dtype for name in _PUBLISHED_FIELDS
+                } == _PUBLISHED_FIELDS
+                assert [a.dtype.name for a in arrays] == list(_PUBLISHED_FIELDS.values())
+                published[tier] = [np.array(a) for a in arrays]
                 view.close()
         for c_array, numpy_array in zip(published["cffi"], published["numpy"]):
+            assert c_array.dtype == numpy_array.dtype
             assert c_array.tobytes() == numpy_array.tobytes()
 
     @pytest.mark.parametrize(
         "tier, corruption",
         [
-            ("numpy", "short"),
             pytest.param(
-                "cffi", "short",
-                marks=pytest.mark.skipif(not _COMPILED_OK, reason="no C tier"),
-            ),
-            pytest.param(
-                "cffi", "id",
-                marks=pytest.mark.skipif(not _COMPILED_OK, reason="no C tier"),
-            ),
+                tier, corruption,
+                marks=[pytest.mark.skipif(not _COMPILED_OK, reason="no C tier")]
+                if tier == "cffi" else [],
+            )
+            for corruption in ("short", "id", "negative id", "degree sum", "negative degree")
+            for tier in ("numpy", "cffi")
         ],
     )
     def test_failed_publication_leaves_no_segment(self, oriented, tier, corruption):
-        """A graph file shorter than its metadata, or (on the C tier) an id
-        outside the graph, fails the publication with a format error after
-        its segments exist; every segment is closed and unlinked."""
+        """A graph file shorter than its metadata, an id outside the graph
+        (``n`` in the last entry, ``-1`` in the first), or a degree file whose
+        sum is not the adjacency length or that holds a negative degree (with
+        the right sum) fails the publication on both tiers with the same
+        format error, after its segments exist; every segment is closed and
+        unlinked."""
+        n, m = oriented.num_vertices, oriented.num_edges
         path = oriented.device.path(oriented.adjacency_file_name)
         adjacency = np.fromfile(path, dtype=np.int64)
+        message = {
+            "short": f"{oriented.adjacency_file_name} holds {8 * (m - 1)} bytes",
+            "id": rf"adjacency entry {m - 1} holds id {n} outside \[0, {n}\)$",
+            "negative id": rf"adjacency entry 0 holds id -1 outside \[0, {n}\)$",
+            "degree sum": f"degree sum {m + 1} does not match adjacency length {m}$",
+            "negative degree": "vertex 0 has negative degree -1$",
+        }[corruption]
         if corruption == "short":
             adjacency = adjacency[:-1]
+        elif corruption == "id":
+            adjacency[-1] = n
+        elif corruption == "negative id":
+            adjacency[0] = -1
         else:
-            adjacency[-1] = oriented.num_vertices
+            degree_path = oriented.device.path(oriented.degree_file_name)
+            degrees = np.fromfile(degree_path, dtype=np.int64)
+            if corruption == "degree sum":
+                degrees[-1] += 1
+            else:
+                degrees[-1] += degrees[0] + 1
+                degrees[0] = -1
+            degrees.tofile(degree_path)
         adjacency.tofile(path)
         with kernel_backend.use(tier):
-            with pytest.raises(GraphFormatError):
+            with pytest.raises(GraphFormatError, match=message):
                 publish_graph(oriented)
         assert _segments_on_host() == []
 
@@ -191,15 +218,18 @@ class TestPublishAttach:
         assert _segments_on_host() == []
 
     def test_oriented_publication_has_no_order_keys(self, oriented):
-        """``order_keys`` and ``scan_sources`` stay on the descriptor and are
-        always ``None``, so tools that size a publication field by field
-        still find them."""
+        """``degrees``, ``scan_keys``, ``order_keys`` and ``scan_sources``
+        stay on the descriptor and are always ``None``, so tools that size a
+        publication field by field still find them."""
         with publish_graph(oriented) as publication:
             descriptor = publication.descriptor
+            assert descriptor.degrees is None
+            assert descriptor.scan_keys is None
             assert descriptor.order_keys is None
             assert descriptor.scan_sources is None
             for name in _PUBLISHED_FIELDS:
                 assert getattr(descriptor, name) is not None, name
+            assert len(publication._segments) == len(_PUBLISHED_FIELDS)
 
 
 class TestLifecycle:
@@ -252,7 +282,7 @@ class TestLifecycle:
         try:
             view = attach_view(fresh_pub.descriptor, oriented.device.model)
             assert stale_token not in shm_mod._ATTACHED
-            assert view.read_degrees().shape[0] == oriented.num_vertices
+            assert view.cached_offsets.shape[0] == oriented.num_vertices + 1
         finally:
             fresh_pub.unlink()
             stale_pub._unlinked = True  # segments already gone
@@ -263,14 +293,13 @@ class TestLifecycle:
         [
             lambda view: view.cached_offsets,
             lambda view: view.offsets(),
-            lambda view: view.read_degrees(),
             lambda view: view.read_adjacency_range(0, 1),
             lambda view: view.scan_keys,
             lambda view: view.in_offsets,
             lambda view: view.in_sources,
         ],
-        ids=["cached_offsets", "offsets", "read_degrees", "read_adjacency_range",
-             "scan_keys", "in_offsets", "in_sources"],
+        ids=["cached_offsets", "offsets", "read_adjacency_range", "scan_keys",
+             "in_offsets", "in_sources"],
     )
     def test_closed_view_reports_closed_not_missing(self, oriented, read):
         """Use-after-close of any published array is reported as a closed
@@ -542,6 +571,28 @@ class TestRunnerIntegration:
             assert result.triangles == expected
             assert result.shm_used
             assert _segments_on_host() == [], backend
+
+    @pytest.mark.parametrize("tier, builds", [("numpy", 1), ("cffi", 0)])
+    def test_scan_builds_keys_once_per_view(self, rmat_small, monkeypatch, tier, builds):
+        """No segment carries the packed edge keys.  On the numpy tier every
+        chunk of a serial run scans through the one cached view, which
+        builds them on first use, so once per run, not once per chunk; the
+        C tier never builds them."""
+        if tier == "cffi" and not _COMPILED_OK:
+            pytest.skip(f"no C tier: {_COMPILED_DETAIL}")
+        built = []
+        build = shm_mod.kernels.csr_packed_keys
+        monkeypatch.setattr(
+            shm_mod.kernels, "csr_packed_keys",
+            lambda *args: built.append(1) or build(*args),
+        )
+        config = self._config(scheduling="dynamic")
+        with kernel_backend.use(tier):
+            result = PDTLRunner(config, backend="serial").run(rmat_small)
+        assert result.shm_used and result.num_chunks > 1
+        assert result.triangles == forward_count(rmat_small)
+        assert len(built) == builds
+        assert _segments_on_host() == []
 
     def test_cleanup_under_failure_injection(self, rmat_small):
         config = self._config(scheduling="dynamic", failure_spec={0: 1, 2: 0})

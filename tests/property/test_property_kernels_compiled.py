@@ -34,7 +34,7 @@ from repro.analytics.truss import _peel_level_numpy, truss_decomposition
 from repro.core import kernels, kernels_cffi
 from repro.core.orientation import _orient_range_numpy, degree_order_keys, orient_csr
 from repro.core.shm import _in_lists_numpy
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, PDTLError
 from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
@@ -370,10 +370,7 @@ def test_mgt_chunk_scan_matches_reference(registry, graph, data):
     # the windows' spans, as MGTWorker takes them
     vlows = np.searchsorted(indptr, bounds[:-1], side="right") - 1
     vhighs = np.maximum(np.searchsorted(indptr, bounds[1:], side="left") - 1, vlows)
-    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    in_sources = sources[np.argsort(indices, kind="stable")]
-    in_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(indices, minlength=n), out=in_offsets[1:])
+    in_offsets, in_sources = _in_lists(indptr, indices)
 
     # each window's ind arrays, and the whole graph as one scan block
     window_pairs, total, cones, vs_ref, ws_ref, credits = [], 0, [], [], [], []
@@ -430,7 +427,7 @@ def test_mgt_chunk_scan_refuses_windows_outside_the_graph(registry, bounds, vlow
     indptr = np.array([0, 2, 3, 3, 3], dtype=np.int64)
     indices = np.array([1, 2, 2], dtype=np.int64)
     in_offsets = np.array([0, 0, 1, 3, 3], dtype=np.int64)
-    in_sources = np.array([0, 0, 1], dtype=np.int64)
+    in_sources = np.array([0, 0, 1], dtype=np.int32)
     with pytest.raises(ValueError):
         registry["mgt_chunk_scan"](
             indptr, indices, in_offsets, in_sources,
@@ -581,8 +578,9 @@ def _i64(*values: int) -> np.ndarray:
 
 
 def _in_lists(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transpose by a stable argsort: int64 offsets, int32 sources."""
     n = indptr.shape[0] - 1
-    sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    sources = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     in_offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(indices, minlength=n), out=in_offsets[1:])
     return in_offsets, sources[np.argsort(indices, kind="stable")]
@@ -749,7 +747,8 @@ def test_mgt_block_scan_refuses_ids_outside_the_graph(registry, bad, where, emit
 @_EMITS
 def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, emit):
     """0 -> {1, 2}, 1 -> {2, 3} in one window: the walk reads every entry
-    of E_1, the in-neighbour 0 of vertex 1 and the whole of N(0)."""
+    of E_1, the in-neighbour 0 of vertex 1 and the whole of N(0).  The
+    in-lists are int32, so their largest bad id is 2**31 - 1."""
     x = _bad_id(bad, 4)
     indptr, indices = _i64(0, 2, 4, 4, 4), _i64(1, 2, 2, 3)
     in_offsets, in_sources = _in_lists(indptr, indices)
@@ -757,7 +756,7 @@ def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, emit
         indices = np.concatenate((indices[:2], np.sort(_i64(2, x))))
     elif where == "in_sources":
         in_sources = in_sources.copy()
-        in_sources[0] = x  # the in-neighbour of vertex 1
+        in_sources[0] = x if bad != "huge" else 2**31 - 1  # the in-neighbour of vertex 1
     else:  # vertex 0's list, walked against E_1
         indptr = _i64(0, 3, 5, 5, 5)
         indices = np.concatenate((np.sort(_i64(1, 2, x)), indices[2:]))
@@ -765,6 +764,22 @@ def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, emit
         registry["mgt_chunk_scan"], indptr, indices, in_offsets, in_sources,
         _i64(0, indices.shape[0]), _i64(0), _i64(1), emit, True,
     )
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16])
+def test_mgt_chunk_scan_refuses_in_sources_that_are_not_int32(registry, dtype):
+    """In-lists in any other dtype are refused, not cast: the int64 id
+    2**32 + 1 would wrap onto the valid id 1, past the walk's id check."""
+    indptr, indices = _i64(0, 2, 4, 4, 4), _i64(1, 2, 2, 3)
+    in_offsets, in_sources = _in_lists(indptr, indices)
+    wide = in_sources.astype(dtype)
+    if dtype == np.int64:
+        wide[0] = 2**32  # would wrap onto the true in-neighbour 0
+    with pytest.raises(TypeError, match="int32"):
+        registry["mgt_chunk_scan"](
+            indptr, indices, in_offsets, wide, _i64(0, 4), _i64(0), _i64(1), True, False,
+        )
 
 
 @REGISTRY_PARAMS
@@ -847,42 +862,79 @@ def test_orient_range_refuses_chunks_that_do_not_fit(registry, lo, hi, count):
 @given(graph=st.one_of(random_graphs().map(orient_csr), cone_dags()))
 @settings(**SETTINGS)
 def test_in_lists_matches_sort_transpose(registry, graph):
-    """The counting-sort transpose and its packed keys equal the numpy
-    tier's sort of packed (target, source) keys; every output slot is
-    written (the outputs start as garbage)."""
+    """The counting-sort transpose equals the numpy tier's sort of packed
+    (target, source) keys and a stable argsort by target, in int64 offsets
+    and int32 sources; every output slot is written (the outputs start as
+    garbage)."""
     n, m = graph.num_vertices, graph.num_edges
-    want = [np.empty(m, np.int64), np.empty(n + 1, np.int64), np.empty(m, np.int64)]
-    _in_lists_numpy(graph.indptr, graph.indices, *want)
-    got = [np.full(m, -7, np.int64), np.full(n + 1, -7, np.int64), np.full(m, -7, np.int64)]
+    want = [np.empty(n + 1, np.int64), np.empty(m, np.int32)]
+    assert _in_lists_numpy(graph.indptr, graph.indices, *want) == tuple(want)
+    got = [np.full(n + 1, -7, np.int64), np.full(m, -7, np.int32)]
     returned = registry["in_lists"](graph.indptr, graph.indices, *got)
     assert all(r is g for r, g in zip(returned, got))
     for g, w in zip(got, want):
+        assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
-    np.testing.assert_array_equal(
-        got[0], kernels.csr_packed_keys(graph.indptr, graph.indices)
-    )
+    for g, w in zip(got, _in_lists(graph.indptr, graph.indices)):
+        np.testing.assert_array_equal(g, w)
 
 
 @REGISTRY_PARAMS
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_in_lists_of_graphs_without_edges(registry, n):
     graph = CSRGraph.empty(n, directed=True)
-    key, in_offsets, in_sources = registry["in_lists"](
-        graph.indptr, graph.indices, np.empty(0, np.int64),
-        np.full(n + 1, -7, np.int64), np.empty(0, np.int64),
-    )
-    assert key.shape == in_sources.shape == (0,)
-    np.testing.assert_array_equal(in_offsets, np.zeros(n + 1, dtype=np.int64))
+    for in_lists in (registry["in_lists"], _in_lists_numpy):
+        in_offsets, in_sources = in_lists(
+            graph.indptr, graph.indices, np.full(n + 1, -7, np.int64), np.empty(0, np.int32),
+        )
+        assert in_sources.shape == (0,)
+        np.testing.assert_array_equal(in_offsets, np.zeros(n + 1, dtype=np.int64))
 
 
 @REGISTRY_PARAMS
-@pytest.mark.parametrize("bad_id", [-1, 3])
+@pytest.mark.parametrize("bad_id", [-1, 3, 2**31, 2**62])
 def test_in_lists_refuses_ids_outside_the_graph(registry, bad_id):
+    """Both tiers raise the same error, naming the first bad entry."""
     indptr = np.array([0, 2, 3, 3], dtype=np.int64)
-    adjacency = np.array([1, bad_id, 2], dtype=np.int64)
-    outs = (np.empty(3, np.int64), np.empty(4, np.int64), np.empty(3, np.int64))
-    with pytest.raises(GraphFormatError, match=f"entry 1 holds id {bad_id}"):
-        registry["in_lists"](indptr, adjacency, *outs)
+    adjacency = np.array([1, bad_id, bad_id], dtype=np.int64)
+    for in_lists in (registry["in_lists"], _in_lists_numpy):
+        outs = (np.empty(4, np.int64), np.empty(3, np.int32))
+        with pytest.raises(GraphFormatError) as raised:
+            in_lists(indptr, adjacency, *outs)
+        assert str(raised.value) == f"adjacency entry 1 holds id {bad_id} outside [0, 3)"
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize(
+    "in_offsets, in_sources",
+    [
+        (np.empty(4, np.int64), np.empty(3, np.int64)),  # int64 sources
+        (np.empty(4, np.int32), np.empty(3, np.int32)),  # int32 offsets
+        (np.empty(3, np.int64), np.empty(3, np.int32)),  # offsets too short
+        (np.empty(4, np.int64), np.empty(6, np.int32)[::2]),  # not contiguous
+    ],
+)
+def test_in_lists_refuses_outputs_of_the_wrong_kind(registry, in_offsets, in_sources):
+    indptr, adjacency = _i64(0, 2, 3, 3), _i64(1, 2, 2)
+    with pytest.raises(TypeError, match="int32 in_sources"):
+        registry["in_lists"](indptr, adjacency, in_offsets, in_sources)
+
+
+@REGISTRY_PARAMS
+def test_in_lists_refuses_ids_that_do_not_fit_int32(registry, monkeypatch):
+    """Both tiers refuse a graph with more vertices than int32 ids cover
+    before writing anything.  The bound is lowered to 4 for the calls, so a
+    5-vertex graph stands in for one of 2**31 + 1 vertices."""
+    kernels._require_int32_ids(2**31)
+    with pytest.raises(PDTLError, match="as int32"):
+        kernels._require_int32_ids(2**31 + 1)
+    monkeypatch.setattr(kernels, "MAX_INT32_VERTICES", 4)
+    indptr, adjacency = _i64(0, 1, 1, 1, 1, 1), _i64(4)
+    for in_lists in (registry["in_lists"], _in_lists_numpy):
+        outs = (np.full(6, -7, np.int64), np.full(1, -7, np.int32))
+        with pytest.raises(PDTLError, match="as int32"):
+            in_lists(indptr, adjacency, *outs)
+        assert (outs[0] == -7).all() and (outs[1] == -7).all()
 
 
 _FLAWS = ("unsorted", "loop", "duplicate")

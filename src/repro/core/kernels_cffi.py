@@ -507,7 +507,14 @@ int64_t pdtl_mgt_chunk_scan(const int64_t *offsets, const int64_t *adjacency,
                 nu = adjacency + offsets[u];
                 du = offsets[u + 1] - offsets[u];
                 if (q + 16 < qend) __builtin_prefetch(offsets + in_sources[q + 16]);
-                if (q + 8 < qend) __builtin_prefetch(adjacency + offsets[in_sources[q + 8]]);
+                if (q + 8 < qend) {
+                    /* offsets is loaded here, unlike in the prefetch
+                     * above: only at an id inside the graph (a bad one
+                     * fails the check above 8 pairs later) */
+                    const int64_t ahead = in_sources[q + 8];
+                    if ((uint64_t)ahead < (uint64_t)n)
+                        __builtin_prefetch(adjacency + offsets[ahead]);
+                }
                 if (want == 2) {
                     const int64_t first = nhit, ubase = offsets[u];
                     PDTL_MARKED_WALK(nu, du, n, slot_mark,

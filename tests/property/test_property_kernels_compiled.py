@@ -767,10 +767,29 @@ def test_mgt_chunk_scan_refuses_ids_outside_the_graph(registry, bad, where, emit
 
 
 @REGISTRY_PARAMS
+@_BAD_IDS
+@_EMITS
+def test_mgt_chunk_scan_checks_the_in_list_ids_it_looks_ahead_at(registry, bad, emit):
+    """0-9 -> {10}, 10 -> {11}: the window holds vertex 10's list, whose
+    in-neighbours are the 10 pairs.  The walk looks 8 pairs ahead along the
+    in-lists to prefetch, so it meets the bad 9th id before checking it:
+    no load happens at that id (int32's extremes used to crash the
+    process), and the walk raises the id error when it gets to it."""
+    indptr, indices = _i64(*range(11), 11, 11), _i64(*[10] * 10, 11)
+    in_offsets, in_sources = _in_lists(indptr, indices)
+    in_sources = in_sources.copy()
+    in_sources[8] = {"below": -(2**31), "n": 12, "huge": 2**31 - 1}[bad]
+    _refused(
+        registry["mgt_chunk_scan"], indptr, indices, in_offsets, in_sources,
+        _i64(10, 11), _i64(10), _i64(10), emit, True,
+    )
+
+
+@REGISTRY_PARAMS
 @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.int16])
 def test_mgt_chunk_scan_refuses_in_sources_that_are_not_int32(registry, dtype):
     """In-lists in any other dtype are refused, not cast: the int64 id
-    2**32 + 1 would wrap onto the valid id 1, past the walk's id check."""
+    2**32 would wrap onto the valid id 0, past the walk's id check."""
     indptr, indices = _i64(0, 2, 4, 4, 4), _i64(1, 2, 2, 3)
     in_offsets, in_sources = _in_lists(indptr, indices)
     wide = in_sources.astype(dtype)

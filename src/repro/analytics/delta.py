@@ -115,7 +115,7 @@ from repro.analytics.truss import (
     TrussResult,
     _incidence,
     _peel,
-    _triangle_edge_ids,
+    _triangle_table,
     _triple_edge_ids,
     canonical_edges,
 )
@@ -436,7 +436,7 @@ class GraphDelta:
         else:
             # documented slow path: without a retained table the old
             # triangles are re-enumerated once (still no full re-peel)
-            old_tri = _triangle_edge_ids(graph, old_keys)
+            old_tri = _triangle_table(graph)[2]
 
         # one gather maps the table to new ids; a row holding a deleted
         # edge (-1) is a removed triangle, and its survivors lose a support
@@ -591,10 +591,11 @@ class GraphDelta:
     def _verify(new_graph: CSRGraph, truss: TrussResult) -> None:
         from repro.analytics.truss import truss_decomposition
 
-        oracle = truss_decomposition(
-            new_graph, supports=truss.support, edges=truss.edges
-        )
-        if not np.array_equal(oracle.trussness, truss.trussness):
+        oracle = truss_decomposition(new_graph, supports=truss.support)
+        if not (
+            np.array_equal(oracle.edges, truss.edges)
+            and np.array_equal(oracle.trussness, truss.trussness)
+        ):
             raise AssertionError(
                 "incremental truss disagrees with the full-recompute oracle"
             )

@@ -19,14 +19,14 @@ what a separate ``per-vertex`` PDTL run reports, bit for bit (asserted by
 the integration tests).
 
 The truss stage needs more than counts: peeling requires the triangle
-*structure* (an ``O(T)`` edge-incidence table).  The canonicalise step
-already holds the engine's oriented edges and, as the inverse of its
-sort, each one's canonical edge id; it hands both to
+*structure* (an ``O(T)`` edge-incidence table).  The engine's supports
+follow its oriented edges, so both go to
 :func:`~repro.analytics.truss.truss_decomposition`, which checks that
-orientation against the input graph in one exact pass, walks it with
-those ids to build the table, and cross-checks the PDTL supports against
-the table on every call -- any disagreement between the engine's stream
-and this independent in-memory enumeration raises.  The external-memory
+orientation against the input graph entry for entry, builds the table on
+the one enumeration path it also takes standalone, moves the supports
+into canonical edge order, and cross-checks them against the table on
+every call -- any disagreement between the engine's stream and this
+independent in-memory enumeration raises.  The external-memory
 discipline applies to the support *accumulation* (the sink's spill
 path), not to the in-memory decomposition.
 """
@@ -46,7 +46,6 @@ from repro.analysis.report import (
     truss_summary_table,
 )
 from repro.cluster.executor import ExecutionBackend
-from repro.core import kernels
 from repro.core.config import PDTLConfig
 from repro.core.pdtl import PDTLResult
 from repro.core.runner import edge_supports
@@ -140,27 +139,6 @@ class AnalyticsResult:
         return "\n\n".join(sections)
 
 
-def _canonicalise(
-    result: PDTLResult, num_vertices: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(edges, supports, edge_ids)`` in the canonical edge-id space.
-
-    The oriented adjacency stores each undirected edge once, ordered by the
-    degree-based orientation; its edges are re-keyed to ``(min, max)``
-    pairs in lexicographic order, the supports follow them, and
-    ``edge_ids[p]`` is the canonical id of the oriented edge at adjacency
-    position ``p`` -- the inverse of the sort.
-    """
-    oriented = result.oriented_edges
-    low = np.minimum(oriented[:, 0], oriented[:, 1])
-    high = np.maximum(oriented[:, 0], oriented[:, 1])
-    order = np.argsort(kernels.packed_keys(low, high, num_vertices))
-    edge_ids = np.empty_like(order)
-    edge_ids[order] = np.arange(order.shape[0])
-    edges = np.stack([low[order], high[order]], axis=1)
-    return edges, result.edge_supports[order], edge_ids
-
-
 def run_analytics(
     graph: CSRGraph | GraphFile,
     config: PDTLConfig | None = None,
@@ -201,26 +179,12 @@ def run_analytics(
     result = edge_supports(graph, config, backend=backend, **config_overrides)
     telemetry = result.telemetry
 
-    canon_start = time.perf_counter()
-    edges, supports, edge_ids = _canonicalise(result, csr.num_vertices)
-    if telemetry is not None:
-        telemetry.record_span(
-            "canonicalise",
-            canon_start,
-            time.perf_counter() - canon_start,
-            cat="analytics",
-            track="analytics",
-            edges=int(edges.shape[0]),
-        )
-
     truss_start = time.perf_counter()
     truss = truss_decomposition(
         csr,
-        supports=supports,
-        edges=edges,
+        supports=result.edge_supports,
         keep_triangles=bool(delta_batches),
         oriented_edges=result.oriented_edges,
-        edge_ids=edge_ids,
     )
     if telemetry is not None:
         telemetry.record_span(
@@ -233,6 +197,10 @@ def run_analytics(
             rounds=truss.rounds,
         )
 
+    # the cross-check passed: the truss's supports are the run's, in
+    # canonical edge order
+    edges = truss.edges
+    supports = truss.support
     final_csr = csr
     triangles = result.triangles
     for delta in delta_batches:

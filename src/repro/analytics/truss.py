@@ -13,16 +13,15 @@ Two implementations live here:
 
 * :func:`truss_decomposition` -- the vectorised peeler (the support
   peeling of Wang & Cheng, "Truss decomposition in massive networks",
-  PVLDB 2012).  The triangles are enumerated **once** with the shared
-  MGT counting kernel (:func:`~repro.core.kernels.triangle_range`'s walk
-  over the degree-based orientation) with each triangle's three edges as
-  canonical edge ids.  Given a PDTL run's orientation and the canonical
-  id of each of its edges (what :func:`~repro.analytics.run_analytics`'s
-  canonicalise step holds), it checks that orientation against the graph
-  in one exact pass (:func:`_run_orientation`) and walks it with those
-  ids; on its own it orients the graph
-  (:func:`~repro.core.orientation.orient_csr`) and maps each adjacency
-  slot to its id with one packed-key binary search.  Then an
+  PVLDB 2012).  The triangles are enumerated **once**, on one path
+  (:func:`_triangle_table`): the graph is oriented by the degree order,
+  the shared MGT counting kernel
+  (:func:`~repro.core.kernels.triangle_range`) walks the orientation and
+  reports each triangle's three adjacency positions, and one sort of the
+  oriented edges' canonical keys gives every position its canonical edge
+  id (:func:`_canonical_ids`).  A PDTL run's orientation, which
+  :func:`~repro.analytics.run_analytics` passes with the run's supports,
+  is checked against that orientation entry for entry.  Then an
   edge→triangle incidence CSR is built (:func:`_incidence`: one stable
   argsort of the triangle slots, or on the compiled tier one stable
   counting-sort pass).  Peeling then never searches again: the level
@@ -33,8 +32,8 @@ Two implementations live here:
   kills each still-alive triangle exactly once (``np.unique``), and
   applies the support decrements to the surviving edges with one
   ``np.subtract.at`` -- no per-edge Python loops anywhere.  The dynamic
-  graph path (:mod:`repro.analytics.delta`) reuses the incidence builder
-  and the level loop.
+  graph path (:mod:`repro.analytics.delta`) reuses the triangle table,
+  the incidence builder and the level loop.
 * :func:`trussness_reference` -- a deliberately simple scalar
   implementation (sets, dicts, one edge at a time) kept as the pinned
   reference for the property tests and the perf benchmark.  Trussness is a
@@ -184,137 +183,69 @@ def truss_summary_rows(
     return rows
 
 
-def _triangle_edge_ids(graph: CSRGraph, keys: np.ndarray) -> np.ndarray:
-    """Every triangle as its three canonical edge ids, shape ``(T, 3)``.
-
-    Enumerated with the shared MGT counting kernel's walk over the
-    degree-based orientation (bounded out-degrees, so the gather volume
-    obeys the arboricity bound of Theorem III.4), each adjacency slot
-    mapped to its canonical id with one packed-key binary search (fused
-    into a single compiled loop when the kernel tier provides one).
-    """
-    from repro.core.orientation import orient_csr
-
-    oriented = orient_csr(graph)
-    n = graph.num_vertices
-    fused_ids = kernel_backend.fused("triangle_edge_ids")
-    if n > kernels.MAX_PACKABLE_VERTICES:
-        fused_ids = None  # let the numpy packed_keys path raise its PDTLError
-    if fused_ids is not None:
-        # per-source-vertex slices of the sorted key array confine each
-        # fused lookup to its row instead of the whole edge list; one call
-        # covers every vertex (the numpy batching only bounds peak gather
-        # memory, which the fused loop never materialises)
-        row_start = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-        return fused_ids(oriented.indptr, oriented.indices, keys, row_start, n, 0, n)
-    sources = oriented.edge_sources()
-    slot_ids = np.searchsorted(
-        keys,
-        kernels.packed_keys(
-            np.minimum(sources, oriented.indices), np.maximum(sources, oriented.indices), n
-        ),
-    )
-    return _walk_triangle_ids(oriented.indptr, oriented.indices, slot_ids)
-
-
-def _run_orientation(
-    graph: CSRGraph, oriented_edges: np.ndarray, edge_ids: np.ndarray, keys: np.ndarray
+def _canonical_ids(
+    sources: np.ndarray, destinations: np.ndarray, num_vertices: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The run's oriented graph as CSR ``(indptr, indices)``, checked exactly.
+    """``(edges, ids)`` of an oriented edge list holding every undirected
+    edge once: the canonical edges (``(min, max)`` pairs, lexicographically
+    sorted) and ``ids[p]``, the canonical id of oriented edge ``p`` -- the
+    inverse of the sort that orders them."""
+    low = np.minimum(sources, destinations)
+    high = np.maximum(sources, destinations)
+    order = np.argsort(kernels.packed_keys(low, high, num_vertices))
+    ids = np.empty_like(order)
+    ids[order] = np.arange(order.shape[0])
+    return np.stack([low[order], high[order]], axis=1), ids
 
-    ``oriented_edges`` must be, entry for entry, the input's entries going
-    up :func:`~repro.core.orientation.degree_order_keys` -- the one-pass
-    orientation filter (the compiled ``orient_range`` or its numpy twin)
-    over the whole input is compared with them -- and ``edge_ids`` must
-    map each of them onto the canonical edge with its key among the
-    strictly increasing ``keys``.  So an oriented edge that is reversed,
-    missing, extra or repeated raises, and so does an id that is not the
-    edge's.
+
+def _triangle_table(
+    graph: CSRGraph, oriented_edges: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(edges, ids, tri_edges)``: the canonical edges, the canonical id of
+    each oriented edge (:func:`_canonical_ids`) and every triangle as its
+    three canonical edge ids, shape ``(T, 3)``.
+
+    The graph is oriented up :func:`~repro.core.orientation.degree_order_keys`
+    by the one-pass orientation filter (the compiled ``orient_range`` or its
+    numpy twin), whose bounded out-degrees keep the walk's gather volume
+    within the arboricity bound of Theorem III.4.
+    :func:`~repro.core.kernels.triangle_range` walks it once, reporting each
+    triangle's three adjacency positions, and the ids are taken at them.
+    ``oriented_edges``, a PDTL run's orientation, must be the filter's
+    output entry for entry, so an oriented edge that is reversed, missing,
+    extra or repeated raises.
     """
     from repro.core.orientation import _orient_range_numpy, degree_order_keys
 
     n = graph.num_vertices
-    m = int(keys.shape[0])
-    if oriented_edges.shape != (m, 2) or edge_ids.shape != (m,):
-        raise ValueError(
-            f"got {oriented_edges.shape[0]} oriented edges and {edge_ids.shape[0]} "
-            f"edge ids for {m} canonical edges"
-        )
     orient_range = kernel_backend.fused("orient_range") or _orient_range_numpy
     out_degrees, indices = orient_range(
         graph.indices, degree_order_keys(graph.degrees), graph.indptr, 0, n
     )
     sources = np.repeat(np.arange(n, dtype=np.int64), out_degrees)
-    if not (
-        np.array_equal(indices, oriented_edges[:, 1])
-        and np.array_equal(sources, oriented_edges[:, 0])
-    ):
-        raise ValueError(
-            "the oriented edges are not the graph's edges going up the degree order"
-        )
-    # each oriented edge's canonical key, built in place (the graph's keys
-    # were packed with this n already)
-    canonical = np.minimum(sources, indices)
-    np.maximum(sources, indices, out=sources)
-    canonical *= n
-    canonical += sources
-    if m and not (
-        (keys[1:] > keys[:-1]).all()
-        and 0 <= int(edge_ids.min())
-        and int(edge_ids.max()) < m
-        and np.array_equal(keys[edge_ids], canonical)
-    ):
-        raise ValueError(
-            "the edge ids do not map the oriented edges onto strictly increasing "
-            "canonical edges"
-        )
-    # a compact copy: the filter's output buffer holds every input entry
-    return prefix_sums(out_degrees), indices.copy()
-
-
-def _walk_triangle_ids(
-    indptr: np.ndarray, indices: np.ndarray, slot_ids: np.ndarray
-) -> np.ndarray:
-    """Every triangle of an oriented CSR graph as its three canonical edge
-    ids, shape ``(T, 3)``, given each adjacency slot's id (``slot_ids``).
-    The compiled ``triangle_edge_ids`` takes the ids in place of its slot
-    pass's searches; the numpy tier maps the positions
-    :func:`_triangle_slots` reports, in bounded vertex batches."""
-    n = int(indptr.shape[0] - 1)
-    fused_ids = kernel_backend.fused("triangle_edge_ids")
-    if fused_ids is not None:
-        return fused_ids(indptr, indices, None, None, n, 0, n, slot_ids)
-    parts: list[np.ndarray] = []
-    for blo, bhi in kernels.iter_vertex_batches(indptr, 0, n):
-        slots = _triangle_slots(indptr, indices, blo, bhi)
-        if slots.shape[0]:
-            parts.append(slot_ids[slots])
-    if not parts:
-        return np.empty((0, 3), dtype=np.int64)
-    return np.concatenate(parts)
-
-
-def _triangle_slots(
-    indptr: np.ndarray, indices: np.ndarray, lo: int, hi: int
-) -> np.ndarray:
-    """The adjacency positions of the edges ``(u, v)``, ``(u, w)`` and
-    ``(v, w)`` of every triangle with cone ``u`` in ``[lo, hi)``, shape
-    ``(T, 3)``, in :func:`~repro.core.kernels.triangle_range`'s order: its
-    gather and packed-key search, keeping where each hit was found."""
-    n = int(indptr.shape[0] - 1)
-    base = int(indptr[lo])
-    block_adj = indices[base : int(indptr[hi])]
-    entry_src = np.repeat(
-        np.arange(hi - lo, dtype=np.int64), np.diff(indptr[lo : hi + 1])
-    )
-    vw, owners = kernels.segment_positions(
-        indptr[block_adj], indptr[block_adj + 1] - indptr[block_adj]
-    )
-    uw, found = kernels.sorted_positions(
-        kernels.packed_keys(entry_src, block_adj, n),
-        kernels.packed_keys(entry_src[owners], indices[vw], n),
-    )
-    return np.stack((base + owners[found], base + uw[found], vw[found]), axis=1)
+    if oriented_edges is not None:
+        oriented_edges = np.asarray(oriented_edges)
+        if not (
+            oriented_edges.shape == (indices.shape[0], 2)
+            and np.array_equal(indices, oriented_edges[:, 1])
+            and np.array_equal(sources, oriented_edges[:, 0])
+        ):
+            raise ValueError(
+                "the oriented edges are not the graph's edges going up the degree order"
+            )
+    edges, ids = _canonical_ids(sources, indices, n)
+    indptr = prefix_sums(out_degrees)
+    walk = kernel_backend.fused("triangle_range")
+    if walk is not None:
+        # the C walk keeps no per-batch scratch, so it takes every cone at once
+        slots = walk(indptr, indices, 0, n, kernels.EMIT_POSITIONS)[0]
+    else:
+        parts = [
+            kernels.triangle_range(indptr, indices, lo, hi, kernels.EMIT_POSITIONS)[0]
+            for lo, hi in kernels.iter_vertex_batches(indptr, 0, n)
+        ]
+        slots = np.concatenate(parts) if parts else np.empty((0, 3), dtype=np.int64)
+    return edges, ids, ids.take(slots)
 
 
 def _triple_edge_ids(
@@ -422,10 +353,8 @@ def _peel(tri_edges: np.ndarray, support: np.ndarray, settled=None):
 def truss_decomposition(
     graph: CSRGraph,
     supports: np.ndarray | None = None,
-    edges: np.ndarray | None = None,
     keep_triangles: bool = False,
     oriented_edges: np.ndarray | None = None,
-    edge_ids: np.ndarray | None = None,
 ) -> TrussResult:
     """Vectorised k-truss peeling of an undirected CSR graph.
 
@@ -434,30 +363,25 @@ def truss_decomposition(
     graph:
         the undirected graph (bidirectional CSR storage).
     supports:
-        per-canonical-edge triangle supports to start from -- typically the
-        merged output of a PDTL ``edge-support`` run.  The decomposition
-        cross-checks them against its own triangle enumeration (they are
-        the same integer quantity, so any mismatch means corrupt input and
-        raises).
-    edges:
-        the canonical edge array the supports are aligned with; derived
-        from ``graph`` when omitted.
+        per-edge triangle supports to start from -- typically the merged
+        output of a PDTL ``edge-support`` run -- aligned with the canonical
+        edges, or with ``oriented_edges`` when those are given.  The
+        decomposition cross-checks them against its own triangle
+        enumeration (they are the same integer quantity, so any mismatch
+        means corrupt input and raises).
     keep_triangles:
         retain the ``(T, 3)`` triangle table on the result
         (``TrussResult.tri_edges``) so the dynamic-graph delta path can
         update it incrementally instead of re-enumerating.
-    oriented_edges, edge_ids:
-        a PDTL run's orientation (``PDTLResult.oriented_edges``) and the
-        canonical id of each of its edges, with ``edges`` (the analytics
-        pipeline's canonicalise step holds all three).  The enumeration
-        then walks that orientation with those ids after one exact check
-        (:func:`_run_orientation`) instead of orienting the graph and
-        searching every slot's id; without them it orients the graph
-        itself (:func:`~repro.core.orientation.orient_csr`).
+    oriented_edges:
+        a PDTL run's orientation (``PDTLResult.oriented_edges``), which the
+        run's supports follow.  It is checked entry for entry against the
+        graph's own orientation (:func:`_triangle_table`), and the supports
+        are scattered into canonical order before the cross-check.
 
     Algorithm: classic support peeling (Wang & Cheng, "Truss decomposition
     in massive networks", PVLDB 2012), batched, with the triangle structure
-    materialised up front.  One pass of the shared counting kernel yields
+    materialised up front.  One walk of the shared counting kernel yields
     every triangle's three canonical edge ids; initial supports are a
     ``bincount``; the level loop (:func:`_peel`) peels at level ``k``
     every surviving edge with support ``<= k - 2``, round after round,
@@ -465,23 +389,8 @@ def truss_decomposition(
     """
     if graph.directed:
         raise ValueError("truss_decomposition expects the undirected CSR graph")
-    if (oriented_edges is None) != (edge_ids is None) or (
-        oriented_edges is not None and edges is None
-    ):
-        raise ValueError("oriented_edges and edge_ids come together, with edges")
-    if edges is None:
-        edges = canonical_edges(graph)
+    edges, ids, tri_edges = _triangle_table(graph, oriented_edges)
     m = int(edges.shape[0])
-    n = graph.num_vertices
-    keys = kernels.packed_keys(edges[:, 0], edges[:, 1], n)  # sorted by canon order
-
-    if oriented_edges is None:
-        tri_edges = _triangle_edge_ids(graph, keys)
-    else:
-        oriented_edges = np.asarray(oriented_edges, dtype=np.int64)
-        edge_ids = np.asarray(edge_ids, dtype=np.int64)
-        indptr, indices = _run_orientation(graph, oriented_edges, edge_ids, keys)
-        tri_edges = _walk_triangle_ids(indptr, indices, edge_ids)
     support = np.bincount(tri_edges.reshape(-1), minlength=m).astype(np.int64)
     if supports is not None:
         supports = np.asarray(supports, dtype=np.int64)
@@ -489,13 +398,17 @@ def truss_decomposition(
             raise ValueError(
                 f"got {supports.shape[0]} supports for {m} canonical edges"
             )
+        if oriented_edges is not None:
+            canonical = np.empty_like(supports)
+            canonical[ids] = supports
+            supports = canonical
         if not np.array_equal(supports, support):
             raise ValueError(
                 "given supports disagree with the graph's triangle counts"
             )
     trussness, _, rounds, _ = _peel(tri_edges, support)
     return TrussResult(
-        num_vertices=n,
+        num_vertices=graph.num_vertices,
         edges=edges,
         trussness=trussness,
         support=support,

@@ -87,7 +87,7 @@ def forward_list(graph: CSRGraph) -> set[frozenset[int]]:
     triangles: set[frozenset[int]] = set()
     indptr, indices = oriented.indptr, oriented.indices
     for lo, hi in kernels.iter_vertex_batches(indptr, 0, oriented.num_vertices):
-        cones, vs, ws, _ = kernels.triangle_range(indptr, indices, lo, hi, want_triples=True)
+        cones, vs, ws, _ = kernels.triangle_range(indptr, indices, lo, hi, kernels.EMIT_TRIPLES)
         triangles.update(
             frozenset(t) for t in zip(cones.tolist(), vs.tolist(), ws.tolist())
         )
@@ -102,7 +102,7 @@ def per_vertex_triangle_counts(graph: CSRGraph) -> np.ndarray:
     counts = np.zeros(graph.num_vertices, dtype=np.int64)
     indptr, indices = oriented.indptr, oriented.indices
     for lo, hi in kernels.iter_vertex_batches(indptr, 0, oriented.num_vertices):
-        cones, vs, ws, _ = kernels.triangle_range(indptr, indices, lo, hi, want_triples=True)
+        cones, vs, ws, _ = kernels.triangle_range(indptr, indices, lo, hi, kernels.EMIT_TRIPLES)
         if cones.shape[0] == 0:
             continue
         # O(hits) scatter-add; a bincount(minlength=n) per batch would make

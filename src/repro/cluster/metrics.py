@@ -143,14 +143,6 @@ class ClusterMetrics:
         return max((n.calc_seconds for n in self.nodes), default=0.0)
 
     @property
-    def max_node_total_seconds(self) -> float:
-        return max((n.total_seconds() for n in self.nodes), default=0.0)
-
-    @property
-    def total_network_bytes(self) -> int:
-        return sum(n.bytes_received for n in self.nodes)
-
-    @property
     def total_chunks_completed(self) -> int:
         return sum(n.chunks_completed for n in self.nodes)
 

@@ -113,19 +113,16 @@ def _self_check(registry: dict[str, Callable]) -> None:
         return np.array(values, dtype=np.int64)
 
     indptr, indices = i64(0, 2, 3, 3, 3), i64(1, 2, 2)
-    a, b = i64(-3, 0, 2, 2, 5), i64(-3, 1, 2, 6)
-    us, vs, ws = i64(0), i64(1), i64(2)
-    keys = i64(1, 2, 6)  # packed (0,1), (0,2), (1,2) for n = 4
-    # the triangle's canonical edge ids, which are also the adjacency
-    # positions of its edges (0, 1), (0, 2) and (1, 2)
+    us, vs = i64(0), i64(1)
+    # the adjacency positions of the triangle's edges (0, 1), (0, 2) and
+    # (1, 2), which are also their canonical edge ids
     tri = i64(0, 1, 2)
     block_scan = (indices, i64(0, 2, 3), indices, 0, 2, i64(0, 2, 3, 3), i64(2, 1, 0))
     in_sources = np.array([0, 0, 1], dtype=np.int32)  # 1 <- {0}, 2 <- {0, 1}
     chunk_scan = (indptr, indices, i64(0, 0, 1, 3, 3), in_sources, i64(0, 2, 3), i64(0, 1),
                   i64(0, 1))
     cases = {
-        "sorted_membership": ((a, b), None),
-        "triangle_range": ((indptr, indices, 0, 4, True), None),
+        "triangle_range": ((indptr, indices, 0, 4, kernels.EMIT_TRIPLES), None),
         "edge_intersections": ((indptr, indices, us, vs, True), None),
         "edge_common_neighbors": ((indptr, indices, us, vs), None),
         # MGT window [0, 2] over the block of vertices 0 and 1
@@ -145,7 +142,6 @@ def _self_check(registry: dict[str, Callable]) -> None:
              i64(0, 1, 2, 3), i64(0, 0, 0), tri, np.ones(1, dtype=bool)),
             (3, 1),
         ),
-        "triangle_edge_ids": ((indptr, indices, keys, i64(0, 2, 3, 3, 3), 4, 0, 4), [tri]),
         "incidence_csr": ((tri, 3), (i64(0, 1, 2, 3), i64(0, 0, 0))),
         # orient the undirected graph 0-1, 0-2, 1-2 plus the isolated 3
         # (degree keys 2|0, 2|1, 2|2, 0|3) into the graph above
@@ -163,7 +159,10 @@ def _self_check(registry: dict[str, Callable]) -> None:
         "csr_violations": ((i64(0, 2, 4, 6, 6), i64(1, 1, 0, 3, 3, 0)), (2, -1, 0)),
     }
     checks = list(cases.items()) + [
-        # the scans' crediting mode: the triangle's three adjacency positions
+        # the walk's count and positions modes, and the scans' crediting
+        # mode: the triangle's three adjacency positions
+        ("triangle_range", ((indptr, indices, 0, 4, kernels.EMIT_COUNT), None)),
+        ("triangle_range", ((indptr, indices, 0, 4, kernels.EMIT_POSITIONS), ([tri], 4))),
         ("mgt_block_scan", (
             (*block_scan, np.zeros(4, dtype=np.int64), kernels.EMIT_POSITIONS),
             (1, 1, 1, [tri], None, None),
@@ -172,8 +171,6 @@ def _self_check(registry: dict[str, Callable]) -> None:
             (*chunk_scan, kernels.EMIT_POSITIONS, False),
             (1, 1, 1, [tri], None, None, None, None),
         )),
-        # the walk with the slots' ids given
-        ("triangle_edge_ids", ((indptr, indices, None, None, 4, 0, 4, tri), [tri])),
     ]
     for name, (args, want) in checks:
         got = registry[name](*args)

@@ -24,7 +24,10 @@ shares one implementation:
   :func:`segment_positions` the positions it gathers from;
 * :func:`triangle_range` / :func:`count_cone_range` -- the full MGT
   counting identity ``Σ_{u ∈ [lo,hi)} Σ_{v ∈ N⁺(u)} |N⁺(u) ∩ N⁺(v)|``
-  evaluated for a whole contiguous cone-vertex range per call;
+  evaluated for a whole contiguous cone-vertex range per call, which
+  :func:`triangle_range` can also list as triples or as the adjacency
+  positions of each triangle's three edges (the one oriented-triangle walk
+  of the in-memory baselines and the truss decomposition);
 * :func:`edge_intersections` -- the same identity for an arbitrary batch
   of oriented edges (the PowerGraph vertex-cut layout, where a machine's
   edges are not a contiguous range).
@@ -36,8 +39,10 @@ from its window array instead of the full adjacency), and the tests alike.
 Dispatch seam
 -------------
 
-Each batch primitive below may be routed to a compiled implementation
-installed by :mod:`repro.core.kernel_backend` (C loops from
+Each batch primitive below but :func:`sorted_membership` (numpy's own
+binary search: a C twin was no faster on the small batches the delta path
+looks up) may be routed to a compiled implementation installed by
+:mod:`repro.core.kernel_backend` (C loops from
 :mod:`repro.core.kernels_cffi` that fuse the gather → intersect → count
 chain without the intermediate arrays).  The numpy bodies live on as
 ``_*_numpy`` twins -- they are the always-available fallback when the C
@@ -105,11 +110,12 @@ def _impl(name: str):
 #: overhead over thousands of edges per call.
 DEFAULT_BATCH_ENTRIES = 8192
 
-#: What an MGT scan kernel reports for its hits (its ``emit`` argument): the
-#: hit count only, the ``(cone, v, w)`` triples, or each triangle's three
-#: adjacency positions -- those of ``(cone, v)``, ``(cone, w)`` and ``(v, w)``,
-#: the entries the scan read to find it -- for the edge-support sink to
-#: credit.  ``False`` and ``True`` still mean count and triples.
+#: What :func:`triangle_range` and the MGT scan kernels report for their hits
+#: (their ``emit`` argument): the hit count only, the ``(cone, v, w)``
+#: triples, or each triangle's three adjacency positions -- those of
+#: ``(cone, v)``, ``(cone, w)`` and ``(v, w)``, the entries the walk read to
+#: find it -- for the edge-support sink to credit and the truss to map to
+#: edge ids.
 EMIT_COUNT, EMIT_TRIPLES, EMIT_POSITIONS = 0, 1, 2
 
 #: Largest ``num_vertices`` whose packed keys fit int64.  The packing maps
@@ -196,13 +202,6 @@ def sorted_membership(haystack: np.ndarray, queries: np.ndarray) -> np.ndarray:
     twin of the per-element sorted-array intersection the paper's modified
     MGT performs.
     """
-    impl = _impl("sorted_membership")
-    if impl is not None:
-        return impl(haystack, queries)
-    return _sorted_membership_numpy(haystack, queries)
-
-
-def _sorted_membership_numpy(haystack: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return sorted_positions(haystack, queries)[1]
 
 
@@ -286,7 +285,7 @@ def triangle_range(
     indices: np.ndarray,
     lo: int,
     hi: int,
-    want_triples: bool = False,
+    emit: int = EMIT_COUNT,
 ) -> tuple:
     """Evaluate the MGT counting identity for every cone vertex in ``[lo, hi)``.
 
@@ -296,15 +295,19 @@ def triangle_range(
     operations: one segment gather of all ``N⁺(v)`` lists and one packed-key
     binary search against the range's own (sorted) adjacency.
 
-    Returns ``(count, operations)`` or, with ``want_triples=True``,
-    ``(cones, vs, ws, operations)`` where the triple arrays are aligned.
-    ``operations`` counts block entries scanned plus gathered elements --
-    the same deterministic work measure MGT's modelled CPU mode uses.
+    ``emit`` says what it reports, as for the MGT scans: ``(count,
+    operations)`` under :data:`EMIT_COUNT`; ``(cones, vs, ws, operations)``
+    with aligned triple arrays under :data:`EMIT_TRIPLES`; and under
+    :data:`EMIT_POSITIONS` ``(positions, operations)``, where row ``i`` of
+    the ``(T, 3)`` ``positions`` holds the adjacency positions of triple
+    ``i``'s edges ``(u, v)``, ``(u, w)`` and ``(v, w)``.  ``operations``
+    counts block entries scanned plus gathered elements -- the same
+    deterministic work measure MGT's modelled CPU mode uses.
     """
     impl = _impl("triangle_range")
     if impl is not None:
-        return impl(indptr, indices, lo, hi, want_triples)
-    return _triangle_range_numpy(indptr, indices, lo, hi, want_triples)
+        return impl(indptr, indices, lo, hi, emit)
+    return _triangle_range_numpy(indptr, indices, lo, hi, emit)
 
 
 def _triangle_range_numpy(
@@ -312,38 +315,36 @@ def _triangle_range_numpy(
     indices: np.ndarray,
     lo: int,
     hi: int,
-    want_triples: bool = False,
+    emit: int = EMIT_COUNT,
 ) -> tuple:
     num_vertices = int(indptr.shape[0] - 1)
     base = int(indptr[lo])
     block_adj = indices[base : int(indptr[hi])]
-    scanned = int(block_adj.shape[0])
-    if scanned == 0:
-        if want_triples:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, 0
-        return 0, 0
     degrees = (indptr[lo + 1 : hi + 1] - indptr[lo:hi]).astype(np.int64)
     entry_src = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
 
     # gather N⁺(v) for every adjacency entry (u, v) of the range
-    seg_starts = indptr[block_adj]
-    seg_lengths = (indptr[block_adj + 1] - indptr[block_adj]).astype(np.int64)
-    ev_all, owners = segment_gather(indices, seg_starts, seg_lengths)
-    operations = scanned + int(ev_all.shape[0])
+    vw, owners = segment_positions(
+        indptr[block_adj], indptr[block_adj + 1] - indptr[block_adj]
+    )
+    ev_all = indices[vw]
+    operations = int(block_adj.shape[0]) + int(ev_all.shape[0])
 
     # membership w ∈ N⁺(u) via one binary search on packed (u, w) keys;
-    # the keys are sorted because the range adjacency is (u, w)-sorted.
-    block_keys = packed_keys(entry_src, block_adj, num_vertices)
-    query_keys = packed_keys(entry_src[owners], ev_all, num_vertices)
-    found = _sorted_membership_numpy(block_keys, query_keys)
+    # the keys are sorted because the range adjacency is (u, w)-sorted,
+    # and the search also says where each (u, w) sits
+    uw, found = sorted_positions(
+        packed_keys(entry_src, block_adj, num_vertices),
+        packed_keys(entry_src[owners], ev_all, num_vertices),
+    )
 
-    if want_triples:
+    if emit == EMIT_POSITIONS:
+        positions = np.stack((base + owners[found], base + uw[found], vw[found]), axis=1)
+        return positions, operations
+    if emit == EMIT_TRIPLES:
         hit_owner = owners[found]
         cones = entry_src[hit_owner] + np.int64(lo)
-        vs = block_adj[hit_owner]
-        ws = ev_all[found]
-        return cones, vs, ws, operations
+        return cones, block_adj[hit_owner], ev_all[found], operations
     return int(np.count_nonzero(found)), operations
 
 
@@ -417,7 +418,7 @@ def _edge_intersections_numpy(
     seg_starts = indptr[vs]
     seg_lengths = (indptr[vs + 1] - indptr[vs]).astype(np.int64)
     ev_all, owners = segment_gather(indices, seg_starts, seg_lengths)
-    found = _sorted_membership_numpy(
+    found = sorted_membership(
         csr_keys, packed_keys(us[owners], ev_all, num_vertices)
     )
     if per_edge:
@@ -466,7 +467,7 @@ def _edge_common_neighbors_numpy(
     seg_starts = indptr[vs]
     seg_lengths = (indptr[vs + 1] - indptr[vs]).astype(np.int64)
     ev_all, owners = segment_gather(indices, seg_starts, seg_lengths)
-    found = _sorted_membership_numpy(
+    found = sorted_membership(
         csr_keys, packed_keys(us[owners], ev_all, num_vertices)
     )
     return owners[found], ev_all[found]
@@ -477,7 +478,6 @@ def _edge_common_neighbors_numpy(
 #: the probe in :mod:`repro.core.kernel_backend` refuses the whole tier when
 #: any C kernel disagrees with its twin on a miniature graph.
 NUMPY_IMPLS = {
-    "sorted_membership": _sorted_membership_numpy,
     "triangle_range": _triangle_range_numpy,
     "edge_intersections": _edge_intersections_numpy,
     "edge_common_neighbors": _edge_common_neighbors_numpy,

@@ -15,8 +15,7 @@ Semantics are pinned to the numpy twins in
 * the kernels that test many lists against one list mark that list once
   in a scratch array indexed by vertex id and walk each other list
   against the mark (``PDTL_MARKED_WALK``): the u-major ones
-  (``triangle_range``, ``mgt_block_scan``, ``triangle_edge_ids``) mark
-  ``N⁺(u)`` once per cone, ``mgt_chunk_scan`` marks ``E_v`` once per
+  (``triangle_range`` and ``mgt_block_scan``) mark ``N⁺(u)`` once per cone, ``mgt_chunk_scan`` marks ``E_v`` once per
   window vertex, and each clears its marks before the next.  A hit is a
   walked entry that is marked.  The u-major walks keep the membership
   semantics above (the walked lists hold the queries); the chunk scan
@@ -45,18 +44,18 @@ Semantics are pinned to the numpy twins in
   ``edge_common_neighbors`` emits owner-major with ``ws`` in ``N(v)`` order;
 * ``operations`` is the deterministic scanned + gathered work measure, so
   modelled CPU seconds are identical under either tier;
-* the two MGT scans count, list or credit (``EMIT_COUNT``,
-  ``EMIT_TRIPLES``, ``EMIT_POSITIONS`` of :mod:`repro.core.kernels`).  To
-  credit the edge-support sink, the marked list's scratch holds 1 + each
-  entry's adjacency position instead of a flag, and a hit writes the
-  triangle's three positions: the pair's entry ``(u, v)`` and the two
-  entries that meet in the walk, the marked side's read off its mark.
-  ``mgt_block_scan`` takes the positions of its block and window's first
-  entries; ``mgt_chunk_scan`` finds ``v`` in ``N(u)`` once per pair with
-  a hit, and credits in its walk's v-major order (a sum does not depend
-  on it), which its numpy twin reproduces;
-* ``triangle_edge_ids`` takes every adjacency slot's canonical id from
-  its caller when it has them, instead of its slot pass's searches;
+* ``triangle_range`` and the two MGT scans count, list or report
+  positions (``EMIT_COUNT``, ``EMIT_TRIPLES``, ``EMIT_POSITIONS`` of
+  :mod:`repro.core.kernels`).  To report positions -- the scans credit
+  the edge-support sink with them, the truss maps them to edge ids -- the
+  marked list's scratch holds 1 + each entry's adjacency position instead
+  of a flag, and a hit writes the triangle's three positions: the pair's
+  entry ``(u, v)`` and the two entries that meet in the walk, the marked
+  side's read off its mark.  ``triangle_range`` reads every position off
+  ``indptr``; ``mgt_block_scan`` takes the positions of its block and
+  window's first entries; ``mgt_chunk_scan`` finds ``v`` in ``N(u)`` once
+  per pair with a hit, and credits in its walk's v-major order (a sum does
+  not depend on it), which its numpy twin reproduces;
 * the master's preprocessing kernels match the numpy code they replace:
   ``orient_range`` keeps the entries the orientation's numpy filter keeps,
   in storage order, and reports an id outside the graph before reading at
@@ -87,15 +86,12 @@ _MODULE_NAME = "_pdtl_kernels_cffi"
 _BAD_ID = -1
 
 _CDEF = """
-int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
-                               const int64_t *q, int64_t nq, uint8_t *out);
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
                                int64_t n, int64_t lo, int64_t hi);
-int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices, int64_t n,
-                            int64_t lo, int64_t hi, uint8_t *mark, int64_t *ops);
-int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices, int64_t n,
-                           int64_t lo, int64_t hi, uint8_t *mark, int64_t *cones,
-                           int64_t *vs, int64_t *ws, int64_t *ops);
+int64_t pdtl_triangle_range(const int64_t *indptr, const int64_t *indices, int64_t n,
+                            int64_t lo, int64_t hi, uint8_t *mark, int64_t *slot_mark,
+                            int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *positions, int64_t *ops);
 int64_t pdtl_edge_intersections(const int64_t *indptr, const int64_t *indices,
                                 const int64_t *us, const int64_t *vs,
                                 int64_t ne, int64_t *per_edge);
@@ -128,10 +124,6 @@ int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
                               uint8_t *tri_alive, int64_t m,
                               int64_t *frontier, uint8_t *in_touched,
                               int64_t *rounds_out);
-int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
-                               const int64_t *keys, const int64_t *row_start,
-                               int64_t n, int64_t lo, int64_t hi, int64_t given,
-                               int64_t *slot_to_id, int64_t *mark, int64_t *out);
 void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
                         int64_t *inc_ptr, int64_t *inc_tri, int64_t *cursor);
 int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
@@ -273,18 +265,6 @@ static void pdtl_unmark_slots(int64_t *slot_mark, const int64_t *a, int64_t na) 
         if ((mark)[w]) { HIT; }                                             \
     }
 
-int64_t pdtl_sorted_membership(const int64_t *hay, int64_t nh,
-                               const int64_t *q, int64_t nq, uint8_t *out) {
-    int64_t hits = 0;
-    for (int64_t i = 0; i < nq; i++) {
-        int64_t pos = pdtl_lower_bound(hay, nh, q[i]);
-        uint8_t hit = (uint8_t)(pos < nh && hay[pos] == q[i]);
-        out[i] = hit;
-        hits += hit;
-    }
-    return hits;
-}
-
 /* the gathered total of the cones [lo, hi): the listing capacity */
 int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
                                int64_t n, int64_t lo, int64_t hi) {
@@ -298,42 +278,41 @@ int64_t pdtl_triangle_gathered(const int64_t *indptr, const int64_t *indices,
 }
 
 /* u-major: N(u) is marked once per cone and every N(v), v in N(u), walked
- * against it.  Marking N(u) checks each v before indptr is read at it. */
-int64_t pdtl_triangle_count(const int64_t *indptr, const int64_t *indices, int64_t n,
-                            int64_t lo, int64_t hi, uint8_t *mark, int64_t *ops) {
-    int64_t count = 0, gathered = 0;
-    for (int64_t u = lo; u < hi; u++) {
-        const int64_t *nu = indices + indptr[u];
-        const int64_t du = indptr[u + 1] - indptr[u];
-        if (pdtl_mark(mark, n, nu, du)) return PDTL_BAD_ID;
-        for (int64_t p = 0; p < du; p++) {
-            const int64_t v = nu[p];
-            const int64_t dv = indptr[v + 1] - indptr[v];
-            gathered += dv;
-            PDTL_MARKED_WALK(indices + indptr[v], dv, n, mark, count++);
-        }
-        pdtl_unmark(mark, nu, du);
-    }
-    *ops = (indptr[hi] - indptr[lo]) + gathered;
-    return count;
-}
-
-int64_t pdtl_triangle_list(const int64_t *indptr, const int64_t *indices, int64_t n,
-                           int64_t lo, int64_t hi, uint8_t *mark, int64_t *cones,
-                           int64_t *vs, int64_t *ws, int64_t *ops) {
+ * against it.  Marking N(u) checks each v before indptr is read at it.
+ * want is 0 (count), 1 (list the triples) or 2 (slot positions): the
+ * positions mode marks N(u) in slot_mark with its adjacency positions and
+ * writes each triangle's three positions to positions: the scanned entry
+ * (u, v), the mark's (u, w) and the walked entry (v, w). */
+int64_t pdtl_triangle_range(const int64_t *indptr, const int64_t *indices, int64_t n,
+                            int64_t lo, int64_t hi, uint8_t *mark, int64_t *slot_mark,
+                            int64_t want, int64_t *cones, int64_t *vs, int64_t *ws,
+                            int64_t *positions, int64_t *ops) {
     int64_t nhit = 0, gathered = 0;
     for (int64_t u = lo; u < hi; u++) {
-        const int64_t *nu = indices + indptr[u];
-        const int64_t du = indptr[u + 1] - indptr[u];
-        if (pdtl_mark(mark, n, nu, du)) return PDTL_BAD_ID;
+        const int64_t ubase = indptr[u];
+        const int64_t *nu = indices + ubase;
+        const int64_t du = indptr[u + 1] - ubase;
+        if (want == 2 ? pdtl_mark_slots(slot_mark, n, nu, du, ubase) : pdtl_mark(mark, n, nu, du))
+            return PDTL_BAD_ID;
         for (int64_t p = 0; p < du; p++) {
             const int64_t v = nu[p];
-            const int64_t dv = indptr[v + 1] - indptr[v];
+            const int64_t vbase = indptr[v];
+            const int64_t dv = indptr[v + 1] - vbase;
             gathered += dv;
-            PDTL_MARKED_WALK(indices + indptr[v], dv, n, mark,
-                             cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++);
+            if (want == 2) {
+                PDTL_MARKED_WALK(indices + vbase, dv, n, slot_mark,
+                                 positions[3 * nhit] = ubase + p;
+                                 positions[3 * nhit + 1] = slot_mark[w] - 1;
+                                 positions[3 * nhit + 2] = vbase + j; nhit++);
+            } else if (want) {
+                PDTL_MARKED_WALK(indices + vbase, dv, n, mark,
+                                 cones[nhit] = u; vs[nhit] = v; ws[nhit] = w; nhit++);
+            } else {
+                PDTL_MARKED_WALK(indices + vbase, dv, n, mark, nhit++);
+            }
         }
-        pdtl_unmark(mark, nu, du);
+        if (want == 2) pdtl_unmark_slots(slot_mark, nu, du);
+        else pdtl_unmark(mark, nu, du);
     }
     *ops = (indptr[hi] - indptr[lo]) + gathered;
     return nhit;
@@ -603,61 +582,6 @@ int64_t pdtl_truss_peel_level(int64_t k, uint8_t *alive, int64_t *support,
     return peeled;
 }
 
-/* the triangle_list enumeration (same traversal, same emission order)
- * fused with the edge-id mapping.  Unless the caller has the ids (given),
- * every oriented adjacency slot is first mapped to its canonical edge id:
- * the pair is canonicalised to (min, max), packed into min*n+max and
- * looked up with the same lower_bound np.searchsorted uses, confined to
- * the source row [row_start[x], row_start[x+1]) (row_start[u] = lower
- * bound of u*n in keys, which brackets every key of row x, so the position
- * equals the global searchsorted result).  Either way a first pass tests
- * every id against [0, n).  The enumeration is the marked walk of
- * pdtl_triangle_list, with each cone's mark holding 1 + the id of (u, w):
- * a hit's three ids are the scanned slot's (u, v), the mark's (u, w) and
- * the walked slot's (v, w), with no per-triangle searching at all. */
-int64_t pdtl_triangle_edge_ids(const int64_t *indptr, const int64_t *indices,
-                               const int64_t *keys, const int64_t *row_start,
-                               int64_t n, int64_t lo, int64_t hi, int64_t given,
-                               int64_t *slot_to_id, int64_t *mark, int64_t *out) {
-    int64_t nhit = 0;
-    for (int64_t u = 0; u < n; u++) {
-        for (int64_t p = indptr[u]; p < indptr[u + 1]; p++) {
-            int64_t v = indices[p];
-            int64_t x = u < v ? u : v;
-            int64_t y = u < v ? v : u;
-            int64_t rs;
-            if ((uint64_t)v >= (uint64_t)n) return PDTL_BAD_ID;
-            if (given) continue;
-            rs = row_start[x];
-            slot_to_id[p] = rs + pdtl_lower_bound(
-                keys + rs, row_start[x + 1] - rs, x * n + y);
-        }
-    }
-    for (int64_t u = lo; u < hi; u++) {
-        const int64_t *nu = indices + indptr[u];
-        const int64_t *nu_ids = slot_to_id + indptr[u];
-        const int64_t du = indptr[u + 1] - indptr[u];
-        for (int64_t p = 0; p < du; p++) mark[nu[p]] = nu_ids[p] + 1;
-        for (int64_t p = 0; p < du; p++) {
-            const int64_t v = nu[p];
-            const int64_t *nv = indices + indptr[v];
-            const int64_t *nv_ids = slot_to_id + indptr[v];
-            const int64_t dv = indptr[v + 1] - indptr[v];
-            for (int64_t j = 0; j < dv; j++) {
-                const int64_t uw = mark[nv[j]];
-                if (uw) {
-                    out[3 * nhit] = nu_ids[p];
-                    out[3 * nhit + 1] = uw - 1;
-                    out[3 * nhit + 2] = nv_ids[j];
-                    nhit++;
-                }
-            }
-        }
-        for (int64_t p = 0; p < du; p++) mark[nu[p]] = 0;
-    }
-    return nhit;
-}
-
 /* edge -> incident-triangle CSR by stable counting sort of the 3T slots:
  * slots are visited in increasing index order and appended to their edge's
  * bucket, which is exactly np.argsort(flat, kind="stable") // 3 */
@@ -853,9 +777,6 @@ def build_registry() -> dict[str, Callable]:
             return ffi.NULL
         return ffi.from_buffer("int32_t[]", a, require_writable=writable)
 
-    def integer_kinds(*arrays: np.ndarray) -> bool:
-        return all(np.asarray(a).dtype.kind in "iu" for a in arrays)
-
     def checked(result: int, n: int, *arrays: np.ndarray, scratch=None) -> int:
         """``result``, unless the marked walk flagged an id outside
         ``[0, n)``: then clear the caller's ``scratch`` (the walk stopped
@@ -872,19 +793,16 @@ def build_registry() -> dict[str, Callable]:
                 )
         raise RuntimeError(f"a kernel flagged an id outside [0, {n}), but none is")
 
-    def sorted_membership(haystack, queries):
-        if not integer_kinds(haystack, queries):
-            return kernels.NUMPY_IMPLS["sorted_membership"](haystack, queries)
-        haystack = as_i64(haystack)
-        queries = as_i64(queries)
-        out = np.zeros(queries.shape[0], dtype=bool)
-        if queries.shape[0] and haystack.shape[0]:
-            lib.pdtl_sorted_membership(
-                ptr(haystack), haystack.shape[0], ptr(queries), queries.shape[0], bptr(out)
+    def emit_mode(emit) -> int:
+        emit = int(emit)
+        if emit not in (kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS):
+            raise ValueError(
+                f"emit must be EMIT_COUNT, EMIT_TRIPLES or EMIT_POSITIONS, got {emit}"
             )
-        return out
+        return emit
 
-    def triangle_range(indptr, indices, lo, hi, want_triples=False):
+    def triangle_range(indptr, indices, lo, hi, emit=kernels.EMIT_COUNT):
+        emit = emit_mode(emit)
         indptr = as_i64(indptr)
         indices = as_i64(indices)
         lo = int(lo)
@@ -892,23 +810,28 @@ def build_registry() -> dict[str, Callable]:
         n = indptr.shape[0] - 1
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"cone range [{lo}, {hi}) is not inside [0, {n}]")
-        mark = np.zeros(n, dtype=np.uint8)
+        slots = emit == kernels.EMIT_POSITIONS
+        # the scratch: uint8 marks to count or list, positions to report slots
+        mark = np.zeros(n, dtype=np.int64 if slots else np.uint8)
         ops = ffi.new("int64_t *")
-        if not want_triples:
-            count = lib.pdtl_triangle_count(
-                ptr(indptr), ptr(indices), n, lo, hi, bptr(mark), ops
-            )
+        args = (
+            ptr(indptr), ptr(indices), n, lo, hi,
+            *((ffi.NULL, wptr(mark)) if slots else (bptr(mark), ffi.NULL)), emit,
+        )
+        if emit == kernels.EMIT_COUNT:
+            count = lib.pdtl_triangle_range(*args, *(ffi.NULL,) * 4, ops)
             return checked(int(count), n, indices), int(ops[0])
         cap = checked(
             int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), n, lo, hi)), n, indices
         )
+        if slots:
+            positions = np.empty((cap, 3), dtype=np.int64)
+            nhit = lib.pdtl_triangle_range(*args, *(ffi.NULL,) * 3, wptr(positions), ops)
+            return positions[: checked(int(nhit), n, indices)], int(ops[0])
         cones = np.empty(cap, dtype=np.int64)
         vs = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)
-        nhit = lib.pdtl_triangle_list(
-            ptr(indptr), ptr(indices), n, lo, hi, bptr(mark),
-            wptr(cones), wptr(vs), wptr(ws), ops,
-        )
+        nhit = lib.pdtl_triangle_range(*args, wptr(cones), wptr(vs), wptr(ws), ffi.NULL, ops)
         nhit = checked(int(nhit), n, indices)
         return cones[:nhit], vs[:nhit], ws[:nhit], int(ops[0])
 
@@ -951,14 +874,6 @@ def build_registry() -> dict[str, Callable]:
             )
         )
         return owners[:nhit], ws[:nhit]
-
-    def emit_mode(emit) -> int:
-        emit = int(emit)
-        if emit not in (kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS):
-            raise ValueError(
-                f"emit must be EMIT_COUNT, EMIT_TRIPLES or EMIT_POSITIONS, got {emit}"
-            )
-        return emit
 
     def mgt_block_scan(
         block_adj, block_offsets, edg, vlow, vhigh, win_offsets, win_degrees, mark,
@@ -1115,39 +1030,6 @@ def build_registry() -> dict[str, Callable]:
         )
         return int(peeled), int(rounds[0])
 
-    def triangle_edge_ids(indptr, indices, keys, row_start, num_vertices, lo, hi,
-                          slot_ids=None):
-        # slot_ids, when given, are each adjacency slot's canonical id, and
-        # keys and row_start go unread
-        indptr = as_i64(indptr)
-        indices = as_i64(indices)
-        n, lo, hi = int(num_vertices), int(lo), int(hi)
-        if not (indptr.shape == (n + 1,) and 0 <= lo <= hi <= n):
-            raise ValueError("indptr and [lo, hi) do not fit num_vertices")
-        if slot_ids is None:
-            keys = as_i64(keys)
-            row_start = as_i64(row_start)
-            if row_start.shape != indptr.shape:
-                raise ValueError("row_start does not fit num_vertices")
-            lookup = (ptr(keys), ptr(row_start), 0)
-            slot_to_id = np.empty(indices.shape[0], dtype=np.int64)
-        else:
-            lookup = (ffi.NULL, ffi.NULL, 1)
-            slot_to_id = as_i64(slot_ids)
-            if slot_to_id.shape != indices.shape:
-                raise ValueError("slot_ids must hold one id per adjacency slot")
-        cap = checked(
-            int(lib.pdtl_triangle_gathered(ptr(indptr), ptr(indices), n, lo, hi)), n, indices
-        )
-        mark = np.zeros(n, dtype=np.int64)
-        out = np.empty(3 * cap, dtype=np.int64)
-        nhit = lib.pdtl_triangle_edge_ids(
-            ptr(indptr), ptr(indices), *lookup[:2], n, lo, hi, lookup[2],
-            ptr(slot_to_id), wptr(mark), wptr(out),
-        )
-        nhit = checked(int(nhit), n, indices)
-        return out[: 3 * nhit].reshape(nhit, 3)
-
     def incidence_csr(flat_edges, num_edges):
         flat_edges = as_i64(flat_edges)
         m = int(num_edges)
@@ -1237,14 +1119,12 @@ def build_registry() -> dict[str, Callable]:
         return int(out[0]), int(out[1]), int(out[2])
 
     return {
-        "sorted_membership": sorted_membership,
         "triangle_range": triangle_range,
         "edge_intersections": edge_intersections,
         "edge_common_neighbors": edge_common_neighbors,
         "mgt_block_scan": mgt_block_scan,
         "mgt_chunk_scan": mgt_chunk_scan,
         "truss_peel_level": truss_peel_level,
-        "triangle_edge_ids": triangle_edge_ids,
         "incidence_csr": incidence_csr,
         "orient_range": orient_range,
         "in_lists": in_lists,

@@ -68,7 +68,3 @@ class SchedulingError(PDTLError):
     least one surviving worker the pull-based queue always drains, because a
     lost worker's unfinished chunk is re-enqueued for the survivors.
     """
-
-
-class ProtocolError(PDTLError):
-    """Raised when the master/worker protocol receives an unexpected message."""

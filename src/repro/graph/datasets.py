@@ -139,10 +139,6 @@ class DatasetSpec:
         edges = self.builder(seed, effective)
         return CSRGraph.from_edgelist(edges, directed=False, symmetrize=True)
 
-    def build_edgelist(self, seed: int = 0, scale: float | None = None) -> EdgeList:
-        effective = self.default_scale * (scale if scale is not None else 1.0)
-        return self.builder(seed, effective)
-
 
 def _scaled(value: int, scale: float, minimum: int = 16) -> int:
     return max(int(round(value * scale)), minimum)

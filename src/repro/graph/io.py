@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
@@ -109,10 +108,3 @@ def read_edgelist_binary(path: str | os.PathLike[str]) -> EdgeList:
         )
     edges = raw[2:].reshape(m, 2)
     return EdgeList(edges, n)
-
-
-def edges_from_iterable(
-    pairs: Iterable[tuple[int, int]], num_vertices: int | None = None
-) -> EdgeList:
-    """Convenience wrapper kept for API symmetry with the readers."""
-    return EdgeList.from_pairs(pairs, num_vertices)

@@ -101,11 +101,18 @@ class TestTrussDecomposition:
 
     def test_accepts_precomputed_supports(self):
         graph = CSRGraph.from_edgelist(erdos_renyi(40, 0.25, seed=9))
-        edges = canonical_edges(graph)
-        supports = undirected_edge_supports(graph, edges)
-        given = truss_decomposition(graph, supports=supports, edges=edges)
+        supports = undirected_edge_supports(graph)
+        given = truss_decomposition(graph, supports=supports)
         derived = truss_decomposition(graph)
         np.testing.assert_array_equal(given.trussness, derived.trussness)
+        np.testing.assert_array_equal(given.edges, canonical_edges(graph))
+
+    def test_precomputed_supports_that_disagree_raise(self):
+        graph = CSRGraph.from_edgelist(erdos_renyi(40, 0.25, seed=9))
+        supports = undirected_edge_supports(graph)
+        supports[3] += 1
+        with pytest.raises(ValueError, match="disagree"):
+            truss_decomposition(graph, supports=supports)
 
     def test_support_length_mismatch_raises(self):
         graph = CSRGraph.from_edgelist(complete_graph(4))
@@ -195,67 +202,29 @@ def _k4_with_pendant():
 
 
 class TestRunOrientation:
-    """``truss_decomposition`` on a run's orientation and ids: exactly the
-    input's upward edges, each mapped to its own canonical id."""
-
-    @staticmethod
-    def _inputs(graph):
-        from repro.core.orientation import orient_csr
-
-        oriented = orient_csr(graph)
-        pairs = np.stack([oriented.edge_sources(), oriented.indices], axis=1)
-        low, high = pairs.min(axis=1), pairs.max(axis=1)
-        order = np.lexsort((high, low))
-        ids = np.empty_like(order)
-        ids[order] = np.arange(order.shape[0])
-        return pairs, ids, np.stack([low[order], high[order]], axis=1)
+    """``truss_decomposition`` on a run's orientation: exactly the input's
+    upward edges, with the run's supports aligned with them."""
 
     @pytest.mark.parametrize("tier", TIERS)
     def test_matches_the_standalone_path(self, tier):
+        from repro.core.orientation import orient_csr
+
         graph = CSRGraph.from_edgelist(erdos_renyi(60, 0.15, seed=2))
-        pairs, ids, edges = self._inputs(graph)
+        oriented = orient_csr(graph)
+        pairs = np.stack([oriented.edge_sources(), oriented.indices], axis=1)
+        # every oriented edge's support, counted in the undirected graph
+        supports = kernels.edge_intersections(
+            graph.indptr, graph.indices, pairs[:, 0], pairs[:, 1], per_edge=True
+        )
         with kernel_backend.use(tier):
             walked = truss_decomposition(
-                graph, edges=edges, oriented_edges=pairs, edge_ids=ids, keep_triangles=True
+                graph, supports=supports, oriented_edges=pairs, keep_triangles=True
             )
             standalone = truss_decomposition(graph, keep_triangles=True)
+        np.testing.assert_array_equal(walked.edges, standalone.edges)
+        np.testing.assert_array_equal(walked.support, standalone.support)
         np.testing.assert_array_equal(walked.trussness, standalone.trussness)
         np.testing.assert_array_equal(walked.tri_edges, standalone.tri_edges)
-
-    @pytest.mark.parametrize("tier", TIERS)
-    @pytest.mark.parametrize("fault", ["swapped", "negative", "too-large"])
-    def test_ids_that_are_not_the_edges_raise(self, tier, fault):
-        graph = CSRGraph.from_edgelist(complete_graph(6))
-        pairs, ids, edges = self._inputs(graph)
-        ids = ids.copy()
-        if fault == "swapped":
-            ids[[0, 1]] = ids[[1, 0]]
-        elif fault == "negative":
-            ids[ids == ids.shape[0] - 1] = -1
-        else:
-            ids[0] = ids.shape[0]
-        with kernel_backend.use(tier), pytest.raises(ValueError, match="edge ids"):
-            truss_decomposition(graph, edges=edges, oriented_edges=pairs, edge_ids=ids)
-
-    def test_canonical_edges_out_of_order_raise(self):
-        graph = CSRGraph.from_edgelist(complete_graph(5))
-        pairs, ids, edges = self._inputs(graph)
-        swap = np.array([1, 0] + list(range(2, edges.shape[0])))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            truss_decomposition(
-                graph, edges=edges[swap], oriented_edges=pairs, edge_ids=swap[ids]
-            )
-
-    def test_orientation_and_ids_come_together(self):
-        graph = CSRGraph.from_edgelist(complete_graph(4))
-        pairs, ids, edges = self._inputs(graph)
-        for kwargs in (
-            {"oriented_edges": pairs, "edges": edges},
-            {"edge_ids": ids, "edges": edges},
-            {"oriented_edges": pairs, "edge_ids": ids},
-        ):
-            with pytest.raises(ValueError, match="come together"):
-                truss_decomposition(graph, **kwargs)
 
 
 class TestLevelLoop:

@@ -31,7 +31,6 @@ _FUSED_KERNELS = (
     "mgt_block_scan",
     "mgt_chunk_scan",
     "truss_peel_level",
-    "triangle_edge_ids",
     "incidence_csr",
     "orient_range",
     "in_lists",
@@ -169,7 +168,7 @@ class TestWholeTierFallback:
         assert kernels._ACTIVE_IMPLS == {}
 
     @needs_c
-    @pytest.mark.parametrize("kernel", ["sorted_membership", "truss_peel_level"])
+    @pytest.mark.parametrize("kernel", ["triangle_range", "truss_peel_level"])
     def test_one_disagreeing_kernel_refuses_the_tier(self, monkeypatch, kernel):
         registry = kernels_cffi.build_registry()
         right = registry[kernel]
@@ -187,6 +186,25 @@ class TestWholeTierFallback:
         # no partial tier: every other (correct) kernel is refused too
         assert kernels._ACTIVE_IMPLS == {}
         assert kernel_backend.fused("mgt_block_scan") is None
+
+    @needs_c
+    def test_self_check_runs_every_kernel(self):
+        """A kernel kept or added without a self-check case would reach
+        every caller unchecked: the check must call each registry entry."""
+        registry = kernels_cffi.build_registry()
+        called: set[str] = set()
+
+        def recorded(name, kernel):
+            def wrapper(*args):
+                called.add(name)
+                return kernel(*args)
+
+            return wrapper
+
+        kernel_backend._self_check(
+            {name: recorded(name, kernel) for name, kernel in registry.items()}
+        )
+        assert called == set(registry)
 
     @needs_c
     def test_crashing_kernel_refuses_the_tier(self, monkeypatch):
@@ -222,7 +240,7 @@ class TestCompiledTier:
         assert kernel_backend.activate("cffi") == "cffi"
         expected = set(kernels.NUMPY_IMPLS) | set(_FUSED_KERNELS)
         assert set(kernels._ACTIVE_IMPLS) == expected
-        assert len(expected) == 12
+        assert len(expected) == 10
         for name in _FUSED_KERNELS:
             assert callable(kernel_backend.fused(name)), name
 
@@ -232,7 +250,7 @@ class TestCompiledTier:
     def test_warmup_reports_kernel_names(self):
         kernel_backend.activate("cffi")
         warmed = kernel_backend.warmup()
-        assert "sorted_membership" in warmed
+        assert "triangle_range" in warmed
         assert "edge_common_neighbors" in warmed
         assert "mgt_block_scan" in warmed
 

@@ -171,7 +171,7 @@ class TestTriangleRange:
 
     def test_triples_are_real_triangles(self, oriented):
         cones, vs, ws, _ = kernels.triangle_range(
-            oriented.indptr, oriented.indices, 0, oriented.num_vertices, want_triples=True
+            oriented.indptr, oriented.indices, 0, oriented.num_vertices, kernels.EMIT_TRIPLES
         )
         count, _ = kernels.triangle_range(
             oriented.indptr, oriented.indices, 0, oriented.num_vertices
@@ -181,6 +181,22 @@ class TestTriangleRange:
             assert oriented.has_edge(int(u), int(v))
             assert oriented.has_edge(int(u), int(w))
             assert oriented.has_edge(int(v), int(w))
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_positions_are_the_triples_edges(self, oriented, tier):
+        n = oriented.num_vertices
+        with kernel_backend.use(tier):
+            cones, vs, ws, ops = kernels.triangle_range(
+                oriented.indptr, oriented.indices, 0, n, kernels.EMIT_TRIPLES
+            )
+            positions, slot_ops = kernels.triangle_range(
+                oriented.indptr, oriented.indices, 0, n, kernels.EMIT_POSITIONS
+            )
+        assert positions.shape == (cones.shape[0], 3) and slot_ops == ops
+        sources = oriented.edge_sources()
+        for column, (a, b) in enumerate(((cones, vs), (cones, ws), (vs, ws))):
+            np.testing.assert_array_equal(sources[positions[:, column]], a)
+            np.testing.assert_array_equal(oriented.indices[positions[:, column]], b)
 
     def test_empty_range(self, oriented):
         count, ops = kernels.triangle_range(oriented.indptr, oriented.indices, 0, 0)

@@ -431,7 +431,7 @@ def _support_case(graph_name: str):
     }[graph_name]()
     oriented = orient_csr(CSRGraph.from_edgelist(edges))
     cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
-        oriented.indptr, oriented.indices, 0, oriented.num_vertices, True
+        oriented.indptr, oriented.indices, 0, oriented.num_vertices, kernels.EMIT_TRIPLES
     )
     position = {
         (u, v): p

@@ -14,9 +14,10 @@ pins what the sink ends up holding:
   same batches in the same order, on random graphs cut into many windows
   and scan blocks, and the same positions a lookup of the listed triangles
   gives;
-* ``truss_decomposition`` walking a run's own orientation against the
-  standalone path that orients the graph itself: the same supports,
-  trussness and triangle table, row for row.
+* ``truss_decomposition`` given a run's orientation and its supports
+  against the standalone call: the run's orientation passes the entry for
+  entry check, its supports land in canonical order, and the result is
+  the same, triangle table row for row.
 """
 
 from __future__ import annotations
@@ -298,20 +299,11 @@ def test_truss_on_the_run_orientation_matches_the_standalone_truss(tier, graph_n
     graph = _graph(graph_name)
     with kernel_backend.use(tier):
         result = PDTLRunner(PDTLConfig(modelled_cpu=True)).run(graph, sink_kind="edge-support")
-        oriented = result.oriented_edges
-        low = np.minimum(oriented[:, 0], oriented[:, 1])
-        high = np.maximum(oriented[:, 0], oriented[:, 1])
-        order = np.lexsort((high, low))
-        edge_ids = np.empty_like(order)
-        edge_ids[order] = np.arange(order.shape[0])
-        edges = np.stack([low[order], high[order]], axis=1)
         walked = truss_decomposition(
             graph,
-            supports=result.edge_supports[order],
-            edges=edges,
+            supports=result.edge_supports,
             keep_triangles=True,
-            oriented_edges=oriented,
-            edge_ids=edge_ids,
+            oriented_edges=result.oriented_edges,
         )
         standalone = truss_decomposition(graph, keep_triangles=True)
     np.testing.assert_array_equal(walked.edges, standalone.edges)

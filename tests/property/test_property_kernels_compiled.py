@@ -1,15 +1,14 @@
 """Property tests: every C kernel against its numpy twin.
 
 The C registry (:mod:`repro.core.kernels_cffi`) is driven through
-adversarial input families: empty arrays, single elements,
-duplicate-heavy values and negative ids -- plus random graphs for the
-structural kernels.  Where the
+random graphs, hub graphs and cone DAGs (lopsided list lengths), and
+through hand-made graphs holding ids outside the vertex range.  Where the
 C tier cannot be built the whole module skips with the build's reason; a
 registry that builds but disagrees with numpy fails here rather than
 skipping, even though the tier probe refuses it.
 
 The fused entry points (``mgt_block_scan``, ``mgt_chunk_scan``,
-``triangle_edge_ids``, ``incidence_csr``) have no single numpy twin --
+``incidence_csr``) have no single numpy twin --
 they replace multi-pass caller chains -- so they are checked against
 in-test references built from the numpy primitives, and end-to-end by
 installing the registry and comparing whole decompositions.  The scans'
@@ -75,26 +74,6 @@ def installed(registry: dict):
 
 # -- input families ---------------------------------------------------------
 
-#: wide domain with negatives (id arithmetic), or a tiny domain so that
-#: duplicates dominate -- both sides of the adversarial family
-_values = st.one_of(
-    st.integers(min_value=-(2**40), max_value=2**40),
-    st.integers(min_value=-3, max_value=3),
-)
-
-
-def _sorted_arrays(max_size: int = 60):
-    return st.lists(_values, min_size=0, max_size=max_size).map(
-        lambda xs: np.sort(np.asarray(xs, dtype=np.int64))
-    )
-
-
-def _plain_arrays(max_size: int = 60):
-    return st.lists(_values, min_size=0, max_size=max_size).map(
-        lambda xs: np.asarray(xs, dtype=np.int64)
-    )
-
-
 @st.composite
 def random_graphs(draw, max_vertices: int = 24, max_edges: int = 90):
     n = draw(st.integers(min_value=1, max_value=max_vertices))
@@ -148,15 +127,6 @@ def cone_dags(draw):
 
 
 @REGISTRY_PARAMS
-@given(haystack=_sorted_arrays(), queries=_plain_arrays())
-@settings(**SETTINGS)
-def test_sorted_membership_matches_numpy(registry, haystack, queries):
-    want = kernels.NUMPY_IMPLS["sorted_membership"](haystack, queries)
-    got = registry["sorted_membership"](haystack, queries)
-    np.testing.assert_array_equal(got, want)
-
-
-@REGISTRY_PARAMS
 @given(graph=random_graphs(), data=st.data())
 @settings(**SETTINGS)
 def test_triangle_range_matches_numpy(registry, graph, data):
@@ -164,19 +134,22 @@ def test_triangle_range_matches_numpy(registry, graph, data):
     n = oriented.num_vertices
     lo = data.draw(st.integers(min_value=0, max_value=n))
     hi = data.draw(st.integers(min_value=lo, max_value=n))
-    want = kernels.NUMPY_IMPLS["triangle_range"](
-        oriented.indptr, oriented.indices, lo, hi, True
-    )
-    got = registry["triangle_range"](oriented.indptr, oriented.indices, lo, hi, True)
-    for w, g in zip(want, got):
-        np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
-    want_count, want_ops = kernels.NUMPY_IMPLS["triangle_range"](
-        oriented.indptr, oriented.indices, lo, hi, False
-    )
-    got_count, got_ops = registry["triangle_range"](
-        oriented.indptr, oriented.indices, lo, hi, False
-    )
-    assert (got_count, got_ops) == (want_count, want_ops)
+    args = (oriented.indptr, oriented.indices, lo, hi)
+    got = {}
+    for emit in (kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS):
+        want = kernels.NUMPY_IMPLS["triangle_range"](*args, emit)
+        got[emit] = registry["triangle_range"](*args, emit)
+        assert len(got[emit]) == len(want)
+        for w, g in zip(want, got[emit]):
+            np.testing.assert_array_equal(np.asarray(g), np.asarray(w))
+    (count, ops), (cones, vs, ws, list_ops), (positions, slot_ops) = got.values()
+    assert list_ops == slot_ops == ops
+    # slot row i holds the positions of triple i's edges (u, v), (u, w), (v, w)
+    assert positions.shape == (count, 3)
+    sources = oriented.edge_sources()
+    for column, (a, b) in enumerate(((cones, vs), (cones, ws), (vs, ws))):
+        np.testing.assert_array_equal(sources[positions[:, column]], a)
+        np.testing.assert_array_equal(oriented.indices[positions[:, column]], b)
 
 
 @REGISTRY_PARAMS
@@ -438,55 +411,34 @@ def test_mgt_chunk_scan_refuses_windows_outside_the_graph(registry, bounds, vlow
 @REGISTRY_PARAMS
 @given(oriented=st.one_of(random_graphs().map(orient_csr), cone_dags()))
 @settings(**SETTINGS)
-def test_triangle_edge_ids_matches_searchsorted(registry, oriented):
-    # cone DAGs give cone 0 a long list, marked once with its edge ids and
+def test_triangle_range_positions_match_searchsorted(registry, oriented):
+    # cone DAGs give cone 0 a long list, marked once with its positions and
     # tested by many short ones
     n = oriented.num_vertices
-    sources = oriented.edge_sources()
-    keys = np.sort(
-        kernels.packed_keys(
-            np.minimum(sources, oriented.indices), np.maximum(sources, oriented.indices), n
-        )
-    )
+    keys = kernels.csr_packed_keys(oriented.indptr, oriented.indices)
     cones, vs, ws, _ = kernels.NUMPY_IMPLS["triangle_range"](
-        oriented.indptr, oriented.indices, 0, n, True
+        oriented.indptr, oriented.indices, 0, n, kernels.EMIT_TRIPLES
     )
     want = np.empty((cones.shape[0], 3), dtype=np.int64)
     for slot, (a, b) in enumerate(((cones, vs), (cones, ws), (vs, ws))):
-        queries = kernels.packed_keys(np.minimum(a, b), np.maximum(a, b), n)
-        want[:, slot] = np.searchsorted(keys, queries)
+        want[:, slot] = np.searchsorted(keys, kernels.packed_keys(a, b, n))
 
-    row_start = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    got = registry["triangle_edge_ids"](
-        oriented.indptr, oriented.indices, keys, row_start, n, 0, n
+    got, _ = registry["triangle_range"](
+        oriented.indptr, oriented.indices, 0, n, kernels.EMIT_POSITIONS
     )
     np.testing.assert_array_equal(np.asarray(got), want)
-
-    # the walk with every slot's id given, unread keys and rows
-    slot_ids = np.searchsorted(
-        keys,
-        kernels.packed_keys(
-            np.minimum(sources, oriented.indices), np.maximum(sources, oriented.indices), n
-        ),
-    )
-    given_ids = registry["triangle_edge_ids"](
-        oriented.indptr, oriented.indices, None, None, n, 0, n, slot_ids
-    )
-    np.testing.assert_array_equal(np.asarray(given_ids), want)
 
 
 @REGISTRY_PARAMS
 @given(graph=random_graphs())
 @settings(**SETTINGS)
 def test_incidence_csr_matches_stable_argsort(registry, graph):
-    from repro.analytics.truss import canonical_edges, _triangle_edge_ids
+    from repro.analytics.truss import _triangle_table
 
-    n = graph.num_vertices
-    edges = canonical_edges(graph)
-    keys = kernels.packed_keys(edges[:, 0], edges[:, 1], n)
-    m = edges.shape[0]
     with installed({}):
-        flat = _triangle_edge_ids(graph, keys).reshape(-1)
+        edges, _, tri_edges = _triangle_table(graph)
+    m = edges.shape[0]
+    flat = tri_edges.reshape(-1)
 
     order = np.argsort(flat, kind="stable")
     want_tri = order // 3
@@ -504,11 +456,12 @@ def test_incidence_csr_matches_stable_argsort(registry, graph):
 @settings(**SETTINGS)
 def test_truss_decomposition_identical_under_registry(registry, graph):
     with installed({}):
-        want = truss_decomposition(graph)
+        want = truss_decomposition(graph, keep_triangles=True)
     with installed(registry):
-        got = truss_decomposition(graph)
+        got = truss_decomposition(graph, keep_triangles=True)
     np.testing.assert_array_equal(got.trussness, want.trussness)
     np.testing.assert_array_equal(got.support, want.support)
+    np.testing.assert_array_equal(got.tri_edges, want.tri_edges)
     assert got.rounds == want.rounds
     assert got.max_k == want.max_k
 
@@ -588,12 +541,9 @@ def _in_lists(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, np.n
 
 #: the oriented graph 0 -> {3, 4}, 1 -> {2}, 2 -> {4}, 3 -> {4}: its one
 #: triangle is (0, 3, 4), and cone 1 reaches 4, which cone 0 marked, through
-#: 2.  Its canonical edges (0, 3), (0, 4), (1, 2), (2, 4), (3, 4) pack into
-#: these keys, and each source's row of them starts at these positions.
+#: 2.  Its edges (0, 3), (0, 4), (1, 2), (2, 4), (3, 4) sit at positions 0-4.
 _SHARED_INDPTR = _i64(0, 2, 3, 4, 5, 5)
 _SHARED_INDICES = _i64(3, 4, 2, 4, 4)
-_SHARED_KEYS = _i64(3, 4, 7, 14, 19)
-_SHARED_ROWS = _i64(0, 2, 3, 4, 5, 5)
 
 
 @REGISTRY_PARAMS
@@ -669,7 +619,7 @@ def test_triangle_range_marks_each_cone_afresh(registry):
     """A mark of 4 kept from cone 0 would list (1, 2, 4) beside (0, 3, 4)."""
     args = (_SHARED_INDPTR, _SHARED_INDICES, 0, 5)
     assert registry["triangle_range"](*args) == (1, 7)
-    cones, vs, ws, ops = registry["triangle_range"](*args, True)
+    cones, vs, ws, ops = registry["triangle_range"](*args, kernels.EMIT_TRIPLES)
     assert (cones.tolist(), vs.tolist(), ws.tolist(), ops) == ([0], [3], [4], 7)
 
 
@@ -684,12 +634,14 @@ def test_triangle_range_starts_each_call_unmarked(registry):
 
 
 @REGISTRY_PARAMS
-def test_triangle_edge_ids_marks_each_cone_afresh(registry):
-    got = registry["triangle_edge_ids"](
-        _SHARED_INDPTR, _SHARED_INDICES, _SHARED_KEYS, _SHARED_ROWS, 5, 0, 5
+def test_triangle_range_marks_each_cone_afresh_with_positions(registry):
+    """A position of 4 kept from cone 0 would report a second row for
+    (1, 2, 4) beside the one of (0, 3, 4)."""
+    got, ops = registry["triangle_range"](
+        _SHARED_INDPTR, _SHARED_INDICES, 0, 5, kernels.EMIT_POSITIONS
     )
-    # the triangle (0, 3, 4) as the ids of (0, 3), (0, 4) and (3, 4)
-    assert np.asarray(got).tolist() == [[0, 1, 4]]
+    # the triangle (0, 3, 4) as the positions of (0, 3), (0, 4) and (3, 4)
+    assert (np.asarray(got).tolist(), ops) == ([[0, 1, 4]], 7)
 
 
 #: an id below, at and far above the vertex range
@@ -714,14 +666,17 @@ def _refused(kernel, *args) -> None:
 @REGISTRY_PARAMS
 @_BAD_IDS
 @pytest.mark.parametrize("where", ["cone list", "walked list"])
-@pytest.mark.parametrize("want_triples", [True, False])
-def test_triangle_range_refuses_ids_outside_the_graph(registry, bad, where, want_triples):
+@pytest.mark.parametrize(
+    "emit", [kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS],
+    ids=["count", "triples", "positions"],
+)
+def test_triangle_range_refuses_ids_outside_the_graph(registry, bad, where, emit):
     x = _bad_id(bad, 5)
     if where == "cone list":  # vertex 0 lists [3, x]
         indptr, indices = _i64(0, 2, 2, 2, 2, 2), np.sort(_i64(3, x))
     else:  # vertex 0 lists [3], and 3 lists [x]
         indptr, indices = _i64(0, 1, 1, 1, 2, 2), _i64(3, x)
-    _refused(registry["triangle_range"], indptr, indices, 0, 5, want_triples)
+    _refused(registry["triangle_range"], indptr, indices, 0, 5, emit)
 
 
 @REGISTRY_PARAMS
@@ -803,14 +758,12 @@ def test_mgt_chunk_scan_refuses_in_sources_that_are_not_int32(registry, dtype):
 
 @REGISTRY_PARAMS
 @_BAD_IDS
-@pytest.mark.parametrize("given", [False, True], ids=["searched", "given"])
-def test_triangle_edge_ids_refuses_ids_outside_the_graph(registry, bad, given):
+def test_triangle_range_positions_refuse_ids_outside_the_graph(registry, bad):
+    """Cone 1 lists the bad id, after cone 0 marked and cleared its list."""
     indices = _SHARED_INDICES.copy()
     indices[2] = _bad_id(bad, 5)
-    slot_ids = (_i64(0, 1, 2, 3, 4),) if given else ()
     _refused(
-        registry["triangle_edge_ids"], _SHARED_INDPTR, indices, _SHARED_KEYS, _SHARED_ROWS,
-        5, 0, 5, *slot_ids,
+        registry["triangle_range"], _SHARED_INDPTR, indices, 0, 5, kernels.EMIT_POSITIONS
     )
 
 

@@ -15,8 +15,9 @@ Semantics are pinned to the numpy twins in
 * the kernels that test many lists against one list mark that list once
   in a scratch array indexed by vertex id and walk each other list
   against the mark (``PDTL_MARKED_WALK``): the u-major ones
-  (``triangle_range`` and ``mgt_block_scan``) mark ``N⁺(u)`` once per cone, ``mgt_chunk_scan`` marks ``E_v`` once per
-  window vertex, and each clears its marks before the next.  A hit is a
+  (``triangle_range`` and ``mgt_block_scan``) mark ``N⁺(u)`` once per
+  cone, ``mgt_chunk_scan`` marks ``E_v`` once per window vertex, and each
+  clears its marks before the next.  A hit is a
   walked entry that is marked.  The u-major walks keep the membership
   semantics above (the walked lists hold the queries); the chunk scan
   walks ``N(u)`` against the marked ``E_v``, which finds the same hits

@@ -794,6 +794,14 @@ def build_registry() -> dict[str, Callable]:
                 )
         raise RuntimeError(f"a kernel flagged an id outside [0, {n}), but none is")
 
+    def monotone_offsets(offsets: np.ndarray, count: int) -> bool:
+        return (
+            offsets.shape[0] >= 1
+            and offsets[0] == 0
+            and offsets[-1] == count
+            and not (np.diff(offsets) < 0).any()
+        )
+
     def emit_mode(emit) -> int:
         emit = int(emit)
         if emit not in (kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS):
@@ -811,6 +819,9 @@ def build_registry() -> dict[str, Callable]:
         n = indptr.shape[0] - 1
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"cone range [{lo}, {hi}) is not inside [0, {n}]")
+        # C reads every list indptr bounds, at any vertex a list names
+        if not monotone_offsets(indptr, indices.shape[0]):
+            raise ValueError("indptr must rise from 0 to the number of indices")
         slots = emit == kernels.EMIT_POSITIONS
         # the scratch: uint8 marks to count or list, positions to report slots
         mark = np.zeros(n, dtype=np.int64 if slots else np.uint8)
@@ -1043,14 +1054,6 @@ def build_registry() -> dict[str, Callable]:
                 ptr(flat_edges), nslots, m, wptr(inc_ptr), wptr(inc_tri), wptr(cursor)
             )
         return inc_ptr, inc_tri
-
-    def monotone_offsets(offsets: np.ndarray, count: int) -> bool:
-        return (
-            offsets.shape[0] >= 1
-            and offsets[0] == 0
-            and offsets[-1] == count
-            and not (np.diff(offsets) < 0).any()
-        )
 
     def orient_range(adjacency, keys, offsets, lo, hi):
         adjacency = as_i64(adjacency)

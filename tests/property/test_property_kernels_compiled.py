@@ -666,10 +666,7 @@ def _refused(kernel, *args) -> None:
 @REGISTRY_PARAMS
 @_BAD_IDS
 @pytest.mark.parametrize("where", ["cone list", "walked list"])
-@pytest.mark.parametrize(
-    "emit", [kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS],
-    ids=["count", "triples", "positions"],
-)
+@_EMITS
 def test_triangle_range_refuses_ids_outside_the_graph(registry, bad, where, emit):
     x = _bad_id(bad, 5)
     if where == "cone list":  # vertex 0 lists [3, x]
@@ -677,6 +674,20 @@ def test_triangle_range_refuses_ids_outside_the_graph(registry, bad, where, emit
     else:  # vertex 0 lists [3], and 3 lists [x]
         indptr, indices = _i64(0, 1, 1, 1, 2, 2), _i64(3, x)
     _refused(registry["triangle_range"], indptr, indices, 0, 5, emit)
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize(
+    "indptr",
+    [(0, 2, 4, 4, 4, 4), (0, 2, 1, 3, 3, 3), (1, 2, 3, 3, 3, 3)],
+    ids=["past the indices", "decreasing", "not from 0"],
+)
+@_EMITS
+def test_triangle_range_refuses_an_indptr_that_does_not_fit(registry, indptr, emit):
+    """The walk reads each list where ``indptr`` bounds it, at every vertex
+    a list names, so ``indptr`` must rise from 0 to the number of indices."""
+    with pytest.raises(ValueError, match="indptr"):
+        registry["triangle_range"](_i64(*indptr), _i64(3, 4, 4), 0, 5, emit)
 
 
 @REGISTRY_PARAMS

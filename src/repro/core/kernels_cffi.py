@@ -819,7 +819,7 @@ def build_registry() -> dict[str, Callable]:
         n = indptr.shape[0] - 1
         if not 0 <= lo <= hi <= n:
             raise ValueError(f"cone range [{lo}, {hi}) is not inside [0, {n}]")
-        # C reads every list indptr bounds, at any vertex a list names
+        # C reads each list where indptr bounds it, at any vertex a list names
         if not monotone_offsets(indptr, indices.shape[0]):
             raise ValueError("indptr must rise from 0 to the number of indices")
         slots = emit == kernels.EMIT_POSITIONS

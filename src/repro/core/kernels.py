@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import PDTLError
+from repro.errors import GraphFormatError, PDTLError
 
 __all__ = [
     "DEFAULT_BATCH_ENTRIES",
@@ -164,6 +164,18 @@ def _require_int32_ids(num_vertices: int) -> None:
         raise PDTLError(
             f"cannot store the in-neighbour lists of num_vertices={num_vertices} "
             f"as int32: ids reach {num_vertices - 1}, above 2**31 - 1"
+        )
+
+
+def _require_vertex_ids(ids: np.ndarray, num_vertices: int) -> None:
+    """Raise the C walks' :class:`~repro.errors.GraphFormatError` at the
+    first id outside ``[0, num_vertices)``: a large one would index past
+    ``indptr``, a negative one from its end, and its packed key could alias
+    a real edge's."""
+    if ids.shape[0] and (ids.min() < 0 or ids.max() >= num_vertices):
+        bad = ids[(ids < 0) | (ids >= num_vertices)]
+        raise GraphFormatError(
+            f"adjacency list holds vertex id {int(bad[0])} outside [0, {num_vertices})"
         )
 
 
@@ -302,7 +314,9 @@ def triangle_range(
     the ``(T, 3)`` ``positions`` holds the adjacency positions of triple
     ``i``'s edges ``(u, v)``, ``(u, w)`` and ``(v, w)``.  ``operations``
     counts block entries scanned plus gathered elements -- the same
-    deterministic work measure MGT's modelled CPU mode uses.
+    deterministic work measure MGT's modelled CPU mode uses.  An id the walk
+    reads outside ``[0, n)`` raises :class:`~repro.errors.GraphFormatError`
+    on either tier.
     """
     impl = _impl("triangle_range")
     if impl is not None:
@@ -320,6 +334,7 @@ def _triangle_range_numpy(
     num_vertices = int(indptr.shape[0] - 1)
     base = int(indptr[lo])
     block_adj = indices[base : int(indptr[hi])]
+    _require_vertex_ids(block_adj, num_vertices)
     degrees = (indptr[lo + 1 : hi + 1] - indptr[lo:hi]).astype(np.int64)
     entry_src = np.repeat(np.arange(hi - lo, dtype=np.int64), degrees)
 
@@ -328,6 +343,7 @@ def _triangle_range_numpy(
         indptr[block_adj], indptr[block_adj + 1] - indptr[block_adj]
     )
     ev_all = indices[vw]
+    _require_vertex_ids(ev_all, num_vertices)
     operations = int(block_adj.shape[0]) + int(ev_all.shape[0])
 
     # membership w ∈ N⁺(u) via one binary search on packed (u, w) keys;

@@ -11,7 +11,7 @@ from repro.baselines.reference_impl import (
 )
 from repro.core import kernel_backend, kernels
 from repro.core.orientation import orient_csr
-from repro.errors import PDTLError
+from repro.errors import GraphFormatError, PDTLError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import power_law_degree_graph, rmat
 
@@ -201,6 +201,22 @@ class TestTriangleRange:
     def test_empty_range(self, oriented):
         count, ops = kernels.triangle_range(oriented.indptr, oriented.indices, 0, 0)
         assert count == 0 and ops == 0
+
+    @pytest.mark.parametrize("bad", [-1, 5, 2**62])
+    @pytest.mark.parametrize("where", ["cone list", "walked list"])
+    def test_numpy_twin_refuses_ids_outside_the_graph(self, bad, where):
+        """As the C walk does, in every emit mode: -1 would read ``indptr``
+        from its end and pack to the key of the edge (u - 1, n - 1)."""
+        def i64(*values):
+            return np.array(values, dtype=np.int64)
+
+        if where == "cone list":  # vertex 0 lists [3, bad]
+            indptr, indices = i64(0, 2, 2, 2, 2, 2), np.sort(i64(3, bad))
+        else:  # vertex 0 lists [3], and 3 lists [bad]
+            indptr, indices = i64(0, 1, 1, 1, 2, 2), i64(3, bad)
+        for emit in (kernels.EMIT_COUNT, kernels.EMIT_TRIPLES, kernels.EMIT_POSITIONS):
+            with pytest.raises(GraphFormatError, match="outside"):
+                kernels.NUMPY_IMPLS["triangle_range"](indptr, indices, 0, 5, emit)
 
 
 class TestCountConeRange:

@@ -67,11 +67,10 @@ def _config(shm: bool) -> PDTLConfig:
         block_size=_BLOCK,
         modelled_cpu=True,
         scheduling="dynamic",
+        # the conftest fixture pins the numpy tier in this process, and
+        # every chunk task carries it to the pool's workers, so every
+        # backend measures the same kernel tier
         shm=shm,
-        # the conftest fixture pins the numpy tier in this process, but the
-        # processes backends rebuild their workers from this pickled config;
-        # pin it here too so every backend measures the same kernel tier
-        kernel_backend="numpy",
     )
 
 

@@ -69,7 +69,6 @@ def _config(trace: bool) -> PDTLConfig:
         scheduling="dynamic",
         shm=True,
         trace=trace,
-        kernel_backend="numpy",
     )
 
 

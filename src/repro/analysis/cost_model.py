@@ -190,20 +190,21 @@ def estimate_pdtl_cost(
     graph: CSRGraph | GraphFile,
     config: PDTLConfig,
     num_triangles: int = 0,
+    sink_kind: str = "count",
 ) -> PDTLCostEstimate:
     """Evaluate the Theorem IV.3 formulas for ``graph`` under ``config``.
 
     Network traffic is in "elements" (adjacency entries / messages): the
     graph is shipped once to each of the ``N`` nodes, each of the ``N·P``
     processors receives a configuration message, and ``T`` triangles come
-    back when listing (``config.sink == "list"``; 0 otherwise, per the
-    theorem's counting convention).
+    back when listing (``sink_kind == "list"``, the kind the run was given;
+    0 otherwise, per the theorem's counting convention).
     """
     num_edges = _undirected_edge_count(graph)
     np_total = config.total_processors
     memory_edges = config.window_edges
     block_edges = config.block_items
-    output_triangles = num_triangles if config.sink == "list" else 0
+    output_triangles = num_triangles if sink_kind == "list" else 0
     alpha = _arboricity_bound(num_edges)
 
     network = config.num_nodes * (config.procs_per_node + num_edges) + output_triangles

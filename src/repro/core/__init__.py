@@ -51,7 +51,6 @@ from repro.core.runner import count_triangles, list_triangles
 from repro.core.scheduler import (
     Chunk,
     DynamicScheduler,
-    chunk_seed,
     make_chunks,
     resolve_chunk_edges,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "mgt_count",
     "Chunk",
     "DynamicScheduler",
-    "chunk_seed",
     "make_chunks",
     "resolve_chunk_edges",
     "SharedGraphDescriptor",

@@ -10,14 +10,17 @@ even just a single computer with low available memory."*
 of the I/O model and a couple of implementation knobs (the ``c`` constant
 of the small-degree assumption and whether load balancing is enabled).
 The master always orients with all ``P`` of its cores (Figure 2).
+
+What a run reports is not part of the environment: the sink kind is an
+argument of :meth:`repro.core.pdtl.PDTLRunner.run`.  Neither is the host's
+kernel tier, which :mod:`repro.core.kernel_backend` chooses per process
+and every chunk task carries to the worker that runs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from repro.core.kernel_backend import BACKEND_NAMES
-from repro.core.triangles import CHUNK_SINK_KINDS, normalize_sink_kind
 from repro.errors import ConfigurationError
 from repro.externalmem.blockio import DEFAULT_BLOCK_SIZE
 from repro.utils import format_size, parse_size
@@ -47,17 +50,6 @@ class PDTLConfig:
     load_balanced:
         whether the master balances edge ranges by oriented in-degree
         (Figure 9) instead of splitting edges equally.
-    sink:
-        the default sink kind a :class:`~repro.core.pdtl.PDTLRunner` hands
-        every worker when ``run()`` is not given an explicit ``sink_kind``:
-        ``"count"`` (default), ``"list"``, ``"per-vertex"`` or
-        ``"edge-support"`` (per-edge triangle supports, the input of the
-        k-truss decomposition in :mod:`repro.analytics`).  Underscore
-        spellings (``"edge_support"``) are normalised to the hyphenated
-        kind names that :func:`repro.core.triangles.make_sink` builds.
-        The kind also sizes every result message the network charges: one
-        count for ``"count"`` (Theorem IV.3's counting convention), the
-        triangles for ``"list"``, and a dense array for the other two.
     scheduling:
         how oriented edge positions are handed to the ``N·P`` workers.
         ``"static"`` (the paper's protocol) computes one contiguous range per
@@ -88,14 +80,6 @@ class PDTLConfig:
         automatically routes fewer chunks to it.  Normalised to a sorted
         tuple of ``(worker, factor)`` pairs so the configuration stays
         hashable.
-    host_jitter_seconds:
-        host-side straggler injection for testing the execution backends:
-        when positive, each chunk task sleeps a uniform delay in
-        ``[0, host_jitter_seconds)`` drawn from its *chunk-seeded* RNG
-        (:func:`repro.core.scheduler.chunk_seed` -- a pure function of the
-        run seed and the chunk id, never of the pool worker that happens to
-        execute it).  Wall-clock only: no modelled counter moves, so
-        results stay bit-identical with jitter on or off.
     modelled_cpu:
         when True, each MGT worker reports a *modelled* CPU time derived from
         its deterministic operation count (edges scanned plus intersection
@@ -114,19 +98,6 @@ class PDTLConfig:
         modelled times are bit-identical with it on or off.  On platforms
         without POSIX shared memory the runner falls back to the on-disk
         path with a warning (see :func:`repro.core.shm.shm_available`).
-    kernel_backend:
-        which kernel tier evaluates the hot sorted-intersection loops
-        (:mod:`repro.core.kernel_backend`): ``"auto"`` (default) takes the
-        compiled C tier when it builds and passes its self-check, and the
-        numpy tier otherwise; ``"numpy"`` pins the always-available
-        vectorised tier; ``"cffi"`` requests the C tier and degrades to
-        numpy with a :class:`RuntimeWarning` when it does not work.
-        Strictly below the accounting layer: triangle counts, listing
-        order, :class:`~repro.externalmem.iostats.IOStats` and modelled
-        times are bit-identical across tiers (the
-        backend-equivalence suite asserts it), only host wall-clock
-        changes.  Worker processes re-apply the knob from the pickled
-        config, so one setting governs every execution backend.
     trace:
         when True, the runner records a hierarchical span trace of the run
         (master phases, per-chunk scans, per-window kernel spans) and
@@ -145,16 +116,12 @@ class PDTLConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     memory_fill_fraction: float = 0.5
     load_balanced: bool = True
-    sink: str = "count"
-    seed: int = 0
     scheduling: str = "static"
     chunk_edges: int | None = None
     failure_spec: tuple[tuple[int, int], ...] = ()
     straggler_spec: tuple[tuple[int, float], ...] = ()
-    host_jitter_seconds: float = 0.0
     modelled_cpu: bool = False
     shm: bool = False
-    kernel_backend: str = "auto"
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -182,12 +149,6 @@ class PDTLConfig:
         if self.scheduling not in ("static", "dynamic"):
             raise ConfigurationError(
                 f"scheduling must be 'static' or 'dynamic', got {self.scheduling!r}"
-            )
-        object.__setattr__(self, "sink", normalize_sink_kind(self.sink))
-        if self.sink not in CHUNK_SINK_KINDS:
-            raise ConfigurationError(
-                f"sink must be one of {', '.join(CHUNK_SINK_KINDS)}, "
-                f"got {self.sink!r}"
             )
         if self.chunk_edges is not None:
             object.__setattr__(self, "chunk_edges", int(self.chunk_edges))
@@ -218,16 +179,6 @@ class PDTLConfig:
                 "straggler_spec requires scheduling='dynamic' (static ranges "
                 "cannot re-balance around a slow worker)"
             )
-        if self.host_jitter_seconds < 0.0:
-            raise ConfigurationError("host_jitter_seconds must be non-negative")
-        object.__setattr__(self, "host_jitter_seconds", float(self.host_jitter_seconds))
-        kernel_backend = str(self.kernel_backend).lower()
-        if kernel_backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"kernel_backend must be one of {BACKEND_NAMES}, "
-                f"got {self.kernel_backend!r}"
-            )
-        object.__setattr__(self, "kernel_backend", kernel_backend)
         object.__setattr__(self, "trace", bool(self.trace))
 
     def _normalize_worker_spec(self, spec, label, coerce, check, requirement):
@@ -328,6 +279,5 @@ class PDTLConfig:
             f"M={format_size(self.memory_per_proc)}/proc, "
             f"B={format_size(self.block_size)}, "
             f"load_balanced={self.load_balanced}, "
-            f"sink={self.sink}, "
             f"scheduling={self.scheduling}, shm={self.shm})"
         )

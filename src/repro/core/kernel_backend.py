@@ -5,12 +5,16 @@
 *compiled* tier, :mod:`repro.core.kernels_cffi`, fuses each chain into one
 allocation-free C loop, built once into a cached extension module.
 
-The requested tier comes from, in priority order, an explicit
-:func:`activate`/:func:`ensure` call (``PDTLConfig.kernel_backend`` routes
-through :func:`ensure`), the ``KERNEL_BACKEND`` environment variable, and
-the default ``"auto"``.  ``auto`` takes the C tier when it works and numpy
-otherwise, silently; an explicit ``cffi`` that does not work degrades to
-numpy with one :class:`RuntimeWarning` naming the reason.
+The tier is a property of the process, chosen in three ways only: the
+``KERNEL_BACKEND`` environment variable (default ``"auto"``), read on the
+first dispatch; an explicit :func:`activate`, which overrides it; and
+:func:`use`, which switches for the length of a ``with`` block and then
+restores the previous choice.  ``auto`` takes the C tier when it works and
+numpy otherwise, silently; an explicit ``cffi`` that does not work
+degrades to numpy with one :class:`RuntimeWarning` naming the reason.  A
+run reads the tier and never chooses one: every chunk task carries the
+master's resolved tier (``ChunkTask.kernel_tier``), and a pool worker on
+another tier activates the master's before it scans.
 
 Availability is *whole-tier*: one cached probe per process builds or loads
 the extension, runs every kernel once on a miniature graph and compares it
@@ -46,7 +50,6 @@ __all__ = [
     "active_backend",
     "compiled_available",
     "dispatch_counts",
-    "ensure",
     "fused",
     "initialize_default",
     "reset_dispatch_counts",
@@ -54,7 +57,7 @@ __all__ = [
     "warmup",
 ]
 
-#: Accepted values for ``KERNEL_BACKEND`` / ``PDTLConfig.kernel_backend``.
+#: Accepted values for ``KERNEL_BACKEND``, :func:`activate` and :func:`use`.
 BACKEND_NAMES = ("auto", "numpy", "cffi")
 
 # resolved state: what was asked for and what we ended up with
@@ -209,7 +212,7 @@ def compiled_available() -> tuple[bool, str]:
 def _validate(name: str) -> str:
     name = str(name).lower()
     if name not in BACKEND_NAMES:
-        raise ConfigurationError(f"kernel_backend must be one of {BACKEND_NAMES}, got {name!r}")
+        raise ConfigurationError(f"kernel tier must be one of {BACKEND_NAMES}, got {name!r}")
     return name
 
 
@@ -240,8 +243,8 @@ def activate(name: str) -> str:
 def initialize_default() -> str:
     """Resolve the tier from ``KERNEL_BACKEND`` (default ``auto``) once.
 
-    Called lazily from the first kernel dispatch; later explicit
-    :func:`activate`/:func:`ensure` calls override it.
+    Called lazily from the first kernel dispatch; a later explicit
+    :func:`activate` overrides it.
     """
     if _resolved is not None and kernels._BACKEND_READY:
         return _resolved
@@ -254,22 +257,6 @@ def initialize_default() -> str:
         )
         requested = "auto"
     return activate(requested)
-
-
-def ensure(name: str) -> str:
-    """Make the process's kernel tier match a config knob.
-
-    ``auto`` defers to :func:`initialize_default` (the environment wins, and
-    an already-active tier is kept); an explicit tier re-activates only
-    when the current request differs.  Worker processes call this from
-    ``MGTWorker.__init__`` so a pickled config reproduces the driver's tier.
-    """
-    name = _validate(name)
-    if name == "auto":
-        return initialize_default()
-    if name != _requested or not kernels._BACKEND_READY:
-        return activate(name)
-    return _resolved or "numpy"
 
 
 def active_backend() -> str:
@@ -300,10 +287,11 @@ def warmup() -> tuple[str, ...]:
 
 @contextmanager
 def use(name: str) -> Iterator[str]:
-    """Temporarily switch the kernel tier (tests and benchmarks).
+    """Switch the kernel tier for the length of a ``with`` block.
 
-    Restores the previous request on exit; the probe is cached, so the
-    switch never rebuilds.
+    Runs started inside the block scan on this tier, in the master and in
+    every pool worker (each chunk task carries it).  Restores the previous
+    request on exit; the probe is cached, so the switch never rebuilds.
     """
     global _requested, _resolved
     prev = _requested

@@ -94,7 +94,7 @@ def _impl(name: str):
     """Active compiled implementation of ``name``, or ``None`` for numpy.
 
     On first use triggers :func:`repro.core.kernel_backend.initialize_default`
-    so plain library users (no config knob, no env var) transparently get the
+    so plain library users (no env var, no explicit tier) transparently get the
     best available tier.
     """
     if not _BACKEND_READY:
@@ -177,6 +177,19 @@ def _require_vertex_ids(ids: np.ndarray, num_vertices: int) -> None:
         raise GraphFormatError(
             f"adjacency list holds vertex id {int(bad[0])} outside [0, {num_vertices})"
         )
+
+
+def require_edge_endpoints(indptr: np.ndarray, us: np.ndarray, vs: np.ndarray) -> None:
+    """Refuse an edge batch before any read, on both tiers: ``us`` and
+    ``vs`` must pair up, and every endpoint must be a vertex id of the
+    graph.  An id outside ``[0, n)`` would read ``indptr`` past its end
+    (or, negative, from it), and a shorter ``vs`` would be read past."""
+    if us.shape != vs.shape:
+        raise ValueError("us and vs must have the same length")
+    if us.shape[0] and (
+        min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= indptr.shape[0] - 1
+    ):
+        raise IndexError("edge endpoints must be vertex ids of the graph")
 
 
 def csr_packed_keys(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -404,7 +417,9 @@ def edge_intersections(
     contiguous range, so membership is tested against the packed keys of
     the *whole* graph (pass ``csr_keys`` to amortise
     :func:`csr_packed_keys` across calls).  Returns the total count, or a
-    per-edge count array with ``per_edge=True``.
+    per-edge count array with ``per_edge=True``.  Unequal batch lengths
+    raise ``ValueError`` and an endpoint outside the graph ``IndexError``
+    (:func:`require_edge_endpoints`), on either tier.
 
     ``csr_keys``, when given, must equal ``csr_packed_keys(indptr, indices)``
     -- it is a cache, not an independent input; the compiled tier intersects
@@ -428,6 +443,7 @@ def _edge_intersections_numpy(
 ):
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
+    require_edge_endpoints(indptr, us, vs)
     if csr_keys is None:
         csr_keys = csr_packed_keys(indptr, indices)
     num_vertices = int(indptr.shape[0] - 1)
@@ -460,7 +476,8 @@ def edge_common_neighbors(
 
     The compiled tier intersects the adjacency lists directly; the numpy
     twin tests membership against the whole graph's packed keys, which it
-    builds per call.
+    builds per call.  Both refuse a batch as :func:`edge_intersections`
+    does.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -478,6 +495,7 @@ def _edge_common_neighbors_numpy(
 ) -> tuple[np.ndarray, np.ndarray]:
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
+    require_edge_endpoints(indptr, us, vs)
     csr_keys = csr_packed_keys(indptr, indices)
     num_vertices = int(indptr.shape[0] - 1)
     seg_starts = indptr[vs]

@@ -33,7 +33,9 @@ Semantics are pinned to the numpy twins in
   raises :class:`~repro.errors.GraphFormatError`;
 * the one-pair kernels ``edge_intersections`` and
   ``edge_common_neighbors`` reuse no list, so they keep the galloping/
-  merge walks ``pdtl_isect_count`` and ``PDTL_ISECT_WALK``;
+  merge walks ``pdtl_isect_count`` and ``PDTL_ISECT_WALK``; C reads their
+  endpoints unchecked, so the wrappers refuse a batch first, as the numpy
+  twins do (:func:`repro.core.kernels.require_edge_endpoints`);
 * emission order of ``triangle_range``/``mgt_block_scan`` triples is the
   numpy gather order: adjacency entries by (source, position), hits within
   an entry in ``N⁺(v)`` order; ``mgt_chunk_scan`` scans every memory
@@ -852,6 +854,8 @@ def build_registry() -> dict[str, Callable]:
         indices = as_i64(indices)
         us = as_i64(us)
         vs = as_i64(vs)
+        # C reads indptr[u], indptr[v] and vs[i] unchecked
+        kernels.require_edge_endpoints(indptr, us, vs)
         ne = us.shape[0]
         if per_edge:
             out = np.zeros(ne, dtype=np.int64)
@@ -869,13 +873,8 @@ def build_registry() -> dict[str, Callable]:
         indices = as_i64(indices)
         us = as_i64(us)
         vs = as_i64(vs)
-        # C reads indptr[u], indptr[v] unchecked: refuse ids outside the graph
-        if us.shape != vs.shape:
-            raise ValueError("us and vs must have the same length")
-        if us.shape[0] and (
-            min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= indptr.shape[0] - 1
-        ):
-            raise IndexError("edge endpoints must be vertex ids of the graph")
+        # C reads indptr[u], indptr[v] and vs[i] unchecked
+        kernels.require_edge_endpoints(indptr, us, vs)
         cap = int((indptr[vs + 1] - indptr[vs]).sum())
         owners = np.empty(cap, dtype=np.int64)
         ws = np.empty(cap, dtype=np.int64)

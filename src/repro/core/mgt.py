@@ -128,6 +128,10 @@ class MGTWorker:
         optional :class:`repro.obs.tracer.Tracer`; when given (and enabled)
         the worker records one ``kernel``-category span per memory window.
         Instrumentation only -- no accounted quantity depends on it.
+
+    The worker scans on its process's kernel tier
+    (:mod:`repro.core.kernel_backend`) and never chooses one; a chunk task
+    sets the tier of the process that runs it before it builds the worker.
     """
 
     def __init__(
@@ -142,10 +146,6 @@ class MGTWorker:
             raise ConfigurationError("MGTWorker requires an oriented graph file")
         self.graph = oriented
         self.config = config
-        # apply the kernel-tier knob here rather than in the runner: worker
-        # processes construct their MGTWorker from the pickled config, so
-        # this is the one seam every execution backend passes through
-        kernel_backend.ensure(config.kernel_backend)
         self.range_start = int(range_start)
         self.range_stop = int(range_stop if range_stop is not None else oriented.num_edges)
         if not 0 <= self.range_start <= self.range_stop <= oriented.num_edges:

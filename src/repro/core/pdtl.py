@@ -30,7 +30,6 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.cluster.executor import ExecutionBackend, run_task_queue
 from repro.cluster.metrics import ClusterMetrics
-from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
 from repro.core.load_balance import EdgeRange, split_edges
 from repro.core.mgt import MGTResult
@@ -47,12 +46,7 @@ from repro.core.scheduler import (
     merge_mgt_results,
     resolve_chunk_edges,
 )
-from repro.core.triangles import (
-    CHUNK_SINK_KINDS,
-    Triangle,
-    normalize_sink_kind,
-    oriented_edge_array,
-)
+from repro.core.triangles import CHUNK_SINK_KINDS, Triangle, oriented_edge_array
 from repro.errors import ConfigurationError
 from repro.externalmem.blockio import DiskModel
 from repro.graph.binfmt import GraphFile, write_graph
@@ -209,7 +203,7 @@ class PDTLRunner:
     def run(
         self,
         graph: CSRGraph | GraphFile,
-        sink_kind: str | None = None,
+        sink_kind: str = "count",
     ) -> PDTLResult:
         """Count (or list) all triangles of ``graph`` under this configuration.
 
@@ -222,12 +216,13 @@ class PDTLRunner:
         :class:`Triangle` records), ``"per-vertex"`` (per-vertex triangle
         counts for clustering-coefficient style analyses) or
         ``"edge-support"`` (per-oriented-edge triangle supports, the input
-        of the k-truss decomposition in :mod:`repro.analytics`).  When
-        omitted, ``config.sink`` decides.
+        of the k-truss decomposition in :mod:`repro.analytics`).  This is
+        the one place a kind is checked: any other raises
+        :class:`~repro.errors.ConfigurationError`.  The kind also sizes
+        every result message the network charges: one count for
+        ``"count"`` (Theorem IV.3's counting convention), the triangles
+        for ``"list"``, and a dense array for the other two.
         """
-        sink_kind = normalize_sink_kind(
-            sink_kind if sink_kind is not None else self.config.sink
-        )
         if sink_kind not in CHUNK_SINK_KINDS:
             raise ConfigurationError(
                 f"unsupported sink kind {sink_kind!r}; supported kinds: "
@@ -330,9 +325,6 @@ class PDTLRunner:
     ) -> PDTLResult:
         config = self.config
         dynamic = config.scheduling == "dynamic"
-        # the master's preprocessing kernels run on the configured tier, as
-        # the workers' scans do
-        kernel_backend.ensure(config.kernel_backend)
 
         # Observability: a live tracer (master track) only when configured;
         # everything below feeds spans/phase deltas through it, and the

@@ -40,17 +40,17 @@ from __future__ import annotations
 
 import os
 import tempfile
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
 from repro.core.mgt import MGTResult, MGTWorker
 from repro.core.shm import SharedGraphDescriptor, attach_view
-from repro.core.triangles import CHUNK_SINK_KINDS, make_sink, normalize_sink_kind
+from repro.core.triangles import make_sink
 from repro.errors import ConfigurationError, SchedulingError
 from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.externalmem.iostats import IOStats
@@ -64,7 +64,6 @@ __all__ = [
     "Chunk",
     "ChunkOutcome",
     "ChunkTask",
-    "chunk_seed",
     "chunks_cover_exactly",
     "DynamicScheduler",
     "ScheduleResult",
@@ -154,17 +153,6 @@ def chunks_cover_exactly(chunks: Sequence[Chunk], num_edges: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def chunk_seed(base_seed: int, chunk_index: int) -> int:
-    """Deterministic per-chunk RNG seed, independent of the executing worker.
-
-    Derived from the run seed and the *chunk id* with a
-    :class:`numpy.random.SeedSequence`, never from the pool worker id or
-    pid -- a persistent pool hands the same chunk to different workers on
-    different runs, and replay must not care.
-    """
-    return int(np.random.SeedSequence([int(base_seed), int(chunk_index)]).generate_state(1)[0])
-
-
 @dataclass(frozen=True)
 class ChunkTask:
     """Everything a worker process needs to execute one chunk.
@@ -179,10 +167,10 @@ class ChunkTask:
     MGT worker's I/O accounting is analytic, so the outcome is independent
     of which machine's copy (or which shared segment) the task reads.
 
-    ``seed`` is the deterministic per-chunk seed (:func:`chunk_seed`);
-    every stochastic worker-side effect (currently the host-jitter
-    straggler injection) draws from it, so replay is reproducible no
-    matter which pool worker picks the chunk up.
+    ``kernel_tier`` is the kernel tier (``"numpy"`` or ``"cffi"``) active
+    in the master when it built the task.  The worker switches to it before
+    it scans, so a pool follows its master whichever tier the pool's
+    processes started on.
     """
 
     index: int
@@ -197,8 +185,8 @@ class ChunkTask:
     start: int
     stop: int
     sink_kind: str
+    kernel_tier: str
     shm: SharedGraphDescriptor | None = None
-    seed: int = 0
     #: pid of the process that built the task; lets a traced chunk decide
     #: whether it runs in a worker process (where per-task process-counter
     #: deltas are exact) or in the master (where the run-level delta wins)
@@ -228,14 +216,10 @@ class ChunkTask:
             start=start,
             stop=stop,
             sink_kind=sink_kind,
+            kernel_tier=kernel_backend.active_backend(),
             shm=shm,
-            seed=chunk_seed(config.seed, index),
             master_pid=os.getpid(),
         )
-
-    def rng(self) -> np.random.Generator:
-        """The chunk's private deterministic generator."""
-        return np.random.default_rng(self.seed)
 
 
 @dataclass
@@ -278,6 +262,11 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
     then cached); otherwise it re-opens the on-disk graph.  Both paths
     feed the identical analytic accounting, so every modelled number is
     bit-identical between them.
+
+    The chunk scans on the master's kernel tier: a worker process whose
+    tier differs switches to ``task.kernel_tier`` first.  In the master
+    (the serial backend) the tiers always match, so a run never changes
+    the tier of the process that started it.
     """
     trace = task.config.trace
     tracer = Tracer(track=f"chunk{task.index}") if trace else NULL_TRACER
@@ -290,14 +279,8 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
         if trace and os.getpid() != task.master_pid
         else None
     )
-    if task.config.host_jitter_seconds > 0.0:
-        # deterministic straggler injection: the delay is a pure function
-        # of the chunk id (never of the worker that happens to hold it),
-        # and wall-clock only -- no modelled counter moves
-        with tracer.span("jitter", cat="host"):
-            time.sleep(
-                float(task.rng().uniform(0.0, task.config.host_jitter_seconds))
-            )
+    if kernel_backend.active_backend() != task.kernel_tier:
+        kernel_backend.activate(task.kernel_tier)
     device = None
     if task.shm is not None:
         graph = attach_view(task.shm, task.disk_model)
@@ -315,12 +298,7 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
             directed=True,
             max_degree=task.max_degree,
         )
-    sink_kind = normalize_sink_kind(task.sink_kind)
-    if sink_kind not in CHUNK_SINK_KINDS:
-        raise ConfigurationError(
-            f"sink kind {task.sink_kind!r} cannot run as a chunk task; "
-            f"supported kinds: {', '.join(CHUNK_SINK_KINDS)}"
-        )
+    sink_kind = task.sink_kind
     # The edge-support sink honours the worker's memory budget M: when the
     # dense per-edge support array would exceed it, positions spill as
     # sorted runs to a private host-side scratch file (below the modelled

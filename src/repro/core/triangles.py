@@ -54,7 +54,6 @@ __all__ = [
     "PerVertexCountSink",
     "EdgeSupportSink",
     "oriented_edge_array",
-    "normalize_sink_kind",
     "make_sink",
     "CHUNK_SINK_KINDS",
 ]
@@ -555,11 +554,6 @@ class EdgeSupportSink:
 CHUNK_SINK_KINDS = ("count", "list", "per-vertex", "edge-support")
 
 
-def normalize_sink_kind(kind: str) -> str:
-    """Accept ``edge_support`` as a spelling of ``edge-support`` and so on."""
-    return str(kind).replace("_", "-")
-
-
 def make_sink(
     kind: str,
     num_vertices: int | None = None,
@@ -575,7 +569,7 @@ def make_sink(
     (for its edge count) and optionally a spill file and memory budget.  An unknown kind raises
     ``ValueError`` instead of silently falling back to a default sink.
     """
-    factory = _SINK_FACTORIES.get(normalize_sink_kind(kind))
+    factory = _SINK_FACTORIES.get(kind)
     if factory is None:
         raise ValueError(
             f"unknown sink kind {kind!r}; kinds: {', '.join(CHUNK_SINK_KINDS)}"

@@ -57,14 +57,14 @@ class TestMGTEstimate:
 
 class TestPDTLEstimate:
     def test_network_traffic_formula(self, graph):
-        config = PDTLConfig(num_nodes=3, procs_per_node=4, sink="count")
-        est = estimate_pdtl_cost(graph, config, num_triangles=1000)
+        config = PDTLConfig(num_nodes=3, procs_per_node=4)
+        est = estimate_pdtl_cost(graph, config, num_triangles=1000, sink_kind="count")
         expected = 3 * (4 + graph.num_undirected_edges)  # + 0 for counting
         assert est.network_traffic_elements == expected
 
     def test_network_traffic_includes_triangles_when_listing(self, graph):
-        config = PDTLConfig(num_nodes=2, procs_per_node=2, sink="list")
-        est = estimate_pdtl_cost(graph, config, num_triangles=1000)
+        config = PDTLConfig(num_nodes=2, procs_per_node=2)
+        est = estimate_pdtl_cost(graph, config, num_triangles=1000, sink_kind="list")
         assert est.network_traffic_elements == 2 * (2 + graph.num_undirected_edges) + 1000
 
     def test_more_processors_reduce_iterations(self, graph):

@@ -13,6 +13,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from chunk_jitter import host_jitter
 
 from repro.analytics import GraphDelta, run_analytics, truss_decomposition
 from repro.analytics.truss import canonical_edges
@@ -474,18 +475,18 @@ class TestPipelineDeltas:
             modelled_cpu=True,
             deltas=delta,
         )
-        injected = run_analytics(
-            graph,
-            backend="processes",
-            num_nodes=2,
-            procs_per_node=2,
-            memory_per_proc="64KB",
-            scheduling="dynamic",
-            modelled_cpu=True,
-            failure_spec={0: 1, 2: 0},
-            host_jitter_seconds=0.01,
-            deltas=delta,
-        )
+        with host_jitter(0.01):
+            injected = run_analytics(
+                graph,
+                backend="processes",
+                num_nodes=2,
+                procs_per_node=2,
+                memory_per_proc="64KB",
+                scheduling="dynamic",
+                modelled_cpu=True,
+                failure_spec={0: 1, 2: 0},
+                deltas=delta,
+            )
         assert clean.triangles == injected.triangles
         assert np.array_equal(clean.truss.trussness, injected.truss.trussness)
         assert np.array_equal(clean.edge_supports, injected.edge_supports)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from chunk_jitter import host_jitter
 
 from repro.baselines.inmemory import forward_count, forward_list
 from repro.core import kernel_backend
@@ -188,9 +189,8 @@ class TestDynamicMatchesStatic:
         delays must not move a single modelled number on any backend."""
         reference = _run(graph, "dynamic", "serial", False)
         for label, backend, shm in _backends():
-            jittered = _run(
-                graph, "dynamic", backend, shm, host_jitter_seconds=0.01
-            )
+            with host_jitter(0.01):
+                jittered = _run(graph, "dynamic", backend, shm)
             assert jittered.triangles == reference.triangles, label
             assert jittered.calc_seconds == reference.calc_seconds, label
             assert jittered.total_io_seconds == reference.total_io_seconds, label
@@ -202,16 +202,16 @@ class TestDynamicMatchesStatic:
         re-balance the replay -- neither may change a single support."""
         reference = _run(graph, "dynamic", "serial", False, sink_kind="edge-support")
         for label, backend, shm in _backends():
-            injected = _run(
-                graph,
-                "dynamic",
-                backend,
-                shm,
-                sink_kind="edge-support",
-                failure_spec={0: 1, 2: 0},
-                straggler_spec={1: 4.0},
-                host_jitter_seconds=0.005,
-            )
+            with host_jitter(0.005):
+                injected = _run(
+                    graph,
+                    "dynamic",
+                    backend,
+                    shm,
+                    sink_kind="edge-support",
+                    failure_spec={0: 1, 2: 0},
+                    straggler_spec={1: 4.0},
+                )
             assert injected.triangles == expected, label
             assert injected.metrics.total_chunks_retried >= 1, label
             np.testing.assert_array_equal(
@@ -225,13 +225,13 @@ class TestCompiledTierEquivalence:
     accounting layer: with it on or off, every modelled quantity, count,
     listing order and support array must be bit-identical -- on all three
     execution backends, with and without failure/straggler/jitter
-    injection.  The tier is applied on both sides of the seam: the master
-    via ``kernel_backend.use`` and the workers via the pickled config's
-    ``kernel_backend`` knob."""
+    injection.  ``kernel_backend.use`` sets the tier on both sides of the
+    seam: the master runs on it, and each chunk task carries it to the
+    worker that runs it."""
 
     def _run_tier(self, graph, tier, backend, shm, scheduling="dynamic", **kwargs):
         with kernel_backend.use(tier):
-            return _run(graph, scheduling, backend, shm, kernel_backend=tier, **kwargs)
+            return _run(graph, scheduling, backend, shm, **kwargs)
 
     @pytest.mark.parametrize("scheduling", ("static", "dynamic"))
     def test_counts_and_modelled_times_identical(self, graph, expected, scheduling):
@@ -265,20 +265,20 @@ class TestCompiledTierEquivalence:
         injection = dict(
             failure_spec={0: 1, 2: 0},
             straggler_spec={1: 4.0},
-            host_jitter_seconds=0.005,
         )
         for label, backend, shm in _backends():
-            plain = self._run_tier(
-                graph, "numpy", backend, shm, sink_kind="edge-support", **injection
-            )
-            compiled = self._run_tier(
-                graph,
-                _COMPILED_TIER,
-                backend,
-                shm,
-                sink_kind="edge-support",
-                **injection,
-            )
+            with host_jitter(0.005):
+                plain = self._run_tier(
+                    graph, "numpy", backend, shm, sink_kind="edge-support", **injection
+                )
+                compiled = self._run_tier(
+                    graph,
+                    _COMPILED_TIER,
+                    backend,
+                    shm,
+                    sink_kind="edge-support",
+                    **injection,
+                )
             assert compiled.triangles == plain.triangles == expected, label
             assert compiled.metrics.total_chunks_retried >= 1, label
             np.testing.assert_array_equal(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import PDTLConfig
@@ -64,11 +66,6 @@ class TestValidation:
                 straggler_spec=[(0, 2.0), (0, 3.0)],
             )
 
-    def test_host_jitter_must_be_non_negative(self):
-        assert PDTLConfig(host_jitter_seconds=0.25).host_jitter_seconds == 0.25
-        with pytest.raises(ConfigurationError):
-            PDTLConfig(host_jitter_seconds=-0.1)
-
     def test_shm_flag_defaults_off_and_is_hashable(self):
         assert PDTLConfig().shm is False
         cfg = PDTLConfig(shm=True, scheduling="dynamic", straggler_spec={0: 2.0})
@@ -105,8 +102,21 @@ class TestDerivedQuantities:
     def test_describe_mentions_parameters(self):
         text = PDTLConfig(num_nodes=2, procs_per_node=3).describe()
         assert "N=2" in text and "P=3" in text
+        assert "sink" not in text  # the kind is run()'s, not the config's
 
     def test_frozen(self):
         cfg = PDTLConfig()
         with pytest.raises(AttributeError):
             cfg.num_nodes = 5  # type: ignore[misc]
+
+
+class TestFields:
+    def test_fields_are_the_environment_model(self):
+        """(N, P, M, B), the ``c`` constant, the range split and the run's
+        host switches -- the sink kind is an argument of ``run()``, and the
+        kernel tier belongs to the process, not to a run."""
+        assert [f.name for f in fields(PDTLConfig)] == [
+            "num_nodes", "procs_per_node", "memory_per_proc", "block_size",
+            "memory_fill_fraction", "load_balanced", "scheduling", "chunk_edges",
+            "failure_spec", "straggler_spec", "modelled_cpu", "shm", "trace",
+        ]

@@ -1,7 +1,7 @@
 """Unit tests for the numpy|C kernel-tier switch.
 
-The contract under test: selection (env var, config knob, explicit
-activation), whole-tier degradation (a failed build, a crashing kernel, a
+The contract under test: selection (env var, explicit activation, a
+``use`` block), whole-tier degradation (a failed build, a crashing kernel, a
 missing kernel or one kernel that disagrees with numpy refuses the whole
 C tier -- silently under ``auto``, with one RuntimeWarning under an
 explicit ``cffi``), and one probe per process however often the tier is
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core import kernel_backend, kernels, kernels_cffi
-from repro.core.config import PDTLConfig
 from repro.errors import ConfigurationError
 
 _COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
@@ -101,7 +100,8 @@ class TestSelection:
         with pytest.raises(ConfigurationError):
             kernel_backend.activate(name)
         with pytest.raises(ConfigurationError):
-            kernel_backend.ensure(name)
+            with kernel_backend.use(name):
+                pass
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv("KERNEL_BACKEND", "numpy")
@@ -117,14 +117,6 @@ class TestSelection:
             resolved = kernel_backend.initialize_default()
         assert kernel_backend._requested == "auto"
         assert resolved == ("cffi" if _COMPILED_OK else "numpy")
-
-    def test_config_knob_validation(self):
-        for name in ("cython", _RETIRED_TIER):
-            with pytest.raises(ConfigurationError, match="kernel_backend"):
-                PDTLConfig(kernel_backend=name)
-        assert PDTLConfig(kernel_backend="NumPy").kernel_backend == "numpy"
-        assert PDTLConfig(kernel_backend="CFFI").kernel_backend == "cffi"
-        assert PDTLConfig().kernel_backend == "auto"
 
     def test_use_restores_previous_tier(self):
         before_request = kernel_backend._requested
@@ -150,8 +142,9 @@ class TestWholeTierFallback:
             warnings.simplefilter("always")
             assert kernel_backend.activate("cffi") == "numpy"
             assert kernel_backend.activate("cffi") == "numpy"
-            assert kernel_backend.ensure("numpy") == "numpy"
-            assert kernel_backend.ensure("cffi") == "numpy"
+            assert kernel_backend.activate("numpy") == "numpy"
+            with kernel_backend.use("cffi") as active:
+                assert active == "numpy"
         messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
         assert len(messages) == 1
         assert "falling back to the numpy tier" in messages[0]

@@ -259,6 +259,53 @@ class TestEdgeIntersections:
         ) == kernels.edge_intersections(oriented.indptr, oriented.indices, us, vs)
 
 
+class TestEdgeKernelsRefuseBadEndpoints:
+    """Both one-pair kernels check a batch before any read, on both tiers.
+    C reads the endpoints unchecked (an id far past ``n`` crashed the
+    process), and numpy read ``indptr`` from its end at -1 and past it at
+    ``n``, or paired ``us`` with a shorter ``vs``."""
+
+    # the 4-vertex graph 0 -> {1, 2}, 1 -> {2}
+    INDPTR = np.array([0, 2, 3, 3, 3], dtype=np.int64)
+    INDICES = np.array([1, 2, 2], dtype=np.int64)
+
+    def _call(self, kernel, us, vs):
+        args = (
+            self.INDPTR, self.INDICES, np.array(us, dtype=np.int64),
+            np.array(vs, dtype=np.int64),
+        )
+        if kernel == "edge_intersections":
+            return kernels.edge_intersections(*args, per_edge=True)
+        return kernels.edge_common_neighbors(*args)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("kernel", ["edge_intersections", "edge_common_neighbors"])
+    @pytest.mark.parametrize("side", ["us", "vs"])
+    @pytest.mark.parametrize("bad", [-1, 4, 10**6])
+    def test_endpoint_outside_the_graph(self, tier, kernel, side, bad):
+        us, vs = ([bad], [1]) if side == "us" else ([0], [bad])
+        with kernel_backend.use(tier):
+            with pytest.raises(IndexError, match="edge endpoints must be vertex ids"):
+                self._call(kernel, us, vs)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    @pytest.mark.parametrize("kernel", ["edge_intersections", "edge_common_neighbors"])
+    @pytest.mark.parametrize("us, vs", [([0, 1], [1]), ([0], [1, 2])])
+    def test_unequal_lengths(self, tier, kernel, us, vs):
+        with kernel_backend.use(tier):
+            with pytest.raises(ValueError, match="same length"):
+                self._call(kernel, us, vs)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_valid_batch_still_runs(self, tier):
+        with kernel_backend.use(tier):
+            np.testing.assert_array_equal(
+                self._call("edge_intersections", [0, 0], [1, 2]), [1, 0]
+            )
+            owners, ws = self._call("edge_common_neighbors", [0], [1])
+        assert owners.tolist() == [0] and ws.tolist() == [2]
+
+
 def test_power_law_graph_counts_match_reference():
     graph = CSRGraph.from_edgelist(
         power_law_degree_graph(400, exponent=2.3, min_degree=2, max_degree=50, seed=9)

@@ -196,15 +196,15 @@ class TestOutOfRangeIds:
 
 
 class TestMasterKernelTier:
-    """The master's preprocessing honours ``PDTLConfig.kernel_backend``, as
-    the workers' scans do."""
+    """The master's preprocessing runs on the process's kernel tier, the one
+    its chunk tasks carry to the workers' scans."""
 
     @pytest.mark.parametrize("tier", _TIERS)
     def test_preprocessing_dispatches_on_the_configured_tier(self, tier):
         graph = CSRGraph.from_edgelist(rmat(6, edge_factor=6, seed=4))
-        config = PDTLConfig(memory_per_proc=4096, block_size=512, kernel_backend=tier)
+        config = PDTLConfig(memory_per_proc=4096, block_size=512)
         other = "cffi" if tier == "numpy" else "numpy"
-        with kernel_backend.use(other):
+        with kernel_backend.use(tier):
             before = kernel_backend.dispatch_counts()
             PDTLRunner(config, backend="serial").run(graph)
             after = kernel_backend.dispatch_counts()

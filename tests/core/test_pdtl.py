@@ -69,8 +69,8 @@ class TestCorrectnessAcrossConfigurations:
         graph equals the single-chunk orientation."""
         device = BlockDevice(tmp_path, block_size=512)
         reference = orient_graph(write_graph(device, "g", medium_graph)).oriented
-        config = PDTLConfig(num_nodes=1, procs_per_node=procs, sink="edge-support")
-        result = PDTLRunner(config).run(medium_graph)
+        config = PDTLConfig(num_nodes=1, procs_per_node=procs)
+        result = PDTLRunner(config).run(medium_graph, sink_kind="edge-support")
         np.testing.assert_array_equal(
             result.oriented_edges, oriented_edge_array(reference)
         )
@@ -145,8 +145,13 @@ class TestSinkKinds:
         assert extra["list"] == 24 * remote_triangles
 
     def test_unknown_sink_kind_rejected(self, k6):
-        with pytest.raises(ConfigurationError):
-            PDTLRunner(PDTLConfig()).run(k6, sink_kind="bogus")
+        # run() is the one place a kind is checked; underscore spellings
+        # are not kinds
+        for kind in ("bogus", "edge_support", "per_vertex", "file"):
+            with pytest.raises(
+                ConfigurationError, match="count, list, per-vertex, edge-support"
+            ):
+                PDTLRunner(PDTLConfig()).run(k6, sink_kind=kind)
 
 
 class TestInputStaging:

@@ -5,14 +5,15 @@ from __future__ import annotations
 import pickle
 
 import pytest
+from chunk_jitter import JitteredChunkTask
 
+from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
 from repro.core.mgt import mgt_count
 from repro.core.orientation import orient_graph
 from repro.core.scheduler import (
     ChunkTask,
     DynamicScheduler,
-    chunk_seed,
     chunks_cover_exactly,
     execute_chunk_task,
     make_chunks,
@@ -209,70 +210,36 @@ class TestChunkTaskExecution:
         assert merged.triangles == 0
         assert merged.edges_processed == 0
 
-
-class TestChunkSeeds:
-    """Worker-side determinism: the per-chunk seed is a pure function of the
-    run seed and the *chunk id* -- never of the pool worker that happens to
-    execute the chunk -- so dynamic-scheduling replay is reproducible under
-    the persistent process pool."""
-
-    def test_seed_is_deterministic_per_chunk(self):
-        assert chunk_seed(0, 3) == chunk_seed(0, 3)
-        assert chunk_seed(7, 3) == chunk_seed(7, 3)
-
-    def test_seed_varies_with_chunk_and_run_seed(self):
-        seeds = {chunk_seed(0, i) for i in range(32)}
-        assert len(seeds) == 32
-        assert chunk_seed(0, 5) != chunk_seed(1, 5)
-
-    def test_tasks_carry_chunk_derived_seeds(self, tmp_path):
-        from repro.externalmem.blockio import BlockDevice
-
-        device = BlockDevice(tmp_path / "disk", block_size=512)
-        oriented = orient_graph(
-            write_graph(device, "g", CSRGraph.from_edgelist(rmat(5, seed=3)))
-        ).oriented
-        config = PDTLConfig(memory_per_proc=4096, block_size=512, seed=9)
-        tasks = [
-            ChunkTask.from_graph(
-                index=i, graph=oriented, config=config, start=0,
-                stop=oriented.num_edges, sink_kind="count",
-            )
-            for i in range(3)
-        ]
-        assert [t.seed for t in tasks] == [chunk_seed(9, i) for i in range(3)]
-        # the task RNG replays identically no matter where it is drawn
-        draws_a = tasks[0].rng().integers(0, 1 << 30, 4).tolist()
-        draws_b = tasks[0].rng().integers(0, 1 << 30, 4).tolist()
-        assert draws_a == draws_b
-        assert tasks[0].rng().integers(0, 1 << 30, 4).tolist() != tasks[
-            1
-        ].rng().integers(0, 1 << 30, 4).tolist()
-
-    def test_host_jitter_does_not_change_outcomes(self, tmp_path):
-        from repro.externalmem.blockio import BlockDevice
-
-        device = BlockDevice(tmp_path / "disk", block_size=512)
-        oriented = orient_graph(
-            write_graph(device, "g", CSRGraph.from_edgelist(rmat(5, seed=3)))
-        ).oriented
+    def test_host_jitter_does_not_change_outcomes(self, oriented):
+        config = PDTLConfig(memory_per_proc=4096, block_size=512, modelled_cpu=True)
+        task = ChunkTask.from_graph(0, oriented, config, 0, oriented.num_edges, "count")
         results = []
-        for jitter in (0.0, 0.005):
-            config = PDTLConfig(
-                memory_per_proc=4096,
-                block_size=512,
-                modelled_cpu=True,
-                host_jitter_seconds=jitter,
-            )
-            task = ChunkTask.from_graph(
-                index=0, graph=oriented, config=config, start=0,
-                stop=oriented.num_edges, sink_kind="count",
-            )
-            outcome = execute_chunk_task(task)
+        for run in (execute_chunk_task, JitteredChunkTask(execute_chunk_task, 0.005)):
+            outcome = run(task)
             results.append(
                 (outcome.triangles, outcome.result.cpu_seconds, outcome.result.io_seconds)
             )
         assert results[0] == results[1]
+
+    @pytest.mark.parametrize("tier", ["numpy", "cffi", "auto"])
+    def test_task_carries_the_master_tier(self, oriented, tier):
+        """A task records the tier the master resolved, never ``auto``, and
+        runs on it wherever it lands."""
+        if not kernel_backend.compiled_available()[0]:
+            pytest.skip(f"no C tier: {kernel_backend.compiled_available()[1]}")
+        config = PDTLConfig(memory_per_proc=2048, block_size=512)
+        with kernel_backend.use(tier) as active:
+            task = ChunkTask.from_graph(0, oriented, config, 0, oriented.num_edges, "count")
+        assert task.kernel_tier == active
+        other = "cffi" if active == "numpy" else "numpy"
+        with kernel_backend.use(other):
+            before = kernel_backend.dispatch_counts()
+            execute_chunk_task(task)
+            after = kernel_backend.dispatch_counts()
+            # a worker on another tier switches to the task's
+            assert kernel_backend.active_backend() == active
+        key = f"mgt_block_scan.{active}"
+        assert after.get(key, 0) > before.get(key, 0)
 
 
 class TestConfigKnobs:

@@ -20,7 +20,7 @@ from repro.core.config import PDTLConfig
 from repro.core.mgt import MGTWorker, mgt_count
 from repro.core.orientation import orient_csr, orient_graph
 from repro.core.pdtl import PDTLRunner
-from repro.core.scheduler import ChunkTask, chunk_seed, execute_chunk_task
+from repro.core.scheduler import ChunkTask, execute_chunk_task
 from repro.core.shm import (
     SHM_PREFIX,
     SharedGraphView,
@@ -363,8 +363,8 @@ class TestMGTOnSharedView:
                 start=0,
                 stop=oriented.num_edges,
                 sink_kind="count",
+                kernel_tier=kernel_backend.active_backend(),
                 shm=publication.descriptor,
-                seed=chunk_seed(0, 0),
             )
             outcome = execute_chunk_task(task)
             detach_view(publication.descriptor.token)
@@ -498,8 +498,8 @@ class TestSharedScanMatchesDisk:
                 start=start,
                 stop=stop,
                 sink_kind="count",
+                kernel_tier=tier,
                 shm=publication.descriptor,
-                seed=chunk_seed(0, 0),
             )
             outcome = execute_chunk_task(task)
             detach_view(publication.descriptor.token)

@@ -173,8 +173,10 @@ class TestMakeSink:
         assert all(type(sink) is want for sink in sinks)
         assert sinks[0] is not sinks[1]
         assert all(sink.count == 0 for sink in sinks)
-        # the underscore spelling builds the same kind
-        assert type(make_sink(kind.replace("-", "_"), graph=oriented)) is want
+        # only the hyphenated names are kinds
+        if "-" in kind:
+            with pytest.raises(ValueError, match="unknown sink kind"):
+                make_sink(kind.replace("-", "_"), graph=oriented)
 
 
 class TestFileSinkBlockAlignedCharge:
@@ -640,13 +642,6 @@ class TestEdgeSupportSinkDelta:
 
 
 class TestSinkKinds:
-    def test_normalize_underscore_spelling(self):
-        from repro.core.triangles import normalize_sink_kind
-
-        assert normalize_sink_kind("edge_support") == "edge-support"
-        assert normalize_sink_kind("per_vertex") == "per-vertex"
-        assert normalize_sink_kind("count") == "count"
-
     def test_make_edge_support_from_graph(self):
         from repro.core.orientation import orient_csr
         from repro.core.triangles import EdgeSupportSink, make_sink
@@ -654,7 +649,7 @@ class TestSinkKinds:
         from repro.graph.generators import complete_graph
 
         oriented = orient_csr(CSRGraph.from_edgelist(complete_graph(5)))
-        sink = make_sink("edge_support", graph=oriented)
+        sink = make_sink("edge-support", graph=oriented)
         assert isinstance(sink, EdgeSupportSink)
         assert sink.num_edges == oriented.num_edges
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from chunk_jitter import host_jitter
 
 from repro.analysis.cost_model import estimate_setup_cost
 from repro.baselines.inmemory import forward_count
@@ -169,31 +170,31 @@ class TestRunMatrixEquivalence:
             scheduling="dynamic",
             failure_spec={0: 1, 2: 0},
             straggler_spec={1: 10.0},
-            host_jitter_seconds=0.002,
         )
-        reference = PDTLRunner(self._config(**injections), backend="serial").run(
-            skewed_graph
-        )
-        assert reference.triangles == expected
-        assert reference.metrics.total_chunks_retried >= 1
-        for backend in BACKENDS:
-            result = PDTLRunner(
-                self._config(shm=True, **injections), backend=backend
-            ).run(skewed_graph)
-            self._assert_equivalent(reference, result, backend)
+        with host_jitter(0.002):
+            reference = PDTLRunner(self._config(**injections), backend="serial").run(
+                skewed_graph
+            )
+            assert reference.triangles == expected
+            assert reference.metrics.total_chunks_retried >= 1
+            for backend in BACKENDS:
+                result = PDTLRunner(
+                    self._config(shm=True, **injections), backend=backend
+                ).run(skewed_graph)
+                self._assert_equivalent(reference, result, backend)
 
     def test_edge_support_sink_unaffected(self, skewed_graph):
         """The derived-analytics input (edge supports) does not depend on
         the backend or on shm either."""
-        reference = PDTLRunner(
-            self._config(sink="edge-support"), backend="serial"
-        ).run(skewed_graph)
+        reference = PDTLRunner(self._config(), backend="serial").run(
+            skewed_graph, sink_kind="edge-support"
+        )
         assert reference.triangles == forward_count(skewed_graph)
         for backend in BACKENDS:
             for shm in (False, True):
-                result = PDTLRunner(
-                    self._config(sink="edge-support", shm=shm), backend=backend
-                ).run(skewed_graph)
+                result = PDTLRunner(self._config(shm=shm), backend=backend).run(
+                    skewed_graph, sink_kind="edge-support"
+                )
                 label = f"{backend}/shm={shm}"
                 self._assert_equivalent(reference, result, label)
                 np.testing.assert_array_equal(

@@ -90,10 +90,8 @@ class TestMGTScanPathEquivalence:
         device = BlockDevice(root, block_size=512)
         return orient_graph(write_graph(device, "g", graph)).oriented
 
-    def _config(self, tier: str = "auto") -> PDTLConfig:
-        return PDTLConfig(
-            memory_per_proc=4096, block_size=512, modelled_cpu=True, kernel_backend=tier
-        )
+    def _config(self) -> PDTLConfig:
+        return PDTLConfig(memory_per_proc=4096, block_size=512, modelled_cpu=True)
 
     def _summary(self, result, device) -> tuple:
         return (
@@ -114,7 +112,7 @@ class TestMGTScanPathEquivalence:
         for tier in ("numpy", _COMPILED_TIER):
             oriented = self._oriented(tmp_path / tier, graph)
             with kernel_backend.use(tier):
-                result = mgt_count(oriented, self._config(tier))
+                result = mgt_count(oriented, self._config())
             outcomes[tier] = self._summary(result, oriented.device)
         assert outcomes["numpy"][0] == count, name
         assert outcomes[_COMPILED_TIER] == outcomes["numpy"], name
@@ -127,7 +125,7 @@ class TestMGTScanPathEquivalence:
             oriented = self._oriented(tmp_path / tier, graph)
             sink = ListingSink()
             with kernel_backend.use(tier):
-                mgt_count(oriented, self._config(tier), sink)
+                mgt_count(oriented, self._config(), sink)
             listings[tier] = [tuple(t) for t in sink.triangles]
         assert len(listings["numpy"]) == count, name
         assert listings[_COMPILED_TIER] == listings["numpy"], name

@@ -122,14 +122,14 @@ def test_credited_supports_match_the_intersection_count(
         block_size=512,
         modelled_cpu=True,
         shm=shm,
-        kernel_backend=tier,
         **CHUNKINGS[chunking],
     )
     if sink == "spill":
         assert graph.num_undirected_edges * 8 > config.memory_per_proc
     else:
         assert graph.num_undirected_edges * 8 <= config.memory_per_proc
-    result = PDTLRunner(config, backend=backend).run(graph, sink_kind="edge-support")
+    with kernel_backend.use(tier):
+        result = PDTLRunner(config, backend=backend).run(graph, sink_kind="edge-support")
     if chunking != "one-range":
         assert result.num_chunks > 1
     assert result.shm_used is shm

@@ -64,11 +64,11 @@ def test_a_pool_built_under_cffi_scans_on_the_master_tier(graph):
     with kernel_backend.use("numpy"):
         plain = _run(graph, "processes", shm=True)
     dispatched = {
-        key: value
+        key
         for key, value in plain.telemetry.counters.items()
         if key.startswith("worker.kernel.dispatch.") and value
     }
-    assert set(dispatched) == {"worker.kernel.dispatch.mgt_chunk_scan.numpy"}
+    assert dispatched == {"worker.kernel.dispatch.mgt_chunk_scan.numpy"}
     # and back: the same workers follow the master to C again
     with kernel_backend.use("cffi"):
         again = _run(graph, "processes", shm=True)

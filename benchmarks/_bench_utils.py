@@ -8,7 +8,11 @@ from __future__ import annotations
 
 from pathlib import Path
 
-RESULTS_DIR = Path(__file__).parent / "results"
+#: Where a run writes its tables, traces and ``BENCH_pdtl.json``: a
+#: gitignored directory, so running the suite changes no tracked file.  The
+#: committed records (``benchmarks/results/``, ``BENCH_pdtl.json``) are
+#: refreshed from it by the copy command in the README.
+RESULTS_DIR = Path(__file__).resolve().parent.parent / ".bench_build" / "results"
 
 #: The datasets every comparison-style benchmark sweeps over, mapped to the
 #: paper dataset each one stands in for.
@@ -34,7 +38,7 @@ SCALING_DATASETS = ("twitter", "yahoo", "rmat-12", "rmat-13")
 
 
 def write_result(results_dir: Path, experiment: str, text: str) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
+    """Print a result table and persist it under ``results_dir``."""
     print("\n" + text)
     results_dir.mkdir(parents=True, exist_ok=True)
     path = results_dir / f"{experiment}.txt"

@@ -4,8 +4,8 @@ Every benchmark module regenerates one table or figure of the paper's
 evaluation section on the scaled-down analogue datasets.  Conventions:
 
 * each benchmark prints its table (in the paper's row/column layout) and
-  also appends it to ``benchmarks/results/<experiment>.txt`` so the numbers
-  survive the pytest run;
+  also writes it to ``.bench_build/results/<experiment>.txt`` so the
+  numbers survive the pytest run;
 * wall-clock measurements use ``benchmark.pedantic`` with a single round --
   the quantity of interest is the *relative* shape across configurations,
   not micro-timing stability;

@@ -2,12 +2,11 @@
 
 The harness times the vectorised hot paths against the retained pre-PR
 reference implementations on a ~100k-edge power-law graph and persists the
-numbers twice:
+numbers twice, both under the gitignored ``.bench_build/results/``:
 
-* ``BENCH_pdtl.json`` at the repo root -- machine-readable, uploaded as a
-  CI artifact so future PRs inherit a perf trajectory;
-* ``benchmarks/results/perf_vectorization.txt`` -- the human-readable
-  before/after table.
+* ``BENCH_pdtl.json`` -- machine-readable, uploaded as a CI artifact and
+  copied to the repo root to refresh the committed trajectory;
+* ``perf_vectorization.txt`` -- the human-readable before/after table.
 
 Set ``PDTL_PERF_QUICK=1`` (the CI perf-smoke job does) to run on a ~25k
 edge graph with a single timing repetition and **without** the speedup
@@ -33,8 +32,7 @@ from _bench_utils import RESULTS_DIR, write_result  # noqa: E402
 from repro.graph.csr import CSRGraph  # noqa: E402
 from repro.graph.generators import power_law_degree_graph  # noqa: E402
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
-BENCH_JSON = REPO_ROOT / "BENCH_pdtl.json"
+BENCH_JSON = RESULTS_DIR / "BENCH_pdtl.json"
 
 QUICK = bool(os.environ.get("PDTL_PERF_QUICK"))
 #: timing repetitions (min is reported); 1 in quick mode
@@ -131,6 +129,7 @@ class _PerfReport:
             "graph": self.graph_info,
             "benchmarks": entries,
         }
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         lines = [
             "Perf microbenchmarks -- vectorised hot paths vs pre-PR references",

@@ -78,7 +78,7 @@ def test_compiled_kernel_speedup(perf_graph, perf_report, tmp_path_factory):
     assert mgt_numpy.triangles == expected
     assert mgt_compiled.triangles == expected
     assert mgt_compiled.io_stats.as_dict() == mgt_numpy.io_stats.as_dict()
-    assert mgt_compiled.io_seconds == mgt_numpy.io_seconds
+    assert mgt_compiled.io_stats.device_ps == mgt_numpy.io_stats.device_ps
     assert mgt_compiled.iterations == mgt_numpy.iterations
 
     # -- truss peeling: fused level peel vs the batched numpy peeler -------

@@ -75,7 +75,7 @@ def test_mgt_counting_throughput(perf_graph, perf_report, reference_count, tmp_p
         iterations=result.iterations,
         wall_s=wall,
         edges_per_s=oriented.num_edges / wall,
-        modelled_io_s=result.io_seconds,
+        modelled_io_s=result.io_stats.device_seconds,
     )
 
 

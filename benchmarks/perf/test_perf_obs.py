@@ -12,7 +12,7 @@ is not separately measurable at these run times.)
 
 Both runs are asserted bit-identical in every modelled quantity first --
 an overhead number for a run that changed the answer is meaningless.  The
-traced run's Chrome trace is written to ``benchmarks/results/`` so CI can
+traced run's Chrome trace is written to ``.bench_build/results/`` so CI can
 upload it as an artifact.
 
 Quick mode (``PDTL_PERF_QUICK=1``) uses the smaller graph and a single

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.utils import format_seconds
+from repro.utils import format_seconds, ps_seconds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (analysis ← cluster)
     from repro.cluster.metrics import ClusterMetrics
@@ -218,7 +218,7 @@ def load_imbalance_table(metrics: "ClusterMetrics", title: str | None = None) ->
                 "chunks": node.chunks_completed,
                 "stolen": node.chunks_stolen,
                 "retried": node.chunks_retried,
-                "calc": format_seconds_cell(node.calc_seconds),
+                "calc": format_seconds_cell(ps_seconds(node.calc_ps)),
             }
         )
     rows.append(

@@ -19,7 +19,7 @@ from repro.core.orientation import orient_graph
 from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import GraphFile, write_graph
 from repro.graph.csr import CSRGraph
-from repro.utils import Timer
+from repro.utils import ps_seconds
 
 __all__ = ["MGTBaselineResult", "run_single_core_mgt"]
 
@@ -30,11 +30,12 @@ class MGTBaselineResult:
 
     triangles: int
     orientation_seconds: float
-    calc_seconds: float
-    cpu_seconds: float
-    io_seconds: float
     iterations: int
     mgt: MGTResult
+
+    @property
+    def calc_seconds(self) -> float:
+        return ps_seconds(self.mgt.calc_ps)
 
     @property
     def total_seconds(self) -> float:
@@ -79,17 +80,11 @@ def run_single_core_mgt(
             source = write_graph(device, "mgt_input", graph)
 
         orientation = orient_graph(source)
-        calc_timer = Timer().start()
-        worker = MGTWorker(orientation.oriented, config)
-        result = worker.run()
-        calc_timer.stop()
+        result = MGTWorker(orientation.oriented, config).run()
 
         return MGTBaselineResult(
             triangles=result.triangles,
             orientation_seconds=orientation.elapsed_seconds,
-            calc_seconds=result.cpu_seconds + result.io_seconds,
-            cpu_seconds=result.cpu_seconds,
-            io_seconds=result.io_seconds,
             iterations=result.iterations,
             mgt=result,
         )

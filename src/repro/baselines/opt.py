@@ -37,7 +37,7 @@ from repro.core import kernels
 from repro.core.orientation import orient_csr
 from repro.externalmem.blockio import BlockDevice
 from repro.graph.csr import CSRGraph
-from repro.utils import Timer, chunk_ranges, parse_size
+from repro.utils import Timer, chunk_ranges, parse_size, ps_seconds
 
 __all__ = ["OPTResult", "run_opt"]
 
@@ -117,7 +117,7 @@ def run_opt(
 
         # ---- phase 2: overlapped calculation ----------------------------------------
         calc_timer = Timer().start()
-        device_seconds_before = device.stats.device_seconds
+        device_ps_before = device.stats.device_ps
         oriented = orient_csr(graph)
         indptr, indices = oriented.indptr, oriented.indices
         ranges = chunk_ranges(oriented.num_vertices, num_threads)
@@ -137,12 +137,12 @@ def run_opt(
                 db_offset += count
             total += kernels.count_cone_range(indptr, indices, lo, hi)
         calc_timer.stop()
-        calc_io_seconds = device.stats.device_seconds - device_seconds_before
+        calc_io_ps = device.stats.device_ps - device_ps_before
 
         return OPTResult(
             triangles=total,
             database_seconds=db_timer.elapsed,
-            calc_seconds=calc_timer.elapsed + calc_io_seconds,
+            calc_seconds=calc_timer.elapsed + ps_seconds(calc_io_ps),
             num_threads=num_threads,
             database_bytes=database_bytes,
         )

@@ -56,6 +56,10 @@ class Cluster:
         bandwidth_bytes_per_s: float | None = None,
     ) -> "Cluster":
         """Build a homogeneous cluster matching a :class:`PDTLConfig`."""
+        network = Network(num_nodes=config.num_nodes)
+        if bandwidth_bytes_per_s is not None:
+            for src, dst in network.links:
+                network.set_link(src, dst, bandwidth_bytes_per_s=bandwidth_bytes_per_s)
         machines = [
             Machine(
                 index=i,
@@ -67,10 +71,6 @@ class Cluster:
             )
             for i in range(config.num_nodes)
         ]
-        network = Network(num_nodes=config.num_nodes)
-        if bandwidth_bytes_per_s is not None:
-            for (src, dst), link in network.links.items():
-                link.bandwidth_bytes_per_s = bandwidth_bytes_per_s
         return cls(machines=machines, network=network)
 
     # -- basic accessors --------------------------------------------------------------
@@ -105,8 +105,8 @@ class Cluster:
         The master's own copy is the original file (no transfer charged); for
         every other node the bytes cross the simulated network and are
         written to that node's disk, and the modelled transfer time is added
-        to the node's ``copy_seconds`` -- this is the quantity Table III
-        reports as "avg copy time".
+        to the node's ``copy_ps`` -- this is the quantity Table III reports
+        as "avg copy time".
         """
         if graph.device is not self.master.device:
             raise ConfigurationError(
@@ -116,26 +116,25 @@ class Cluster:
         for machine in self.machines[1:]:
             local = graph.copy_to(machine.device, graph.name)
             nbytes = graph.size_bytes + machine.device.file_size(graph.meta_file_name)
-            seconds = self.network.transfer(
+            node_metrics = self.metrics.node(machine.index)
+            node_metrics.copy_ps += self.network.transfer(
                 0, machine.index, nbytes, label="graph-copy"
             )
-            node_metrics = self.metrics.node(machine.index)
-            node_metrics.copy_seconds += seconds
             node_metrics.bytes_received += nbytes
             master_metrics = self.metrics.node(0)
             master_metrics.bytes_sent += nbytes
             copies[machine.index] = local
         return copies
 
-    def send_configuration(self, node: int, nbytes: int = 64) -> float:
+    def send_configuration(self, node: int, nbytes: int = 64) -> int:
         """Charge the small per-processor configuration message (the C_{i,j}
         boxes of Figure 1)."""
-        seconds = self.network.transfer(0, node, nbytes, label="configuration")
+        ps = self.network.transfer(0, node, nbytes, label="configuration")
         self.metrics.node(node).bytes_received += nbytes
         self.metrics.node(0).bytes_sent += nbytes
-        return seconds
+        return ps
 
-    def send_chunk_grant(self, node: int, nbytes: int = 24) -> float:
+    def send_chunk_grant(self, node: int, nbytes: int = 24) -> int:
         """Charge one master→worker chunk hand-out of the dynamic scheduler.
 
         Pull-based scheduling trades a little extra coordination traffic
@@ -143,17 +142,17 @@ class Cluster:
         for balance and fault tolerance; charging each grant makes that
         trade visible in the network metrics.
         """
-        seconds = self.network.transfer(0, node, nbytes, label="chunk-grant")
+        ps = self.network.transfer(0, node, nbytes, label="chunk-grant")
         self.metrics.node(node).bytes_received += nbytes
         self.metrics.node(0).bytes_sent += nbytes
-        return seconds
+        return ps
 
-    def send_result(self, node: int, nbytes: int) -> float:
+    def send_result(self, node: int, nbytes: int) -> int:
         """Charge a client→master result message (count or triangle list)."""
-        seconds = self.network.transfer(node, 0, nbytes, label="result")
+        ps = self.network.transfer(node, 0, nbytes, label="result")
         self.metrics.node(0).bytes_received += nbytes
         self.metrics.node(node).bytes_sent += nbytes
-        return seconds
+        return ps
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -5,7 +5,9 @@ CPU time, I/O time, network traffic -- per node and per processor
 (Figures 6-8, Tables IV and VII).  :class:`NodeMetrics` is the accumulator
 for one simulated machine and :class:`ClusterMetrics` the roll-up across
 machines; both are plain data with explicit merge rules so they can be
-combined across worker processes.
+combined across worker processes.  Every modelled time is an integer count
+of picoseconds, so a roll-up is the same in any order; ``*_seconds`` values
+are derived from them for reports.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.externalmem.iostats import IOStats
+from repro.utils import ps_seconds
 
 __all__ = ["NodeMetrics", "ClusterMetrics"]
 
@@ -21,18 +24,18 @@ __all__ = ["NodeMetrics", "ClusterMetrics"]
 class NodeMetrics:
     """Resource accounting for one simulated machine.
 
-    ``cpu_seconds`` / ``io_seconds`` are the sums over the node's workers;
-    ``calc_seconds`` is the node's *elapsed* calculation time, i.e. the
-    maximum over its concurrently running workers, which is the quantity
-    the paper calls the node's calculation time (the "struggler" node's
-    value determines the cluster-wide calculation time).
+    ``cpu_ps`` and ``io_stats`` (whose ``device_ps`` is the I/O time) are
+    the sums over the node's workers; ``calc_ps`` is the node's *elapsed*
+    calculation time, i.e. the maximum over its concurrently running
+    workers, which is the quantity the paper calls the node's calculation
+    time (the "struggler" node's value determines the cluster-wide
+    calculation time).
     """
 
     node_index: int
-    cpu_seconds: float = 0.0
-    io_seconds: float = 0.0
-    calc_seconds: float = 0.0
-    copy_seconds: float = 0.0
+    cpu_ps: int = 0
+    calc_ps: int = 0
+    copy_ps: int = 0
     bytes_received: int = 0
     bytes_sent: int = 0
     triangles: int = 0
@@ -41,12 +44,11 @@ class NodeMetrics:
     chunks_stolen: int = 0
     chunks_retried: int = 0
     io_stats: IOStats = field(default_factory=IOStats)
-    worker_calc_seconds: list[float] = field(default_factory=list)
+    worker_calc_ps: list[int] = field(default_factory=list)
 
     def add_worker(
         self,
-        cpu_seconds: float,
-        io_seconds: float,
+        cpu_ps: int,
         triangles: int,
         io_stats: IOStats,
         chunks_completed: int = 1,
@@ -54,7 +56,8 @@ class NodeMetrics:
         chunks_retried: int = 0,
         failed: bool = False,
     ) -> None:
-        """Fold one worker's result into this node's totals.
+        """Fold one worker's result into this node's totals: its CPU
+        picoseconds, and its I/O counters, whose device time is its I/O.
 
         The chunk counters come from the dynamic scheduler: how many chunks
         the worker pulled, how many of those a static split would have given
@@ -69,9 +72,9 @@ class NodeMetrics:
         max/mean imbalance of the surviving crew.  Idle-but-alive workers
         *are* sampled -- an under-used processor is genuine imbalance.
         """
-        self.cpu_seconds += cpu_seconds
-        self.io_seconds += io_seconds
-        self.calc_seconds = max(self.calc_seconds, cpu_seconds + io_seconds)
+        calc_ps = cpu_ps + io_stats.device_ps
+        self.cpu_ps += cpu_ps
+        self.calc_ps = max(self.calc_ps, calc_ps)
         self.triangles += triangles
         self.workers += 1
         self.chunks_completed += chunks_completed
@@ -79,19 +82,20 @@ class NodeMetrics:
         self.chunks_retried += chunks_retried
         self.io_stats.merge(io_stats)
         if not failed:
-            self.worker_calc_seconds.append(cpu_seconds + io_seconds)
+            self.worker_calc_ps.append(calc_ps)
 
-    def total_seconds(self) -> float:
+    @property
+    def total_ps(self) -> int:
         """Copy time plus elapsed calculation time for this node."""
-        return self.copy_seconds + self.calc_seconds
+        return self.copy_ps + self.calc_ps
 
     def as_dict(self) -> dict[str, float]:
         return {
             "node": self.node_index,
-            "cpu_seconds": self.cpu_seconds,
-            "io_seconds": self.io_seconds,
-            "calc_seconds": self.calc_seconds,
-            "copy_seconds": self.copy_seconds,
+            "cpu_seconds": ps_seconds(self.cpu_ps),
+            "io_seconds": self.io_stats.device_seconds,
+            "calc_seconds": ps_seconds(self.calc_ps),
+            "copy_seconds": ps_seconds(self.copy_ps),
             "bytes_received": self.bytes_received,
             "bytes_sent": self.bytes_sent,
             "triangles": self.triangles,
@@ -106,17 +110,16 @@ class NodeMetrics:
 class ClusterMetrics:
     """Cluster-wide roll-up of per-node metrics.
 
-    ``setup_seconds`` / ``setup_io_stats`` isolate the master's
-    *preprocessing* phase -- staging the input, orienting it and
-    replicating the oriented graph -- as modelled device time and block
-    counters on the master's disk.  They are charged identically on every
+    ``setup_io_stats`` isolates the master's *preprocessing* phase --
+    staging the input, orienting it and replicating the oriented graph --
+    as block counters and modelled device time on the master's disk.  It
+    is charged identically on every
     backend (the master preprocesses in its own process, and the
     accounting is below the execution strategy), which is exactly what
     the preprocessing equivalence suite asserts.
     """
 
     nodes: list[NodeMetrics] = field(default_factory=list)
-    setup_seconds: float = 0.0
     setup_io_stats: IOStats = field(default_factory=IOStats)
 
     def node(self, index: int) -> NodeMetrics:
@@ -127,11 +130,11 @@ class ClusterMetrics:
 
     @property
     def total_cpu_seconds(self) -> float:
-        return sum(n.cpu_seconds for n in self.nodes)
+        return ps_seconds(sum(n.cpu_ps for n in self.nodes))
 
     @property
     def total_io_seconds(self) -> float:
-        return sum(n.io_seconds for n in self.nodes)
+        return ps_seconds(sum(n.io_stats.device_ps for n in self.nodes))
 
     @property
     def total_triangles(self) -> int:
@@ -140,7 +143,7 @@ class ClusterMetrics:
     @property
     def calc_seconds(self) -> float:
         """Cluster calculation time: the slowest ("struggler") node's value."""
-        return max((n.calc_seconds for n in self.nodes), default=0.0)
+        return ps_seconds(max((n.calc_ps for n in self.nodes), default=0))
 
     @property
     def total_chunks_completed(self) -> int:
@@ -159,7 +162,7 @@ class ClusterMetrics:
         nodes = self.nodes[1:] if exclude_master and len(self.nodes) > 1 else self.nodes
         if not nodes:
             return 0.0
-        return sum(n.copy_seconds for n in nodes) / len(nodes)
+        return ps_seconds(sum(n.copy_ps for n in nodes)) / len(nodes)
 
     def imbalance_ratio(self) -> float:
         """Max/min node calculation time, the skew measure of section V-D5.
@@ -167,8 +170,8 @@ class ClusterMetrics:
         Returns 1.0 for perfectly balanced clusters; the paper quotes the
         discrepancy as a percentage (our 1.13 == their "13% difference").
         """
-        times = [n.calc_seconds for n in self.nodes if n.workers > 0]
-        if not times or min(times) == 0.0:
+        times = [n.calc_ps for n in self.nodes if n.workers > 0]
+        if not times or min(times) == 0:
             return 1.0
         return max(times) / min(times)
 
@@ -180,13 +183,10 @@ class ClusterMetrics:
         naive split reaches several × on skewed graphs because one
         struggler processor owns the hub vertices' intersections.
         """
-        times = [t for n in self.nodes for t in n.worker_calc_seconds]
-        if not times:
+        times = [t for n in self.nodes for t in n.worker_calc_ps]
+        if not sum(times):
             return 1.0
-        mean = sum(times) / len(times)
-        if mean == 0.0:
-            return 1.0
-        return max(times) / mean
+        return max(times) * len(times) / sum(times)
 
     def as_rows(self) -> list[dict[str, float]]:
         return [n.as_dict() for n in self.nodes]

@@ -6,7 +6,7 @@ processor its configuration (``N · P`` messages) and receives back the
 triangle counts (or, for listing, the triangle lists, the ``T`` term of
 Theorem IV.3).  :class:`Network` models each master→client link with a
 bandwidth/latency pair, records every transfer, and converts byte counts
-into modelled transfer seconds -- the quantity Table III reports as
+into modelled transfer picoseconds -- the quantity Table III reports as
 per-node copy time.
 
 Links can have different bandwidths, which is how the benchmark for the
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import NetworkError
+from repro.utils import check_non_negative, ps_per_unit, whole_ps
 
 __all__ = ["NetworkLink", "Network", "TransferRecord"]
 
@@ -29,20 +30,28 @@ DEFAULT_LATENCY_S = 1e-4
 
 @dataclass
 class NetworkLink:
-    """A directed link between two nodes with a simple cost model."""
+    """A directed link between two nodes with a simple cost model.
+
+    A zero bandwidth is free; a negative bandwidth or latency is refused.
+    """
 
     src: int
     dst: int
     bandwidth_bytes_per_s: float = DEFAULT_BANDWIDTH_BYTES_PER_S
     latency_s: float = DEFAULT_LATENCY_S
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Modelled seconds to push ``nbytes`` over this link."""
+    def __post_init__(self) -> None:
+        check_non_negative(
+            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s, latency_s=self.latency_s
+        )
+
+    def transfer_ps(self, nbytes: int) -> int:
+        """Modelled picoseconds to push ``nbytes`` over this link: whole
+        picoseconds per byte and per message, at the link's rates as they
+        stand now (:meth:`Network.set_link` changes them in place)."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        bandwidth = self.bandwidth_bytes_per_s
-        time = nbytes / bandwidth if bandwidth > 0 else 0.0
-        return time + self.latency_s
+        return nbytes * ps_per_unit(self.bandwidth_bytes_per_s) + whole_ps(self.latency_s)
 
 
 @dataclass(frozen=True)
@@ -52,7 +61,7 @@ class TransferRecord:
     src: int
     dst: int
     nbytes: int
-    seconds: float
+    ps: int
     label: str
 
 
@@ -86,15 +95,18 @@ class Network:
         bandwidth_bytes_per_s: float | None = None,
         latency_s: float | None = None,
     ) -> None:
-        """Override the cost model of one link (used by the skewed-copy benches)."""
+        """Override the cost model of one link (used by the skewed-copy
+        benches); a negative bandwidth or latency is refused."""
         link = self.link(src, dst)
-        if bandwidth_bytes_per_s is not None:
-            link.bandwidth_bytes_per_s = bandwidth_bytes_per_s
-        if latency_s is not None:
-            link.latency_s = latency_s
+        if bandwidth_bytes_per_s is None:
+            bandwidth_bytes_per_s = link.bandwidth_bytes_per_s
+        if latency_s is None:
+            latency_s = link.latency_s
+        check_non_negative(bandwidth_bytes_per_s=bandwidth_bytes_per_s, latency_s=latency_s)
+        link.bandwidth_bytes_per_s, link.latency_s = bandwidth_bytes_per_s, latency_s
 
-    def transfer(self, src: int, dst: int, nbytes: int, label: str = "") -> float:
-        """Record a transfer and return its modelled duration in seconds.
+    def transfer(self, src: int, dst: int, nbytes: int, label: str = "") -> int:
+        """Record a transfer and return its modelled duration in picoseconds.
 
         A transfer from a node to itself (the master "sending" to its own
         local disk) is free and recorded with zero time, matching the paper's
@@ -104,13 +116,9 @@ class Network:
         self._check_node(dst)
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if src == dst:
-            record = TransferRecord(src, dst, nbytes, 0.0, label)
-            self.transfers.append(record)
-            return 0.0
-        seconds = self.link(src, dst).transfer_time(nbytes)
-        self.transfers.append(TransferRecord(src, dst, nbytes, seconds, label))
-        return seconds
+        ps = 0 if src == dst else self.link(src, dst).transfer_ps(nbytes)
+        self.transfers.append(TransferRecord(src, dst, nbytes, ps, label))
+        return ps
 
     # -- accounting -----------------------------------------------------------------
 

@@ -83,9 +83,10 @@ class PDTLConfig:
     modelled_cpu:
         when True, each MGT worker reports a *modelled* CPU time derived from
         its deterministic operation count (edges scanned plus intersection
-        work) instead of the measured thread CPU time.  This makes
-        ``calc_seconds`` bit-identical across execution backends and hosts --
-        the property the cross-backend equivalence suite asserts.
+        work) instead of the measured thread CPU time.  Only then are
+        ``calc_seconds`` and the dynamic schedule bit-identical across
+        backends, hosts and repetitions, as the cross-backend equivalence
+        suite asserts; measured CPU time can move chunks between workers.
     shm:
         when True, the runner publishes the oriented adjacency (degrees,
         adjacency, offsets) into named ``multiprocessing.shared_memory``

@@ -68,17 +68,18 @@ from repro.externalmem.iostats import IOStats
 from repro.externalmem.memory import MemoryBudget
 from repro.graph.binfmt import GraphFile
 from repro.obs.tracer import NULL_TRACER
-from repro.utils import ceil_div, prefix_sums
+from repro.utils import ceil_div, prefix_sums, whole_ps
 
 __all__ = ["MGTWorker", "MGTResult", "mgt_count"]
 
 _ITEM_BYTES = 8  # int64 adjacency entries
 
-#: Throughput used to convert the deterministic operation count (edges
-#: scanned + intersection elements examined) into a modelled CPU time when
-#: ``PDTLConfig.modelled_cpu`` is set.  The absolute value only scales the
-#: time axis; relative comparisons (imbalance, speedups) are unaffected.
-MODELLED_CPU_OPS_PER_SECOND = 2.5e8
+#: Picoseconds charged per operation of the deterministic count (edges
+#: scanned + intersection elements examined) when ``PDTLConfig.modelled_cpu``
+#: is set: 4 ns, 2.5e8 operations per second.  The absolute value only
+#: scales the time axis; relative comparisons (imbalance, speedups) are
+#: unaffected.
+MODELLED_CPU_PS_PER_OPERATION = 4_000
 
 
 @dataclass
@@ -88,17 +89,18 @@ class MGTResult:
     ``io_stats`` are the worker's *own* analytic I/O counters (blocks it
     read/wrote under the configured block size), independent of the shared
     device counters, so per-processor breakdowns remain exact even when
-    many workers share one simulated disk.  ``cpu_seconds`` is the *thread
-    CPU time* spent in the in-memory triangle computation (so concurrent
+    many workers share one simulated disk; their ``device_ps`` is the
+    modelled time of the worker's reads.  ``cpu_ps`` is the *thread CPU
+    time* spent in the in-memory triangle computation (so concurrent
     workers do not inflate each other's numbers through GIL contention),
-    ``io_seconds`` the modelled device time of the worker's reads -- the two
-    series plotted against each other in Figures 6-8.
+    rounded once per run to whole picoseconds, or the modelled CPU time
+    under ``PDTLConfig.modelled_cpu`` -- the two series plotted against
+    each other in Figures 6-8.
     """
 
     triangles: int
     iterations: int
-    cpu_seconds: float
-    io_seconds: float
+    cpu_ps: int
     io_stats: IOStats
     intersections: int
     edges_processed: int
@@ -106,6 +108,11 @@ class MGTResult:
     range_stop: int
     peak_memory_bytes: int
     cpu_operations: int = 0
+
+    @property
+    def calc_ps(self) -> int:
+        """CPU plus modelled I/O picoseconds: the run's calculation time."""
+        return self.cpu_ps + self.io_stats.device_ps
 
 
 class MGTWorker:
@@ -178,9 +185,7 @@ class MGTWorker:
         nbytes = num_items * _ITEM_BYTES
         blocks = ceil_div(nbytes, self.config.block_size)
         self.io_stats.record_read(blocks, nbytes, sequential)
-        self.io_stats.add_device_time(
-            self.graph.device.model.transfer_time(nbytes, sequential)
-        )
+        self.io_stats.device_ps += self.graph.device.model.transfer_ps(nbytes, sequential)
 
     # -- the algorithm ---------------------------------------------------------------
 
@@ -229,13 +234,14 @@ class MGTWorker:
 
         peak = self.budget.peak_usage
         self.budget.release_all()
-        if self.config.modelled_cpu:
-            cpu_seconds = cpu_operations / MODELLED_CPU_OPS_PER_SECOND
         return MGTResult(
             triangles=sink.count,
             iterations=iterations,
-            cpu_seconds=cpu_seconds,
-            io_seconds=self.io_stats.device_seconds,
+            cpu_ps=(
+                cpu_operations * MODELLED_CPU_PS_PER_OPERATION
+                if self.config.modelled_cpu
+                else whole_ps(cpu_seconds)
+            ),
             io_stats=self.io_stats.snapshot(),
             intersections=intersections,
             edges_processed=self.range_stop - self.range_start,
@@ -577,10 +583,9 @@ class MGTWorker:
 
         The streaming loop reads a window, then scans the file in one
         sequential read per non-empty block of :attr:`_scan_block_vertices`
-        cone vertices, in vertex order.  The integer counters are exact
-        sums.  The device time is added one read at a time in that order, by
-        one sequential ``np.add.accumulate``: a pairwise sum or a
-        precomputed total would round differently in the last bits.
+        cone vertices.  Every counter is an integer sum, and a sequential
+        read's device time is linear in its bytes, so one charge of all the
+        bytes equals the loop's per-read charges.
         """
         n = self.graph.num_vertices
         starts = np.arange(0, n, self._scan_block_vertices)
@@ -592,17 +597,13 @@ class MGTWorker:
         window_blocks = -(-window_bytes // block)
         scan_blocks = -(-scan_bytes // block)
         blocks = int(window_blocks.sum() + windows * scan_blocks.sum())
+        nbytes = int(window_bytes.sum() + windows * scan_bytes.sum())
         stats = self.io_stats
         stats.blocks_read += blocks
         stats.sequential_reads += blocks
-        stats.bytes_read += int(window_bytes.sum() + windows * scan_bytes.sum())
+        stats.bytes_read += nbytes
         stats.read_calls += windows * (1 + scan_bytes.shape[0])
-        model = self.graph.device.model
-        seconds = np.empty((windows, 1 + scan_bytes.shape[0]))
-        seconds[:, 0] = [model.transfer_time(b, True) for b in window_bytes.tolist()]
-        seconds[:, 1:] = [model.transfer_time(b, True) for b in scan_bytes.tolist()]
-        total = np.add.accumulate(np.append(stats.device_seconds, seconds))
-        stats.device_seconds = float(total[-1])
+        stats.device_ps += self.graph.device.model.transfer_ps(nbytes, True)
 
     def _chunk_scan_numpy(
         self,

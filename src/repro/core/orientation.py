@@ -31,8 +31,8 @@ The chunk decomposition fixes the I/O accounting: the master charges one
 degree-file scan plus one adjacency read per chunk **in chunk order**
 (:meth:`repro.externalmem.blockio.BlockDevice.charge_read`), while the
 chunk compute reads the bytes below the accounting (raw ``np.fromfile``).
-The oriented file bytes do not depend on the chunk count, and IOStats
-and the modelled device seconds depend on it only through the number of
+The oriented file bytes do not depend on the chunk count, and IOStats,
+modelled device time included, depend on it only through the number of
 charged reads -- the equivalence suite asserts this, it is not assumed.
 
 Because both the input and output adjacency files are sorted by source and
@@ -69,8 +69,7 @@ class OrientationResult:
     ``in_degrees`` holds ``d_G(v) - d_G*(v)`` for every vertex -- the number
     of *incoming* oriented edges -- which is exactly the per-vertex weight
     the load-balancing step uses to split edge ranges (section IV-B1).
-    ``modelled_io_seconds`` is the modelled device time charged during the
-    orientation (input scans plus output writes).
+    The modelled I/O of the orientation is in the devices' ``IOStats``.
     """
 
     oriented: GraphFile
@@ -79,7 +78,6 @@ class OrientationResult:
     in_degrees: np.ndarray
     elapsed_seconds: float
     num_chunks: int
-    modelled_io_seconds: float = 0.0
 
     @property
     def num_vertices(self) -> int:
@@ -225,10 +223,6 @@ def orient_graph(
     device = device if device is not None else source.device
     output_name = output_name if output_name is not None else f"{source.name}_oriented"
 
-    modelled_before = source.device.stats.device_seconds
-    if device is not source.device:
-        modelled_before += device.stats.device_seconds
-
     timer = Timer().start()
     degrees = source.read_degrees()
     offsets = prefix_sums(degrees)
@@ -267,10 +261,6 @@ def orient_graph(
     oriented_file = write_graph(device, output_name, oriented_csr)
     timer.stop()
 
-    modelled_after = source.device.stats.device_seconds
-    if device is not source.device:
-        modelled_after += device.stats.device_seconds
-
     in_degrees = degrees - out_degrees
     return OrientationResult(
         oriented=oriented_file,
@@ -279,5 +269,4 @@ def orient_graph(
         in_degrees=in_degrees,
         elapsed_seconds=timer.elapsed,
         num_chunks=num_chunks,
-        modelled_io_seconds=modelled_after - modelled_before,
     )

@@ -59,7 +59,7 @@ from repro.obs.metrics import (
     snapshot_process_counters,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.utils import Timer
+from repro.utils import Timer, ps_seconds
 
 __all__ = ["PDTLRunner", "PDTLResult", "WorkerReport"]
 
@@ -95,7 +95,7 @@ class WorkerReport:
 
     @property
     def calc_seconds(self) -> float:
-        return self.result.cpu_seconds + self.result.io_seconds
+        return ps_seconds(self.result.calc_ps)
 
 
 @dataclass
@@ -108,9 +108,10 @@ class PDTLResult:
     * ``orientation_seconds`` is the measured wall-clock time of the
       master's orientation on this host;
     * ``calc_seconds`` is the slowest node's calculation time, the largest
-      CPU plus I/O seconds of its workers.  I/O seconds come from the disk
-      cost model; CPU seconds are measured thread CPU time unless
-      ``config.modelled_cpu`` is set;
+      CPU plus I/O time of its workers.  I/O time comes from the disk
+      cost model; CPU time is measured thread CPU time unless
+      ``config.modelled_cpu`` is set.  Both are summed in integer
+      picoseconds (:attr:`metrics`) and converted once;
     * ``total_seconds`` is ``orientation_seconds`` (wall clock) plus the
       slowest node's copy and calculation time (modelled copy, and the
       calculation time above);
@@ -151,7 +152,7 @@ class PDTLResult:
     def modelled_setup_seconds(self) -> float:
         """Modelled master-device time of the preprocessing phase (staging,
         orientation, replication reads) -- identical on every backend."""
-        return self.metrics.setup_seconds
+        return self.metrics.setup_io_stats.device_seconds
 
     @property
     def total_cpu_seconds(self) -> float:
@@ -388,7 +389,6 @@ class PDTLRunner:
 
         # preprocessing complete: record the master's modelled setup phase
         cluster.metrics.setup_io_stats = master_stats.delta(setup_baseline)
-        cluster.metrics.setup_seconds = cluster.metrics.setup_io_stats.device_seconds
 
         # Step 4: MGT execution on the host backend (placement-independent).
         # With shm enabled the oriented adjacency is published once into
@@ -431,8 +431,8 @@ class PDTLRunner:
 
         metrics = cluster.metrics
         calc_seconds = metrics.calc_seconds
-        total_seconds = orientation.elapsed_seconds + max(
-            (node.total_seconds() for node in metrics.nodes), default=0.0
+        total_seconds = orientation.elapsed_seconds + ps_seconds(
+            max((node.total_ps for node in metrics.nodes), default=0)
         )
 
         # merge sink payloads by unit index -- never by completion order
@@ -532,37 +532,35 @@ class PDTLRunner:
         else:
             telemetry.chunk_owners = {i: i for i in range(len(outcomes))}
 
-        # modelled per-worker timeline (the paper-model trace variant)
-        costs = [o.result.cpu_seconds + o.result.io_seconds for o in outcomes]
-        factors = config.straggler_factors
-        tracks: list[WorkerTrack] = []
-        assignments = (
-            schedule.assignments
-            if schedule is not None
-            else [[i] for i in range(len(outcomes))]
-        )
-        for worker, indices in enumerate(assignments):
-            node, proc = divmod(worker, config.procs_per_node)
-            track = WorkerTrack(worker=worker, node=node, proc=proc)
-            cursor = 0.0
-            for index in indices:
-                duration = costs[index] * factors.get(worker, 1.0)
-                start, stop = units[index]
-                track.spans.append(
+        # modelled per-worker timeline (the paper-model trace variant): the
+        # replay placed every chunk; under static scheduling unit i is
+        # worker i's one chunk, from time zero
+        if schedule is not None:
+            assignments = schedule.assignments
+            starts, charged = schedule.start_ps, schedule.charged_ps
+        else:
+            assignments = [[i] for i in range(len(outcomes))]
+            starts = [0] * len(outcomes)
+            charged = [o.result.calc_ps for o in outcomes]
+        telemetry.worker_tracks = [
+            WorkerTrack(
+                worker=worker,
+                node=worker // config.procs_per_node,
+                proc=worker % config.procs_per_node,
+                spans=[
                     ChunkSpan(
                         index=index,
-                        start=cursor,
-                        duration=duration,
-                        edges=stop - start,
+                        start_ps=starts[index],
+                        duration_ps=charged[index],
+                        edges=units[index][1] - units[index][0],
                         triangles=outcomes[index].triangles,
                     )
-                )
-                cursor += duration
-            tracks.append(track)
-        telemetry.worker_tracks = tracks
-        telemetry.phase_seconds = {
-            phase: stats.device_seconds for phase, stats in phase_io.items()
-        }
+                    for index in indices
+                ],
+            )
+            for worker, indices in enumerate(assignments)
+        ]
+        telemetry.phase_ps = {phase: stats.device_ps for phase, stats in phase_io.items()}
 
         # the unified metrics registry (flattened into telemetry.counters)
         registry = MetricsRegistry()
@@ -629,8 +627,7 @@ class PDTLRunner:
                 )
             )
             cluster.metrics.node(edge_range.node_index).add_worker(
-                cpu_seconds=mgt_result.cpu_seconds,
-                io_seconds=mgt_result.io_seconds,
+                cpu_ps=mgt_result.cpu_ps,
                 triangles=mgt_result.triangles,
                 io_stats=mgt_result.io_stats,
             )
@@ -656,7 +653,7 @@ class PDTLRunner:
         and each completed chunk a result message back to the master.
         """
         config = self.config
-        costs = [o.result.cpu_seconds + o.result.io_seconds for o in outcomes]
+        costs = [o.result.calc_ps for o in outcomes]
         scheduler = DynamicScheduler(
             chunks,
             num_workers=config.total_processors,
@@ -693,8 +690,7 @@ class PDTLRunner:
                 )
             )
             cluster.metrics.node(node).add_worker(
-                cpu_seconds=merged.cpu_seconds,
-                io_seconds=merged.io_seconds,
+                cpu_ps=merged.cpu_ps,
                 triangles=merged.triangles,
                 io_stats=merged.io_stats,
                 chunks_completed=len(indices),

@@ -30,10 +30,12 @@ split between *measured host execution* and *modelled cluster time*:
    processes backend finally works for PDTL because of this);
 2. chunk **assignment** is replayed as a deterministic greedy simulation in
    modelled time by :class:`DynamicScheduler`: the simulated worker with
-   the smallest accumulated modelled time pulls next, which is exactly the
-   "first to finish pulls first" behaviour of a real pull loop, minus the
-   host-scheduler noise.  This keeps every modelled metric bit-identical
-   across backends, hosts and repetitions.
+   the smallest accumulated modelled time (integer picoseconds) pulls
+   next, which is exactly the "first to finish pulls first" behaviour of a
+   real pull loop, minus the host-scheduler noise.  Under
+   ``PDTLConfig.modelled_cpu`` this keeps the schedule and every modelled
+   metric bit-identical across backends, hosts and repetitions; measured
+   CPU time can change the schedule from run to run.
 """
 
 from __future__ import annotations
@@ -400,43 +402,23 @@ def execute_chunk_task(task: ChunkTask) -> ChunkOutcome:
 def merge_mgt_results(results: Sequence[MGTResult], block_size: int) -> MGTResult:
     """Fold the per-chunk results of one worker into a single report.
 
-    Sums are taken in the given (chunk-index) order so the floating-point
-    accumulation is reproducible.  ``range_start``/``range_stop`` become the
-    envelope of the worker's chunks, which need not be contiguous under
-    dynamic scheduling.
+    Every total is an integer sum, so it does not depend on the order of
+    ``results``.  ``range_start``/``range_stop`` become the envelope of the
+    worker's chunks, which need not be contiguous under dynamic scheduling.
     """
     io_stats = IOStats(block_size=block_size)
-    if not results:
-        return MGTResult(
-            triangles=0,
-            iterations=0,
-            cpu_seconds=0.0,
-            io_seconds=0.0,
-            io_stats=io_stats,
-            intersections=0,
-            edges_processed=0,
-            range_start=0,
-            range_stop=0,
-            peak_memory_bytes=0,
-            cpu_operations=0,
-        )
-    cpu = 0.0
-    io = 0.0
     for result in results:
-        cpu += result.cpu_seconds
-        io += result.io_seconds
         io_stats.merge(result.io_stats)
     return MGTResult(
         triangles=sum(r.triangles for r in results),
         iterations=sum(r.iterations for r in results),
-        cpu_seconds=cpu,
-        io_seconds=io,
+        cpu_ps=sum(r.cpu_ps for r in results),
         io_stats=io_stats,
         intersections=sum(r.intersections for r in results),
         edges_processed=sum(r.edges_processed for r in results),
-        range_start=min(r.range_start for r in results),
-        range_stop=max(r.range_stop for r in results),
-        peak_memory_bytes=max(r.peak_memory_bytes for r in results),
+        range_start=min((r.range_start for r in results), default=0),
+        range_stop=max((r.range_stop for r in results), default=0),
+        peak_memory_bytes=max((r.peak_memory_bytes for r in results), default=0),
         cpu_operations=sum(r.cpu_operations for r in results),
     )
 
@@ -454,10 +436,15 @@ class ScheduleResult:
     pull order; ``stolen[w]`` counts how many of them a naive contiguous
     chunk split would have given to a different worker; ``retried[w]`` the
     chunks ``w`` re-executed after their original holder was killed.
+    ``start_ps[c]`` and ``charged_ps[c]`` place chunk ``c`` on its worker's
+    modelled timeline: where it started and what it was charged, straggler
+    factor included; ``worker_ps[w]`` is where worker ``w``'s timeline ends.
     """
 
     assignments: list[list[int]]
-    worker_seconds: list[float]
+    worker_ps: list[int]
+    start_ps: list[int]
+    charged_ps: list[int]
     stolen: list[int]
     retried: list[list[int]]
     failed_workers: list[int] = field(default_factory=list)
@@ -513,8 +500,9 @@ class DynamicScheduler:
     :meth:`schedule` replays the protocol against the per-chunk modelled
     costs: the alive worker with the smallest accumulated time pulls the
     next chunk, which is exactly the completion-order behaviour of a real
-    shared-queue crew.  The replay is a pure function of its inputs, so
-    every backend (and every host) produces the same schedule.
+    shared-queue crew.  The replay is a pure function of its costs, which
+    are host-independent only under ``PDTLConfig.modelled_cpu``: measured
+    CPU time is part of them otherwise.
     """
 
     def __init__(
@@ -551,14 +539,18 @@ class DynamicScheduler:
                 owners[index] = worker
         return owners
 
-    def schedule(self, costs: Sequence[float]) -> ScheduleResult:
-        """Replay the pull protocol against per-chunk modelled costs."""
+    def schedule(self, costs: Sequence[int]) -> ScheduleResult:
+        """Replay the pull protocol against per-chunk modelled costs in
+        picoseconds.  A straggler's factor scales each chunk it completes,
+        rounded to whole picoseconds once per chunk."""
         if len(costs) != len(self.chunks):
             raise ConfigurationError(
                 f"got {len(costs)} costs for {len(self.chunks)} chunks"
             )
         pending: deque[Chunk] = deque(self.chunks)
-        times = [0.0] * self.num_workers
+        times = [0] * self.num_workers
+        start_ps = [0] * len(self.chunks)
+        charged_ps = [0] * len(self.chunks)
         completed = [0] * self.num_workers
         alive = [True] * self.num_workers
         assignments: list[list[int]] = [[] for _ in range(self.num_workers)]
@@ -590,9 +582,11 @@ class DynamicScheduler:
                 needs_retry.add(chunk.index)
                 pending.append(chunk)
                 continue
-            times[puller] += costs[chunk.index] * self.straggler_factors.get(
-                puller, 1.0
-            )
+            factor = self.straggler_factors.get(puller)
+            cost = costs[chunk.index]
+            charged_ps[chunk.index] = cost if factor is None else round(cost * factor)
+            start_ps[chunk.index] = times[puller]
+            times[puller] += charged_ps[chunk.index]
             completed[puller] += 1
             assignments[puller].append(chunk.index)
             if homes[chunk.index] != puller:
@@ -603,7 +597,9 @@ class DynamicScheduler:
 
         return ScheduleResult(
             assignments=assignments,
-            worker_seconds=times,
+            worker_ps=times,
+            start_ps=start_ps,
+            charged_ps=charged_ps,
             stolen=stolen,
             retried=retried,
             failed_workers=failed_workers,

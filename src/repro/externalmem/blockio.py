@@ -9,8 +9,9 @@ files but routes every read and write through block-granular accounting:
   previous access to the same file (the cheap case of the Aggarwal–Vitter
   model), otherwise it is *random*;
 * when a bandwidth/latency model is configured, the device also accumulates
-  the modelled transfer time, which is what the paper's Figures 6–8
-  ("I/O seconds" per node) correspond to in this reproduction.
+  the modelled transfer time in whole picoseconds, which is what the
+  paper's Figures 6–8 ("I/O seconds" per node) correspond to in this
+  reproduction.
 
 The files themselves are real files on the host filesystem so that the
 data genuinely leaves process memory -- the memory budget of an MGT worker
@@ -19,7 +20,7 @@ exactly as in the paper.
 
 One host-side layer sits **strictly below** the accounting, so it changes
 wall-clock cost only -- never a single counter of
-:class:`~repro.externalmem.iostats.IOStats` nor a microsecond of modelled
+:class:`~repro.externalmem.iostats.IOStats` nor a picosecond of modelled
 device time: the device keeps a bounded, thread-safe cache of raw file
 descriptors and serves reads/writes with ``os.pread``/``os.pwrite``,
 instead of re-opening the file on every call (the dominant host cost of
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.errors import PDTLError
 from repro.externalmem.iostats import IOStats
-from repro.utils import ceil_div, parse_size
+from repro.utils import ceil_div, check_non_negative, parse_size, ps_per_unit, whole_ps
 
 __all__ = ["BlockDevice", "BlockFile", "DEFAULT_BLOCK_SIZE", "HostCounters"]
 
@@ -99,20 +100,30 @@ class _FdEntry:
 class DiskModel:
     """Simple performance model for a simulated disk.
 
-    ``bandwidth_bytes_per_s`` caps sequential throughput;
+    ``bandwidth_bytes_per_s`` caps sequential throughput (0 is free);
     ``seek_latency_s`` is added per random access.  The defaults model the
     Samsung 840 SSD used in the paper's local machines (~500 MB/s
-    sequential, ~0.1 ms access).
+    sequential, ~0.1 ms access).  Neither may be negative.
     """
 
     bandwidth_bytes_per_s: float = 500e6
     seek_latency_s: float = 1e-4
 
-    def transfer_time(self, nbytes: int, sequential: bool) -> float:
-        time = nbytes / self.bandwidth_bytes_per_s if self.bandwidth_bytes_per_s else 0.0
-        if not sequential:
-            time += self.seek_latency_s
-        return time
+    def __post_init__(self) -> None:
+        check_non_negative(
+            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
+            seek_latency_s=self.seek_latency_s,
+        )
+
+    def transfer_ps(self, nbytes: int, sequential: bool) -> int:
+        """Modelled picoseconds of one access.
+
+        The rates are rounded to whole picoseconds per byte and per seek,
+        never the charge, so a charge is linear in its bytes and seeks:
+        any grouping of the same accesses costs the same total.
+        """
+        ps = nbytes * ps_per_unit(self.bandwidth_bytes_per_s)
+        return ps if sequential else ps + whole_ps(self.seek_latency_s)
 
 
 class BlockDevice:
@@ -215,10 +226,10 @@ class BlockDevice:
         shutil.copyfile(src_path, dst_path)
         blocks = ceil_div(nbytes, self.block_size) if nbytes else 0
         self.stats.record_read(blocks, nbytes, sequential=True)
-        self.stats.add_device_time(self.model.transfer_time(nbytes, sequential=True))
+        self.stats.device_ps += self.model.transfer_ps(nbytes, sequential=True)
         dst_blocks = ceil_div(nbytes, other.block_size) if nbytes else 0
         other.stats.record_write(dst_blocks, nbytes, sequential=True)
-        other.stats.add_device_time(other.model.transfer_time(nbytes, sequential=True))
+        other.stats.device_ps += other.model.transfer_ps(nbytes, sequential=True)
         return nbytes
 
     # -- raw-fd cache (below the accounting layer) -------------------------------
@@ -337,7 +348,7 @@ class BlockDevice:
             self.stats.record_write(blocks, nbytes, sequential)
         else:
             self.stats.record_read(blocks, nbytes, sequential)
-        self.stats.add_device_time(self.model.transfer_time(nbytes, sequential))
+        self.stats.device_ps += self.model.transfer_ps(nbytes, sequential)
 
 
 def _byte_view(arr: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Two distinct things live here on purpose:
 
 * :class:`IOStats` counts what a :class:`~repro.externalmem.blockio.BlockDevice`
   *actually did* (block reads/writes, sequential vs. random, bytes moved,
-  modelled device time);
+  modelled device picoseconds);
 * :func:`scan_io_cost` computes what the theory says a sequential scan
   *should* cost, so benchmarks can compare measured counters against the
   Theorem IV.2 / IV.3 predictions.
@@ -12,7 +12,9 @@ Two distinct things live here on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields, replace
+
+from repro.utils import ps_seconds
 
 __all__ = ["IOStats", "scan_io_cost"]
 
@@ -24,9 +26,11 @@ class IOStats:
     ``sequential_reads`` counts block reads whose block id directly follows
     the previously read block of the same file (the cheap case in the
     external-memory model); everything else is a ``random_read``.  The same
-    split applies to writes.  ``device_seconds`` accumulates the modelled
-    transfer time when the owning device has a bandwidth/latency model
-    attached; it is what the Figure 6-8 I/O-vs-CPU breakdowns report.
+    split applies to writes.  ``device_ps`` accumulates the modelled
+    transfer time, in whole picoseconds, that the owning device's
+    bandwidth/latency model charges; it is what the Figure 6-8 I/O-vs-CPU
+    breakdowns report.  Every counter is an integer, so merging counters in
+    any order or grouping gives the same totals.
     """
 
     block_size: int = 4096
@@ -40,7 +44,11 @@ class IOStats:
     bytes_written: int = 0
     read_calls: int = 0
     write_calls: int = 0
-    device_seconds: float = 0.0
+    device_ps: int = 0
+
+    @property
+    def device_seconds(self) -> float:
+        return ps_seconds(self.device_ps)
 
     @property
     def total_blocks(self) -> int:
@@ -68,9 +76,6 @@ class IOStats:
         else:
             self.random_writes += blocks
 
-    def add_device_time(self, seconds: float) -> None:
-        self.device_seconds += float(seconds)
-
     def merge(self, other: "IOStats") -> None:
         """Accumulate another counter set into this one (block size kept)."""
         for name in _COUNTER_FIELDS:
@@ -82,9 +87,7 @@ class IOStats:
 
     def snapshot(self) -> "IOStats":
         """Return an independent copy of the current counters."""
-        copy = IOStats(block_size=self.block_size)
-        copy.merge(self)
-        return copy
+        return replace(self)
 
     def delta(self, baseline: "IOStats") -> "IOStats":
         """Counters accumulated since ``baseline`` (an earlier snapshot).
@@ -98,24 +101,9 @@ class IOStats:
             setattr(diff, name, getattr(self, name) - getattr(baseline, name))
         return diff
 
-    def as_dict(self) -> dict[str, float]:
-        # kept explicit (stable key order documented by the tests); merge()
-        # and delta() iterate _COUNTER_FIELDS so a new counter cannot be
-        # silently dropped from either
-        return {
-            "block_size": self.block_size,
-            "blocks_read": self.blocks_read,
-            "blocks_written": self.blocks_written,
-            "sequential_reads": self.sequential_reads,
-            "random_reads": self.random_reads,
-            "sequential_writes": self.sequential_writes,
-            "random_writes": self.random_writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "read_calls": self.read_calls,
-            "write_calls": self.write_calls,
-            "device_seconds": self.device_seconds,
-        }
+    def as_dict(self) -> dict[str, int]:
+        """Every field, in declaration order."""
+        return asdict(self)
 
 
 #: Every IOStats field except the block size is an additive counter;

@@ -14,7 +14,7 @@ Two Chrome trace variants are exported (both load in Perfetto /
   schedule) plus a master track.
 * ``modelled`` -- the paper-model timeline: each worker's chunks laid out
   at their modelled start/duration, plus master phase spans sized by the
-  per-phase modelled device seconds.
+  per-phase modelled device time.  Both are held in integer picoseconds.
 
 All timestamps are microseconds as the trace-event format requires; wall
 events are rebased to the earliest event so the trace starts at ts=0.
@@ -28,17 +28,19 @@ from pathlib import Path
 
 from repro.obs.metrics import derive_rates
 from repro.obs.tracer import SpanEvent
+from repro.utils import ps_seconds
 
 _US = 1_000_000.0
+_PS_PER_US = 10**6
 
 
 @dataclass(frozen=True)
 class ChunkSpan:
-    """One chunk's placement on a worker's modelled timeline."""
+    """One chunk's placement on a worker's modelled timeline, in picoseconds."""
 
     index: int
-    start: float
-    duration: float
+    start_ps: int
+    duration_ps: int
     edges: int = 0
     triangles: int = 0
 
@@ -53,12 +55,12 @@ class WorkerTrack:
     spans: list[ChunkSpan] = field(default_factory=list)
 
     @property
-    def busy_seconds(self) -> float:
-        return sum(span.duration for span in self.spans)
+    def busy_ps(self) -> int:
+        return sum(span.duration_ps for span in self.spans)
 
     @property
-    def finish_time(self) -> float:
-        return max((s.start + s.duration for s in self.spans), default=0.0)
+    def finish_ps(self) -> int:
+        return max((s.start_ps + s.duration_ps for s in self.spans), default=0)
 
 
 @dataclass
@@ -73,7 +75,7 @@ class RunTelemetry:
     counters: dict[str, float] = field(default_factory=dict)
     worker_tracks: list[WorkerTrack] = field(default_factory=list)
     chunk_owners: dict[int, int] = field(default_factory=dict)
-    phase_seconds: dict[str, float] = field(default_factory=dict)
+    phase_ps: dict[str, int] = field(default_factory=dict)
 
     # -- assembly ---------------------------------------------------------
 
@@ -252,21 +254,21 @@ class RunTelemetry:
     def _modelled_events(self) -> list[dict[str, object]]:
         locations: dict[tuple[int, int], str] = {(0, 0): "master"}
         body: list[dict[str, object]] = []
-        cursor = 0.0
-        for phase, seconds in self.phase_seconds.items():
+        cursor = 0
+        for phase, ps in self.phase_ps.items():
             body.append(
                 {
                     "name": phase,
                     "cat": "phase",
                     "ph": "X",
-                    "ts": cursor * _US,
-                    "dur": seconds * _US,
+                    "ts": cursor / _PS_PER_US,
+                    "dur": ps / _PS_PER_US,
                     "pid": 0,
                     "tid": 0,
-                    "args": {"modelled_seconds": seconds},
+                    "args": {"modelled_seconds": ps_seconds(ps)},
                 }
             )
-            cursor += seconds
+            cursor += ps
         scan_base = cursor
         for track in self.worker_tracks:
             pid, tid, label = self._worker_label(track.worker)
@@ -277,15 +279,15 @@ class RunTelemetry:
                         "name": f"chunk {span.index}",
                         "cat": "chunk",
                         "ph": "X",
-                        "ts": (scan_base + span.start) * _US,
-                        "dur": span.duration * _US,
+                        "ts": (scan_base + span.start_ps) / _PS_PER_US,
+                        "dur": span.duration_ps / _PS_PER_US,
                         "pid": pid,
                         "tid": tid,
                         "args": {
                             "chunk": span.index,
                             "edges": span.edges,
                             "triangles": span.triangles,
-                            "modelled_seconds": span.duration,
+                            "modelled_seconds": ps_seconds(span.duration_ps),
                         },
                     }
                 )

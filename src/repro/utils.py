@@ -21,6 +21,11 @@ __all__ = [
     "parse_size",
     "format_size",
     "format_seconds",
+    "PS_PER_SECOND",
+    "whole_ps",
+    "ps_per_unit",
+    "ps_seconds",
+    "check_non_negative",
     "Timer",
     "chunk_ranges",
     "even_splits",
@@ -105,6 +110,35 @@ def format_seconds(seconds: float) -> str:
     if minutes:
         return f"{minutes}m{secs:04.1f}s"
     return f"{secs:.1f}s"
+
+
+#: Modelled time is an integer count of picoseconds.  Every rate the models
+#: charge is a whole number of picoseconds per unit, so a sum of charges is
+#: exact and does not depend on the order or grouping of its terms.
+PS_PER_SECOND = 10**12
+
+
+def whole_ps(seconds: float) -> int:
+    """``seconds`` rounded to whole picoseconds."""
+    return round(seconds * PS_PER_SECOND)
+
+
+def ps_per_unit(units_per_second: float) -> int:
+    """Whole picoseconds per unit at ``units_per_second``; a zero rate is free."""
+    return round(PS_PER_SECOND / units_per_second) if units_per_second else 0
+
+
+def ps_seconds(ps: int) -> float:
+    """``ps`` picoseconds in seconds, for reports (correctly rounded)."""
+    return ps / PS_PER_SECOND
+
+
+def check_non_negative(**values: float) -> None:
+    """Refuse a negative (or NaN) rate or latency of a cost model, which
+    would charge negative time."""
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ from repro.analysis.report import (
 )
 from repro.cluster.metrics import ClusterMetrics
 from repro.externalmem.iostats import IOStats
-from repro.utils import format_seconds
+from repro.utils import PS_PER_SECOND, format_seconds
 
 
 class TestSecondsCells:
@@ -105,10 +105,10 @@ class TestLoadImbalanceTable:
     def _metrics(self) -> ClusterMetrics:
         metrics = ClusterMetrics()
         metrics.node(0).add_worker(
-            3.0, 0.0, 0, IOStats(), chunks_completed=4, chunks_stolen=1
+            3 * PS_PER_SECOND, 0, IOStats(), chunks_completed=4, chunks_stolen=1
         )
         metrics.node(1).add_worker(
-            1.0, 0.0, 0, IOStats(), chunks_completed=2, chunks_retried=1
+            PS_PER_SECOND, 0, IOStats(), chunks_completed=2, chunks_retried=1
         )
         return metrics
 

@@ -81,6 +81,13 @@ class TestClusterConstruction:
         )
         assert cluster.network.link(0, 1).bandwidth_bytes_per_s == 123.0
 
+    def test_negative_bandwidth_refused(self, tmp_path):
+        # before, -1.0 was taken as a free link: a copy cost only its latency
+        with pytest.raises(ValueError):
+            Cluster.from_config(
+                PDTLConfig(num_nodes=2), storage_root=tmp_path, bandwidth_bytes_per_s=-1.0
+            )
+
     def test_context_manager_cleans_up(self):
         with Cluster.from_config(PDTLConfig(num_nodes=2)) as cluster:
             roots = [m.device.root for m in cluster.machines]
@@ -108,9 +115,9 @@ class TestReplication:
     def test_replicate_charges_copy_time_and_bytes(self, cluster_and_graph):
         cluster, graph, gf = cluster_and_graph
         cluster.replicate_graph(gf)
-        assert cluster.metrics.node(0).copy_seconds == 0.0
+        assert cluster.metrics.node(0).copy_ps == 0
         for node in (1, 2):
-            assert cluster.metrics.node(node).copy_seconds > 0.0
+            assert cluster.metrics.node(node).copy_ps > 0
             assert cluster.metrics.node(node).bytes_received >= gf.size_bytes
         assert cluster.network.bytes_by_label("graph-copy") >= 2 * gf.size_bytes
 

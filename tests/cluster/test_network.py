@@ -6,24 +6,35 @@ import pytest
 
 from repro.cluster.network import Network, NetworkLink
 from repro.errors import NetworkError
+from repro.utils import PS_PER_SECOND
+
+
+PS = PS_PER_SECOND
 
 
 class TestNetworkLink:
     def test_transfer_time_scales_with_size(self):
         link = NetworkLink(0, 1, bandwidth_bytes_per_s=1e6, latency_s=0.0)
-        assert link.transfer_time(2_000_000) == pytest.approx(2.0)
+        assert link.transfer_ps(2_000_000) == 2 * PS
 
     def test_latency_added(self):
         link = NetworkLink(0, 1, bandwidth_bytes_per_s=1e9, latency_s=0.5)
-        assert link.transfer_time(0) == pytest.approx(0.5)
+        assert link.transfer_ps(0) == PS // 2
 
     def test_negative_bytes_rejected(self):
         with pytest.raises(ValueError):
-            NetworkLink(0, 1).transfer_time(-1)
+            NetworkLink(0, 1).transfer_ps(-1)
 
     def test_zero_bandwidth_is_free(self):
         link = NetworkLink(0, 1, bandwidth_bytes_per_s=0.0, latency_s=0.0)
-        assert link.transfer_time(1 << 30) == 0.0
+        assert link.transfer_ps(1 << 30) == 0
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"bandwidth_bytes_per_s": -1.0}, {"latency_s": -3.0}]
+    )
+    def test_negative_rate_refused(self, kwargs):
+        with pytest.raises(ValueError):
+            NetworkLink(0, 1, **kwargs)
 
 
 class TestNetwork:
@@ -52,15 +63,16 @@ class TestNetwork:
     def test_transfer_records_and_times(self):
         net = Network(num_nodes=2)
         net.set_link(0, 1, bandwidth_bytes_per_s=1e6, latency_s=0.0)
-        seconds = net.transfer(0, 1, 500_000, label="graph-copy")
-        assert seconds == pytest.approx(0.5)
+        ps = net.transfer(0, 1, 500_000, label="graph-copy")
+        assert ps == PS // 2
+        assert net.transfers[-1].ps == ps
         assert net.total_bytes == 500_000
         assert net.total_messages == 1
         assert net.bytes_by_label("graph-copy") == 500_000
 
     def test_self_transfer_is_free_and_not_counted(self):
         net = Network(num_nodes=2)
-        assert net.transfer(0, 0, 1000) == 0.0
+        assert net.transfer(0, 0, 1000) == 0
         assert net.total_bytes == 0
         assert net.total_messages == 0
 
@@ -76,7 +88,19 @@ class TestNetwork:
     def test_set_link_overrides(self):
         net = Network(num_nodes=2)
         net.set_link(0, 1, bandwidth_bytes_per_s=1.0, latency_s=0.0)
-        assert net.transfer(0, 1, 10) == pytest.approx(10.0)
+        assert net.transfer(0, 1, 10) == 10 * PS
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"bandwidth_bytes_per_s": -1.0}, {"latency_s": -3.0}]
+    )
+    def test_set_link_refuses_negative_rate(self, kwargs):
+        # before, latency_s=-3.0 made a 10-byte transfer cost -2.999999992 s
+        net = Network(num_nodes=2)
+        before = net.link(0, 1)
+        rates = (before.bandwidth_bytes_per_s, before.latency_s)
+        with pytest.raises(ValueError):
+            net.set_link(0, 1, **kwargs)
+        assert (before.bandwidth_bytes_per_s, before.latency_s) == rates
 
     def test_reset_clears_transfers(self):
         net = Network(num_nodes=2)

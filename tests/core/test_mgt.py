@@ -200,8 +200,8 @@ class TestResultAccounting:
         graph = CSRGraph.from_edgelist(rmat(6, edge_factor=6, seed=12))
         oriented = oriented_on_disk(device, graph)
         result = mgt_count(oriented)
-        assert result.cpu_seconds >= 0.0
-        assert result.io_seconds >= 0.0
+        assert result.cpu_ps >= 0
+        assert result.io_stats.device_ps >= 0
         assert result.io_stats.blocks_read > 0
 
     def test_edges_processed_matches_range(self, device):

@@ -119,7 +119,7 @@ class TestPullSchedule:
         first = DynamicScheduler(chunks, num_workers=4).schedule(costs)
         second = DynamicScheduler(chunks, num_workers=4).schedule(costs)
         assert first.assignments == second.assignments
-        assert first.worker_seconds == second.worker_seconds
+        assert first.worker_ps == second.worker_ps
 
     def test_cost_count_mismatch_rejected(self):
         chunks = make_chunks(4, 1)
@@ -217,7 +217,7 @@ class TestChunkTaskExecution:
         for run in (execute_chunk_task, JitteredChunkTask(execute_chunk_task, 0.005)):
             outcome = run(task)
             results.append(
-                (outcome.triangles, outcome.result.cpu_seconds, outcome.result.io_seconds)
+                (outcome.triangles, outcome.result.cpu_ps, outcome.result.io_stats.device_ps)
             )
         assert results[0] == results[1]
 

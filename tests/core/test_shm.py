@@ -331,8 +331,8 @@ class TestMGTOnSharedView:
             view.close()
         assert shared.triangles == disk.triangles
         assert shared.iterations == disk.iterations
-        assert shared.cpu_seconds == disk.cpu_seconds  # modelled_cpu
-        assert shared.io_seconds == disk.io_seconds
+        assert shared.cpu_ps == disk.cpu_ps  # modelled_cpu
+        assert shared.io_stats.device_ps == disk.io_stats.device_ps
         assert shared.io_stats.as_dict() == disk.io_stats.as_dict()
         assert shared.intersections == disk.intersections
         assert shared.cpu_operations == disk.cpu_operations
@@ -432,7 +432,7 @@ def _scan_outcome(graph, config: PDTLConfig, start: int, stop: int, kind: str):
         result.iterations,
         result.intersections,
         result.cpu_operations,
-        result.cpu_seconds,
+        result.cpu_ps,
         result.io_stats.as_dict(),
         result.peak_memory_bytes,
     )

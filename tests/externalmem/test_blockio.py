@@ -86,10 +86,10 @@ class TestAccounting:
         dev = BlockDevice(tmp_path, block_size=64, model=model)
         f = dev.open("data.bin")
         f.append_array(np.arange(1000, dtype=np.int64))
-        before = dev.stats.device_seconds
+        before = dev.stats.device_ps
         f.read_array(0, 1000)
         # 8000 bytes at 1 MB/s = 8 ms
-        assert dev.stats.device_seconds - before == pytest.approx(0.008, rel=0.01)
+        assert dev.stats.device_ps - before == 8_000_000_000
 
     def test_copy_file_charges_both_devices(self, tmp_path):
         src = BlockDevice(tmp_path / "src", block_size=64)
@@ -209,11 +209,25 @@ class TestBlockFile:
 class TestDiskModel:
     def test_sequential_faster_than_random(self):
         model = DiskModel(bandwidth_bytes_per_s=100e6, seek_latency_s=1e-3)
-        assert model.transfer_time(4096, True) < model.transfer_time(4096, False)
+        assert model.transfer_ps(4096, True) < model.transfer_ps(4096, False)
 
     def test_zero_bandwidth_means_free_transfer(self):
         model = DiskModel(bandwidth_bytes_per_s=0.0, seek_latency_s=0.0)
-        assert model.transfer_time(1 << 20, True) == 0.0
+        assert model.transfer_ps(1 << 20, True) == 0
+
+    def test_rate_is_rounded_not_the_charge(self):
+        # 123 B/s is 8,130,081,300.8 ps per byte: rounded once, to 8,130,081,301
+        model = DiskModel(bandwidth_bytes_per_s=123.0, seek_latency_s=1e-4)
+        assert model.transfer_ps(3, True) == 3 * 8_130_081_301
+        assert model.transfer_ps(3, False) == 3 * 8_130_081_301 + 100_000_000
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"bandwidth_bytes_per_s": -1e6}, {"seek_latency_s": -1.0}]
+    )
+    def test_negative_rate_refused(self, kwargs):
+        # before, these charged -0.004096 s and -0.999991808 s per access
+        with pytest.raises(ValueError):
+            DiskModel(**kwargs)
 
 
 class TestFdCache:

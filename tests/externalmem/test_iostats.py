@@ -34,14 +34,15 @@ class TestIOStats:
     def test_merge(self):
         a = IOStats()
         a.record_read(2, 100, True)
-        a.add_device_time(0.5)
+        a.device_ps += 500_000_000_000
         b = IOStats()
         b.record_write(3, 200, False)
-        b.add_device_time(0.25)
+        b.device_ps += 250_000_000_000
         a.merge(b)
         assert a.total_blocks == 5
         assert a.total_bytes == 300
-        assert a.device_seconds == pytest.approx(0.75)
+        assert a.device_ps == 750_000_000_000
+        assert a.device_seconds == 0.75
 
     def test_snapshot_is_independent(self):
         a = IOStats()
@@ -60,7 +61,7 @@ class TestIOStats:
 
     def test_as_dict_keys(self):
         d = IOStats().as_dict()
-        assert "blocks_read" in d and "device_seconds" in d
+        assert "blocks_read" in d and "device_ps" in d
 
 
 class TestScanCost:

@@ -144,14 +144,15 @@ class TestTracedBitIdentity:
                 untraced = _run(graph, backend, shm, False)
                 traced = _run(graph, backend, shm, True)
             _assert_accounting_identical(traced, untraced, label)
-            dispatch = [
-                key for key in traced.telemetry.counters
+            # each leg's scan kernel ran compiled, in the master (run.) or
+            # in a pool worker (worker.)
+            scan = "mgt_chunk_scan" if shm else "mgt_block_scan"
+            dispatched = {
+                key.split(".kernel.dispatch.", 1)[1]
+                for key in traced.telemetry.counters
                 if ".kernel.dispatch." in key
-            ]
-            # the shm path scans zero-copy windows with plain vectorised
-            # numpy, so only the streaming backends dispatch fused kernels
-            if not shm:
-                assert dispatch, label
+            }
+            assert f"{scan}.{_COMPILED_TIER}" in dispatched, (label, dispatched)
 
 
 class TestDeterministicEventMerge:

@@ -99,8 +99,8 @@ class TestMGTScanPathEquivalence:
             result.iterations,
             result.cpu_operations,
             result.intersections,
-            result.cpu_seconds,
-            result.io_seconds,
+            result.cpu_ps,
+            result.io_stats.device_ps,
             result.io_stats.as_dict(),
             device.stats.as_dict(),
         )

@@ -8,6 +8,9 @@ import pytest
 
 from repro.obs.export import ChunkSpan, RunTelemetry, WorkerTrack
 from repro.obs.tracer import SpanEvent
+from repro.utils import PS_PER_SECOND
+
+PS = PS_PER_SECOND
 
 
 def _event(seq, name, track, cat="phase", start=0.0, duration=1.0, **args):
@@ -33,13 +36,13 @@ def telemetry() -> RunTelemetry:
     t.counters = {"worker.blockio.fd_cache.hits": 6,
                   "worker.blockio.fd_cache.misses": 2}
     t.chunk_owners = {0: 0, 1: 3}
-    t.phase_seconds = {"orientation": 1.5, "triangle_scan": 3.0}
+    t.phase_ps = {"orientation": 3 * PS // 2, "triangle_scan": 3 * PS}
     t.worker_tracks = [
         WorkerTrack(worker=0, node=0, proc=0,
-                    spans=[ChunkSpan(0, start=0.0, duration=2.0, edges=10,
+                    spans=[ChunkSpan(0, start_ps=0, duration_ps=2 * PS, edges=10,
                                      triangles=4)]),
         WorkerTrack(worker=3, node=1, proc=1,
-                    spans=[ChunkSpan(1, start=0.0, duration=1.0, edges=5,
+                    spans=[ChunkSpan(1, start_ps=0, duration_ps=PS, edges=5,
                                      triangles=1)]),
     ]
     return t
@@ -81,12 +84,12 @@ class TestDerivedViews:
 class TestWorkerTrack:
     def test_busy_and_finish(self):
         track = WorkerTrack(worker=0, node=0, proc=0, spans=[
-            ChunkSpan(0, start=0.0, duration=2.0),
-            ChunkSpan(1, start=2.0, duration=1.5),
+            ChunkSpan(0, start_ps=0, duration_ps=2 * PS),
+            ChunkSpan(1, start_ps=2 * PS, duration_ps=3 * PS // 2),
         ])
-        assert track.busy_seconds == pytest.approx(3.5)
-        assert track.finish_time == pytest.approx(3.5)
-        assert WorkerTrack(worker=1, node=0, proc=1).finish_time == 0.0
+        assert track.busy_ps == 7 * PS // 2
+        assert track.finish_ps == 7 * PS // 2
+        assert WorkerTrack(worker=1, node=0, proc=1).finish_ps == 0
 
 
 class TestChromeTrace:
@@ -118,6 +121,8 @@ class TestChromeTrace:
         phases = [e for e in duration_events if e["cat"] == "phase"]
         chunks = [e for e in duration_events if e["cat"] == "chunk"]
         assert [p["name"] for p in phases] == ["orientation", "triangle_scan"]
+        assert phases[0]["dur"] == 1.5e6  # microseconds
+        assert phases[0]["args"]["modelled_seconds"] == 1.5
         # phases are laid end-to-end; chunks start after the phase prefix
         assert phases[1]["ts"] == pytest.approx(phases[0]["dur"])
         scan_base = sum(p["dur"] for p in phases)

@@ -51,19 +51,24 @@ class NodeMetrics:
         cpu_ps: int,
         triangles: int,
         io_stats: IOStats,
+        *,
+        calc_ps: int,
         chunks_completed: int = 1,
         chunks_stolen: int = 0,
         chunks_retried: int = 0,
         failed: bool = False,
     ) -> None:
-        """Fold one worker's result into this node's totals: its CPU
-        picoseconds, and its I/O counters, whose device time is its I/O.
+        """Fold one worker's result into this node's totals.
 
-        The chunk counters come from the dynamic scheduler: how many chunks
-        the worker pulled, how many of those a static split would have given
-        to someone else (steals), and how many it re-executed after another
-        worker was killed (retries).  Static runs use the defaults -- one
-        "chunk" (the worker's range), nothing stolen or retried.
+        ``calc_ps`` is where the schedule replay ends the worker's
+        timeline, straggler factor included.  ``cpu_ps`` and ``io_stats``
+        (whose device time is the I/O time) are the work the worker was
+        counted, which a straggler factor does not change.
+
+        The chunk counters come from the replay: how many chunks the worker
+        completed, how many of those a static split would have given to
+        someone else (steals), and how many it re-executed after another
+        worker was killed (retries).
 
         A ``failed`` worker (killed by the failure-injection spec) still
         contributes its partial work to the node totals, but is excluded
@@ -72,7 +77,6 @@ class NodeMetrics:
         max/mean imbalance of the surviving crew.  Idle-but-alive workers
         *are* sampled -- an under-used processor is genuine imbalance.
         """
-        calc_ps = cpu_ps + io_stats.device_ps
         self.cpu_ps += cpu_ps
         self.calc_ps = max(self.calc_ps, calc_ps)
         self.triangles += triangles

@@ -23,8 +23,9 @@ Modules
     The modified Massive Graph Triangulation algorithm (Algorithm 2),
     operating over the binary on-disk format with a strict memory budget.
 ``scheduler``
-    Dynamic pull-based chunk scheduling: window-aligned chunking of the
-    oriented edge file, the deterministic pull-protocol replay with
+    Chunk scheduling: window-aligned chunking of the oriented edge file,
+    the deterministic modelled-time replay of both plans (static ranges
+    pinned to their processors, dynamic chunks pulled from a queue) with
     straggler/failure injection, and the picklable per-chunk execution
     tasks every backend (including processes) runs.
 ``shm``

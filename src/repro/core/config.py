@@ -73,13 +73,14 @@ class PDTLConfig:
         Normalised to a sorted tuple of ``(worker, after_chunks)`` pairs so
         the configuration stays hashable.
     straggler_spec:
-        heterogeneity injection for ``scheduling="dynamic"``: a mapping (or
-        iterable of pairs) ``{worker_index: factor}``.  The modelled cost of
-        every chunk worker ``w`` completes is multiplied by ``factor``
-        (``> 1`` models a slow machine), and the deterministic pull replay
-        automatically routes fewer chunks to it.  Normalised to a sorted
-        tuple of ``(worker, factor)`` pairs so the configuration stays
-        hashable.
+        heterogeneity injection: a mapping (or iterable of pairs)
+        ``{worker_index: factor}``.  The modelled cost of every chunk worker
+        ``w`` completes is multiplied by ``factor`` (``> 1`` models a slow
+        machine).  Under ``scheduling="static"`` the worker's pinned range
+        stretches by the factor and stalls the run; under
+        ``scheduling="dynamic"`` the deterministic pull replay routes fewer
+        chunks to it.  Normalised to a sorted tuple of ``(worker, factor)``
+        pairs so the configuration stays hashable.
     modelled_cpu:
         when True, each MGT worker reports a *modelled* CPU time derived from
         its deterministic operation count (edges scanned plus intersection
@@ -175,11 +176,6 @@ class PDTLConfig:
         object.__setattr__(
             self, "straggler_spec", self._normalize_straggler_spec(self.straggler_spec)
         )
-        if self.straggler_spec and self.scheduling != "dynamic":
-            raise ConfigurationError(
-                "straggler_spec requires scheduling='dynamic' (static ranges "
-                "cannot re-balance around a slow worker)"
-            )
         object.__setattr__(self, "trace", bool(self.trace))
 
     def _normalize_worker_spec(self, spec, label, coerce, check, requirement):

@@ -69,25 +69,27 @@ _COUNT_BYTES = 8
 
 @dataclass(frozen=True)
 class WorkerReport:
-    """One processor's MGT result, tagged with its cluster placement.
+    """One processor's merged MGT result, tagged with its cluster placement.
 
-    Under static scheduling ``edge_range`` is the processor's assigned
-    range and the chunk counters keep their defaults (one unit of work,
-    nothing stolen or retried).  Under dynamic scheduling ``edge_range`` is
-    the *envelope* of the chunks the worker pulled (they need not be
-    contiguous), ``chunks_completed``/``chunks_stolen``/``chunks_retried``
-    account for its queue activity, and ``failed`` marks a worker killed by
-    the failure-injection spec.
+    ``edge_range`` is the *envelope* of the chunks the schedule replay gave
+    the worker: its one pinned range under static scheduling, the chunks
+    it pulled (not necessarily contiguous) under dynamic scheduling.
+    ``chunks_completed``/``chunks_stolen``/``chunks_retried`` account for
+    its queue activity, and ``failed`` marks a worker killed by the
+    failure-injection spec.  ``calc_ps`` is where the replay ends the
+    worker's timeline, straggler factor included; ``result`` holds the
+    work it was counted.
     """
 
     node_index: int
     proc_index: int
     edge_range: EdgeRange
     result: MGTResult
-    chunks_completed: int = 1
-    chunks_stolen: int = 0
-    chunks_retried: int = 0
-    failed: bool = False
+    calc_ps: int
+    chunks_completed: int
+    chunks_stolen: int
+    chunks_retried: int
+    failed: bool
 
     @property
     def triangles(self) -> int:
@@ -95,7 +97,7 @@ class WorkerReport:
 
     @property
     def calc_seconds(self) -> float:
-        return ps_seconds(self.result.calc_ps)
+        return ps_seconds(self.calc_ps)
 
 
 @dataclass
@@ -107,11 +109,12 @@ class PDTLResult:
 
     * ``orientation_seconds`` is the measured wall-clock time of the
       master's orientation on this host;
-    * ``calc_seconds`` is the slowest node's calculation time, the largest
-      CPU plus I/O time of its workers.  I/O time comes from the disk
-      cost model; CPU time is measured thread CPU time unless
-      ``config.modelled_cpu`` is set.  Both are summed in integer
-      picoseconds (:attr:`metrics`) and converted once;
+    * ``calc_seconds`` is the latest end of a worker timeline on the
+      schedule replay, straggler factors included: each chunk is charged
+      its CPU plus I/O time.  I/O time comes from the disk cost model; CPU
+      time is measured thread CPU time unless ``config.modelled_cpu`` is
+      set.  Both are summed in integer picoseconds (:attr:`metrics`) and
+      converted once;
     * ``total_seconds`` is ``orientation_seconds`` (wall clock) plus the
       slowest node's copy and calculation time (modelled copy, and the
       calculation time above);
@@ -272,18 +275,18 @@ class PDTLRunner:
 
     def _execute_units(
         self,
-        units: list[tuple[int, int]],
+        chunks: list[Chunk],
         unit_graphs: list[GraphFile],
         sink_kind: str,
         shm_descriptor: SharedGraphDescriptor | None = None,
     ) -> list[ChunkOutcome]:
-        """Execute MGT over every ``[start, stop)`` unit on the host backend.
+        """Execute MGT over every chunk on the host backend.
 
-        Each unit becomes a self-contained, picklable
+        Each chunk becomes a self-contained, picklable
         :class:`~repro.core.scheduler.ChunkTask` with its own sink and I/O
         counters, executed by a pull-based worker crew
         (:func:`~repro.cluster.executor.run_task_queue`); outcomes come back
-        in unit order so every aggregation below is deterministic no matter
+        in chunk order so every aggregation below is deterministic no matter
         which backend ran them, or in what order they finished.  With a
         shared-memory descriptor the tasks ship only the small segment
         descriptor and their chunk range -- never arrays -- and slice their
@@ -291,15 +294,15 @@ class PDTLRunner:
         """
         tasks = [
             ChunkTask.from_graph(
-                index=i,
+                index=chunk.index,
                 graph=graph,
                 config=self.config,
-                start=start,
-                stop=stop,
+                start=chunk.start,
+                stop=chunk.stop,
                 sink_kind=sink_kind,
                 shm=shm_descriptor,
             )
-            for i, ((start, stop), graph) in enumerate(zip(units, unit_graphs))
+            for chunk, graph in zip(chunks, unit_graphs)
         ]
         return run_task_queue(tasks, execute_chunk_task, backend=self.backend)
 
@@ -325,7 +328,6 @@ class PDTLRunner:
         self, cluster: Cluster, graph: CSRGraph | GraphFile, sink_kind: str
     ) -> PDTLResult:
         config = self.config
-        dynamic = config.scheduling == "dynamic"
 
         # Observability: a live tracer (master track) only when configured;
         # everything below feeds spans/phase deltas through it, and the
@@ -360,12 +362,13 @@ class PDTLRunner:
             phase_baseline = master_stats.snapshot()
         oriented = orientation.oriented
 
-        # Step 2: work assignment -- static edge ranges (load-balanced or
-        # naive), or the dynamic scheduler's window-aligned chunk queue
-        ranges: list[EdgeRange] = []
-        chunks: list[Chunk] = []
+        # Step 2: work assignment -- the dynamic scheduler's window-aligned
+        # chunk queue, or static edge ranges (load-balanced or naive), each
+        # pinned to its processor: split_edges numbers them node-major, as
+        # worker indices are
+        owners: list[int] | None = None
         with tracer.span("plan", cat="phase", scheduling=config.scheduling):
-            if dynamic:
+            if config.scheduling == "dynamic":
                 chunks = make_chunks(
                     oriented.num_edges, resolve_chunk_edges(config, oriented.num_edges)
                 )
@@ -378,6 +381,8 @@ class PDTLRunner:
                     in_degrees=orientation.in_degrees,
                     load_balanced=config.load_balanced,
                 )
+                chunks = [Chunk(i, r.start, r.stop) for i, r in enumerate(ranges)]
+                owners = list(range(len(chunks)))
 
         # Step 3: replicate the oriented graph + send per-processor configs
         with tracer.span("replicate", cat="phase"):
@@ -394,20 +399,19 @@ class PDTLRunner:
         # With shm enabled the oriented adjacency is published once into
         # named shared-memory segments; the publication is unlinked in the
         # finally below even when a task raises (failure injection, worker
-        # crash), so no segment ever outlives the run.
-        if dynamic:
-            units = [(c.start, c.stop) for c in chunks]
-            unit_graphs = [local_graphs[0]] * len(chunks)
-        else:
-            units = [(r.start, r.stop) for r in ranges]
-            unit_graphs = [local_graphs[r.node_index] for r in ranges]
+        # crash), so no segment ever outlives the run.  A pinned range reads
+        # its node's replica, as in the paper; a queued chunk the master's.
+        unit_graphs = [
+            local_graphs[0 if owners is None else owners[i] // config.procs_per_node]
+            for i in range(len(chunks))
+        ]
         publication = self._publish_shared(oriented)
         try:
             with tracer.span(
-                "triangle_scan", cat="phase", units=len(units), sink=sink_kind
+                "triangle_scan", cat="phase", units=len(chunks), sink=sink_kind
             ):
                 outcomes = self._execute_units(
-                    units,
+                    chunks,
                     unit_graphs,
                     sink_kind,
                     shm_descriptor=publication.descriptor if publication else None,
@@ -417,16 +421,10 @@ class PDTLRunner:
                 publication.unlink()
 
         # Step 5: aggregate at the master
-        schedule: ScheduleResult | None = None
         with tracer.span("aggregate", cat="phase"):
-            if dynamic:
-                reports, edge_ranges, schedule = self._aggregate_dynamic(
-                    cluster, chunks, outcomes, sink_kind, oriented
-                )
-            else:
-                reports, edge_ranges = self._aggregate_static(
-                    cluster, ranges, outcomes, sink_kind, oriented
-                )
+            reports, edge_ranges, schedule = self._aggregate(
+                cluster, chunks, owners, outcomes, sink_kind, oriented
+            )
         total_triangles = sum(outcome.triangles for outcome in outcomes)
 
         metrics = cluster.metrics
@@ -465,7 +463,7 @@ class PDTLRunner:
                 cluster,
                 tracer,
                 phase_io,
-                units,
+                chunks,
                 outcomes,
                 schedule,
                 run_counters_before,
@@ -488,7 +486,7 @@ class PDTLRunner:
             edge_supports=edge_supports,
             oriented_edges=oriented_edges,
             max_out_degree=orientation.max_out_degree,
-            num_chunks=len(units),
+            num_chunks=len(chunks),
             shm_used=publication is not None,
             telemetry=telemetry,
         )
@@ -498,9 +496,9 @@ class PDTLRunner:
         cluster: Cluster,
         tracer: Tracer,
         phase_io: dict,
-        units: list[tuple[int, int]],
+        chunks: list[Chunk],
         outcomes: list[ChunkOutcome],
-        schedule: ScheduleResult | None,
+        schedule: ScheduleResult,
         run_counters_before: dict | None,
     ) -> RunTelemetry:
         """Assemble the traced run's telemetry: merged events, the unified
@@ -525,23 +523,9 @@ class PDTLRunner:
             events.extend(outcome.events)
         telemetry.events = events
 
-        # chunk -> modelled worker: the deterministic schedule replay under
-        # dynamic scheduling; unit index == worker index under static
-        if schedule is not None:
-            telemetry.chunk_owners = schedule.owner_of()
-        else:
-            telemetry.chunk_owners = {i: i for i in range(len(outcomes))}
-
-        # modelled per-worker timeline (the paper-model trace variant): the
-        # replay placed every chunk; under static scheduling unit i is
-        # worker i's one chunk, from time zero
-        if schedule is not None:
-            assignments = schedule.assignments
-            starts, charged = schedule.start_ps, schedule.charged_ps
-        else:
-            assignments = [[i] for i in range(len(outcomes))]
-            starts = [0] * len(outcomes)
-            charged = [o.result.calc_ps for o in outcomes]
+        # chunk -> modelled worker, and the modelled per-worker timeline
+        # (the paper-model trace variant): the replay placed every chunk
+        telemetry.chunk_owners = schedule.owner_of()
         telemetry.worker_tracks = [
             WorkerTrack(
                 worker=worker,
@@ -550,15 +534,15 @@ class PDTLRunner:
                 spans=[
                     ChunkSpan(
                         index=index,
-                        start_ps=starts[index],
-                        duration_ps=charged[index],
-                        edges=units[index][1] - units[index][0],
+                        start_ps=schedule.start_ps[index],
+                        duration_ps=schedule.charged_ps[index],
+                        edges=chunks[index].num_edges,
                         triangles=outcomes[index].triangles,
                     )
                     for index in indices
                 ],
             )
-            for worker, indices in enumerate(assignments)
+            for worker, indices in enumerate(schedule.assignments)
         ]
         telemetry.phase_ps = {phase: stats.device_ps for phase, stats in phase_io.items()}
 
@@ -576,19 +560,12 @@ class PDTLRunner:
         )
         registry.inc("network.bytes", cluster.network.total_bytes)
         registry.inc("network.messages", cluster.network.total_messages)
-        if schedule is not None:
-            registry.inc("scheduler.chunks", len(outcomes))
-            registry.inc("scheduler.steals", schedule.total_steals)
-            registry.inc("scheduler.retries", schedule.total_retries)
-            registry.inc(
-                "scheduler.failed_workers", len(schedule.failed_workers)
-            )
-            registry.set_gauge(
-                "scheduler.max_queue_depth", schedule.max_queue_depth
-            )
-            registry.observe_each(
-                "scheduler.queue_depth", schedule.queue_depths
-            )
+        registry.inc("scheduler.chunks", len(outcomes))
+        registry.inc("scheduler.steals", schedule.total_steals)
+        registry.inc("scheduler.retries", schedule.total_retries)
+        registry.inc("scheduler.failed_workers", len(schedule.failed_workers))
+        registry.set_gauge("scheduler.max_queue_depth", schedule.max_queue_depth)
+        registry.observe_each("scheduler.queue_depth", schedule.queue_depths)
         for outcome in outcomes:
             if outcome.counters:
                 registry.add_counts(outcome.counters, prefix="worker.")
@@ -606,70 +583,46 @@ class PDTLRunner:
         telemetry.counters = registry.as_dict()
         return telemetry
 
-    def _aggregate_static(
-        self,
-        cluster: Cluster,
-        ranges: list[EdgeRange],
-        outcomes: list[ChunkOutcome],
-        sink_kind: str,
-        oriented: GraphFile,
-    ) -> tuple[list[WorkerReport], list[EdgeRange]]:
-        """The paper's step 5: one result message per fixed-range worker."""
-        reports: list[WorkerReport] = []
-        for edge_range, outcome in zip(ranges, outcomes):
-            mgt_result = outcome.result
-            reports.append(
-                WorkerReport(
-                    node_index=edge_range.node_index,
-                    proc_index=edge_range.proc_index,
-                    edge_range=edge_range,
-                    result=mgt_result,
-                )
-            )
-            cluster.metrics.node(edge_range.node_index).add_worker(
-                cpu_ps=mgt_result.cpu_ps,
-                triangles=mgt_result.triangles,
-                io_stats=mgt_result.io_stats,
-            )
-            cluster.send_result(
-                edge_range.node_index,
-                self._result_payload(sink_kind, mgt_result.triangles, oriented),
-            )
-        return reports, ranges
-
-    def _aggregate_dynamic(
+    def _aggregate(
         self,
         cluster: Cluster,
         chunks: list[Chunk],
+        owners: list[int] | None,
         outcomes: list[ChunkOutcome],
         sink_kind: str,
         oriented: GraphFile,
     ) -> tuple[list[WorkerReport], list[EdgeRange], ScheduleResult]:
-        """Replay the pull-based schedule and account it to the cluster.
+        """The paper's step 5: replay the plan and account it to the cluster.
 
-        Chunk→worker assignment is the deterministic modelled-time replay of
-        :class:`DynamicScheduler`; each worker's per-chunk results are merged
-        into one report, each granted chunk is charged a hand-out message,
-        and each completed chunk a result message back to the master.
+        The deterministic modelled-time replay of :class:`DynamicScheduler`
+        places every chunk on a worker: on its pinned owner (``owners``, the
+        static plan) or on whichever worker pulls it first.  Each worker's
+        per-chunk results are merged into one report, timed where the
+        replay ends its timeline.  Each completed chunk is charged a result
+        message back to the master, and each pulled chunk a hand-out
+        message before it.
         """
         config = self.config
-        costs = [o.result.calc_ps for o in outcomes]
-        scheduler = DynamicScheduler(
+        schedule = DynamicScheduler(
             chunks,
             num_workers=config.total_processors,
             failure_after=config.failure_after,
             straggler_factors=config.straggler_factors,
-        )
-        schedule: ScheduleResult = scheduler.schedule(costs)
+        ).schedule([o.result.calc_ps for o in outcomes], owners=owners)
         failed = set(schedule.failed_workers)
 
         reports: list[WorkerReport] = []
-        for worker in range(config.total_processors):
-            node = worker // config.procs_per_node
-            proc = worker % config.procs_per_node
-            indices = schedule.assignments[worker]
+        for worker, indices in enumerate(schedule.assignments):
+            node, proc = divmod(worker, config.procs_per_node)
             merged = merge_mgt_results(
                 [outcomes[i].result for i in indices], block_size=config.block_size
+            )
+            queue_activity = dict(
+                calc_ps=schedule.worker_ps[worker],
+                chunks_completed=len(indices),
+                chunks_stolen=schedule.stolen[worker],
+                chunks_retried=len(schedule.retried[worker]),
+                failed=worker in failed,
             )
             envelope = EdgeRange(
                 node_index=node,
@@ -683,23 +636,18 @@ class PDTLRunner:
                     proc_index=proc,
                     edge_range=envelope,
                     result=merged,
-                    chunks_completed=len(indices),
-                    chunks_stolen=schedule.stolen[worker],
-                    chunks_retried=len(schedule.retried[worker]),
-                    failed=worker in failed,
+                    **queue_activity,
                 )
             )
             cluster.metrics.node(node).add_worker(
                 cpu_ps=merged.cpu_ps,
                 triangles=merged.triangles,
                 io_stats=merged.io_stats,
-                chunks_completed=len(indices),
-                chunks_stolen=schedule.stolen[worker],
-                chunks_retried=len(schedule.retried[worker]),
-                failed=worker in failed,
+                **queue_activity,
             )
             for index in indices:
-                cluster.send_chunk_grant(node)
+                if owners is None:
+                    cluster.send_chunk_grant(node)
                 cluster.send_result(
                     node,
                     self._result_payload(
@@ -709,11 +657,11 @@ class PDTLRunner:
 
         # the chunk list itself (in file order) is the coverage record: every
         # chunk appears exactly once, owned by whichever worker completed it
-        owners = schedule.owner_of()
+        chunk_owners = schedule.owner_of()
         edge_ranges = [
             EdgeRange(
-                node_index=owners[c.index] // config.procs_per_node,
-                proc_index=owners[c.index] % config.procs_per_node,
+                node_index=chunk_owners[c.index] // config.procs_per_node,
+                proc_index=chunk_owners[c.index] % config.procs_per_node,
                 start=c.start,
                 stop=c.stop,
             )

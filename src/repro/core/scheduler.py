@@ -1,11 +1,10 @@
-"""Dynamic chunk scheduling: pull-based work distribution with fault tolerance.
+"""Chunk scheduling: one modelled timeline for static and pull-based plans.
 
 The paper's PDTL protocol hands every processor one *static* contiguous
 edge range computed up front (section IV-B1).  Figure 9 shows that even
 the in-degree-balanced split leaves imbalance on skewed graphs, and a
 straggling or failed worker stalls the whole run because nobody else can
-take over its range.  This module replaces the one-shot assignment with a
-**pull-based chunk queue**:
+take over its range.  This module adds a **pull-based chunk queue**:
 
 * the oriented adjacency file is cut into many small contiguous
   :class:`Chunk` s, each a whole number of MGT memory windows (so a chunk
@@ -36,6 +35,11 @@ split between *measured host execution* and *modelled cluster time*:
    ``PDTLConfig.modelled_cpu`` this keeps the schedule and every modelled
    metric bit-identical across backends, hosts and repetitions; measured
    CPU time can change the schedule from run to run.
+
+A static plan is the same replay with every range pinned to its
+processor (``schedule(costs, owners=...)``), so both plans charge
+stragglers the same way and every per-worker modelled time a run reports
+is the replay's.
 """
 
 from __future__ import annotations
@@ -453,10 +457,6 @@ class ScheduleResult:
     queue_depths: list[int] = field(default_factory=list)
 
     @property
-    def num_workers(self) -> int:
-        return len(self.assignments)
-
-    @property
     def max_queue_depth(self) -> int:
         return max(self.queue_depths, default=0)
 
@@ -478,7 +478,7 @@ class ScheduleResult:
 
 
 class DynamicScheduler:
-    """Deterministic replay of the pull-based chunk protocol in modelled time.
+    """Deterministic replay of a chunk plan in modelled time.
 
     Parameters
     ----------
@@ -495,14 +495,15 @@ class DynamicScheduler:
         heterogeneity injection -- ``{worker: factor}`` multiplies the
         modelled cost of every chunk that worker completes, modelling a slow
         machine; the greedy pull order automatically routes fewer chunks to
-        it.
+        it, while a pinned range stretches by the factor.
 
     :meth:`schedule` replays the protocol against the per-chunk modelled
     costs: the alive worker with the smallest accumulated time pulls the
     next chunk, which is exactly the completion-order behaviour of a real
-    shared-queue crew.  The replay is a pure function of its costs, which
-    are host-independent only under ``PDTLConfig.modelled_cpu``: measured
-    CPU time is part of them otherwise.
+    shared-queue crew, unless the chunk is pinned to its owner.  The
+    replay is a pure function of its costs, which are host-independent
+    only under ``PDTLConfig.modelled_cpu``: measured CPU time is part of
+    them otherwise.
     """
 
     def __init__(
@@ -539,14 +540,36 @@ class DynamicScheduler:
                 owners[index] = worker
         return owners
 
-    def schedule(self, costs: Sequence[int]) -> ScheduleResult:
-        """Replay the pull protocol against per-chunk modelled costs in
+    def schedule(
+        self, costs: Sequence[int], owners: Sequence[int] | None = None
+    ) -> ScheduleResult:
+        """Replay the protocol against per-chunk modelled costs in
         picoseconds.  A straggler's factor scales each chunk it completes,
-        rounded to whole picoseconds once per chunk."""
+        rounded to whole picoseconds once per chunk.
+
+        ``owners`` pins chunk ``c`` to worker ``owners[c]`` (the static
+        plan): the chunk starts where its owner's timeline ends and nothing
+        is stolen.  A pinned chunk has no other worker to go to, so pinning
+        refuses a failure spec.
+        """
         if len(costs) != len(self.chunks):
             raise ConfigurationError(
                 f"got {len(costs)} costs for {len(self.chunks)} chunks"
             )
+        if owners is not None:
+            if len(owners) != len(self.chunks):
+                raise ConfigurationError(
+                    f"got {len(owners)} owners for {len(self.chunks)} chunks"
+                )
+            if not all(0 <= w < self.num_workers for w in owners):
+                raise ConfigurationError(
+                    f"owners name a worker outside [0, {self.num_workers})"
+                )
+            if self.failure_after:
+                raise ConfigurationError(
+                    "pinned chunks cannot take a failure spec: a killed "
+                    "owner's chunk has no other worker to go to"
+                )
         pending: deque[Chunk] = deque(self.chunks)
         times = [0] * self.num_workers
         start_ps = [0] * len(self.chunks)
@@ -558,16 +581,19 @@ class DynamicScheduler:
         retried: list[list[int]] = [[] for _ in range(self.num_workers)]
         failed_workers: list[int] = []
         needs_retry: set[int] = set()
-        homes = self.static_owners()
+        homes = self.static_owners() if owners is None else owners
         queue_depths: list[int] = []
 
         while pending:
             queue_depths.append(len(pending))
-            puller = min(
-                (w for w in range(self.num_workers) if alive[w]),
-                key=lambda w: (times[w], w),
-                default=None,
-            )
+            if owners is not None:
+                puller = owners[pending[0].index]
+            else:
+                puller = min(
+                    (w for w in range(self.num_workers) if alive[w]),
+                    key=lambda w: (times[w], w),
+                    default=None,
+                )
             if puller is None:
                 raise SchedulingError(
                     f"all {self.num_workers} workers were killed by the failure "

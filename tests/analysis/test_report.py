@@ -105,10 +105,20 @@ class TestLoadImbalanceTable:
     def _metrics(self) -> ClusterMetrics:
         metrics = ClusterMetrics()
         metrics.node(0).add_worker(
-            3 * PS_PER_SECOND, 0, IOStats(), chunks_completed=4, chunks_stolen=1
+            3 * PS_PER_SECOND,
+            0,
+            IOStats(),
+            calc_ps=3 * PS_PER_SECOND,
+            chunks_completed=4,
+            chunks_stolen=1,
         )
         metrics.node(1).add_worker(
-            PS_PER_SECOND, 0, IOStats(), chunks_completed=2, chunks_retried=1
+            PS_PER_SECOND,
+            0,
+            IOStats(),
+            calc_ps=PS_PER_SECOND,
+            chunks_completed=2,
+            chunks_retried=1,
         )
         return metrics
 

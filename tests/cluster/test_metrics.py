@@ -21,8 +21,18 @@ def make_io(blocks: int = 1, device_ps: int = 0) -> IOStats:
 class TestNodeMetrics:
     def test_add_worker_accumulates(self):
         node = NodeMetrics(node_index=0)
-        node.add_worker(cpu_ps=PS, triangles=10, io_stats=make_io(device_ps=PS // 2))
-        node.add_worker(cpu_ps=2 * PS, triangles=5, io_stats=make_io(device_ps=PS // 4))
+        node.add_worker(
+            cpu_ps=PS,
+            triangles=10,
+            io_stats=make_io(device_ps=PS // 2),
+            calc_ps=3 * PS // 2,
+        )
+        node.add_worker(
+            cpu_ps=2 * PS,
+            triangles=5,
+            io_stats=make_io(device_ps=PS // 4),
+            calc_ps=9 * PS // 4,
+        )
         assert node.cpu_ps == 3 * PS
         assert node.io_stats.device_ps == 3 * PS // 4
         assert node.as_dict()["io_seconds"] == 0.75
@@ -32,14 +42,15 @@ class TestNodeMetrics:
 
     def test_calc_seconds_is_max_worker_time(self):
         node = NodeMetrics(node_index=0)
-        node.add_worker(PS, 0, make_io(device_ps=PS // 2))   # 1.5 s
-        node.add_worker(PS // 5, 0, make_io(device_ps=PS // 10))   # 0.3 s
+        # 1.5 s and 0.3 s
+        node.add_worker(PS, 0, make_io(device_ps=PS // 2), calc_ps=3 * PS // 2)
+        node.add_worker(PS // 5, 0, make_io(device_ps=PS // 10), calc_ps=3 * PS // 10)
         assert node.calc_ps == 3 * PS // 2
         assert node.as_dict()["calc_seconds"] == 1.5
 
     def test_total_seconds_includes_copy(self):
         node = NodeMetrics(node_index=1, copy_ps=2 * PS)
-        node.add_worker(PS, 0, make_io())
+        node.add_worker(PS, 0, make_io(), calc_ps=PS)
         assert node.total_ps == 3 * PS
 
     def test_as_dict_keys(self):
@@ -57,16 +68,20 @@ class TestClusterMetrics:
 
     def test_totals(self):
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(PS, 10, make_io(device_ps=PS // 2))
-        metrics.node(1).add_worker(2 * PS, 20, make_io(device_ps=3 * PS // 2))
+        metrics.node(0).add_worker(
+            PS, 10, make_io(device_ps=PS // 2), calc_ps=3 * PS // 2
+        )
+        metrics.node(1).add_worker(
+            2 * PS, 20, make_io(device_ps=3 * PS // 2), calc_ps=7 * PS // 2
+        )
         assert metrics.total_cpu_seconds == 3.0
         assert metrics.total_io_seconds == 2.0
         assert metrics.total_triangles == 30
 
     def test_calc_seconds_is_struggler_node(self):
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(PS, 0, make_io())
-        metrics.node(1).add_worker(4 * PS, 0, make_io())
+        metrics.node(0).add_worker(PS, 0, make_io(), calc_ps=PS)
+        metrics.node(1).add_worker(4 * PS, 0, make_io(), calc_ps=4 * PS)
         assert metrics.calc_seconds == 4.0
 
     def test_average_copy_excludes_master(self):
@@ -83,8 +98,10 @@ class TestClusterMetrics:
 
     def test_imbalance_ratio(self):
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(PS, 0, make_io())
-        metrics.node(1).add_worker(13 * PS // 10, 0, make_io())
+        metrics.node(0).add_worker(PS, 0, make_io(), calc_ps=PS)
+        metrics.node(1).add_worker(
+            13 * PS // 10, 0, make_io(), calc_ps=13 * PS // 10
+        )
         assert metrics.imbalance_ratio() == pytest.approx(1.3)
 
     def test_imbalance_ratio_empty(self):
@@ -102,8 +119,12 @@ class TestClusterMetrics:
 class TestChunkAccounting:
     def test_chunk_counters_accumulate(self):
         node = NodeMetrics(node_index=0)
-        node.add_worker(PS, 0, make_io(), chunks_completed=3, chunks_stolen=1)
-        node.add_worker(PS, 0, make_io(), chunks_completed=2, chunks_retried=1)
+        node.add_worker(
+            PS, 0, make_io(), calc_ps=PS, chunks_completed=3, chunks_stolen=1
+        )
+        node.add_worker(
+            PS, 0, make_io(), calc_ps=PS, chunks_completed=2, chunks_retried=1
+        )
         assert node.chunks_completed == 5
         assert node.chunks_stolen == 1
         assert node.chunks_retried == 1
@@ -111,15 +132,21 @@ class TestChunkAccounting:
 
     def test_static_defaults_count_one_unit_per_worker(self):
         node = NodeMetrics(node_index=0)
-        node.add_worker(PS, 0, make_io())
+        node.add_worker(PS, 0, make_io(), calc_ps=PS)
         assert node.chunks_completed == 1
         assert node.chunks_stolen == 0
 
     def test_cluster_chunk_totals(self):
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(PS, 0, make_io(), chunks_completed=4)
+        metrics.node(0).add_worker(PS, 0, make_io(), calc_ps=PS, chunks_completed=4)
         metrics.node(1).add_worker(
-            PS, 0, make_io(), chunks_completed=2, chunks_stolen=2, chunks_retried=1
+            PS,
+            0,
+            make_io(),
+            calc_ps=PS,
+            chunks_completed=2,
+            chunks_stolen=2,
+            chunks_retried=1,
         )
         assert metrics.total_chunks_completed == 6
         assert metrics.total_chunks_stolen == 2
@@ -127,25 +154,25 @@ class TestChunkAccounting:
 
     def test_worker_imbalance_is_max_over_mean(self):
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(3 * PS, 0, make_io())
-        metrics.node(0).add_worker(PS, 0, make_io())
-        metrics.node(1).add_worker(2 * PS, 0, make_io())
+        metrics.node(0).add_worker(3 * PS, 0, make_io(), calc_ps=3 * PS)
+        metrics.node(0).add_worker(PS, 0, make_io(), calc_ps=PS)
+        metrics.node(1).add_worker(2 * PS, 0, make_io(), calc_ps=2 * PS)
         # workers: 3.0, 1.0, 2.0 -> max 3.0 / mean 2.0
         assert metrics.worker_imbalance() == pytest.approx(1.5)
 
     def test_worker_imbalance_degenerate_cases(self):
         assert ClusterMetrics().worker_imbalance() == 1.0
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(0, 0, make_io())
+        metrics.node(0).add_worker(0, 0, make_io(), calc_ps=0)
         assert metrics.worker_imbalance() == 1.0
 
     def test_failed_workers_excluded_from_imbalance_sample(self):
         metrics = ClusterMetrics()
-        metrics.node(0).add_worker(2 * PS, 0, make_io())
-        metrics.node(0).add_worker(2 * PS, 0, make_io())
+        metrics.node(0).add_worker(2 * PS, 0, make_io(), calc_ps=2 * PS)
+        metrics.node(0).add_worker(2 * PS, 0, make_io(), calc_ps=2 * PS)
         # a killed worker's near-zero time must not deflate the mean
-        metrics.node(1).add_worker(0, 0, make_io(), failed=True)
+        metrics.node(1).add_worker(0, 0, make_io(), calc_ps=0, failed=True)
         assert metrics.worker_imbalance() == pytest.approx(1.0)
         # but an idle-yet-alive worker is genuine imbalance
-        metrics.node(1).add_worker(0, 0, make_io())
+        metrics.node(1).add_worker(0, 0, make_io(), calc_ps=0)
         assert metrics.worker_imbalance() == pytest.approx(1.5)

@@ -50,10 +50,6 @@ class TestValidation:
         assert cfg.straggler_spec == ((0, 1.5), (2, 3.0))
         assert cfg.straggler_factors == {0: 1.5, 2: 3.0}
 
-    def test_straggler_spec_requires_dynamic(self):
-        with pytest.raises(ConfigurationError):
-            PDTLConfig(procs_per_node=2, straggler_spec={0: 2.0})
-
     def test_straggler_spec_rejects_bad_factors_and_workers(self):
         with pytest.raises(ConfigurationError):
             PDTLConfig(procs_per_node=2, scheduling="dynamic", straggler_spec={0: 0.0})

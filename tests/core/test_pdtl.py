@@ -238,3 +238,53 @@ class TestSingleNodeEquivalence:
         pdtl = PDTLRunner(PDTLConfig()).run(graph)
         mgt = run_single_core_mgt(graph)
         assert pdtl.triangles == mgt.triangles
+
+
+class TestStragglersOnTheModelledTimeline:
+    """Every reported calc time is where the schedule replay ends a worker's
+    timeline, so a straggler factor reaches the cluster's times on both
+    plans: ``rmat(9, 8, seed=3)`` on 1 node x 2 procs, 8 KB per proc."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return CSRGraph.from_edgelist(rmat(9, edge_factor=8, seed=3))
+
+    @staticmethod
+    def _run(graph, scheduling, straggler_spec):
+        config = PDTLConfig(
+            num_nodes=1,
+            procs_per_node=2,
+            memory_per_proc="8KB",
+            modelled_cpu=True,
+            scheduling=scheduling,
+            straggler_spec=straggler_spec,
+            trace=True,
+        )
+        return PDTLRunner(config).run(graph)
+
+    def test_dynamic_straggler_reaches_the_cluster_calc_time(self, graph):
+        res = self._run(graph, "dynamic", {0: 10.0})
+        # the replay ends the straggler at 1,225,880,000 ps; an unscaled
+        # roll-up reported worker 1's 451,644,000 ps instead
+        assert res.metrics.nodes[0].calc_ps == 1_225_880_000
+        assert res.calc_seconds == 0.00122588
+        assert [w.calc_seconds for w in res.workers] == [0.00122588, 0.000451644]
+        times = [w.calc_ps for w in res.workers]
+        assert res.metrics.worker_imbalance() == max(times) * 2 / sum(times)
+        assert res.metrics.worker_imbalance() == pytest.approx(1.4615, abs=1e-4)
+        assert times == [track.finish_ps for track in res.telemetry.worker_tracks]
+
+    def test_straggler_stalls_a_static_run_and_the_queue_absorbs_it(self, graph):
+        fair = self._run(graph, "static", {})
+        slowed = self._run(graph, "static", {0: 4.0})
+        queued = self._run(graph, "dynamic", {0: 4.0})
+        # the pinned range stretches by exactly the factor
+        assert fair.workers[0].calc_ps == 192_968_000
+        assert slowed.workers[0].calc_ps == 4 * 192_968_000
+        assert slowed.workers[0].calc_seconds == 0.000771872
+        assert slowed.calc_seconds == 0.000771872
+        # pulling routes chunks away from the slow worker
+        assert queued.calc_seconds == 0.000490352
+        # a factor stretches the timeline, not the counted work
+        for name in ("total_cpu_seconds", "total_io_seconds", "network_messages"):
+            assert getattr(slowed, name) == getattr(fair, name), name

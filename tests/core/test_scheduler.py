@@ -127,6 +127,51 @@ class TestPullSchedule:
             DynamicScheduler(chunks, num_workers=2).schedule([1.0])
 
 
+class TestPinnedSchedule:
+    """``schedule(costs, owners=...)``: the static plan on the same replay."""
+
+    def test_each_chunk_runs_on_its_owner_after_the_last(self):
+        chunks = make_chunks(4, 1)
+        schedule = DynamicScheduler(
+            chunks, num_workers=3, straggler_factors={0: 2.0}
+        ).schedule([1, 2, 3, 4], owners=[0, 0, 1, 2])
+        assert schedule.assignments == [[0, 1], [2], [3]]
+        assert schedule.start_ps == [0, 2, 0, 0]
+        # the straggler factor scales each of its chunks once
+        assert schedule.charged_ps == [2, 4, 3, 4]
+        assert schedule.worker_ps == [6, 3, 4]
+        assert schedule.total_steals == 0
+        assert schedule.total_retries == 0
+
+    def test_pinning_matches_the_pull_replay_when_they_agree(self):
+        # one chunk per worker: the pull replay hands chunk w to worker w
+        chunks = make_chunks(3, 1)
+        scheduler = DynamicScheduler(chunks, num_workers=3)
+        pulled = scheduler.schedule([5, 1, 3])
+        pinned = scheduler.schedule([5, 1, 3], owners=[0, 1, 2])
+        assert pinned == pulled
+
+    def test_failure_spec_rejected(self):
+        # a pinned chunk has nowhere else to go: without the check its dead
+        # owner would get it back on every pull, forever
+        scheduler = DynamicScheduler(
+            make_chunks(4, 1), num_workers=4, failure_after={0: 0}
+        )
+        with pytest.raises(ConfigurationError):
+            scheduler.schedule([5] * 4, owners=[0, 1, 2, 3])
+
+    def test_owner_count_mismatch_rejected(self):
+        scheduler = DynamicScheduler(make_chunks(4, 1), num_workers=4)
+        with pytest.raises(ConfigurationError):
+            scheduler.schedule([5] * 4, owners=[0, 1, 2])
+
+    @pytest.mark.parametrize("owner", [-1, 4])
+    def test_owner_outside_the_crew_rejected(self, owner):
+        scheduler = DynamicScheduler(make_chunks(4, 1), num_workers=4)
+        with pytest.raises(ConfigurationError):
+            scheduler.schedule([5] * 4, owners=[0, 1, 2, owner])
+
+
 class TestFailureInjection:
     def test_failed_workers_chunk_is_reexecuted(self):
         chunks = make_chunks(6, 1)

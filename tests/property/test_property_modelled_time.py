@@ -7,7 +7,11 @@ the order or grouping of its terms.
   same totals for any permutation of the same chunk outcomes;
 * the shared-memory scan's one charge per chunk equals the streaming
   loop's per-read charges, at a rate that is no whole number of
-  picoseconds per byte (123 B/s) and at any seek latency.
+  picoseconds per byte (123 B/s) and at any seek latency;
+* every time a run reports -- the cluster's, each worker's and each
+  node's -- is where the schedule replay ends a worker timeline, under
+  random stragglers (both plans) and failures (dynamic), on every
+  backend, traced or not; a straggler stretches time, not counted work.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from repro.cluster.metrics import ClusterMetrics
 from repro.core.config import PDTLConfig
 from repro.core.mgt import MGTWorker
 from repro.core.orientation import orient_graph
+from repro.core.pdtl import PDTLRunner
 from repro.core.scheduler import make_chunks, merge_mgt_results
 from repro.core.shm import SharedGraphView, publish_graph, shm_available
 from repro.externalmem.blockio import BlockDevice, DiskModel
@@ -27,7 +32,7 @@ from repro.externalmem.iostats import IOStats
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat
-from repro.utils import ps_per_unit, whole_ps
+from repro.utils import ps_per_unit, ps_seconds, whole_ps
 
 SETTINGS = dict(
     max_examples=25,
@@ -113,7 +118,10 @@ def _roll_up(results, owners, chunk_order, worker_order, procs_per_node: int):
     metrics = ClusterMetrics()
     for w in worker_order:
         metrics.node(w // procs_per_node).add_worker(
-            merged[w].cpu_ps, merged[w].triangles, merged[w].io_stats
+            merged[w].cpu_ps,
+            merged[w].triangles,
+            merged[w].io_stats,
+            calc_ps=merged[w].calc_ps,
         )
     return [merged[w] for w in sorted(merged)], metrics
 
@@ -180,3 +188,97 @@ def test_shared_scan_charge_equals_streaming_reads(oriented_123, seek, bounds):
             view.close()
     assert shared.io_stats.as_dict() == streaming.io_stats.as_dict()
     assert shared.calc_ps == streaming.calc_ps
+
+
+#: 2 nodes x 2 procs; a failure spec leaves at least one worker alive
+PROCS_PER_NODE, WORKERS = 2, 4
+STRAGGLERS = st.dictionaries(
+    st.integers(0, WORKERS - 1), st.floats(0.25, 8.0), max_size=WORKERS
+)
+FAILURES = st.dictionaries(
+    st.integers(0, WORKERS - 1), st.integers(0, 2), max_size=WORKERS - 1
+)
+PLAN_BACKENDS = [("serial", False), ("processes", False)] + (
+    [("processes", True)] if shm_available()[0] else []
+)
+
+
+def _plan_run(graph, scheduling, backend="serial", shm=False, trace=False, **injections):
+    config = PDTLConfig(
+        num_nodes=WORKERS // PROCS_PER_NODE,
+        procs_per_node=PROCS_PER_NODE,
+        memory_per_proc=4096,
+        block_size=512,
+        modelled_cpu=True,
+        scheduling=scheduling,
+        shm=shm,
+        trace=trace,
+        **injections,
+    )
+    return PDTLRunner(config, backend=backend).run(graph)
+
+
+def _reported_times(result):
+    """Every per-worker, per-node and cluster time the result reports."""
+    return (
+        result.calc_seconds,
+        [(w.calc_ps, w.calc_seconds) for w in result.workers],
+        [(n.calc_ps, n.worker_calc_ps) for n in result.metrics.nodes],
+        result.metrics.worker_imbalance(),
+    )
+
+
+@pytest.fixture(scope="module")
+def plan_graph():
+    return CSRGraph.from_edgelist(rmat(7, edge_factor=8, seed=17))
+
+
+@pytest.fixture(scope="module")
+def uninjected(plan_graph):
+    return {
+        scheduling: _plan_run(plan_graph, scheduling)
+        for scheduling in ("static", "dynamic")
+    }
+
+
+@pytest.mark.parametrize("scheduling", ["static", "dynamic"])
+@given(stragglers=STRAGGLERS, data=st.data())
+@settings(**{**SETTINGS, "max_examples": 5})
+def test_every_reported_time_is_the_replays(
+    plan_graph, uninjected, scheduling, stragglers, data
+):
+    injections = dict(straggler_spec=stragglers)
+    if scheduling == "dynamic":
+        injections["failure_spec"] = data.draw(FAILURES, label="failures")
+    reference = None
+    for backend, shm in PLAN_BACKENDS:
+        label = f"{backend}/shm={shm}"
+        traced = _plan_run(plan_graph, scheduling, backend, shm, True, **injections)
+        ends = [track.finish_ps for track in traced.telemetry.worker_tracks]
+        assert [w.calc_ps for w in traced.workers] == ends, label
+        assert traced.calc_seconds == ps_seconds(max(ends)), label
+        for worker, end in zip(traced.workers, ends):
+            assert worker.calc_seconds == ps_seconds(end), label
+        alive = []
+        for node in traced.metrics.nodes:
+            on_node = traced.workers[
+                node.node_index * PROCS_PER_NODE : (node.node_index + 1) * PROCS_PER_NODE
+            ]
+            assert node.calc_ps == max(w.calc_ps for w in on_node), label
+            assert node.worker_calc_ps == [
+                w.calc_ps for w in on_node if not w.failed
+            ], label
+            alive += node.worker_calc_ps
+        assert traced.metrics.worker_imbalance() == (
+            max(alive) * len(alive) / sum(alive) if sum(alive) else 1.0
+        ), label
+        untraced = _plan_run(plan_graph, scheduling, backend, shm, False, **injections)
+        assert _reported_times(untraced) == _reported_times(traced), label
+        reference = reference or _reported_times(traced)
+        assert _reported_times(traced) == reference, label
+        # a factor stretches the timeline, not the work each chunk was counted
+        for name in ("total_cpu_seconds", "total_io_seconds"):
+            assert getattr(traced, name) == getattr(uninjected[scheduling], name), (
+                label,
+                name,
+            )

@@ -219,8 +219,9 @@ def _triangle_table(
 
     n = graph.num_vertices
     orient_range = kernel_backend.fused("orient_range") or _orient_range_numpy
-    out_degrees, indices = orient_range(
-        graph.indices, degree_order_keys(graph.degrees), graph.indptr, 0, n
+    out_degrees, indices, _ = orient_range(
+        graph.indices, degree_order_keys(graph.degrees), graph.indptr, 0, n,
+        np.empty(n, dtype=np.int64), np.empty(graph.num_edges, dtype=np.int64),
     )
     sources = np.repeat(np.arange(n, dtype=np.int64), out_degrees)
     if oriented_edges is not None:

@@ -109,7 +109,8 @@ def _self_check(registry: dict[str, Callable]) -> None:
     are compared with their numpy twins; the fused kernels with the
     one-triangle answer their numpy caller chains produce, and the
     preprocessing kernels with the graph's orientation, transpose and
-    format check.
+    format check; the orientation filter also on lists with each format
+    fault.
     """
 
     def i64(*values: int) -> np.ndarray:
@@ -150,8 +151,8 @@ def _self_check(registry: dict[str, Callable]) -> None:
         # (degree keys 2|0, 2|1, 2|2, 0|3) into the graph above
         "orient_range": (
             (i64(1, 2, 0, 2, 0, 1), (i64(2, 2, 2, 0) << 32) | i64(0, 1, 2, 3),
-             i64(0, 2, 4, 6, 6), 0, 4),
-            (i64(2, 1, 0, 0), indices),
+             i64(0, 2, 4, 6, 6), 0, 4, np.empty(4, np.int64), np.empty(6, np.int64)),
+            (i64(2, 1, 0, 0), indices, (-1, -1, -1)),
         ),
         # the graph's in-lists
         "in_lists": (
@@ -173,6 +174,13 @@ def _self_check(registry: dict[str, Callable]) -> None:
         ("mgt_chunk_scan", (
             (*chunk_scan, kernels.EMIT_POSITIONS, False),
             (1, 1, 1, [tri], None, None, None, None),
+        )),
+        # the filter's format check: 0 -> [2, 1] decreases, 1 -> [0, 1, 2]
+        # loops and 2 -> [0, 1, 1] repeats (degree keys 2|0, 3|1, 3|2, 0|3)
+        ("orient_range", (
+            (i64(2, 1, 0, 1, 2, 0, 1, 1), (i64(2, 3, 3, 0) << 32) | i64(0, 1, 2, 3),
+             i64(0, 2, 5, 8, 8), 0, 4, np.empty(4, np.int64), np.empty(8, np.int64)),
+            (i64(2, 1, 0, 0), i64(2, 1, 2), (0, 1, 2)),
         )),
     ]
     for name, (args, want) in checks:

@@ -21,8 +21,9 @@ Semantics are pinned to the numpy twins in
   walked entry that is marked.  The u-major walks keep the membership
   semantics above (the walked lists hold the queries); the chunk scan
   walks ``N(u)`` against the marked ``E_v``, which finds the same hits
-  in the same order on strictly increasing lists, the format
-  ``write_graph`` checks every oriented file for.  The scratch is
+  in the same order on strictly increasing lists: the orientation
+  filter checks every input list for that, and an oriented list is a
+  sub-list of an input list.  The scratch is
   allocated per call, except ``mgt_block_scan``'s: the streaming scan
   calls it once per scan block of every window, so it takes the
   caller's all-zero array and leaves it all zero.  The scratch sits
@@ -61,8 +62,11 @@ Semantics are pinned to the numpy twins in
   not depend on it), which its numpy twin reproduces;
 * the master's preprocessing kernels match the numpy code they replace:
   ``orient_range`` keeps the entries the orientation's numpy filter keeps,
-  in storage order, and reports an id outside the graph before reading at
-  it; ``in_lists`` builds the published int32 in-lists byte for byte and
+  in storage order, writing them and the out-degrees into the caller's
+  arrays; it reports an id outside the graph before reading at it, and
+  the first unsorted list, self loop and duplicate among the lists it
+  reads, which ``csr_violations`` would find in them;
+  ``in_lists`` builds the published int32 in-lists byte for byte and
   raises the numpy twin's error at an id outside the graph;
   ``csr_violations`` finds the first vertex of each format violation, so
   ``write_graph`` raises the numpy checks' error.
@@ -131,7 +135,7 @@ void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
                         int64_t *inc_ptr, int64_t *inc_tri, int64_t *cursor);
 int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
                           const int64_t *offsets, int64_t lo, int64_t hi,
-                          int64_t *out_degrees, int64_t *kept);
+                          int64_t *out_degrees, int64_t *kept, int64_t *faults);
 int64_t pdtl_in_lists(const int64_t *offsets, const int64_t *adj, int64_t n,
                       int64_t *in_offsets, int32_t *in_sources);
 void pdtl_csr_violations(const int64_t *indptr, const int64_t *indices, int64_t n,
@@ -602,26 +606,45 @@ void pdtl_incidence_csr(const int64_t *flat, int64_t nslots, int64_t m,
     }
 }
 
+/* the format faults of list u (its entries list[0..len)), recorded where
+ * none is yet: faults[0] takes u if the list decreases somewhere,
+ * faults[1] if it holds u, faults[2] if two adjacent entries are equal. */
+static void pdtl_list_faults(const int64_t *list, int64_t len, int64_t u,
+                             int64_t *faults) {
+    for (int64_t i = 0; i < len; i++) {
+        if (list[i] == u && faults[1] < 0) faults[1] = u;
+        if (i && list[i] < list[i - 1] && faults[0] < 0) faults[0] = u;
+        if (i && list[i] == list[i - 1] && faults[2] < 0) faults[2] = u;
+    }
+}
+
 /* the orientation filter of the vertex chunk [lo, hi): keep each entry
  * (u, v) with keys[u] < keys[v], in storage order, and count the kept
  * entries of every vertex.  adj holds the chunk's entries only (its first
  * is entry offsets[lo]).  The keep is branch-free: every entry is written
- * and the cursor advances by the comparison.  Returns the kept count, or
- * -1 - u for the first vertex u listing an id outside [0, n), before keys
- * is read at that id. */
+ * and the cursor advances by the comparison.  The same walk checks the
+ * format with one flag per list, set by an entry that is not above its
+ * predecessor or that is u itself; only a flagged list is walked again,
+ * to tell the faults apart (pdtl_list_faults; the caller sets faults to
+ * -1).  Returns the kept count, or -1 - u for the first vertex u listing
+ * an id outside [0, n), before keys is read at that id. */
 int64_t pdtl_orient_range(const int64_t *adj, const int64_t *keys, int64_t n,
                           const int64_t *offsets, int64_t lo, int64_t hi,
-                          int64_t *out_degrees, int64_t *kept) {
+                          int64_t *out_degrees, int64_t *kept, int64_t *faults) {
     int64_t nk = 0, p = 0;
     for (int64_t u = lo; u < hi; u++) {
-        const int64_t ku = keys[u], first = nk, end = offsets[u + 1] - offsets[lo];
+        const int64_t ku = keys[u], first = nk, start = p, end = offsets[u + 1] - offsets[lo];
+        int64_t prev = -1, flagged = 0;
         for (; p < end; p++) {
             int64_t v = adj[p];
             if ((uint64_t)v >= (uint64_t)n) return -1 - u;
+            flagged |= (v <= prev) | (v == u);
+            prev = v;
             kept[nk] = v;
             nk += ku < keys[v];
         }
         out_degrees[u - lo] = nk - first;
+        if (flagged) pdtl_list_faults(adj + start, end - start, u, faults);
     }
     return nk;
 }
@@ -1054,7 +1077,7 @@ def build_registry() -> dict[str, Callable]:
             )
         return inc_ptr, inc_tri
 
-    def orient_range(adjacency, keys, offsets, lo, hi):
+    def orient_range(adjacency, keys, offsets, lo, hi, out_degrees, kept):
         adjacency = as_i64(adjacency)
         keys = as_i64(keys)
         offsets = as_i64(offsets)
@@ -1069,12 +1092,18 @@ def build_registry() -> dict[str, Callable]:
             and offsets[hi] - offsets[lo] == adjacency.shape[0]
         ):
             raise ValueError("chunk [lo, hi) does not fit the offsets and adjacency")
-        out_degrees = np.empty(hi - lo, dtype=np.int64)
-        kept = np.empty(adjacency.shape[0], dtype=np.int64)
+        for out, fits in ((out_degrees, hi - lo == out_degrees.shape[0]),
+                          (kept, adjacency.shape[0] <= kept.shape[0])):
+            if out.dtype != np.int64 or out.ndim != 1 or not out.flags.c_contiguous or not fits:
+                raise TypeError(
+                    "outputs must be contiguous int64 arrays: out_degrees one entry "
+                    "per chunk vertex, kept room for every chunk entry"
+                )
+        faults = np.full(3, -1, dtype=np.int64)
         nkept = int(
             lib.pdtl_orient_range(
                 ptr(adjacency), ptr(keys), n, ptr(offsets), lo, hi,
-                wptr(out_degrees), wptr(kept),
+                wptr(out_degrees), wptr(kept), wptr(faults),
             )
         )
         if nkept < 0:
@@ -1084,7 +1113,7 @@ def build_registry() -> dict[str, Callable]:
             raise _out_of_range(adjacency, offsets, lo, n) or RuntimeError(
                 f"orient_range flagged vertex {-1 - nkept}, but every id lies in [0, {n})"
             )
-        return out_degrees, kept[:nkept]
+        return out_degrees, kept[:nkept], (int(faults[0]), int(faults[1]), int(faults[2]))
 
     def in_lists(offsets, adjacency, in_offsets, in_sources):
         offsets = as_i64(offsets)

@@ -17,7 +17,7 @@ Two code paths are provided:
   read into memory (the paper assumes ``|V| < P·M``), the adjacency file
   is split into ``num_chunks`` contiguous vertex chunks (one per master
   core in a PDTL run, the "multicore orientation" of section IV-B1) that
-  are stream-filtered one after another and concatenated in order.  Each
+  are stream-filtered one after another into one output array.  Each
   chunk's filter is one branch-free pass of the C tier's ``orient_range``
   kernel, or its numpy twin :func:`_orient_range_numpy` (the reference
   the kernel is tested against, with :func:`orient_csr`).  Either raises
@@ -27,6 +27,16 @@ Two code paths are provided:
   than the same chunks in sequence (README, "Preprocessing"), so the
   chunks run in sequence.
 
+The filter is also the format check, the only one a PDTL run makes: it
+reads every input list once, and in the same pass finds the first
+unsorted list, self loop and duplicate entry, so :func:`orient_graph`
+raises the error :func:`~repro.graph.binfmt.write_graph` raises for them
+before it writes anything.  Since orientation only *removes* entries, every
+oriented list is a sub-list of a checked list, sorted, loop-free and
+duplicate-free, the invariants the modified MGT needs; the output is
+written without a second check and returned in memory as well
+(:attr:`OrientationResult.graph`).
+
 The chunk decomposition fixes the I/O accounting: the master charges one
 degree-file scan plus one adjacency read per chunk **in chunk order**
 (:meth:`repro.externalmem.blockio.BlockDevice.charge_read`), while the
@@ -34,10 +44,6 @@ chunk compute reads the bytes below the accounting (raw ``np.fromfile``).
 The oriented file bytes do not depend on the chunk count, and IOStats,
 modelled device time included, depend on it only through the number of
 charged reads -- the equivalence suite asserts this, it is not assumed.
-
-Because both the input and output adjacency files are sorted by source and
-then destination, and orientation only *removes* entries, the output
-automatically satisfies the sortedness invariant the modified MGT needs.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ from repro.core import kernel_backend, kernels
 from repro.errors import GraphFormatError
 from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import GraphFile, write_graph
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import FORMAT_VIOLATIONS, CSRGraph
 from repro.utils import Timer, chunk_ranges, prefix_sums
 
 __all__ = [
@@ -69,10 +75,14 @@ class OrientationResult:
     ``in_degrees`` holds ``d_G(v) - d_G*(v)`` for every vertex -- the number
     of *incoming* oriented edges -- which is exactly the per-vertex weight
     the load-balancing step uses to split edge ranges (section IV-B1).
-    The modelled I/O of the orientation is in the devices' ``IOStats``.
+    ``graph`` is ``oriented`` in memory, the arrays its files were written
+    from: the shared-memory publication and the edge-support result read
+    it instead of the files.  The modelled I/O of the orientation is in the
+    devices' ``IOStats``.
     """
 
     oriented: GraphFile
+    graph: CSRGraph
     max_out_degree: int
     out_degrees: np.ndarray
     in_degrees: np.ndarray
@@ -130,50 +140,50 @@ def orient_csr(graph: CSRGraph) -> CSRGraph:
     return CSRGraph(new_indptr, new_indices, directed=True)
 
 
-def _orient_chunk(
-    adjacency_path: str,
+def _orient_range_numpy(
+    adjacency: np.ndarray,
     keys: np.ndarray,
     offsets: np.ndarray,
-    vertex_range: tuple[int, int],
-    orient_range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orient the vertex chunk ``[lo, hi)``; returns (per-vertex oriented
-    out-degrees, filtered adjacency).
-
-    The adjacency window is read raw from the host file, below the
-    accounting on purpose: the master charges every chunk's modelled read
-    itself, in chunk order, before any chunk is filtered.  ``orient_range``
-    is the filter: the C
-    tier's one-pass kernel, or its numpy twin :func:`_orient_range_numpy`.
-    """
-    lo, hi = vertex_range
-    count = int(offsets[hi] - offsets[lo])
-    if count == 0:
-        return np.zeros(hi - lo, dtype=np.int64), np.empty(0, dtype=np.int64)
-    adjacency = np.fromfile(
-        adjacency_path, dtype=np.int64, count=count, offset=int(offsets[lo]) * 8
-    )
-    return orient_range(adjacency, keys, offsets, lo, hi)
-
-
-def _orient_range_numpy(
-    adjacency: np.ndarray, keys: np.ndarray, offsets: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray]:
+    lo: int,
+    hi: int,
+    out_degrees: np.ndarray,
+    kept: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """The orientation filter of the chunk ``[lo, hi)`` whose entries are
     ``adjacency``: one vectorised key comparison and one ``bincount``, no
     per-edge Python.
 
-    An id outside ``[0, n)`` raises :class:`GraphFormatError` naming the
-    first vertex that lists one: ``keys[adjacency]`` would raise a bare
-    ``IndexError`` for a large id and silently wrap a negative one.
+    Writes the chunk's oriented out-degrees into ``out_degrees`` and its
+    kept entries to the front of ``kept``, and returns them with the
+    chunk's format faults (:func:`_list_faults`).  An id outside ``[0, n)``
+    raises :class:`GraphFormatError` naming the first vertex that lists
+    one: ``keys[adjacency]`` would raise a bare ``IndexError`` for a large
+    id and silently wrap a negative one.
     """
     error = _out_of_range(adjacency, offsets, lo, keys.shape[0])
     if error is not None:
         raise error
     sources = kernels.window_sources(offsets, lo, hi)
     keep = keys[sources] < keys[adjacency]
-    out_degrees = np.bincount(sources[keep] - lo, minlength=hi - lo).astype(np.int64)
-    return out_degrees, adjacency[keep]
+    out_degrees[:] = np.bincount(sources[keep] - lo, minlength=hi - lo)
+    kept = kept[: int(out_degrees.sum())]
+    np.compress(keep, adjacency, out=kept)
+    return out_degrees, kept, _list_faults(adjacency, sources)
+
+
+def _list_faults(adjacency: np.ndarray, sources: np.ndarray) -> tuple[int, int, int]:
+    """The first vertex whose list decreases, the first that lists itself
+    and the first with two equal adjacent entries, ``-1`` where there is
+    none: the three checks of :data:`~repro.graph.csr.FORMAT_VIOLATIONS`
+    over the entries ``adjacency`` of the lists ``sources``."""
+    step = np.diff(adjacency)
+    same = sources[1:] == sources[:-1]
+    firsts = []
+    for faulty, shift in ((same & (step < 0), 1), (adjacency == sources, 0),
+                          (same & (step == 0), 1)):
+        at = np.flatnonzero(faulty)
+        firsts.append(int(sources[at[0] + shift]) if at.shape[0] else -1)
+    return firsts[0], firsts[1], firsts[2]
 
 
 def _out_of_range(
@@ -190,6 +200,29 @@ def _out_of_range(
         f"adjacency list of vertex {vertex} holds id {int(adjacency[position])} "
         f"outside the graph's vertices [0, {n})"
     )
+
+
+def _input_offsets(source: GraphFile, degrees: np.ndarray) -> np.ndarray:
+    """The input's vertex offsets, once the files are known to hold what
+    the metadata says: the filter reads the adjacency raw at them."""
+    n, m = source.num_vertices, source.num_edges
+    for name, size, want in (
+        (source.adjacency_file_name, source.device.file_size(source.adjacency_file_name), m),
+        (source.degree_file_name, 8 * degrees.shape[0], n),
+    ):
+        if size < 8 * want:
+            raise GraphFormatError(
+                f"{name} holds {size} bytes, its graph's metadata says {8 * want}"
+            )
+    offsets = prefix_sums(degrees)
+    if offsets[n] != m:
+        raise GraphFormatError(
+            f"degree sum {int(offsets[n])} does not match adjacency length {m}"
+        )
+    if n and degrees.min() < 0:
+        v = int(np.argmax(degrees < 0))
+        raise GraphFormatError(f"vertex {v} has negative degree {int(degrees[v])}")
+    return offsets
 
 
 def orient_graph(
@@ -211,10 +244,21 @@ def orient_graph(
     num_chunks:
         number of contiguous vertex ranges the adjacency file is split
         into (the master's cores in a PDTL run); each is filtered on its
-        own and the results are concatenated in order.
+        own, in order, into one output array.
 
     The I/O accounting is one degree-file read plus one charged adjacency
     read per chunk in chunk order, then the output writes.
+
+    This is the one reader of the input's files and lists, so it checks
+    them, raising :class:`~repro.errors.GraphFormatError`: files shorter
+    than the metadata says, a degree sum that is not the adjacency length
+    or a negative degree before any list is read; an id outside the graph
+    where the filter meets it; and an unsorted list, a self loop or a
+    duplicate entry with :func:`~repro.graph.binfmt.write_graph`'s error
+    for them, with its precedence over the whole graph, once every chunk
+    is filtered.  Nothing is written before these checks pass, and the
+    oriented lists, each a sub-list of a checked list, are written
+    unchecked.
     """
     if source.directed:
         raise ValueError("orient_graph expects an undirected on-disk graph")
@@ -225,7 +269,7 @@ def orient_graph(
 
     timer = Timer().start()
     degrees = source.read_degrees()
-    offsets = prefix_sums(degrees)
+    offsets = _input_offsets(source, degrees)
     keys = degree_order_keys(degrees)
     ranges = chunk_ranges(source.num_vertices, num_chunks)
 
@@ -238,32 +282,41 @@ def orient_graph(
         if count:
             source.device.charge_read(adjacency_name, int(offsets[lo]) * 8, count * 8)
 
+    # each chunk's window is read raw, below the accounting, and filtered
+    # into the tail of one array with room for every input entry
     adjacency_path = str(source.device.path(adjacency_name))
     orient_range = kernel_backend.fused("orient_range") or _orient_range_numpy
-    results = [
-        _orient_chunk(adjacency_path, keys, offsets, r, orient_range) for r in ranges
-    ]
+    out_degrees = np.empty(source.num_vertices, dtype=np.int64)
+    kept = np.empty(source.num_edges, dtype=np.int64)
+    num_kept = 0
+    faults = (-1, -1, -1)
+    for lo, hi in ranges:
+        count = int(offsets[hi] - offsets[lo])
+        adjacency = (
+            np.fromfile(adjacency_path, dtype=np.int64, count=count, offset=int(offsets[lo]) * 8)
+            if count
+            else np.empty(0, dtype=np.int64)
+        )
+        _, chunk_kept, chunk_faults = orient_range(
+            adjacency, keys, offsets, lo, hi, out_degrees[lo:hi], kept[num_kept:]
+        )
+        num_kept += chunk_kept.shape[0]
+        # the chunks run in vertex order: the first fault found stays first
+        faults = tuple(f if f >= 0 else c for f, c in zip(faults, chunk_faults))
+    for message, vertex in zip(FORMAT_VIOLATIONS, faults):
+        if vertex >= 0:
+            raise GraphFormatError(message.format(vertex))
 
-    out_degree_parts = [r[0] for r in results]
-    adjacency_parts = [r[1] for r in results]
-    out_degrees = (
-        np.concatenate(out_degree_parts)
-        if out_degree_parts
-        else np.empty(0, dtype=np.int64)
+    graph = CSRGraph(
+        prefix_sums(out_degrees), kept[:num_kept], directed=True, _degrees=out_degrees
     )
-    adjacency = (
-        np.concatenate(adjacency_parts)
-        if adjacency_parts
-        else np.empty(0, dtype=np.int64)
-    )
-    # the concatenation is fresh: the graph adopts it instead of a copy
-    oriented_csr = CSRGraph(prefix_sums(out_degrees), adjacency, directed=True)
-    oriented_file = write_graph(device, output_name, oriented_csr)
+    oriented_file = write_graph(device, output_name, graph, check=False)
     timer.stop()
 
     in_degrees = degrees - out_degrees
     return OrientationResult(
         oriented=oriented_file,
+        graph=graph,
         max_out_degree=int(out_degrees.max()) if out_degrees.size else 0,
         out_degrees=out_degrees,
         in_degrees=in_degrees,

@@ -46,7 +46,7 @@ from repro.core.scheduler import (
     merge_mgt_results,
     resolve_chunk_edges,
 )
-from repro.core.triangles import CHUNK_SINK_KINDS, Triangle, oriented_edge_array
+from repro.core.triangles import CHUNK_SINK_KINDS, Triangle
 from repro.errors import ConfigurationError
 from repro.externalmem.blockio import DiskModel
 from repro.graph.binfmt import GraphFile, write_graph
@@ -259,7 +259,9 @@ class PDTLRunner:
             return graph.copy_to(cluster.master.device, graph.name)
         if graph.directed:
             raise ConfigurationError("PDTL expects an undirected input graph")
-        return write_graph(cluster.master.device, "input", graph)
+        # unchecked: the orientation filter, the next reader, checks every
+        # list and raises the error write_graph's walk would
+        return write_graph(cluster.master.device, "input", graph, check=False)
 
     def _result_payload(self, sink_kind: str, triangles: int, graph: GraphFile) -> int:
         """Bytes of one result message from a worker to the master."""
@@ -306,8 +308,9 @@ class PDTLRunner:
         ]
         return run_task_queue(tasks, execute_chunk_task, backend=self.backend)
 
-    def _publish_shared(self, oriented: GraphFile):
-        """Publish the oriented graph to shared memory when configured.
+    def _publish_shared(self, oriented: CSRGraph):
+        """Publish the oriented graph, from memory, to shared memory when
+        configured.
 
         Returns the publication (owning the segments) or ``None``.  On a
         host without POSIX shared memory the runner degrades to the
@@ -396,8 +399,9 @@ class PDTLRunner:
         cluster.metrics.setup_io_stats = master_stats.delta(setup_baseline)
 
         # Step 4: MGT execution on the host backend (placement-independent).
-        # With shm enabled the oriented adjacency is published once into
-        # named shared-memory segments; the publication is unlinked in the
+        # With shm enabled the oriented graph is published once, from the
+        # orientation's in-memory arrays, into named shared-memory
+        # segments; the publication is unlinked in the
         # finally below even when a task raises (failure injection, worker
         # crash), so no segment ever outlives the run.  A pinned range reads
         # its node's replica, as in the paper; a queued chunk the master's.
@@ -405,7 +409,7 @@ class PDTLRunner:
             local_graphs[0 if owners is None else owners[i] // config.procs_per_node]
             for i in range(len(chunks))
         ]
-        publication = self._publish_shared(oriented)
+        publication = self._publish_shared(orientation.graph)
         try:
             with tracer.span(
                 "triangle_scan", cat="phase", units=len(chunks), sink=sink_kind
@@ -455,7 +459,7 @@ class PDTLRunner:
             edge_supports = np.zeros(oriented.num_edges, dtype=np.int64)
             for outcome in outcomes:
                 edge_supports[outcome.support_positions] += outcome.support_counts
-            oriented_edges = oriented_edge_array(oriented)
+            oriented_edges = orientation.graph.edge_array()
 
         telemetry: RunTelemetry | None = None
         if tracing:

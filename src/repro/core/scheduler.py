@@ -453,7 +453,8 @@ class ScheduleResult:
     retried: list[list[int]]
     failed_workers: list[int] = field(default_factory=list)
     #: queue depth observed at every pull attempt (including the pull on
-    #: which a worker dies), in pull order -- deterministic observability
+    #: which a worker dies), in pull order -- deterministic observability;
+    #: empty for a pinned plan, which has no queue to pull from
     queue_depths: list[int] = field(default_factory=list)
 
     @property
@@ -585,10 +586,10 @@ class DynamicScheduler:
         queue_depths: list[int] = []
 
         while pending:
-            queue_depths.append(len(pending))
             if owners is not None:
                 puller = owners[pending[0].index]
             else:
+                queue_depths.append(len(pending))
                 puller = min(
                     (w for w in range(self.num_workers) if alive[w]),
                     key=lambda w: (times[w], w),

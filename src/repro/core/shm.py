@@ -8,11 +8,11 @@ the oriented graph **once** into named :mod:`multiprocessing.shared_memory`
 segments so workers slice memory windows zero-copy:
 
 * :func:`publish_graph` writes what the window scan reads into four named
-  segments: the adjacency array of an on-disk oriented graph, its vertex
-  offsets (the prefix sums of its degree file) and its in-neighbour lists
-  (``in_offsets``, and ``in_sources`` as int32, built by the C tier's
-  ``in_lists`` counting sort), and returns a
-  :class:`SharedGraphPublication` whose small
+  segments: the adjacency array of the oriented graph the master holds in
+  memory after orienting it, its vertex offsets (its ``indptr``) and its
+  in-neighbour lists (``in_offsets``, and ``in_sources`` as int32, built
+  by the C tier's ``in_lists`` counting sort), each with one ``pwrite``,
+  and returns a :class:`SharedGraphPublication` whose small
   :class:`SharedGraphDescriptor` (segment names + dtypes + shapes) is all
   that ever crosses a process boundary;
 * :class:`SharedGraphView` reconstructs zero-copy, read-only numpy views
@@ -28,9 +28,9 @@ segments so workers slice memory windows zero-copy:
 
 Everything here sits strictly below the accounting layer, like the fd
 cache in :mod:`repro.externalmem.blockio`: the
-publication reads the graph files raw (no block charges), and a view never
-touches an :class:`~repro.externalmem.iostats.IOStats` counter -- the MGT
-worker keeps charging its modelled reads exactly as before.
+publication reads no file at all, and a view never touches an
+:class:`~repro.externalmem.iostats.IOStats` counter -- the MGT worker keeps
+charging its modelled reads exactly as before.
 
 Platform notes
 --------------
@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import os
 import threading
-import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +62,7 @@ import numpy as np
 from repro.core import kernel_backend, kernels
 from repro.errors import GraphFormatError, PDTLError
 from repro.externalmem.blockio import DiskModel
-from repro.graph.binfmt import GraphFile
+from repro.graph.csr import CSRGraph
 from repro.utils import prefix_sums
 
 __all__ = [
@@ -92,10 +91,12 @@ _AVAILABLE: tuple[bool, str] | None = None
 def shm_available() -> tuple[bool, str]:
     """Probe (once) whether POSIX shared memory works on this host.
 
-    Returns ``(True, "")`` when a tiny segment can be created, attached and
+    Returns ``(True, "")`` when a tiny segment can be created, filled the
+    way :func:`publish_graph` fills one (through its descriptor) and
     unlinked; otherwise ``(False, reason)`` so callers can skip or fall
-    back with an explanation (e.g. no ``/dev/shm`` mount, or a platform
-    without :mod:`multiprocessing.shared_memory`).
+    back with an explanation (e.g. no ``/dev/shm`` mount, a platform
+    without :mod:`multiprocessing.shared_memory`, or one whose segments
+    take no ``pwrite``).
     """
     global _AVAILABLE
     if _AVAILABLE is not None:
@@ -105,7 +106,7 @@ def shm_available() -> tuple[bool, str]:
 
         probe = shared_memory.SharedMemory(create=True, size=8)
         try:
-            probe.buf[0] = 1
+            _fill_segment(probe, np.ones(8, dtype=np.uint8))
         finally:
             probe.close()
             probe.unlink()
@@ -272,22 +273,6 @@ class SharedGraphPublication:
             pass
 
 
-def _read_into(graph: GraphFile, file_name: str, out: np.ndarray) -> None:
-    """Fill ``out`` from the start of a graph file, straight from the host
-    path and below the accounting."""
-    view = memoryview(out).cast("B")
-    with open(graph.device.path(file_name), "rb", buffering=0) as handle:
-        filled = 0
-        while filled < len(view):
-            got = handle.readinto(view[filled:])
-            if not got:
-                raise GraphFormatError(
-                    f"{file_name} holds {filled} bytes, its graph's metadata says "
-                    f"{len(view)}"
-                )
-            filled += got
-
-
 def _in_lists_numpy(
     offsets: np.ndarray,
     adjacency: np.ndarray,
@@ -313,66 +298,73 @@ def _in_lists_numpy(
     return in_offsets, in_sources
 
 
-def publish_graph(graph: GraphFile) -> SharedGraphPublication:
-    """Publish an on-disk oriented graph into named shared-memory segments.
+def _fill_segment(shm, array: np.ndarray) -> None:
+    """Write ``array`` into the fresh segment ``shm`` through its file
+    descriptor, from the start.
+
+    One ``os.pwrite`` fills a segment of this reproduction's sizes; the
+    loop only serves a short write.  Filling through the descriptor, never
+    through the creator's writable mapping, spares the master one page
+    fault per page of the segment.
+    """
+    data = memoryview(array).cast("B")
+    written = 0
+    while written < len(data):
+        # a POSIX SharedMemory keeps its segment's descriptor open as _fd
+        written += os.pwrite(shm._fd, data[written:], written)
+
+
+def publish_graph(graph: CSRGraph) -> SharedGraphPublication:
+    """Publish an oriented graph held in memory into named shared-memory
+    segments.
 
     One copy per host, of what the window scan reads: the adjacency array,
-    the vertex offsets and the in-neighbour lists (see
-    :class:`SharedGraphDescriptor`) each get a segment named after a fresh
-    publication token.  Every published array is written straight into its
-    segment: the adjacency file is read into its segment raw (below the
-    accounting, so no I/O counter anywhere moves -- publication is a
-    host-side optimisation, invisible to the simulation), the degree file
-    into a private buffer whose prefix sums fill the offsets, and the
-    in-lists come from one pass of the C tier's ``in_lists`` counting sort,
-    or from its numpy twin.  A degree file whose sum is not the adjacency
-    length, or that holds a negative degree, raises
-    :class:`~repro.errors.GraphFormatError` before either runs.
+    the vertex offsets (the graph's ``indptr``) and the in-neighbour lists
+    (see :class:`SharedGraphDescriptor`) each get a segment named after a
+    fresh publication token.  The in-lists come from one pass of the C
+    tier's ``in_lists`` counting sort, or from its numpy twin, into private
+    arrays.  No file is read: the graph is the one
+    :func:`~repro.core.orientation.orient_graph` returns, checked while it
+    was filtered, so no I/O counter anywhere moves -- publication is a
+    host-side optimisation, invisible to the simulation.  The four segments
+    are created first and then each is filled by one ``os.pwrite``; if
+    anything fails, every segment is closed and unlinked before the error
+    propagates.
     """
     available, reason = shm_available()
     if not available:
         raise PDTLError(f"cannot publish graph to shared memory: {reason}")
     from multiprocessing import shared_memory
 
-    token = _new_token()
     n, m = graph.num_vertices, graph.num_edges
+    in_offsets = np.empty(n + 1, dtype=np.int64)
+    in_sources = np.empty(m, dtype=np.int32)
+    in_lists = kernel_backend.fused("in_lists") or _in_lists_numpy
+    in_lists(graph.indptr, graph.indices, in_offsets, in_sources)
+    arrays = {
+        "adj": np.ascontiguousarray(graph.indices, dtype=np.int64),
+        "off": np.ascontiguousarray(graph.indptr, dtype=np.int64),
+        "ino": in_offsets,
+        "ins": in_sources,
+    }
+
+    token = _new_token()
     segments: list = []
     specs: dict[str, SharedArraySpec] = {}
-    views: dict[str, np.ndarray] = {}
     try:
-        for suffix, count, dtype in (
-            ("adj", m, np.int64), ("off", n + 1, np.int64),
-            ("ino", n + 1, np.int64), ("ins", m, np.int32),
-        ):
+        for suffix, array in arrays.items():
             name = f"{token}-{suffix}"
             # POSIX segments must be non-empty; over-allocate one byte for
             # empty arrays and let the spec's shape carry the truth
-            size = max(count * np.dtype(dtype).itemsize, 1)
-            shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-            segments.append(shm)
-            views[suffix] = np.ndarray((count,), dtype=dtype, buffer=shm.buf)
+            segments.append(
+                shared_memory.SharedMemory(name=name, create=True, size=max(array.nbytes, 1))
+            )
             specs[suffix] = SharedArraySpec(
-                name=name, dtype=np.dtype(dtype).name, shape=(count,)
+                name=name, dtype=array.dtype.name, shape=array.shape
             )
-        _read_into(graph, graph.adjacency_file_name, views["adj"])
-        degrees = np.empty(n, dtype=np.int64)
-        _read_into(graph, graph.degree_file_name, degrees)
-        views["off"][0] = 0
-        np.cumsum(degrees, out=views["off"][1:])
-        if views["off"][n] != m:
-            raise GraphFormatError(
-                f"degree sum {int(views['off'][n])} does not match adjacency length {m}"
-            )
-        if n and degrees.min() < 0:
-            v = int(np.argmax(degrees < 0))
-            raise GraphFormatError(f"vertex {v} has negative degree {int(degrees[v])}")
-        in_lists = kernel_backend.fused("in_lists") or _in_lists_numpy
-        in_lists(*(views[s] for s in ("off", "adj", "ino", "ins")))
-    except BaseException as exc:
-        # a segment cannot be closed while views of it live, and the frames
-        # of the traceback still hold some: drop them all first
-        views.clear()
-        traceback.clear_frames(exc.__traceback__)
+        for shm, array in zip(segments, arrays.values()):
+            _fill_segment(shm, array)
+    except BaseException:
         for shm in segments:
             try:
                 shm.unlink()
@@ -380,7 +372,6 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
                 pass
             shm.close()
         raise
-    views.clear()
 
     descriptor = SharedGraphDescriptor(
         token=token,
@@ -388,8 +379,8 @@ def publish_graph(graph: GraphFile) -> SharedGraphPublication:
         offsets=specs["off"],
         in_offsets=specs["ino"],
         in_sources=specs["ins"],
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
+        num_vertices=n,
+        num_edges=m,
         directed=graph.directed,
         max_degree=graph.max_degree,
     )

@@ -53,7 +53,6 @@ __all__ = [
     "FileSink",
     "PerVertexCountSink",
     "EdgeSupportSink",
-    "oriented_edge_array",
     "make_sink",
     "CHUNK_SINK_KINDS",
 ]
@@ -220,29 +219,6 @@ class PerVertexCountSink:
         np.add.at(self.per_vertex, vs, 1)
         np.add.at(self.per_vertex, ws, 1)
         self.count += n
-
-
-def oriented_edge_array(graph) -> np.ndarray:
-    """Every oriented edge as an ``(m, 2)`` array in adjacency storage order.
-
-    Accepts an on-disk :class:`~repro.graph.binfmt.GraphFile`, a zero-copy
-    :class:`~repro.core.shm.SharedGraphView` or an in-memory oriented
-    :class:`~repro.graph.csr.CSRGraph`; row ``p`` is the edge stored at
-    adjacency position ``p``, the shared indexing contract of
-    :class:`EdgeSupportSink` and ``PDTLResult.edge_supports``.
-    """
-    indptr = getattr(graph, "indptr", None)
-    if indptr is not None:  # in-memory CSR
-        return np.stack([graph.edge_sources(), graph.indices], axis=1)
-    if graph.num_edges == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    offsets = graph.offsets()
-    sources = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64),
-        np.diff(offsets).astype(np.int64),
-    )
-    destinations = graph.read_adjacency_range(0, graph.num_edges)
-    return np.stack([sources, destinations], axis=1)
 
 
 class _SpillRun:

@@ -229,15 +229,22 @@ def _check_format(graph: CSRGraph) -> None:
             raise GraphFormatError(message.format(vertex))
 
 
-def write_graph(device: BlockDevice, name: str, graph: CSRGraph) -> GraphFile:
+def write_graph(
+    device: BlockDevice, name: str, graph: CSRGraph, check: bool = True
+) -> GraphFile:
     """Write a CSR graph to ``device`` in the degree/adjacency format.
 
     The CSR invariants (sorted lists, no loops, no duplicates) are checked
     before writing so that every on-disk graph satisfies the modified-MGT
-    preconditions.  The arrays are written from contiguous int64 views of
-    the graph, not from copies.
+    preconditions.  ``check=False`` skips that walk, for the two writers
+    whose lists are checked by the pass that reads them: the PDTL runner's
+    staging, whose every list the orientation filter checks next, and the
+    orientation's output, whose every list is a sub-list of a checked one
+    (:func:`repro.core.orientation.orient_graph`).  The arrays are written
+    from contiguous int64 views of the graph, not from copies.
     """
-    _check_format(graph)
+    if check:
+        _check_format(graph)
     for suffix in (".deg", ".adj", ".meta"):
         device.delete(f"{name}{suffix}")
     deg_file = device.open(f"{name}.deg")

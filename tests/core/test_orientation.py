@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import complete_graph, rmat, watts_strogatz
+
+from format_faults import FILE_FAULTS, LIST_FAULTS, corrupt, plant, write_graph_error
 
 
 class TestDegreeOrder:
@@ -195,20 +199,88 @@ class TestOutOfRangeIds:
                 orient_graph(gf, num_chunks=num_chunks)
 
 
+class TestMalformedInput:
+    """The filter is the one reader of the input's files and lists, so it
+    refuses a malformed input on either tier, before it writes anything:
+    files that disagree with their metadata with a format error, and a
+    fault in a list with the error ``write_graph`` raises for the graph
+    in memory -- even when the fault is in the entries orientation drops,
+    so every oriented list looks clean."""
+
+    @pytest.fixture
+    def graph(self):
+        return CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5))
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    def test_file_fault_raises_a_format_error(self, device, graph, tier, fault):
+        gf = write_graph(device, "g", graph)
+        message = corrupt(gf, fault)
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+                orient_graph(gf, num_chunks=2)
+        assert not device.exists("g_oriented.adj")
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("fault", LIST_FAULTS)
+    @pytest.mark.parametrize("num_chunks", [1, 2, 4])
+    def test_list_fault_raises_write_graphs_error(self, device, graph, tier, fault, num_chunks):
+        bad = plant(graph, fault, 0)
+        message = write_graph_error(bad)
+        assert message is not None and "vertex 0" in message
+        gf = write_graph(device, "g", bad, check=False)
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError) as raised:
+                orient_graph(gf, num_chunks=num_chunks)
+        assert str(raised.value) == message
+        assert not device.exists("g_oriented.adj")
+        # the oriented lists alone would pass the check
+        assert write_graph_error(orient_csr_unchecked(bad)) is None
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    def test_an_unsorted_list_outranks_an_earlier_loop(self, device, graph, tier):
+        bad = plant(plant(graph, "loop", 0), "swap", 2)
+        message = write_graph_error(bad)
+        assert message == (
+            "adjacency list of vertex 2 is not sorted; "
+            "modified MGT requires destination-sorted lists"
+        )
+        gf = write_graph(device, "g", bad, check=False)
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError) as raised:
+                orient_graph(gf, num_chunks=2)
+        assert str(raised.value) == message
+
+
+def orient_csr_unchecked(graph: CSRGraph) -> CSRGraph:
+    """The entries of ``graph`` going up the degree order, kept in storage
+    order whatever the format of its lists."""
+    keys = degree_order_keys(graph.degrees)
+    sources = graph.edge_sources()
+    keep = keys[sources] < keys[graph.indices]
+    indptr = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources[keep], minlength=graph.num_vertices), out=indptr[1:])
+    return CSRGraph(indptr, graph.indices[keep], directed=True)
+
+
 class TestMasterKernelTier:
     """The master's preprocessing runs on the process's kernel tier, the one
-    its chunk tasks carry to the workers' scans."""
+    its chunk tasks carry to the workers' scans.  Its one format check is
+    the orientation filter's: a run never walks its lists with
+    ``csr_violations``."""
 
     @pytest.mark.parametrize("tier", _TIERS)
     def test_preprocessing_dispatches_on_the_configured_tier(self, tier):
         graph = CSRGraph.from_edgelist(rmat(6, edge_factor=6, seed=4))
-        config = PDTLConfig(memory_per_proc=4096, block_size=512)
+        config = PDTLConfig(memory_per_proc=4096, block_size=512, shm=True)
         other = "cffi" if tier == "numpy" else "numpy"
         with kernel_backend.use(tier):
             before = kernel_backend.dispatch_counts()
             PDTLRunner(config, backend="serial").run(graph)
             after = kernel_backend.dispatch_counts()
-        for kernel in ("csr_violations", "orient_range"):
+        for kernel in ("orient_range", "in_lists"):
             key = f"{kernel}.{tier}"
             assert after.get(key, 0) > before.get(key, 0), key
             assert after.get(f"{kernel}.{other}", 0) == before.get(f"{kernel}.{other}", 0)
+        for key in ("csr_violations.numpy", "csr_violations.cffi"):
+            assert after.get(key, 0) == before.get(key, 0), key

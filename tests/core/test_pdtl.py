@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,26 @@ from repro.baselines.inmemory import (
     forward_list,
     per_vertex_triangle_counts,
 )
+from repro.core import kernel_backend
 from repro.core.config import PDTLConfig
 from repro.core.load_balance import ranges_cover_exactly
 from repro.core.orientation import orient_graph
 from repro.core.pdtl import PDTLRunner
-from repro.core.triangles import oriented_edge_array
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.externalmem.blockio import BlockDevice
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import complete_graph, rmat, watts_strogatz
+
+from format_faults import FILE_FAULTS, LIST_FAULTS, corrupt, plant, write_graph_error
+
+_COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
+_TIERS = [
+    "numpy",
+    pytest.param(
+        "cffi", marks=pytest.mark.skipif(not _COMPILED_OK, reason=f"no C tier: {_COMPILED_DETAIL}")
+    ),
+]
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +83,7 @@ class TestCorrectnessAcrossConfigurations:
         reference = orient_graph(write_graph(device, "g", medium_graph)).oriented
         config = PDTLConfig(num_nodes=1, procs_per_node=procs)
         result = PDTLRunner(config).run(medium_graph, sink_kind="edge-support")
-        np.testing.assert_array_equal(
-            result.oriented_edges, oriented_edge_array(reference)
-        )
+        np.testing.assert_array_equal(result.oriented_edges, reference.to_csr().edge_array())
         assert result.max_out_degree == reference.max_degree
 
 
@@ -167,6 +177,58 @@ class TestInputStaging:
         graph = orient_csr(CSRGraph.from_edgelist(complete_graph(5)))
         with pytest.raises(ConfigurationError):
             PDTLRunner(PDTLConfig()).run(graph)
+
+
+class TestMalformedInputRefused:
+    """A run refuses a malformed input whether it arrives in memory or on
+    disk, on either tier, with the message ``write_graph`` gives for the
+    graph in memory.  Its one check is the orientation filter's, over the
+    input lists: the faults here sit in entries orientation drops, which a
+    check of the oriented lists alone let through."""
+
+    _CONFIG = PDTLConfig(num_nodes=1, procs_per_node=2, memory_per_proc=4096, block_size=512)
+
+    @pytest.fixture
+    def graph(self):
+        return CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5))
+
+    def _run(self, tmp_path, graph, form, tier):
+        source = graph
+        if form == "GraphFile":
+            device = BlockDevice(tmp_path / "input", block_size=512)
+            source = write_graph(device, "g", graph, check=False)
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError) as raised:
+                PDTLRunner(self._CONFIG).run(source)
+        return str(raised.value)
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("form", ["CSRGraph", "GraphFile"])
+    @pytest.mark.parametrize("fault", LIST_FAULTS)
+    def test_list_fault_refused_with_write_graphs_message(
+        self, tmp_path, graph, tier, form, fault
+    ):
+        bad = plant(graph, fault, 0)
+        message = write_graph_error(bad)
+        assert message is not None and "vertex 0" in message
+        assert self._run(tmp_path, bad, form, tier) == message
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("form", ["CSRGraph", "GraphFile"])
+    def test_an_unsorted_list_outranks_an_earlier_loop(self, tmp_path, graph, tier, form):
+        bad = plant(plant(graph, "loop", 0), "swap", 2)
+        message = write_graph_error(bad)
+        assert message.startswith("adjacency list of vertex 2 is not sorted")
+        assert self._run(tmp_path, bad, form, tier) == message
+
+    @pytest.mark.parametrize("tier", _TIERS)
+    @pytest.mark.parametrize("fault", FILE_FAULTS)
+    def test_file_fault_refused_with_a_format_error(self, tmp_path, graph, tier, fault):
+        gf = write_graph(BlockDevice(tmp_path / "input", block_size=512), "g", graph)
+        message = corrupt(gf, fault)
+        with kernel_backend.use(tier):
+            with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+                PDTLRunner(self._CONFIG).run(gf)
 
 
 class TestResultStructure:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -149,7 +150,23 @@ class TestPinnedSchedule:
         scheduler = DynamicScheduler(chunks, num_workers=3)
         pulled = scheduler.schedule([5, 1, 3])
         pinned = scheduler.schedule([5, 1, 3], owners=[0, 1, 2])
-        assert pinned == pulled
+        # the same timeline; only the pulls see a queue
+        assert dataclasses.replace(pinned, queue_depths=pulled.queue_depths) == pulled
+        assert pulled.queue_depths == [3, 2, 1]
+        assert pinned.queue_depths == [] and pinned.max_queue_depth == 0
+
+    def test_pinned_chunks_record_no_queue_depth(self):
+        """Queue depths are observed at pulls; a pinned plan has none, so
+        it reports no depth."""
+        chunks = make_chunks(6, 1)
+        pinned = DynamicScheduler(chunks, num_workers=2).schedule(
+            [1] * 6, owners=[0, 0, 0, 1, 1, 1]
+        )
+        assert pinned.queue_depths == []
+        assert pinned.max_queue_depth == 0
+        pulled = DynamicScheduler(chunks, num_workers=2, failure_after={0: 1}).schedule([1] * 6)
+        # every pull attempt, the one on which worker 0 dies included
+        assert pulled.queue_depths == [6, 5, 4, 4, 3, 2, 1]
 
     def test_failure_spec_rejected(self):
         # a pinned chunk has nowhere else to go: without the check its dead

@@ -9,7 +9,9 @@ and no ``/dev/shm`` stragglers after any run.
 
 from __future__ import annotations
 
+import errno
 import glob
+import os
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from repro.core.shm import (
     shm_available,
 )
 from repro.core.triangles import make_sink
-from repro.errors import GraphFormatError, OutOfMemoryError, PDTLError
+from repro.errors import OutOfMemoryError, PDTLError
 from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
@@ -57,10 +59,22 @@ def _segments_on_host() -> list[str]:
 
 
 @pytest.fixture
-def oriented(tmp_path):
+def orientation(tmp_path):
     device = BlockDevice(tmp_path / "disk", block_size=512)
     graph = CSRGraph.from_edgelist(rmat(6, edge_factor=8, seed=5))
-    return orient_graph(write_graph(device, "g", graph)).oriented
+    return orient_graph(write_graph(device, "g", graph))
+
+
+@pytest.fixture
+def oriented(orientation):
+    """The oriented graph's files."""
+    return orientation.oriented
+
+
+@pytest.fixture
+def oriented_csr(orientation):
+    """The same oriented graph in memory, as the runner publishes it."""
+    return orientation.graph
 
 
 @pytest.fixture
@@ -69,8 +83,8 @@ def config() -> PDTLConfig:
 
 
 class TestPublishAttach:
-    def test_roundtrip_matches_file_reads(self, oriented):
-        with publish_graph(oriented) as publication:
+    def test_roundtrip_matches_file_reads(self, oriented, oriented_csr):
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             np.testing.assert_array_equal(
                 np.diff(view.cached_offsets), oriented.read_degrees()
@@ -86,8 +100,8 @@ class TestPublishAttach:
             assert view.directed
             view.close()
 
-    def test_views_are_zero_copy_and_read_only(self, oriented):
-        with publish_graph(oriented) as publication:
+    def test_views_are_zero_copy_and_read_only(self, oriented, oriented_csr):
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             window = view.read_adjacency_range(0, min(8, oriented.num_edges))
             assert not window.flags.writeable
@@ -97,10 +111,10 @@ class TestPublishAttach:
                 window[0] = -1
             view.close()
 
-    def test_scan_invariants_published(self, oriented):
+    def test_scan_invariants_published(self, oriented, oriented_csr):
         """The in-neighbour lists (the transpose, sources ascending per
         target, as int32) and the view's sorted packed edge keys."""
-        with publish_graph(oriented) as publication:
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             adjacency = oriented.read_adjacency_range(0, oriented.num_edges)
             offsets = oriented.offsets()
@@ -121,13 +135,13 @@ class TestPublishAttach:
             view.close()
 
     @pytest.mark.skipif(not _COMPILED_OK, reason=f"no C tier: {_COMPILED_DETAIL}")
-    def test_tiers_publish_identical_segments(self, oriented):
+    def test_tiers_publish_identical_segments(self, oriented, oriented_csr):
         """Both tiers publish the same four segments: the C tier's
         counting-sort in-lists, written in place, are byte for byte the
         numpy tier's sort-based arrays, in the same dtypes."""
         published = {}
         for tier in ("numpy", "cffi"):
-            with kernel_backend.use(tier), publish_graph(oriented) as publication:
+            with kernel_backend.use(tier), publish_graph(oriented_csr) as publication:
                 descriptor = publication.descriptor
                 view = SharedGraphView(descriptor, oriented.device.model)
                 arrays = (
@@ -146,58 +160,31 @@ class TestPublishAttach:
             assert c_array.dtype == numpy_array.dtype
             assert c_array.tobytes() == numpy_array.tobytes()
 
-    @pytest.mark.parametrize(
-        "tier, corruption",
-        [
-            pytest.param(
-                tier, corruption,
-                marks=[pytest.mark.skipif(not _COMPILED_OK, reason="no C tier")]
-                if tier == "cffi" else [],
-            )
-            for corruption in ("short", "id", "negative id", "degree sum", "negative degree")
-            for tier in ("numpy", "cffi")
-        ],
-    )
-    def test_failed_publication_leaves_no_segment(self, oriented, tier, corruption):
-        """A graph file shorter than its metadata, an id outside the graph
-        (``n`` in the last entry, ``-1`` in the first), or a degree file whose
-        sum is not the adjacency length or that holds a negative degree (with
-        the right sum) fails the publication on both tiers with the same
-        format error, after its segments exist; every segment is closed and
-        unlinked."""
-        n, m = oriented.num_vertices, oriented.num_edges
-        path = oriented.device.path(oriented.adjacency_file_name)
-        adjacency = np.fromfile(path, dtype=np.int64)
-        message = {
-            "short": f"{oriented.adjacency_file_name} holds {8 * (m - 1)} bytes",
-            "id": rf"adjacency entry {m - 1} holds id {n} outside \[0, {n}\)$",
-            "negative id": rf"adjacency entry 0 holds id -1 outside \[0, {n}\)$",
-            "degree sum": f"degree sum {m + 1} does not match adjacency length {m}$",
-            "negative degree": "vertex 0 has negative degree -1$",
-        }[corruption]
-        if corruption == "short":
-            adjacency = adjacency[:-1]
-        elif corruption == "id":
-            adjacency[-1] = n
-        elif corruption == "negative id":
-            adjacency[0] = -1
-        else:
-            degree_path = oriented.device.path(oriented.degree_file_name)
-            degrees = np.fromfile(degree_path, dtype=np.int64)
-            if corruption == "degree sum":
-                degrees[-1] += 1
-            else:
-                degrees[-1] += degrees[0] + 1
-                degrees[0] = -1
-            degrees.tofile(degree_path)
-        adjacency.tofile(path)
-        with kernel_backend.use(tier):
-            with pytest.raises(GraphFormatError, match=message):
-                publish_graph(oriented)
+    @pytest.mark.parametrize("failing", [0, 3], ids=["first-write", "last-write"])
+    def test_failed_publication_leaves_no_segment(self, oriented_csr, monkeypatch, failing):
+        """A write that fails after every segment exists (a full ``/dev/shm``
+        here) fails the publication with its error; every segment is closed
+        and unlinked.  The publication reads no file: a malformed graph
+        file is refused by the orientation that reads it
+        (``tests/core/test_orientation.py``)."""
+        writes = []
+
+        def pwrite(fd, data, offset):
+            assert len(_segments_on_host()) == len(_PUBLISHED_FIELDS)
+            writes.append(fd)
+            if len(writes) > failing:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_pwrite(fd, data, offset)
+
+        real_pwrite = os.pwrite
+        monkeypatch.setattr(shm_mod.os, "pwrite", pwrite)
+        with pytest.raises(OSError, match="No space left on device"):
+            publish_graph(oriented_csr)
+        assert len(writes) == failing + 1
         assert _segments_on_host() == []
 
-    def test_out_of_bounds_range_rejected(self, oriented):
-        with publish_graph(oriented) as publication:
+    def test_out_of_bounds_range_rejected(self, oriented, oriented_csr):
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             with pytest.raises(PDTLError):
                 view.read_adjacency_range(0, oriented.num_edges + 1)
@@ -205,8 +192,8 @@ class TestPublishAttach:
                 view.read_adjacency_range(-1, 1)
             view.close()
 
-    def test_attach_cache_returns_same_view(self, oriented):
-        publication = publish_graph(oriented)
+    def test_attach_cache_returns_same_view(self, oriented, oriented_csr):
+        publication = publish_graph(oriented_csr)
         try:
             model = oriented.device.model
             first = attach_view(publication.descriptor, model)
@@ -217,11 +204,11 @@ class TestPublishAttach:
         # unlink dropped the same-process cached attachment too
         assert _segments_on_host() == []
 
-    def test_oriented_publication_has_no_order_keys(self, oriented):
+    def test_oriented_publication_has_no_order_keys(self, oriented_csr):
         """``degrees``, ``scan_keys``, ``order_keys`` and ``scan_sources``
         stay on the descriptor and are always ``None``, so tools that size a
         publication field by field still find them."""
-        with publish_graph(oriented) as publication:
+        with publish_graph(oriented_csr) as publication:
             descriptor = publication.descriptor
             assert descriptor.degrees is None
             assert descriptor.scan_keys is None
@@ -233,8 +220,8 @@ class TestPublishAttach:
 
 
 class TestLifecycle:
-    def test_unlink_removes_segments_and_is_idempotent(self, oriented):
-        publication = publish_graph(oriented)
+    def test_unlink_removes_segments_and_is_idempotent(self, oriented_csr):
+        publication = publish_graph(oriented_csr)
         names = [getattr(publication.descriptor, f).name for f in _PUBLISHED_FIELDS]
         for name in names:
             assert glob.glob(f"/dev/shm/{name}")
@@ -243,9 +230,9 @@ class TestLifecycle:
         for name in names:
             assert not glob.glob(f"/dev/shm/{name}")
 
-    def test_attached_view_survives_unlink(self, oriented):
+    def test_attached_view_survives_unlink(self, oriented, oriented_csr):
         """POSIX keeps unlinked segments alive for existing mappings."""
-        publication = publish_graph(oriented)
+        publication = publish_graph(oriented_csr)
         view = SharedGraphView(publication.descriptor, oriented.device.model)
         reference = oriented.read_adjacency_range(0, oriented.num_edges).copy()
         publication.unlink()
@@ -258,13 +245,11 @@ class TestLifecycle:
     def test_detach_view_without_attachment_is_noop(self):
         detach_view("no-such-token")
 
-    def test_dead_attachment_swept_on_next_attach(self, oriented):
+    def test_dead_attachment_swept_on_next_attach(self, oriented, oriented_csr):
         """A cached view whose publication was unlinked elsewhere (a pool
         worker's situation) is evicted -- and its memory released -- the
         next time the process attaches anything."""
-        import os
-
-        stale_pub = publish_graph(oriented)
+        stale_pub = publish_graph(oriented_csr)
         stale_token = stale_pub.descriptor.token
         attach_view(stale_pub.descriptor, oriented.device.model)
         assert stale_token in shm_mod._ATTACHED
@@ -278,7 +263,7 @@ class TestLifecycle:
                 resource_tracker.unregister(segment._name, "shared_memory")
             except Exception:
                 pass
-        fresh_pub = publish_graph(oriented)
+        fresh_pub = publish_graph(oriented_csr)
         try:
             view = attach_view(fresh_pub.descriptor, oriented.device.model)
             assert stale_token not in shm_mod._ATTACHED
@@ -301,31 +286,31 @@ class TestLifecycle:
         ids=["cached_offsets", "offsets", "read_adjacency_range", "scan_keys",
              "in_offsets", "in_sources"],
     )
-    def test_closed_view_reports_closed_not_missing(self, oriented, read):
+    def test_closed_view_reports_closed_not_missing(self, oriented, oriented_csr, read):
         """Use-after-close of any published array is reported as a closed
         view, not as a missing array or a ``TypeError``."""
-        with publish_graph(oriented) as publication:
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             view.close()
             with pytest.raises(PDTLError, match="is closed"):
                 read(view)
 
-    def test_closed_view_fails_the_worker_clearly(self, oriented, config):
-        with publish_graph(oriented) as publication:
+    def test_closed_view_fails_the_worker_clearly(self, oriented, oriented_csr, config):
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             view.close()
             with pytest.raises(PDTLError, match="is closed"):
                 MGTWorker(view, config).run()
 
-    def test_tokens_are_unique(self, oriented):
-        with publish_graph(oriented) as first, publish_graph(oriented) as second:
+    def test_tokens_are_unique(self, oriented_csr):
+        with publish_graph(oriented_csr) as first, publish_graph(oriented_csr) as second:
             assert first.descriptor.token != second.descriptor.token
 
 
 class TestMGTOnSharedView:
-    def test_counts_and_accounting_match_disk_path(self, oriented, config):
+    def test_counts_and_accounting_match_disk_path(self, oriented, oriented_csr, config):
         disk = mgt_count(oriented, config)
-        with publish_graph(oriented) as publication:
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             shared = MGTWorker(view, config).run()
             view.close()
@@ -338,18 +323,18 @@ class TestMGTOnSharedView:
         assert shared.cpu_operations == disk.cpu_operations
         assert shared.edges_processed == disk.edges_processed
 
-    def test_edge_range_restriction_matches(self, oriented, config):
+    def test_edge_range_restriction_matches(self, oriented, oriented_csr, config):
         mid = oriented.num_edges // 2
         disk = MGTWorker(oriented, config, range_start=mid).run()
-        with publish_graph(oriented) as publication:
+        with publish_graph(oriented_csr) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             shared = MGTWorker(view, config, range_start=mid).run()
             view.close()
         assert shared.triangles == disk.triangles
         assert shared.io_stats.as_dict() == disk.io_stats.as_dict()
 
-    def test_chunk_task_executes_against_shared_segments(self, oriented, config):
-        with publish_graph(oriented) as publication:
+    def test_chunk_task_executes_against_shared_segments(self, oriented, oriented_csr, config):
+        with publish_graph(oriented_csr) as publication:
             task = ChunkTask(
                 index=0,
                 device_root=str(oriented.device.root),
@@ -462,7 +447,7 @@ class TestSharedScanMatchesDisk:
             assert any(bound % window for bound in splits[1:-1])
 
         oriented = write_graph(BlockDevice(tmp_path / "disk", block_size=512), name, graph)
-        with kernel_backend.use(tier), publish_graph(oriented) as publication:
+        with kernel_backend.use(tier), publish_graph(graph) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             before = kernel_backend.dispatch_counts().get(f"mgt_chunk_scan.{tier}", 0)
             try:
@@ -484,7 +469,7 @@ class TestSharedScanMatchesDisk:
         config = PDTLConfig(memory_per_proc=8192, block_size=512, trace=True)
         start, stop = graph.num_edges // 3, 2 * graph.num_edges // 3
         oriented = write_graph(BlockDevice(tmp_path / "disk", block_size=512), "g", graph)
-        with kernel_backend.use(tier), publish_graph(oriented) as publication:
+        with kernel_backend.use(tier), publish_graph(graph) as publication:
             task = ChunkTask(
                 index=0,
                 device_root=str(oriented.device.root),
@@ -541,7 +526,7 @@ class TestWindowBudget:
             "allocation of 31984 bytes exceeds available budget of 8112 bytes "
             "(allocation 'ind' on budget of 8.0KiB)"
         )
-        with kernel_backend.use(tier), publish_graph(oriented) as publication:
+        with kernel_backend.use(tier), publish_graph(graph) as publication:
             view = SharedGraphView(publication.descriptor, oriented.device.model)
             try:
                 with pytest.raises(OutOfMemoryError) as raised:
@@ -728,9 +713,9 @@ class TestAvailabilityGuard:
         )
         assert _segments_on_host() == []
 
-    def test_publish_raises_when_unavailable(self, oriented, monkeypatch):
+    def test_publish_raises_when_unavailable(self, oriented_csr, monkeypatch):
         monkeypatch.setattr(shm_mod, "_AVAILABLE", (False, "probe failed"))
         with pytest.raises(PDTLError, match="probe failed"):
-            publish_graph(oriented)
+            publish_graph(oriented_csr)
         monkeypatch.setattr(shm_mod, "_AVAILABLE", None)
         assert shm_available()[0]

@@ -235,6 +235,19 @@ class TestTraceArtifacts:
             if key.endswith(".hit_rate"):
                 assert 0.0 <= value <= 1.0, key
 
+    def test_queue_depths_are_recorded_at_pulls_only(self, graph):
+        """A dynamic run observes the queue at each of its pulls; a static
+        run pins every range to its owner, pulls nothing and records no
+        depth."""
+        dynamic = _run(graph, "serial", False, True)
+        counters = dynamic.telemetry.counters
+        assert counters["scheduler.queue_depth.count"] == dynamic.num_chunks > 1
+        assert counters["scheduler.max_queue_depth"] == dynamic.num_chunks
+        static = _run(graph, "serial", False, True, scheduling="static").telemetry.counters
+        assert static["scheduler.queue_depth.count"] == 0
+        assert static["scheduler.max_queue_depth"] == 0
+        assert static["scheduler.chunks"] == 4
+
     def test_worker_tracks_cover_all_chunks(self, graph):
         telemetry = _run(graph, "serial", False, True).telemetry
         placed = sorted(

@@ -135,9 +135,11 @@ class TestMGTScanPathEquivalence:
         name, graph, count = golden_case
         disk_graph = self._oriented(tmp_path / "disk", graph)
         disk = self._summary(mgt_count(disk_graph, self._config()), disk_graph.device)
-        shared_graph = self._oriented(tmp_path / "shm", graph)
+        device = BlockDevice(tmp_path / "shm", block_size=512)
+        orientation = orient_graph(write_graph(device, "g", graph))
+        shared_graph = orientation.oriented
         oriented_stats = shared_graph.device.stats.as_dict()
-        with publish_graph(shared_graph) as publication:
+        with publish_graph(orientation.graph) as publication:
             view = SharedGraphView(publication.descriptor, shared_graph.device.model)
             try:
                 result = MGTWorker(view, self._config()).run()

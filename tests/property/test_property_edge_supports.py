@@ -39,7 +39,7 @@ from repro.core.mgt import MGTWorker
 from repro.core.orientation import orient_csr
 from repro.core.shm import SharedGraphView, publish_graph, shm_available
 from repro.core.triangles import EdgeSupportSink, ListingSink
-from repro.externalmem.blockio import BlockDevice
+from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -262,14 +262,12 @@ def test_streaming_scan_credits_across_scan_blocks(tmp_path):
 @pytest.mark.skipif(not _SHM, reason=f"no shared memory: {_SHM_REASON}")
 @given(oriented=oriented_graphs(), data=st.data())
 @settings(**SETTINGS)
-def test_shared_scan_credits_like_its_numpy_twin(tmp_path_factory, oriented, data):
+def test_shared_scan_credits_like_its_numpy_twin(oriented, data):
     """The compiled chunk scan and its numpy twin credit one identical
     batch per range, in the walk's v-major order; its rows are the listed
     triangles' edges."""
-    device = BlockDevice(tmp_path_factory.mktemp("disk"), block_size=256)
-    graph = write_graph(device, "oriented", oriented)
-    with publish_graph(graph) as publication:
-        view = SharedGraphView(publication.descriptor, device.model)
+    with publish_graph(oriented) as publication:
+        view = SharedGraphView(publication.descriptor, DiskModel())
         try:
             for start, stop in _ranges(oriented.num_edges, data):
                 compiled, listed = _scan(view, oriented, "cffi", start, stop)

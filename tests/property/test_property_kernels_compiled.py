@@ -809,11 +809,20 @@ def test_orient_range_matches_numpy_filter(registry, graph, num_chunks, data):
     kept = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         adjacency = graph.indices[graph.indptr[lo] : graph.indptr[hi]].copy()
-        want = _orient_range_numpy(adjacency, keys, graph.indptr, lo, hi)
-        got = registry["orient_range"](adjacency, keys, graph.indptr, lo, hi)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        kept.append(got[1])
+        outputs = {}
+        for tier, orient_range in (
+            ("numpy", _orient_range_numpy), ("cffi", registry["orient_range"])
+        ):
+            outs = (np.full(hi - lo, -7, np.int64), np.full(adjacency.shape[0] + 2, -7, np.int64))
+            outputs[tier] = orient_range(adjacency, keys, graph.indptr, lo, hi, *outs)
+            # the results are the caller's arrays, or views of them
+            assert outputs[tier][0] is outs[0]
+            assert np.shares_memory(outputs[tier][1], outs[1]) or not outputs[tier][1].shape[0]
+        (got_degrees, got_kept, got_faults), want = outputs["cffi"], outputs["numpy"]
+        np.testing.assert_array_equal(got_degrees, want[0])
+        np.testing.assert_array_equal(got_kept, want[1])
+        assert got_faults == want[2] == (-1, -1, -1)
+        kept.append(got_kept)
     np.testing.assert_array_equal(np.concatenate(kept), orient_csr(graph).indices)
 
 
@@ -824,10 +833,11 @@ def test_orient_range_raises_the_numpy_error_on_ids_outside_the_graph(registry, 
     indptr = np.array([0, 1, 2, 3, 4, 8], dtype=np.int64)
     adjacency = np.array([4, 4, 4, 4, bad_id, 1, 2, 3], dtype=np.int64)
     keys = degree_order_keys(np.diff(indptr))
+    outs = (np.empty(4, np.int64), np.empty(7, np.int64))
     with pytest.raises(GraphFormatError) as numpy_error:
-        _orient_range_numpy(adjacency[1:], keys, indptr, 1, 5)
+        _orient_range_numpy(adjacency[1:], keys, indptr, 1, 5, *outs)
     with pytest.raises(GraphFormatError) as c_error:
-        registry["orient_range"](adjacency[1:], keys, indptr, 1, 5)
+        registry["orient_range"](adjacency[1:], keys, indptr, 1, 5, *outs)
     assert str(c_error.value) == str(numpy_error.value)
     assert "vertex 4 holds id" in str(c_error.value)
 
@@ -837,8 +847,28 @@ def test_orient_range_raises_the_numpy_error_on_ids_outside_the_graph(registry, 
 def test_orient_range_refuses_chunks_that_do_not_fit(registry, lo, hi, count):
     indptr = np.array([0, 1, 2, 3, 4, 8], dtype=np.int64)
     keys = degree_order_keys(np.diff(indptr))
+    outs = (np.empty(max(hi - lo, 0), np.int64), np.empty(count, np.int64))
     with pytest.raises(ValueError):
-        registry["orient_range"](np.zeros(count, dtype=np.int64), keys, indptr, lo, hi)
+        registry["orient_range"](np.zeros(count, dtype=np.int64), keys, indptr, lo, hi, *outs)
+
+
+@REGISTRY_PARAMS
+@pytest.mark.parametrize(
+    "out_degrees, kept",
+    [(np.empty(3, np.int64), np.empty(8, np.int64)),  # one degree short
+     (np.empty(5, np.int64), np.empty(7, np.int64)),  # one entry short
+     (np.empty(5, np.int32), np.empty(8, np.int64)),
+     (np.empty(5, np.int64), np.empty(16, np.int64)[::2])],
+    ids=["short-degrees", "short-kept", "int32-degrees", "strided-kept"],
+)
+def test_orient_range_refuses_outputs_that_do_not_fit(registry, out_degrees, kept):
+    """C writes every entry of the chunk into ``kept`` before it decides, so
+    the outputs must hold the whole chunk, as contiguous int64."""
+    indptr = np.array([0, 1, 2, 3, 4, 8], dtype=np.int64)
+    adjacency = np.array([4, 4, 4, 4, 0, 1, 2, 3], dtype=np.int64)
+    keys = degree_order_keys(np.diff(indptr))
+    with pytest.raises(TypeError, match="contiguous int64"):
+        registry["orient_range"](adjacency, keys, indptr, 0, 5, out_degrees, kept)
 
 
 @REGISTRY_PARAMS
@@ -995,15 +1025,52 @@ _PLANTED = {
 @pytest.mark.parametrize("kind", list(_PLANTED))
 @pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "inner", "last"])
 def test_csr_violations_find_each_kind_anywhere_in_a_list(registry, kind, where):
+    """And so do both orientation filters."""
     lists = [[1], [0, 5], _PLANTED[kind][where], [], [5], [1, 4]]
     indptr = np.zeros(len(lists) + 1, dtype=np.int64)
     np.cumsum([len(a) for a in lists], out=indptr[1:])
     indices = np.array([w for a in lists for w in a], dtype=np.int64)
     found = registry["csr_violations"](indptr, indices)
     assert found == tuple(2 if k == kind else -1 for k in _PLANTED)
+    keys = degree_order_keys(np.diff(indptr))
+    for orient_range in (registry["orient_range"], _orient_range_numpy):
+        outs = (np.empty(6, np.int64), np.empty(indices.shape[0], np.int64))
+        assert orient_range(indices, keys, indptr, 0, 6, *outs)[2] == found
 
 
 @REGISTRY_PARAMS
 def test_csr_violations_refuses_indptr_that_does_not_fit(registry):
     with pytest.raises(ValueError):
         registry["csr_violations"](np.array([0, 2, 5], dtype=np.int64), np.zeros(3, np.int64))
+
+
+@REGISTRY_PARAMS
+@given(graph=flawed_graphs(), num_chunks=st.integers(min_value=1, max_value=4), data=st.data())
+@settings(**SETTINGS)
+def test_orient_range_finds_the_faults_csr_violations_finds(registry, graph, num_chunks, data):
+    """Both filters report, per chunk, the first unsorted list, self loop
+    and duplicate among the lists they read: over the chunks, in order,
+    what ``csr_violations`` finds in one pass over the graph."""
+    n = graph.num_vertices
+    keys = degree_order_keys(graph.degrees)
+    inner = data.draw(
+        st.lists(st.integers(0, n), min_size=num_chunks - 1, max_size=num_chunks - 1)
+    )
+    bounds = [0, *sorted(inner), n]
+    found = {}
+    for tier, orient_range in (
+        ("numpy", _orient_range_numpy), ("cffi", registry["orient_range"])
+    ):
+        faults = [-1, -1, -1]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            adjacency = graph.indices[graph.indptr[lo] : graph.indptr[hi]]
+            outs = (np.empty(hi - lo, np.int64), np.empty(adjacency.shape[0], np.int64))
+            _, _, chunk = orient_range(adjacency, keys, graph.indptr, lo, hi, *outs)
+            faults = [f if f >= 0 else c for f, c in zip(faults, chunk)]
+        found[tier] = faults
+    unsorted = registry["csr_violations"](graph.indptr, graph.indices)[0]
+    # csr_violations stops at the first unsorted list; the filters read on
+    assert found["cffi"] == found["numpy"]
+    assert found["cffi"][0] == unsorted
+    if unsorted < 0:
+        assert tuple(found["cffi"]) == registry["csr_violations"](graph.indptr, graph.indices)

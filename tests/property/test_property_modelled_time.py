@@ -163,7 +163,7 @@ def oriented_123(tmp_path_factory):
         model=DiskModel(bandwidth_bytes_per_s=123.0),
     )
     graph = CSRGraph.from_edgelist(rmat(7, edge_factor=8, seed=23))
-    return orient_graph(write_graph(device, "g", graph)).oriented
+    return orient_graph(write_graph(device, "g", graph))
 
 
 @pytest.mark.skipif(
@@ -176,11 +176,12 @@ def oriented_123(tmp_path_factory):
 @settings(**SETTINGS)
 def test_shared_scan_charge_equals_streaming_reads(oriented_123, seek, bounds):
     model = DiskModel(bandwidth_bytes_per_s=123.0, seek_latency_s=seek)
-    oriented_123.device.model = model
-    start, stop = sorted(int(b * oriented_123.num_edges) for b in bounds)
+    oriented = oriented_123.oriented
+    oriented.device.model = model
+    start, stop = sorted(int(b * oriented.num_edges) for b in bounds)
     config = PDTLConfig(memory_per_proc=2048, block_size=512, modelled_cpu=True)
-    streaming = MGTWorker(oriented_123, config, range_start=start, range_stop=stop).run()
-    with publish_graph(oriented_123) as publication:
+    streaming = MGTWorker(oriented, config, range_start=start, range_stop=stop).run()
+    with publish_graph(oriented_123.graph) as publication:
         view = SharedGraphView(publication.descriptor, model)
         try:
             shared = MGTWorker(view, config, range_start=start, range_stop=stop).run()

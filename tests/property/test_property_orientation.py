@@ -6,7 +6,9 @@ the *chunked* on-disk orientation path --
 chunks -- over randomized graph families (Erdős–Rényi, power-law, stars, paths, duplicate-heavy
 edge lists) and asserts its output exactly equals the vectorised
 in-memory reference, with every :func:`degree_order_keys` invariant
-holding on the result.
+holding on the result.  The same families, with format faults planted,
+check that the filter refuses exactly what ``write_graph`` refuses, and
+that what a run publishes from memory is what it wrote to disk.
 """
 
 from __future__ import annotations
@@ -18,18 +20,23 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import kernels
+from repro.core import kernel_backend, kernels
 from repro.core.orientation import (
     degree_order_keys,
     orient_csr,
     orient_graph,
     precedes,
 )
-from repro.externalmem.blockio import BlockDevice
+from repro.core.shm import SharedGraphView, publish_graph, shm_available
+from repro.errors import GraphFormatError
+from repro.externalmem.blockio import BlockDevice, DiskModel
 from repro.graph.binfmt import write_graph
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.graph.generators import power_law_degree_graph
+from repro.utils import prefix_sums
+
+from format_faults import write_graph_error
 
 SETTINGS = dict(
     max_examples=40,
@@ -272,3 +279,85 @@ def test_chunked_orientation_end_to_end(family, tmp_path):
     expected = orient_csr(graph)
     result = orient_graph(gf, num_chunks=3)
     assert result.oriented.to_csr() == expected
+
+
+_COMPILED_OK, _COMPILED_DETAIL = kernel_backend.compiled_available()
+_SHM_OK = shm_available()[0]
+_TIERS = [
+    "numpy",
+    pytest.param(
+        "cffi", marks=pytest.mark.skipif(not _COMPILED_OK, reason=f"no C tier: {_COMPILED_DETAIL}")
+    ),
+]
+
+
+@st.composite
+def flawed_family_graphs(draw):
+    """A family graph with up to three planted format faults (two adjacent
+    entries swapped, a self loop, a repeated entry), each in a drawn list;
+    built as raw CSR arrays, past the constructors' checks."""
+    graph = draw(family_graphs())
+    n = graph.num_vertices
+    lists = [graph.neighbors(v).tolist() for v in range(n)]
+    for flaw in draw(st.lists(st.sampled_from(["swap", "loop", "duplicate"]), max_size=3)):
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        own = lists[v]
+        if flaw == "loop":
+            own.append(v)
+            own.sort()
+        elif own and (flaw == "duplicate" or len(own) >= 2):
+            last = len(own) - (1 if flaw == "duplicate" else 2)
+            i = draw(st.integers(min_value=0, max_value=last))
+            if flaw == "duplicate":
+                own.insert(i, own[i])
+            else:
+                own[i], own[i + 1] = own[i + 1], own[i]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in lists], out=indptr[1:])
+    return CSRGraph(indptr, np.array([w for a in lists for w in a], dtype=np.int64))
+
+
+@pytest.mark.parametrize("tier", _TIERS)
+@given(graph=flawed_family_graphs(), num_chunks=st.integers(min_value=1, max_value=4))
+@settings(**CHUNKED_SETTINGS)
+def test_filter_refuses_what_write_graph_refuses(tier, graph, num_chunks):
+    """``orient_graph`` over the unchecked files of ``graph`` raises exactly
+    the error ``write_graph`` raises for it in memory, or nothing when it
+    raises nothing.  An accepted graph's in-memory orientation is its
+    oriented files, and its published segments are those files and the
+    sort-based transpose."""
+    want = write_graph_error(graph)
+    with tempfile.TemporaryDirectory(prefix="pdtl_prop_refuse_") as root:
+        device = BlockDevice(Path(root) / "disk", block_size=512)
+        gf = write_graph(device, "g", graph, check=False)
+        with kernel_backend.use(tier):
+            try:
+                result = orient_graph(gf, num_chunks=num_chunks)
+            except GraphFormatError as exc:
+                assert str(exc) == want
+                assert not device.exists("g_oriented.adj")
+                return
+            assert want is None
+            oriented = result.oriented.to_csr()
+            assert result.graph == oriented == orient_csr(graph)
+            if not _SHM_OK:
+                return
+            with publish_graph(result.graph) as publication:
+                view = SharedGraphView(publication.descriptor, DiskModel())
+                try:
+                    published = [np.array(a) for a in (
+                        view.read_adjacency_range(0, view.num_edges), view.cached_offsets,
+                        view.in_offsets, view.in_sources,
+                    )]
+                finally:
+                    view.close()
+    n = oriented.num_vertices
+    sources = oriented.edge_sources()
+    by_target = np.argsort(oriented.indices, kind="stable")
+    np.testing.assert_array_equal(published[0], oriented.indices)
+    np.testing.assert_array_equal(published[1], oriented.indptr)
+    np.testing.assert_array_equal(
+        published[2], prefix_sums(np.bincount(oriented.indices, minlength=n))
+    )
+    np.testing.assert_array_equal(published[3], sources[by_target])
+    assert published[3].dtype == np.int32
